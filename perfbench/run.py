@@ -25,8 +25,11 @@ import os
 import random
 import resource
 import shutil
+import signal
 import sys
 import time
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -42,32 +45,132 @@ DEFAULT_SEED = 0  # the seed whose output digests are pinned in digests.json
 # MAX_SETUPS) while they take under SETUP_SECONDS in total.
 MIN_SETUPS, MAX_SETUPS, SETUP_SECONDS = 3, 15, 3.0
 MAX_REPEATS = 16  # cap on how often one cheap operation recurs in a round
-ROTATE_SECONDS = 0.25  # time on one core before the measured phase moves on
+HEAVY_POINTS, HEAVY_EVERY = 128, 4  # see Runner.measure
 MIN_TRACED_PASSES = 2  # the traced run compares counts between passes
+PROBE_SECONDS = 0.004  # process CPU time between two speed probes
+PROBE_WINDOW_NS = 20_000_000  # probes this much CPU time around a call count for it
+PERIOD_SECONDS = 0.2  # wall time on one core before the faster core is chosen again
+CORE_PROBES = 8  # kernel runs per core when choosing one
 
 
-class CoreRotation:
-    """Moves this process to the next allowed core every ROTATE_SECONDS.
+# The probe kernel: pure Python and the standard library only, so no change
+# to the library can change its cost. Slot objects, tuple-keyed dict
+# updates, a keyed sort and Fraction arithmetic, like the library's inner
+# loops over ExactValue.
+_PROBE_VALUES = tuple(Fraction(k * 7 % 23 + 1, 8 * (k % 3 + 1)) for k in range(4))
+# The kernel's CPU time on the reference machine (see NOTES.md). Scaled
+# times read as the CPU time a call takes when the kernel takes this long.
+PROBE_REF_NS = 140_000
 
-    The set-ups and the measured phase call ``tick`` between operations.
 
-    On the 2-core machine the benchmark was built on, a core ran about
-    1.45x slower for seconds at a time, presumably while another tenant used
-    its sibling hardware thread, and the scheduler keeps a lone process on
-    the core it has. Visiting every core lets the per-input minimum find
-    the fast one. The run stays one process on one thread.
+class _Node:
+    __slots__ = ("key", "value")
+
+    def __init__(self, key, value):
+        self.key = key
+        self.value = value
+
+
+def _probe_kernel() -> int:
+    nodes, table = [], {}
+    for i in range(120):
+        node = _Node((i * 7) % 13, i)
+        table[node.key, i % 5] = table.get((node.key, i % 5), 0) + node.value
+        if node.key in (1, 3, 5):
+            nodes.append(node)
+    nodes.sort(key=lambda n: (n.key, -n.value))
+    seen: dict = {}
+    for a in _PROBE_VALUES:
+        for b in _PROBE_VALUES:
+            d = abs(a - b)
+            if d < a:
+                seen[d] = seen.get(d, 0) + 1
+    return len(nodes) + len(table) + len(sorted(seen.items()))
+
+
+def _kernel_ns() -> int:
+    t0 = time.thread_time_ns()
+    _probe_kernel()
+    return time.thread_time_ns() - t0
+
+
+def _stamp(start: int) -> tuple[int, int]:
+    """The CPU-time interval of a call that started at ``start``."""
+    return start, time.thread_time_ns()
+
+
+class Clock:
+    """CPU-time stopwatch, scaled to a reference speed probed as it runs.
+
+    Every call is timed in this thread's CPU time, so time spent preempted
+    by other processes or stolen by the hypervisor is left out. The speed
+    of a core itself still changes: on the 2-core machine the benchmark was
+    built on, the same pure-Python loop ran 1.45-2x slower for stretches of
+    a few milliseconds to a whole run, presumably while another tenant used
+    the core's sibling hardware thread.
+
+    So while the clock is entered, a profiling timer interrupts the process
+    every PROBE_SECONDS of CPU time, and the signal handler times a small
+    fixed kernel. A call's time is its CPU time minus the probes that ran
+    inside it, scaled by PROBE_REF_NS over the mean kernel time of the
+    probes within PROBE_WINDOW_NS of the call (long calls are probed
+    throughout). A slow stretch slows the kernel and the call alike and
+    cancels out, while a change to the library moves only the call.
+
+    ``tick``, called between calls, also compares the allowed cores every
+    PERIOD_SECONDS and pins the process to the faster one, so that fewer
+    calls run slowed at all. The run stays one process on one thread.
     """
 
     def __init__(self):
         self.cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        self.next = 0
         self.last = float("-inf")
+        self.at: list[int] = []  # thread CPU ns at each probe's start
+        self.ns: list[int] = []  # each probe's kernel CPU ns
+
+    def __enter__(self) -> "Clock":
+        signal.signal(signal.SIGPROF, self._probe)
+        signal.setitimer(signal.ITIMER_PROF, PROBE_SECONDS, PROBE_SECONDS)
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, signal.SIG_DFL)
+        return False
+
+    def _probe(self, signum, frame) -> None:
+        start = time.thread_time_ns()
+        _probe_kernel()
+        self.at.append(start)
+        self.ns.append(time.thread_time_ns() - start)
 
     def tick(self) -> None:
-        if len(self.cores) > 1 and time.perf_counter() - self.last >= ROTATE_SECONDS:
-            os.sched_setaffinity(0, {self.cores[self.next]})
-            self.next = (self.next + 1) % len(self.cores)
-            self.last = time.perf_counter()
+        if len(self.cores) < 2 or time.perf_counter() - self.last < PERIOD_SECONDS:
+            return
+        speeds = {}
+        for core in self.cores:
+            os.sched_setaffinity(0, {core})
+            speeds[core] = sum(_kernel_ns() for _ in range(CORE_PROBES))
+        os.sched_setaffinity(0, {min(speeds, key=speeds.get)})
+        self.last = time.perf_counter()
+
+    def scaled(self, stamp: tuple[int, int]) -> float:
+        """A call's CPU seconds at the reference speed, probes taken out.
+
+        Call it after the clock is exited, so that the probes after the
+        call are in.
+        """
+        start, end = stamp
+        at, ns = self.at, self.ns
+        own = sum(ns[bisect_left(at, start):bisect_left(at, end)])
+        lo = bisect_left(at, start - PROBE_WINDOW_NS)
+        hi = max(bisect_right(at, end + PROBE_WINDOW_NS), lo + 1)
+        speed = sum(ns[lo:hi]) / len(ns[lo:hi])
+        return (end - start - own) / 1e9 * PROBE_REF_NS / speed
+
+
+def _ns(stamp: tuple[int, int]) -> int:
+    return stamp[1] - stamp[0]
 
 
 def _p90(xs):
@@ -104,11 +207,11 @@ class Runner:
 
     # -- set-up and references -----------------------------------------------
 
-    def setup(self, span) -> tuple[object, float]:
+    def setup(self, span) -> tuple[object, tuple[int, int]]:
         """Generate, validate and write every input; each set-up overwrites the last."""
-        t0 = time.perf_counter()
+        t0 = time.thread_time_ns()
         inputs = workloads.InputFactory(self.workload, self.seed, self.work, span).build()
-        return inputs, time.perf_counter() - t0
+        return inputs, _stamp(t0)
 
     def prepare(self, inputs) -> None:
         """Untimed reference pass: compute and check every expected output."""
@@ -186,7 +289,7 @@ class Runner:
 
     # -- measured phase (tracing off) ----------------------------------------
 
-    def measure(self) -> dict[str, list[list[float]]]:
+    def measure(self) -> dict[str, list[list[tuple[int, int]]]]:
         """Closed loop over shuffled rounds of every operation until time is up.
 
         The first round runs every operation once and always completes, so
@@ -194,7 +297,12 @@ class Runner:
         an operation cheaper than half the mean first-round time appears
         that many times more (at most MAX_REPEATS), spread through the
         shuffled round, so cheap inputs are sampled across the whole phase.
-        Returns, per operation kind, the seconds measured for each input.
+        Loads of files over HEAVY_POINTS points run only in every
+        HEAVY_EVERY-th round: on large_io they took over half of a round,
+        they sit far above the median load, and the time they free gives
+        the operations that set the medians more samples.
+        Returns, per operation kind, the CPU-time stamps (see Clock) of
+        each call on each input.
         """
         pairs, files = self.inputs.pairs, self.inputs.files
         cli = self.cli_ops()
@@ -204,73 +312,80 @@ class Runner:
         ops += [("load", i) for i in range(len(files))]
         ops += [("cli", i) for i in range(len(cli))]
         samples = {kind: {} for kind in ("dhat", "dgh", "load", "cli")}
-        cores = CoreRotation()
+        clock = self.clock
         deadline = time.perf_counter() + self.seconds
         rounds = 0
+        heavy = {("load", i) for i, f in enumerate(files) if len(f.space) > HEAVY_POINTS}
+        full = ops  # a round with the heavy loads; ``ops`` leaves them out
         while rounds == 0 or time.perf_counter() < deadline:
-            self.rng.shuffle(ops)
-            for kind, i in ops:
+            round_ops = full if rounds % HEAVY_EVERY == 0 else ops
+            self.rng.shuffle(round_ops)
+            for kind, i in round_ops:
                 if rounds and time.perf_counter() >= deadline:
                     break
-                cores.tick()
-                dt = self.attempt(kind, self.run_op, kind, cli[i] if kind == "cli" else i)
-                if dt is not None:
-                    samples[kind].setdefault(i, []).append(dt)
+                clock.tick()
+                stamp = self.attempt(kind, self.run_op, kind, cli[i] if kind == "cli" else i)
+                if stamp is not None:
+                    samples[kind].setdefault(i, []).append(stamp)
             if rounds == 0:
-                first = {op: samples[op[0]].get(op[1], [0.0])[0] for op in ops}
+                first = {op: _ns(samples[op[0]].get(op[1], [(0, 0)])[0]) for op in ops}
                 half_mean = 0.5 * sum(first.values()) / len(first)
-                ops = [op for op in ops for _ in range(
-                    max(1, min(MAX_REPEATS, int(half_mean / max(first[op], 1e-9)))))]
+                full = [op for op in ops for _ in range(
+                    max(1, min(MAX_REPEATS, int(half_mean / max(first[op], 1)))))]
+                ops = [op for op in full if op not in heavy]
             rounds += 1
         return {kind: list(per_input.values()) for kind, per_input in samples.items()}
 
-    def run_op(self, kind: str, arg) -> float:
-        """One timed operation; returns its seconds after checking its output."""
+    def run_op(self, kind: str, arg) -> tuple[int, int]:
+        """One timed operation; returns its CPU-time stamp after checking its output."""
         if kind == "dhat":
             pair = self.inputs.pairs[arg]
-            t0 = time.perf_counter()
+            t0 = time.thread_time_ns()
             report = ug.dhat_gh(pair.x, pair.y)
-            dt = time.perf_counter() - t0
+            stamp = _stamp(t0)
             if report.to_json_dict() != self.ref_reports[arg]:
                 raise replay.CheckFailed(f"dhat_gh output changed on {pair.name}")
         elif kind == "dgh":
             pair = self.inputs.pairs[arg]
-            t0 = time.perf_counter()
+            t0 = time.thread_time_ns()
             result = ug.classical_gh(pair.x, pair.y)
-            dt = time.perf_counter() - t0
+            stamp = _stamp(t0)
             if _classical_payload(result) != self.ref_classical[arg]:
                 raise replay.CheckFailed(f"classical_gh output changed on {pair.name}")
         elif kind == "load":
             f = self.inputs.files[arg]
-            t0 = time.perf_counter()
+            t0 = time.thread_time_ns()
             space = ug.parse_space_file(f.path)
-            dt = time.perf_counter() - t0
+            stamp = _stamp(t0)
             if space != f.space:
                 raise replay.CheckFailed(f"{f.path.name} loaded a different space")
         else:
             argv, check = arg
-            dt, out = _run_cli(argv)
+            stamp, out = _run_cli(argv)
             check(out)
-        return dt
+        return stamp
 
     def run_untraced(self) -> tuple[dict[str, float], dict[str, str]]:
         """Set-ups, reference pass and measured phase; the end-to-end metrics."""
-        setup_times, first_texts = [], None
-        cores = CoreRotation()
-        while len(setup_times) < MIN_SETUPS or (
-                len(setup_times) < MAX_SETUPS and sum(setup_times) < SETUP_SECONDS):
-            cores.tick()
-            inputs, dt = self.setup(replay.NullTracer().span)
-            setup_times.append(dt)
-            texts = [f.text for f in inputs.files]
-            first_texts = first_texts or texts
-            self.attempt("set-up is deterministic", _same_texts, texts, first_texts)
-        self.prepare(inputs)
-        samples = self.measure()
-        # One value per input: its fastest call, as timeit reports. The work
-        # per input is fixed, and on a shared machine interference only ever
-        # adds time. Inputs then weigh the same whatever their call count.
-        per_input = {kind: [min(v) for v in vs] for kind, vs in samples.items()}
+        setups, first_texts = [], None
+        self.clock = clock = Clock()
+        with clock:
+            while len(setups) < MIN_SETUPS or (len(setups) < MAX_SETUPS and
+                                               sum(map(_ns, setups)) < SETUP_SECONDS * 1e9):
+                clock.tick()
+                inputs, stamp = self.setup(replay.NullTracer().span)
+                setups.append(stamp)
+                texts = [f.text for f in inputs.files]
+                first_texts = first_texts or texts
+                self.attempt("set-up is deterministic", _same_texts, texts, first_texts)
+            self.prepare(inputs)
+            stamps = self.measure()
+        setup_times = [clock.scaled(stamp) for stamp in setups]
+        samples = {kind: [[clock.scaled(stamp) for stamp in calls] for calls in by_input]
+                   for kind, by_input in stamps.items()}
+        # One value per input: the median of its calls. Inputs then weigh
+        # the same whatever their call count.
+        per_input = {kind: [median(v) for v in vs] for kind, vs in samples.items()}
         ms = {kind: [v * 1000 for v in vs] for kind, vs in per_input.items()}
         metrics = {
             "setup_s": median(setup_times),
@@ -288,6 +403,10 @@ class Runner:
                            ("cli_p50_ms", "cli"), ("load_p50_ms", "load")):
             calls = sum(map(len, samples[kind]))
             counts[name] = f"{calls} calls on {len(samples[kind])} inputs"
+        probes = [ns / 1e3 for ns in clock.ns]
+        print(f"speed probes: {len(probes)}, kernel median {median(probes):.1f} us, "
+              f"quartiles {' '.join(f'{q:.1f}' for q in quantiles(probes, n=4))} us; "
+              f"times are scaled to {PROBE_REF_NS / 1e3:.1f} us")
         print(f"output digest: {self.digest}")
         print(f"hard-case pairs: {self.hard} of {len(inputs.pairs)}")
         print(f"failed_frac: {self.failed / self.attempted:.6f} ratio "
@@ -408,16 +527,19 @@ def _expect_json(expected):
     return check
 
 
-def _run_cli(argv) -> tuple[float, str]:
-    """One in-process ``ultragh.cli.run`` call with stdout and stderr captured."""
+def _run_cli(argv) -> tuple[tuple[int, int], str]:
+    """One in-process ``ultragh.cli.run`` call with stdout and stderr captured.
+
+    Returns the call's CPU-time stamp and its standard output.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        t0 = time.perf_counter()
+        t0 = time.thread_time_ns()
         code = ug_cli.run(argv)
-        dt = time.perf_counter() - t0
+        stamp = _stamp(t0)
     if code != 0:
         raise replay.CheckFailed(f"exit code {code}: {err.getvalue().strip()[:200]}")
-    return dt, out.getvalue()
+    return stamp, out.getvalue()
 
 
 def _span_counts(spans) -> dict[str, int]:

@@ -35,20 +35,24 @@ FILE_SIZE_CAP = 256
 #   draw to the next (3x6: median 28 ms, worst 61; 4x5: 23 and 88), and as
 #   8% of pairs they would put p90 on the edge between them and the rest.
 # p90 thus falls inside the 5x6 and 6x5 pairs, a quarter of the workload.
-# Three cycles, 120 pairs, leave time for about eight calls per pair in a
-# 20 s phase.
+# Six cycles, 240 pairs: with three, which pairs a seed drew moved p90 by
+# 12% (interquartile range over median, ten seeds) and pairs_per_s by 9%.
+# They leave time for about two calls per pair in a 20 s phase.
 _SMALL_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 7) if n * m <= 16]
 _BIG_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 7) if 20 < n * m <= 30]
-HARD_SHAPES = (_SMALL_SHAPES + _BIG_SHAPES * 5) * 3
+HARD_SHAPES = (_SMALL_SHAPES + _BIG_SHAPES * 5) * 6
 
 # gap_mixed: the small random diameter-gap shapes are those with
-# |X|*|Y| <= 20, each twice. Above 20 the classical branch-and-bound that
-# dhat_gh runs on these pairs grows a tail: random 4x6 and 5x5 gap pairs
-# took over a second in about 2% of draws, and one 5x6 pair took 8.8 s.
-# The large shapes (16..32 points a side) are about a fifth of all pairs,
-# far from the 10% that would make p90 flip between a small-pair and a
-# large-pair value; most have |X|*|Y| near 320, so p90 sits on a plateau.
-GAP_SMALL_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 7) if n * m <= 20] * 2
+# |X|*|Y| <= 20, each four times; with two, which pairs a seed drew moved
+# the median by 10% (interquartile range over median, ten seeds). Above 20
+# the classical branch-and-bound that dhat_gh runs on these pairs grows a
+# tail: random 4x6 and 5x5 gap pairs took over a second in about 2% of
+# draws, and one 5x6 pair took 8.8 s.
+# The 12 large pairs (16..32 points a side) are 13% of all pairs, so p90
+# falls among them, three ranks above the costliest small pair, and the
+# counts are fixed, so it cannot flip to a small-pair value; most have
+# |X|*|Y| near 320, so p90 sits on a plateau.
+GAP_SMALL_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 7) if n * m <= 20] * 4
 GAP_LARGE_SHAPES = [
     (16, 20), (20, 16), (18, 18), (17, 19), (19, 17),
     (16, 21), (21, 16), (18, 19), (19, 18), (16, 32),
