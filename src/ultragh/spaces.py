@@ -9,6 +9,7 @@ operations here are pure, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
@@ -37,8 +38,10 @@ class UltrametricSpace:
         self._diameter: Optional[ExactValue] = None
 
     @classmethod
-    def _from_validated(cls, labels, rows, inexact) -> "UltrametricSpace":
-        return cls(tuple(labels), tuple(tuple(r) for r in rows), bool(inexact), _token=_CONSTRUCTION_TOKEN)
+    def _from_validated(cls, labels, rows, inexact, diameter=None) -> "UltrametricSpace":
+        space = cls(tuple(labels), tuple(tuple(r) for r in rows), bool(inexact), _token=_CONSTRUCTION_TOKEN)
+        space._diameter = diameter
+        return space
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -136,9 +139,18 @@ def validate_space(
     """Validate a square distance matrix and return the immutable space.
 
     Checks run in a fixed order and report the lexicographically first
-    violating pair or triple: diagonal/symmetry/positivity over index pairs,
+    violating pair or triple: diagonal/symmetry/positivity over index pairs
+    (row by row, each row's diagonal entry before its entries right of it),
     then the strong triangle inequality over all ordered triples of distinct
     indices.
+
+    The strong triangle inequality is decided in O(n^2) by a spanning-tree
+    test: a symmetric matrix with zero diagonal and positive off-diagonal
+    entries is an ultrametric iff it equals its subdominant ultrametric,
+    whose entry d(i, j) is the largest edge on the minimum-spanning-tree path
+    from i to j (single linkage, Gower & Ross 1969). Only when that test
+    rejects does the O(n^3) triple scan run, to name the first violating
+    triple.
     """
     n = len(matrix)
     if n == 0:
@@ -147,7 +159,7 @@ def validate_space(
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise SpaceValidationError(f"row {i} has length {len(row)}, expected {n}")
-        rows.append(tuple(ExactValue.coerce(v) for v in row))
+        rows.append(tuple(map(ExactValue.coerce, row)))
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -158,21 +170,78 @@ def validate_space(
         if len(set(labels)) != n:
             raise SpaceValidationError("labels must be distinct")
 
+    # Rank the distinct values once so every check below compares ints.
+    # Parsed and generated matrices share one object per value, so entries
+    # are deduplicated by identity before any rational is hashed.
+    entries = list(chain.from_iterable(rows))
+    ids = list(map(id, entries))
+    by_id = dict(zip(ids, entries))
+    distinct = sorted(set(by_id.values()))
+    rank = {v: k for k, v in enumerate(distinct)}
+    rank_of_id = {key: rank[v] for key, v in by_id.items()}
+    flat = list(map(rank_of_id.__getitem__, ids))
+    rk = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
+    zero = rank.get(ZERO, -1)
+
+    cols = tuple(zip(*rk))
     for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                if rows[i][i] != ZERO:
-                    raise NonzeroDiagonalError(i, rows[i][i])
-            else:
-                if rows[i][j] != rows[j][i]:
+        ri = rk[i]
+        if ri[i] != zero:
+            raise NonzeroDiagonalError(i, rows[i][i])
+        right = ri[i + 1:]
+        if right != cols[i][i + 1:] or zero in right:
+            for j in range(i + 1, n):
+                if ri[j] != rk[j][i]:
                     raise AsymmetricMatrixError(i, j, rows[i][j], rows[j][i])
-                if rows[i][j] == ZERO:
+                if ri[j] == zero:
                     raise ZeroOffDiagonalError(i, j)
 
-    # Rank the distinct values once so the O(n^3) triple scan compares ints.
-    distinct = sorted({v for row in rows for v in row})
-    rank = {v: k for k, v in enumerate(distinct)}
-    rk = [[rank[v] for v in row] for row in rows]
+    if not _equals_subdominant(rk):
+        _raise_first_violation(rows, rk)
+        raise RuntimeError(
+            "spanning-tree test rejected a matrix in which the triple scan "
+            "found no violation"
+        )
+
+    return UltrametricSpace._from_validated(labels, rows, inexact, distinct[-1])
+
+
+def _equals_subdominant(rk: Sequence[Sequence[int]]) -> bool:
+    """Whether a symmetric rank matrix (zero diagonal, positive off it) equals
+    its subdominant ultrametric, in O(n^2).
+
+    Prim's dense algorithm grows a minimum spanning tree from point 0. A
+    point v joins the tree by its cheapest edge w, to a tree point p, and
+    the tree path from any earlier point t to v is the path to p plus that
+    edge, so its largest edge is max(u(t, p), w). Every earlier row already
+    matched, so u(t, p) = d(t, p), and v's row must read max(d(t, p), w) at
+    every earlier t.
+    """
+    n = len(rk)
+    order = [0]
+    rest = list(range(1, n))
+    best = list(rk[0][1:])
+    while rest:
+        w = min(best)
+        at = best.index(w)
+        v = rest.pop(at)
+        del best[at]
+        rv = rk[v]
+        seen = list(map(rv.__getitem__, order))
+        rp = rk[order[seen.index(w)]]
+        if seen != [w if r < w else r for r in map(rp.__getitem__, order)]:
+            return False
+        order.append(v)
+        best = list(map(min, best, map(rv.__getitem__, rest)))
+    return True
+
+
+def _raise_first_violation(
+    rows: Sequence[Sequence[ExactValue]], rk: Sequence[Sequence[int]]
+) -> None:
+    """Raise UltrametricViolationError for the lexicographically first
+    ordered triple (i, j, k) with d(i,k) > max(d(i,j), d(j,k)); O(n^3)."""
+    n = len(rk)
     for i in range(n):
         for j in range(n):
             if j == i:
@@ -189,8 +258,6 @@ def validate_space(
                     raise UltrametricViolationError(
                         i, j, k, rows[i][j], rows[j][k], rows[i][k]
                     )
-
-    return UltrametricSpace._from_validated(labels, rows, inexact)
 
 
 def diameter(space: UltrametricSpace) -> ExactValue:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .exact import ExactValue, ZERO
 from .errors import ParseError
@@ -95,11 +95,18 @@ def parse_space(text: str) -> UltrametricSpace:
         raise ParseError(lineno, f"expected 'labels' with {n} entries")
     labels = parts[1:]
 
-    matrix: list[list[ExactValue]] = [[ZERO] * n for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    # None marks a pair whose line has not been read yet.
+    matrix: list[list[Optional[ExactValue]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = ZERO
+    # One ExactValue per distinct token, checked and built at its first line.
+    values: dict[str, ExactValue] = {}
+    pairs = 0
     inexact = False
-    while pos < len(lines):
-        lineno, line = next_line()
+    for lineno, line in enumerate(lines[pos:], pos + 1):
+        line = line.strip()
+        if not line:
+            continue
         parts = line.split()
         if parts[0] == "inexact":
             if parts[1:] != ["true"]:
@@ -114,20 +121,26 @@ def parse_space(text: str) -> UltrametricSpace:
             raise ParseError(lineno, f"bad indices in {line!r}") from None
         if not (0 <= i < j < n):
             raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
-        if (i, j) in seen:
+        row = matrix[i]
+        if row[j] is not None:
             raise ParseError(lineno, f"duplicate pair ({i}, {j})")
-        seen.add((i, j))
-        value = _parse_rational(parts[3], lineno)
-        matrix[i][j] = value
+        token = parts[3]
+        value = values.get(token)
+        if value is None:
+            value = values[token] = _parse_rational(token, lineno)
+        row[j] = value
         matrix[j][i] = value
+        pairs += 1
+    # As in the header, blank lines must be followed by another item.
+    if pos < len(lines) and not lines[-1].strip():
+        raise ParseError(len(lines), "unexpected end of file")
 
-    expected = n * (n - 1) // 2
-    if len(seen) != expected:
+    if pairs != n * (n - 1) // 2:
         missing = next(
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
-            if (i, j) not in seen
+            if matrix[i][j] is None
         )
         raise ParseError(len(lines), f"missing pair line for {missing}")
 

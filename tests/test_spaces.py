@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultragh import (
     ExactValue,
@@ -65,11 +65,97 @@ def test_validate_error_kinds():
     with pytest.raises(ZeroOffDiagonalError):
         validate_space([[0, 0], [0, 0]])
 
+    # A pairwise fault wins over a strong-triangle fault on (0, 1, 2).
+    with pytest.raises(NonzeroDiagonalError) as diag:
+        validate_space([[0, 1, 3], [1, 0, 1], [3, 1, 1]])
+    assert diag.value.i == 2 and diag.value.value == ev(1)
+    with pytest.raises(AsymmetricMatrixError) as asym:
+        validate_space([[0, 1, 3], [1, 0, 1], [3, 2, 0]])
+    assert (asym.value.i, asym.value.j) == (1, 2)
+    assert (asym.value.dij, asym.value.dji) == (ev(1), ev(2))
+
+    # Row-major order: asymmetry at (0, 2) comes before the diagonal (1, 1).
+    with pytest.raises(AsymmetricMatrixError) as asym:
+        validate_space([[0, 1, 2], [1, 5, 1], [3, 1, 0]])
+    assert (asym.value.i, asym.value.j) == (0, 2)
+    # Row 1's diagonal entry comes before its entry at (1, 2).
+    with pytest.raises(NonzeroDiagonalError) as diag:
+        validate_space([[0, 1, 1], [1, 5, 1], [1, 2, 0]])
+    assert diag.value.i == 1
+    # Inside a row, a zero at (0, 1) comes before asymmetry at (0, 2) ...
+    with pytest.raises(ZeroOffDiagonalError) as zero:
+        validate_space([[0, 0, 1], [0, 0, 1], [2, 1, 0]])
+    assert (zero.value.i, zero.value.j) == (0, 1)
+    # ... and at one entry, asymmetry is checked before zero.
+    with pytest.raises(AsymmetricMatrixError) as asym:
+        validate_space([[0, 0], [1, 0]])
+    assert (asym.value.i, asym.value.j) == (0, 1)
+
+
+def _perturbed_ultrametric(n, seed, edits):
+    """A random ultrametric with each (i, j, pool index) edit applied
+    symmetrically, always to a pool value other than the current one."""
+    rows = [list(r) for r in random_ultrametric(n, seed, POOL).matrix()]
+    for i, j, k in edits:
+        i, j = i % n, j % n
+        if i == j:
+            j = (i + 1) % n
+        value = POOL[k]
+        if value == rows[i][j]:
+            value = POOL[(k + 1) % len(POOL)]
+        rows[i][j] = rows[j][i] = value
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.integers(0, 10_000),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_validate_matches_violation_oracle(n, seed, edits):
+    from oracles import ultrametric_violations
+
+    rows = _perturbed_ultrametric(n, seed, edits)
+    bad = ultrametric_violations([[v.fraction for v in r] for r in rows])
+    if not bad:
+        assert validate_space(rows).matrix() == tuple(map(tuple, rows))
+        return
+    with pytest.raises(UltrametricViolationError) as exc:
+        validate_space(rows)
+    i, j, k = bad[0]
+    err = exc.value
+    assert (err.i, err.j, err.k) == (i, j, k)
+    assert (err.dij, err.djk, err.dik) == (rows[i][j], rows[j][k], rows[i][k])
+
 
 def test_diameter_examples(z4, ydelta, singleton):
     assert diameter(singleton) == ev(0)
     assert diameter(z4) == ev(1)
     assert diameter(ydelta) == ev("3/2")
+
+
+def _brute_diameter(space):
+    n = len(space)
+    return max(
+        (space.dist(i, j) for i in range(n) for j in range(n)), default=ExactValue(0)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000), st.integers(0, 1 << 12))
+@example(1, 0, 0)
+@example(4, 0, 1)
+def test_diameter_matches_brute_force(n, seed, mask):
+    space = random_ultrametric(n, seed, POOL)
+    assert space.diameter() == _brute_diameter(space)
+    subset = [i for i in range(n) if mask & (1 << i)] or [0]
+    sub = induced_subspace(space, subset)
+    assert sub.diameter() == _brute_diameter(sub)
 
 
 def test_induced_subspace(z4, x3):

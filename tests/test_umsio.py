@@ -1,6 +1,12 @@
 import pytest
 
-from ultragh import parse_space, parse_space_file, write_space, write_space_file
+from ultragh import (
+    parse_space,
+    parse_space_file,
+    truncated_unramified_ring,
+    write_space,
+    write_space_file,
+)
 from ultragh.errors import ParseError, UltrametricViolationError
 
 from conftest import ev
@@ -68,3 +74,29 @@ def test_parse_values(z4):
     again = parse_space(text)
     assert again.dist(0, 2) == ev("1/2")
     assert again.labels == ("0", "1", "2", "3")
+
+
+def test_bad_token_fails_at_its_first_line():
+    text = (
+        "ums 1\npoints 3\nlabels a b c\n"
+        "d 0 1 1/1\nd 0 2 2/4\nd 1 2 2/4\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_space(text)
+    assert exc.value.line == 5 and "lowest terms" in exc.value.reason
+
+
+def test_repeated_tokens_parse_to_the_written_space():
+    space = truncated_unramified_ring(2, 1, 3)
+    again = parse_space(write_space(space))
+    assert again == space
+    # each distinct token is built once and shared by all its entries
+    assert again.dist(0, 1) is again.dist(2, 3)
+
+
+def test_large_round_trip_is_byte_identical():
+    space = truncated_unramified_ring(2, 1, 8, size_cap=256)
+    text = write_space(space)
+    again = parse_space(text)
+    assert len(again) == 256 and again == space
+    assert write_space(again) == text
