@@ -11,7 +11,7 @@ from .spaces import (
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,
-    spectrum_at_least,
+    spectra_lower_bound,
     validate_space,
     weight_spectrum,
 )
@@ -46,11 +46,9 @@ from .isometries import (
 from .engine import (
     DistanceReport,
     EngineCaps,
-    INFINITE,
     classical_gh,
     dhat_gh,
     metric_ratio,
-    spectra_lower_bound,
 )
 from .generators import (
     LocalFieldParams,

@@ -24,11 +24,12 @@ from .errors import (
 from .spaces import (
     ball_partition,
     is_epsilon_net,
+    spectra_lower_bound,
     weight_spectrum,
 )
 from .umsio import parse_space_file, write_space, write_space_file
 from .correspondences import Correspondence, equilibrium_table, is_strong_correspondence
-from .engine import classical_gh, dhat_gh, metric_ratio, spectra_lower_bound
+from .engine import classical_gh, dhat_gh, metric_ratio
 from .convergence import diameter_trend, find_split, sutb_check
 from . import generators
 

@@ -12,7 +12,6 @@ minima are computed here exactly by branch-and-bound over pair sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -26,9 +25,10 @@ from .errors import (
     WellDefinednessViolationError,
 )
 from .spaces import (
+    BreakpointGrid,
     UltrametricSpace,
     hausdorff_distance,
-    spectra_disagreement_bound,
+    spectra_lower_bound,
     validate_space,
 )
 
@@ -397,43 +397,6 @@ class _Done(Exception):
     pass
 
 
-class _Found(Exception):
-    def __init__(self, sets: list[tuple[int, ...]]):
-        self.sets = sets
-
-
-class _ValueGrid:
-    """Integer ranks for both spaces' distances and all their gaps.
-
-    Search inner loops compare ranks instead of rationals; the shared grid
-    keeps cross-space equality and value-versus-gap comparisons exact.
-    """
-
-    def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
-        n, m = len(x), len(y)
-        fx = [[x.dist(i, j).fraction for j in range(n)] for i in range(n)]
-        fy = [[y.dist(a, b).fraction for b in range(m)] for a in range(m)]
-        vx = {v for row in fx for v in row}
-        vy = {v for row in fy for v in row}
-        zero = Fraction(0)
-        gaps = {abs(a - b) for a in vx | {zero} for b in vy | {zero}}
-        self.values: list[Fraction] = sorted(vx | vy | gaps | {zero})
-        rank = {v: k for k, v in enumerate(self.values)}
-        self.rank = rank
-        self.rx = [[rank[v] for v in row] for row in fx]
-        self.ry = [[rank[v] for v in row] for row in fy]
-        self.gap = [
-            [
-                [[rank[abs(fx[i][j] - fy[a][b])] for b in range(m)] for a in range(m)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def exact(self, r: int) -> ExactValue:
-        return ExactValue(self.values[r])
-
-
 def _subsets_last_level_order(m: int) -> list[tuple[int, ...]]:
     """Nonempty subsets ordered (0), (0,1), (0,1,2), ..., (1), (1,2), ...
 
@@ -483,16 +446,15 @@ def _search(
         corr = full_product(x, y)
         return SearchResult(corr, max(x.diameter(), y.diameter()), True, 0)
 
-    grid = _ValueGrid(x, y)
+    grid = BreakpointGrid(x, y)
     ry = grid.ry
     rx = grid.rx
-    gap = grid.gap
-    zero_rank = grid.rank[Fraction(0)]
+    gap = grid.gap_ranks()
 
     def _annotate(subs):
         out = []
         for sub in subs:
-            worst = zero_rank
+            worst = 0
             for p in range(len(sub)):
                 row = ry[sub[p]]
                 for q in range(p + 1, len(sub)):
@@ -503,20 +465,26 @@ def _search(
         return out
 
     last_level = _annotate(_subsets_last_level_order(m))
+    worst_of = {mask: worst for _, mask, worst in last_level}
     inner_level = _annotate(_subsets_inner_level_order(m))
     full_mask = (1 << m) - 1
+    bits = [1 << b for b in range(m)]
 
     # The full product is always a correspondence, always strong, and its
-    # distortion is exactly max(diam X, diam Y); it seeds the incumbent.
-    full_rank = grid.rank[max(x.diameter(), y.diameter()).fraction]
+    # distortion is exactly max(diam X, diam Y), the largest any leaf can
+    # have. The incumbent starts just above it, so the search records the
+    # first leaf in search order and then only strictly better ones: it
+    # ends on the first optimal leaf, the lexicographically smallest
+    # optimal pair set.
+    full_rank = grid.rank[max(x.diameter(), y.diameter())]
     if strong:
-        floor_rank = grid.rank[spectra_disagreement_bound(x, y).fraction]
+        floor_rank = grid.rank[spectra_lower_bound(x, y)]
     else:
-        floor_rank = grid.rank[x.diameter().abs_diff(y.diameter()).fraction]
+        floor_rank = grid.rank[x.diameter().abs_diff(y.diameter())]
 
     budget_state = _Budget(budget)
-    best_rank = full_rank
-    best_sets: Optional[list[tuple[int, ...]]] = None  # None: full product
+    best_rank = full_rank + 1
+    best_sets: Optional[list[tuple[int, ...]]] = None
 
     chosen: list[tuple[int, ...]] = []
     cover_count = [0] * m
@@ -550,13 +518,43 @@ def _search(
                     return False
         return True
 
-    def dfs(level: int, partial: int, covered: int, cutoff: int, find_first: bool):
+    # The search starts at cutoff full_rank + 1, which no gap reaches.
+    far_by_cutoff = {full_rank + 1: [[[0] * m] * n] * n}
+
+    def far_masks(cutoff: int) -> list[list[list[int]]]:
+        """far[i][j][a]: bitmask of the partners b of j whose gap rank
+        against the pair (i, a) reaches the cutoff."""
+        far = far_by_cutoff.get(cutoff)
+        if far is None:
+            # Only i < j is ever read.
+            far = far_by_cutoff[cutoff] = [
+                [[sum(bit for bit, r in zip(bits, row) if r >= cutoff) for row in gap[i][j]]
+                 if i < j else None for j in range(n)]
+                for i in range(n)
+            ]
+        return far
+
+    def dfs(level: int, partial: int, covered: int):
         nonlocal best_rank, best_sets
         if budget_state.spend():
             raise _Exhausted
         last = level == n - 1
         missing = full_mask & ~covered
+        cutoff = None
         for sub, mask, internal in (last_level if last else inner_level):
+            if cutoff != best_rank:
+                cutoff = best_rank
+                far = far_masks(cutoff)
+                # bar[j]: bitmask of the partners of left point j that
+                # some chosen pair already puts at or past the cutoff.
+                bar = [0] * n
+                for i in range(level):
+                    for j in range(level, n):
+                        fij = far[i][j]
+                        for a in chosen[i]:
+                            bar[j] |= fij[a]
+            if mask & bar[level]:
+                continue
             if last and (mask & missing) != missing:
                 continue
             new_rank = partial if partial >= internal else internal
@@ -580,6 +578,33 @@ def _search(
                     break
             if not ok:
                 continue
+            if not last:
+                # Forward check against the cutoff: each later left point
+                # needs an open partner, and each uncovered right point an
+                # open later left point. A right point open to one later
+                # point only is forced into its partner set.
+                opens = []
+                once = twice = 0
+                for j in range(level + 1, n):
+                    d = bar[j]
+                    fj = far[level][j]
+                    for a in sub:
+                        d |= fj[a]
+                    if d == full_mask:
+                        ok = False
+                        break
+                    o = full_mask ^ d
+                    opens.append(o)
+                    twice |= once & o
+                    once |= o
+                if not ok:
+                    continue
+                uncovered = missing & ~mask
+                if uncovered & ~once:
+                    continue
+                forced = uncovered & ~twice
+                if forced and any(worst_of[forced & o] >= cutoff for o in opens if forced & o):
+                    continue
 
             chosen.append(sub)
             for b in sub:
@@ -589,18 +614,12 @@ def _search(
                 if strong and not strong_check(level, new_rank):
                     continue
                 if last:
-                    if find_first:
-                        raise _Found(list(chosen))
-                    if new_rank < best_rank:
-                        best_rank = new_rank
-                        best_sets = list(chosen)
-                        cutoff = best_rank
-                        if best_rank <= floor_rank:
-                            raise _Done
+                    best_rank = new_rank
+                    best_sets = list(chosen)
+                    if best_rank <= floor_rank:
+                        raise _Done
                 else:
-                    dfs(level + 1, new_rank, covered | mask, cutoff, find_first)
-                    if not find_first:
-                        cutoff = best_rank
+                    dfs(level + 1, new_rank, covered | mask)
             finally:
                 chosen.pop()
                 for b in sub:
@@ -608,40 +627,19 @@ def _search(
                     partners_of_y[b].pop()
 
     optimal = True
-    if best_rank > floor_rank:
-        try:
-            dfs(0, zero_rank, 0, best_rank, find_first=False)
-        except _Done:
-            pass
-        except _Exhausted:
-            optimal = False
+    try:
+        dfs(0, 0, 0)
+    except _Done:
+        pass
+    except _Exhausted:
+        optimal = False
 
-    value = grid.exact(best_rank)
-
-    # Second pass for the lexicographically smallest optimal witness. When
-    # the optimum reaches min(diam X, diam Y), a strong correspondence can
-    # have no complement entries (their equilibrium values would have to
-    # exceed the distortion yet stay within the smaller diameter), so the
-    # full product is the unique optimal witness and no search is needed.
-    witness_sets = best_sets
-    if optimal:
-        if strong and value >= min(x.diameter(), y.diameter()):
-            witness_sets = None
-        else:
-            try:
-                dfs(0, zero_rank, 0, best_rank + 1, find_first=True)
-                witness_sets = None  # only the full product attains the value
-            except _Found as hit:
-                witness_sets = hit.sets
-            except _Exhausted:
-                witness_sets = best_sets
-
-    if witness_sets is None:
-        corr = full_product(x, y)
-    else:
-        pairs = tuple((i, b) for i in range(n) for b in witness_sets[i])
-        corr = Correspondence(x, y, pairs)
-    return SearchResult(corr, value, optimal, budget_state.used)
+    if best_sets is None:  # the budget ran out before the first leaf
+        return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
+                            budget_state.used)
+    pairs = tuple((i, b) for i in range(n) for b in best_sets[i])
+    return SearchResult(Correspondence(x, y, pairs), grid.values[best_rank], optimal,
+                        budget_state.used)
 
 
 def min_distortion_correspondence(
@@ -654,9 +652,10 @@ def min_distortion_correspondence(
     """Exact minimum distortion over all correspondences.
 
     Branch-and-bound over per-left-point partner subsets, pruning branches
-    whose partial distortion already reaches the incumbent; the diameter
-    difference is a global floor. Ties are broken toward the
-    lexicographically smallest pair set.
+    whose partial distortion already reaches the incumbent, or that leave a
+    later point no partner set below it; the diameter difference is a
+    global floor. Ties are broken toward the lexicographically smallest
+    pair set.
     """
     return _search(x, y, strong=False, budget=budget, product_cap=product_cap)
 
@@ -671,8 +670,8 @@ def min_distortion_strong_correspondence(
     """Exact minimum distortion over strong correspondences.
 
     Same search with partner-equality conditions enforced along the way and
-    the full strongness test at covering leaves; the spectra disagreement
-    bound is a global floor. This minimum is the non-Archimedean
+    the full strongness test at covering leaves; the spectra lower bound is
+    a global floor. This minimum is the non-Archimedean
     Gromov-Hausdorff distance of the two spaces.
     """
     return _search(x, y, strong=True, budget=budget, product_cap=product_cap)

@@ -24,7 +24,7 @@ plain correspondences) and the ratio of the two are computed alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 from .spaces import (
     UltrametricSpace,
     candidate_thresholds,
-    spectra_disagreement_bound,
+    spectra_lower_bound,
 )
 from .correspondences import (
     Correspondence,
@@ -53,29 +53,6 @@ from .isometries import (
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
 TWO = ExactValue(2)
-
-
-class InfiniteDistance:
-    """Display-only encoding of an infinite distance.
-
-    Finite spaces never produce it (the larger diameter is always an upper
-    bound); it exists so reports about infinite spaces documented elsewhere
-    can be rendered through the same serialization.
-    """
-
-    def __str__(self) -> str:
-        return "inf"
-
-    def token(self) -> str:
-        return "inf"
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-
-INFINITE = InfiniteDistance()
-
-DistanceValue = Union[ExactValue, InfiniteDistance]
 
 
 @dataclass(frozen=True)
@@ -178,16 +155,6 @@ def _witness_json(witness) -> object:
             "epsilon": witness.epsilon.token(),
         }
     return str(witness)
-
-
-def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
-    """inf over eps of the thresholds where the filtered spectra agree.
-
-    Equality of the filtered weight sets is monotone in eps and flips for
-    the last time at the largest value the spectra disagree on, so the
-    infimum is that value exactly, and zero for identical spectra.
-    """
-    return spectra_disagreement_bound(x, y)
 
 
 def classical_gh(

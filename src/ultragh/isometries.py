@@ -10,6 +10,7 @@ epsilon-nets of the two spaces with exactly equal distance patterns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +22,9 @@ from .errors import (
     NotStrongError,
 )
 from .spaces import (
+    BreakpointGrid,
     UltrametricSpace,
+    _rank_rows,
     ball_partition,
     ball_representatives,
     is_epsilon_net,
@@ -165,25 +168,11 @@ def exists_strong_epsilon_isometry(
     n, m = len(x), len(y)
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
-    # Boolean tables so the DFS inner loop avoids rational arithmetic.
-    gap_ok = [
-        [
-            [
-                [x.dist(i, j).abs_diff(y.dist(a, b)) < eps for b in range(m)]
-                for a in range(m)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    x_far = [[x.dist(i, j) >= eps for j in range(n)] for i in range(n)]
-    xy_eq = [
-        [
-            [[x.dist(i, j) == y.dist(a, b) for b in range(m)] for a in range(m)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    grid = BreakpointGrid(x, y)
+    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    # Exactly the grid values below eps have a rank below this, on the grid
+    # or off it, so the DFS inner loop compares ints.
+    below = bisect_left(grid.values, eps)
 
     images: list[int] = []
     nodes = 0
@@ -202,10 +191,8 @@ def exists_strong_epsilon_isometry(
             ok = True
             for i in range(level):
                 a = images[i]
-                if not gap_ok[i][level][a][b]:
-                    ok = False
-                    break
-                if x_far[i][level] and not xy_eq[i][level][a][b]:
+                r = rx[i][level]
+                if gap[i][level][a][b] >= below or (r >= below and r != ry[a][b]):
                     ok = False
                     break
             if not ok:
@@ -298,7 +285,11 @@ def exists_strong_epsilon_approximation(
     for ci, cls in enumerate(y_classes):
         for p in cls:
             y_ball[p] = ci
-    need = [[x.dist(xs[i], xs[j]) for j in range(n)] for i in range(n)]
+    # Distances compare as ranks into one table of both spaces' values.
+    rank: dict = {}
+    ry = _rank_rows(y, rank)
+    rx = _rank_rows(x, rank)
+    need = [[rx[a][b] for b in xs] for a in xs]
 
     ys: list[int] = []
     nodes = 0
@@ -311,13 +302,15 @@ def exists_strong_epsilon_approximation(
             witness = ApproximationWitness(tuple(xs), tuple(ys), eps)
             verdict = is_strong_epsilon_approximation(x, y, eps, witness)
             return witness if verdict.valid else None
+        want = need[level][:level]
         for b in range(m):
             nodes += 1
             if nodes > limit:
                 raise BudgetExceededError(
                     f"strong eps-approximation scan exceeded {limit} nodes"
                 )
-            if any(y.dist(ys[k], b) != need[k][level] for k in range(level)):
+            rb = ry[b]
+            if [rb[c] for c in ys] != want:
                 continue
             ys.append(b)
             found = dfs(level + 1)

@@ -368,14 +368,7 @@ def weight_spectrum(
     return WeightSpectrum(tuple(sorted(values)))
 
 
-def spectrum_at_least(spectrum: WeightSpectrum, eps: ExactValue) -> WeightSpectrum:
-    """W ∩ [eps, ∞), the inclusive filter used by the spectra lower bound."""
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
-    return spectrum.at_least(eps)
-
-
-def spectra_disagreement_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
+def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     """Largest distance value the two whole-space spectra disagree on.
 
     Zero when the spectra are identical. Filtering both spectra at any
@@ -391,6 +384,59 @@ def spectra_disagreement_bound(x: UltrametricSpace, y: UltrametricSpace) -> Exac
     return max(disagreement)
 
 
+class BreakpointGrid:
+    """The exact values every threshold scan and search over a pair needs.
+
+    values holds 0, both whole-space spectra and every gap |a - b| with a in
+    {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing, and rank inverts it.
+    rx and ry are the two distance matrices as ranks into values, so a
+    distance compares with another space's distance, with a gap, or with
+    any eps (through bisect_left(values, eps)) as a plain int. Every scan
+    predicate is piecewise constant between consecutive values.
+    """
+
+    __slots__ = ("values", "rank", "rx", "ry", "_gap")
+
+    def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
+        wx = (ZERO, *weight_spectrum(x).values)
+        wy = (ZERO, *weight_spectrum(y).values)
+        gaps = [[a.abs_diff(b) for b in wy] for a in wx]
+        self.values: tuple[ExactValue, ...] = tuple(
+            sorted({*wx, *wy, *chain.from_iterable(gaps)})
+        )
+        rank = self.rank = {v: k for k, v in enumerate(self.values)}
+        self.rx = _rank_rows(x, rank)
+        self.ry = _rank_rows(y, rank)
+        # Rank of each gap, once per pair of distinct values, keyed by ranks.
+        self._gap = {
+            rank[a]: {rank[b]: rank[g] for b, g in zip(wy, row)}
+            for a, row in zip(wx, gaps)
+        }
+
+    def gap_ranks(self) -> list[list[list[list[int]]]]:
+        """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
+
+        Its n^2 * m^2 entries are int lookups into the per-value gap ranks.
+        """
+        return [
+            [
+                [list(map(by_y.__getitem__, ry_a)) for ry_a in self.ry]
+                for by_y in map(self._gap.__getitem__, rx_i)
+            ]
+            for rx_i in self.rx
+        ]
+
+
+def _rank_rows(space: UltrametricSpace, rank: dict) -> list[list[int]]:
+    """The distance matrix as ranks; a value rank lacks gets the next free
+    rank. Parsed and generated spaces share one object per value, so
+    entries are deduplicated by identity before any rational is hashed."""
+    rows = space.matrix()
+    by_id = {id(v): v for row in rows for v in row}
+    rank_of_id = {key: rank.setdefault(v, len(rank)) for key, v in by_id.items()}
+    return [[rank_of_id[id(v)] for v in row] for row in rows]
+
+
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:
     """Breakpoint grid for threshold scans over epsilon.
 
@@ -399,14 +445,5 @@ def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[Exac
     above both diameters. Every scan predicate used by the engine is
     piecewise constant between consecutive entries.
     """
-    wx = weight_spectrum(x).values
-    wy = weight_spectrum(y).values
-    out = {ZERO}
-    out.update(wx)
-    out.update(wy)
-    for a in (ZERO, *wx):
-        for b in (ZERO, *wy):
-            out.add(a.abs_diff(b))
     sentinel = max(x.diameter(), y.diameter()) + ExactValue(1)
-    out.add(sentinel)
-    return tuple(sorted(out))
+    return BreakpointGrid(x, y).values + (sentinel,)

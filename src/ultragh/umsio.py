@@ -131,9 +131,6 @@ def parse_space(text: str) -> UltrametricSpace:
         row[j] = value
         matrix[j][i] = value
         pairs += 1
-    # As in the header, blank lines must be followed by another item.
-    if pos < len(lines) and not lines[-1].strip():
-        raise ParseError(len(lines), "unexpected end of file")
 
     if pairs != n * (n - 1) // 2:
         missing = next(

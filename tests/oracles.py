@@ -7,7 +7,7 @@ the universal form).
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 
 def _fraction_matrix(space):
@@ -223,3 +223,18 @@ def ultrametric_violations(matrix):
                 if matrix[i][k] > max(matrix[i][j], matrix[j][k]):
                     bad.append((i, j, k))
     return bad
+
+
+def first_strong_epsilon_isometry(x, y, eps):
+    """Images of the first map X -> Y, in itertools.product order, that the
+    per-map verifier accepts as a strong eps-isometry; None if none does.
+
+    Walks every map with no pruning, so it checks the scan's tables and
+    pruning and nothing else.
+    """
+    from ultragh import is_strong_epsilon_isometry
+
+    for images in product(range(len(y)), repeat=len(x)):
+        if is_strong_epsilon_isometry(x, y, images, eps).is_strong_eps_isometry:
+            return images
+    return None

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultragh import (
     Correspondence,
@@ -236,6 +236,25 @@ def test_lex_min_witness_x2_x3(x2, x3):
 def test_lex_min_witness_matches_enumeration(n, m, seed_a, seed_b):
     x = random_ultrametric(n, seed_a, POOL)
     y = random_ultrametric(m, seed_b, POOL)
+    for strong, search in (
+        (False, min_distortion_correspondence),
+        (True, min_distortion_strong_correspondence),
+    ):
+        want_value, want_pairs = naive_lex_min_witness(x, y, strong)
+        res = search(x, y)
+        assert res.distortion.fraction == want_value
+        assert res.correspondence.pairs == want_pairs
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(3, 3), (3, 4), (4, 3)]), st.integers(0, 5_000), st.integers(0, 5_000))
+def test_lex_min_witness_on_equal_diameters(shape, seed_a, seed_b):
+    # Equal diameters put the classical floor at 0, so the search must
+    # refute every smaller value: the forward check prunes most there.
+    n, m = shape
+    x = random_ultrametric(n, seed_a, POOL)
+    y = random_ultrametric(m, seed_b, POOL)
+    assume(x.diameter() == y.diameter())
     for strong, search in (
         (False, min_distortion_correspondence),
         (True, min_distortion_strong_correspondence),

@@ -17,7 +17,6 @@ from ultragh import (
     truncated_unramified_ring,
     validate_space,
 )
-from ultragh.engine import INFINITE
 from ultragh.errors import SearchSpaceTooLargeError
 
 from conftest import ev
@@ -97,10 +96,6 @@ def test_caps_refuse_oversized():
         dhat_gh(a, b)
     report = dhat_gh(a, b, methods=("approximation_scan",), include_classical=False)
     assert report.dhat == ev(1)
-
-
-def test_infinite_encoding_renders():
-    assert str(INFINITE) == "inf" and INFINITE.token() == "inf"
 
 
 def test_report_json_fields(x3, ydelta):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ultragh import (
     ApproximationWitness,
     ExactValue,
+    candidate_thresholds,
     correspondence_from_isometry,
     distortion,
     exists_strong_epsilon_approximation,
@@ -19,6 +20,7 @@ from ultragh import (
 from ultragh.errors import LengthMismatchError
 
 from conftest import ev
+from oracles import first_strong_epsilon_isometry
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -146,3 +148,28 @@ def test_isometry_witness_converts(n, m, seed_a, seed_b, eps_index):
     verdict = is_strong_correspondence(corr)
     assert verdict.is_strong and verdict.distortion <= eps
     assert distortion(corr) == verdict.distortion
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 4_000),
+    st.integers(0, 4_000),
+)
+def test_isometry_scan_matches_exhaustive_oracle(n, m, seed_a, seed_b):
+    # every threshold, every midpoint the engine probes, and values above
+    # the sentinel
+    x = random_ultrametric(n, seed_a, POOL)
+    y = random_ultrametric(m, seed_b, POOL)
+    grid = candidate_thresholds(x, y)
+    probes = [
+        *grid[1:],
+        *(a.midpoint(b) for a, b in zip(grid, grid[1:])),
+        grid[-1] + ev("1/3"),
+        grid[-1] + ev(5),
+    ]
+    for eps in probes:
+        witness = exists_strong_epsilon_isometry(x, y, eps)
+        got = None if witness is None else witness.images
+        assert got == first_strong_epsilon_isometry(x, y, eps), eps

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,10 +13,10 @@ from ultragh import (
     induced_subspace,
     is_epsilon_net,
     random_ultrametric,
-    spectrum_at_least,
     validate_space,
     weight_spectrum,
 )
+from ultragh.spaces import BreakpointGrid
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -195,10 +195,10 @@ def test_weight_spectrum_examples(z4, ydelta, singleton):
 
 def test_spectrum_at_least(z4):
     spec = weight_spectrum(z4)
-    assert spectrum_at_least(spec, ev(1)).values == (ev(1),)
-    assert spectrum_at_least(spec, ev("1/4")).values == spec.values
+    assert spec.at_least(ev(1)).values == (ev(1),)
+    assert spec.at_least(ev("1/4")).values == spec.values
     empty = weight_spectrum(validate_space([[0]]))
-    assert spectrum_at_least(empty, ev(1)).values == ()
+    assert empty.at_least(ev(1)).values == ()
 
 
 def test_candidate_thresholds(x2, x3, ydelta, singleton):
@@ -207,6 +207,26 @@ def test_candidate_thresholds(x2, x3, ydelta, singleton):
         ev(0), ev("1/2"), ev(1), ev("3/2"), ev("5/2"),
     )
     assert candidate_thresholds(singleton, singleton) == (ev(0), ev(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces, spaces)
+def test_breakpoint_grid_invariants(x, y):
+    grid = BreakpointGrid(x, y)
+    values = grid.values
+    assert all(a < b for a, b in zip(values, values[1:]))
+    wx = {ev(0), *weight_spectrum(x)}
+    wy = {ev(0), *weight_spectrum(y)}
+    assert set(values) == wx | wy | {a.abs_diff(b) for a in wx for b in wy}
+    assert [grid.rank[v] for v in values] == list(range(len(values)))
+    n, m = len(x), len(y)
+    for i, j in product(range(n), repeat=2):
+        assert values[grid.rx[i][j]] == x.dist(i, j)
+    for a, b in product(range(m), repeat=2):
+        assert values[grid.ry[a][b]] == y.dist(a, b)
+    gap = grid.gap_ranks()
+    for i, j, a, b in product(range(n), range(n), range(m), range(m)):
+        assert values[gap[i][j][a][b]] == x.dist(i, j).abs_diff(y.dist(a, b))
 
 
 @settings(max_examples=60, deadline=None)

@@ -41,6 +41,20 @@ def test_missing_pair_is_parse_error():
     assert "missing pair" in str(exc.value)
 
 
+def test_trailing_blank_lines_after_a_complete_file(x2):
+    text = write_space(x2)
+    for tail in ("\n", "  \n\n"):
+        assert parse_space(text + tail) == x2
+    incomplete = "ums 1\npoints 3\nlabels a b c\nd 0 2 1/1\nd 1 2 1/1\n\n  \n"
+    with pytest.raises(ParseError) as exc:
+        parse_space(incomplete)
+    assert exc.value.reason == "missing pair line for (0, 1)"
+    # blank lines in place of a header item still end the file early
+    with pytest.raises(ParseError) as exc:
+        parse_space("ums 1\npoints 2\n\n\n")
+    assert exc.value.reason == "unexpected end of file"
+
+
 def test_non_ultrametric_file_forwards_validation_error():
     text = (
         "ums 1\npoints 3\nlabels a b c\n"
