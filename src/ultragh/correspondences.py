@@ -82,16 +82,6 @@ class Correspondence:
             out[j].append(i)
         return out
 
-    def complement(self) -> tuple[tuple[int, int], ...]:
-        """Pairs of X x Y outside the relation, in lexicographic order."""
-        members = self.pair_set()
-        return tuple(
-            (i, j)
-            for i in range(len(self.left))
-            for j in range(len(self.right))
-            if (i, j) not in members
-        )
-
 
 def full_product(x: UltrametricSpace, y: UltrametricSpace) -> Correspondence:
     pairs = tuple((i, j) for i in range(len(x)) for j in range(len(y)))
@@ -274,26 +264,8 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
             return r0
         return x.dist(i, left_of[j][0])
 
-    inexact = x.inexact or y.inexact
     if r0 > ZERO:
-        labels = [f"L:{lbl}" for lbl in x.labels] + [f"R:{lbl}" for lbl in y.labels]
-        size = n + m
-        rows = [[ZERO] * size for _ in range(size)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = x.dist(i, j)
-        for i in range(m):
-            for j in range(m):
-                rows[n + i][n + j] = y.dist(i, j)
-        for i in range(n):
-            for j in range(m):
-                d = cross(i, j)
-                rows[i][n + j] = d
-                rows[n + j][i] = d
-        glued = validate_space(rows, labels, inexact=inexact)
-        result = GlueResult(
-            glued, tuple(range(n)), tuple(range(n, n + m)), r0, False
-        )
+        result = _glue_disjoint(x, y, cross, r0)
     else:
         # dis = 0 forces a perfect matching: each point has a unique partner.
         parent = list(range(n + m))
@@ -320,7 +292,7 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
             [x.dist(left_rep[a], left_rep[b]) for b in range(len(roots))]
             for a in range(len(roots))
         ]
-        glued = validate_space(rows, labels, inexact=inexact)
+        glued = validate_space(rows, labels, inexact=x.inexact or y.inexact)
         result = GlueResult(glued, left_embed, right_embed, r0, True)
 
     dh = hausdorff_distance(
@@ -346,6 +318,14 @@ def glue_with_constant_bridge(
         raise BridgeTooSmallError(
             f"bridge constant {c} is below a diameter (max diameter {top})"
         )
+    return _glue_disjoint(x, y, lambda i, j: c, c)
+
+
+def _glue_disjoint(
+    x: UltrametricSpace, y: UltrametricSpace, cross, r0: ExactValue
+) -> GlueResult:
+    """X ⊔ Y, left points first, with cross(i, j) between left point i and
+    right point j, validated as one space."""
     n, m = len(x), len(y)
     labels = [f"L:{lbl}" for lbl in x.labels] + [f"R:{lbl}" for lbl in y.labels]
     rows = [[ZERO] * (n + m) for _ in range(n + m)]
@@ -357,10 +337,11 @@ def glue_with_constant_bridge(
             rows[n + i][n + j] = y.dist(i, j)
     for i in range(n):
         for j in range(m):
-            rows[i][n + j] = c
-            rows[n + j][i] = c
+            d = cross(i, j)
+            rows[i][n + j] = d
+            rows[n + j][i] = d
     glued = validate_space(rows, labels, inexact=x.inexact or y.inexact)
-    return GlueResult(glued, tuple(range(n)), tuple(range(n, n + m)), c, False)
+    return GlueResult(glued, tuple(range(n)), tuple(range(n, n + m)), r0, False)
 
 
 @dataclass(frozen=True)
@@ -429,12 +410,13 @@ def _subsets_inner_level_order(m: int) -> list[tuple[int, ...]]:
 
 
 def _search(
-    x: UltrametricSpace,
-    y: UltrametricSpace,
+    grid: BreakpointGrid,
     strong: bool,
     budget: Optional[int],
     product_cap: int,
 ) -> SearchResult:
+    """Minimum distortion over the (strong) correspondences of grid's pair."""
+    x, y = grid.x, grid.y
     n, m = len(x), len(y)
     if budget is None and n * m > product_cap:
         raise SearchSpaceTooLargeError(
@@ -446,7 +428,6 @@ def _search(
         corr = full_product(x, y)
         return SearchResult(corr, max(x.diameter(), y.diameter()), True, 0)
 
-    grid = BreakpointGrid(x, y)
     ry = grid.ry
     rx = grid.rx
     gap = grid.gap_ranks()
@@ -657,7 +638,7 @@ def min_distortion_correspondence(
     global floor. Ties are broken toward the lexicographically smallest
     pair set.
     """
-    return _search(x, y, strong=False, budget=budget, product_cap=product_cap)
+    return _search(BreakpointGrid(x, y), False, budget, product_cap)
 
 
 def min_distortion_strong_correspondence(
@@ -674,4 +655,4 @@ def min_distortion_strong_correspondence(
     a global floor. This minimum is the non-Archimedean
     Gromov-Hausdorff distance of the two spaces.
     """
-    return _search(x, y, strong=True, budget=budget, product_cap=product_cap)
+    return _search(BreakpointGrid(x, y), True, budget, product_cap)

@@ -19,6 +19,8 @@ attainment flag (true iff the predicate already holds at the infimum).
 
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside.
+Every route and the classical search of one call read the pair's single
+BreakpointGrid: its thresholds, its rank matrices and one gap-rank table.
 """
 
 from __future__ import annotations
@@ -33,22 +35,21 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .spaces import (
+    BreakpointGrid,
     UltrametricSpace,
-    candidate_thresholds,
     spectra_lower_bound,
 )
 from .correspondences import (
     Correspondence,
+    _search,
     full_product,
     is_strong_correspondence,
-    min_distortion_correspondence,
-    min_distortion_strong_correspondence,
 )
 from .isometries import (
     ApproximationWitness,
     MapWitness,
-    exists_strong_epsilon_approximation,
-    exists_strong_epsilon_isometry,
+    _approximation_probe,
+    _isometry_probe,
 )
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
@@ -169,9 +170,16 @@ def classical_gh(
     On budget exhaustion the result carries the interval between half the
     diameter difference and half the incumbent distortion.
     """
-    res = min_distortion_correspondence(x, y, budget, product_cap=product_cap)
+    return _classical(BreakpointGrid(x, y), budget, product_cap)
+
+
+def _classical(
+    grid: BreakpointGrid, budget: Optional[int], product_cap: int
+) -> ClassicalResult:
+    """classical_gh on the pair of grid."""
+    res = _search(grid, False, budget, product_cap)
     half = res.distortion / TWO
-    floor = x.diameter().abs_diff(y.diameter()) / TWO
+    floor = grid.x.diameter().abs_diff(grid.y.diameter()) / TWO
     if half < floor:
         raise MethodDisagreementError(
             f"classical search returned {half}, below the diameter bound {floor}"
@@ -181,24 +189,25 @@ def classical_gh(
                            optimal=res.optimal)
 
 
-def _scan_infimum(x, y, predicate):
-    """Exact infimum of a monotone predicate over positive eps.
+def _scan_infimum(grid: BreakpointGrid, probe):
+    """Exact infimum of a monotone probe over positive eps.
 
-    Returns (infimum, attained, witness_at_first_true). Breakpoints are
-    contained in candidate_thresholds, so the predicate is constant on the
-    open interval between consecutive thresholds; one midpoint probe per
-    interval plus the threshold itself decides everything. The sentinel
-    threshold above both diameters always satisfies the predicate.
+    Returns MethodOutcome(infimum, attained, witness_at_first_true).
+    Breakpoints are contained in grid.thresholds(), so the probe is constant
+    on the open interval between consecutive thresholds; one midpoint probe
+    per interval plus the threshold itself decides everything. The sentinel
+    threshold above both diameters always satisfies the probe, which reads
+    the same grid, so a scan builds no grid of its own.
     """
-    thresholds = candidate_thresholds(x, y)
+    thresholds = grid.thresholds()
     prev = thresholds[0]  # always zero
     for t in thresholds[1:]:
-        witness = predicate(prev.midpoint(t))
+        witness = probe(prev.midpoint(t))
         if witness is not None:
-            return prev, False, witness
-        witness = predicate(t)
+            return MethodOutcome(prev, False, witness)
+        witness = probe(t)
         if witness is not None:
-            return t, True, witness
+            return MethodOutcome(t, True, witness)
         prev = t
     raise MethodDisagreementError(
         "scan predicate failed at the sentinel threshold; this is a bug"
@@ -239,6 +248,7 @@ def dhat_gh(
     diam_max = max(diam_x, diam_y)
     product = len(x) * len(y)
     outcomes: dict[str, MethodOutcome] = {}
+    grid = None  # built once, when a route or the classical search runs
 
     if diam_x != diam_y:
         # Larger diameter appears in exactly one spectrum, so the spectra
@@ -270,28 +280,18 @@ def dhat_gh(
                     raise ValueError(f"unknown method {name!r}")
             if not names:
                 raise ValueError("methods must not be empty")
+        grid = BreakpointGrid(x, y)
         for name in names:
             if name == "strong_correspondence":
-                res = min_distortion_strong_correspondence(
-                    x, y, budget, product_cap=caps.corr_product
-                )
+                res = _search(grid, True, budget, caps.corr_product)
                 if not res.optimal:
                     raise BudgetExceededError(
                         "strong correspondence search ran out of budget"
                     )
                 outcomes[name] = MethodOutcome(res.distortion, True, res.correspondence)
-            elif name == "isometry_scan":
-                inf, attained, witness = _scan_infimum(
-                    x, y,
-                    lambda e: exists_strong_epsilon_isometry(x, y, e, budget),
-                )
-                outcomes[name] = MethodOutcome(inf, attained, witness)
             else:
-                inf, attained, witness = _scan_infimum(
-                    x, y,
-                    lambda e: exists_strong_epsilon_approximation(x, y, e, budget),
-                )
-                outcomes[name] = MethodOutcome(inf, attained, witness)
+                probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
+                outcomes[name] = _scan_infimum(grid, lambda e: probe(grid, e, budget))
 
     values = {outcome.value for outcome in outcomes.values()}
     if len(values) != 1:
@@ -312,7 +312,10 @@ def dhat_gh(
     classical = None
     ratio = None
     if include_classical:
-        classical = classical_gh(x, y, budget, product_cap=max(caps.classical_product, product))
+        if grid is None:
+            grid = BreakpointGrid(x, y)
+        # include_classical has decided; the product itself as cap never refuses.
+        classical = _classical(grid, budget, product)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

@@ -44,11 +44,14 @@ class ExactValue:
 
     @classmethod
     def parse(cls, text: str) -> "ExactValue":
-        """Parse 'a/b' or a bare integer 'a'."""
+        """Parse 'a/b' or a bare integer 'a'; malformed text raises ValueError."""
         text = text.strip()
         if "/" in text:
             num_s, _, den_s = text.partition("/")
-            return cls(int(num_s), int(den_s))
+            den = int(den_s)
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return cls(int(num_s), den)
         return cls(int(text))
 
     @property
@@ -62,9 +65,6 @@ class ExactValue:
     @property
     def fraction(self) -> Fraction:
         return self._frac
-
-    def is_zero(self) -> bool:
-        return self._frac == 0
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         return ExactValue(self._frac + other._frac)

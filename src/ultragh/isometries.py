@@ -24,7 +24,6 @@ from .errors import (
 from .spaces import (
     BreakpointGrid,
     UltrametricSpace,
-    _rank_rows,
     ball_partition,
     ball_representatives,
     is_epsilon_net,
@@ -163,12 +162,19 @@ def exists_strong_epsilon_isometry(
     lexicographically smallest one. Branches die as soon as a decided pair
     breaks dis f < eps or the exact-preservation half of (SI2).
     """
+    return _isometry_probe(BreakpointGrid(x, y), eps, budget)
+
+
+def _isometry_probe(
+    grid: BreakpointGrid, eps: ExactValue, budget: Optional[int]
+) -> Optional[MapWitness]:
+    """exists_strong_epsilon_isometry on the pair of grid."""
     if eps <= ZERO:
         raise ValueError("eps must be positive")
+    x, y = grid.x, grid.y
     n, m = len(x), len(y)
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
-    grid = BreakpointGrid(x, y)
     rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
     # Exactly the grid values below eps have a rank below this, on the grid
     # or off it, so the DFS inner loop compares ints.
@@ -268,8 +274,16 @@ def exists_strong_epsilon_approximation(
     the exact pairwise-distance condition; the first witness in ascending
     order is returned.
     """
+    return _approximation_probe(BreakpointGrid(x, y), eps, budget)
+
+
+def _approximation_probe(
+    grid: BreakpointGrid, eps: ExactValue, budget: Optional[int]
+) -> Optional[ApproximationWitness]:
+    """exists_strong_epsilon_approximation on the pair of grid."""
     if eps <= ZERO:
         raise ValueError("eps must be positive")
+    x, y = grid.x, grid.y
     xs = ball_representatives(x, eps)
     n, m = len(xs), len(y)
     if n > m:
@@ -285,11 +299,9 @@ def exists_strong_epsilon_approximation(
     for ci, cls in enumerate(y_classes):
         for p in cls:
             y_ball[p] = ci
-    # Distances compare as ranks into one table of both spaces' values.
-    rank: dict = {}
-    ry = _rank_rows(y, rank)
-    rx = _rank_rows(x, rank)
-    need = [[rx[a][b] for b in xs] for a in xs]
+    # Distances compare as ranks into the grid's values.
+    ry = grid.ry
+    need = [[grid.rx[a][b] for b in xs] for a in xs]
 
     ys: list[int] = []
     nodes = 0

@@ -114,17 +114,11 @@ class WeightSpectrum:
         """Elements >= eps (inclusive filter)."""
         return WeightSpectrum(tuple(v for v in self.values if v >= eps))
 
-    def as_set(self) -> frozenset[ExactValue]:
-        return frozenset(self.values)
-
     def __iter__(self):
         return iter(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __contains__(self, value: ExactValue) -> bool:
-        return value in self.values
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.values)
@@ -376,9 +370,7 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     value itself (when positive) they still differ, so it is exactly
     inf { eps > 0 : W_X(X)_{>=eps} = W_Y(Y)_{>=eps} }.
     """
-    sx = weight_spectrum(x).as_set()
-    sy = weight_spectrum(y).as_set()
-    disagreement = sx.symmetric_difference(sy)
+    disagreement = set(weight_spectrum(x)).symmetric_difference(weight_spectrum(y))
     if not disagreement:
         return ZERO
     return max(disagreement)
@@ -392,12 +384,15 @@ class BreakpointGrid:
     rx and ry are the two distance matrices as ranks into values, so a
     distance compares with another space's distance, with a gap, or with
     any eps (through bisect_left(values, eps)) as a plain int. Every scan
-    predicate is piecewise constant between consecutive values.
+    predicate is piecewise constant between consecutive values. x and y are
+    the pair. The gap-rank table is built once, on the first gap_ranks()
+    call, so every route of one dhat_gh call shares it.
     """
 
-    __slots__ = ("values", "rank", "rx", "ry", "_gap")
+    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_gap_ranks")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
+        self.x, self.y = x, y
         wx = (ZERO, *weight_spectrum(x).values)
         wy = (ZERO, *weight_spectrum(y).values)
         gaps = [[a.abs_diff(b) for b in wy] for a in wx]
@@ -412,28 +407,36 @@ class BreakpointGrid:
             rank[a]: {rank[b]: rank[g] for b, g in zip(wy, row)}
             for a, row in zip(wx, gaps)
         }
+        self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
 
         Its n^2 * m^2 entries are int lookups into the per-value gap ranks.
+        Later calls return the same table, which callers only read.
         """
-        return [
-            [
-                [list(map(by_y.__getitem__, ry_a)) for ry_a in self.ry]
-                for by_y in map(self._gap.__getitem__, rx_i)
+        if self._gap_ranks is None:
+            self._gap_ranks = [
+                [
+                    [list(map(by_y.__getitem__, ry_a)) for ry_a in self.ry]
+                    for by_y in map(self._gap.__getitem__, rx_i)
+                ]
+                for rx_i in self.rx
             ]
-            for rx_i in self.rx
-        ]
+        return self._gap_ranks
+
+    def thresholds(self) -> tuple[ExactValue, ...]:
+        """values followed by a sentinel strictly above both diameters."""
+        return self.values + (max(self.x.diameter(), self.y.diameter()) + ExactValue(1),)
 
 
 def _rank_rows(space: UltrametricSpace, rank: dict) -> list[list[int]]:
-    """The distance matrix as ranks; a value rank lacks gets the next free
-    rank. Parsed and generated spaces share one object per value, so
-    entries are deduplicated by identity before any rational is hashed."""
+    """The distance matrix as ranks. Parsed and generated spaces share one
+    object per value, so entries are deduplicated by identity before any
+    rational is hashed."""
     rows = space.matrix()
     by_id = {id(v): v for row in rows for v in row}
-    rank_of_id = {key: rank.setdefault(v, len(rank)) for key, v in by_id.items()}
+    rank_of_id = {key: rank[v] for key, v in by_id.items()}
     return [[rank_of_id[id(v)] for v in row] for row in rows]
 
 
@@ -445,5 +448,4 @@ def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[Exac
     above both diameters. Every scan predicate used by the engine is
     piecewise constant between consecutive entries.
     """
-    sentinel = max(x.diameter(), y.diameter()) + ExactValue(1)
-    return BreakpointGrid(x, y).values + (sentinel,)
+    return BreakpointGrid(x, y).thresholds()

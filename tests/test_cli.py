@@ -198,6 +198,18 @@ def test_exit_codes(files, capsys, tmp_path):
     assert "budget exceeded" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["net", "{z4}", "--eps", "1/0"],
+    ["gen", "random", "--n", "3", "--pool", "1/0,1"],
+])
+def test_zero_denominator_flag_exits_2(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**files) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
+
+
 def test_reproducible_json(files, capsys):
     assert run(["dhat", files["x3"], files["yd"], "--json"]) == 0
     first = capsys.readouterr().out

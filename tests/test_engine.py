@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultragh import (
     EngineCaps,
@@ -12,12 +12,16 @@ from ultragh import (
     exists_strong_epsilon_isometry,
     induced_subspace,
     metric_ratio,
+    min_distortion_strong_correspondence,
     random_ultrametric,
     spectra_lower_bound,
     truncated_unramified_ring,
     validate_space,
+    zq_delta,
 )
+from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.errors import SearchSpaceTooLargeError
+from ultragh.spaces import BreakpointGrid
 
 from conftest import ev
 from oracles import isometry_exists, spectra_bound_by_scan
@@ -198,3 +202,59 @@ def test_zero_distance_iff_relabel(x3):
     report = dhat_gh(x3, copy)
     assert report.dhat == ev(0)
     assert isometry_exists(x3, copy)
+
+
+def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, ydelta):
+    built = []
+    init = BreakpointGrid.__init__
+
+    def counting_init(self, x, y):
+        built.append(1)
+        init(self, x, y)
+
+    monkeypatch.setattr(BreakpointGrid, "__init__", counting_init)
+
+    # Equal diameters: all three routes and the classical search run.
+    report = dhat_gh(x2, x3)
+    assert set(report.methods) == set(METHOD_NAMES) and report.classical is not None
+    assert len(built) == 1
+    # Diameter gap within the classical cap: only the classical search.
+    built.clear()
+    report = dhat_gh(x3, ydelta)
+    assert "shortcut_3b" in report.methods and report.classical is not None
+    assert len(built) == 1
+    # Diameter gap with |X|*|Y| = 56 > 36: the certificate alone, no grid.
+    built.clear()
+    report = dhat_gh(truncated_unramified_ring(2, 1, 3), zq_delta(5, 2, 2))
+    assert "shortcut_3b" in report.methods and report.classical is None
+    assert len(built) == 0
+
+
+def _linear_scan(x, y, probe):
+    """The engine's scan as a walk of the public probe: at each threshold,
+    the midpoint below it first, then the threshold itself."""
+    grid = candidate_thresholds(x, y)
+    for prev, t in zip(grid, grid[1:]):
+        for eps, value, attained in ((prev.midpoint(t), prev, False), (t, t, True)):
+            witness = probe(x, y, eps)
+            if witness is not None:
+                return MethodOutcome(value, attained, witness)
+    raise AssertionError("no witness at the sentinel threshold")
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaces, spaces)
+def test_routes_match_public_functions(x, y):
+    # Within the caps and on equal diameters every route runs; each outcome,
+    # witness included, must be what the public functions give alone.
+    assume(x.diameter() == y.diameter())
+    report = dhat_gh(x, y)
+    assert set(report.methods) == set(METHOD_NAMES)
+    assert report.methods["isometry_scan"] == _linear_scan(
+        x, y, exists_strong_epsilon_isometry)
+    assert report.methods["approximation_scan"] == _linear_scan(
+        x, y, exists_strong_epsilon_approximation)
+    res = min_distortion_strong_correspondence(x, y)
+    assert report.methods["strong_correspondence"] == MethodOutcome(
+        res.distortion, True, res.correspondence)
+    assert report.classical == classical_gh(x, y)

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from ultragh import ExactValue, ZERO, ONE
+from ultragh import ExactValue, ZERO, ONE, validate_space
 
 
 def test_lowest_terms_and_fields():
@@ -45,6 +45,17 @@ def test_parse_and_format():
     assert str(ExactValue(6)) == "6"
     assert ExactValue(6).token() == "6/1"
     assert ExactValue(3, 2).token() == "3/2"
+
+
+def test_parse_zero_denominator():
+    # A ValueError, like any other malformed token, so argparse and
+    # validate_space report it instead of crashing.
+    with pytest.raises(ValueError):
+        ExactValue.parse("1/0")
+    with pytest.raises(ValueError):
+        ExactValue.parse(" 0/0 ")
+    with pytest.raises(ValueError):
+        validate_space([[0, "1/0"], ["1/0", 0]])
 
 
 def test_coerce_variants():
