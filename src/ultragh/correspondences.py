@@ -267,33 +267,12 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
     if r0 > ZERO:
         result = _glue_disjoint(x, y, cross, r0)
     else:
-        # dis = 0 forces a perfect matching: each point has a unique partner.
-        parent = list(range(n + m))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in c.pairs:
-            ri, rj = find(i), find(n + j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        roots = sorted({find(a) for a in range(n + m)})
-        class_index = {r: k for k, r in enumerate(roots)}
-        left_embed = tuple(class_index[find(i)] for i in range(n))
-        right_embed = tuple(class_index[find(n + j)] for j in range(m))
-        left_rep = {}
-        for i in range(n):
-            left_rep.setdefault(left_embed[i], i)
-        labels = [f"L:{x.labels[left_rep[k]]}" for k in range(len(roots))]
-        rows = [
-            [x.dist(left_rep[a], left_rep[b]) for b in range(len(roots))]
-            for a in range(len(roots))
-        ]
-        glued = validate_space(rows, labels, inexact=x.inexact or y.inexact)
-        result = GlueResult(glued, left_embed, right_embed, r0, True)
+        # dis = 0 forces a bijection, so the quotient is X itself and each
+        # right point lands on its unique left partner.
+        labels = [f"L:{lbl}" for lbl in x.labels]
+        glued = validate_space(x.matrix(), labels, inexact=x.inexact or y.inexact)
+        right_embed = tuple(left_of[j][0] for j in range(m))
+        result = GlueResult(glued, tuple(range(n)), right_embed, r0, True)
 
     dh = hausdorff_distance(
         result.glued_space, set(result.left_embedding), set(result.right_embedding)

@@ -103,11 +103,6 @@ class DistanceReport:
     def classical_dgh(self) -> Optional[ExactValue]:
         return self.classical.value if self.classical is not None else None
 
-    @property
-    def spectra_gap(self) -> ExactValue:
-        """dhat minus the spectra lower bound (the Thm-4.2(1) slack)."""
-        return self.dhat.abs_diff(self.spectra_lower_bound)
-
     def to_json_dict(self) -> dict:
         witnesses: dict[str, object] = {}
         methods: dict[str, dict] = {}

@@ -2,8 +2,11 @@
 
 A space is a list of labelled points with a symmetric, exact-rational
 distance matrix satisfying the strong triangle inequality
-d(x,z) <= max(d(x,y), d(y,z)). Spaces are immutable once validated and all
-operations here are pure, so instances can be shared freely.
+d(x,z) <= max(d(x,y), d(y,z)). A space stores that matrix once, as its
+sorted distinct distances plus a matrix of ranks into them, so its diameter
+and whole-space spectrum cost nothing after loading. Spaces are immutable
+once validated and all operations here are pure, so instances can be shared
+freely.
 """
 
 from __future__ import annotations
@@ -25,49 +28,39 @@ from .errors import (
 
 
 class UltrametricSpace:
-    """A finite ultrametric space. Construct through validate_space."""
+    """A finite ultrametric space. Construct through validate_space.
 
-    __slots__ = ("labels", "_rows", "inexact", "_diameter")
+    values holds the distinct distances, zero first, strictly increasing,
+    and ranks the distance matrix as indices into values, so the diameter
+    and the whole-space spectrum are read off values without a scan.
+    """
 
-    def __init__(self, labels, rows, inexact, _token=None):
+    __slots__ = ("labels", "values", "ranks", "inexact")
+
+    def __init__(self, labels, values, ranks, inexact, _token=None):
         if _token is not _CONSTRUCTION_TOKEN:
             raise TypeError("use validate_space() to build an UltrametricSpace")
         self.labels: tuple[str, ...] = labels
-        self._rows: tuple[tuple[ExactValue, ...], ...] = rows
+        self.values: tuple[ExactValue, ...] = values
+        self.ranks: tuple[tuple[int, ...], ...] = ranks
         self.inexact: bool = inexact
-        self._diameter: Optional[ExactValue] = None
-
-    @classmethod
-    def _from_validated(cls, labels, rows, inexact, diameter=None) -> "UltrametricSpace":
-        space = cls(tuple(labels), tuple(tuple(r) for r in rows), bool(inexact), _token=_CONSTRUCTION_TOKEN)
-        space._diameter = diameter
-        return space
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def dist(self, i: int, j: int) -> ExactValue:
-        return self._rows[i][j]
-
-    def row(self, i: int) -> tuple[ExactValue, ...]:
-        return self._rows[i]
+        return self.values[self.ranks[i][j]]
 
     def matrix(self) -> tuple[tuple[ExactValue, ...], ...]:
-        return self._rows
+        at = self.values.__getitem__
+        return tuple(tuple(map(at, row)) for row in self.ranks)
 
     def diameter(self) -> ExactValue:
-        if self._diameter is None:
-            best = ZERO
-            for i in range(len(self)):
-                for j in range(i + 1, len(self)):
-                    if self._rows[i][j] > best:
-                        best = self._rows[i][j]
-            self._diameter = best
-        return self._diameter
+        return self.values[-1]
 
     def distance_values(self) -> tuple[ExactValue, ...]:
         """Sorted distinct nonzero distances of the whole space."""
-        return weight_spectrum(self).values
+        return self.values[1:]
 
     def check_index(self, i: int) -> None:
         if not 0 <= i < len(self):
@@ -78,12 +71,13 @@ class UltrametricSpace:
             return NotImplemented
         return (
             self.labels == other.labels
-            and self._rows == other._rows
+            and self.values == other.values
+            and self.ranks == other.ranks
             and self.inexact == other.inexact
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self._rows, self.inexact))
+        return hash((self.labels, self.values, self.ranks, self.inexact))
 
     def __repr__(self) -> str:
         flag = ", inexact" if self.inexact else ""
@@ -164,18 +158,8 @@ def validate_space(
         if len(set(labels)) != n:
             raise SpaceValidationError("labels must be distinct")
 
-    # Rank the distinct values once so every check below compares ints.
-    # Parsed and generated matrices share one object per value, so entries
-    # are deduplicated by identity before any rational is hashed.
-    entries = list(chain.from_iterable(rows))
-    ids = list(map(id, entries))
-    by_id = dict(zip(ids, entries))
-    distinct = sorted(set(by_id.values()))
-    rank = {v: k for k, v in enumerate(distinct)}
-    rank_of_id = {key: rank[v] for key, v in by_id.items()}
-    flat = list(map(rank_of_id.__getitem__, ids))
-    rk = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
-    zero = rank.get(ZERO, -1)
+    distinct, rk = _ranked(rows)
+    zero = 0 if distinct[0] == ZERO else -1
 
     cols = tuple(zip(*rk))
     for i in range(n):
@@ -197,7 +181,25 @@ def validate_space(
             "found no violation"
         )
 
-    return UltrametricSpace._from_validated(labels, rows, inexact, distinct[-1])
+    return UltrametricSpace(labels, distinct, rk, bool(inexact), _token=_CONSTRUCTION_TOKEN)
+
+
+def _ranked(
+    rows: Sequence[Sequence[ExactValue]],
+) -> tuple[tuple[ExactValue, ...], tuple[tuple[int, ...], ...]]:
+    """The distinct entries of a square matrix, strictly increasing, and the
+    matrix as ranks into them. Parsed and generated matrices share one
+    object per value, so entries are deduplicated by identity before any
+    rational is hashed."""
+    n = len(rows)
+    entries = list(chain.from_iterable(rows))
+    ids = list(map(id, entries))
+    by_id = dict(zip(ids, entries))
+    distinct = tuple(sorted(set(by_id.values())))
+    rank = {v: k for k, v in enumerate(distinct)}
+    rank_of_id = {key: rank[v] for key, v in by_id.items()}
+    flat = list(map(rank_of_id.__getitem__, ids))
+    return distinct, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
 def _equals_subdominant(rk: Sequence[Sequence[int]]) -> bool:
@@ -272,8 +274,8 @@ def induced_subspace(space: UltrametricSpace, subset: Iterable[int]) -> Ultramet
     """Restriction of the space to a subset of points; validity is inherited."""
     pts = _normalize_subset(space, subset)
     labels = tuple(space.labels[i] for i in pts)
-    rows = tuple(tuple(space.dist(i, j) for j in pts) for i in pts)
-    return UltrametricSpace._from_validated(labels, rows, space.inexact)
+    values, ranks = _ranked([[space.dist(i, j) for j in pts] for i in pts])
+    return UltrametricSpace(labels, values, ranks, space.inexact, _token=_CONSTRUCTION_TOKEN)
 
 
 def point_set_distance(space: UltrametricSpace, i: int, subset: Sequence[int]) -> ExactValue:
@@ -350,11 +352,9 @@ def weight_spectrum(
     space: UltrametricSpace, subset: Optional[Iterable[int]] = None
 ) -> WeightSpectrum:
     """Distinct nonzero distances among points of the subset (default: all)."""
-    pts = (
-        tuple(range(len(space)))
-        if subset is None
-        else _normalize_subset(space, subset)
-    )
+    if subset is None:
+        return WeightSpectrum(space.values[1:])
+    pts = _normalize_subset(space, subset)
     values = set()
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
@@ -381,20 +381,21 @@ class BreakpointGrid:
 
     values holds 0, both whole-space spectra and every gap |a - b| with a in
     {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing, and rank inverts it.
-    rx and ry are the two distance matrices as ranks into values, so a
-    distance compares with another space's distance, with a gap, or with
-    any eps (through bisect_left(values, eps)) as a plain int. Every scan
-    predicate is piecewise constant between consecutive values. x and y are
-    the pair. The gap-rank table is built once, on the first gap_ranks()
-    call, so every route of one dhat_gh call shares it.
+    The two {0} ∪ W sets are the spaces' stored values, so building the grid
+    scans no distance matrix of ExactValues. rx and ry are the spaces' rank
+    matrices remapped to ranks into values, so a distance compares with
+    another space's distance, with a gap, or with any eps (through
+    bisect_left(values, eps)) as a plain int. Every scan predicate is
+    piecewise constant between consecutive values. x and y are the pair. The
+    gap-rank table is built once, on the first gap_ranks() call, so every
+    route of one dhat_gh call shares it.
     """
 
     __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_gap_ranks")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
-        wx = (ZERO, *weight_spectrum(x).values)
-        wy = (ZERO, *weight_spectrum(y).values)
+        wx, wy = x.values, y.values
         gaps = [[a.abs_diff(b) for b in wy] for a in wx]
         self.values: tuple[ExactValue, ...] = tuple(
             sorted({*wx, *wy, *chain.from_iterable(gaps)})
@@ -402,11 +403,9 @@ class BreakpointGrid:
         rank = self.rank = {v: k for k, v in enumerate(self.values)}
         self.rx = _rank_rows(x, rank)
         self.ry = _rank_rows(y, rank)
-        # Rank of each gap, once per pair of distinct values, keyed by ranks.
-        self._gap = {
-            rank[a]: {rank[b]: rank[g] for b, g in zip(wy, row)}
-            for a, row in zip(wx, gaps)
-        }
+        # Rank of each gap, once per pair of distinct values, indexed by the
+        # two spaces' own ranks.
+        self._gap = [[rank[g] for g in row] for row in gaps]
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
@@ -418,10 +417,10 @@ class BreakpointGrid:
         if self._gap_ranks is None:
             self._gap_ranks = [
                 [
-                    [list(map(by_y.__getitem__, ry_a)) for ry_a in self.ry]
+                    [list(map(by_y.__getitem__, ry_a)) for ry_a in self.y.ranks]
                     for by_y in map(self._gap.__getitem__, rx_i)
                 ]
-                for rx_i in self.rx
+                for rx_i in self.x.ranks
             ]
         return self._gap_ranks
 
@@ -431,13 +430,9 @@ class BreakpointGrid:
 
 
 def _rank_rows(space: UltrametricSpace, rank: dict) -> list[list[int]]:
-    """The distance matrix as ranks. Parsed and generated spaces share one
-    object per value, so entries are deduplicated by identity before any
-    rational is hashed."""
-    rows = space.matrix()
-    by_id = {id(v): v for row in rows for v in row}
-    rank_of_id = {key: rank[v] for key, v in by_id.items()}
-    return [[rank_of_id[id(v)] for v in row] for row in rows]
+    """The space's rank matrix remapped to ranks into the grid's values."""
+    remap = [rank[v] for v in space.values]
+    return [list(map(remap.__getitem__, row)) for row in space.ranks]
 
 
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:

@@ -27,9 +27,10 @@ from .spaces import UltrametricSpace, validate_space
 def write_space(space: UltrametricSpace) -> str:
     n = len(space)
     lines = ["ums 1", f"points {n}", "labels " + " ".join(space.labels)]
-    for i in range(n):
+    tokens = [v.token() for v in space.values]
+    for i, row in enumerate(space.ranks):
         for j in range(i + 1, n):
-            lines.append(f"d {i} {j} {space.dist(i, j).token()}")
+            lines.append(f"d {i} {j} {tokens[row[j]]}")
     if space.inexact:
         lines.append("inexact true")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
+from itertools import count
+
 import pytest
 
 from ultragh import (
     ExactValue,
+    random_ultrametric,
     truncated_unramified_ring,
     validate_space,
     zq_delta,
@@ -35,3 +38,13 @@ def singleton():
 
 def ev(text):
     return ExactValue.parse(str(text))
+
+
+def equal_diameter_partner(x, m, seed, pool):
+    """The random space of m points, from the first seed at or after seed,
+    whose diameter is x's: equal-diameter pairs without filtering. The
+    diameter of a random space of two or more points is a uniform draw from
+    the pool, so about len(pool) seeds are tried; m must be 1 exactly when
+    x is a singleton."""
+    ys = (random_ultrametric(m, s, pool) for s in count(seed))
+    return next(y for y in ys if y.diameter() == x.diameter())

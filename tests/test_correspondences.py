@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultragh import (
     Correspondence,
@@ -25,7 +25,7 @@ from ultragh.errors import (
     NotSurjectiveError,
 )
 
-from conftest import ev
+from conftest import equal_diameter_partner, ev
 from oracles import (
     naive_correspondence_minima,
     naive_lex_min_witness,
@@ -129,12 +129,27 @@ def test_glue_full_product(x2, x3):
     assert images == ev(1)
 
 
-def test_glue_quotient(x3):
+def test_glue_quotient(x3, z4):
     copy = relabeled_copy(x3)
     result = glue_along_strong_correspondence(identity_correspondence(x3, copy))
     assert result.quotient_applied
     assert len(result.glued_space) == 3
     assert result.left_embedding == result.right_embedding
+
+    # A permuted copy: right point a is matched to left point perm[a].
+    perm = (3, 0, 2, 1)
+    shuffled = validate_space([[z4.dist(p, q) for q in perm] for p in perm])
+    matching = Correspondence(z4, shuffled, tuple((p, a) for a, p in enumerate(perm)))
+    result = glue_along_strong_correspondence(matching)
+    assert result.quotient_applied
+    assert result.left_embedding == (0, 1, 2, 3)
+    assert result.right_embedding == perm
+    assert result.glued_space == validate_space(
+        z4.matrix(), [f"L:{label}" for label in z4.labels]
+    )
+    for a in range(4):
+        for b in range(4):
+            assert result.glued_space.dist(perm[a], perm[b]) == shuffled.dist(a, b)
 
 
 def test_glue_preserves_distances(x2, x3):
@@ -253,8 +268,7 @@ def test_lex_min_witness_on_equal_diameters(shape, seed_a, seed_b):
     # refute every smaller value: the forward check prunes most there.
     n, m = shape
     x = random_ultrametric(n, seed_a, POOL)
-    y = random_ultrametric(m, seed_b, POOL)
-    assume(x.diameter() == y.diameter())
+    y = equal_diameter_partner(x, m, seed_b, POOL)
     for strong, search in (
         (False, min_distortion_correspondence),
         (True, min_distortion_strong_correspondence),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultragh import (
     EngineCaps,
@@ -23,7 +23,7 @@ from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.errors import SearchSpaceTooLargeError
 from ultragh.spaces import BreakpointGrid
 
-from conftest import ev
+from conftest import equal_diameter_partner, ev
 from oracles import isometry_exists, spectra_bound_by_scan
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -242,12 +242,19 @@ def _linear_scan(x, y, probe):
     raise AssertionError("no witness at the sentinel threshold")
 
 
+@st.composite
+def equal_diameter_pairs(draw):
+    x = draw(spaces)
+    m = 1 if len(x) == 1 else draw(st.integers(2, 4))
+    return x, equal_diameter_partner(x, m, draw(st.integers(0, 20_000)), POOL)
+
+
 @settings(max_examples=40, deadline=None)
-@given(spaces, spaces)
-def test_routes_match_public_functions(x, y):
+@given(equal_diameter_pairs())
+def test_routes_match_public_functions(pair):
     # Within the caps and on equal diameters every route runs; each outcome,
     # witness included, must be what the public functions give alone.
-    assume(x.diameter() == y.diameter())
+    x, y = pair
     report = dhat_gh(x, y)
     assert set(report.methods) == set(METHOD_NAMES)
     assert report.methods["isometry_scan"] == _linear_scan(

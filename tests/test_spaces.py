@@ -146,16 +146,34 @@ def _brute_diameter(space):
     )
 
 
+def _check_stored_matrix(space):
+    """The stored values and ranks against brute-force scans of dist."""
+    n = len(space)
+    values = space.values
+    assert values[0] == ev(0)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    for i in range(n):
+        for j in range(n):
+            assert space.dist(i, j) == values[space.ranks[i][j]]
+    assert space.diameter() == _brute_diameter(space)
+    rebuilt = validate_space(space.matrix(), space.labels, inexact=space.inexact)
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+    spectrum = sorted({space.dist(i, j) for i in range(n) for j in range(i + 1, n)})
+    assert weight_spectrum(space).values == tuple(spectrum)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 10_000), st.integers(0, 1 << 12))
 @example(1, 0, 0)
 @example(4, 0, 1)
 def test_diameter_matches_brute_force(n, seed, mask):
     space = random_ultrametric(n, seed, POOL)
-    assert space.diameter() == _brute_diameter(space)
+    _check_stored_matrix(space)
     subset = [i for i in range(n) if mask & (1 << i)] or [0]
     sub = induced_subspace(space, subset)
-    assert sub.diameter() == _brute_diameter(sub)
+    _check_stored_matrix(sub)
+    assert sub.matrix() == tuple(tuple(space.dist(i, j) for j in subset) for i in subset)
+    _check_stored_matrix(induced_subspace(space, [subset[0]]))
 
 
 def test_induced_subspace(z4, x3):
