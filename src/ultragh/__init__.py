@@ -7,7 +7,6 @@ from .spaces import (
     ball_partition,
     ball_representatives,
     candidate_thresholds,
-    diameter,
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,

@@ -150,10 +150,24 @@ def is_strong_correspondence(c: Correspondence) -> StrongnessVerdict:
     inside it, d_X(x, x') and d_Y(y, y') must coincide and strictly exceed
     the distortion. The check is exhaustive over the complement.
     """
+    return _partner_walk(c)[0]
+
+
+def _partner_walk(
+    c: Correspondence,
+) -> tuple[StrongnessVerdict, dict[tuple[int, int], ExactValue]]:
+    """The strongness verdict and, when strong, the common partner distance
+    of each complement pair (x, y) in row-major order.
+
+    The first violation in walk order (x, y, then x', then y') is the
+    counterexample. Strongness makes every partner distance of a
+    complement pair equal, so that value is its equilibrium value.
+    """
     dis = distortion(c)
     right_of = c.right_partners()
     left_of = c.left_partners()
     members = c.pair_set()
+    entries: dict[tuple[int, int], ExactValue] = {}
     for x in range(len(c.left)):
         for y in range(len(c.right)):
             if (x, y) in members:
@@ -162,24 +176,17 @@ def is_strong_correspondence(c: Correspondence) -> StrongnessVerdict:
                 dx = c.left.dist(x, x_prime)
                 for y_prime in right_of[x]:
                     dy = c.right.dist(y, y_prime)
-                    if dx != dy:
+                    if dx != dy or dx <= dis:
+                        reason = "unequal" if dx != dy else "not_above_distortion"
                         return StrongnessVerdict(
                             False,
                             dis,
                             StrongnessCounterexample(
-                                x, y, x_prime, y_prime, dx, dy, "unequal"
+                                x, y, x_prime, y_prime, dx, dy, reason
                             ),
-                        )
-                    if dx <= dis:
-                        return StrongnessVerdict(
-                            False,
-                            dis,
-                            StrongnessCounterexample(
-                                x, y, x_prime, y_prime, dx, dy,
-                                "not_above_distortion",
-                            ),
-                        )
-    return StrongnessVerdict(True, dis, None)
+                        ), entries
+            entries[(x, y)] = dx
+    return StrongnessVerdict(True, dis, None), entries
 
 
 @dataclass
@@ -199,27 +206,11 @@ class EquilibriumTable:
 
 
 def equilibrium_table(c: Correspondence) -> EquilibriumTable:
-    verdict = is_strong_correspondence(c)
+    verdict, entries = _partner_walk(c)
     if not verdict.is_strong:
         raise NotStrongError(
             f"correspondence is not strong: {verdict.counterexample}"
         )
-    right_of = c.right_partners()
-    left_of = c.left_partners()
-    members = c.pair_set()
-    entries: dict[tuple[int, int], ExactValue] = {}
-    for x in range(len(c.left)):
-        for y in range(len(c.right)):
-            if (x, y) in members:
-                continue
-            candidates = {c.right.dist(y, y_prime) for y_prime in right_of[x]}
-            candidates.update(c.left.dist(x, x_prime) for x_prime in left_of[y])
-            if len(candidates) != 1:
-                raise WellDefinednessViolationError(
-                    f"equilibrium value at ({x}, {y}) is not unique: "
-                    f"{sorted(candidates)}"
-                )
-            entries[(x, y)] = next(iter(candidates))
     values = sorted(entries.values())
     return EquilibriumTable(
         entries=entries,
@@ -248,31 +239,23 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
     their equilibrium value. With r0 = 0 the semi-metric is quotiented,
     merging each matched pair, which exhibits an isometry X ≅ Y.
     """
-    verdict = is_strong_correspondence(c)
+    verdict, entries = _partner_walk(c)
     if not verdict.is_strong:
         raise NotStrongError(
             f"correspondence is not strong: {verdict.counterexample}"
         )
     r0 = verdict.distortion
     x, y = c.left, c.right
-    n, m = len(x), len(y)
-    members = c.pair_set()
-    left_of = c.left_partners()
-
-    def cross(i: int, j: int) -> ExactValue:
-        if (i, j) in members:
-            return r0
-        return x.dist(i, left_of[j][0])
-
     if r0 > ZERO:
-        result = _glue_disjoint(x, y, cross, r0)
+        # Related pairs are exactly the ones without an entry.
+        result = _glue_disjoint(x, y, lambda i, j: entries.get((i, j), r0), r0)
     else:
         # dis = 0 forces a bijection, so the quotient is X itself and each
         # right point lands on its unique left partner.
         labels = [f"L:{lbl}" for lbl in x.labels]
         glued = validate_space(x.matrix(), labels, inexact=x.inexact or y.inexact)
-        right_embed = tuple(left_of[j][0] for j in range(m))
-        result = GlueResult(glued, tuple(range(n)), right_embed, r0, True)
+        right_embed = tuple(i for i, _ in sorted(c.pairs, key=lambda p: p[1]))
+        result = GlueResult(glued, tuple(range(len(x))), right_embed, r0, True)
 
     dh = hausdorff_distance(
         result.glued_space, set(result.left_embedding), set(result.right_embedding)

@@ -9,7 +9,10 @@ independent routes and insists they agree exactly:
     found by a finite threshold scan;
   * approximation_scan: same scan for strong eps-approximations;
   * shortcut_3b: when the diameters differ the distance equals the larger
-    diameter, with the spectra bound and the full product as certificates.
+    diameter. The certificate is the spectra bound reaching it together
+    with the full product, whose distortion is exactly the larger diameter
+    and which, having no unrelated pairs, is strong; no search and no
+    strongness scan runs.
 
 Every scan predicate is monotone in eps and piecewise constant between
 candidate thresholds (distances and their pairwise differences), so
@@ -39,12 +42,7 @@ from .spaces import (
     UltrametricSpace,
     spectra_lower_bound,
 )
-from .correspondences import (
-    Correspondence,
-    _search,
-    full_product,
-    is_strong_correspondence,
-)
+from .correspondences import Correspondence, _search, full_product
 from .isometries import (
     ApproximationWitness,
     MapWitness,
@@ -231,12 +229,20 @@ def dhat_gh(
 ) -> DistanceReport:
     """Compute the non-Archimedean Gromov-Hausdorff distance, cross-checked.
 
-    With methods=None the method set is chosen from the caps; an explicit
-    sequence runs exactly those. All produced values must agree to the last
-    bit or MethodDisagreementError is raised. When the diameters differ the
-    shortcut path certifies the value as the larger diameter and runs the
-    full-product confirmation instead of the searches.
+    With methods=None the method set is chosen from the caps; on equal
+    diameters an explicit sequence runs exactly those routes. All produced
+    values must agree to the last bit or MethodDisagreementError is raised.
+    When the diameters differ, explicit methods are still validated, but the
+    shortcut path always certifies the value as the larger diameter instead:
+    the spectra bound reaches it and the full product attains it.
     """
+    if methods is not None:
+        names = tuple(methods)
+        for name in names:
+            if name not in METHOD_NAMES:
+                raise ValueError(f"unknown method {name!r}")
+        if not names:
+            raise ValueError("methods must not be empty")
     caps = caps or EngineCaps()
     slb = spectra_lower_bound(x, y)
     diam_x, diam_y = x.diameter(), y.diameter()
@@ -247,19 +253,15 @@ def dhat_gh(
 
     if diam_x != diam_y:
         # Larger diameter appears in exactly one spectrum, so the spectra
-        # bound meets the full-product upper bound and pins the value.
+        # bound meets the full product, strong with distortion diam_max,
+        # and pins the value.
         if slb != diam_max:
             raise MethodDisagreementError(
                 f"spectra bound {slb} does not reach the diameter gap value {diam_max}"
             )
-        full = full_product(x, y)
-        verdict = is_strong_correspondence(full)
-        if not verdict.is_strong or verdict.distortion != diam_max:
-            raise MethodDisagreementError(
-                "full product confirmation failed on the diameter-gap path"
-            )
         outcomes["shortcut_3b"] = MethodOutcome(diam_max, True, None)
-        outcomes["strong_correspondence"] = MethodOutcome(diam_max, True, full)
+        outcomes["strong_correspondence"] = MethodOutcome(
+            diam_max, True, full_product(x, y))
     else:
         if methods is None:
             names = _auto_methods(product, caps)
@@ -268,13 +270,6 @@ def dhat_gh(
                     f"|X|*|Y| = {product} exceeds every method cap; pass "
                     "methods=... or wider caps"
                 )
-        else:
-            names = tuple(methods)
-            for name in names:
-                if name not in METHOD_NAMES:
-                    raise ValueError(f"unknown method {name!r}")
-            if not names:
-                raise ValueError("methods must not be empty")
         grid = BreakpointGrid(x, y)
         for name in names:
             if name == "strong_correspondence":

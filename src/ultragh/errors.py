@@ -66,7 +66,7 @@ class NotStrongError(UltraGHError):
 
 
 class WellDefinednessViolationError(UltraGHError):
-    """Equilibrium value disagreed across partners; indicates a library bug."""
+    """A glued space broke its Hausdorff bound; indicates a library bug."""
 
 
 class BridgeTooSmallError(UltraGHError):

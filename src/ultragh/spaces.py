@@ -256,11 +256,6 @@ def _raise_first_violation(
                     )
 
 
-def diameter(space: UltrametricSpace) -> ExactValue:
-    """Largest pairwise distance; zero for a singleton."""
-    return space.diameter()
-
-
 def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
     pts = sorted(set(subset))
     if not pts:

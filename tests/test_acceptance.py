@@ -115,7 +115,7 @@ def test_criterion_2_scaled_balls():
     r = dhat_gh(truncated_scaled_ball(2, 1, 1, 1), truncated_scaled_ball(3, 1, 1, 1))
     assert r.dhat == ev("1/2")
     assert "shortcut_3b" in r.methods
-    assert "strong_correspondence" in r.methods  # the confirming run
+    assert "strong_correspondence" in r.methods  # the full-product witness
     r2 = dhat_gh(truncated_scaled_ball(3, 1, 1, 1), truncated_scaled_ball(5, 1, 1, 1))
     assert r2.dhat == ev("1/3")
     _report_line("criterion 2: scaled-ball distances max(1/2,1/3) and 1/3", True)

@@ -338,7 +338,7 @@ def test_equilibrium_bounds_and_partner_constancy(n, seed_a, seed_b):
     x = random_ultrametric(n, seed_a, POOL)
     y = random_ultrametric(n, seed_b, POOL)
     res = min_distortion_strong_correspondence(x, y)
-    table = equilibrium_table(res.correspondence)  # partner constancy asserted inside
+    table = equilibrium_table(res.correspondence)  # strongness makes each entry unique
     for value in table.entries.values():
         assert table.distortion < value <= table.min_diameter
 

@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,9 @@ from ultragh import (
     dhat_gh,
     exists_strong_epsilon_approximation,
     exists_strong_epsilon_isometry,
+    full_product,
     induced_subspace,
+    is_strong_correspondence,
     metric_ratio,
     min_distortion_strong_correspondence,
     random_ultrametric,
@@ -19,6 +23,7 @@ from ultragh import (
     validate_space,
     zq_delta,
 )
+from ultragh import correspondences
 from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.errors import SearchSpaceTooLargeError
 from ultragh.spaces import BreakpointGrid
@@ -56,6 +61,64 @@ def test_dhat_x3_ydelta_shortcut(x3, ydelta):
     assert "shortcut_3b" in report.methods
     assert report.spectra_lower_bound == ev("3/2")
     assert report.diameter_upper_bound == ev("3/2")
+
+
+@pytest.mark.parametrize("methods", [("bogus",), ()])
+def test_invalid_methods_rejected_on_diameter_gap(x3, ydelta, methods):
+    # The same inputs raise on equal diameters; the gap path must not
+    # accept them silently.
+    with pytest.raises(ValueError):
+        dhat_gh(x3, ydelta, methods=methods)
+    with pytest.raises(ValueError):
+        dhat_gh(x3, x3, methods=methods)
+
+
+@st.composite
+def diameter_gap_pairs(draw):
+    """Random pairs of 1-6 points a side with unequal diameters, singletons
+    included: the second space is the first seeded random space, from a
+    drawn seed on, whose diameter differs from the first's."""
+    n = draw(st.integers(1, 6))
+    x = random_ultrametric(n, draw(st.integers(0, 20_000)), POOL)
+    m = draw(st.integers(2 if n == 1 else 1, 6))
+    ys = (random_ultrametric(m, s, POOL) for s in count(draw(st.integers(0, 20_000))))
+    y = next(y for y in ys if y.diameter() != x.diameter())
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(diameter_gap_pairs())
+def test_diameter_gap_certificate(pair):
+    # The facts dhat_gh's shortcut relies on without checking them at run
+    # time: the full product is strong with the larger diameter as its
+    # distortion, and the spectra bound reaches that diameter.
+    x, y = pair
+    diam = max(x.diameter(), y.diameter())
+    full = full_product(x, y)
+    verdict = is_strong_correspondence(full)
+    assert verdict.is_strong and verdict.distortion == diam
+    assert spectra_lower_bound(x, y) == diam
+    report = dhat_gh(x, y, include_classical=False)
+    assert report.dhat == diam
+    assert report.methods["strong_correspondence"] == MethodOutcome(diam, True, full)
+    if len(x) * len(y) <= EngineCaps().corr_product:
+        assert min_distortion_strong_correspondence(x, y).distortion == diam
+
+
+def test_diameter_gap_runs_no_distortion(monkeypatch):
+    calls = []
+    original = correspondences.distortion
+
+    def counting(c):
+        calls.append(1)
+        return original(c)
+
+    monkeypatch.setattr(correspondences, "distortion", counting)
+    report = dhat_gh(truncated_unramified_ring(2, 1, 3), zq_delta(5, 2, 2))
+    assert "shortcut_3b" in report.methods
+    assert calls == []
 
 
 def test_spectra_lower_bound_examples(x3, z4, ydelta):

@@ -8,7 +8,6 @@ from ultragh import (
     ball_partition,
     ball_representatives,
     candidate_thresholds,
-    diameter,
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,
@@ -134,9 +133,9 @@ def test_validate_matches_violation_oracle(n, seed, edits):
 
 
 def test_diameter_examples(z4, ydelta, singleton):
-    assert diameter(singleton) == ev(0)
-    assert diameter(z4) == ev(1)
-    assert diameter(ydelta) == ev("3/2")
+    assert singleton.diameter() == ev(0)
+    assert z4.diameter() == ev(1)
+    assert ydelta.diameter() == ev("3/2")
 
 
 def _brute_diameter(space):
