@@ -13,12 +13,13 @@ from typing import Iterable, Optional, Sequence
 from .exact import ExactValue, ZERO
 from .errors import EpsilonTooLargeError, LengthMismatchError, MethodDisagreementError
 from .spaces import (
+    BreakpointGrid,
     UltrametricSpace,
     ball_partition,
     is_epsilon_net,
     weight_spectrum,
 )
-from .isometries import MapWitness, is_strong_epsilon_isometry
+from .isometries import MapWitness, _approximation_probe, is_strong_epsilon_isometry
 from .engine import EngineCaps, dhat_gh
 
 
@@ -61,67 +62,35 @@ def find_split(
 ) -> Optional[SplitResult]:
     """Split xn into |x| classes mirroring the target's distances exactly.
 
-    Needs eps below the smallest pairwise distance r0 of the target. The
-    search assigns the open eps-balls of xn to target points (merging is
-    attempted and then rejected by the diameter condition, since distinct
-    balls sit at distance >= eps) and returns the lexicographically
-    smallest valid assignment, or None.
+    Needs eps below the smallest pairwise distance of the target, so every
+    target point is its own open eps-ball. A split then matches the open
+    eps-balls of xn one to one with the target's points, representative
+    distances equal to target distances, which is exactly a strong
+    eps-approximation of (xn, x). This runs the approximation probe on
+    (xn, x), so it returns the lexicographically smallest valid assignment
+    of balls to target points, or None, and stops with BudgetExceededError
+    after the scan's node limit, isometries.DEFAULT_SCAN_BUDGET.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
-    if len(x) > 1:
-        r0 = min(
-            x.dist(i, j) for i in range(len(x)) for j in range(i + 1, len(x))
+    if len(x) > 1 and eps >= x.values[1]:
+        raise EpsilonTooLargeError(
+            f"eps = {eps} is not below the target's minimum distance {x.values[1]}"
         )
-        if eps >= r0:
-            raise EpsilonTooLargeError(
-                f"eps = {eps} is not below the target's minimum distance {r0}"
-            )
-    balls = ball_partition(xn, eps)
-    n_targets = len(x)
-    if len(balls) < n_targets:
+    witness = _approximation_probe(BreakpointGrid(xn, x), eps, None)
+    if witness is None:
         return None
 
-    # Cross-ball distances do not depend on the point chosen in each ball
-    # (isoceles property), so each ball is summarized by its representative.
-    reps = [c[0] for c in balls]
-    assignment: list[int] = []
-
-    def ok(ball_index: int, target: int) -> bool:
-        for prev, prev_target in enumerate(assignment):
-            if prev_target == target:
-                return False  # merged class would have diameter >= eps
-            if xn.dist(reps[prev], reps[ball_index]) != x.dist(prev_target, target):
-                return False
-        return True
-
-    def dfs(ball_index: int) -> bool:
-        if ball_index == len(balls):
-            return len(set(assignment)) == n_targets
-        for target in range(n_targets):
-            if ok(ball_index, target):
-                assignment.append(target)
-                if dfs(ball_index + 1):
-                    return True
-                assignment.pop()
-        return False
-
-    if not dfs(0):
-        return None
-
-    classes: list[list[int]] = [[] for _ in range(n_targets)]
-    for ball_index, target in enumerate(assignment):
-        classes[target].extend(balls[ball_index])
-    classes = [sorted(c) for c in classes]
+    classes: list[tuple[int, ...]] = [()] * len(x)
+    for ball, target in zip(ball_partition(xn, eps), witness.ys):
+        classes[target] = ball
     diameters = tuple(_class_diameter(xn, c) for c in classes)
     matrix = tuple(
         tuple(
             ZERO if i == j else _class_distance(xn, classes[i], classes[j])
-            for j in range(n_targets)
+            for j in range(len(x))
         )
-        for i in range(n_targets)
+        for i in range(len(x))
     )
-    return SplitResult(tuple(tuple(c) for c in classes), diameters, matrix)
+    return SplitResult(tuple(classes), diameters, matrix)
 
 
 def replay_split(
@@ -130,13 +99,17 @@ def replay_split(
     eps: ExactValue,
     split: SplitResult,
 ) -> bool:
-    """Soundness check: partition, small diameters, exact class distances."""
+    """Soundness check: partition, small diameters, exact class distances.
+
+    Every index must be an int naming a point of xn; any other value fails
+    the check.
+    """
     seen: set[int] = set()
     for cls in split.classes:
         if not cls:
             return False
         for p in cls:
-            if p in seen:
+            if p in seen or not (isinstance(p, int) and 0 <= p < len(xn)):
                 return False
             seen.add(p)
     if len(seen) != len(xn) or len(split.classes) != len(x):

@@ -360,17 +360,6 @@ def _subsets_last_level_order(m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _subsets_inner_level_order(m: int) -> list[tuple[int, ...]]:
-    """Subset order for the non-final left points.
-
-    Here a longer partner block sorts before its prefixes: the shorter
-    branch continues with pairs of the next left point, and any (k, y)
-    precedes every (k+1, y'). Appending a sentinel above all point indices
-    to the sort key realizes exactly that comparison.
-    """
-    return sorted(_subsets_last_level_order(m), key=lambda sub: sub + (m,))
-
-
 def _search(
     grid: BreakpointGrid,
     strong: bool,
@@ -394,22 +383,23 @@ def _search(
     rx = grid.rx
     gap = grid.gap_ranks()
 
-    def _annotate(subs):
-        out = []
-        for sub in subs:
-            worst = 0
-            for p in range(len(sub)):
-                row = ry[sub[p]]
-                for q in range(p + 1, len(sub)):
-                    r = row[sub[q]]
-                    if r > worst:
-                        worst = r
-            out.append((sub, sum(1 << a for a in sub), worst))
-        return out
-
-    last_level = _annotate(_subsets_last_level_order(m))
+    # Each partner subset with its bitmask and its largest internal rank.
+    last_level = []
+    for sub in _subsets_last_level_order(m):
+        worst = 0
+        for p in range(len(sub)):
+            row = ry[sub[p]]
+            for q in range(p + 1, len(sub)):
+                r = row[sub[q]]
+                if r > worst:
+                    worst = r
+        last_level.append((sub, sum(1 << a for a in sub), worst))
     worst_of = {mask: worst for _, mask, worst in last_level}
-    inner_level = _annotate(_subsets_inner_level_order(m))
+    # At a non-final left point a longer partner block sorts before its
+    # prefixes: the shorter branch continues with pairs of the next left
+    # point, and any (k, y) precedes every (k+1, y'). A sentinel above all
+    # point indices appended to the sort key realizes that comparison.
+    inner_level = sorted(last_level, key=lambda entry: entry[0] + (m,))
     full_mask = (1 << m) - 1
     bits = [1 << b for b in range(m)]
 

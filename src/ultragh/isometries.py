@@ -24,8 +24,7 @@ from .errors import (
 from .spaces import (
     BreakpointGrid,
     UltrametricSpace,
-    ball_partition,
-    ball_representatives,
+    _rank_balls,
     is_epsilon_net,
 )
 from .correspondences import Correspondence
@@ -284,13 +283,17 @@ def _approximation_probe(
     if eps <= ZERO:
         raise ValueError("eps must be positive")
     x, y = grid.x, grid.y
-    xs = ball_representatives(x, eps)
+    # Distances compare as ranks into the grid's values; exactly those
+    # below eps have a rank below the cut.
+    rx, ry = grid.rx, grid.ry
+    below = bisect_left(grid.values, eps)
+    xs = tuple(c[0] for c in _rank_balls(rx, below))
     n, m = len(xs), len(y)
     if n > m:
         return None
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
-    y_classes = ball_partition(y, eps)
+    y_classes = _rank_balls(ry, below)
     if len(y_classes) > n:
         # Matched right points are pairwise >= eps apart, hence distinct;
         # n of them cannot hit every ball.
@@ -299,9 +302,7 @@ def _approximation_probe(
     for ci, cls in enumerate(y_classes):
         for p in cls:
             y_ball[p] = ci
-    # Distances compare as ranks into the grid's values.
-    ry = grid.ry
-    need = [[grid.rx[a][b] for b in xs] for a in xs]
+    need = [[rx[a][b] for b in xs] for a in xs]
 
     ys: list[int] = []
     nodes = 0
@@ -311,7 +312,7 @@ def _approximation_probe(
         if level == n:
             if len({y_ball[b] for b in ys}) != len(y_classes):
                 return None
-            witness = ApproximationWitness(tuple(xs), tuple(ys), eps)
+            witness = ApproximationWitness(xs, tuple(ys), eps)
             verdict = is_strong_epsilon_approximation(x, y, eps, witness)
             return witness if verdict.valid else None
         want = need[level][:level]

@@ -11,6 +11,7 @@ freely.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -144,10 +145,11 @@ def validate_space(
     if n == 0:
         raise SpaceValidationError("a space needs at least one point")
     rows = []
+    interned: dict = {}
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise SpaceValidationError(f"row {i} has length {len(row)}, expected {n}")
-        rows.append(tuple(map(ExactValue.coerce, row)))
+        rows.append(_coerced(row, interned))
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -182,6 +184,24 @@ def validate_space(
         )
 
     return UltrametricSpace(labels, distinct, rk, bool(inexact), _token=_CONSTRUCTION_TOKEN)
+
+
+def _coerced(row: Sequence[Coercible], interned: dict) -> tuple[ExactValue, ...]:
+    """The row as ExactValues. Other entries are coerced once per (type,
+    value) of the matrix, so fresh ints, strings or Fractions share one
+    object per value, as a parsed matrix does, and _ranked hashes each value
+    once. ExactValue entries pass through unhashed. The type in the key
+    keeps a float 1.0 after an int 1 from skipping coerce's TypeError."""
+    out = []
+    for v in row:
+        if not isinstance(v, ExactValue):
+            key = (type(v), v)
+            value = interned.get(key)
+            if value is None:
+                value = interned[key] = ExactValue.coerce(v)
+            v = value
+        out.append(v)
+    return tuple(out)
 
 
 def _ranked(
@@ -306,14 +326,16 @@ def hausdorff_distance(
 
 
 def is_epsilon_net(space: UltrametricSpace, s: Iterable[int], eps: ExactValue) -> bool:
-    """True iff every point is at distance strictly less than eps from s."""
+    """True iff every point is at distance strictly less than eps from s.
+
+    Exactly the distances below eps have a rank below bisect_left(values,
+    eps), so the test reads ranks.
+    """
     if eps <= ZERO:
         raise ValueError("eps must be positive")
     pts = _normalize_subset(space, s)
-    for i in range(len(space)):
-        if point_set_distance(space, i, pts) >= eps:
-            return False
-    return True
+    cut = bisect_left(space.values, eps)
+    return all(any(row[p] < cut for p in pts) for row in space.ranks)
 
 
 def ball_partition(space: UltrametricSpace, eps: ExactValue) -> tuple[tuple[int, ...], ...]:
@@ -322,14 +344,22 @@ def ball_partition(space: UltrametricSpace, eps: ExactValue) -> tuple[tuple[int,
     In an ultrametric space the open balls {d(x, .) < eps} either coincide or
     are disjoint, so membership can be tested against a single representative.
     Classes are listed by ascending representative, points ascending inside.
+    Membership reads ranks: d < eps exactly when the rank of d is below
+    bisect_left(values, eps).
     """
     if eps <= ZERO:
         raise ValueError("eps must be positive")
+    return _rank_balls(space.ranks, bisect_left(space.values, eps))
+
+
+def _rank_balls(ranks: Sequence[Sequence[int]], cut: int) -> tuple[tuple[int, ...], ...]:
+    """ball_partition of a rank matrix, a point's ball holding the points at
+    rank below cut from it."""
     reps: list[int] = []
     classes: list[list[int]] = []
-    for i in range(len(space)):
+    for i, row in enumerate(ranks):
         for ci, r in enumerate(reps):
-            if space.dist(r, i) < eps:
+            if row[r] < cut:
                 classes[ci].append(i)
                 break
         else:

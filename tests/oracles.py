@@ -238,3 +238,35 @@ def first_strong_epsilon_isometry(x, y, eps):
         if is_strong_epsilon_isometry(x, y, images, eps).is_strong_eps_isometry:
             return images
     return None
+
+
+def first_split(xn, x, eps):
+    """Classes of the first split of xn over the target x at eps, or None.
+
+    The open eps-balls of xn are read off the Fraction matrix, listed by
+    smallest member. The maps from balls to target points are walked in
+    itertools.product order, and the first bijection under which every
+    pair of ball representatives sits at the distance of its two target
+    points gives the split: target point t's class is the ball mapped to t.
+    No pruning, so it checks find_split's search and nothing else.
+    """
+    dn = _fraction_matrix(xn)
+    dx = _fraction_matrix(x)
+    e = eps.fraction
+    balls = []
+    for i in range(len(xn)):
+        if not any(i in ball for ball in balls):
+            balls.append(tuple(j for j in range(len(xn)) if dn[i][j] < e))
+    if len(balls) != len(x):
+        return None  # no bijection exists, so no map need be walked
+    reps = [ball[0] for ball in balls]
+    pairs = [(a, b) for a in range(len(balls)) for b in range(a + 1, len(balls))]
+    for f in product(range(len(x)), repeat=len(balls)):
+        if len(set(f)) == len(x) and all(
+            dn[reps[a]][reps[b]] == dx[f[a]][f[b]] for a, b in pairs
+        ):
+            classes = [None] * len(x)
+            for ball, t in zip(balls, f):
+                classes[t] = ball
+            return tuple(classes)
+    return None

@@ -198,6 +198,11 @@ def test_exit_codes(files, capsys, tmp_path):
     assert "budget exceeded" in out
 
 
+def test_scan_budget_exits_3(files, capsys):
+    assert run(["dhat", files["x3"], files["x3"], "--method", "iso", "--budget", "1"]) == 3
+    assert "isometry scan exceeded 1 nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["net", "{z4}", "--eps", "1/0"],
     ["gen", "random", "--n", "3", "--pool", "1/0,1"],

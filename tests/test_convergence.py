@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultragh import (
     ExactValue,
+    SplitResult,
     ball_representatives,
     check_convergence_certificate,
     check_net_convergence_certificate,
@@ -15,10 +16,13 @@ from ultragh import (
     sutb_check,
     truncated_scaled_ball,
     truncated_unramified_ring,
+    validate_space,
 )
-from ultragh.errors import EpsilonTooLargeError, LengthMismatchError
+from ultragh import isometries
+from ultragh.errors import BudgetExceededError, EpsilonTooLargeError, LengthMismatchError
 
 from conftest import ev
+from oracles import first_split
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -52,6 +56,63 @@ def test_find_split_absent(z4, x3):
 def test_find_split_eps_guard(z4, x2):
     with pytest.raises(EpsilonTooLargeError):
         find_split(z4, x2, ev(1))
+
+
+def test_find_split_node_limit(monkeypatch, z4, x2):
+    monkeypatch.setattr(isometries, "DEFAULT_SCAN_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="approximation scan"):
+        find_split(z4, x2, ev("3/4"))
+
+
+@pytest.mark.parametrize("classes", [
+    ((0, 2), (-1, 3)), ((0, 2), (1, 9)), ((0, 2), (1.0, 3)),
+])
+def test_replay_split_rejects_foreign_indices(z4, x2, classes):
+    # -1 would wrap to point 3, leaving point 1 out; 9 is past the end;
+    # 1.0 equals point 1 but is no index.
+    split = find_split(z4, x2, ev("3/4"))
+    forged = SplitResult(classes, split.class_diameters, split.pairwise_class_distances)
+    assert not replay_split(z4, x2, ev("3/4"), forged)
+
+
+BLOB_POOL = [ExactValue(1, 16), ExactValue(1, 8)]
+
+
+@st.composite
+def split_cases(draw):
+    """A target of 1-4 points, a space to split (a blow-up of the target
+    with 1-3 points per target point in shuffled order, or an unrelated
+    random space) and an eps below the target's least distance."""
+    x = random_ultrametric(draw(st.integers(1, 4)), draw(st.integers(0, 5_000)), POOL)
+    if draw(st.booleans()):
+        blobs = [
+            random_ultrametric(draw(st.integers(1, 3)), draw(st.integers(0, 5_000)), BLOB_POOL)
+            for _ in range(len(x))
+        ]
+        points = draw(st.permutations(
+            [(i, a) for i, blob in enumerate(blobs) for a in range(len(blob))]
+        ))
+        xn = validate_space([
+            [x.dist(i, j) if i != j else blobs[i].dist(a, b) for j, b in points]
+            for i, a in points
+        ])
+    else:
+        xn = random_ultrametric(draw(st.integers(1, 8)), draw(st.integers(0, 5_000)), POOL)
+    values = sorted({*xn.values, *x.values, ExactValue(3)})
+    choices = values[1:] + [a.midpoint(b) for a, b in zip(values, values[1:])]
+    if len(x) > 1:
+        choices = [eps for eps in choices if eps < x.values[1]]
+    return xn, x, draw(st.sampled_from(sorted(choices)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_find_split_matches_oracle(case):
+    xn, x, eps = case
+    result = find_split(xn, x, eps)
+    assert (result.classes if result is not None else None) == first_split(xn, x, eps)
+    if result is not None:
+        assert replay_split(xn, x, eps, result)
 
 
 def test_find_split_digit_partition():

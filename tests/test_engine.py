@@ -25,7 +25,7 @@ from ultragh import (
 )
 from ultragh import correspondences
 from ultragh.engine import METHOD_NAMES, MethodOutcome
-from ultragh.errors import SearchSpaceTooLargeError
+from ultragh.errors import BudgetExceededError, SearchSpaceTooLargeError
 from ultragh.spaces import BreakpointGrid
 
 from conftest import equal_diameter_partner, ev
@@ -154,6 +154,11 @@ def test_budget_interval_on_exhaustion(z4):
     assert not res.optimal
     assert res.value is None
     assert res.lower <= res.upper
+
+
+def test_scan_budget_exhaustion_raises(x2, x3):
+    with pytest.raises(BudgetExceededError, match="isometry scan"):
+        dhat_gh(x2, x3, methods=("isometry_scan",), budget=1)
 
 
 def test_caps_refuse_oversized():

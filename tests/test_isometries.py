@@ -17,7 +17,7 @@ from ultragh import (
     map_distortion,
     random_ultrametric,
 )
-from ultragh.errors import LengthMismatchError
+from ultragh.errors import BudgetExceededError, LengthMismatchError
 
 from conftest import ev
 from oracles import first_strong_epsilon_isometry
@@ -107,6 +107,15 @@ def test_exists_approximation_examples(x3, ydelta, z4, x2):
     w = exists_strong_epsilon_approximation(z4, x2, ev(1))
     assert w is not None
     assert w.xs == (0, 1) and w.ys == (0, 1)
+
+
+@pytest.mark.parametrize("scan, name", [
+    (exists_strong_epsilon_isometry, "isometry scan"),
+    (exists_strong_epsilon_approximation, "approximation scan"),
+])
+def test_scan_node_limit(x3, scan, name):
+    with pytest.raises(BudgetExceededError, match=name):
+        scan(x3, x3, ev("1/2"), budget=1)
 
 
 def test_monotone_in_epsilon(x3, ydelta):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -89,6 +90,27 @@ def test_validate_error_kinds():
     with pytest.raises(AsymmetricMatrixError) as asym:
         validate_space([[0, 0], [1, 0]])
     assert (asym.value.i, asym.value.j) == (0, 1)
+
+
+def test_validate_fresh_entries_match_shared():
+    # One object per entry, as direct callers pass them, against one
+    # shared ExactValue per value: the same space either way.
+    shared = [list(row) for row in random_ultrametric(7, 3, POOL).matrix()]
+    fresh = [
+        [[Fraction(v.numerator, v.denominator) for v in row] for row in shared],
+        [[f"{v.numerator}/{v.denominator}" for v in row] for row in shared],
+    ]
+    space = validate_space(shared)
+    for rows in fresh:
+        assert validate_space(rows) == space
+    scaled = [[int(v.fraction * 4) for v in row] for row in shared]
+    one_each: dict = {}
+    assert validate_space(scaled) == validate_space(
+        [[one_each.setdefault(k, ExactValue(k)) for k in row] for row in scaled]
+    )
+    # An int 1 earlier in the matrix does not let a float 1.0 through.
+    with pytest.raises(TypeError):
+        validate_space([[0, 1], [1.0, 0]])
 
 
 def _perturbed_ultrametric(n, seed, edits):
