@@ -340,26 +340,6 @@ class _Done(Exception):
     pass
 
 
-def _subsets_last_level_order(m: int) -> list[tuple[int, ...]]:
-    """Nonempty subsets ordered (0), (0,1), (0,1,2), ..., (1), (1,2), ...
-
-    Complete pair sequences compare like Python tuples, where a strict
-    prefix sorts first. At the final left point nothing follows the block
-    of its pairs, so the plain prefix-first order on partner subsets visits
-    leaves in ascending pair-set order.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], start: int) -> None:
-        for a in range(start, m):
-            sub = prefix + (a,)
-            out.append(sub)
-            extend(sub, a + 1)
-
-    extend((), 0)
-    return out
-
-
 def _search(
     grid: BreakpointGrid,
     strong: bool,
@@ -383,25 +363,16 @@ def _search(
     rx = grid.rx
     gap = grid.gap_ranks()
 
-    # Each partner subset with its bitmask and its largest internal rank.
-    last_level = []
-    for sub in _subsets_last_level_order(m):
-        worst = 0
-        for p in range(len(sub)):
-            row = ry[sub[p]]
-            for q in range(p + 1, len(sub)):
-                r = row[sub[q]]
-                if r > worst:
-                    worst = r
-        last_level.append((sub, sum(1 << a for a in sub), worst))
-    worst_of = {mask: worst for _, mask, worst in last_level}
-    # At a non-final left point a longer partner block sorts before its
-    # prefixes: the shorter branch continues with pairs of the next left
-    # point, and any (k, y) precedes every (k+1, y'). A sentinel above all
-    # point indices appended to the sort key realizes that comparison.
-    inner_level = sorted(last_level, key=lambda entry: entry[0] + (m,))
+    # Each partner subset with its bitmask and its largest internal rank,
+    # in two orders. Complete pair sequences compare like Python tuples,
+    # where a strict prefix sorts first. At the final left point nothing
+    # follows the block of its pairs, so the prefix-first order visits
+    # leaves in ascending pair-set order. At a non-final left point a longer
+    # partner block sorts before its prefixes: the shorter branch continues
+    # with pairs of the next left point, and any (k, y) precedes every
+    # (k+1, y'). The grid builds both orders once, for every search on it.
+    last_level, inner_level, worst_of = grid.partner_subsets()
     full_mask = (1 << m) - 1
-    bits = [1 << b for b in range(m)]
 
     # The full product is always a correspondence, always strong, and its
     # distortion is exactly max(diam X, diam Y), the largest any leaf can
@@ -451,22 +422,6 @@ def _search(
                     return False
         return True
 
-    # The search starts at cutoff full_rank + 1, which no gap reaches.
-    far_by_cutoff = {full_rank + 1: [[[0] * m] * n] * n}
-
-    def far_masks(cutoff: int) -> list[list[list[int]]]:
-        """far[i][j][a]: bitmask of the partners b of j whose gap rank
-        against the pair (i, a) reaches the cutoff."""
-        far = far_by_cutoff.get(cutoff)
-        if far is None:
-            # Only i < j is ever read.
-            far = far_by_cutoff[cutoff] = [
-                [[sum(bit for bit, r in zip(bits, row) if r >= cutoff) for row in gap[i][j]]
-                 if i < j else None for j in range(n)]
-                for i in range(n)
-            ]
-        return far
-
     def dfs(level: int, partial: int, covered: int):
         nonlocal best_rank, best_sets
         if budget_state.spend():
@@ -477,9 +432,11 @@ def _search(
         for sub, mask, internal in (last_level if last else inner_level):
             if cutoff != best_rank:
                 cutoff = best_rank
-                far = far_masks(cutoff)
-                # bar[j]: bitmask of the partners of left point j that
-                # some chosen pair already puts at or past the cutoff.
+                # far[i][j][a]: bitmask of the partners b of j whose gap
+                # rank against the pair (i, a) reaches the cutoff; bar[j]:
+                # bitmask of the partners of left point j that some chosen
+                # pair already puts at or past the cutoff.
+                far = grid.far_masks(cutoff)
                 bar = [0] * n
                 for i in range(level):
                     for j in range(level, n):

@@ -14,16 +14,20 @@ independent routes and insists they agree exactly:
     and which, having no unrelated pairs, is strong; no search and no
     strongness scan runs.
 
-Every scan predicate is monotone in eps and piecewise constant between
-candidate thresholds (distances and their pairwise differences), so
-evaluating at each threshold and one midpoint per open interval turns the
-infimum over real eps into a finite exact computation, together with an
-attainment flag (true iff the predicate already holds at the infimum).
+Every scan predicate is monotone in eps and compares grid values
+(distances and their pairwise differences) with eps strictly, so it is
+constant on each half-open cell (t_{k-1}, t_k] between consecutive candidate
+thresholds. One probe per cell, at its midpoint, turns the infimum over real
+eps into a finite exact computation. A scan infimum is the lower end of the
+first cell that holds and is never attained, so a scan outcome always reads
+attained=False; dhat_attained comes from the strong route (or the
+diameter-gap certificate), whose minimum a finite search attains.
 
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside.
 Every route and the classical search of one call read the pair's single
-BreakpointGrid: its thresholds, its rank matrices and one gap-rank table.
+BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
+the partner-subset and far-partner tables both searches share.
 """
 
 from __future__ import annotations
@@ -185,23 +189,21 @@ def _classical(
 def _scan_infimum(grid: BreakpointGrid, probe):
     """Exact infimum of a monotone probe over positive eps.
 
-    Returns MethodOutcome(infimum, attained, witness_at_first_true).
-    Breakpoints are contained in grid.thresholds(), so the probe is constant
-    on the open interval between consecutive thresholds; one midpoint probe
-    per interval plus the threshold itself decides everything. The sentinel
-    threshold above both diameters always satisfies the probe, which reads
-    the same grid, so a scan builds no grid of its own.
+    Returns MethodOutcome(infimum, False, witness_at_first_true). Every probe
+    compares grid values with eps strictly, so it depends on eps only
+    through bisect_left(grid.values, eps) and is constant on each half-open
+    cell (t_{k-1}, t_k] of grid.thresholds(). One probe per cell, at its
+    midpoint, decides the whole cell: the first cell that holds gives the
+    infimum t_{k-1}, which the previous cell (or eps <= 0) shows is never
+    attained. The sentinel threshold above both diameters always satisfies
+    the probe, which reads the same grid, so a scan builds no grid of its
+    own.
     """
     thresholds = grid.thresholds()
-    prev = thresholds[0]  # always zero
-    for t in thresholds[1:]:
+    for prev, t in zip(thresholds, thresholds[1:]):
         witness = probe(prev.midpoint(t))
         if witness is not None:
             return MethodOutcome(prev, False, witness)
-        witness = probe(t)
-        if witness is not None:
-            return MethodOutcome(t, True, witness)
-        prev = t
     raise MethodDisagreementError(
         "scan predicate failed at the sentinel threshold; this is a bug"
     )

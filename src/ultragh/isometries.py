@@ -185,6 +185,8 @@ def _isometry_probe(
     def dfs(level: int) -> Optional[MapWitness]:
         nonlocal nodes
         if level == n:
+            if not _leaf_passes(rx, ry, images, below):
+                return None
             witness = is_strong_epsilon_isometry(x, y, tuple(images), eps)
             return witness if witness.is_strong_eps_isometry else None
         for b in range(m):
@@ -210,6 +212,32 @@ def _isometry_probe(
         return None
 
     return dfs(0)
+
+
+def _leaf_passes(
+    rx: Sequence[Sequence[int]],
+    ry: Sequence[Sequence[int]],
+    images: Sequence[int],
+    below: int,
+) -> bool:
+    """The net condition and (SI1) of a complete map, on grid ranks.
+
+    below is bisect_left(grid.values, eps), so a distance is below eps
+    exactly when its rank is below it. The isometry DFS has already
+    enforced dis f < eps and (SI2) on every pair, so a map the DFS reaches
+    is a strong eps-isometry exactly when this holds.
+    """
+    # near[y][x]: whether d_Y(y, f(x)) < eps.
+    near = [[row[b] < below for b in images] for row in ry]
+    if not all(map(any, near)):
+        return False
+    for xx, a in enumerate(images):
+        rxx = rx[xx]
+        for row, near_yy in zip(ry, near):
+            d = row[a]
+            if d >= below and not any(n and r == d for n, r in zip(near_yy, rxx)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

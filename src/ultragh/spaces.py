@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
 from .errors import (
@@ -410,13 +410,20 @@ class BreakpointGrid:
     scans no distance matrix of ExactValues. rx and ry are the spaces' rank
     matrices remapped to ranks into values, so a distance compares with
     another space's distance, with a gap, or with any eps (through
-    bisect_left(values, eps)) as a plain int. Every scan predicate is
-    piecewise constant between consecutive values. x and y are the pair. The
-    gap-rank table is built once, on the first gap_ranks() call, so every
-    route of one dhat_gh call shares it.
+    bisect_left(values, eps)) as a plain int. Every scan predicate compares
+    grid values with eps strictly, so it depends on eps only through that
+    cut and is constant on each half-open cell (t_{k-1}, t_k] of
+    thresholds(). x and y are the pair.
+
+    The tables the searches read are built on first use and kept, so every
+    route of one dhat_gh call shares them: the gap-rank table
+    (gap_ranks()), the partner-subset table of the right space
+    (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
+    (far_masks()).
     """
 
-    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_gap_ranks")
+    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_gap_ranks",
+                 "_subsets", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -432,6 +439,8 @@ class BreakpointGrid:
         # two spaces' own ranks.
         self._gap = [[rank[g] for g in row] for row in gaps]
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
+        self._subsets: Optional[PartnerSubsets] = None
+        self._far: dict[int, list[list[list[int]]]] = {}
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
@@ -449,9 +458,87 @@ class BreakpointGrid:
             ]
         return self._gap_ranks
 
+    def partner_subsets(self) -> PartnerSubsets:
+        """The nonempty subsets of y's points in both search orders, built
+        on the first call and returned by every later one."""
+        if self._subsets is None:
+            self._subsets = _partner_subsets(self.ry)
+        return self._subsets
+
+    def far_masks(self, cutoff: int) -> list[list[list[int]]]:
+        """Table far with far[i][j][a] the bitmask of the points b of y whose
+        gap rank against the pair (i, a) reaches cutoff, built once per
+        cutoff. far[i][j] depends only on d_X(i, j), so the rows of equal
+        distances are one shared list, which callers only read."""
+        far = self._far.get(cutoff)
+        if far is None:
+            far = self._far[cutoff] = _far_table(self, cutoff)
+        return far
+
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""
         return self.values + (max(self.x.diameter(), self.y.diameter()) + ExactValue(1),)
+
+
+class PartnerSubsets(NamedTuple):
+    """Every nonempty subset of m points, each entry (subset, bitmask, the
+    largest rank between two of its points).
+
+    last is prefix-first order, (0), (0,1), (0,1,2), ..., (1), (1,2), ...
+    inner lists each subset after all of its extensions, (0,1,2), (0,1),
+    (0,2), (0), (1,2), ... worst maps a bitmask to the largest internal
+    rank of its subset (0 for the empty mask).
+    """
+
+    last: list[tuple[tuple[int, ...], int, int]]
+    inner: list[tuple[tuple[int, ...], int, int]]
+    worst: list[int]
+
+
+def _partner_subsets(ranks: Sequence[Sequence[int]]) -> PartnerSubsets:
+    """PartnerSubsets of an ultrametric's rank matrix, in O(2^m * m).
+
+    One recursion extends each subset by a larger point, carrying its mask
+    and its worst rank forward, and emits it before (last) and after
+    (inner) its extensions. By the strong triangle inequality a new point's
+    distance to any member s0 of a set of diameter D bounds its distance to
+    every other member by max(d(a, s0), D), so the extension's worst rank
+    is the larger of the set's and the new point's rank against s0.
+    """
+    m = len(ranks)
+    last: list[tuple[tuple[int, ...], int, int]] = []
+    inner: list[tuple[tuple[int, ...], int, int]] = []
+    worst_of = [0] * (1 << m)
+
+    def extend(prefix: tuple[int, ...], mask: int, worst: int) -> None:
+        first = ranks[prefix[0]] if prefix else None
+        for a in range(prefix[-1] + 1 if prefix else 0, m):
+            w = worst if first is None else max(worst, first[a])
+            entry = (prefix + (a,), mask | 1 << a, w)
+            last.append(entry)
+            worst_of[entry[1]] = w
+            extend(entry[0], entry[1], w)
+            inner.append(entry)
+
+    extend((), 0, 0)
+    return PartnerSubsets(last, inner, worst_of)
+
+
+def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:
+    """BreakpointGrid.far_masks at one cutoff: one row of masks per distinct
+    distance of x, read off the per-value gap ranks (all zero when no gap
+    of that distance reaches the cutoff), then shared by every pair of x at
+    that distance."""
+    m = len(grid.y)
+    bits = [1 << b for b in range(m)]
+    zero = [0] * m
+    by_value = [
+        [sum(bit for bit, r in zip(bits, map(by_y.__getitem__, ry_a)) if r >= cutoff)
+         for ry_a in grid.y.ranks]
+        if max(by_y) >= cutoff else zero
+        for by_y in grid._gap
+    ]
+    return [list(map(by_value.__getitem__, rx_i)) for rx_i in grid.x.ranks]
 
 
 def _rank_rows(space: UltrametricSpace, rank: dict) -> list[list[int]]:

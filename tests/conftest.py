@@ -1,6 +1,8 @@
+import os
 from itertools import count
 
 import pytest
+from hypothesis import settings
 
 from ultragh import (
     ExactValue,
@@ -9,6 +11,12 @@ from ultragh import (
     validate_space,
     zq_delta,
 )
+
+# CI runs with HYPOTHESIS_PROFILE=ci: examples derive from each test alone,
+# and a failure prints the blob that replays it, so a failed CI run repeats
+# bit for bit on any machine. Example counts stay those of each test.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

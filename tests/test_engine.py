@@ -26,7 +26,7 @@ from ultragh import (
 from ultragh import correspondences
 from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.errors import BudgetExceededError, SearchSpaceTooLargeError
-from ultragh.spaces import BreakpointGrid
+from ultragh.spaces import BreakpointGrid, _far_table, _partner_subsets
 
 from conftest import equal_diameter_partner, ev
 from oracles import isometry_exists, spectra_bound_by_scan
@@ -272,7 +272,10 @@ def test_zero_distance_iff_relabel(x3):
     assert isometry_exists(x3, copy)
 
 
-def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, ydelta):
+def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
+    # A relabelled copy of Z4 is isometric to it but not equal.
+    z4_shuffled = validate_space(
+        [[z4.dist(i, j) for j in (3, 1, 0, 2)] for i in (3, 1, 0, 2)])
     built = []
     init = BreakpointGrid.__init__
 
@@ -281,11 +284,33 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, ydelta):
         init(self, x, y)
 
     monkeypatch.setattr(BreakpointGrid, "__init__", counting_init)
+    subset_tables = []
 
-    # Equal diameters: all three routes and the classical search run.
-    report = dhat_gh(x2, x3)
-    assert set(report.methods) == set(METHOD_NAMES) and report.classical is not None
-    assert len(built) == 1
+    def counting_subsets(ranks):
+        subset_tables.append(1)
+        return _partner_subsets(ranks)
+
+    monkeypatch.setattr("ultragh.spaces._partner_subsets", counting_subsets)
+    far_cutoffs = []
+
+    def counting_far(grid, cutoff):
+        far_cutoffs.append(cutoff)
+        return _far_table(grid, cutoff)
+
+    monkeypatch.setattr("ultragh.spaces._far_table", counting_far)
+
+    # Equal diameters: all three routes and the classical search run, and
+    # the strong and classical searches share the grid's subset table and
+    # its far tables.
+    for pair in ((x2, x3), (z4, z4_shuffled)):
+        built.clear()
+        subset_tables.clear()
+        far_cutoffs.clear()
+        report = dhat_gh(*pair)
+        assert set(report.methods) == set(METHOD_NAMES) and report.classical is not None
+        assert len(built) == 1
+        assert len(subset_tables) == 1
+        assert far_cutoffs and len(set(far_cutoffs)) == len(far_cutoffs)
     # Diameter gap within the classical cap: only the classical search.
     built.clear()
     report = dhat_gh(x3, ydelta)
@@ -333,3 +358,17 @@ def test_routes_match_public_functions(pair):
     assert report.methods["strong_correspondence"] == MethodOutcome(
         res.distortion, True, res.correspondence)
     assert report.classical == classical_gh(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(equal_diameter_pairs())
+def test_one_probe_decides_each_cell(pair):
+    # Both public probes give no witness at a cell's upper threshold exactly
+    # when they give none at its midpoint, so the scan's one probe per cell
+    # decides the whole cell (t_{k-1}, t_k].
+    x, y = pair
+    grid = candidate_thresholds(x, y)
+    for prev, t in zip(grid, grid[1:]):
+        mid = prev.midpoint(t)
+        for probe in (exists_strong_epsilon_isometry, exists_strong_epsilon_approximation):
+            assert (probe(x, y, t) is None) == (probe(x, y, mid) is None), (probe, t)

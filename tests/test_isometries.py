@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from itertools import product
 
 import pytest
@@ -18,8 +19,10 @@ from ultragh import (
     random_ultrametric,
 )
 from ultragh.errors import BudgetExceededError, LengthMismatchError
+from ultragh.isometries import _leaf_passes
+from ultragh.spaces import BreakpointGrid
 
-from conftest import ev
+from conftest import equal_diameter_partner, ev
 from oracles import first_strong_epsilon_isometry
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -182,3 +185,38 @@ def test_isometry_scan_matches_exhaustive_oracle(n, m, seed_a, seed_b):
         witness = exists_strong_epsilon_isometry(x, y, eps)
         got = None if witness is None else witness.images
         assert got == first_strong_epsilon_isometry(x, y, eps), eps
+
+
+@st.composite
+def small_pairs(draw):
+    """Pairs of 1-4 points a side, half of them with equal diameters."""
+    n = draw(st.integers(1, 4))
+    x = random_ultrametric(n, draw(st.integers(0, 4_000)), POOL)
+    seed = draw(st.integers(0, 4_000))
+    if n > 1 and draw(st.booleans()):
+        return x, equal_diameter_partner(x, draw(st.integers(2, 4)), seed, POOL)
+    return x, random_ultrametric(draw(st.integers(1, 4)), seed, POOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_pairs())
+def test_rank_leaf_filter_matches_full_verdict(pair):
+    # Every map X -> Y at every cell's cut: the isometry DFS's pair pruning
+    # followed by the rank-level leaf check accepts a map exactly when the
+    # full verdict does, at the cell's midpoint and at its upper end alike.
+    x, y = pair
+    grid = BreakpointGrid(x, y)
+    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    thresholds = grid.thresholds()
+    for prev, t in zip(thresholds, thresholds[1:]):
+        below = bisect_left(grid.values, t)
+        for f in product(range(len(y)), repeat=len(x)):
+            pruned = any(
+                gap[i][j][f[i]][f[j]] >= below
+                or (rx[i][j] >= below and rx[i][j] != ry[f[i]][f[j]])
+                for j in range(len(x)) for i in range(j)
+            )
+            accepted = not pruned and _leaf_passes(rx, ry, f, below)
+            for eps in (prev.midpoint(t), t):
+                verdict = is_strong_epsilon_isometry(x, y, f, eps)
+                assert accepted == verdict.is_strong_eps_isometry, (f, eps)

@@ -266,6 +266,20 @@ def test_breakpoint_grid_invariants(x, y):
     gap = grid.gap_ranks()
     for i, j, a, b in product(range(n), range(n), range(m), range(m)):
         assert values[gap[i][j][a][b]] == x.dist(i, j).abs_diff(y.dist(a, b))
+    # The search tables: both subset orders, each subset's mask and largest
+    # internal rank, and the far masks at every cutoff.
+    subsets = grid.partner_subsets()
+    every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
+    assert [entry[0] for entry in subsets.last] == sorted(every)
+    assert [entry[0] for entry in subsets.inner] == sorted(every, key=lambda c: c + (m,))
+    for sub, mask, worst in subsets.last:
+        assert mask == sum(1 << a for a in sub)
+        largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
+        assert worst == subsets.worst[mask] == largest
+    for cutoff in range(len(values) + 1):
+        far = grid.far_masks(cutoff)
+        for i, j, a in product(range(n), range(n), range(m)):
+            assert far[i][j][a] == sum(1 << b for b in range(m) if gap[i][j][a][b] >= cutoff)
 
 
 @settings(max_examples=60, deadline=None)
