@@ -349,15 +349,15 @@ def _search(
     """Minimum distortion over the (strong) correspondences of grid's pair."""
     x, y = grid.x, grid.y
     n, m = len(x), len(y)
+    if n == 1 or m == 1:
+        # Covering forces the full product, the unique correspondence here.
+        corr = full_product(x, y)
+        return SearchResult(corr, max(x.diameter(), y.diameter()), True, 0)
     if budget is None and n * m > product_cap:
         raise SearchSpaceTooLargeError(
             f"|X|*|Y| = {n * m} exceeds the cap {product_cap}; pass a budget "
             "to search anyway"
         )
-    if n == 1 or m == 1:
-        # Covering forces the full product, the unique correspondence here.
-        corr = full_product(x, y)
-        return SearchResult(corr, max(x.diameter(), y.diameter()), True, 0)
 
     ry = grid.ry
     rx = grid.rx
@@ -422,28 +422,29 @@ def _search(
                     return False
         return True
 
-    def dfs(level: int, partial: int, covered: int):
+    def dfs(level: int, partial: int, covered: int, cutoff: int,
+            far: list[list[list[int]]], bar: list[int]):
+        # far = grid.far_masks(cutoff): far[i][j][a] is the bitmask of the
+        # partners b of j whose gap rank against the pair (i, a) reaches the
+        # cutoff. bar[k]: bitmask of the partners of left point level + k
+        # that some chosen pair already puts at or past the cutoff. The
+        # parent's forward check passes far and bar down at its cutoff; they
+        # are rebuilt here only once best_rank has moved.
         nonlocal best_rank, best_sets
         if budget_state.spend():
             raise _Exhausted
         last = level == n - 1
         missing = full_mask & ~covered
-        cutoff = None
         for sub, mask, internal in (last_level if last else inner_level):
             if cutoff != best_rank:
                 cutoff = best_rank
-                # far[i][j][a]: bitmask of the partners b of j whose gap
-                # rank against the pair (i, a) reaches the cutoff; bar[j]:
-                # bitmask of the partners of left point j that some chosen
-                # pair already puts at or past the cutoff.
                 far = grid.far_masks(cutoff)
-                bar = [0] * n
+                bar = [0] * (n - level)
                 for i in range(level):
-                    for j in range(level, n):
-                        fij = far[i][j]
+                    for k, fij in enumerate(far[i][level:]):
                         for a in chosen[i]:
-                            bar[j] |= fij[a]
-            if mask & bar[level]:
+                            bar[k] |= fij[a]
+            if mask & bar[0]:
                 continue
             if last and (mask & missing) != missing:
                 continue
@@ -472,19 +473,21 @@ def _search(
                 # Forward check against the cutoff: each later left point
                 # needs an open partner, and each uncovered right point an
                 # open later left point. A right point open to one later
-                # point only is forced into its partner set.
-                opens = []
+                # point only is forced into its partner set. The barred
+                # masks are the child's bar.
+                child_bar = []
                 once = twice = 0
-                for j in range(level + 1, n):
-                    d = bar[j]
-                    fj = far[level][j]
+                fl = far[level]
+                for k in range(1, n - level):
+                    d = bar[k]
+                    fj = fl[level + k]
                     for a in sub:
                         d |= fj[a]
                     if d == full_mask:
                         ok = False
                         break
+                    child_bar.append(d)
                     o = full_mask ^ d
-                    opens.append(o)
                     twice |= once & o
                     once |= o
                 if not ok:
@@ -493,7 +496,8 @@ def _search(
                 if uncovered & ~once:
                     continue
                 forced = uncovered & ~twice
-                if forced and any(worst_of[forced & o] >= cutoff for o in opens if forced & o):
+                if forced and any(worst_of[forced & ~d] >= cutoff
+                                  for d in child_bar if forced & ~d):
                     continue
 
             chosen.append(sub)
@@ -509,7 +513,7 @@ def _search(
                     if best_rank <= floor_rank:
                         raise _Done
                 else:
-                    dfs(level + 1, new_rank, covered | mask)
+                    dfs(level + 1, new_rank, covered | mask, cutoff, far, child_bar)
             finally:
                 chosen.pop()
                 for b in sub:
@@ -518,7 +522,7 @@ def _search(
 
     optimal = True
     try:
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
     except _Done:
         pass
     except _Exhausted:

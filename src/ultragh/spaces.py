@@ -14,6 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
+from operator import or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
@@ -407,7 +409,11 @@ class BreakpointGrid:
     values holds 0, both whole-space spectra and every gap |a - b| with a in
     {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing, and rank inverts it.
     The two {0} ∪ W sets are the spaces' stored values, so building the grid
-    scans no distance matrix of ExactValues. rx and ry are the spaces' rank
+    scans no distance matrix of ExactValues. The grid is built in ints: both
+    sets are scaled to one common denominator, every gap is an int
+    difference, and the ints are sorted and deduplicated before one
+    ExactValue is made per grid value (the spaces' own object where one is
+    equal). rx and ry are the spaces' rank
     matrices remapped to ranks into values, so a distance compares with
     another space's distance, with a gap, or with any eps (through
     bisect_left(values, eps)) as a plain int. Every scan predicate compares
@@ -419,25 +425,43 @@ class BreakpointGrid:
     route of one dhat_gh call shares them: the gap-rank table
     (gap_ranks()), the partner-subset table of the right space
     (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
-    (far_masks()).
+    (far_masks()). Both per-pair tables depend on a pair of x only through
+    its distance, so they are built once per distinct distance of x and
+    shared by every pair at that distance.
     """
 
-    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_gap_ranks",
-                 "_subsets", "_far")
+    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_y_masks",
+                 "_gap_ranks", "_subsets", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
         wx, wy = x.values, y.values
-        gaps = [[a.abs_diff(b) for b in wy] for a in wx]
+        # Both {0} ∪ W sets as ints over one common denominator, so every
+        # gap is an int difference and the grid is sorted as ints.
+        den = lcm(*(v.denominator for v in chain(wx, wy)))
+        ix = [v.numerator * (den // v.denominator) for v in wx]
+        iy = [v.numerator * (den // v.denominator) for v in wy]
+        gaps = [[abs(a - b) for b in iy] for a in ix]
+        ints = sorted({*ix, *iy, *chain.from_iterable(gaps)})
+        # One ExactValue per grid value, the spaces' own where they have it.
+        own = dict(zip(iy, wy))
+        own.update(zip(ix, wx))
         self.values: tuple[ExactValue, ...] = tuple(
-            sorted({*wx, *wy, *chain.from_iterable(gaps)})
+            own[k] if k in own else ExactValue(k, den) for k in ints
         )
-        rank = self.rank = {v: k for k, v in enumerate(self.values)}
-        self.rx = _rank_rows(x, rank)
-        self.ry = _rank_rows(y, rank)
+        self.rank = {v: k for k, v in enumerate(self.values)}
+        at = {k: r for r, k in enumerate(ints)}
+        self.rx = _rank_rows(x, [at[k] for k in ix])
+        self.ry = _rank_rows(y, [at[k] for k in iy])
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
-        self._gap = [[rank[g] for g in row] for row in gaps]
+        self._gap = [[at[g] for g in row] for row in gaps]
+        # _y_masks[w][a]: bitmask of the points b of y with d_Y(a, b) = w,
+        # w indexing y's own values.
+        masks = self._y_masks = [[0] * len(y) for _ in wy]
+        for a, row in enumerate(y.ranks):
+            for b, w in enumerate(row):
+                masks[w][a] |= 1 << b
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
@@ -445,17 +469,18 @@ class BreakpointGrid:
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
 
-        Its n^2 * m^2 entries are int lookups into the per-value gap ranks.
-        Later calls return the same table, which callers only read.
+        g[i][j] depends only on d_X(i, j): one m x m table is built per
+        distinct distance of x, from the per-value gap ranks, and every pair
+        of x at that distance references it, so the table holds |V_X| * m^2
+        ints, not n^2 * m^2. Later calls return the same table, which
+        callers only read.
         """
         if self._gap_ranks is None:
-            self._gap_ranks = [
-                [
-                    [list(map(by_y.__getitem__, ry_a)) for ry_a in self.y.ranks]
-                    for by_y in map(self._gap.__getitem__, rx_i)
-                ]
-                for rx_i in self.x.ranks
+            by_value = [
+                [list(map(by_y.__getitem__, ry_a)) for ry_a in self.y.ranks]
+                for by_y in self._gap
             ]
+            self._gap_ranks = [list(map(by_value.__getitem__, rx_i)) for rx_i in self.x.ranks]
         return self._gap_ranks
 
     def partner_subsets(self) -> PartnerSubsets:
@@ -466,10 +491,12 @@ class BreakpointGrid:
         return self._subsets
 
     def far_masks(self, cutoff: int) -> list[list[list[int]]]:
-        """Table far with far[i][j][a] the bitmask of the points b of y whose
-        gap rank against the pair (i, a) reaches cutoff, built once per
-        cutoff. far[i][j] depends only on d_X(i, j), so the rows of equal
-        distances are one shared list, which callers only read."""
+        """Table far with far[i][j][a] the bitmask of the points b of y with
+        gap_ranks()[i][j][a][b] >= cutoff, built once per cutoff. far[i][j]
+        depends only on d_X(i, j), so the rows of equal distances are one
+        shared list, which callers only read. Each row is an OR of the
+        grid's per-distance point masks of y, so a cutoff costs
+        O(|V_X| * |V_Y| * m + n^2) int operations, not n^2 * m^2."""
         far = self._far.get(cutoff)
         if far is None:
             far = self._far[cutoff] = _far_table(self, cutoff)
@@ -526,24 +553,23 @@ def _partner_subsets(ranks: Sequence[Sequence[int]]) -> PartnerSubsets:
 
 def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:
     """BreakpointGrid.far_masks at one cutoff: one row of masks per distinct
-    distance of x, read off the per-value gap ranks (all zero when no gap
-    of that distance reaches the cutoff), then shared by every pair of x at
-    that distance."""
-    m = len(grid.y)
-    bits = [1 << b for b in range(m)]
-    zero = [0] * m
-    by_value = [
-        [sum(bit for bit, r in zip(bits, map(by_y.__getitem__, ry_a)) if r >= cutoff)
-         for ry_a in grid.y.ranks]
-        if max(by_y) >= cutoff else zero
-        for by_y in grid._gap
-    ]
+    distance v of x, the OR of y's point masks over the distances w whose
+    gap rank against v reaches the cutoff (all zero when none does), then
+    shared by every pair of x at that distance."""
+    zero = [0] * len(grid.y)
+    by_value = []
+    for by_y in grid._gap:
+        row = zero
+        for w, r in enumerate(by_y):
+            if r >= cutoff:
+                row = list(map(or_, row, grid._y_masks[w]))
+        by_value.append(row)
     return [list(map(by_value.__getitem__, rx_i)) for rx_i in grid.x.ranks]
 
 
-def _rank_rows(space: UltrametricSpace, rank: dict) -> list[list[int]]:
-    """The space's rank matrix remapped to ranks into the grid's values."""
-    remap = [rank[v] for v in space.values]
+def _rank_rows(space: UltrametricSpace, remap: Sequence[int]) -> list[list[int]]:
+    """The space's rank matrix remapped through remap, the grid rank of each
+    of the space's own values."""
     return [list(map(remap.__getitem__, row)) for row in space.ranks]
 
 

@@ -3,8 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from ultragh import (
     Correspondence,
+    EngineCaps,
     ExactValue,
     associated_correspondence,
+    classical_gh,
+    dhat_gh,
     distortion,
     equilibrium_table,
     full_product,
@@ -16,8 +19,10 @@ from ultragh import (
     min_distortion_correspondence,
     min_distortion_strong_correspondence,
     random_ultrametric,
+    truncated_unramified_ring,
     validate_space,
 )
+from ultragh.correspondences import DEFAULT_PRODUCT_CAP
 from ultragh.errors import (
     BridgeTooSmallError,
     NotACorrespondenceError,
@@ -360,3 +365,20 @@ def test_glue_on_searched_strong_correspondences(n, m, seed_a, seed_b):
         glued.glued_space, set(glued.left_embedding), set(glued.right_embedding)
     )
     assert dh <= res.distortion or res.distortion == ExactValue(0)
+
+
+def test_one_point_side_needs_no_search(x3, singleton):
+    # 8 points against one: the full product is the only correspondence, so
+    # neither search refuses it, whatever the cap.
+    ring = truncated_unramified_ring(2, 1, 3)
+    for a, b in ((ring, singleton), (singleton, ring), (x3, singleton)):
+        for search in (min_distortion_correspondence, min_distortion_strong_correspondence):
+            for cap in (DEFAULT_PRODUCT_CAP, 0):
+                res = search(a, b, product_cap=cap)
+                assert res.correspondence == full_product(a, b)
+                assert res.distortion == max(a.diameter(), b.diameter())
+                assert res.optimal and res.nodes == 0
+    assert classical_gh(x3, singleton, product_cap=0).value == ev("1/2")
+    report = dhat_gh(singleton, singleton, methods=("strong_correspondence",),
+                     caps=EngineCaps(corr_product=0))
+    assert report.dhat == ev(0)

@@ -1,0 +1,57 @@
+"""A pinned transcript of both correspondence searches over seeded pairs.
+
+dhat_gh drops a search's node count, so tests/test_transcript.py cannot see
+a change in how a search walks its tree. Here every pair runs both public
+searches without a budget and with a small one, and each result's
+distortion, pairs, optimality flag and node count go into one sha256.
+"""
+
+import hashlib
+import random
+
+from ultragh import (
+    ExactValue,
+    min_distortion_correspondence,
+    min_distortion_strong_correspondence,
+    random_ultrametric,
+)
+
+from conftest import equal_diameter_partner
+
+POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
+
+SEARCHES = (min_distortion_correspondence, min_distortion_strong_correspondence)
+BUDGETS = (None, 25)
+
+EXPECTED = "b5d99fca365c23e7e71d89e190d123f26cfeba3f1c76d2f78079ff3629990640"
+
+
+def search_pairs(count=200, seed=20_261_018):
+    """count seeded pairs of 2-6 points a side with |X|*|Y| <= 36, about
+    four in five of them with equal diameters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        m = rng.randint(2, 6)
+        x = random_ultrametric(n, rng.randrange(100_000), POOL)
+        if rng.random() < 0.8:
+            y = equal_diameter_partner(x, m, rng.randrange(100_000), POOL)
+        else:
+            y = random_ultrametric(m, rng.randrange(100_000), POOL)
+        yield x, y
+
+
+def search_digest():
+    digest = hashlib.sha256()
+    for x, y in search_pairs():
+        for search in SEARCHES:
+            for budget in BUDGETS:
+                res = search(x, y, budget)
+                line = (f"{res.distortion.token()} {res.correspondence.pairs} "
+                        f"{res.optimal} {res.nodes}\n")
+                digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_search_digest():
+    assert search_digest() == EXPECTED

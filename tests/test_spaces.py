@@ -12,6 +12,7 @@ from ultragh import (
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,
+    ramified_ball_approx,
     random_ultrametric,
     validate_space,
     weight_spectrum,
@@ -251,12 +252,39 @@ def test_candidate_thresholds(x2, x3, ydelta, singleton):
 @settings(max_examples=60, deadline=None)
 @given(spaces, spaces)
 def test_breakpoint_grid_invariants(x, y):
+    check_breakpoint_grid(x, y)
+
+
+# Coprime denominators, so the grid's common denominator is their lcm.
+COPRIME_POOL = [ev("1/3"), ev("2/5"), ev("3/7"), ev(1), ev("11/6"), ev("7/3")]
+# Dyadic level values: 0, 1/2 and 181/256.
+RAMIFIED = ramified_ball_approx(2, 2, 1, 1, 2, precision_bits=8)
+
+coprime_spaces = st.one_of(
+    st.builds(
+        lambda n, seed: random_ultrametric(n, seed, COPRIME_POOL),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    ),
+    st.just(RAMIFIED),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_spaces, coprime_spaces)
+@example(RAMIFIED, random_ultrametric(4, 0, COPRIME_POOL))
+def test_breakpoint_grid_coprime_denominators(x, y):
+    check_breakpoint_grid(x, y)
+
+
+def check_breakpoint_grid(x, y):
     grid = BreakpointGrid(x, y)
     values = grid.values
-    assert all(a < b for a, b in zip(values, values[1:]))
     wx = {ev(0), *weight_spectrum(x)}
     wy = {ev(0), *weight_spectrum(y)}
-    assert set(values) == wx | wy | {a.abs_diff(b) for a in wx for b in wy}
+    # The grid built in ints equals the grid built in ExactValues.
+    assert values == tuple(sorted(wx | wy | {a.abs_diff(b) for a in wx for b in wy}))
+    assert all(a < b for a, b in zip(values, values[1:]))
     assert [grid.rank[v] for v in values] == list(range(len(values)))
     n, m = len(x), len(y)
     for i, j in product(range(n), repeat=2):
@@ -276,10 +304,16 @@ def test_breakpoint_grid_invariants(x, y):
         assert mask == sum(1 << a for a in sub)
         largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
         assert worst == subsets.worst[mask] == largest
-    for cutoff in range(len(values) + 1):
-        far = grid.far_masks(cutoff)
+    fars = [grid.far_masks(cutoff) for cutoff in range(len(values) + 1)]
+    for cutoff, far in enumerate(fars):
         for i, j, a in product(range(n), range(n), range(m)):
             assert far[i][j][a] == sum(1 << b for b in range(m) if gap[i][j][a][b] >= cutoff)
+    # Pairs of x at one distance share one gap table and one far-mask row.
+    cells = list(product(range(n), repeat=2))
+    for (i, j), (k, l) in product(cells, repeat=2):
+        if x.ranks[i][j] == x.ranks[k][l]:
+            assert gap[i][j] is gap[k][l]
+            assert all(far[i][j] is far[k][l] for far in fars)
 
 
 @settings(max_examples=60, deadline=None)
