@@ -126,13 +126,10 @@ def _cmd_gen(args) -> int:
     elif args.kind == "ring":
         space = generators.truncated_unramified_ring(args.p, args.f, args.depth, size_cap=cap)
     elif args.kind == "ball":
-        if args.e > 1:
-            space = generators.ramified_ball_approx(
-                args.p, args.e, args.f, args.s, args.depth,
-                precision_bits=args.precision_bits, size_cap=cap,
-            )
-        else:
-            space = generators.truncated_scaled_ball(args.p, args.f, args.s, args.depth, size_cap=cap)
+        space = generators.ramified_ball_approx(
+            args.p, args.e, args.f, args.s, args.depth,
+            precision_bits=args.precision_bits, size_cap=cap,
+        )
     elif args.kind == "zqdelta":
         space = generators.zq_delta(args.p, args.q, args.depth, size_cap=cap)
     elif args.kind == "random":

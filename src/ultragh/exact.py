@@ -1,38 +1,35 @@
 """Exact nonnegative rational scalars.
 
 Every distance, threshold and distortion in the library is an ExactValue: a
-nonnegative rational kept in lowest terms. All comparisons and arithmetic are
-exact; no floating point enters the core. Subtraction is only offered as
-``abs_diff`` so the nonnegativity invariant can never break.
+``fractions.Fraction`` subclass that only holds nonnegative rationals, kept
+in lowest terms. Comparison, hashing and formatting are Fraction's own, so
+an ExactValue equals the int or Fraction of the same value. Addition,
+multiplication, division, ``abs_diff`` and ``midpoint`` return ExactValues.
+Operations that can leave the nonnegative rationals (subtraction, negation)
+return a plain Fraction, never an ExactValue. No floating point enters the
+core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 Coercible = Union["ExactValue", Fraction, int, str]
 
 
-@total_ordering
-class ExactValue:
+class ExactValue(Fraction):
     """A nonnegative rational number with exact arithmetic and total order."""
 
-    __slots__ = ("_frac",)
+    __slots__ = ()
 
-    def __init__(self, numerator, denominator=1):
+    def __new__(cls, numerator, denominator=None):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("ExactValue does not accept floats; use a ratio of ints")
-        if isinstance(numerator, ExactValue):
-            frac = numerator._frac * Fraction(1, denominator) if denominator != 1 else numerator._frac
-        elif isinstance(numerator, Fraction) and denominator == 1:
-            frac = numerator
-        else:
-            frac = Fraction(numerator, denominator)
-        if frac < 0:
-            raise ValueError(f"ExactValue must be nonnegative, got {frac}")
-        self._frac = frac
+        self = super().__new__(cls, numerator, denominator)
+        if self.numerator < 0:
+            raise ValueError(f"ExactValue must be nonnegative, got {self}")
+        return self
 
     @classmethod
     def coerce(cls, value: Coercible) -> "ExactValue":
@@ -54,60 +51,54 @@ class ExactValue:
             return cls(int(num_s), den)
         return cls(int(text))
 
-    @property
-    def numerator(self) -> int:
-        return self._frac.numerator
+    # Fraction's own versions of these two build the instance without
+    # __new__ on Python 3.12+, which would skip both checks.
+    @classmethod
+    def from_float(cls, f):
+        raise TypeError("ExactValue does not accept floats; use a ratio of ints")
 
-    @property
-    def denominator(self) -> int:
-        return self._frac.denominator
+    @classmethod
+    def from_decimal(cls, dec) -> "ExactValue":
+        return cls(Fraction.from_decimal(dec))
 
     @property
     def fraction(self) -> Fraction:
-        return self._frac
+        """The same value as a plain Fraction."""
+        return Fraction(self.numerator, self.denominator)
 
+    # Results are built from an int numerator and denominator: Fraction's
+    # constructor takes that pair faster than it converts the Fraction that
+    # Fraction's own operators return.
     def __add__(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue(self._frac + other._frac)
+        return ExactValue(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
 
     def __mul__(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue(self._frac * other._frac)
+        return ExactValue(self.numerator * other.numerator, self.denominator * other.denominator)
 
     def __truediv__(self, other: "ExactValue") -> "ExactValue":
-        if other._frac == 0:
+        if not other:
             raise ZeroDivisionError("division by zero ExactValue")
-        return ExactValue(self._frac / other._frac)
+        return ExactValue(self.numerator * other.denominator, self.denominator * other.numerator)
 
     def abs_diff(self, other: "ExactValue") -> "ExactValue":
         """|self - other|, the only subtraction the library needs."""
-        return ExactValue(abs(self._frac - other._frac))
+        return ExactValue(
+            abs(self.numerator * other.denominator - other.numerator * self.denominator),
+            self.denominator * other.denominator,
+        )
 
     def midpoint(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue((self._frac + other._frac) / 2)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        return self._frac == other._frac
-
-    def __lt__(self, other: "ExactValue") -> bool:
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        return self._frac < other._frac
-
-    def __hash__(self) -> int:
-        return hash(self._frac)
-
-    def __bool__(self) -> bool:
-        return self._frac != 0
-
-    def __str__(self) -> str:
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        return ExactValue(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            2 * self.denominator * other.denominator,
+        )
 
     def token(self) -> str:
         """Canonical 'a/b' form, with '/1' kept for integers."""
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        return f"{self.numerator}/{self.denominator}"
 
     def __repr__(self) -> str:
         return f"ExactValue({self.token()})"

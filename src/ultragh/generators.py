@@ -113,10 +113,7 @@ def truncated_unramified_ring(
     j the first differing base-p^f digit; with f = 1 this is Z/p^depth with
     the p-adic metric.
     """
-    params = LocalFieldParams(p, 1, f, 0, depth)
-    _check_cap(params.point_count, size_cap)
-    levels = [ExactValue(Fraction(1, p ** j)) for j in range(depth)]
-    return _digit_metric_space(params, levels, inexact=False)
+    return truncated_scaled_ball(p, f, 0, depth, size_cap=size_cap)
 
 
 def truncated_scaled_ball(

@@ -25,6 +25,15 @@ from .spaces import UltrametricSpace, validate_space
 
 
 def write_space(space: UltrametricSpace) -> str:
+    """The space as `.ums` text.
+
+    Raises ValueError, naming the first offending label, when a label is
+    empty or contains whitespace: the labels line is split on whitespace,
+    so parse_space could not read such a file back.
+    """
+    bad = next((label for label in space.labels if label.split() != [label]), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} is empty or contains whitespace")
     n = len(space)
     lines = ["ums 1", f"points {n}", "labels " + " ".join(space.labels)]
     tokens = [v.token() for v in space.values]

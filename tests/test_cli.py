@@ -68,6 +68,21 @@ def test_gen_stdout_parses(files, capsys):
     assert len(space) == 5
 
 
+@pytest.mark.parametrize("e", ["0", "-3"])
+def test_gen_ball_rejects_ramification_below_one(capsys, e):
+    assert run(["gen", "ball", "--e", e]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must all be >= 1" in captured.err
+
+
+def test_gen_ball_unramified_bytes(capsys):
+    assert run(["gen", "ball", "--p", "2", "--s", "-1", "--depth", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "ums 1\npoints 4\nlabels 0 1 2 3\n"
+        "d 0 1 2/1\nd 0 2 1/1\nd 0 3 2/1\nd 1 2 2/1\nd 1 3 1/1\nd 2 3 2/1\n"
+    )
+
+
 def test_gen_random_deterministic(capsys):
     assert run(["gen", "random", "--n", "5", "--seed", "9"]) == 0
     first = capsys.readouterr().out

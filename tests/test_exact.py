@@ -1,5 +1,9 @@
-import pytest
+import copy
+import pickle
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
 
 from ultragh import ExactValue, ZERO, ONE, validate_space
 
@@ -10,17 +14,26 @@ def test_lowest_terms_and_fields():
 
 
 def test_negative_rejected():
+    for args in ((-1, 2), (1, -2), (Fraction(-1, 2),), ("-1/2",), (ExactValue(1), -2)):
+        with pytest.raises(ValueError, match="must be nonnegative, got -1/2"):
+            ExactValue(*args)
+
+
+def test_negative_rejected_by_inherited_constructors():
     with pytest.raises(ValueError):
-        ExactValue(-1, 2)
-    with pytest.raises(ValueError):
-        ExactValue(1, -2)
+        ExactValue.from_decimal(Decimal("-0.5"))
+    assert type(ExactValue.from_decimal(Decimal("0.5"))) is ExactValue
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        ExactValue(0.5)
-    with pytest.raises(TypeError):
-        ExactValue.coerce(0.5)
+    for make in (
+        lambda: ExactValue(0.5),
+        lambda: ExactValue(1, 2.0),
+        lambda: ExactValue.coerce(0.5),
+        lambda: ExactValue.from_float(0.5),
+    ):
+        with pytest.raises(TypeError, match="does not accept floats"):
+            make()
 
 
 def test_ordering_and_arithmetic():
@@ -33,6 +46,34 @@ def test_ordering_and_arithmetic():
     assert b / a == ExactValue(3, 2)
 
 
+def test_operations_keep_the_type():
+    a, b = ExactValue(1, 3), ExactValue(1, 2)
+    for result in (a + b, a * b, a / b, a.abs_diff(b), b.abs_diff(a), a.midpoint(b)):
+        assert type(result) is ExactValue
+    assert type(a.fraction) is Fraction and a.fraction == Fraction(1, 3)
+
+
+def test_mixed_operands_follow_fraction():
+    # Comparison and hashing are Fraction's own, so an ExactValue equals
+    # the int or Fraction of the same value; subtraction leaves the type.
+    assert ExactValue(1) == 1 and ExactValue(1) == Fraction(1)
+    assert ExactValue(1, 2) < 1 and ExactValue(1, 2) > Fraction(1, 3)
+    assert hash(ExactValue(1, 2)) == hash(Fraction(1, 2))
+    diff = ExactValue(1, 3) - ExactValue(1, 2)
+    assert type(diff) is Fraction and diff == Fraction(-1, 6)
+    assert type(-ExactValue(1)) is Fraction
+
+
+@pytest.mark.parametrize("value", [ExactValue(6), ExactValue(3, 2), ZERO])
+def test_pickle_and_copy_keep_type_and_value(value):
+    for clone in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(clone) is ExactValue and clone == value
+
+
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
@@ -41,10 +82,12 @@ def test_divide_by_zero():
 def test_parse_and_format():
     assert ExactValue.parse("3/2") == ExactValue(3, 2)
     assert ExactValue.parse("7") == ExactValue(7)
-    assert str(ExactValue(3, 2)) == "3/2"
-    assert str(ExactValue(6)) == "6"
+    assert str(ExactValue(3, 2)) == f"{ExactValue(3, 2)}" == "3/2"
+    assert str(ExactValue(6)) == f"{ExactValue(6)}" == "6"
     assert ExactValue(6).token() == "6/1"
     assert ExactValue(3, 2).token() == "3/2"
+    assert repr(ExactValue(6)) == "ExactValue(6/1)"
+    assert repr(ExactValue(3, 2)) == "ExactValue(3/2)"
 
 
 def test_parse_zero_denominator():

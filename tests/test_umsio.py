@@ -4,6 +4,7 @@ from ultragh import (
     parse_space,
     parse_space_file,
     truncated_unramified_ring,
+    validate_space,
     write_space,
     write_space_file,
 )
@@ -114,3 +115,14 @@ def test_large_round_trip_is_byte_identical():
     again = parse_space(text)
     assert len(again) == 256 and again == space
     assert write_space(again) == text
+
+
+@pytest.mark.parametrize("bad", ["a b", ""])
+def test_unreadable_label_is_rejected_before_writing(bad, tmp_path):
+    space = validate_space([[0, 1], [1, 0]], labels=[bad, "c"])
+    with pytest.raises(ValueError, match=repr(bad)):
+        write_space(space)
+    path = tmp_path / "out.ums"
+    with pytest.raises(ValueError):
+        write_space_file(space, path)
+    assert not path.exists()
