@@ -7,6 +7,7 @@ rather than claiming a limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -15,6 +16,7 @@ from .errors import EpsilonTooLargeError, LengthMismatchError, MethodDisagreemen
 from .spaces import (
     BreakpointGrid,
     UltrametricSpace,
+    _rank_balls,
     ball_partition,
     is_epsilon_net,
     weight_spectrum,
@@ -75,12 +77,16 @@ def find_split(
         raise EpsilonTooLargeError(
             f"eps = {eps} is not below the target's minimum distance {x.values[1]}"
         )
-    witness = _approximation_probe(BreakpointGrid(xn, x), eps, None)
+    if eps <= ZERO:
+        raise ValueError("eps must be positive")
+    grid = BreakpointGrid(xn, x)
+    cut = bisect_left(grid.values, eps)
+    witness = _approximation_probe(grid, cut, None, eps)
     if witness is None:
         return None
 
     classes: list[tuple[int, ...]] = [()] * len(x)
-    for ball, target in zip(ball_partition(xn, eps), witness.ys):
+    for ball, target in zip(_rank_balls(grid.rx, cut), witness.ys):
         classes[target] = ball
     diameters = tuple(_class_diameter(xn, c) for c in classes)
     matrix = tuple(

@@ -379,12 +379,13 @@ def _search(
     # have. The incumbent starts just above it, so the search records the
     # first leaf in search order and then only strictly better ones: it
     # ends on the first optimal leaf, the lexicographically smallest
-    # optimal pair set.
+    # optimal pair set. A leaf at or below a lower bound on the minimum is
+    # that first optimal leaf, so the search stops there.
     full_rank = grid.rank[max(x.diameter(), y.diameter())]
     if strong:
         floor_rank = grid.rank[spectra_lower_bound(x, y)]
     else:
-        floor_rank = grid.rank[x.diameter().abs_diff(y.diameter())]
+        floor_rank = grid.distortion_floor()
 
     budget_state = _Budget(budget)
     best_rank = full_rank + 1
@@ -547,9 +548,11 @@ def min_distortion_correspondence(
 
     Branch-and-bound over per-left-point partner subsets, pruning branches
     whose partial distortion already reaches the incumbent, or that leave a
-    later point no partner set below it; the diameter difference is a
-    global floor. Ties are broken toward the lexicographically smallest
-    pair set.
+    later point no partner set below it. The merge-height bound
+    (BreakpointGrid.distortion_floor) is a global floor: the search stops
+    at the first leaf that reaches it. Ties are broken toward the
+    lexicographically smallest pair set, and the floor changes no result,
+    only the nodes spent proving it optimal.
     """
     return _search(BreakpointGrid(x, y), False, budget, product_cap)
 

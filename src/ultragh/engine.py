@@ -17,14 +17,18 @@ independent routes and insists they agree exactly:
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
 constant on each half-open cell (t_{k-1}, t_k] between consecutive candidate
-thresholds. One probe per cell, at its midpoint, turns the infimum over real
-eps into a finite exact computation. A scan infimum is the lower end of the
-first cell that holds and is never attained, so a scan outcome always reads
-attained=False; dhat_attained comes from the strong route (or the
-diameter-gap certificate), whose minimum a finite search attains.
+thresholds. One probe per cell, given the cell's index and witnessing at its
+midpoint, turns the infimum over real eps into a finite exact computation. A
+scan infimum is the lower end of the first cell that holds and is never
+attained, so a scan outcome always reads attained=False; dhat_attained
+comes from the strong route (or the diameter-gap certificate), whose
+minimum a finite search attains.
 
 The classical Gromov-Hausdorff distance (half the minimum distortion over
-plain correspondences) and the ratio of the two are computed alongside.
+plain correspondences) and the ratio of the two are computed alongside. Its
+search stops at the first leaf reaching the merge-height lower bound
+(BreakpointGrid.distortion_floor), and a budgeted search that runs out
+reports half that bound as the lower end of its interval.
 Every route and the classical search of one call read the pair's single
 BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
 the partner-subset and far-partner tables both searches share.
@@ -77,7 +81,11 @@ class MethodOutcome:
 
 @dataclass(frozen=True)
 class ClassicalResult:
-    """Classical distance, or the bracketing interval when the budget ran out."""
+    """Classical distance, or the bracketing interval when the budget ran out.
+
+    When optimal, lower == upper == d_GH. Otherwise lower is half the
+    merge-height floor on the distortion and upper half the incumbent's.
+    """
 
     lower: ExactValue
     upper: ExactValue
@@ -165,7 +173,9 @@ def classical_gh(
     """Half the minimum correspondence distortion, with witness.
 
     On budget exhaustion the result carries the interval between half the
-    diameter difference and half the incumbent distortion.
+    merge-height floor (BreakpointGrid.distortion_floor, never below the
+    diameter difference) and half the incumbent distortion. A search that
+    reaches the floor stops there as optimal.
     """
     return _classical(BreakpointGrid(x, y), budget, product_cap)
 
@@ -176,10 +186,10 @@ def _classical(
     """classical_gh on the pair of grid."""
     res = _search(grid, False, budget, product_cap)
     half = res.distortion / TWO
-    floor = grid.x.diameter().abs_diff(grid.y.diameter()) / TWO
+    floor = grid.values[grid.distortion_floor()] / TWO
     if half < floor:
         raise MethodDisagreementError(
-            f"classical search returned {half}, below the diameter bound {floor}"
+            f"classical search returned {half}, below the merge-height bound {floor}"
         )
     lower = half if res.optimal else floor
     return ClassicalResult(lower=lower, upper=half, witness=res.correspondence,
@@ -191,19 +201,19 @@ def _scan_infimum(grid: BreakpointGrid, probe):
 
     Returns MethodOutcome(infimum, False, witness_at_first_true). Every probe
     compares grid values with eps strictly, so it depends on eps only
-    through bisect_left(grid.values, eps) and is constant on each half-open
-    cell (t_{k-1}, t_k] of grid.thresholds(). One probe per cell, at its
-    midpoint, decides the whole cell: the first cell that holds gives the
-    infimum t_{k-1}, which the previous cell (or eps <= 0) shows is never
-    attained. The sentinel threshold above both diameters always satisfies
-    the probe, which reads the same grid, so a scan builds no grid of its
-    own.
+    through the cut k = bisect_left(grid.values, eps) and is constant on
+    each half-open cell (t_{k-1}, t_k] of grid.thresholds(). One probe per
+    cell, given k and witnessing at the cell's midpoint, decides the whole
+    cell: the first cell that holds gives the infimum t_{k-1}, which the
+    previous cell (or eps <= 0) shows is never attained. The sentinel
+    threshold above both diameters always satisfies the probe, which reads
+    the same grid, so a scan builds no grid of its own.
     """
     thresholds = grid.thresholds()
-    for prev, t in zip(thresholds, thresholds[1:]):
-        witness = probe(prev.midpoint(t))
+    for k in range(1, len(thresholds)):
+        witness = probe(k)
         if witness is not None:
-            return MethodOutcome(prev, False, witness)
+            return MethodOutcome(thresholds[k - 1], False, witness)
     raise MethodDisagreementError(
         "scan predicate failed at the sentinel threshold; this is a bug"
     )
@@ -283,7 +293,7 @@ def dhat_gh(
                 outcomes[name] = MethodOutcome(res.distortion, True, res.correspondence)
             else:
                 probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
-                outcomes[name] = _scan_infimum(grid, lambda e: probe(grid, e, budget))
+                outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget))
 
     values = {outcome.value for outcome in outcomes.values()}
     if len(values) != 1:

@@ -161,23 +161,36 @@ def exists_strong_epsilon_isometry(
     lexicographically smallest one. Branches die as soon as a decided pair
     breaks dis f < eps or the exact-preservation half of (SI2).
     """
-    return _isometry_probe(BreakpointGrid(x, y), eps, budget)
+    if eps <= ZERO:
+        raise ValueError("eps must be positive")
+    grid = BreakpointGrid(x, y)
+    return _isometry_probe(grid, bisect_left(grid.values, eps), budget, eps)
+
+
+def _cell_midpoint(grid: BreakpointGrid, below: int) -> ExactValue:
+    """The midpoint of the cell (t_{below-1}, t_below] of grid.thresholds()."""
+    thresholds = grid.thresholds()
+    return thresholds[below - 1].midpoint(thresholds[below])
 
 
 def _isometry_probe(
-    grid: BreakpointGrid, eps: ExactValue, budget: Optional[int]
+    grid: BreakpointGrid,
+    below: int,
+    budget: Optional[int],
+    eps: Optional[ExactValue] = None,
 ) -> Optional[MapWitness]:
-    """exists_strong_epsilon_isometry on the pair of grid."""
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    """exists_strong_epsilon_isometry on the pair of grid, at every eps
+    with bisect_left(grid.values, eps) == below >= 1.
+
+    Exactly the grid values below such an eps have a rank below the cut,
+    on the grid or off it, so the DFS compares ints. A witness carries eps,
+    or the midpoint of cell below when eps is None, made only for it.
+    """
     x, y = grid.x, grid.y
     n, m = len(x), len(y)
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
     rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
-    # Exactly the grid values below eps have a rank below this, on the grid
-    # or off it, so the DFS inner loop compares ints.
-    below = bisect_left(grid.values, eps)
 
     images: list[int] = []
     nodes = 0
@@ -187,7 +200,8 @@ def _isometry_probe(
         if level == n:
             if not _leaf_passes(rx, ry, images, below):
                 return None
-            witness = is_strong_epsilon_isometry(x, y, tuple(images), eps)
+            at = _cell_midpoint(grid, below) if eps is None else eps
+            witness = is_strong_epsilon_isometry(x, y, tuple(images), at)
             return witness if witness.is_strong_eps_isometry else None
         for b in range(m):
             nodes += 1
@@ -301,20 +315,27 @@ def exists_strong_epsilon_approximation(
     the exact pairwise-distance condition; the first witness in ascending
     order is returned.
     """
-    return _approximation_probe(BreakpointGrid(x, y), eps, budget)
+    if eps <= ZERO:
+        raise ValueError("eps must be positive")
+    grid = BreakpointGrid(x, y)
+    return _approximation_probe(grid, bisect_left(grid.values, eps), budget, eps)
 
 
 def _approximation_probe(
-    grid: BreakpointGrid, eps: ExactValue, budget: Optional[int]
+    grid: BreakpointGrid,
+    below: int,
+    budget: Optional[int],
+    eps: Optional[ExactValue] = None,
 ) -> Optional[ApproximationWitness]:
-    """exists_strong_epsilon_approximation on the pair of grid."""
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    """exists_strong_epsilon_approximation on the pair of grid, at every
+    eps with bisect_left(grid.values, eps) == below >= 1.
+
+    Distances compare as ranks into the grid's values; exactly those below
+    such an eps have a rank below the cut. A witness carries eps, or the
+    midpoint of cell below when eps is None, made only for it.
+    """
     x, y = grid.x, grid.y
-    # Distances compare as ranks into the grid's values; exactly those
-    # below eps have a rank below the cut.
     rx, ry = grid.rx, grid.ry
-    below = bisect_left(grid.values, eps)
     xs = tuple(c[0] for c in _rank_balls(rx, below))
     n, m = len(xs), len(y)
     if n > m:
@@ -340,8 +361,9 @@ def _approximation_probe(
         if level == n:
             if len({y_ball[b] for b in ys}) != len(y_classes):
                 return None
-            witness = ApproximationWitness(xs, tuple(ys), eps)
-            verdict = is_strong_epsilon_approximation(x, y, eps, witness)
+            at = _cell_midpoint(grid, below) if eps is None else eps
+            witness = ApproximationWitness(xs, tuple(ys), at)
+            verdict = is_strong_epsilon_approximation(x, y, at, witness)
             return witness if verdict.valid else None
         want = need[level][:level]
         for b in range(m):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from math import lcm
 from operator import or_
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -107,10 +107,6 @@ class WeightSpectrum:
     def max_value(self) -> Optional[ExactValue]:
         return self.values[-1] if self.values else None
 
-    def at_least(self, eps: ExactValue) -> "WeightSpectrum":
-        """Elements >= eps (inclusive filter)."""
-        return WeightSpectrum(tuple(v for v in self.values if v >= eps))
-
     def __iter__(self):
         return iter(self.values)
 
@@ -178,7 +174,7 @@ def validate_space(
                 if ri[j] == zero:
                     raise ZeroOffDiagonalError(i, j)
 
-    if not _equals_subdominant(rk):
+    if _merge_heights(rk) is None:
         _raise_first_violation(rows, rk)
         raise RuntimeError(
             "spanning-tree test rejected a matrix in which the triple scan "
@@ -224,19 +220,24 @@ def _ranked(
     return distinct, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def _equals_subdominant(rk: Sequence[Sequence[int]]) -> bool:
-    """Whether a symmetric rank matrix (zero diagonal, positive off it) equals
-    its subdominant ultrametric, in O(n^2).
+def _merge_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """The merge heights of a symmetric rank matrix (zero diagonal, positive
+    off it), as ranks in the order found, or None when the matrix is not
+    ultrametric; O(n^2).
 
     Prim's dense algorithm grows a minimum spanning tree from point 0. A
     point v joins the tree by its cheapest edge w, to a tree point p, and
     the tree path from any earlier point t to v is the path to p plus that
-    edge, so its largest edge is max(u(t, p), w). Every earlier row already
-    matched, so u(t, p) = d(t, p), and v's row must read max(d(t, p), w) at
-    every earlier t.
+    edge, so its largest edge is max(u(t, p), w), u being the subdominant
+    ultrametric. The matrix is an ultrametric iff it equals u. Every
+    earlier row already matched, so u(t, p) = d(t, p), and v's row must
+    read max(d(t, p), w) at every earlier t. The n - 1 edges w are the
+    tree's edge weights, which for an ultrametric are its merge heights
+    (single linkage): the space has 1 + #{k : h[k] > t} closed t-balls.
     """
     n = len(rk)
     order = [0]
+    heights: list[int] = []
     rest = list(range(1, n))
     best = list(rk[0][1:])
     while rest:
@@ -248,10 +249,11 @@ def _equals_subdominant(rk: Sequence[Sequence[int]]) -> bool:
         seen = list(map(rv.__getitem__, order))
         rp = rk[order[seen.index(w)]]
         if seen != [w if r < w else r for r in map(rp.__getitem__, order)]:
-            return False
+            return None
         order.append(v)
+        heights.append(w)
         best = list(map(min, best, map(rv.__getitem__, rest)))
-    return True
+    return heights
 
 
 def _raise_first_violation(
@@ -427,11 +429,13 @@ class BreakpointGrid:
     (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
     (far_masks()). Both per-pair tables depend on a pair of x only through
     its distance, so they are built once per distinct distance of x and
-    shared by every pair at that distance.
+    shared by every pair at that distance. The merge-height lower bound on
+    the distortion of every correspondence (distortion_floor()) is also
+    found on first use.
     """
 
     __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_y_masks",
-                 "_gap_ranks", "_subsets", "_far")
+                 "_gap_ranks", "_subsets", "_far", "_floor")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -465,6 +469,7 @@ class BreakpointGrid:
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
+        self._floor: Optional[int] = None
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
@@ -501,6 +506,36 @@ class BreakpointGrid:
         if far is None:
             far = self._far[cutoff] = _far_table(self, cutoff)
         return far
+
+    def distortion_floor(self) -> int:
+        """Rank of δ_lb = max_k |h_X[k] - h_Y[k]|, a lower bound on the
+        distortion of every correspondence between x and y, hence on
+        2·d_GH.
+
+        h_S[1] >= ... >= h_S[|S| - 1] are the merge heights of S, the
+        edge weights of a minimum spanning tree, and the shorter list is
+        padded with zeros. Proof: let a correspondence have distortion δ
+        and let t >= δ. Points in distinct closed t-balls of X are
+        pairwise more than t apart, so partners of them are pairwise more
+        than t - δ apart and lie in distinct closed (t - δ)-balls of Y:
+        N_Y(t - δ) >= N_X(t), N counting closed balls. Since
+        N_X(t) = 1 + #{k : h_X[k] > t}, letting t rise to h_X[k] gives
+        h_Y[k] >= h_X[k] - δ, and the same holds with x and y swapped.
+        The k = 1 term is the diameter gap, so the floor is never below
+        it.
+
+        Each term is the gap between a value of {0} ∪ W_X and one of
+        {0} ∪ W_Y, so its rank is read from the per-value gap ranks and
+        the floor is one max over max(n, m) - 1 ints.
+        """
+        if self._floor is None:
+            hx = sorted(_merge_heights(self.x.ranks), reverse=True)
+            hy = sorted(_merge_heights(self.y.ranks), reverse=True)
+            gap = self._gap
+            self._floor = max(
+                (gap[a][b] for a, b in zip_longest(hx, hy, fillvalue=0)), default=0
+            )
+        return self._floor
 
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""

@@ -185,6 +185,24 @@ def ball_class_count(space, eps):
     return len({find(a) for a in range(n)})
 
 
+def merge_heights_by_ball_counts(space):
+    """The merge heights of a space, largest first, read off brute-force
+    counts of closed balls: N(t) = 1 + #{k : h[k] > t}, so exactly
+    N(u) - N(v) heights equal v when u is the distinct distance just below
+    v (N(0) = n)."""
+    n = len(space)
+    dist = _fraction_matrix(space)
+
+    def closed_balls(t):
+        return len({frozenset(j for j in range(n) if dist[i][j] <= t) for i in range(n)})
+
+    levels = sorted({d for row in dist for d in row})
+    heights = []
+    for below, v in zip(levels, levels[1:]):
+        heights += [v] * (closed_balls(below) - closed_balls(v))
+    return sorted(heights, reverse=True)
+
+
 def spectra_bound_by_scan(x, y, thresholds):
     """Literal ascending scan for the spectra lower bound.
 

@@ -211,6 +211,8 @@ def test_exit_codes(files, capsys, tmp_path):
     assert run(["dgh", files["z4"], str(big_b), "--budget", "2"]) == 0
     out = capsys.readouterr().out
     assert "budget exceeded" in out
+    # The lower end is half the merge-height floor; the diameter gap is 0.
+    assert "interval: [1/4, 1/2]" in out
 
 
 def test_scan_budget_exits_3(files, capsys):

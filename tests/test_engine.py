@@ -149,11 +149,18 @@ def test_metric_ratio_examples(x3, ydelta, singleton):
 
 
 def test_budget_interval_on_exhaustion(z4):
+    # Equal diameters, so the diameter gap is 0, but the merge heights
+    # differ: 1, 1/2, 1/2 against 1, 1, 1/3, ..., a floor of 1/2 on the
+    # distortion. The interval's lower end is half of it.
     big = truncated_unramified_ring(3, 1, 2)
     res = classical_gh(z4, big, budget=3)
     assert not res.optimal
     assert res.value is None
-    assert res.lower <= res.upper
+    assert (res.lower, res.upper) == (ev("1/4"), ev("1/2"))
+    # The search stops at its first leaf on the floor, which is optimal.
+    res = classical_gh(z4, big, budget=10)
+    assert res.optimal and res.lower == res.upper == ev("1/4")
+    assert res == classical_gh(z4, big)
 
 
 def test_scan_budget_exhaustion_raises(x2, x3):

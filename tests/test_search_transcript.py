@@ -23,7 +23,7 @@ POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 SEARCHES = (min_distortion_correspondence, min_distortion_strong_correspondence)
 BUDGETS = (None, 25)
 
-EXPECTED = "b5d99fca365c23e7e71d89e190d123f26cfeba3f1c76d2f78079ff3629990640"
+EXPECTED = "8e190bdfee5b15411e50b38e3cea3b9673133b78ec33a781f8b974494130f8e1"
 
 
 def search_pairs(count=200, seed=20_261_018):

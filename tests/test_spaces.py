@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +27,11 @@ from ultragh.errors import (
 )
 
 from conftest import ev
-from oracles import ball_class_count
+from oracles import (
+    ball_class_count,
+    merge_heights_by_ball_counts,
+    naive_correspondence_minima,
+)
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -233,14 +237,6 @@ def test_weight_spectrum_examples(z4, ydelta, singleton):
     assert weight_spectrum(ydelta).values == (ev(1), ev("3/2"))
 
 
-def test_spectrum_at_least(z4):
-    spec = weight_spectrum(z4)
-    assert spec.at_least(ev(1)).values == (ev(1),)
-    assert spec.at_least(ev("1/4")).values == spec.values
-    empty = weight_spectrum(validate_space([[0]]))
-    assert empty.at_least(ev(1)).values == ()
-
-
 def test_candidate_thresholds(x2, x3, ydelta, singleton):
     assert candidate_thresholds(x2, x3) == (ev(0), ev(1), ev(2))
     assert candidate_thresholds(x3, ydelta) == (
@@ -314,6 +310,27 @@ def check_breakpoint_grid(x, y):
         if x.ranks[i][j] == x.ranks[k][l]:
             assert gap[i][j] is gap[k][l]
             assert all(far[i][j] is far[k][l] for far in fars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces, spaces)
+@example(random_ultrametric(5, 0, POOL), random_ultrametric(2, 0, POOL))
+def test_distortion_floor(x, y):
+    # The merge-height floor reads max_k |h_X[k] - h_Y[k]| off heights
+    # counted by brute force, never falls below the diameter gap, and never
+    # exceeds the minimum distortion. The unpruned enumeration visits
+    # (2^m - 1)^n partner assignments, 50,625 at 4x4 and 759,375 at 5x4,
+    # so the minimum is checked on pairs with |X|*|Y| <= 12.
+    grid = BreakpointGrid(x, y)
+    floor = grid.values[grid.distortion_floor()]
+    hx, hy = merge_heights_by_ball_counts(x), merge_heights_by_ball_counts(y)
+    assert floor.fraction == max(
+        (abs(a - b) for a, b in zip_longest(hx, hy, fillvalue=Fraction(0))),
+        default=Fraction(0),
+    )
+    assert floor >= x.diameter().abs_diff(y.diameter())
+    if len(x) * len(y) <= 12:
+        assert floor.fraction <= naive_correspondence_minima(x, y)[0]
 
 
 @settings(max_examples=60, deadline=None)

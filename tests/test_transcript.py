@@ -23,7 +23,7 @@ ARGUMENT_SETS = (
     {"budget": 3},
 )
 
-EXPECTED = "79ef1da59e7cf3a0cb65bc0c6fa4a84cd98082820796b25a992e91e4819447ce"
+EXPECTED = "bf022ea9d352501fe71f12451e14b346d30a2964433e5431f1777843f6e1a5cd"
 
 
 def transcript_pairs(count=300, seed=20_260_418):
