@@ -21,8 +21,14 @@ from .spaces import (
     is_epsilon_net,
     weight_spectrum,
 )
-from .isometries import MapWitness, _approximation_probe, is_strong_epsilon_isometry
-from .engine import EngineCaps, dhat_gh
+from .isometries import (
+    ApproximationWitness,
+    MapWitness,
+    _approximation_probe,
+    is_strong_epsilon_approximation,
+    is_strong_epsilon_isometry,
+)
+from .engine import dhat_gh
 
 
 @dataclass
@@ -39,24 +45,10 @@ class SplitResult:
     pairwise_class_distances: tuple[tuple[ExactValue, ...], ...]
 
 
-def _class_diameter(space: UltrametricSpace, cls: Sequence[int]) -> ExactValue:
-    best = ZERO
-    for a in range(len(cls)):
-        for b in range(a + 1, len(cls)):
-            d = space.dist(cls[a], cls[b])
-            if d > best:
-                best = d
-    return best
-
-
-def _class_distance(space: UltrametricSpace, ca: Sequence[int], cb: Sequence[int]) -> ExactValue:
-    best = None
-    for a in ca:
-        for b in cb:
-            d = space.dist(a, b)
-            if best is None or d < best:
-                best = d
-    return best if best is not None else ZERO
+def _between(space: UltrametricSpace, ca: Sequence[int], cb: Sequence[int], pick) -> ExactValue:
+    """pick (max or min) of the distances from class ca to class cb, read on
+    ranks: with ca == cb and max, the class diameter (0 for one point)."""
+    return space.values[pick(space.ranks[a][b] for a in ca for b in cb)]
 
 
 def find_split(
@@ -88,10 +80,10 @@ def find_split(
     classes: list[tuple[int, ...]] = [()] * len(x)
     for ball, target in zip(_rank_balls(grid.rx, cut), witness.ys):
         classes[target] = ball
-    diameters = tuple(_class_diameter(xn, c) for c in classes)
+    diameters = tuple(_between(xn, c, c, max) for c in classes)
     matrix = tuple(
         tuple(
-            ZERO if i == j else _class_distance(xn, classes[i], classes[j])
+            ZERO if i == j else _between(xn, classes[i], classes[j], min)
             for j in range(len(x))
         )
         for i in range(len(x))
@@ -121,13 +113,13 @@ def replay_split(
     if len(seen) != len(xn) or len(split.classes) != len(x):
         return False
     for cls in split.classes:
-        if _class_diameter(xn, cls) >= eps:
+        if _between(xn, cls, cls, max) >= eps:
             return False
     for i in range(len(x)):
         for j in range(len(x)):
             if i == j:
                 continue
-            if _class_distance(xn, split.classes[i], split.classes[j]) != x.dist(i, j):
+            if _between(xn, split.classes[i], split.classes[j], min) != x.dist(i, j):
                 return False
     return True
 
@@ -207,7 +199,8 @@ def check_net_convergence_certificate(
 
     Each listed net must be an eps-net in its own space, share the target
     net's cardinality, and reproduce the target net's pairwise distances
-    position by position.
+    position by position: with the target net, a strong eps-approximation
+    of (space, target), which is_strong_epsilon_approximation checks.
     """
     if len(sequence) != len(nets_per_space):
         raise LengthMismatchError("one net per space is required")
@@ -232,22 +225,26 @@ def check_net_convergence_certificate(
                     f"net has {len(net)} points, target net has {len(tnet)}",
                 ),
             )
-        if not is_epsilon_net(space, net, eps):
+        for p in sorted(net):  # report the smallest bad index, as is_epsilon_net does
+            space.check_index(p)
+        verdict = is_strong_epsilon_approximation(
+            space, target, eps, ApproximationWitness(tuple(net), tuple(tnet), eps)
+        )
+        if verdict.failure_condition == "net_left":
             return NetCertificateReport(
                 False, NetCertificateFailure("net", n, "listed net is not an eps-net")
             )
-        for i in range(len(net)):
-            for j in range(i + 1, len(net)):
-                a = space.dist(net[i], net[j])
-                b = target.dist(tnet[i], tnet[j])
-                if a != b:
-                    return NetCertificateReport(
-                        False,
-                        NetCertificateFailure(
-                            "distances", n,
-                            f"positions ({i}, {j}): {a} in space {n} vs {b} in target",
-                        ),
-                    )
+        if not verdict.valid:
+            i, j = verdict.failure_indices
+            a = space.dist(net[i], net[j])
+            b = target.dist(tnet[i], tnet[j])
+            return NetCertificateReport(
+                False,
+                NetCertificateFailure(
+                    "distances", n,
+                    f"positions ({i}, {j}): {a} in space {n} vs {b} in target",
+                ),
+            )
     return NetCertificateReport(True, None)
 
 
@@ -316,7 +313,6 @@ def diameter_trend(
     sequence: Sequence[UltrametricSpace],
     target: Optional[UltrametricSpace] = None,
     *,
-    caps: Optional[EngineCaps] = None,
     budget: Optional[int] = None,
 ) -> DiameterTrendReport:
     """Tabulate diameters and, given a target, the per-index distance data.
@@ -352,8 +348,7 @@ def diameter_trend(
         forced = []
         holds = []
         for space, diam_n in zip(sequence, diameters):
-            report = dhat_gh(space, target, caps=caps, budget=budget,
-                             include_classical=False)
+            report = dhat_gh(space, target, budget=budget, include_classical=False)
             values.append(report.dhat)
             is_forced = report.dhat < max(diam_n, target_diameter)
             equal = diam_n == target_diameter

@@ -50,7 +50,7 @@ from .spaces import (
     UltrametricSpace,
     spectra_lower_bound,
 )
-from .correspondences import Correspondence, _search, full_product
+from .correspondences import DEFAULT_PRODUCT_CAP, Correspondence, _search, full_product
 from .isometries import (
     ApproximationWitness,
     MapWitness,
@@ -64,7 +64,7 @@ TWO = ExactValue(2)
 
 @dataclass(frozen=True)
 class EngineCaps:
-    """Instance-size limits for the automatically selected method set."""
+    """The fixed instance-size limits of dhat_gh's automatic method set."""
 
     corr_product: int = 36
     iso_product: int = 20
@@ -168,7 +168,7 @@ def classical_gh(
     y: UltrametricSpace,
     budget: Optional[int] = None,
     *,
-    product_cap: int = 36,
+    product_cap: int = DEFAULT_PRODUCT_CAP,
 ) -> ClassicalResult:
     """Half the minimum correspondence distortion, with witness.
 
@@ -235,13 +235,12 @@ def dhat_gh(
     y: UltrametricSpace,
     methods: Optional[Sequence[str]] = None,
     *,
-    caps: Optional[EngineCaps] = None,
     budget: Optional[int] = None,
     include_classical: Optional[bool] = None,
 ) -> DistanceReport:
     """Compute the non-Archimedean Gromov-Hausdorff distance, cross-checked.
 
-    With methods=None the method set is chosen from the caps; on equal
+    With methods=None the method set is chosen from EngineCaps(); on equal
     diameters an explicit sequence runs exactly those routes. All produced
     values must agree to the last bit or MethodDisagreementError is raised.
     When the diameters differ, explicit methods are still validated, but the
@@ -255,7 +254,7 @@ def dhat_gh(
                 raise ValueError(f"unknown method {name!r}")
         if not names:
             raise ValueError("methods must not be empty")
-    caps = caps or EngineCaps()
+    caps = EngineCaps()
     slb = spectra_lower_bound(x, y)
     diam_x, diam_y = x.diameter(), y.diameter()
     diam_max = max(diam_x, diam_y)
@@ -280,7 +279,7 @@ def dhat_gh(
             if not names:
                 raise SearchSpaceTooLargeError(
                     f"|X|*|Y| = {product} exceeds every method cap; pass "
-                    "methods=... or wider caps"
+                    "methods=..."
                 )
         grid = BreakpointGrid(x, y)
         for name in names:
@@ -348,9 +347,14 @@ def metric_ratio(
     x: UltrametricSpace,
     y: UltrametricSpace,
     *,
-    caps: Optional[EngineCaps] = None,
     budget: Optional[int] = None,
 ) -> Optional[ExactValue]:
-    """dhat / d_GH, or None when the spaces are isometric (d_GH = 0)."""
-    report = dhat_gh(x, y, caps=caps, budget=budget, include_classical=True)
+    """dhat / d_GH, or None when the spaces are isometric (d_GH = 0).
+
+    The ratio needs the exact d_GH, so a classical search that runs out of
+    budget raises BudgetExceededError instead of reading as isometric.
+    """
+    report = dhat_gh(x, y, budget=budget, include_classical=True)
+    if not report.classical.optimal:
+        raise BudgetExceededError("classical search ran out of budget")
     return report.ratio

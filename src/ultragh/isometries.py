@@ -6,6 +6,12 @@ adds two partner conditions: every far point of the target can be matched by
 a domain point realizing the same distance (SI1), and distances of at least
 epsilon are preserved exactly (SI2). Strong epsilon-approximations pair
 epsilon-nets of the two spaces with exactly equal distance patterns.
+
+Each verdict is written once, on the ranks of the pair's BreakpointGrid:
+a distance is below eps exactly when its rank is below
+bisect_left(grid.values, eps). The public checkers build the grid and call
+that core once; the scans call it once per complete map or match their
+search reaches.
 """
 
 from __future__ import annotations
@@ -21,12 +27,7 @@ from .errors import (
     LengthMismatchError,
     NotStrongError,
 )
-from .spaces import (
-    BreakpointGrid,
-    UltrametricSpace,
-    _rank_balls,
-    is_epsilon_net,
-)
+from .spaces import BreakpointGrid, UltrametricSpace, _rank_balls
 from .correspondences import Correspondence
 
 DEFAULT_SCAN_BUDGET = 5_000_000
@@ -37,13 +38,18 @@ def map_distortion(
 ) -> ExactValue:
     """max over pairs of |d_Y(f(x1), f(x2)) - d_X(x1, x2)|."""
     _check_map(x, y, f)
-    best = ZERO
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            d = x.dist(i, j).abs_diff(y.dist(f[i], f[j]))
-            if d > best:
-                best = d
-    return best
+    grid = BreakpointGrid(x, y)
+    return grid.values[_distortion_rank(grid, f)]
+
+
+def _distortion_rank(grid: BreakpointGrid, images: Sequence[int]) -> int:
+    """Rank of dis f on the pair of grid, 0 when x has one point."""
+    gap = grid.gap_ranks()
+    return max(
+        (gap[i][j][a][images[j]]
+         for i, a in enumerate(images) for j in range(i + 1, len(images))),
+        default=0,
+    )
 
 
 def _check_map(x: UltrametricSpace, y: UltrametricSpace, f: Sequence[int]) -> None:
@@ -87,63 +93,65 @@ def is_strong_epsilon_isometry(
     if eps <= ZERO:
         raise ValueError("eps must be positive")
     _check_map(x, y, f)
-    images = tuple(f)
-    failure = None
-    dis = map_distortion(x, y, images)
-    if dis >= eps:
-        failure = MapFailure("dis", (), f"dis f = {dis} is not < {eps}")
+    grid = BreakpointGrid(x, y)
+    return _isometry_verdict(grid, tuple(f), bisect_left(grid.values, eps), eps)
 
-    image_set = sorted(set(images))
-    net_ok = True
-    for yy in range(len(y)):
-        if all(y.dist(yy, b) >= eps for b in image_set):
-            net_ok = False
-            if failure is None:
-                failure = MapFailure(
-                    "net", (yy,), f"point {yy} is at distance >= {eps} from the image"
-                )
-            break
 
-    si1_ok = True
-    for xx in range(len(x)):
-        for yy in range(len(y)):
-            d = y.dist(yy, images[xx])
-            if d < eps:
-                continue
-            if not any(
-                y.dist(yy, images[xp]) < eps and x.dist(xx, xp) == d
-                for xp in range(len(x))
-            ):
-                si1_ok = False
-                if failure is None:
-                    failure = MapFailure(
-                        "SI1", (xx, yy),
-                        f"no partner realizes d_Y({yy}, f({xx})) = {d}",
-                    )
-                break
-        if not si1_ok:
-            break
+def _isometry_verdict(
+    grid: BreakpointGrid, images: tuple[int, ...], below: int, eps: ExactValue
+) -> MapWitness:
+    """is_strong_epsilon_isometry of images on the pair of grid, where
+    below is bisect_left(grid.values, eps).
 
-    si2_ok = True
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            dxx = x.dist(i, j)
-            if dxx >= eps and dxx != y.dist(images[i], images[j]):
-                si2_ok = False
-                if failure is None:
-                    failure = MapFailure(
-                        "SI2", (i, j),
-                        f"d_X({i},{j}) = {dxx} >= {eps} but image distance differs",
-                    )
-                break
-        if not si2_ok:
-            break
-
-    is_eps = dis < eps and net_ok
+    Exactly the distances below eps have a rank below the cut, and rx and
+    ry rank into the same values, so every check compares ints. Grid
+    values are read only for the distortion and the failure text.
+    """
+    rx, ry, values = grid.rx, grid.ry, grid.values
+    n = len(images)
+    dis = _distortion_rank(grid, images)
+    # near[y][x]: whether d_Y(y, f(x)) < eps.
+    near = [[row[b] < below for b in images] for row in ry]
+    far = next((yy for yy, row in enumerate(near) if not any(row)), None)
+    si1 = next(
+        ((xx, yy)
+         for xx, a in enumerate(images)
+         for yy, row in enumerate(ry)
+         if row[a] >= below
+         and not any(ok and r == row[a] for ok, r in zip(near[yy], rx[xx]))),
+        None,
+    )
+    si2 = next(
+        ((i, j)
+         for i in range(n) for j in range(i + 1, n)
+         if rx[i][j] >= below and rx[i][j] != ry[images[i]][images[j]]),
+        None,
+    )
+    if dis >= below:
+        failure = MapFailure("dis", (), f"dis f = {values[dis]} is not < {eps}")
+    elif far is not None:
+        failure = MapFailure(
+            "net", (far,), f"point {far} is at distance >= {eps} from the image"
+        )
+    elif si1 is not None:
+        xx, yy = si1
+        failure = MapFailure(
+            "SI1", si1,
+            f"no partner realizes d_Y({yy}, f({xx})) = {values[ry[yy][images[xx]]]}",
+        )
+    elif si2 is not None:
+        i, j = si2
+        failure = MapFailure(
+            "SI2", si2,
+            f"d_X({i},{j}) = {values[rx[i][j]]} >= {eps} but image distance differs",
+        )
+    else:
+        failure = None
+    is_eps = dis < below and far is None
     return MapWitness(
-        x, y, images, eps, dis,
+        grid.x, grid.y, images, eps, values[dis],
         is_eps_isometry=is_eps,
-        is_strong_eps_isometry=is_eps and si1_ok and si2_ok,
+        is_strong_eps_isometry=is_eps and si1 is None and si2 is None,
         failure=failure,
     )
 
@@ -183,11 +191,11 @@ def _isometry_probe(
     with bisect_left(grid.values, eps) == below >= 1.
 
     Exactly the grid values below such an eps have a rank below the cut,
-    on the grid or off it, so the DFS compares ints. A witness carries eps,
-    or the midpoint of cell below when eps is None, made only for it.
+    on the grid or off it, so the DFS compares ints. Each complete map gets
+    one _isometry_verdict, at eps, or at the midpoint of cell below when
+    eps is None, made once, at the first complete map.
     """
-    x, y = grid.x, grid.y
-    n, m = len(x), len(y)
+    n, m = len(grid.x), len(grid.y)
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
     rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
@@ -196,12 +204,11 @@ def _isometry_probe(
     nodes = 0
 
     def dfs(level: int) -> Optional[MapWitness]:
-        nonlocal nodes
+        nonlocal nodes, eps
         if level == n:
-            if not _leaf_passes(rx, ry, images, below):
-                return None
-            at = _cell_midpoint(grid, below) if eps is None else eps
-            witness = is_strong_epsilon_isometry(x, y, tuple(images), at)
+            if eps is None:
+                eps = _cell_midpoint(grid, below)
+            witness = _isometry_verdict(grid, tuple(images), below, eps)
             return witness if witness.is_strong_eps_isometry else None
         for b in range(m):
             nodes += 1
@@ -226,32 +233,6 @@ def _isometry_probe(
         return None
 
     return dfs(0)
-
-
-def _leaf_passes(
-    rx: Sequence[Sequence[int]],
-    ry: Sequence[Sequence[int]],
-    images: Sequence[int],
-    below: int,
-) -> bool:
-    """The net condition and (SI1) of a complete map, on grid ranks.
-
-    below is bisect_left(grid.values, eps), so a distance is below eps
-    exactly when its rank is below it. The isometry DFS has already
-    enforced dis f < eps and (SI2) on every pair, so a map the DFS reaches
-    is a strong eps-isometry exactly when this holds.
-    """
-    # near[y][x]: whether d_Y(y, f(x)) < eps.
-    near = [[row[b] < below for b in images] for row in ry]
-    if not all(map(any, near)):
-        return False
-    for xx, a in enumerate(images):
-        rxx = rx[xx]
-        for row, near_yy in zip(ry, near):
-            d = row[a]
-            if d >= below and not any(n and r == d for n, r in zip(near_yy, rxx)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -288,13 +269,23 @@ def is_strong_epsilon_approximation(
         x.check_index(i)
     for j in ys:
         y.check_index(j)
-    if not is_epsilon_net(x, set(xs), eps):
+    grid = BreakpointGrid(x, y)
+    return _approximation_verdict(grid, xs, ys, bisect_left(grid.values, eps))
+
+
+def _approximation_verdict(
+    grid: BreakpointGrid, xs: Sequence[int], ys: Sequence[int], below: int
+) -> ApproximationVerdict:
+    """is_strong_epsilon_approximation of (xs, ys) on the pair of grid, where
+    below is bisect_left(grid.values, eps), read on grid ranks."""
+    rx, ry = grid.rx, grid.ry
+    if not all(any(row[p] < below for p in xs) for row in rx):
         return ApproximationVerdict(False, "net_left", tuple(sorted(set(xs))))
-    if not is_epsilon_net(y, set(ys), eps):
+    if not all(any(row[p] < below for p in ys) for row in ry):
         return ApproximationVerdict(False, "net_right", tuple(sorted(set(ys))))
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            if x.dist(xs[i], xs[j]) != y.dist(ys[i], ys[j]):
+            if rx[xs[i]][xs[j]] != ry[ys[i]][ys[j]]:
                 return ApproximationVerdict(False, "distances", (i, j))
     return ApproximationVerdict(True, None, ())
 
@@ -331,26 +322,21 @@ def _approximation_probe(
     eps with bisect_left(grid.values, eps) == below >= 1.
 
     Distances compare as ranks into the grid's values; exactly those below
-    such an eps have a rank below the cut. A witness carries eps, or the
-    midpoint of cell below when eps is None, made only for it.
+    such an eps have a rank below the cut. Each complete match gets one
+    _approximation_verdict. A witness carries eps, or the midpoint of cell
+    below when eps is None, made only for it.
     """
-    x, y = grid.x, grid.y
     rx, ry = grid.rx, grid.ry
     xs = tuple(c[0] for c in _rank_balls(rx, below))
-    n, m = len(xs), len(y)
+    n, m = len(xs), len(ry)
     if n > m:
         return None
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
 
-    y_classes = _rank_balls(ry, below)
-    if len(y_classes) > n:
+    if len(_rank_balls(ry, below)) > n:
         # Matched right points are pairwise >= eps apart, hence distinct;
         # n of them cannot hit every ball.
         return None
-    y_ball = [0] * m
-    for ci, cls in enumerate(y_classes):
-        for p in cls:
-            y_ball[p] = ci
     need = [[rx[a][b] for b in xs] for a in xs]
 
     ys: list[int] = []
@@ -359,12 +345,10 @@ def _approximation_probe(
     def dfs(level: int) -> Optional[ApproximationWitness]:
         nonlocal nodes
         if level == n:
-            if len({y_ball[b] for b in ys}) != len(y_classes):
+            if not _approximation_verdict(grid, xs, ys, below).valid:
                 return None
             at = _cell_midpoint(grid, below) if eps is None else eps
-            witness = ApproximationWitness(xs, tuple(ys), at)
-            verdict = is_strong_epsilon_approximation(x, y, at, witness)
-            return witness if verdict.valid else None
+            return ApproximationWitness(xs, tuple(ys), at)
         want = need[level][:level]
         for b in range(m):
             nodes += 1

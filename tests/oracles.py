@@ -1,18 +1,33 @@
 """Brute-force reference implementations, independent of the library's search code.
 
 Everything here favors obvious correctness over speed: plain exhaustive
-enumeration with no pruning, rational arithmetic via Fraction, and the
+enumeration with no pruning, exact arithmetic on Fraction matrices (or on
+ints over one common denominator), per-map verdicts that compare the
+distances themselves where the library compares grid ranks, and the
 existential form of the strong-correspondence condition (the library uses
 the universal form).
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 
-def _fraction_matrix(space):
+def fraction_matrix(space):
     n = len(space)
     return [[space.dist(i, j).fraction for j in range(n)] for i in range(n)]
+
+
+def _int_matrices(x, y):
+    """Both distance matrices as ints over one common denominator, and that
+    denominator: the scaling keeps every comparison and every difference."""
+    dx, dy = fraction_matrix(x), fraction_matrix(y)
+    den = lcm(*(d.denominator for row in dx + dy for d in row))
+    return (
+        [[d.numerator * (den // d.denominator) for d in row] for row in dx],
+        [[d.numerator * (den // d.denominator) for d in row] for row in dy],
+        den,
+    )
 
 
 def _nonempty_subsets(m):
@@ -48,11 +63,11 @@ def naive_correspondence_minima(x, y):
     visited; covering assignments are the correspondences. Distortion is
     accumulated along the recursion (an evaluation order, not a pruning);
     the strongness test is skipped only when it cannot improve the strong
-    minimum.
+    minimum. Distances are ints over a common denominator, and both minima
+    are returned as Fractions.
     """
     n, m = len(x), len(y)
-    dx = _fraction_matrix(x)
-    dy = _fraction_matrix(y)
+    dx, dy, den = _int_matrices(x, y)
     subsets = _nonempty_subsets(m)
     # |dx(i,k) - dy(a,b)| once per quadruple; the enumeration reuses it.
     gap = [
@@ -64,7 +79,7 @@ def naive_correspondence_minima(x, y):
     ]
     internal = {}
     for sub in subsets:
-        worst = Fraction(0)
+        worst = 0
         for p in range(len(sub)):
             for q in range(p + 1, len(sub)):
                 d = dy[sub[p]][sub[q]]
@@ -99,16 +114,16 @@ def naive_correspondence_minima(x, y):
             rec(level + 1, new, covered | set(sub))
             sets.pop()
 
-    rec(0, Fraction(0), set())
-    return best[0], best_strong[0]
+    rec(0, 0, set())
+    return Fraction(best[0], den), Fraction(best_strong[0], den)
 
 
 def naive_lex_min_witness(x, y, strong):
     """Among all (strong) correspondences of minimum distortion, the
     lexicographically smallest sorted pair tuple, by full enumeration."""
     n, m = len(x), len(y)
-    dx = _fraction_matrix(x)
-    dy = _fraction_matrix(y)
+    dx = fraction_matrix(x)
+    dy = fraction_matrix(y)
     subsets = _nonempty_subsets(m)
     best = [None]
     best_pairs = [None]
@@ -152,8 +167,8 @@ def isometry_exists(x, y):
     if len(x) != len(y):
         return False
     n = len(x)
-    dx = _fraction_matrix(x)
-    dy = _fraction_matrix(y)
+    dx = fraction_matrix(x)
+    dy = fraction_matrix(y)
     for perm in permutations(range(n)):
         if all(
             dx[i][j] == dy[perm[i]][perm[j]]
@@ -191,7 +206,7 @@ def merge_heights_by_ball_counts(space):
     N(u) - N(v) heights equal v when u is the distinct distance just below
     v (N(0) = n)."""
     n = len(space)
-    dist = _fraction_matrix(space)
+    dist = fraction_matrix(space)
 
     def closed_balls(t):
         return len({frozenset(j for j in range(n) if dist[i][j] <= t) for i in range(n)})
@@ -243,17 +258,89 @@ def ultrametric_violations(matrix):
     return bad
 
 
-def first_strong_epsilon_isometry(x, y, eps):
-    """Images of the first map X -> Y, in itertools.product order, that the
-    per-map verifier accepts as a strong eps-isometry; None if none does.
+def isometry_verdict(dx, dy, images, eps):
+    """Verdict of is_strong_epsilon_isometry on Fraction matrices:
+    (distortion, is_eps_isometry, is_strong_eps_isometry, failure), with
+    failure (check, points, detail) or None.
 
-    Walks every map with no pruning, so it checks the scan's tables and
-    pruning and nothing else.
+    dis f < eps; f(X) an eps-net in Y; (SI1) every y with
+    d_Y(y, f(x)) >= eps has a partner x' with d_Y(y, f(x')) < eps and
+    d_X(x, x') = d_Y(y, f(x)); (SI2) pairs with unequal image distance
+    satisfy d_X(x1, x2) < eps. Every check runs in that order on the
+    distances themselves, and the first failure is certified.
     """
-    from ultragh import is_strong_epsilon_isometry
+    n, m = len(dx), len(dy)
+    failure = None
+    dis = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dis = max(dis, abs(dx[i][j] - dy[images[i]][images[j]]))
+    if dis >= eps:
+        failure = ("dis", (), f"dis f = {dis} is not < {eps}")
 
+    net_ok = True
+    for yy in range(m):
+        if all(dy[yy][b] >= eps for b in set(images)):
+            net_ok = False
+            if failure is None:
+                failure = ("net", (yy,), f"point {yy} is at distance >= {eps} from the image")
+            break
+
+    si1_ok = True
+    for xx in range(n):
+        for yy in range(m):
+            d = dy[yy][images[xx]]
+            if d < eps:
+                continue
+            if not any(dy[yy][images[xp]] < eps and dx[xx][xp] == d for xp in range(n)):
+                si1_ok = False
+                if failure is None:
+                    failure = ("SI1", (xx, yy), f"no partner realizes d_Y({yy}, f({xx})) = {d}")
+                break
+        if not si1_ok:
+            break
+
+    si2_ok = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dx[i][j] >= eps and dx[i][j] != dy[images[i]][images[j]]:
+                si2_ok = False
+                if failure is None:
+                    failure = (
+                        "SI2", (i, j),
+                        f"d_X({i},{j}) = {dx[i][j]} >= {eps} but image distance differs",
+                    )
+                break
+        if not si2_ok:
+            break
+
+    is_eps = dis < eps and net_ok
+    return dis, is_eps, is_eps and si1_ok and si2_ok, failure
+
+
+def approximation_verdict(dx, dy, eps, xs, ys):
+    """Verdict of is_strong_epsilon_approximation on Fraction matrices:
+    (valid, failure_condition, failure_indices)."""
+    for name, d, pts in (("net_left", dx, xs), ("net_right", dy, ys)):
+        if not all(any(row[p] < eps for p in pts) for row in d):
+            return False, name, tuple(sorted(set(pts)))
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if dx[xs[i]][xs[j]] != dy[ys[i]][ys[j]]:
+                return False, "distances", (i, j)
+    return True, None, ()
+
+
+def first_strong_epsilon_isometry(x, y, eps):
+    """Images of the first map X -> Y, in itertools.product order, that
+    isometry_verdict accepts as a strong eps-isometry; None if none does.
+
+    Walks every map with no pruning, so it checks the scan's tables,
+    pruning and leaf verdict against the distances themselves.
+    """
+    dx, dy = fraction_matrix(x), fraction_matrix(y)
     for images in product(range(len(y)), repeat=len(x)):
-        if is_strong_epsilon_isometry(x, y, images, eps).is_strong_eps_isometry:
+        if isometry_verdict(dx, dy, images, eps)[2]:
             return images
     return None
 
@@ -268,8 +355,8 @@ def first_split(xn, x, eps):
     points gives the split: target point t's class is the ball mapped to t.
     No pruning, so it checks find_split's search and nothing else.
     """
-    dn = _fraction_matrix(xn)
-    dx = _fraction_matrix(x)
+    dn = fraction_matrix(xn)
+    dx = fraction_matrix(x)
     e = eps.fraction
     balls = []
     for i in range(len(xn)):

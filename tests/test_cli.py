@@ -215,6 +215,17 @@ def test_exit_codes(files, capsys, tmp_path):
     assert "interval: [1/4, 1/2]" in out
 
 
+def test_ratio_budget_exits_3(files, capsys, tmp_path):
+    far = tmp_path / "far.ums"
+    write_space_file(zq_delta(5, 2, 2), far)
+    assert run(["ratio", files["z4"], str(far)]) == 0
+    assert "ratio: 3" in capsys.readouterr().out
+    assert run(["ratio", files["z4"], str(far), "--budget", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "isometric" not in captured.out
+    assert "classical search ran out of budget" in captured.err
+
+
 def test_scan_budget_exits_3(files, capsys):
     assert run(["dhat", files["x3"], files["x3"], "--method", "iso", "--budget", "1"]) == 3
     assert "isometry scan exceeded 1 nodes" in capsys.readouterr().err

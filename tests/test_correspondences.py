@@ -3,11 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from ultragh import (
     Correspondence,
-    EngineCaps,
     ExactValue,
     associated_correspondence,
     classical_gh,
-    dhat_gh,
     distortion,
     equilibrium_table,
     full_product,
@@ -379,6 +377,3 @@ def test_one_point_side_needs_no_search(x3, singleton):
                 assert res.distortion == max(a.diameter(), b.diameter())
                 assert res.optimal and res.nodes == 0
     assert classical_gh(x3, singleton, product_cap=0).value == ev("1/2")
-    report = dhat_gh(singleton, singleton, methods=("strong_correspondence",),
-                     caps=EngineCaps(corr_product=0))
-    assert report.dhat == ev(0)

@@ -148,6 +148,15 @@ def test_metric_ratio_examples(x3, ydelta, singleton):
     assert metric_ratio(x3, x3) is None
 
 
+def test_metric_ratio_budget_exhaustion_raises(z4):
+    # d_GH is 1/4, so the ratio is 3; a classical search cut at two nodes
+    # has no exact d_GH and must not read as isometric.
+    far = zq_delta(5, 2, 2)
+    assert metric_ratio(z4, far) == ev(3)
+    with pytest.raises(BudgetExceededError, match="classical search"):
+        metric_ratio(z4, far, budget=2)
+
+
 def test_budget_interval_on_exhaustion(z4):
     # Equal diameters, so the diameter gap is 0, but the merge heights
     # differ: 1, 1/2, 1/2 against 1, 1, 1/3, ..., a floor of 1/2 on the

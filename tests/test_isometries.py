@@ -1,5 +1,5 @@
 from bisect import bisect_left
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +19,16 @@ from ultragh import (
     random_ultrametric,
 )
 from ultragh.errors import BudgetExceededError, LengthMismatchError
-from ultragh.isometries import _leaf_passes
+from ultragh.isometries import _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid
 
 from conftest import equal_diameter_partner, ev
-from oracles import first_strong_epsilon_isometry
+from oracles import (
+    approximation_verdict,
+    first_strong_epsilon_isometry,
+    fraction_matrix,
+    isometry_verdict,
+)
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -200,23 +205,44 @@ def small_pairs(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(small_pairs())
-def test_rank_leaf_filter_matches_full_verdict(pair):
-    # Every map X -> Y at every cell's cut: the isometry DFS's pair pruning
-    # followed by the rank-level leaf check accepts a map exactly when the
-    # full verdict does, at the cell's midpoint and at its upper end alike.
+def test_rank_verdicts_match_reference(pair):
+    # Every map X -> Y, and every subset of X matched with every list of Y
+    # points, at every cell's midpoint and upper end and at one eps inside
+    # the first cell: the rank-level verdicts equal the Fraction-matrix
+    # references field by field, and every map the isometry DFS prunes
+    # (a pair breaking dis f < eps or the preservation half of SI2), the
+    # reference rejects.
     x, y = pair
+    n, m = len(x), len(y)
+    dx, dy = fraction_matrix(x), fraction_matrix(y)
     grid = BreakpointGrid(x, y)
     rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
     thresholds = grid.thresholds()
+    epsilons = [thresholds[1] / 3]
     for prev, t in zip(thresholds, thresholds[1:]):
-        below = bisect_left(grid.values, t)
-        for f in product(range(len(y)), repeat=len(x)):
+        epsilons += [prev.midpoint(t), t]
+    matches = [
+        (xs, ys)
+        for k in range(1, n + 1)
+        for xs in combinations(range(n), k)
+        for ys in product(range(m), repeat=k)
+    ]
+    for eps in epsilons:
+        below = bisect_left(grid.values, eps)
+        for f in product(range(m), repeat=n):
+            w = _isometry_verdict(grid, f, below, eps)
+            assert (w.left, w.right, w.images, w.epsilon) == (x, y, f, eps)
+            failure = w.failure and (w.failure.check, w.failure.points, w.failure.detail)
+            got = (w.distortion, w.is_eps_isometry, w.is_strong_eps_isometry, failure)
+            want = isometry_verdict(dx, dy, f, eps)
+            assert got == want, (f, eps)
             pruned = any(
                 gap[i][j][f[i]][f[j]] >= below
                 or (rx[i][j] >= below and rx[i][j] != ry[f[i]][f[j]])
-                for j in range(len(x)) for i in range(j)
+                for j in range(n) for i in range(j)
             )
-            accepted = not pruned and _leaf_passes(rx, ry, f, below)
-            for eps in (prev.midpoint(t), t):
-                verdict = is_strong_epsilon_isometry(x, y, f, eps)
-                assert accepted == verdict.is_strong_eps_isometry, (f, eps)
+            assert not (pruned and want[2]), (f, eps)
+        for xs, ys in matches:
+            v = _approximation_verdict(grid, xs, ys, below)
+            got = (v.valid, v.failure_condition, v.failure_indices)
+            assert got == approximation_verdict(dx, dy, eps, xs, ys), (xs, ys, eps)
