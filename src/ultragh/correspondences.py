@@ -18,6 +18,7 @@ from .exact import ExactValue, ZERO
 from .errors import (
     BridgeTooSmallError,
     IndexOutOfRangeError,
+    MethodDisagreementError,
     NotACorrespondenceError,
     NotStrongError,
     NotSurjectiveError,
@@ -345,8 +346,20 @@ def _search(
     strong: bool,
     budget: Optional[int],
     product_cap: int,
+    start: Optional[int] = None,
 ) -> SearchResult:
-    """Minimum distortion over the (strong) correspondences of grid's pair."""
+    """Minimum distortion over the (strong) correspondences of grid's pair.
+
+    start, a grid rank given only without a budget, seeds the incumbent
+    cutoff at start + 1 in place of just above the full product's rank, so
+    only leaves of rank at most start are accepted. No leaf lies below the
+    minimum, and the pruning drops only branches with no leaf below the
+    cutoff, so when start is at or above the minimum the first leaf
+    accepted is still the first optimal leaf in search order, and the
+    search goes on past it as an unseeded one does: the same result,
+    proved by the search alone. A search seeded below the minimum accepts
+    no leaf and raises MethodDisagreementError.
+    """
     x, y = grid.x, grid.y
     n, m = len(x), len(y)
     if n == 1 or m == 1:
@@ -376,10 +389,10 @@ def _search(
 
     # The full product is always a correspondence, always strong, and its
     # distortion is exactly max(diam X, diam Y), the largest any leaf can
-    # have. The incumbent starts just above it, so the search records the
-    # first leaf in search order and then only strictly better ones: it
-    # ends on the first optimal leaf, the lexicographically smallest
-    # optimal pair set. A leaf at or below a lower bound on the minimum is
+    # have. The incumbent starts just above it (or above start), so the
+    # search records the first leaf in search order it accepts and then
+    # only strictly better ones: it ends on the first optimal leaf, the
+    # lexicographically smallest optimal pair set. A leaf at or below a lower bound on the minimum is
     # that first optimal leaf, so the search stops there.
     full_rank = grid.rank[max(x.diameter(), y.diameter())]
     if strong:
@@ -388,7 +401,7 @@ def _search(
         floor_rank = grid.distortion_floor()
 
     budget_state = _Budget(budget)
-    best_rank = full_rank + 1
+    best_rank = (full_rank if start is None else start) + 1
     best_sets: Optional[list[tuple[int, ...]]] = None
 
     chosen: list[tuple[int, ...]] = []
@@ -529,7 +542,13 @@ def _search(
     except _Exhausted:
         optimal = False
 
-    if best_sets is None:  # the budget ran out before the first leaf
+    if best_sets is None:
+        if start is not None:
+            raise MethodDisagreementError(
+                f"no {'strong ' if strong else ''}correspondence has distortion at "
+                f"most {grid.values[start]}, the search's starting bound"
+            )
+        # the budget ran out before the first leaf
         return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
                             budget_state.used)
     pairs = tuple((i, b) for i in range(n) for b in best_sets[i])

@@ -14,6 +14,16 @@ independent routes and insists they agree exactly:
     and which, having no unrelated pairs, is strong; no search and no
     strongness scan runs.
 
+On equal diameters an unbudgeted call first finds a hint: the least t in
+{0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
+isometric (_quotient_rank), read off the two dendrograms. Every route
+starts from the hint and checks it; none trusts it. The strong search
+starts its incumbent cutoff just above it and still proves its own
+minimum, which must equal the hint. Each scan makes two probes, one that
+must fail at the hint's cell and one that must hold at the next. A hint
+that any route contradicts raises MethodDisagreementError. Budgeted calls
+run unseeded, so their work and their outcomes are unchanged.
+
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
 constant on each half-open cell (t_{k-1}, t_k] between consecutive candidate
@@ -28,7 +38,9 @@ The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
 search stops at the first leaf reaching the merge-height lower bound
 (BreakpointGrid.distortion_floor), and a budgeted search that runs out
-reports half that bound as the lower end of its interval.
+reports half that bound as the lower end of its interval. Since
+2 d_GH <= dhat, an unbudgeted search inside dhat_gh, run once the routes
+agree, accepts only leaves of distortion at most dhat from the start.
 Every route and the classical search of one call read the pair's single
 BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
 the partner-subset and far-partner tables both searches share.
@@ -37,6 +49,7 @@ the partner-subset and far-partner tables both searches share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -181,10 +194,11 @@ def classical_gh(
 
 
 def _classical(
-    grid: BreakpointGrid, budget: Optional[int], product_cap: int
+    grid: BreakpointGrid, budget: Optional[int], product_cap: int,
+    start: Optional[int] = None,
 ) -> ClassicalResult:
-    """classical_gh on the pair of grid."""
-    res = _search(grid, False, budget, product_cap)
+    """classical_gh on the pair of grid, its search seeded at start."""
+    res = _search(grid, False, budget, product_cap, start)
     half = res.distortion / TWO
     floor = grid.values[grid.distortion_floor()] / TWO
     if half < floor:
@@ -196,7 +210,7 @@ def _classical(
                            optimal=res.optimal)
 
 
-def _scan_infimum(grid: BreakpointGrid, probe):
+def _scan_infimum(grid: BreakpointGrid, probe, hint: Optional[int] = None):
     """Exact infimum of a monotone probe over positive eps.
 
     Returns MethodOutcome(infimum, False, witness_at_first_true). Every probe
@@ -208,8 +222,21 @@ def _scan_infimum(grid: BreakpointGrid, probe):
     previous cell (or eps <= 0) shows is never attained. The sentinel
     threshold above both diameters always satisfies the probe, which reads
     the same grid, so a scan builds no grid of its own.
+
+    With a hint h, a grid rank, two probes replace the walk: cell h must
+    fail (no cell when h = 0) and cell h + 1 must hold. The probe is
+    monotone in eps, so together they pin the infimum at t_h, with the
+    witness the walk would find; if either disagrees the scan raises
+    MethodDisagreementError.
     """
     thresholds = grid.thresholds()
+    if hint is not None:
+        witness = probe(hint + 1)
+        if witness is None or (hint and probe(hint) is not None):
+            raise MethodDisagreementError(
+                f"scan does not reach its infimum at the quotient bound {thresholds[hint]}"
+            )
+        return MethodOutcome(thresholds[hint], False, witness)
     for k in range(1, len(thresholds)):
         witness = probe(k)
         if witness is not None:
@@ -217,6 +244,42 @@ def _scan_infimum(grid: BreakpointGrid, probe):
     raise MethodDisagreementError(
         "scan predicate failed at the sentinel threshold; this is a bug"
     )
+
+
+def _quotient_rank(grid: BreakpointGrid) -> int:
+    """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
+    grid's pair by closed t-balls are isometric.
+
+    Each space's dendrogram is read off its grid ranks and cut at rank c: a
+    ball of diameter at most c becomes a leaf, any other ball the pair of
+    its diameter and its children's sorted forms, so two cuts are equal
+    exactly when the quotients are isometric. The cuts are compared from
+    the larger of two proven lower bounds on dhat, the spectra bound (the
+    largest rank one spectrum holds and the other lacks) and the
+    merge-height floor, upward; at the larger diameter both cuts are one
+    leaf. The value is only a starting hint: every route run from it checks
+    it.
+    """
+    sx, sy = set(chain.from_iterable(grid.rx)), set(chain.from_iterable(grid.ry))
+    start = max(max(sx ^ sy, default=0), grid.distortion_floor())
+    xs, ys = range(len(grid.rx)), range(len(grid.ry))
+    return next(c for c in sorted(sx | sy) if c >= start
+                and _cut_form(grid.rx, xs, c) == _cut_form(grid.ry, ys, c))
+
+
+def _cut_form(ranks, points, c: int) -> tuple:
+    """Canonical form of the ball of points in the dendrogram of a rank
+    matrix cut at rank c: () when its diameter rank h is at most c, else h
+    and the sorted forms of its classes of "rank < h"."""
+    h = max(map(ranks[points[0]].__getitem__, points))
+    if h <= c:
+        return ()
+    children = []
+    while points:
+        row = ranks[points[0]]
+        children.append(_cut_form(ranks, [q for q in points if row[q] < h], c))
+        points = [q for q in points if row[q] >= h]
+    return h, tuple(sorted(children))
 
 
 def _auto_methods(product: int, caps: EngineCaps) -> tuple[str, ...]:
@@ -282,17 +345,24 @@ def dhat_gh(
                     "methods=..."
                 )
         grid = BreakpointGrid(x, y)
+        # Budgeted calls stay unseeded, so their work is unchanged.
+        hint = _quotient_rank(grid) if budget is None else None
         for name in names:
             if name == "strong_correspondence":
-                res = _search(grid, True, budget, caps.corr_product)
+                res = _search(grid, True, budget, caps.corr_product, hint)
                 if not res.optimal:
                     raise BudgetExceededError(
                         "strong correspondence search ran out of budget"
                     )
+                if hint is not None and res.distortion != grid.values[hint]:
+                    raise MethodDisagreementError(
+                        f"strong search found {res.distortion} below the quotient "
+                        f"bound {grid.values[hint]}"
+                    )
                 outcomes[name] = MethodOutcome(res.distortion, True, res.correspondence)
             else:
                 probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
-                outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget))
+                outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget), hint)
 
     values = {outcome.value for outcome in outcomes.values()}
     if len(values) != 1:
@@ -315,8 +385,11 @@ def dhat_gh(
     if include_classical:
         if grid is None:
             grid = BreakpointGrid(x, y)
-        # include_classical has decided; the product itself as cap never refuses.
-        classical = _classical(grid, budget, product)
+        # include_classical has decided; the product itself as cap never
+        # refuses. 2 d_GH <= dhat, so an unbudgeted search starts at dhat's
+        # rank, and one that finds no leaf there raises.
+        start = grid.rank[dhat] if budget is None else None
+        classical = _classical(grid, budget, product, start)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ultragh
 from ultragh import write_space_file, zq_delta, truncated_unramified_ring
 from ultragh.cli import run
+
+BAD_UMS = "ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n"
 
 
 @pytest.fixture
@@ -193,7 +200,7 @@ def test_sutb_manifest(files, capsys, tmp_path):
 
 def test_exit_codes(files, capsys, tmp_path):
     bad = tmp_path / "bad.ums"
-    bad.write_text("ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n")
+    bad.write_text(BAD_UMS)
     assert run(["validate", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
 
@@ -248,3 +255,29 @@ def test_reproducible_json(files, capsys):
     first = capsys.readouterr().out
     assert run(["dhat", files["x3"], files["yd"], "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def python_m(module, *argv):
+    """Run python -m module argv in a fresh interpreter that imports this
+    checkout's ultragh."""
+    src = str(Path(ultragh.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_points(files, tmp_path):
+    # Both python -m ultragh and python -m ultragh.cli run the CLI, with its
+    # output and its exit codes.
+    done = python_m("ultragh", "validate", files["z4"], "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "valid": True, "points": 4, "diameter": "1/1", "inexact": False}
+    bad = tmp_path / "bad.ums"
+    bad.write_text(BAD_UMS)
+    done = python_m("ultragh.cli", "validate", str(bad))
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("error: ")

@@ -23,13 +23,19 @@ from ultragh import (
     validate_space,
     zq_delta,
 )
-from ultragh import correspondences
+from ultragh import correspondences, engine
+from ultragh.correspondences import _search
 from ultragh.engine import METHOD_NAMES, MethodOutcome
-from ultragh.errors import BudgetExceededError, SearchSpaceTooLargeError
+from ultragh.errors import (
+    BudgetExceededError,
+    MethodDisagreementError,
+    SearchSpaceTooLargeError,
+)
+from ultragh.isometries import _approximation_probe, _isometry_probe
 from ultragh.spaces import BreakpointGrid, _far_table, _partner_subsets
 
 from conftest import equal_diameter_partner, ev
-from oracles import isometry_exists, spectra_bound_by_scan
+from oracles import isometry_exists, naive_correspondence_minima, spectra_bound_by_scan
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -388,3 +394,80 @@ def test_one_probe_decides_each_cell(pair):
         mid = prev.midpoint(t)
         for probe in (exists_strong_epsilon_isometry, exists_strong_epsilon_approximation):
             assert (probe(x, y, t) is None) == (probe(x, y, mid) is None), (probe, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(equal_diameter_pairs())
+def test_scan_probes_monotone_in_the_cell(pair):
+    # The two-probe bracket of a hinted scan relies on this: once a cell
+    # holds, every later cell holds, for both probes.
+    x, y = pair
+    grid = BreakpointGrid(x, y)
+    for probe in (_isometry_probe, _approximation_probe):
+        holds = [probe(grid, k, None) is not None
+                 for k in range(1, len(grid.thresholds()))]
+        first = holds.index(True)
+        assert all(holds[first:]), (probe, holds)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Pairs of 1-5 points a side with |X|*|Y| <= 12, four in five of them
+    with equal diameters, and an order of the right space's points."""
+    n = draw(st.integers(1, 5))
+    x = random_ultrametric(n, draw(st.integers(0, 20_000)), POOL)
+    seed = draw(st.integers(0, 20_000))
+    if n == 1 or draw(st.integers(0, 4)):
+        m = 1 if n == 1 else draw(st.integers(2, min(5, 12 // n)))
+        y = equal_diameter_partner(x, m, seed, POOL)
+    else:
+        y = random_ultrametric(draw(st.integers(1, min(5, 12 // n))), seed, POOL)
+    return x, y, draw(st.permutations(range(len(y))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_pairs())
+def test_quotient_rank_matches_oracle(pair):
+    # The least t whose closed-ball quotients are isometric is the strong
+    # minimum distortion, found here by unpruned enumeration. It does not
+    # depend on the order of the points or of the two sides.
+    x, y, order = pair
+    relabelled = validate_space([[y.dist(i, j) for j in order] for i in order])
+    strong_min = naive_correspondence_minima(x, y)[1]
+    for a, b in ((x, y), (relabelled, x)):
+        grid = BreakpointGrid(a, b)
+        assert grid.values[engine._quotient_rank(grid)] == strong_min
+
+
+def hard_pair(seed):
+    """An equal-diameter pair of 4 points a side with 0 < dhat < diameter."""
+    x = random_ultrametric(4, seed, POOL)
+    y = equal_diameter_partner(x, 4, 1000 + seed, POOL)
+    assert ExactValue(0) < dhat_gh(x, y).dhat < x.diameter()
+    return x, y
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("methods", [(name,) for name in METHOD_NAMES] + [None])
+def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
+    # A hint one rank off makes every route it seeds raise, alone or in the
+    # default set, and leaves budgeted calls, which it does not seed, alone.
+    pairs = [hard_pair(seed) for seed in (12, 35)]
+    expected = [dhat_gh(x, y, methods=methods) for x, y in pairs]
+    true_rank = engine._quotient_rank
+    monkeypatch.setattr(engine, "_quotient_rank", lambda grid: true_rank(grid) + shift)
+    for (x, y), report in zip(pairs, expected):
+        with pytest.raises(MethodDisagreementError):
+            dhat_gh(x, y, methods=methods)
+        assert dhat_gh(x, y, methods=methods, budget=10**6) == report
+
+
+def test_seeded_classical_search_below_its_minimum_raises():
+    for seed in (12, 35):
+        x, y = hard_pair(seed)
+        grid = BreakpointGrid(x, y)
+        res = _search(grid, False, None, 36)
+        seeded = _search(grid, False, None, 36, grid.rank[res.distortion])
+        assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
+        with pytest.raises(MethodDisagreementError, match="starting bound"):
+            _search(grid, False, None, 36, grid.rank[res.distortion] - 1)
