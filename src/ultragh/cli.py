@@ -48,6 +48,13 @@ def _eps_arg(text: str) -> ExactValue:
     return value
 
 
+def _budget_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("budget must not be negative")
+    return value
+
+
 def _pool_arg(text: str) -> list[ExactValue]:
     return [ExactValue.parse(tok) for tok in text.split(",") if tok.strip()]
 
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    common.add_argument("--budget", type=int, default=None, help="search node budget")
+    common.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
 
     parser = argparse.ArgumentParser(prog="ultragh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

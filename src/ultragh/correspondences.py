@@ -341,6 +341,13 @@ class _Done(Exception):
     pass
 
 
+class _NoLeafAtStart(MethodDisagreementError):
+    """A seeded search accepted no leaf: its starting bound lies below the
+    minimum. A caller that seeds at a proven lower bound, which may be
+    below the minimum, catches this; any other seed that raises it names a
+    disagreement."""
+
+
 def _search(
     grid: BreakpointGrid,
     strong: bool,
@@ -358,7 +365,7 @@ def _search(
     accepted is still the first optimal leaf in search order, and the
     search goes on past it as an unseeded one does: the same result,
     proved by the search alone. A search seeded below the minimum accepts
-    no leaf and raises MethodDisagreementError.
+    no leaf and raises _NoLeafAtStart, a MethodDisagreementError.
     """
     x, y = grid.x, grid.y
     n, m = len(x), len(y)
@@ -544,7 +551,7 @@ def _search(
 
     if best_sets is None:
         if start is not None:
-            raise MethodDisagreementError(
+            raise _NoLeafAtStart(
                 f"no {'strong ' if strong else ''}correspondence has distortion at "
                 f"most {grid.values[start]}, the search's starting bound"
             )

@@ -37,10 +37,14 @@ minimum a finite search attains.
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
 search stops at the first leaf reaching the merge-height lower bound
-(BreakpointGrid.distortion_floor), and a budgeted search that runs out
-reports half that bound as the lower end of its interval. Since
-2 d_GH <= dhat, an unbudgeted search inside dhat_gh, run once the routes
-agree, accepts only leaves of distortion at most dhat from the start.
+(BreakpointGrid.distortion_floor, read off the merge heights each space
+kept from validation), and a budgeted search that runs out reports half
+that bound as the lower end of its interval. An unbudgeted search first
+runs seeded at that bound, so it accepts only a leaf reaching it, which is
+then optimal; only when no leaf does (the bound lies below the minimum)
+does the search run again from its usual start. Since 2 d_GH <= dhat,
+that start inside dhat_gh, once the routes agree, accepts only leaves of
+distortion at most dhat.
 Every route and the classical search of one call read the pair's single
 BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
 the partner-subset and far-partner tables both searches share.
@@ -63,7 +67,13 @@ from .spaces import (
     UltrametricSpace,
     spectra_lower_bound,
 )
-from .correspondences import DEFAULT_PRODUCT_CAP, Correspondence, _search, full_product
+from .correspondences import (
+    DEFAULT_PRODUCT_CAP,
+    Correspondence,
+    _NoLeafAtStart,
+    _search,
+    full_product,
+)
 from .isometries import (
     ApproximationWitness,
     MapWitness,
@@ -188,7 +198,9 @@ def classical_gh(
     On budget exhaustion the result carries the interval between half the
     merge-height floor (BreakpointGrid.distortion_floor, never below the
     diameter difference) and half the incumbent distortion. A search that
-    reaches the floor stops there as optimal.
+    reaches the floor stops there as optimal. Without a budget the search
+    is first seeded at the floor itself, and runs unseeded only when no
+    correspondence reaches it.
     """
     return _classical(BreakpointGrid(x, y), budget, product_cap)
 
@@ -197,10 +209,26 @@ def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
     start: Optional[int] = None,
 ) -> ClassicalResult:
-    """classical_gh on the pair of grid, its search seeded at start."""
-    res = _search(grid, False, budget, product_cap, start)
+    """classical_gh on the pair of grid, its search seeded at start.
+
+    Without a budget a floor pass runs first: the search seeded at the
+    merge-height floor, a proven lower bound, so any leaf it accepts is
+    optimal and is the first optimal leaf in search order, the witness the
+    search from start finds. When the floor lies below the minimum the
+    floor pass accepts no leaf, and the search from start runs as before;
+    a start that no leaf reaches still raises.
+    """
+    floor_rank = grid.distortion_floor()
+    res = None
+    if budget is None:
+        try:
+            res = _search(grid, False, None, product_cap, floor_rank)
+        except _NoLeafAtStart:
+            pass
+    if res is None:
+        res = _search(grid, False, budget, product_cap, start)
     half = res.distortion / TWO
-    floor = grid.values[grid.distortion_floor()] / TWO
+    floor = grid.values[floor_rank] / TWO
     if half < floor:
         raise MethodDisagreementError(
             f"classical search returned {half}, below the merge-height bound {floor}"
@@ -386,8 +414,9 @@ def dhat_gh(
         if grid is None:
             grid = BreakpointGrid(x, y)
         # include_classical has decided; the product itself as cap never
-        # refuses. 2 d_GH <= dhat, so an unbudgeted search starts at dhat's
-        # rank, and one that finds no leaf there raises.
+        # refuses. 2 d_GH <= dhat, so an unbudgeted search that finds no
+        # leaf at its floor starts again at dhat's rank, and one that finds
+        # none there either raises.
         start = grid.rank[dhat] if budget is None else None
         classical = _classical(grid, budget, product, start)
         if classical.optimal:

@@ -36,17 +36,22 @@ class UltrametricSpace:
     values holds the distinct distances, zero first, strictly increasing,
     and ranks the distance matrix as indices into values, so the diameter
     and the whole-space spectrum are read off values without a scan.
+    _heights holds the n - 1 merge heights as ranks, largest first, kept
+    from the spanning-tree pass that validated the space (an induced
+    subspace runs that pass on its own ranks); equality and hashing ignore
+    it, since the matrix determines it.
     """
 
-    __slots__ = ("labels", "values", "ranks", "inexact")
+    __slots__ = ("labels", "values", "ranks", "inexact", "_heights")
 
-    def __init__(self, labels, values, ranks, inexact, _token=None):
+    def __init__(self, labels, values, ranks, inexact, heights=None, _token=None):
         if _token is not _CONSTRUCTION_TOKEN:
             raise TypeError("use validate_space() to build an UltrametricSpace")
         self.labels: tuple[str, ...] = labels
         self.values: tuple[ExactValue, ...] = values
         self.ranks: tuple[tuple[int, ...], ...] = ranks
         self.inexact: bool = inexact
+        self._heights: list[int] = heights
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -174,14 +179,16 @@ def validate_space(
                 if ri[j] == zero:
                     raise ZeroOffDiagonalError(i, j)
 
-    if _merge_heights(rk) is None:
+    heights = _merge_heights(rk)
+    if heights is None:
         _raise_first_violation(rows, rk)
         raise RuntimeError(
             "spanning-tree test rejected a matrix in which the triple scan "
             "found no violation"
         )
 
-    return UltrametricSpace(labels, distinct, rk, bool(inexact), _token=_CONSTRUCTION_TOKEN)
+    return UltrametricSpace(labels, distinct, rk, bool(inexact), heights,
+                            _token=_CONSTRUCTION_TOKEN)
 
 
 def _coerced(row: Sequence[Coercible], interned: dict) -> tuple[ExactValue, ...]:
@@ -222,7 +229,7 @@ def _ranked(
 
 def _merge_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """The merge heights of a symmetric rank matrix (zero diagonal, positive
-    off it), as ranks in the order found, or None when the matrix is not
+    off it), as ranks, largest first, or None when the matrix is not
     ultrametric; O(n^2).
 
     Prim's dense algorithm grows a minimum spanning tree from point 0. A
@@ -253,6 +260,7 @@ def _merge_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
         order.append(v)
         heights.append(w)
         best = list(map(min, best, map(rv.__getitem__, rest)))
+    heights.sort(reverse=True)
     return heights
 
 
@@ -294,7 +302,8 @@ def induced_subspace(space: UltrametricSpace, subset: Iterable[int]) -> Ultramet
     pts = _normalize_subset(space, subset)
     labels = tuple(space.labels[i] for i in pts)
     values, ranks = _ranked([[space.dist(i, j) for j in pts] for i in pts])
-    return UltrametricSpace(labels, values, ranks, space.inexact, _token=_CONSTRUCTION_TOKEN)
+    return UltrametricSpace(labels, values, ranks, space.inexact, _merge_heights(ranks),
+                            _token=_CONSTRUCTION_TOKEN)
 
 
 def point_set_distance(space: UltrametricSpace, i: int, subset: Sequence[int]) -> ExactValue:
@@ -431,7 +440,8 @@ class BreakpointGrid:
     its distance, so they are built once per distinct distance of x and
     shared by every pair at that distance. The merge-height lower bound on
     the distortion of every correspondence (distortion_floor()) is also
-    found on first use.
+    found on first use, from the merge heights each space kept when it was
+    validated.
     """
 
     __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_y_masks",
@@ -524,16 +534,18 @@ class BreakpointGrid:
         The k = 1 term is the diameter gap, so the floor is never below
         it.
 
-        Each term is the gap between a value of {0} ∪ W_X and one of
-        {0} ∪ W_Y, so its rank is read from the per-value gap ranks and
-        the floor is one max over max(n, m) - 1 ints.
+        Both height lists are the ones each space kept from validation,
+        as its own ranks, largest first. Each term is the gap between a
+        value of {0} ∪ W_X and one of {0} ∪ W_Y, so its rank is read from
+        the per-value gap ranks and the floor is one max over
+        max(n, m) - 1 ints.
         """
         if self._floor is None:
-            hx = sorted(_merge_heights(self.x.ranks), reverse=True)
-            hy = sorted(_merge_heights(self.y.ranks), reverse=True)
             gap = self._gap
             self._floor = max(
-                (gap[a][b] for a, b in zip_longest(hx, hy, fillvalue=0)), default=0
+                (gap[a][b] for a, b in
+                 zip_longest(self.x._heights, self.y._heights, fillvalue=0)),
+                default=0,
             )
         return self._floor
 

@@ -250,6 +250,15 @@ def test_zero_denominator_flag_exits_2(files, capsys, argv):
     assert "invalid" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["dgh", "dhat"])
+def test_negative_budget_exits_2(files, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, files["z4"], files["z4"], "--budget", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "budget must not be negative" in err and "Traceback" not in err
+
+
 def test_reproducible_json(files, capsys):
     assert run(["dhat", files["x3"], files["yd"], "--json"]) == 0
     first = capsys.readouterr().out

@@ -16,6 +16,7 @@ from ultragh import (
     induced_subspace,
     is_strong_correspondence,
     metric_ratio,
+    min_distortion_correspondence,
     min_distortion_strong_correspondence,
     random_ultrametric,
     spectra_lower_bound,
@@ -471,3 +472,27 @@ def test_seeded_classical_search_below_its_minimum_raises():
         assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
         with pytest.raises(MethodDisagreementError, match="starting bound"):
             _search(grid, False, None, 36, grid.rank[res.distortion] - 1)
+
+
+def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
+    # This pair's merge-height floor, 1/4, lies below its minimum
+    # distortion, 1/2, so an unbudgeted call's floor pass accepts no leaf
+    # and the unseeded search runs after it: two classical searches, where
+    # a budgeted call makes one, and the plain search's value and witness.
+    x, y = hard_pair(35)
+    grid = BreakpointGrid(x, y)
+    res = min_distortion_correspondence(x, y)
+    assert grid.values[grid.distortion_floor()] < res.distortion
+    calls = []
+
+    def spy(grid, strong, *args):
+        calls.append(strong)
+        return _search(grid, strong, *args)
+
+    monkeypatch.setattr(engine, "_search", spy)
+    for budget, searches in ((None, 2), (10**6, 1)):
+        calls.clear()
+        result = classical_gh(x, y, budget)
+        assert result.optimal and calls == [False] * searches
+        assert (result.value * 2, result.witness) == (res.distortion, res.correspondence)
+    assert dhat_gh(x, y).classical == classical_gh(x, y)

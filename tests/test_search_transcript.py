@@ -1,9 +1,12 @@
-"""A pinned transcript of both correspondence searches over seeded pairs.
+"""Pinned transcripts of the correspondence searches over seeded pairs.
 
 dhat_gh drops a search's node count, so tests/test_transcript.py cannot see
 a change in how a search walks its tree. Here every pair runs both public
 searches without a budget and with a small one, and each result's
 distortion, pairs, optimality flag and node count go into one sha256.
+A second sha256 covers classical_gh on the same pairs and budgets: its
+interval, optimality flag and witness pairs, which a change to how the
+classical search is started must leave as they are.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import random
 
 from ultragh import (
     ExactValue,
+    classical_gh,
     min_distortion_correspondence,
     min_distortion_strong_correspondence,
     random_ultrametric,
@@ -24,6 +28,7 @@ SEARCHES = (min_distortion_correspondence, min_distortion_strong_correspondence)
 BUDGETS = (None, 25)
 
 EXPECTED = "8e190bdfee5b15411e50b38e3cea3b9673133b78ec33a781f8b974494130f8e1"
+EXPECTED_CLASSICAL = "af526e5189dbc7b10bb78639c63eef60311d3f3012117de318cbcfff77f1278d"
 
 
 def search_pairs(count=200, seed=20_261_018):
@@ -55,3 +60,18 @@ def search_digest():
 
 def test_search_digest():
     assert search_digest() == EXPECTED
+
+
+def classical_digest():
+    digest = hashlib.sha256()
+    for x, y in search_pairs():
+        for budget in BUDGETS:
+            res = classical_gh(x, y, budget)
+            line = (f"{res.lower.token()} {res.upper.token()} {res.optimal} "
+                    f"{res.witness.pairs}\n")
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_classical_digest():
+    assert classical_digest() == EXPECTED_CLASSICAL

@@ -12,10 +12,12 @@ from ultragh import (
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,
+    parse_space,
     ramified_ball_approx,
     random_ultrametric,
     validate_space,
     weight_spectrum,
+    write_space,
 )
 from ultragh.spaces import BreakpointGrid
 from ultragh.errors import (
@@ -331,6 +333,12 @@ def test_distortion_floor(x, y):
     assert floor >= x.diameter().abs_diff(y.diameter())
     if len(x) * len(y) <= 12:
         assert floor.fraction <= naive_correspondence_minima(x, y)[0]
+    # The floor reads heights each space kept when it was built: validated,
+    # parsed back from its file text, or induced on every other point.
+    for space in (x, y):
+        for s in (space, parse_space(write_space(space)),
+                  induced_subspace(space, range(0, len(space), 2))):
+            assert [s.values[h] for h in s._heights] == merge_heights_by_ball_counts(s)
 
 
 @settings(max_examples=60, deadline=None)
