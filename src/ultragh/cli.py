@@ -41,22 +41,36 @@ _METHOD_FLAGS = {
 }
 
 
+def _rational_arg(token: str) -> ExactValue:
+    try:
+        return ExactValue.parse(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid rational {token!r}: expected a nonnegative a/b or integer"
+        ) from None
+
+
 def _eps_arg(text: str) -> ExactValue:
-    value = ExactValue.parse(text)
+    value = _rational_arg(text)
     if value <= ExactValue(0):
         raise argparse.ArgumentTypeError("eps must be positive")
     return value
 
 
 def _budget_arg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid budget {text!r}: expected an integer"
+        ) from None
     if value < 0:
         raise argparse.ArgumentTypeError("budget must not be negative")
     return value
 
 
 def _pool_arg(text: str) -> list[ExactValue]:
-    return [ExactValue.parse(tok) for tok in text.split(",") if tok.strip()]
+    return [_rational_arg(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _emit(args, human_lines, json_obj) -> None:
@@ -140,8 +154,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "zqdelta":
         space = generators.zq_delta(args.p, args.q, args.depth, size_cap=cap)
     elif args.kind == "random":
-        pool = args.pool or [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
-        space = generators.random_ultrametric(args.n, args.seed, pool, size_cap=cap)
+        space = generators.random_ultrametric(args.n, args.seed, args.pool, size_cap=cap)
     else:  # pragma: no cover - argparse restricts choices
         raise UltraGHError(f"unknown generator {args.kind!r}")
     _emit_space(args, space)
@@ -401,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--precision-bits", type=int, default=32)
-    p.add_argument("--pool", type=_pool_arg, default=None)
+    # An explicit empty pool stays empty, so the generator rejects it.
+    p.add_argument("--pool", type=_pool_arg, default="1/4,1/2,1,2")
     p.add_argument("--size-cap", type=int, default=generators.DEFAULT_SIZE_CAP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)

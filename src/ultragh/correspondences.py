@@ -11,7 +11,10 @@ minima are computed here exactly by branch-and-bound over pair sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -39,14 +42,18 @@ DEFAULT_PRODUCT_CAP = 36
 def is_correspondence(
     x: UltrametricSpace, y: UltrametricSpace, pairs: Sequence[tuple[int, int]]
 ) -> bool:
-    """True iff the pair set covers every point of both spaces."""
-    left_covered = set()
-    right_covered = set()
-    for i, j in pairs:
-        x.check_index(i)
-        y.check_index(j)
-        left_covered.add(i)
-        right_covered.add(j)
+    """True iff the pair set covers every point of both spaces.
+
+    An index out of range raises IndexOutOfRangeError, the first one in pair
+    order, the left index of a pair before its right one.
+    """
+    left_covered = set(map(itemgetter(0), pairs))
+    right_covered = set(map(itemgetter(1), pairs))
+    if pairs and not (0 <= min(left_covered) and max(left_covered) < len(x)
+                      and 0 <= min(right_covered) and max(right_covered) < len(y)):
+        for i, j in pairs:
+            x.check_index(i)
+            y.check_index(j)
     return len(left_covered) == len(x) and len(right_covered) == len(y)
 
 
@@ -59,7 +66,9 @@ class Correspondence:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted(set(self.pairs)))
+        # Deduplicated in first-seen order, so already sorted input, the
+        # usual case, sorts in linear time.
+        pairs = tuple(sorted(dict.fromkeys(self.pairs)))
         object.__setattr__(self, "pairs", pairs)
         if not is_correspondence(self.left, self.right, pairs):
             raise NotACorrespondenceError(
@@ -85,8 +94,7 @@ class Correspondence:
 
 
 def full_product(x: UltrametricSpace, y: UltrametricSpace) -> Correspondence:
-    pairs = tuple((i, j) for i in range(len(x)) for j in range(len(y)))
-    return Correspondence(x, y, pairs)
+    return Correspondence(x, y, tuple(product(range(len(x)), range(len(y)))))
 
 
 def distortion(c: Correspondence) -> ExactValue:
@@ -401,9 +409,10 @@ def _search(
     # only strictly better ones: it ends on the first optimal leaf, the
     # lexicographically smallest optimal pair set. A leaf at or below a lower bound on the minimum is
     # that first optimal leaf, so the search stops there.
-    full_rank = grid.rank[max(x.diameter(), y.diameter())]
+    # The grid's last value is the larger diameter.
+    full_rank = len(grid.values) - 1
     if strong:
-        floor_rank = grid.rank[spectra_lower_bound(x, y)]
+        floor_rank = bisect_left(grid.values, spectra_lower_bound(x, y))
     else:
         floor_rank = grid.distortion_floor()
 

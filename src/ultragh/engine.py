@@ -52,6 +52,7 @@ the partner-subset and far-partner tables both searches share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -227,13 +228,14 @@ def _classical(
             pass
     if res is None:
         res = _search(grid, False, budget, product_cap, start)
-    half = res.distortion / TWO
-    floor = grid.values[floor_rank] / TWO
-    if half < floor:
+    floor = grid.values[floor_rank]
+    if res.distortion < floor:
         raise MethodDisagreementError(
-            f"classical search returned {half}, below the merge-height bound {floor}"
+            f"classical search returned {res.distortion / TWO}, below the "
+            f"merge-height bound {floor / TWO}"
         )
-    lower = half if res.optimal else floor
+    half = res.distortion / TWO
+    lower = half if res.optimal else floor / TWO
     return ClassicalResult(lower=lower, upper=half, witness=res.correspondence,
                            optimal=res.optimal)
 
@@ -392,15 +394,15 @@ def dhat_gh(
                 probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
                 outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget), hint)
 
-    values = {outcome.value for outcome in outcomes.values()}
-    if len(values) != 1:
+    values = [outcome.value for outcome in outcomes.values()]
+    dhat = values[0]
+    if any(v != dhat for v in values):
         raise MethodDisagreementError(
             "methods disagree: "
             + ", ".join(f"{k}={v.value}" for k, v in outcomes.items()),
             values={k: v.value for k, v in outcomes.items()},
             witnesses={k: v.witness for k, v in outcomes.items()},
         )
-    dhat = values.pop()
     if not (slb <= dhat <= diam_max):
         raise MethodDisagreementError(
             f"value {dhat} violates the sandwich [{slb}, {diam_max}]"
@@ -417,7 +419,7 @@ def dhat_gh(
         # refuses. 2 d_GH <= dhat, so an unbudgeted search that finds no
         # leaf at its floor starts again at dhat's rank, and one that finds
         # none there either raises.
-        start = grid.rank[dhat] if budget is None else None
+        start = bisect_left(grid.values, dhat) if budget is None else None
         classical = _classical(grid, budget, product, start)
         if classical.optimal:
             doubled = classical.value * TWO

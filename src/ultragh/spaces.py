@@ -407,18 +407,27 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     threshold strictly above this value makes them equal as sets, and at the
     value itself (when positive) they still differ, so it is exactly
     inf { eps > 0 : W_X(X)_{>=eps} = W_Y(Y)_{>=eps} }.
+
+    Both spaces store {0} ∪ W sorted, so one walk down both from the top
+    finds it, hashing no value: above the first position where the two
+    sides differ they agree, and there the larger of the two values lies in
+    one spectrum only. Both walks end at 0, so neither side runs out while
+    the other still holds a value: with no difference the spectra are
+    equal.
     """
-    disagreement = set(weight_spectrum(x)).symmetric_difference(weight_spectrum(y))
-    if not disagreement:
-        return ZERO
-    return max(disagreement)
+    for a, b in zip(reversed(x.values), reversed(y.values)):
+        if a != b:
+            return a if a > b else b
+    return ZERO
 
 
 class BreakpointGrid:
     """The exact values every threshold scan and search over a pair needs.
 
     values holds 0, both whole-space spectra and every gap |a - b| with a in
-    {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing, and rank inverts it.
+    {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing; the rank of a grid
+    value v is bisect_left(values, v), and the last value is the larger
+    diameter, since every gap |a - b| is at most max(a, b).
     The two {0} ∪ W sets are the spaces' stored values, so building the grid
     scans no distance matrix of ExactValues. The grid is built in ints: both
     sets are scaled to one common denominator, every gap is an int
@@ -444,7 +453,7 @@ class BreakpointGrid:
     validated.
     """
 
-    __slots__ = ("x", "y", "values", "rank", "rx", "ry", "_gap", "_y_masks",
+    __slots__ = ("x", "y", "values", "rx", "ry", "_gap", "_y_masks",
                  "_gap_ranks", "_subsets", "_far", "_floor")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
@@ -463,7 +472,6 @@ class BreakpointGrid:
         self.values: tuple[ExactValue, ...] = tuple(
             own[k] if k in own else ExactValue(k, den) for k in ints
         )
-        self.rank = {v: k for k, v in enumerate(self.values)}
         at = {k: r for r, k in enumerate(ints)}
         self.rx = _rank_rows(x, [at[k] for k in ix])
         self.ry = _rank_rows(y, [at[k] for k in iy])

@@ -97,6 +97,14 @@ def test_gen_random_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("pool", ["", ","])
+def test_gen_random_empty_pool_exits_2(capsys, pool):
+    # An empty pool is an error, not a request for the default pool.
+    assert run(["gen", "random", "--pool", pool]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "value_pool must be nonempty" in captured.err
+
+
 def test_spectra_output(files, capsys):
     assert run(["spectra", files["z4"]]) == 0
     assert capsys.readouterr().out.strip() == "1/2 1"
@@ -248,6 +256,20 @@ def test_zero_denominator_flag_exits_2(files, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["net", "{z4}", "--eps", "abc"], "'abc'"),
+    (["gen", "random", "--pool", "1/2,x"], "'x'"),
+    (["dgh", "{z4}", "{z4}", "--budget", "abc"], "'abc'"),
+])
+def test_malformed_flag_value_names_token(files, capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**files) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {argv[-2]}: invalid" in err and token in err
+    assert "_arg" not in err
 
 
 @pytest.mark.parametrize("command", ["dgh", "dhat"])

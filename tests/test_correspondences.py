@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from ultragh import (
 from ultragh.correspondences import DEFAULT_PRODUCT_CAP
 from ultragh.errors import (
     BridgeTooSmallError,
+    IndexOutOfRangeError,
     NotACorrespondenceError,
     NotStrongError,
     NotSurjectiveError,
@@ -55,6 +58,48 @@ def test_is_correspondence(x2, x3):
     assert is_correspondence(x2, x3, [(0, 0), (1, 1), (1, 2)])
     with pytest.raises(NotACorrespondenceError):
         Correspondence(x2, x3, ((0, 0),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_correspondence_normalises_like_a_sorted_set(n, m, data):
+    # Shuffled pairs with repeats: the stored pairs are the sorted distinct
+    # ones, and coverage is read as a walk over the pairs would read it.
+    x = random_ultrametric(n, n, POOL)
+    y = random_ultrametric(m, m, POOL)
+    full = list(product(range(n), range(m)))
+    pairs = data.draw(st.lists(st.sampled_from(full), min_size=1, max_size=2 * n * m))
+    covers = {i for i, _ in pairs} == set(range(n)) and {j for _, j in pairs} == set(range(m))
+    assert is_correspondence(x, y, pairs) == covers
+    if covers:
+        assert Correspondence(x, y, pairs).pairs == tuple(sorted(set(pairs)))
+    else:
+        with pytest.raises(NotACorrespondenceError):
+            Correspondence(x, y, pairs)
+
+
+@pytest.mark.parametrize("pairs, first, first_sorted", [
+    ([(0, 0), (0, 5), (7, 0)], "5 out of range for 3", "5 out of range for 3"),
+    ([(0, 0), (7, 5)], "7 out of range for 2", "7 out of range for 2"),
+    ([(1, 2), (0, -1), (-2, 0)], "-1 out of range for 3", "-2 out of range for 2"),
+    ([(1, 3), (2, 0)], "3 out of range for 3", "3 out of range for 3"),
+])
+def test_first_out_of_range_index_in_pair_order(x2, x3, pairs, first, first_sorted):
+    # Left and right indices both out of range: the first bad index in pair
+    # order is reported, the left one of a pair before its right one. A
+    # Correspondence checks its pairs once sorted.
+    with pytest.raises(IndexOutOfRangeError, match=f"point index {first} points"):
+        is_correspondence(x2, x3, pairs)
+    with pytest.raises(IndexOutOfRangeError, match=f"point index {first_sorted} points"):
+        Correspondence(x2, x3, pairs)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2)])
+def test_full_product_order(n, m):
+    x = random_ultrametric(n, 1, POOL)
+    y = random_ultrametric(m, 2, POOL)
+    pairs = tuple((i, j) for i in range(n) for j in range(m))
+    assert full_product(x, y).pairs == pairs
 
 
 def test_distortion_examples(x2, x3, ydelta):

@@ -1,7 +1,8 @@
+from bisect import bisect_left
 from itertools import count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultragh import (
     EngineCaps,
@@ -22,11 +23,13 @@ from ultragh import (
     spectra_lower_bound,
     truncated_unramified_ring,
     validate_space,
+    weight_spectrum,
     zq_delta,
 )
 from ultragh import correspondences, engine
 from ultragh.correspondences import _search
 from ultragh.engine import METHOD_NAMES, MethodOutcome
+from ultragh.exact import ZERO
 from ultragh.errors import (
     BudgetExceededError,
     MethodDisagreementError,
@@ -139,6 +142,19 @@ def test_spectra_lower_bound_examples(x3, z4, ydelta):
 def test_spectra_bound_matches_literal_scan(x, y):
     thresholds = candidate_thresholds(x, y)
     assert spectra_lower_bound(x, y) == spectra_bound_by_scan(x, y, thresholds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces, spaces)
+@example(random_ultrametric(1, 0, POOL), random_ultrametric(1, 0, POOL))
+@example(random_ultrametric(1, 0, POOL), random_ultrametric(3, 0, POOL))
+@example(random_ultrametric(3, 0, POOL), random_ultrametric(1, 0, POOL))
+def test_spectra_bound_is_the_top_of_the_symmetric_difference(x, y):
+    # The walk down both sorted spectra against the bound's definition: the
+    # largest value in exactly one spectrum, zero when they are equal.
+    disagreement = set(weight_spectrum(x)) ^ set(weight_spectrum(y))
+    assert spectra_lower_bound(x, y) == max(disagreement, default=ZERO)
+    assert spectra_lower_bound(x, x) == ZERO
 
 
 def test_classical_examples(x3, ydelta, singleton):
@@ -468,10 +484,10 @@ def test_seeded_classical_search_below_its_minimum_raises():
         x, y = hard_pair(seed)
         grid = BreakpointGrid(x, y)
         res = _search(grid, False, None, 36)
-        seeded = _search(grid, False, None, 36, grid.rank[res.distortion])
+        seeded = _search(grid, False, None, 36, bisect_left(grid.values, res.distortion))
         assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
         with pytest.raises(MethodDisagreementError, match="starting bound"):
-            _search(grid, False, None, 36, grid.rank[res.distortion] - 1)
+            _search(grid, False, None, 36, bisect_left(grid.values, res.distortion) - 1)
 
 
 def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
 
@@ -283,7 +284,10 @@ def check_breakpoint_grid(x, y):
     # The grid built in ints equals the grid built in ExactValues.
     assert values == tuple(sorted(wx | wy | {a.abs_diff(b) for a in wx for b in wy}))
     assert all(a < b for a, b in zip(values, values[1:]))
-    assert [grid.rank[v] for v in values] == list(range(len(values)))
+    # A grid value's rank is its bisect_left position, and the last one is
+    # the larger diameter, the full product's distortion.
+    assert [bisect_left(values, v) for v in values] == list(range(len(values)))
+    assert values[-1] == max(x.diameter(), y.diameter())
     n, m = len(x), len(y)
     for i, j in product(range(n), repeat=2):
         assert values[grid.rx[i][j]] == x.dist(i, j)
