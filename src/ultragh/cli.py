@@ -98,10 +98,11 @@ def _parse_pairs_file(path: str) -> list[tuple[int, int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise UltraGHError(f"pairs file: expected 'i j', got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
+            raise UltraGHError(f"pairs file: expected 'i j', got {raw!r}") from None
+        pairs.append((i, j))
     return pairs
 
 
@@ -166,7 +167,6 @@ def _cmd_dhat(args) -> int:
     y = parse_space_file(args.right)
     methods = _METHOD_FLAGS[args.method] if args.method else None
     report = dhat_gh(x, y, methods, budget=args.budget)
-    doc = report.to_json_dict()
     lines = [
         f"dhat: {report.dhat}",
         f"dhat_attained: {str(report.dhat_attained).lower()}",
@@ -180,7 +180,7 @@ def _cmd_dhat(args) -> int:
         f"diameter_upper_bound: {report.diameter_upper_bound}",
         f"agreement: {str(report.agreement).lower()}",
     ]
-    _emit(args, lines, doc)
+    _emit(args, lines, report.to_json_dict() if args.json else None)
     return 0
 
 
@@ -328,8 +328,8 @@ def _cmd_chi(args) -> int:
             "strong": True,
             "distortion": table.distortion.token(),
             "min_diameter": table.min_diameter.token(),
-            "chi_inf": table.inf_value.token() if table.inf_value else None,
-            "chi_sup": table.sup_value.token() if table.sup_value else None,
+            "chi_inf": table.inf_value.token() if table.inf_value is not None else None,
+            "chi_sup": table.sup_value.token() if table.sup_value is not None else None,
             "entries": [
                 {"x": i, "y": j, "value": v.token()}
                 for (i, j), v in sorted(table.entries.items())

@@ -7,6 +7,10 @@ both sides, strictly exceeding the distortion. The minimum distortion over
 strong correspondences is the non-Archimedean Gromov-Hausdorff distance,
 while half the minimum over plain correspondences is the classical one; both
 minima are computed here exactly by branch-and-bound over pair sets.
+
+The checks of one given relation, its distortion and its partner
+condition, read the ranks of the pair's BreakpointGrid, as the searches
+do: each is written once, and map checks share the distortion.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import (
@@ -75,52 +79,45 @@ class Correspondence:
                 "pairs do not cover both point sets"
             )
 
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pairs)
-
-    def right_partners(self) -> list[list[int]]:
-        """For each left index, the sorted list of related right indices."""
-        out: list[list[int]] = [[] for _ in range(len(self.left))]
-        for i, j in self.pairs:
-            out[i].append(j)
-        return out
-
-    def left_partners(self) -> list[list[int]]:
-        """For each right index, the sorted list of related left indices."""
-        out: list[list[int]] = [[] for _ in range(len(self.right))]
-        for i, j in self.pairs:
-            out[j].append(i)
-        return out
-
 
 def full_product(x: UltrametricSpace, y: UltrametricSpace) -> Correspondence:
     return Correspondence(x, y, tuple(product(range(len(x)), range(len(y)))))
 
 
 def distortion(c: Correspondence) -> ExactValue:
-    """max |d_X(x,x') - d_Y(y,y')| over related pairs (x,y), (x',y')."""
-    best = ZERO
-    pairs = c.pairs
-    for a in range(len(pairs)):
-        i, j = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            k, l = pairs[b]
-            d = c.left.dist(i, k).abs_diff(c.right.dist(j, l))
-            if d > best:
-                best = d
+    """max |d_X(x,x') - d_Y(y,y')| over related pairs (x,y), (x',y'),
+    read as the largest gap rank on the pair's BreakpointGrid."""
+    grid = BreakpointGrid(c.left, c.right)
+    return grid.values[_distortion_rank(grid, c.pairs)]
+
+
+def _distortion_rank(grid: BreakpointGrid, pairs: Iterable[tuple[int, int]]) -> int:
+    """Rank of the distortion of the relation pairs on the pair of grid, 0
+    when it holds fewer than two pairs. A map's graph is enumerate(images)."""
+    gap = grid.gap_ranks()
+    pairs = list(pairs)
+    best = 0
+    for a, (i, j) in enumerate(pairs):
+        gi = gap[i]
+        for k, l in pairs[a + 1:]:
+            r = gi[k][j][l]
+            if r > best:
+                best = r
     return best
+
+
+def _check_map(x: UltrametricSpace, y: UltrametricSpace, f: Sequence[int]) -> None:
+    if len(f) != len(x):
+        raise IndexOutOfRangeError(f"map has {len(f)} entries for {len(x)} points")
+    for j in f:
+        y.check_index(j)
 
 
 def associated_correspondence(
     x: UltrametricSpace, y: UltrametricSpace, f: Sequence[int]
 ) -> Correspondence:
     """Graph of a surjective map f: X -> Y as a correspondence."""
-    if len(f) != len(x):
-        raise IndexOutOfRangeError(
-            f"map has {len(f)} entries for {len(x)} points"
-        )
-    for j in f:
-        y.check_index(j)
+    _check_map(x, y, f)
     if len(set(f)) != len(y):
         raise NotSurjectiveError("map does not cover the right space")
     return Correspondence(x, y, tuple((i, f[i]) for i in range(len(x))))
@@ -157,45 +154,67 @@ def is_strong_correspondence(c: Correspondence) -> StrongnessVerdict:
 
     For every (x, y) outside the relation and all partners (x, y'), (x', y)
     inside it, d_X(x, x') and d_Y(y, y') must coincide and strictly exceed
-    the distortion. The check is exhaustive over the complement.
+    the distortion. The check is exhaustive over the complement and reads
+    ranks on the pair's BreakpointGrid, as the distortion does.
     """
     return _partner_walk(c)[0]
 
 
 def _partner_walk(
     c: Correspondence,
-) -> tuple[StrongnessVerdict, dict[tuple[int, int], ExactValue]]:
+) -> tuple[StrongnessVerdict, dict[tuple[int, int], int], tuple[ExactValue, ...]]:
     """The strongness verdict and, when strong, the common partner distance
-    of each complement pair (x, y) in row-major order.
+    of each complement pair (x, y) in row-major order, as a rank into the
+    grid values returned third.
 
     The first violation in walk order (x, y, then x', then y') is the
     counterexample. Strongness makes every partner distance of a
-    complement pair equal, so that value is its equilibrium value.
+    complement pair equal, so that value is its equilibrium value. Both
+    spaces' distances and the distortion are ranks into one grid's values,
+    so every test compares ints.
     """
-    dis = distortion(c)
-    right_of = c.right_partners()
-    left_of = c.left_partners()
-    members = c.pair_set()
-    entries: dict[tuple[int, int], ExactValue] = {}
-    for x in range(len(c.left)):
-        for y in range(len(c.right)):
-            if (x, y) in members:
+    grid = BreakpointGrid(c.left, c.right)
+    rx, ry, values = grid.rx, grid.ry, grid.values
+    dis = _distortion_rank(grid, c.pairs)
+    right_of: list[list[int]] = [[] for _ in rx]
+    left_of: list[list[int]] = [[] for _ in ry]
+    for i, j in c.pairs:
+        right_of[i].append(j)
+        left_of[j].append(i)
+    entries: dict[tuple[int, int], int] = {}
+    for x, (rxx, partners) in enumerate(zip(rx, right_of)):
+        members = set(partners)
+        for y, ryy in enumerate(ry):
+            if y in members:
                 continue
             for x_prime in left_of[y]:
-                dx = c.left.dist(x, x_prime)
-                for y_prime in right_of[x]:
-                    dy = c.right.dist(y, y_prime)
+                dx = rxx[x_prime]
+                for y_prime in partners:
+                    dy = ryy[y_prime]
                     if dx != dy or dx <= dis:
                         reason = "unequal" if dx != dy else "not_above_distortion"
                         return StrongnessVerdict(
                             False,
-                            dis,
+                            values[dis],
                             StrongnessCounterexample(
-                                x, y, x_prime, y_prime, dx, dy, reason
+                                x, y, x_prime, y_prime, values[dx], values[dy], reason
                             ),
-                        ), entries
+                        ), entries, values
             entries[(x, y)] = dx
-    return StrongnessVerdict(True, dis, None), entries
+    return StrongnessVerdict(True, values[dis], None), entries, values
+
+
+def _strong_walk(
+    c: Correspondence,
+) -> tuple[ExactValue, dict[tuple[int, int], int], tuple[ExactValue, ...]]:
+    """_partner_walk of a strong c without its verdict, the distortion in
+    its place; NotStrongError, naming the counterexample, otherwise."""
+    verdict, entries, values = _partner_walk(c)
+    if not verdict.is_strong:
+        raise NotStrongError(
+            f"correspondence is not strong: {verdict.counterexample}"
+        )
+    return verdict.distortion, entries, values
 
 
 @dataclass
@@ -215,17 +234,12 @@ class EquilibriumTable:
 
 
 def equilibrium_table(c: Correspondence) -> EquilibriumTable:
-    verdict, entries = _partner_walk(c)
-    if not verdict.is_strong:
-        raise NotStrongError(
-            f"correspondence is not strong: {verdict.counterexample}"
-        )
-    values = sorted(entries.values())
+    dis, entries, values = _strong_walk(c)
     return EquilibriumTable(
-        entries=entries,
-        inf_value=values[0] if values else None,
-        sup_value=values[-1] if values else None,
-        distortion=verdict.distortion,
+        entries={pair: values[r] for pair, r in entries.items()},
+        inf_value=values[min(entries.values())] if entries else None,
+        sup_value=values[max(entries.values())] if entries else None,
+        distortion=dis,
         min_diameter=min(c.left.diameter(), c.right.diameter()),
     )
 
@@ -248,16 +262,12 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
     their equilibrium value. With r0 = 0 the semi-metric is quotiented,
     merging each matched pair, which exhibits an isometry X ≅ Y.
     """
-    verdict, entries = _partner_walk(c)
-    if not verdict.is_strong:
-        raise NotStrongError(
-            f"correspondence is not strong: {verdict.counterexample}"
-        )
-    r0 = verdict.distortion
+    r0, entries, values = _strong_walk(c)
     x, y = c.left, c.right
     if r0 > ZERO:
         # Related pairs are exactly the ones without an entry.
-        result = _glue_disjoint(x, y, lambda i, j: entries.get((i, j), r0), r0)
+        result = _glue_disjoint(
+            x, y, lambda i, j: values[entries[i, j]] if (i, j) in entries else r0, r0)
     else:
         # dis = 0 forces a bijection, so the quotient is X itself and each
         # right point lands on its unique left partner.
@@ -299,18 +309,9 @@ def _glue_disjoint(
     right point j, validated as one space."""
     n, m = len(x), len(y)
     labels = [f"L:{lbl}" for lbl in x.labels] + [f"R:{lbl}" for lbl in y.labels]
-    rows = [[ZERO] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = x.dist(i, j)
-    for i in range(m):
-        for j in range(m):
-            rows[n + i][n + j] = y.dist(i, j)
-    for i in range(n):
-        for j in range(m):
-            d = cross(i, j)
-            rows[i][n + j] = d
-            rows[n + j][i] = d
+    rows = [[*row, *(cross(i, j) for j in range(m))] for i, row in enumerate(x.matrix())]
+    rows += [[rows[i][n + j] for i in range(n)] + list(row)
+             for j, row in enumerate(y.matrix())]
     glued = validate_space(rows, labels, inexact=x.inexact or y.inexact)
     return GlueResult(glued, tuple(range(n)), tuple(range(n, n + m)), r0, False)
 

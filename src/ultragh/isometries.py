@@ -16,19 +16,14 @@ search reaches.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
-from .errors import (
-    BudgetExceededError,
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    NotStrongError,
-)
+from .errors import BudgetExceededError, LengthMismatchError, NotStrongError
 from .spaces import BreakpointGrid, UltrametricSpace, _rank_balls
-from .correspondences import Correspondence
+from .correspondences import Correspondence, _check_map, _distortion_rank
 
 DEFAULT_SCAN_BUDGET = 5_000_000
 
@@ -39,24 +34,7 @@ def map_distortion(
     """max over pairs of |d_Y(f(x1), f(x2)) - d_X(x1, x2)|."""
     _check_map(x, y, f)
     grid = BreakpointGrid(x, y)
-    return grid.values[_distortion_rank(grid, f)]
-
-
-def _distortion_rank(grid: BreakpointGrid, images: Sequence[int]) -> int:
-    """Rank of dis f on the pair of grid, 0 when x has one point."""
-    gap = grid.gap_ranks()
-    return max(
-        (gap[i][j][a][images[j]]
-         for i, a in enumerate(images) for j in range(i + 1, len(images))),
-        default=0,
-    )
-
-
-def _check_map(x: UltrametricSpace, y: UltrametricSpace, f: Sequence[int]) -> None:
-    if len(f) != len(x):
-        raise IndexOutOfRangeError(f"map has {len(f)} entries for {len(x)} points")
-    for j in f:
-        y.check_index(j)
+    return grid.values[_distortion_rank(grid, enumerate(f))]
 
 
 @dataclass(frozen=True)
@@ -109,7 +87,7 @@ def _isometry_verdict(
     """
     rx, ry, values = grid.rx, grid.ry, grid.values
     n = len(images)
-    dis = _distortion_rank(grid, images)
+    dis = _distortion_rank(grid, enumerate(images))
     # near[y][x]: whether d_Y(y, f(x)) < eps.
     near = [[row[b] < below for b in images] for row in ry]
     far = next((yy for yy, row in enumerate(near) if not any(row)), None)
@@ -376,15 +354,17 @@ def correspondence_from_isometry(
 
     For a strong eps-isometry this is a strong correspondence with
     distortion at most eps, which is how a map witness converts into a
-    correspondence witness.
+    correspondence witness. Exactly the distances at most eps have a rank
+    below bisect_right(y.values, eps), so the relation reads y's ranks.
     """
     witness = is_strong_epsilon_isometry(x, y, f, eps)
     if not witness.is_strong_eps_isometry:
         raise NotStrongError(f"map is not a strong {eps}-isometry: {witness.failure}")
+    cut = bisect_right(y.values, eps)
     pairs = tuple(
         (i, j)
-        for i in range(len(x))
-        for j in range(len(y))
-        if y.dist(j, f[i]) <= eps
+        for i, a in enumerate(f)
+        for j, r in enumerate(y.ranks[a])
+        if r < cut
     )
     return Correspondence(x, y, pairs)

@@ -306,36 +306,22 @@ def induced_subspace(space: UltrametricSpace, subset: Iterable[int]) -> Ultramet
                             _token=_CONSTRUCTION_TOKEN)
 
 
-def point_set_distance(space: UltrametricSpace, i: int, subset: Sequence[int]) -> ExactValue:
-    """dist(x, A) = min over a in A of d(x, a)."""
-    best = space.dist(i, subset[0])
-    for j in subset[1:]:
-        d = space.dist(i, j)
-        if d < best:
-            best = d
-    return best
-
-
 def hausdorff_distance(
     space: UltrametricSpace, a: Iterable[int], b: Iterable[int]
 ) -> ExactValue:
     """Hausdorff distance between two subsets of one space.
 
     max( sup_{x in A} dist(x, B), sup_{y in B} dist(y, A) ); exact because
-    the sets are finite.
+    the sets are finite. Ranks order like the distances they index, so
+    both sup-min terms are taken over the space's ranks.
     """
     pa = _normalize_subset(space, a)
     pb = _normalize_subset(space, b)
-    best = ZERO
-    for i in pa:
-        d = point_set_distance(space, i, pb)
-        if d > best:
-            best = d
-    for j in pb:
-        d = point_set_distance(space, j, pa)
-        if d > best:
-            best = d
-    return best
+    rk = space.ranks
+    return space.values[max(
+        max(min(map(rk[i].__getitem__, pb)) for i in pa),
+        max(min(map(rk[j].__getitem__, pa)) for j in pb),
+    )]
 
 
 def is_epsilon_net(space: UltrametricSpace, s: Iterable[int], eps: ExactValue) -> bool:
@@ -389,15 +375,14 @@ def ball_representatives(space: UltrametricSpace, eps: ExactValue) -> tuple[int,
 def weight_spectrum(
     space: UltrametricSpace, subset: Optional[Iterable[int]] = None
 ) -> WeightSpectrum:
-    """Distinct nonzero distances among points of the subset (default: all)."""
+    """Distinct nonzero distances among points of the subset (default: all),
+    a subset's read off the set of ranks between its points."""
     if subset is None:
         return WeightSpectrum(space.values[1:])
     pts = _normalize_subset(space, subset)
-    values = set()
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            values.add(space.dist(pts[a], pts[b]))
-    return WeightSpectrum(tuple(sorted(values)))
+    rk = space.ranks
+    ranks = {rk[p][q] for a, p in enumerate(pts) for q in pts[a + 1:]}
+    return WeightSpectrum(tuple(map(space.values.__getitem__, sorted(ranks))))
 
 
 def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:

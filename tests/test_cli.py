@@ -176,6 +176,14 @@ def test_chi_nonempty_table(capsys, tmp_path):
     assert len(doc["entries"]) == 6
 
 
+@pytest.mark.parametrize("line", ["1 x", "1 2 3", "1.5 0"])
+def test_chi_malformed_pairs_line_exits_2(files, capsys, tmp_path, line):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"0 0\n{line}\n")
+    assert run(["chi", files["x3"], files["yd"], "--pairs", str(pairs)]) == 2
+    assert capsys.readouterr().err == f"error: pairs file: expected 'i j', got {line!r}\n"
+
+
 def test_converge_manifest(files, capsys, tmp_path):
     x2 = truncated_unramified_ring(2, 1, 1)
     p2 = tmp_path / "x2.ums"
