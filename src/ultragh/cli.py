@@ -19,6 +19,7 @@ from .exact import ExactValue
 from .errors import (
     BudgetExceededError,
     MethodDisagreementError,
+    NotStrongError,
     UltraGHError,
 )
 from .spaces import (
@@ -28,7 +29,7 @@ from .spaces import (
     weight_spectrum,
 )
 from .umsio import parse_space_file, write_space, write_space_file
-from .correspondences import Correspondence, equilibrium_table, is_strong_correspondence
+from .correspondences import Correspondence, equilibrium_table
 from .engine import classical_gh, dhat_gh, metric_ratio
 from .convergence import diameter_trend, find_split, sutb_check
 from . import generators
@@ -287,8 +288,10 @@ def _cmd_chi(args) -> int:
     y = parse_space_file(args.right)
     pairs = _parse_pairs_file(args.pairs)
     corr = Correspondence(x, y, tuple(pairs))
-    verdict = is_strong_correspondence(corr)
-    if not verdict.is_strong:
+    try:
+        table = equilibrium_table(corr)
+    except NotStrongError as exc:
+        verdict = exc.verdict
         ce = verdict.counterexample
         _emit(
             args,
@@ -311,7 +314,6 @@ def _cmd_chi(args) -> int:
             },
         )
         return 0
-    table = equilibrium_table(corr)
     lines = [
         "strong: true",
         f"distortion: {table.distortion}",

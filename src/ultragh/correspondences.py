@@ -15,7 +15,6 @@ do: each is written once, and map checks share the distortion.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -36,7 +35,6 @@ from .spaces import (
     BreakpointGrid,
     UltrametricSpace,
     hausdorff_distance,
-    spectra_lower_bound,
     validate_space,
 )
 
@@ -208,12 +206,15 @@ def _strong_walk(
     c: Correspondence,
 ) -> tuple[ExactValue, dict[tuple[int, int], int], tuple[ExactValue, ...]]:
     """_partner_walk of a strong c without its verdict, the distortion in
-    its place; NotStrongError, naming the counterexample, otherwise."""
+    its place; otherwise NotStrongError, naming the counterexample, with
+    the verdict attached as its verdict attribute."""
     verdict, entries, values = _partner_walk(c)
     if not verdict.is_strong:
-        raise NotStrongError(
+        exc = NotStrongError(
             f"correspondence is not strong: {verdict.counterexample}"
         )
+        exc.verdict = verdict
+        raise exc
     return verdict.distortion, entries, values
 
 
@@ -413,7 +414,7 @@ def _search(
     # The grid's last value is the larger diameter.
     full_rank = len(grid.values) - 1
     if strong:
-        floor_rank = bisect_left(grid.values, spectra_lower_bound(x, y))
+        floor_rank = grid.spectra_floor()
     else:
         floor_rank = grid.distortion_floor()
 

@@ -14,15 +14,15 @@ independent routes and insists they agree exactly:
     and which, having no unrelated pairs, is strong; no search and no
     strongness scan runs.
 
-On equal diameters an unbudgeted call first finds a hint: the least t in
+Every equal-diameter call first finds a hint: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
 isometric (_quotient_rank), read off the two dendrograms. Every route
-starts from the hint and checks it; none trusts it. The strong search
-starts its incumbent cutoff just above it and still proves its own
-minimum, which must equal the hint. Each scan makes two probes, one that
-must fail at the hint's cell and one that must hold at the next. A hint
-that any route contradicts raises MethodDisagreementError. Budgeted calls
-run unseeded, so their work and their outcomes are unchanged.
+checks the hint; none trusts it. The strong search proves its own
+minimum, which must equal the hint; without a budget it starts its
+incumbent cutoff just above it. Each scan makes two probes, one that must
+fail at the hint's cell and one that must hold at the next. A hint that
+any route contradicts raises MethodDisagreementError, so routes that pass
+agree. A budgeted call runs the strong and the classical search unseeded.
 
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
@@ -43,8 +43,8 @@ that bound as the lower end of its interval. An unbudgeted search first
 runs seeded at that bound, so it accepts only a leaf reaching it, which is
 then optimal; only when no leaf does (the bound lies below the minimum)
 does the search run again from its usual start. Since 2 d_GH <= dhat,
-that start inside dhat_gh, once the routes agree, accepts only leaves of
-distortion at most dhat.
+that start inside dhat_gh, once the routes have checked dhat, accepts only
+leaves of distortion at most dhat.
 Every route and the classical search of one call read the pair's single
 BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
 the partner-subset and far-partner tables both searches share.
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -240,40 +239,26 @@ def _classical(
                            optimal=res.optimal)
 
 
-def _scan_infimum(grid: BreakpointGrid, probe, hint: Optional[int] = None):
-    """Exact infimum of a monotone probe over positive eps.
+def _scan_infimum(grid: BreakpointGrid, probe, hint: int):
+    """Exact infimum of a monotone probe over positive eps, at the grid
+    rank hint h.
 
     Returns MethodOutcome(infimum, False, witness_at_first_true). Every probe
     compares grid values with eps strictly, so it depends on eps only
     through the cut k = bisect_left(grid.values, eps) and is constant on
     each half-open cell (t_{k-1}, t_k] of grid.thresholds(). One probe per
     cell, given k and witnessing at the cell's midpoint, decides the whole
-    cell: the first cell that holds gives the infimum t_{k-1}, which the
-    previous cell (or eps <= 0) shows is never attained. The sentinel
-    threshold above both diameters always satisfies the probe, which reads
-    the same grid, so a scan builds no grid of its own.
-
-    With a hint h, a grid rank, two probes replace the walk: cell h must
-    fail (no cell when h = 0) and cell h + 1 must hold. The probe is
-    monotone in eps, so together they pin the infimum at t_h, with the
-    witness the walk would find; if either disagrees the scan raises
-    MethodDisagreementError.
+    cell. Cell h must fail (no cell when h = 0) and cell h + 1 must hold;
+    the probe is monotone in eps, so together they pin the infimum at t_h,
+    never attained, with the witness of the first cell that holds. If
+    either disagrees the scan raises MethodDisagreementError.
     """
-    thresholds = grid.thresholds()
-    if hint is not None:
-        witness = probe(hint + 1)
-        if witness is None or (hint and probe(hint) is not None):
-            raise MethodDisagreementError(
-                f"scan does not reach its infimum at the quotient bound {thresholds[hint]}"
-            )
-        return MethodOutcome(thresholds[hint], False, witness)
-    for k in range(1, len(thresholds)):
-        witness = probe(k)
-        if witness is not None:
-            return MethodOutcome(thresholds[k - 1], False, witness)
-    raise MethodDisagreementError(
-        "scan predicate failed at the sentinel threshold; this is a bug"
-    )
+    witness = probe(hint + 1)
+    if witness is None or (hint and probe(hint) is not None):
+        raise MethodDisagreementError(
+            f"scan does not reach its infimum at the quotient bound {grid.values[hint]}"
+        )
+    return MethodOutcome(grid.values[hint], False, witness)
 
 
 def _quotient_rank(grid: BreakpointGrid) -> int:
@@ -290,10 +275,9 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     leaf. The value is only a starting hint: every route run from it checks
     it.
     """
-    sx, sy = set(chain.from_iterable(grid.rx)), set(chain.from_iterable(grid.ry))
-    start = max(max(sx ^ sy, default=0), grid.distortion_floor())
+    start = max(grid.spectra_floor(), grid.distortion_floor())
     xs, ys = range(len(grid.rx)), range(len(grid.ry))
-    return next(c for c in sorted(sx | sy) if c >= start
+    return next(c for c in sorted({*grid.wx, *grid.wy}) if c >= start
                 and _cut_form(grid.rx, xs, c) == _cut_form(grid.ry, ys, c))
 
 
@@ -334,8 +318,9 @@ def dhat_gh(
     """Compute the non-Archimedean Gromov-Hausdorff distance, cross-checked.
 
     With methods=None the method set is chosen from EngineCaps(); on equal
-    diameters an explicit sequence runs exactly those routes. All produced
-    values must agree to the last bit or MethodDisagreementError is raised.
+    diameters an explicit sequence runs exactly those routes. Every route
+    must reach the closed-ball quotient value (_quotient_rank) to the last
+    bit, so all of them agree, or MethodDisagreementError is raised.
     When the diameters differ, explicit methods are still validated, but the
     shortcut path always certifies the value as the larger diameter instead:
     the spectra bound reaches it and the full product attains it.
@@ -363,9 +348,10 @@ def dhat_gh(
             raise MethodDisagreementError(
                 f"spectra bound {slb} does not reach the diameter gap value {diam_max}"
             )
-        outcomes["shortcut_3b"] = MethodOutcome(diam_max, True, None)
+        dhat = diam_max
+        outcomes["shortcut_3b"] = MethodOutcome(dhat, True, None)
         outcomes["strong_correspondence"] = MethodOutcome(
-            diam_max, True, full_product(x, y))
+            dhat, True, full_product(x, y))
     else:
         if methods is None:
             names = _auto_methods(product, caps)
@@ -375,34 +361,28 @@ def dhat_gh(
                     "methods=..."
                 )
         grid = BreakpointGrid(x, y)
-        # Budgeted calls stay unseeded, so their work is unchanged.
-        hint = _quotient_rank(grid) if budget is None else None
+        hint = _quotient_rank(grid)
+        dhat = grid.values[hint]
         for name in names:
             if name == "strong_correspondence":
-                res = _search(grid, True, budget, caps.corr_product, hint)
+                # A budgeted search runs unseeded, so its work is a plain
+                # search's.
+                res = _search(grid, True, budget, caps.corr_product,
+                              hint if budget is None else None)
                 if not res.optimal:
                     raise BudgetExceededError(
                         "strong correspondence search ran out of budget"
                     )
-                if hint is not None and res.distortion != grid.values[hint]:
+                if res.distortion != dhat:
                     raise MethodDisagreementError(
-                        f"strong search found {res.distortion} below the quotient "
-                        f"bound {grid.values[hint]}"
+                        f"strong search found {res.distortion}, not the quotient "
+                        f"bound {dhat}"
                     )
                 outcomes[name] = MethodOutcome(res.distortion, True, res.correspondence)
             else:
                 probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
                 outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget), hint)
 
-    values = [outcome.value for outcome in outcomes.values()]
-    dhat = values[0]
-    if any(v != dhat for v in values):
-        raise MethodDisagreementError(
-            "methods disagree: "
-            + ", ".join(f"{k}={v.value}" for k, v in outcomes.items()),
-            values={k: v.value for k, v in outcomes.items()},
-            witnesses={k: v.witness for k, v in outcomes.items()},
-        )
     if not (slb <= dhat <= diam_max):
         raise MethodDisagreementError(
             f"value {dhat} violates the sandwich [{slb}, {diam_max}]"

@@ -62,7 +62,11 @@ class NotSurjectiveError(UltraGHError):
 
 
 class NotStrongError(UltraGHError):
-    """Operation requires a strong correspondence."""
+    """Operation requires a strong correspondence.
+
+    Raised by a relation check, it carries the StrongnessVerdict, with its
+    counterexample, as its verdict attribute.
+    """
 
 
 class WellDefinednessViolationError(UltraGHError):
@@ -83,11 +87,6 @@ class BudgetExceededError(UltraGHError):
 
 class MethodDisagreementError(UltraGHError):
     """Independent methods produced different values; indicates a library bug."""
-
-    def __init__(self, message: str, values=None, witnesses=None):
-        self.values = values or {}
-        self.witnesses = witnesses or {}
-        super().__init__(message)
 
 
 class LengthMismatchError(UltraGHError):

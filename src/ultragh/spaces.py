@@ -418,8 +418,9 @@ class BreakpointGrid:
     sets are scaled to one common denominator, every gap is an int
     difference, and the ints are sorted and deduplicated before one
     ExactValue is made per grid value (the spaces' own object where one is
-    equal). rx and ry are the spaces' rank
-    matrices remapped to ranks into values, so a distance compares with
+    equal). wx and wy are the grid ranks of the spaces' own values
+    ({0} ∪ W, ascending), and rx and ry the spaces' rank matrices remapped
+    through them to ranks into values, so a distance compares with
     another space's distance, with a gap, or with any eps (through
     bisect_left(values, eps)) as a plain int. Every scan predicate compares
     grid values with eps strictly, so it depends on eps only through that
@@ -435,10 +436,11 @@ class BreakpointGrid:
     shared by every pair at that distance. The merge-height lower bound on
     the distortion of every correspondence (distortion_floor()) is also
     found on first use, from the merge heights each space kept when it was
-    validated.
+    validated; the spectra lower bound on dhat (spectra_floor()) is read
+    off wx and wy.
     """
 
-    __slots__ = ("x", "y", "values", "rx", "ry", "_gap", "_y_masks",
+    __slots__ = ("x", "y", "values", "wx", "wy", "rx", "ry", "_gap", "_y_masks",
                  "_gap_ranks", "_subsets", "_far", "_floor")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
@@ -458,8 +460,10 @@ class BreakpointGrid:
             own[k] if k in own else ExactValue(k, den) for k in ints
         )
         at = {k: r for r, k in enumerate(ints)}
-        self.rx = _rank_rows(x, [at[k] for k in ix])
-        self.ry = _rank_rows(y, [at[k] for k in iy])
+        self.wx = [at[k] for k in ix]
+        self.wy = [at[k] for k in iy]
+        self.rx = _rank_rows(x, self.wx)
+        self.ry = _rank_rows(y, self.wy)
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
         self._gap = [[at[g] for g in row] for row in gaps]
@@ -541,6 +545,11 @@ class BreakpointGrid:
                 default=0,
             )
         return self._floor
+
+    def spectra_floor(self) -> int:
+        """Grid rank of spectra_lower_bound(x, y): the largest rank that
+        only one of wx and wy holds, 0 when they are equal."""
+        return max(set(self.wx).symmetric_difference(self.wy), default=0)
 
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ultragh
-from ultragh import write_space_file, zq_delta, truncated_unramified_ring
+from ultragh import correspondences, write_space_file, zq_delta, truncated_unramified_ring
 from ultragh.cli import run
 
 BAD_UMS = "ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n"
@@ -174,6 +174,29 @@ def test_chi_nonempty_table(capsys, tmp_path):
     assert code == 0 and doc["strong"] is True
     assert doc["chi_inf"] == "1/1" and doc["chi_sup"] == "1/1"
     assert len(doc["entries"]) == 6
+
+
+@pytest.mark.parametrize("lines, strong", [
+    ("0 0\n1 1\n2 2\n", False),
+    ("0 0\n0 1\n0 2\n1 0\n1 1\n1 2\n2 0\n2 1\n2 2\n", True),
+], ids=["not_strong", "strong"])
+def test_chi_walks_the_partners_once(files, capsys, tmp_path, monkeypatch, lines, strong):
+    # The verdict of a relation that is not strong comes with the error of
+    # the one walk that builds the table of a strong one.
+    calls = []
+    walk = correspondences._partner_walk
+
+    def spy(c):
+        calls.append(c)
+        return walk(c)
+
+    monkeypatch.setattr(correspondences, "_partner_walk", spy)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(lines)
+    code, doc = run_json(
+        capsys, ["chi", files["x3"], files["yd"], "--pairs", str(pairs), "--json"]
+    )
+    assert code == 0 and doc["strong"] is strong and len(calls) == 1
 
 
 @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1.5 0"])

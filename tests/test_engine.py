@@ -467,16 +467,44 @@ def hard_pair(seed):
 @pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("methods", [(name,) for name in METHOD_NAMES] + [None])
 def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
-    # A hint one rank off makes every route it seeds raise, alone or in the
-    # default set, and leaves budgeted calls, which it does not seed, alone.
+    # Under the true hint a budgeted call returns the unbudgeted report. A
+    # hint one rank off makes every route raise, alone or in the default
+    # set, with or without a budget: the seeded routes and the budgeted,
+    # unseeded strong search all check it.
     pairs = [hard_pair(seed) for seed in (12, 35)]
     expected = [dhat_gh(x, y, methods=methods) for x, y in pairs]
+    for (x, y), report in zip(pairs, expected):
+        assert dhat_gh(x, y, methods=methods, budget=10**6) == report
     true_rank = engine._quotient_rank
     monkeypatch.setattr(engine, "_quotient_rank", lambda grid: true_rank(grid) + shift)
-    for (x, y), report in zip(pairs, expected):
-        with pytest.raises(MethodDisagreementError):
-            dhat_gh(x, y, methods=methods)
-        assert dhat_gh(x, y, methods=methods, budget=10**6) == report
+    for x, y in pairs:
+        for budget in (None, 10**6):
+            with pytest.raises(MethodDisagreementError):
+                dhat_gh(x, y, methods=methods, budget=budget)
+
+
+@pytest.mark.parametrize("name", ["isometry_scan", "approximation_scan"])
+def test_budgeted_scan_makes_two_probes(monkeypatch, name):
+    # A budgeted scan probes the hint's cell and the next one, as an
+    # unbudgeted scan does, not every cell up to its infimum. This pair's
+    # dhat is its diameter, the grid's last value, so the infimum lies
+    # above every other cell.
+    x = random_ultrametric(4, 52, POOL)
+    y = equal_diameter_partner(x, 4, 1052, POOL)
+    expected = dhat_gh(x, y, methods=(name,))
+    assert expected.dhat == x.diameter()
+    cells = []
+
+    def spy(probe):
+        def counted(grid, k, budget):
+            cells.append(k)
+            return probe(grid, k, budget)
+        return counted
+
+    monkeypatch.setattr(engine, "_isometry_probe", spy(_isometry_probe))
+    monkeypatch.setattr(engine, "_approximation_probe", spy(_approximation_probe))
+    assert dhat_gh(x, y, methods=(name,), budget=10**6) == expected
+    assert 1 <= len(cells) <= 2
 
 
 def test_seeded_classical_search_below_its_minimum_raises():
