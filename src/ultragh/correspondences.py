@@ -16,7 +16,7 @@ do: each is written once, and map checks share the distortion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -46,12 +46,13 @@ def is_correspondence(
 ) -> bool:
     """True iff the pair set covers every point of both spaces.
 
-    An index out of range raises IndexOutOfRangeError, the first one in pair
-    order, the left index of a pair before its right one.
+    An index out of range or not an int raises IndexOutOfRangeError, the
+    first one in pair order, the left index of a pair before its right one.
     """
     left_covered = set(map(itemgetter(0), pairs))
     right_covered = set(map(itemgetter(1), pairs))
-    if pairs and not (0 <= min(left_covered) and max(left_covered) < len(x)
+    if pairs and not (all(map(isinstance, chain(left_covered, right_covered), repeat(int)))
+                      and 0 <= min(left_covered) and max(left_covered) < len(x)
                       and 0 <= min(right_covered) and max(right_covered) < len(y)):
         for i, j in pairs:
             x.check_index(i)
@@ -483,7 +484,8 @@ def _search(
             new_rank = partial if partial >= internal else internal
             if new_rank >= cutoff:
                 continue
-            ok = True
+            # bar[0] has excluded every b of sub with a gap rank at or past
+            # the cutoff, so every r here lies below it.
             for i in range(level):
                 gi = gap[i][level]
                 for a in chosen[i]:
@@ -491,16 +493,7 @@ def _search(
                     for b in sub:
                         r = row[b]
                         if r > new_rank:
-                            if r >= cutoff:
-                                ok = False
-                                break
                             new_rank = r
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
             if not last:
                 # Forward check against the cutoff: each later left point
                 # needs an open partner, and each uncovered right point an
@@ -509,6 +502,7 @@ def _search(
                 # masks are the child's bar.
                 child_bar = []
                 once = twice = 0
+                ok = True
                 fl = far[level]
                 for k in range(1, n - level):
                     d = bar[k]

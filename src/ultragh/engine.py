@@ -42,9 +42,10 @@ kept from validation), and a budgeted search that runs out reports half
 that bound as the lower end of its interval. An unbudgeted search first
 runs seeded at that bound, so it accepts only a leaf reaching it, which is
 then optimal; only when no leaf does (the bound lies below the minimum)
-does the search run again from its usual start. Since 2 d_GH <= dhat,
-that start inside dhat_gh, once the routes have checked dhat, accepts only
-leaves of distortion at most dhat.
+does the search run again, seeded at the quotient value. Since
+2 d_GH <= dhat, that value bounds the minimum distortion from above, so
+the restart accepts only leaves of distortion at most dhat, in
+classical_gh and dhat_gh alike.
 Every route and the classical search of one call read the pair's single
 BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
 the partner-subset and far-partner tables both searches share.
@@ -52,7 +53,6 @@ the partner-subset and far-partner tables both searches share.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,10 +89,10 @@ TWO = ExactValue(2)
 class EngineCaps:
     """The fixed instance-size limits of dhat_gh's automatic method set."""
 
-    corr_product: int = 36
+    corr_product: int = DEFAULT_PRODUCT_CAP
     iso_product: int = 20
     approx_product: int = 36
-    classical_product: int = 36
+    classical_product: int = DEFAULT_PRODUCT_CAP
 
 
 @dataclass(frozen=True)
@@ -199,34 +199,34 @@ def classical_gh(
     merge-height floor (BreakpointGrid.distortion_floor, never below the
     diameter difference) and half the incumbent distortion. A search that
     reaches the floor stops there as optimal. Without a budget the search
-    is first seeded at the floor itself, and runs unseeded only when no
-    correspondence reaches it.
+    is first seeded at the floor itself, and when no correspondence
+    reaches it, runs again seeded at the quotient value dhat.
     """
     return _classical(BreakpointGrid(x, y), budget, product_cap)
 
 
 def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
-    start: Optional[int] = None,
 ) -> ClassicalResult:
-    """classical_gh on the pair of grid, its search seeded at start.
+    """classical_gh on the pair of grid.
 
-    Without a budget a floor pass runs first: the search seeded at the
-    merge-height floor, a proven lower bound, so any leaf it accepts is
-    optimal and is the first optimal leaf in search order, the witness the
-    search from start finds. When the floor lies below the minimum the
-    floor pass accepts no leaf, and the search from start runs as before;
-    a start that no leaf reaches still raises.
+    A budgeted call runs one unseeded search. Without a budget a floor pass
+    runs first: the search seeded at the merge-height floor, a proven lower
+    bound, so any leaf it accepts is optimal and is the first optimal leaf
+    in search order, the witness an unseeded search finds. When the floor
+    lies below the minimum the floor pass accepts no leaf, and the search
+    runs again seeded at the quotient value (_quotient_rank), which
+    2 d_GH <= dhat puts at or above the minimum, so it finds that same
+    leaf; a quotient value that no leaf reaches raises.
     """
     floor_rank = grid.distortion_floor()
-    res = None
-    if budget is None:
+    if budget is not None:
+        res = _search(grid, False, budget, product_cap)
+    else:
         try:
             res = _search(grid, False, None, product_cap, floor_rank)
         except _NoLeafAtStart:
-            pass
-    if res is None:
-        res = _search(grid, False, budget, product_cap, start)
+            res = _search(grid, False, None, product_cap, _quotient_rank(grid))
     floor = grid.values[floor_rank]
     if res.distortion < floor:
         raise MethodDisagreementError(
@@ -396,11 +396,8 @@ def dhat_gh(
         if grid is None:
             grid = BreakpointGrid(x, y)
         # include_classical has decided; the product itself as cap never
-        # refuses. 2 d_GH <= dhat, so an unbudgeted search that finds no
-        # leaf at its floor starts again at dhat's rank, and one that finds
-        # none there either raises.
-        start = bisect_left(grid.values, dhat) if budget is None else None
-        classical = _classical(grid, budget, product, start)
+        # refuses.
+        classical = _classical(grid, budget, product)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

@@ -71,7 +71,7 @@ class UltrametricSpace:
         return self.values[1:]
 
     def check_index(self, i: int) -> None:
-        if not 0 <= i < len(self):
+        if not (isinstance(i, int) and 0 <= i < len(self)):
             raise IndexOutOfRangeError(f"point index {i} out of range for {len(self)} points")
 
     def __eq__(self, other) -> bool:
@@ -431,17 +431,18 @@ class BreakpointGrid:
     route of one dhat_gh call shares them: the gap-rank table
     (gap_ranks()), the partner-subset table of the right space
     (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
-    (far_masks()). Both per-pair tables depend on a pair of x only through
-    its distance, so they are built once per distinct distance of x and
-    shared by every pair at that distance. The merge-height lower bound on
-    the distortion of every correspondence (distortion_floor()) is also
-    found on first use, from the merge heights each space kept when it was
-    validated; the spectra lower bound on dhat (spectra_floor()) is read
-    off wx and wy.
+    (far_masks()), whose first build also makes the per-distance point
+    masks of y it reads, so a grid used only for checks builds none. Both
+    per-pair tables depend on a pair of x only through its distance, so
+    they are built once per distinct distance of x and shared by every
+    pair at that distance. The merge-height lower bound on the distortion
+    of every correspondence (distortion_floor()) is computed per call, from
+    the merge heights each space kept when it was validated; the spectra
+    lower bound on dhat (spectra_floor()) is read off wx and wy.
     """
 
     __slots__ = ("x", "y", "values", "wx", "wy", "rx", "ry", "_gap", "_y_masks",
-                 "_gap_ranks", "_subsets", "_far", "_floor")
+                 "_gap_ranks", "_subsets", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -467,16 +468,10 @@ class BreakpointGrid:
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
         self._gap = [[at[g] for g in row] for row in gaps]
-        # _y_masks[w][a]: bitmask of the points b of y with d_Y(a, b) = w,
-        # w indexing y's own values.
-        masks = self._y_masks = [[0] * len(y) for _ in wy]
-        for a, row in enumerate(y.ranks):
-            for b, w in enumerate(row):
-                masks[w][a] |= 1 << b
+        self._y_masks: Optional[list[list[int]]] = None
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
-        self._floor: Optional[int] = None
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
@@ -537,14 +532,10 @@ class BreakpointGrid:
         the per-value gap ranks and the floor is one max over
         max(n, m) - 1 ints.
         """
-        if self._floor is None:
-            gap = self._gap
-            self._floor = max(
-                (gap[a][b] for a, b in
-                 zip_longest(self.x._heights, self.y._heights, fillvalue=0)),
-                default=0,
-            )
-        return self._floor
+        gap = self._gap
+        return max((gap[a][b] for a, b in
+                    zip_longest(self.x._heights, self.y._heights, fillvalue=0)),
+                   default=0)
 
     def spectra_floor(self) -> int:
         """Grid rank of spectra_lower_bound(x, y): the largest rank that
@@ -604,14 +595,23 @@ def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:
     """BreakpointGrid.far_masks at one cutoff: one row of masks per distinct
     distance v of x, the OR of y's point masks over the distances w whose
     gap rank against v reaches the cutoff (all zero when none does), then
-    shared by every pair of x at that distance."""
-    zero = [0] * len(grid.y)
+    shared by every pair of x at that distance. The first call builds the
+    point masks, y_masks[w][a] the bitmask of the points b of y with
+    d_Y(a, b) = w, w indexing y's own values."""
+    y = grid.y
+    y_masks = grid._y_masks
+    if y_masks is None:
+        y_masks = grid._y_masks = [[0] * len(y) for _ in y.values]
+        for a, row in enumerate(y.ranks):
+            for b, w in enumerate(row):
+                y_masks[w][a] |= 1 << b
+    zero = [0] * len(y)
     by_value = []
     for by_y in grid._gap:
         row = zero
         for w, r in enumerate(by_y):
             if r >= cutoff:
-                row = list(map(or_, row, grid._y_masks[w]))
+                row = list(map(or_, row, y_masks[w]))
         by_value.append(row)
     return [list(map(by_value.__getitem__, rx_i)) for rx_i in grid.x.ranks]
 

@@ -16,6 +16,7 @@ from ultragh import (
     hausdorff_distance,
     is_correspondence,
     is_strong_correspondence,
+    map_distortion,
     min_distortion_correspondence,
     min_distortion_strong_correspondence,
     random_ultrametric,
@@ -83,6 +84,8 @@ def test_correspondence_normalises_like_a_sorted_set(n, m, data):
     ([(0, 0), (7, 5)], "7 out of range for 2", "7 out of range for 2"),
     ([(1, 2), (0, -1), (-2, 0)], "-1 out of range for 3", "-2 out of range for 2"),
     ([(1, 3), (2, 0)], "3 out of range for 3", "3 out of range for 3"),
+    # Every covered index is in [0, len), but a non-int is no point index.
+    ([(0, 0), (1.0, 1), (0.5, 2)], "1.0 out of range for 2", "0.5 out of range for 2"),
 ])
 def test_first_out_of_range_index_in_pair_order(x2, x3, pairs, first, first_sorted):
     # Left and right indices both out of range: the first bad index in pair
@@ -92,6 +95,13 @@ def test_first_out_of_range_index_in_pair_order(x2, x3, pairs, first, first_sort
         is_correspondence(x2, x3, pairs)
     with pytest.raises(IndexOutOfRangeError, match=f"point index {first_sorted} points"):
         Correspondence(x2, x3, pairs)
+
+
+def test_non_int_point_index_is_out_of_range(x2):
+    with pytest.raises(IndexOutOfRangeError, match="point index 1.0 out of range"):
+        map_distortion(x2, x2, [0, 1.0])
+    with pytest.raises(IndexOutOfRangeError, match="point index 0.5 out of range"):
+        hausdorff_distance(x2, [0], [0.5])
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2)])

@@ -521,22 +521,28 @@ def test_seeded_classical_search_below_its_minimum_raises():
 def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     # This pair's merge-height floor, 1/4, lies below its minimum
     # distortion, 1/2, so an unbudgeted call's floor pass accepts no leaf
-    # and the unseeded search runs after it: two classical searches, where
-    # a budgeted call makes one, and the plain search's value and witness.
+    # and the search runs again seeded at the quotient value, in
+    # classical_gh and dhat_gh alike: two classical searches, where a
+    # budgeted call makes one unseeded, and the plain search's value and
+    # witness.
     x, y = hard_pair(35)
     grid = BreakpointGrid(x, y)
     res = min_distortion_correspondence(x, y)
-    assert grid.values[grid.distortion_floor()] < res.distortion
+    floor, quotient = grid.distortion_floor(), engine._quotient_rank(grid)
+    assert grid.values[floor] < res.distortion
     calls = []
 
-    def spy(grid, strong, *args):
-        calls.append(strong)
-        return _search(grid, strong, *args)
+    def spy(grid, strong, budget, product_cap, start=None):
+        calls.append((strong, start))
+        return _search(grid, strong, budget, product_cap, start)
 
     monkeypatch.setattr(engine, "_search", spy)
-    for budget, searches in ((None, 2), (10**6, 1)):
+    for budget, starts in ((None, [floor, quotient]), (10**6, [None])):
         calls.clear()
         result = classical_gh(x, y, budget)
-        assert result.optimal and calls == [False] * searches
+        assert result.optimal and calls == [(False, start) for start in starts]
         assert (result.value * 2, result.witness) == (res.distortion, res.correspondence)
-    assert dhat_gh(x, y).classical == classical_gh(x, y)
+    calls.clear()
+    report = dhat_gh(x, y)
+    assert [call for call in calls if not call[0]] == [(False, floor), (False, quotient)]
+    assert report.classical == classical_gh(x, y)

@@ -297,7 +297,8 @@ def check_breakpoint_grid(x, y):
     for i, j, a, b in product(range(n), range(n), range(m), range(m)):
         assert values[gap[i][j][a][b]] == x.dist(i, j).abs_diff(y.dist(a, b))
     # The search tables: both subset orders, each subset's mask and largest
-    # internal rank, and the far masks at every cutoff.
+    # internal rank, and the far masks at every cutoff. The grid holds no
+    # point masks until the first far table builds them.
     subsets = grid.partner_subsets()
     every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
     assert [entry[0] for entry in subsets.last] == sorted(every)
@@ -306,7 +307,9 @@ def check_breakpoint_grid(x, y):
         assert mask == sum(1 << a for a in sub)
         largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
         assert worst == subsets.worst[mask] == largest
+    assert grid._y_masks is None
     fars = [grid.far_masks(cutoff) for cutoff in range(len(values) + 1)]
+    assert grid._y_masks is not None
     for cutoff, far in enumerate(fars):
         for i, j, a in product(range(n), range(n), range(m)):
             assert far[i][j][a] == sum(1 << b for b in range(m) if gap[i][j][a][b] >= cutoff)
