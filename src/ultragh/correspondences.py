@@ -71,7 +71,15 @@ class Correspondence:
     def __post_init__(self):
         # Deduplicated in first-seen order, so already sorted input, the
         # usual case, sorts in linear time.
-        pairs = tuple(sorted(dict.fromkeys(self.pairs)))
+        try:
+            pairs = tuple(sorted(dict.fromkeys(self.pairs)))
+        except TypeError:
+            # An index that does not order against the others: name the
+            # first bad one in input order, as is_correspondence does.
+            for i, j in self.pairs:
+                self.left.check_index(i)
+                self.right.check_index(j)
+            raise
         object.__setattr__(self, "pairs", pairs)
         if not is_correspondence(self.left, self.right, pairs):
             raise NotACorrespondenceError(

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, compress, repeat, zip_longest
 from math import lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
@@ -37,7 +37,7 @@ class UltrametricSpace:
     and ranks the distance matrix as indices into values, so the diameter
     and the whole-space spectrum are read off values without a scan.
     _heights holds the n - 1 merge heights as ranks, largest first, kept
-    from the spanning-tree pass that validated the space (an induced
+    from the ball-splitting pass that validated the space (an induced
     subspace runs that pass on its own ranks); equality and hashing ignore
     it, since the matrix determines it.
     """
@@ -136,13 +136,11 @@ def validate_space(
     then the strong triangle inequality over all ordered triples of distinct
     indices.
 
-    The strong triangle inequality is decided in O(n^2) by a spanning-tree
-    test: a symmetric matrix with zero diagonal and positive off-diagonal
-    entries is an ultrametric iff it equals its subdominant ultrametric,
-    whose entry d(i, j) is the largest edge on the minimum-spanning-tree path
-    from i to j (single linkage, Gower & Ross 1969). Only when that test
-    rejects does the O(n^3) triple scan run, to name the first violating
-    triple.
+    The entries are coerced and ranked here, and the pairwise checks run on
+    the ranks; the rest is the rank-level core parse_space shares
+    (_checked_space): the strong triangle inequality decided in O(n^2) by
+    splitting closed balls (_split_heights). Only when that test rejects
+    does the O(n^3) triple scan run, to name the first violating triple.
     """
     n = len(matrix)
     if n == 0:
@@ -153,15 +151,7 @@ def validate_space(
         if len(row) != n:
             raise SpaceValidationError(f"row {i} has length {len(row)}, expected {n}")
         rows.append(_coerced(row, interned))
-
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(str(l) for l in labels)
-        if len(labels) != n:
-            raise SpaceValidationError(f"{len(labels)} labels for {n} points")
-        if len(set(labels)) != n:
-            raise SpaceValidationError("labels must be distinct")
+    labels = _checked_labels(labels, n)
 
     distinct, rk = _ranked(rows)
     zero = 0 if distinct[0] == ZERO else -1
@@ -173,30 +163,79 @@ def validate_space(
             raise NonzeroDiagonalError(i, rows[i][i])
         right = ri[i + 1:]
         if right != cols[i][i + 1:] or zero in right:
-            for j in range(i + 1, n):
-                if ri[j] != rk[j][i]:
-                    raise AsymmetricMatrixError(i, j, rows[i][j], rows[j][i])
-                if ri[j] == zero:
-                    raise ZeroOffDiagonalError(i, j)
+            j = next(j for j in range(i + 1, n) if ri[j] != rk[j][i] or ri[j] == zero)
+            if ri[j] != rk[j][i]:
+                raise AsymmetricMatrixError(i, j, rows[i][j], rows[j][i])
+            raise ZeroOffDiagonalError(i, j)
+    return _checked_space(labels, distinct, rk, inexact)
 
-    heights = _merge_heights(rk)
+
+def _checked_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    labels = tuple(str(l) for l in labels)
+    if len(labels) != n:
+        raise SpaceValidationError(f"{len(labels)} labels for {n} points")
+    if len(set(labels)) != n:
+        raise SpaceValidationError("labels must be distinct")
+    return labels
+
+
+def _checked_space(
+    labels: tuple[str, ...],
+    values: tuple[ExactValue, ...],
+    ranks: tuple[tuple[int, ...], ...],
+    inexact: bool,
+) -> UltrametricSpace:
+    """The space of a rank matrix into values, which rise strictly from
+    ZERO, after the checks that remain: the first zero off the diagonal in
+    row-major order, then the strong triangle inequality by _split_heights,
+    and only if that rejects, the O(n^3) scan naming the first violating
+    triple. The matrix must be symmetric with a zero diagonal, so zeros
+    off the diagonal show in the count of zeros. validate_space,
+    parse_space and induced_subspace all end here."""
+    if sum(map(tuple.count, ranks, repeat(0))) != len(ranks):
+        i = next(i for i, row in enumerate(ranks) if row.count(0) > 1)
+        raise ZeroOffDiagonalError(i, ranks[i].index(0, i + 1))
+    heights = _split_heights(ranks)
     if heights is None:
-        _raise_first_violation(rows, rk)
+        _raise_first_violation(values, ranks)
         raise RuntimeError(
-            "spanning-tree test rejected a matrix in which the triple scan "
+            "ball splitting rejected a matrix in which the triple scan "
             "found no violation"
         )
-
-    return UltrametricSpace(labels, distinct, rk, bool(inexact), heights,
+    return UltrametricSpace(labels, values, ranks, bool(inexact), heights,
                             _token=_CONSTRUCTION_TOKEN)
+
+
+def _triangle_space(
+    labels: tuple[str, ...],
+    values: Sequence[ExactValue],
+    upper: Sequence[Sequence[int]],
+    inexact: bool,
+) -> UltrametricSpace:
+    """The checked space whose distance between i < j is
+    values[upper[i][j - i - 1]], values holding one entry per id, as a
+    parsed body gives them. The ids go to ranks into the sorted distinct
+    values, ZERO first, hashing each value once; the full rank rows are
+    the columns of the zero-padded upper triangle up to the diagonal,
+    followed by the row's own part of it."""
+    n = len(upper)
+    distinct = tuple(sorted({ZERO, *values}))
+    rank = {v: k for k, v in enumerate(distinct)}
+    to_rank = [rank[v] for v in values].__getitem__
+    pad = (0,) * n
+    padded = [pad[:i + 1] + tuple(map(to_rank, row)) for i, row in enumerate(upper)]
+    ranks = tuple(c[:i] + p[i:] for i, (c, p) in enumerate(zip(zip(*padded), padded)))
+    return _checked_space(labels, distinct, ranks, inexact)
 
 
 def _coerced(row: Sequence[Coercible], interned: dict) -> tuple[ExactValue, ...]:
     """The row as ExactValues. Other entries are coerced once per (type,
     value) of the matrix, so fresh ints, strings or Fractions share one
-    object per value, as a parsed matrix does, and _ranked hashes each value
-    once. ExactValue entries pass through unhashed. The type in the key
-    keeps a float 1.0 after an int 1 from skipping coerce's TypeError."""
+    object per value, as a generated matrix does, and _ranked hashes each
+    value once. ExactValue entries pass through unhashed. The type in the
+    key keeps a float 1.0 after an int 1 from skipping coerce's TypeError."""
     out = []
     for v in row:
         if not isinstance(v, ExactValue):
@@ -213,9 +252,9 @@ def _ranked(
     rows: Sequence[Sequence[ExactValue]],
 ) -> tuple[tuple[ExactValue, ...], tuple[tuple[int, ...], ...]]:
     """The distinct entries of a square matrix, strictly increasing, and the
-    matrix as ranks into them. Parsed and generated matrices share one
-    object per value, so entries are deduplicated by identity before any
-    rational is hashed."""
+    matrix as ranks into them. Generated matrices share one object per
+    value, so entries are deduplicated by identity before any rational is
+    hashed."""
     n = len(rows)
     entries = list(chain.from_iterable(rows))
     ids = list(map(id, entries))
@@ -227,45 +266,63 @@ def _ranked(
     return distinct, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def _merge_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
+def _split_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """The merge heights of a symmetric rank matrix (zero diagonal, positive
     off it), as ranks, largest first, or None when the matrix is not
     ultrametric; O(n^2).
 
-    Prim's dense algorithm grows a minimum spanning tree from point 0. A
-    point v joins the tree by its cheapest edge w, to a tree point p, and
-    the tree path from any earlier point t to v is the path to p plus that
-    edge, so its largest edge is max(u(t, p), w), u being the subdominant
-    ultrametric. The matrix is an ultrametric iff it equals u. Every
-    earlier row already matched, so u(t, p) = d(t, p), and v's row must
-    read max(d(t, p), w) at every earlier t. The n - 1 edges w are the
-    tree's edge weights, which for an ultrametric are its merge heights
-    (single linkage): the space has 1 + #{k : h[k] > t} closed t-balls.
+    Closed balls are split from the whole space down. A cluster S is split
+    at M, the largest rank in its first point's row within S, into that
+    point's ball {x in S : d(s, x) < M} and the rest, whose first point is
+    the next representative: the rest is split again at its own largest
+    rank, which must not exceed M, so the balls of successive
+    representatives come off one by one and the splitting fixes a leaf
+    order. Every entry between a ball and its rest must be M. In an
+    ultrametric S is a closed ball of diameter M and every point of the
+    rest is at M from every point of the ball, so the test accepts; and
+    when it accepts, each cluster's two parts have diameters at most M and
+    sit at exactly M from each other, so every cluster, the whole space
+    included, is ultrametric. Each off-diagonal pair is read once, at the
+    split that separates it: the first point's pairs in the row that
+    splits the cluster, the others by an itemgetter over the rows of the
+    smaller side. A split at M is a merge at height M (single linkage):
+    the space has 1 + #{k : h[k] > t} closed t-balls. Clusters wait on an
+    explicit stack, so a chain of n nested clusters needs no recursion.
     """
-    n = len(rk)
-    order = [0]
     heights: list[int] = []
-    rest = list(range(1, n))
-    best = list(rk[0][1:])
-    while rest:
-        w = min(best)
-        at = best.index(w)
-        v = rest.pop(at)
-        del best[at]
-        rv = rk[v]
-        seen = list(map(rv.__getitem__, order))
-        rp = rk[order[seen.index(w)]]
-        if seen != [w if r < w else r for r in map(rp.__getitem__, order)]:
+    row_of = rk.__getitem__
+    n = len(rk)
+    stack = [(list(range(n)), max(rk[0]))] if n > 1 else []
+    while stack:
+        cluster, bound = stack.pop()
+        near = list(map(rk[cluster[0]].__getitem__, cluster))
+        m = max(near)
+        if m > bound:
             return None
-        order.append(v)
-        heights.append(w)
-        best = list(map(min, best, map(rv.__getitem__, rest)))
+        if near.count(m) == len(near) - 1:
+            rest = cluster[1:]  # the first point's ball is that point alone
+        else:
+            ball = list(compress(cluster, map(m.__gt__, near)))
+            rest = list(compress(cluster, map(m.__eq__, near)))
+            stack.append((ball, m))
+            # near holds the first point's entries; check the others'.
+            others = ball[1:]
+            small, large = (others, rest) if len(others) < len(rest) else (rest, others)
+            seen = map(itemgetter(*large), map(row_of, small))
+            if len(large) > 1:
+                seen = chain.from_iterable(seen)
+            seen = list(seen)
+            if seen.count(m) != len(seen):
+                return None
+        heights.append(m)
+        if len(rest) > 1:
+            stack.append((rest, m))
     heights.sort(reverse=True)
     return heights
 
 
 def _raise_first_violation(
-    rows: Sequence[Sequence[ExactValue]], rk: Sequence[Sequence[int]]
+    values: Sequence[ExactValue], rk: Sequence[Sequence[int]]
 ) -> None:
     """Raise UltrametricViolationError for the lexicographically first
     ordered triple (i, j, k) with d(i,k) > max(d(i,j), d(j,k)); O(n^3)."""
@@ -284,12 +341,19 @@ def _raise_first_violation(
                 bound = rij if rij >= rjk else rjk
                 if rowi[k] > bound:
                     raise UltrametricViolationError(
-                        i, j, k, rows[i][j], rows[j][k], rows[i][k]
+                        i, j, k, values[rij], values[rjk], values[rowi[k]]
                     )
 
 
 def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
-    pts = sorted(set(subset))
+    try:
+        pts = sorted(set(subset))
+    except TypeError:
+        # An index that does not order against the others: name the first
+        # bad one in input order, as is_correspondence does.
+        for i in subset:
+            space.check_index(i)
+        raise
     if not pts:
         raise EmptySubsetError("subset must be nonempty")
     for i in pts:
@@ -298,12 +362,17 @@ def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[i
 
 
 def induced_subspace(space: UltrametricSpace, subset: Iterable[int]) -> UltrametricSpace:
-    """Restriction of the space to a subset of points; validity is inherited."""
+    """Restriction of the space to a subset of points; validity is inherited,
+    so its ranks are the space's, renumbered over the values they use, and
+    the core only finds its merge heights."""
     pts = _normalize_subset(space, subset)
     labels = tuple(space.labels[i] for i in pts)
-    values, ranks = _ranked([[space.dist(i, j) for j in pts] for i in pts])
-    return UltrametricSpace(labels, values, ranks, space.inexact, _merge_heights(ranks),
-                            _token=_CONSTRUCTION_TOKEN)
+    sub = [tuple(map(space.ranks[i].__getitem__, pts)) for i in pts]
+    used = sorted(set(chain.from_iterable(sub)))
+    renumber = dict(zip(used, range(len(used)))).__getitem__
+    ranks = tuple(tuple(map(renumber, row)) for row in sub)
+    values = tuple(map(space.values.__getitem__, used))
+    return _checked_space(labels, values, ranks, space.inexact)
 
 
 def hausdorff_distance(

@@ -11,6 +11,15 @@ Format, one item per line:
 Rationals are written in lowest terms with an explicit denominator. The
 writer emits pair lines in lexicographic order, so write/parse round-trips
 are byte-identical.
+
+The reader takes that layout in bulk: point i's n - 1 - i pair lines are
+joined and split once and checked against the indices they must hold,
+each distinct distance token is checked once, and the distances go to
+ranks with no matrix of ExactValues in between. Any other valid layout (pair lines in another
+order, blank lines or `inexact true` inside the body, other spacing) is
+read line by line and loads the same space; that reader also names the
+line of every error. Both end in the rank-level checks validate_space
+shares, whose strong triangle test splits closed balls.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from math import gcd
 from pathlib import Path
 from typing import Optional, Union
 
-from .exact import ExactValue, ZERO
+from .exact import ExactValue
 from .errors import ParseError
-from .spaces import UltrametricSpace, validate_space
+from .spaces import UltrametricSpace, _checked_labels, _triangle_space
 
 
 def write_space(space: UltrametricSpace) -> str:
@@ -105,15 +114,79 @@ def parse_space(text: str) -> UltrametricSpace:
         raise ParseError(lineno, f"expected 'labels' with {n} entries")
     labels = parts[1:]
 
-    # None marks a pair whose line has not been read yet.
-    matrix: list[list[Optional[ExactValue]]] = [[None] * n for _ in range(n)]
+    # The body as one id per distinct distance token, values[id] its value,
+    # and upper[i] the ids of d(i, j) for j > i.
+    end = len(lines)
+    while end > pos and not lines[end - 1].strip():
+        end -= 1
+    inexact = end > pos and lines[end - 1].split() == ["inexact", "true"]
+    read = _read_blocks(lines, pos, end - inexact, n)
+    if read is None:
+        values, upper, inexact = _read_lines(lines, pos, n)
+    else:
+        values, upper = read
+    return _triangle_space(_checked_labels(labels, n), values, upper, inexact)
+
+
+def _read_blocks(
+    lines: list[str], start: int, end: int, n: int
+) -> Optional[tuple[list[ExactValue], list[list[int]]]]:
+    """The pair lines lines[start:end] read in the layout write_space
+    emits, or None when they are not in that layout or hold a bad token.
+
+    Point i's n - 1 - i lines are joined and split once. Every line must
+    start with "d i ", the words must read every j > i in their third
+    column, and each new token must be a rational. No j or token word can
+    be "d" or i, so the lines then start at every fourth word and each
+    holds exactly the four words "d i j token" the line reader would see.
+    """
+    if end - start != n * (n - 1) // 2:
+        return None
+    strs = list(map(str, range(n)))
+    ids: dict[str, int] = {}
+    values: list[ExactValue] = []
+    upper: list[list[int]] = []
     for i in range(n):
-        matrix[i][i] = ZERO
-    # One ExactValue per distinct token, checked and built at its first line.
-    values: dict[str, ExactValue] = {}
-    pairs = 0
+        k = n - 1 - i
+        block = "\n".join(lines[start:start + k])
+        start += k
+        words = block.split()
+        head = f"d {i} "
+        if k and not (
+            len(words) == 4 * k
+            and block.startswith(head)
+            and block.count("\n" + head) == k - 1
+            and words[2::4] == strs[i + 1:]
+        ):
+            return None
+        tokens = words[3::4]
+        # Check each new token once, in order of appearance.
+        for token in dict.fromkeys(tokens):
+            if token not in ids:
+                try:
+                    values.append(_parse_rational(token, 0))
+                except ParseError:
+                    return None
+                ids[token] = len(ids)
+        upper.append(list(map(ids.__getitem__, tokens)))
+    return values, upper
+
+
+def _read_lines(
+    lines: list[str], start: int, n: int
+) -> tuple[list[ExactValue], list[list[int]], bool]:
+    """The body read line by line, as _read_blocks returns it, plus the
+    inexact flag, for any layout: pair lines in any order, blank lines and
+    `inexact true` anywhere. It raises ParseError naming the line of the
+    first malformed line, index or token, or the first missing pair. Pairs
+    are kept in a dict, so memory grows with the lines read, not with the
+    n^2 pairs the header promises."""
+    # i * n + j -> token id, for each pair line read so far.
+    cells: dict[int, int] = {}
+    ids: dict[str, int] = {}
+    values: list[ExactValue] = []
     inexact = False
-    for lineno, line in enumerate(lines[pos:], pos + 1):
+    for lineno, line in enumerate(lines[start:], start + 1):
         line = line.strip()
         if not line:
             continue
@@ -131,27 +204,26 @@ def parse_space(text: str) -> UltrametricSpace:
             raise ParseError(lineno, f"bad indices in {line!r}") from None
         if not (0 <= i < j < n):
             raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
-        row = matrix[i]
-        if row[j] is not None:
+        key = i * n + j
+        if key in cells:
             raise ParseError(lineno, f"duplicate pair ({i}, {j})")
         token = parts[3]
-        value = values.get(token)
-        if value is None:
-            value = values[token] = _parse_rational(token, lineno)
-        row[j] = value
-        matrix[j][i] = value
-        pairs += 1
+        t = ids.get(token)
+        if t is None:
+            values.append(_parse_rational(token, lineno))
+            t = ids[token] = len(ids)
+        cells[key] = t
 
-    if pairs != n * (n - 1) // 2:
+    if len(cells) != n * (n - 1) // 2:
         missing = next(
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
-            if matrix[i][j] is None
+            if i * n + j not in cells
         )
         raise ParseError(len(lines), f"missing pair line for {missing}")
-
-    return validate_space(matrix, labels, inexact=inexact)
+    upper = [list(map(cells.__getitem__, range(i * n + i + 1, i * n + n))) for i in range(n)]
+    return values, upper, inexact
 
 
 def parse_space_file(path: Union[str, Path]) -> UltrametricSpace:

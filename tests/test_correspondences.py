@@ -14,6 +14,7 @@ from ultragh import (
     glue_along_strong_correspondence,
     glue_with_constant_bridge,
     hausdorff_distance,
+    induced_subspace,
     is_correspondence,
     is_strong_correspondence,
     map_distortion,
@@ -95,6 +96,29 @@ def test_first_out_of_range_index_in_pair_order(x2, x3, pairs, first, first_sort
         is_correspondence(x2, x3, pairs)
     with pytest.raises(IndexOutOfRangeError, match=f"point index {first_sorted} points"):
         Correspondence(x2, x3, pairs)
+
+
+@pytest.mark.parametrize("pairs, first", [
+    (((0, 0), ("1", 1), (0, 2)), "1 out of range for 2"),
+    (((0, 0), (1, "x"), ("y", 2)), "x out of range for 3"),
+    (((0, 0), (1, None), (1, 2)), "None out of range for 3"),
+])
+def test_unorderable_index_is_out_of_range(x2, x3, pairs, first):
+    # Indices that do not sort against ints: a Correspondence names the
+    # first bad one in input order, as is_correspondence does, instead of
+    # failing in its sort with a TypeError.
+    for build in (is_correspondence, Correspondence):
+        with pytest.raises(IndexOutOfRangeError, match=f"point index {first} points"):
+            build(x2, x3, pairs)
+
+
+def test_unorderable_subset_index_is_out_of_range(x2, x3):
+    with pytest.raises(IndexOutOfRangeError, match="point index 1 out of range for 2"):
+        hausdorff_distance(x2, [0, "1"], [1])
+    with pytest.raises(IndexOutOfRangeError, match="point index a out of range for 3"):
+        hausdorff_distance(x3, [1], [2, 0, "a", None])
+    with pytest.raises(IndexOutOfRangeError, match="point index None out of range for 3"):
+        induced_subspace(x3, [None, 0, "a"])
 
 
 def test_non_int_point_index_is_out_of_range(x2):

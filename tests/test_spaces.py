@@ -20,7 +20,7 @@ from ultragh import (
     weight_spectrum,
     write_space,
 )
-from ultragh.spaces import BreakpointGrid
+from ultragh.spaces import BreakpointGrid, _split_heights
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -98,6 +98,18 @@ def test_validate_error_kinds():
     with pytest.raises(AsymmetricMatrixError) as asym:
         validate_space([[0, 0], [1, 0]])
     assert (asym.value.i, asym.value.j) == (0, 1)
+    # A zero at (0, 1) also comes before faults in later rows: a nonzero
+    # diagonal or an asymmetric pair.
+    for later in ([[0, 0, 1], [0, 0, 1], [1, 1, 5]], [[0, 0, 1], [0, 0, 1], [1, 2, 0]]):
+        with pytest.raises(ZeroOffDiagonalError) as zero:
+            validate_space(later)
+        assert (zero.value.i, zero.value.j) == (0, 1)
+    # ... even when nonzero diagonals later on make up the count of zeros.
+    for later in ([[0, 0, 1], [0, 1, 1], [1, 1, 1]],
+                  [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 5, 1], [1, 1, 1, 5]]):
+        with pytest.raises(ZeroOffDiagonalError) as zero:
+            validate_space(later)
+        assert (zero.value.i, zero.value.j) == (0, 1)
 
 
 def test_validate_fresh_entries_match_shared():
@@ -445,3 +457,137 @@ def test_net_preserves_diameter(space):
             subset = [i for i in range(n) if mask & (1 << i)]
             if is_epsilon_net(space, subset, eps):
                 assert induced_subspace(space, subset).diameter() == diam
+
+
+def _first_validation_error(matrix):
+    """The error validate_space must raise on a square int matrix, or None,
+    by the documented order: row by row the diagonal entry, then each entry
+    right of it for symmetry and then for zero; then the first ordered
+    triple breaking the strong triangle inequality."""
+    from oracles import ultrametric_violations
+
+    n = len(matrix)
+    for i in range(n):
+        if matrix[i][i] != 0:
+            return (NonzeroDiagonalError, i)
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                return (AsymmetricMatrixError, i, j)
+            if matrix[i][j] == 0:
+                return (ZeroOffDiagonalError, i, j)
+    bad = ultrametric_violations(matrix)
+    return (UltrametricViolationError, *bad[0]) if bad else None
+
+
+def _raised(matrix):
+    try:
+        validate_space(matrix)
+    except NonzeroDiagonalError as err:
+        return (NonzeroDiagonalError, err.i)
+    except UltrametricViolationError as err:
+        return (UltrametricViolationError, err.i, err.j, err.k)
+    except (AsymmetricMatrixError, ZeroOffDiagonalError) as err:
+        return (type(err), err.i, err.j)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.integers(0, 3), st.booleans()), max_size=3),
+)))
+def test_validation_error_order(case):
+    # A symmetric matrix with a zero diagonal and entries 1-3 off it, then
+    # up to three entries overwritten, on one side of the diagonal or on
+    # both, so faults of every kind turn up alone and together.
+    draws, faults = case
+    n = round(len(draws) ** 0.5)
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draws[i * n + j]
+    for i, j, value, both in faults:
+        matrix[i][j] = value
+        if both:
+            matrix[j][i] = value
+    assert _raised(matrix) == _first_validation_error(matrix)
+
+
+def _single_linkage_heights(rk):
+    """Merge heights of any symmetric rank matrix, largest first: the
+    edges Kruskal's algorithm joins, over all pairs by rank."""
+    n = len(rk)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    heights = []
+    for r, i, j in sorted((rk[i][j], i, j) for i in range(n) for j in range(i + 1, n)):
+        a, b = find(i), find(j)
+        if a != b:
+            parent[a] = b
+            heights.append(r)
+    return sorted(heights, reverse=True)
+
+
+def _is_ultrametric(rk):
+    n = len(rk)
+    return all(rk[i][k] <= max(rk[i][j], rk[j][k])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def _check_split(rk):
+    heights = _split_heights(rk)
+    if _is_ultrametric(rk):
+        assert heights == _single_linkage_heights(rk)
+    else:
+        assert heights is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, 4), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_ball_splitting_on_random_rank_matrices(case):
+    # Any symmetric matrix with a zero diagonal and ranks 1-4 off it:
+    # accepted exactly when no triple breaks the strong triangle inequality,
+    # with the single-linkage merge heights.
+    n, upper = case
+    rk = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rk[i][j] = rk[j][i] = next(entries)
+    _check_split(tuple(map(tuple, rk)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 14),
+    st.integers(0, 10_000),
+    st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(0, 3)),
+        max_size=2,
+    ),
+)
+def test_ball_splitting_on_perturbed_ultrametrics(n, seed, edits):
+    rows = _perturbed_ultrametric(n, seed, edits)
+    values = sorted({v for row in rows for v in row})
+    rk = tuple(tuple(map(values.index, row)) for row in rows)
+    _check_split(rk)
+
+
+def test_ball_splitting_on_a_2048_point_caterpillar():
+    # d(i, j) = max(i, j): every merge height is distinct, and each split
+    # leaves a cluster one point smaller, 2,047 levels deep.
+    n = 2048
+    ints = list(range(n))
+    rk = tuple((ints[i],) * i + (0,) + tuple(ints[i + 1:]) for i in range(n))
+    assert _split_heights(rk) == ints[:0:-1]
+    # d(0, 1) = 5 > max(d(0, 2), d(2, 1)) = 2, found at the deepest split.
+    bad = (rk[0][:1] + (5,) + rk[0][2:], (5,) + rk[1][1:]) + rk[2:]
+    assert _split_heights(bad) is None

@@ -1,14 +1,20 @@
+import random
+import tracemalloc
+from itertools import chain
+
 import pytest
 
 from ultragh import (
     parse_space,
     parse_space_file,
+    random_ultrametric,
     truncated_unramified_ring,
+    umsio,
     validate_space,
     write_space,
     write_space_file,
 )
-from ultragh.errors import ParseError, UltrametricViolationError
+from ultragh.errors import ParseError, UltraGHError, UltrametricViolationError
 
 from conftest import ev
 
@@ -126,3 +132,255 @@ def test_unreadable_label_is_rejected_before_writing(bad, tmp_path):
     with pytest.raises(ValueError):
         write_space_file(space, path)
     assert not path.exists()
+
+
+def reference_parse(text):
+    """The line-by-line reader as it stood before bulk reading: every body
+    line parsed on its own into an n x n matrix of ExactValues, then
+    validate_space. parse_space must agree with it on every input."""
+    from math import gcd
+
+    from ultragh import ExactValue, ZERO
+
+    def rational(token, lineno):
+        num_s, sep, den_s = token.partition("/")
+        if not sep:
+            raise ParseError(lineno, f"expected rational a/b, got {token!r}")
+        try:
+            num, den = int(num_s), int(den_s)
+        except ValueError:
+            raise ParseError(lineno, f"expected rational a/b, got {token!r}") from None
+        if den <= 0:
+            raise ParseError(lineno, f"denominator must be positive in {token!r}")
+        if num < 0:
+            raise ParseError(lineno, f"distances must be nonnegative, got {token!r}")
+        if gcd(num, den) != 1:
+            raise ParseError(lineno, f"{token!r} is not in lowest terms")
+        return ExactValue(num, den)
+
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            stripped = lines[pos - 1].strip()
+            if stripped:
+                return pos, stripped
+        raise ParseError(len(lines), "unexpected end of file")
+
+    lineno, header = next_line()
+    if header != "ums 1":
+        raise ParseError(lineno, f"expected header 'ums 1', got {header!r}")
+    lineno, pts_line = next_line()
+    parts = pts_line.split()
+    if len(parts) != 2 or parts[0] != "points":
+        raise ParseError(lineno, "expected 'points <n>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(lineno, f"bad point count {parts[1]!r}") from None
+    if n < 1:
+        raise ParseError(lineno, "point count must be >= 1")
+    lineno, labels_line = next_line()
+    parts = labels_line.split()
+    if parts[0] != "labels" or len(parts) != n + 1:
+        raise ParseError(lineno, f"expected 'labels' with {n} entries")
+    labels = parts[1:]
+
+    matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = ZERO
+    values = {}
+    pairs = 0
+    inexact = False
+    for lineno, line in enumerate(lines[pos:], pos + 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "inexact":
+            if parts[1:] != ["true"]:
+                raise ParseError(lineno, "expected 'inexact true'")
+            inexact = True
+            continue
+        if parts[0] != "d" or len(parts) != 4:
+            raise ParseError(lineno, f"unexpected line {line!r}")
+        try:
+            i, j = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(lineno, f"bad indices in {line!r}") from None
+        if not (0 <= i < j < n):
+            raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
+        row = matrix[i]
+        if row[j] is not None:
+            raise ParseError(lineno, f"duplicate pair ({i}, {j})")
+        token = parts[3]
+        value = values.get(token)
+        if value is None:
+            value = values[token] = rational(token, lineno)
+        row[j] = value
+        matrix[j][i] = value
+        pairs += 1
+    if pairs != n * (n - 1) // 2:
+        missing = next(
+            (i, j) for i in range(n) for j in range(i + 1, n) if matrix[i][j] is None
+        )
+        raise ParseError(len(lines), f"missing pair line for {missing}")
+    return validate_space(matrix, labels, inexact=inexact)
+
+
+def _outcome(parse, text):
+    """What a reader makes of text: the space with its merge heights and
+    its written bytes, or the error's type, message, line and reason."""
+    try:
+        space = parse(text)
+    except UltraGHError as err:
+        return (type(err), str(err), getattr(err, "line", None), getattr(err, "reason", None))
+    return (space, space._heights, write_space(space))
+
+
+def _canonical_texts(sizes=range(1, 41)):
+    """write_space output for each size, random and ring spaces, with and
+    without `inexact true`."""
+    pool = [ev("1/4"), ev("1/2"), ev(1), ev(2), ev("7/3")]
+    for n in sizes:
+        for seed in (n, 1000 + n):
+            space = random_ultrametric(n, seed, pool)
+            yield write_space(space)
+            if seed % 2:
+                yield write_space(validate_space(space.matrix(), space.labels, inexact=True))
+    for depth in range(1, 6):
+        yield write_space(truncated_unramified_ring(2, 1, depth))
+
+
+def test_loader_agrees_with_line_reader_on_canonical_files():
+    for text in _canonical_texts():
+        got = _outcome(parse_space, text)
+        assert got == _outcome(reference_parse, text)
+        assert got[2] == text
+
+
+def test_canonical_files_are_read_in_bulk(monkeypatch):
+    # write_space's layout, also with trailing blank lines or CRLF line
+    # ends, never falls back to the line reader.
+    def refuse(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(umsio, "_read_lines", refuse)
+    for text in _canonical_texts(range(1, 41, 3)):
+        for variant in (text, text + "\n \n", text.replace("\n", "\r\n")):
+            assert parse_space(variant) == reference_parse(variant)
+
+
+def _layouts(text, rng):
+    """Other layouts and damaged copies of one canonical file."""
+    lines = text.splitlines()
+    head, body = lines[:3], lines[3:]
+    inexact = body[-1:] == ["inexact true"]
+    pairs = body[:-1] if inexact else body
+    tail = ["inexact true"] if inexact else []
+
+    def joined(*parts):
+        return "\n".join(chain(*parts)) + "\n"
+
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    yield joined(head, shuffled, tail)
+    yield joined(head, ["\t" + p.replace(" ", "\t", 1) for p in pairs], tail)
+    yield joined(head, ["  " + p for p in pairs], tail)
+    yield joined(head, [p + "  " for p in pairs], tail, ["", "   "])
+    if not pairs:
+        return
+    at = rng.randrange(len(pairs) + 1)
+    yield joined(head, pairs[:at], [""], pairs[at:], tail)
+    yield joined(head, pairs[:at], ["inexact true"], pairs[at:])
+    yield joined(head, pairs, ["inexact false"])
+    yield joined(head, pairs, ["inexact true", "inexact true"])
+    k = rng.randrange(len(pairs))
+    d, i, j, token = pairs[k].split()
+    edits = {
+        "dup": [pairs[k]],
+        "swap": [f"d {j} {i} {token}"],
+        "self": [f"d {i} {i} {token}"],
+        "plus": [f"d +{i} {j} {token}"],
+        "underscore": [f"d {i} 0_{j} {token}"],
+        "arabic": [f"d {i} {''.join(chr(0x660 + int(c)) for c in j)} {token}"],
+        "zero-token": [f"d {i} {j} 0/1"],
+        "padded-token": [f"d {i} {j} 0{token}"],
+        "unreduced": [f"d {i} {j} 2/2"],
+        "word": [f"d {i} {j} {token} extra"],
+        "three": [f"d {i} {j}"],
+        "other": [f"e {i} {j} {token}"],
+        "big": [f"d {i} {j} 999/1"],
+    }
+    for name, new in edits.items():
+        replace = name not in ("dup", "swap")
+        yield joined(head, pairs[:k], new, pairs[k + replace:], tail)
+    yield joined(head, pairs[:k], pairs[k + 1:], tail)  # missing pair
+    if k + 1 < len(pairs):
+        # A 3-word line then a 5-word line: the words still read in fours.
+        a, b = pairs[k], pairs[k + 1]
+        last = a.rpartition(" ")
+        yield joined(head, pairs[:k], [last[0], last[2] + " " + b], pairs[k + 2:], tail)
+        # A 5-word line then a 3-word line.
+        first = b.rpartition(" ")
+        yield joined(head, pairs[:k], [a + " " + first[0], first[2]], pairs[k + 2:], tail)
+
+
+def test_loader_agrees_with_line_reader_on_other_layouts():
+    # A damaged file with every pair can fail the strong triangle test,
+    # whose triple scan is O(n^3), so few sizes go past 12 points.
+    rng = random.Random(19)
+    for text in _canonical_texts([*range(1, 13), 20, 40]):
+        for variant in _layouts(text, rng):
+            assert _outcome(parse_space, variant) == _outcome(reference_parse, variant), variant
+
+
+def test_loader_corner_cases_agree_with_line_reader():
+    x3 = write_space(truncated_unramified_ring(3, 1, 1))
+    head = "ums 1\npoints 3\nlabels a b c\n"
+    texts = [
+        # equal values from different tokens, and 0/1 off the diagonal
+        head + "d 0 1 01/1\nd 0 2 1/1\nd 1 2 1/1\n",
+        head + "d 0 1 0/1\nd 0 2 1/1\nd 1 2 1/1\n",
+        head + "d 0 1 1/1\nd 0 2 1/1\nd 1 2 00/1\n",
+        # a non-ultrametric triple, in both readers' layouts
+        head + "d 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n",
+        head + "d 1 2 1/1\nd 0 2 3/1\nd 0 1 1/1\n",
+        # a 3-word line followed by a 5-word line
+        head + "d 0 1\n1/1 d 0 2 1/1\nd 1 2 1/1\n",
+        # duplicate labels with a complete body, and with a bad line
+        "ums 1\npoints 2\nlabels a a\nd 0 1 1/1\n",
+        "ums 1\npoints 2\nlabels a a\nd 0 1 1/2/3\n",
+        # the header only, and blank lines between header items
+        "ums 1\npoints 1\nlabels a\n",
+        "ums 1\npoints 1\nlabels a\ninexact true\n\n",
+        "\n ums 1\n\npoints 2\n\nlabels a b\nd 0 1 1/1",
+        x3.replace("\n", "\r\n"),
+        x3.replace("\n", "\r"),
+        x3 + "inexact true\nd 0 1 1/1\n",
+    ]
+    for text in texts:
+        assert _outcome(parse_space, text) == _outcome(reference_parse, text), text
+
+
+def test_header_for_many_points_needs_no_square_matrix():
+    # A file that names 3,000 points but holds one pair line fails at its
+    # end, as before, without an n x n matrix behind the error.
+    labels = " ".join(f"p{i}" for i in range(3000))
+    text = f"ums 1\npoints 3000\nlabels {labels}\nd 0 1 1/1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_space(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.line, exc.value.reason) == (4, "missing pair line for (0, 2)")
+    assert peak < 5_000_000
+    # An earlier bad line still wins over the missing pairs.
+    with pytest.raises(ParseError) as exc:
+        parse_space(text + "d 0 1 x\n")
+    assert (exc.value.line, exc.value.reason) == (5, "duplicate pair (0, 1)")
