@@ -28,7 +28,7 @@ from .spaces import (
     spectra_lower_bound,
     weight_spectrum,
 )
-from .umsio import parse_space_file, write_space, write_space_file
+from .umsio import parse_space_file, write_space
 from .correspondences import Correspondence, equilibrium_table
 from .engine import classical_gh, dhat_gh, metric_ratio
 from .convergence import diameter_trend, find_split, sutb_check
@@ -83,9 +83,10 @@ def _emit(args, human_lines, json_obj) -> None:
 
 
 def _emit_space(args, space) -> None:
+    # Rendered once, before any file is opened, so a bad label leaves none.
     text = write_space(space)
     if args.output:
-        write_space_file(space, args.output)
+        Path(args.output).write_text(text)
         _emit(args, [f"written: {args.output}", f"points: {len(space)}"],
               {"written": str(args.output), "points": len(space),
                "inexact": space.inexact})

@@ -69,26 +69,45 @@ class Correspondence:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        pairs = self.pairs
+        if not isinstance(pairs, (tuple, list)):
+            # A one-shot iterator is read once, so a failed sort below
+            # still has its pairs to name the bad index from.
+            pairs = tuple(pairs)
         # Deduplicated in first-seen order, so already sorted input, the
         # usual case, sorts in linear time.
         try:
-            pairs = tuple(sorted(dict.fromkeys(self.pairs)))
+            normal = tuple(sorted(dict.fromkeys(pairs)))
         except TypeError:
             # An index that does not order against the others: name the
             # first bad one in input order, as is_correspondence does.
-            for i, j in self.pairs:
+            for i, j in pairs:
                 self.left.check_index(i)
                 self.right.check_index(j)
             raise
-        object.__setattr__(self, "pairs", pairs)
-        if not is_correspondence(self.left, self.right, pairs):
+        object.__setattr__(self, "pairs", normal)
+        if not is_correspondence(self.left, self.right, normal):
             raise NotACorrespondenceError(
                 "pairs do not cover both point sets"
             )
 
+    @classmethod
+    def _sorted(cls, left: UltrametricSpace, right: UltrametricSpace,
+                pairs: tuple[tuple[int, int], ...]) -> Correspondence:
+        """The correspondence of pairs that are already what __post_init__
+        makes of its input: in range, strictly ascending, so free of
+        duplicates, and covering both point sets. No check runs, so only
+        code that builds its pairs that way may call it: full_product and
+        the searches' results."""
+        c = object.__new__(cls)
+        c.__dict__.update(left=left, right=right, pairs=pairs)
+        return c
+
 
 def full_product(x: UltrametricSpace, y: UltrametricSpace) -> Correspondence:
-    return Correspondence(x, y, tuple(product(range(len(x)), range(len(y)))))
+    """Every pair of X × Y, in row-major order. Built in that order, the
+    pairs ascend and cover both point sets, so they need no normalising."""
+    return Correspondence._sorted(x, y, tuple(product(range(len(x)), range(len(y)))))
 
 
 def distortion(c: Correspondence) -> ExactValue:
@@ -287,7 +306,7 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
         result = GlueResult(glued, tuple(range(len(x))), right_embed, r0, True)
 
     dh = hausdorff_distance(
-        result.glued_space, set(result.left_embedding), set(result.right_embedding)
+        result.glued_space, result.left_embedding, result.right_embedding
     )
     if dh > r0:
         raise WellDefinednessViolationError(
@@ -373,8 +392,14 @@ def _search(
     budget: Optional[int],
     product_cap: int,
     start: Optional[int] = None,
+    floor: Optional[int] = None,
 ) -> SearchResult:
     """Minimum distortion over the (strong) correspondences of grid's pair.
+
+    floor is the grid rank of a proven lower bound on the minimum, at or
+    below which the search stops at its first leaf; by default the spectra
+    bound for a strong search and the merge-height floor for a plain one,
+    and a caller that has already computed the latter passes it.
 
     start, a grid rank given only without a budget, seeds the incumbent
     cutoff at start + 1 in place of just above the full product's rank, so
@@ -422,7 +447,9 @@ def _search(
     # that first optimal leaf, so the search stops there.
     # The grid's last value is the larger diameter.
     full_rank = len(grid.values) - 1
-    if strong:
+    if floor is not None:
+        floor_rank = floor
+    elif strong:
         floor_rank = grid.spectra_floor()
     else:
         floor_rank = grid.distortion_floor()
@@ -571,9 +598,11 @@ def _search(
         # the budget ran out before the first leaf
         return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
                             budget_state.used)
+    # Left points ascend and each partner subset lists its points
+    # ascending, so the pairs ascend; every leaf covers both sides.
     pairs = tuple((i, b) for i in range(n) for b in best_sets[i])
-    return SearchResult(Correspondence(x, y, pairs), grid.values[best_rank], optimal,
-                        budget_state.used)
+    return SearchResult(Correspondence._sorted(x, y, pairs), grid.values[best_rank],
+                        optimal, budget_state.used)
 
 
 def min_distortion_correspondence(

@@ -217,16 +217,19 @@ def _classical(
     lies below the minimum the floor pass accepts no leaf, and the search
     runs again seeded at the quotient value (_quotient_rank), which
     2 d_GH <= dhat puts at or above the minimum, so it finds that same
-    leaf; a quotient value that no leaf reaches raises.
+    leaf; a quotient value that no leaf reaches raises. The floor is
+    computed once, here, and handed to each search and to the quotient
+    restart.
     """
     floor_rank = grid.distortion_floor()
     if budget is not None:
-        res = _search(grid, False, budget, product_cap)
+        res = _search(grid, False, budget, product_cap, floor=floor_rank)
     else:
         try:
-            res = _search(grid, False, None, product_cap, floor_rank)
+            res = _search(grid, False, None, product_cap, floor_rank, floor=floor_rank)
         except _NoLeafAtStart:
-            res = _search(grid, False, None, product_cap, _quotient_rank(grid))
+            res = _search(grid, False, None, product_cap,
+                          _quotient_rank(grid, floor_rank), floor=floor_rank)
     floor = grid.values[floor_rank]
     if res.distortion < floor:
         raise MethodDisagreementError(
@@ -261,7 +264,7 @@ def _scan_infimum(grid: BreakpointGrid, probe, hint: int):
     return MethodOutcome(grid.values[hint], False, witness)
 
 
-def _quotient_rank(grid: BreakpointGrid) -> int:
+def _quotient_rank(grid: BreakpointGrid, floor: Optional[int] = None) -> int:
     """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
     grid's pair by closed t-balls are isometric.
 
@@ -271,11 +274,13 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     exactly when the quotients are isometric. The cuts are compared from
     the larger of two proven lower bounds on dhat, the spectra bound (the
     largest rank one spectrum holds and the other lacks) and the
-    merge-height floor, upward; at the larger diameter both cuts are one
-    leaf. The value is only a starting hint: every route run from it checks
-    it.
+    merge-height floor (floor, when the caller has it), upward; at the
+    larger diameter both cuts are one leaf. The value is only a starting
+    hint: every route run from it checks it.
     """
-    start = max(grid.spectra_floor(), grid.distortion_floor())
+    if floor is None:
+        floor = grid.distortion_floor()
+    start = max(grid.spectra_floor(), floor)
     xs, ys = range(len(grid.rx)), range(len(grid.ry))
     return next(c for c in sorted({*grid.wx, *grid.wy}) if c >= start
                 and _cut_form(grid.rx, xs, c) == _cut_form(grid.ry, ys, c))

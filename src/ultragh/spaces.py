@@ -346,6 +346,10 @@ def _raise_first_violation(
 
 
 def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
+    if not isinstance(subset, (tuple, list)):
+        # A one-shot iterator is read once, so a failed sort below still
+        # has its points to name the bad index from.
+        subset = tuple(subset)
     try:
         pts = sorted(set(subset))
     except TypeError:
@@ -620,10 +624,16 @@ class PartnerSubsets(NamedTuple):
     """Every nonempty subset of m points, each entry (subset, bitmask, the
     largest rank between two of its points).
 
-    last is prefix-first order, (0), (0,1), (0,1,2), ..., (1), (1,2), ...
-    inner lists each subset after all of its extensions, (0,1,2), (0,1),
-    (0,2), (0), (1,2), ... worst maps a bitmask to the largest internal
-    rank of its subset (0 for the empty mask).
+    last is prefix-first order, (0), (0,1), (0,1,2), ..., (1), (1,2), ...,
+    the ascending order of the subsets as tuples. inner lists each subset
+    after all of its extensions, (0,1,2), (0,1), (0,2), (0), (1,2), ...
+    Both hold the same entry objects. Each subset lists its points
+    ascending, so a search that lists a leaf's partner subsets left point
+    by left point has its pairs in ascending order already, and builds its
+    correspondence without normalising it. worst maps a bitmask to the
+    largest internal rank of its subset (0 for the empty mask). A grid
+    builds the table once, for every search on it, and keeps it no longer
+    than itself: at m = 18 it holds 262,143 entries.
     """
 
     last: list[tuple[tuple[int, ...], int, int]]
@@ -634,29 +644,44 @@ class PartnerSubsets(NamedTuple):
 def _partner_subsets(ranks: Sequence[Sequence[int]]) -> PartnerSubsets:
     """PartnerSubsets of an ultrametric's rank matrix, in O(2^m * m).
 
-    One recursion extends each subset by a larger point, carrying its mask
-    and its worst rank forward, and emits it before (last) and after
-    (inner) its extensions. By the strong triangle inequality a new point's
-    distance to any member s0 of a set of diameter D bounds its distance to
-    every other member by max(d(a, s0), D), so the extension's worst rank
-    is the larger of the set's and the new point's rank against s0.
+    One loop walks the subsets in prefix-first order, keeping the entries
+    of the current subset's prefixes on an explicit stack: a subset whose
+    largest point is not m - 1 is pushed and extended by the next point,
+    one ending at m - 1 has no extension, so it and its prefix, whose last
+    extension it is, are done (inner) and the prefix's next sibling
+    follows. A subset is its prefix extended by a larger point, so its
+    points ascend. By the strong triangle inequality a new point's
+    distance to any member s0 of a set of diameter D bounds its distance
+    to every other member by max(d(a, s0), D), so the extension's worst
+    rank is the larger of the prefix's and the new point's rank against
+    the prefix's first point.
     """
     m = len(ranks)
     last: list[tuple[tuple[int, ...], int, int]] = []
     inner: list[tuple[tuple[int, ...], int, int]] = []
     worst_of = [0] * (1 << m)
-
-    def extend(prefix: tuple[int, ...], mask: int, worst: int) -> None:
-        first = ranks[prefix[0]] if prefix else None
-        for a in range(prefix[-1] + 1 if prefix else 0, m):
-            w = worst if first is None else max(worst, first[a])
-            entry = (prefix + (a,), mask | 1 << a, w)
-            last.append(entry)
-            worst_of[entry[1]] = w
-            extend(entry[0], entry[1], w)
-            inner.append(entry)
-
-    extend((), 0, 0)
+    top = m - 1
+    stack: list[tuple[tuple[int, ...], int, int]] = []
+    a = 0
+    while a < m:
+        if stack:
+            sub, mask, worst = stack[-1]
+            r = ranks[sub[0]][a]
+            entry = (sub + (a,), mask | 1 << a, worst if worst >= r else r)
+        else:
+            entry = ((a,), 1 << a, 0)
+        last.append(entry)
+        worst_of[entry[1]] = entry[2]
+        if a < top:
+            stack.append(entry)
+            a += 1
+            continue
+        inner.append(entry)
+        if not stack:
+            break  # entry is (m - 1,), the last subset
+        prefix = stack.pop()
+        inner.append(prefix)
+        a = prefix[0][-1] + 1
     return PartnerSubsets(last, inner, worst_of)
 
 

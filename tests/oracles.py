@@ -162,6 +162,31 @@ def naive_lex_min_witness(x, y, strong):
     return best[0], best_pairs[0]
 
 
+def partner_subsets_by_recursion(ranks):
+    """(last, inner, worst) of the library's PartnerSubsets, by one
+    recursive call per subset: each call extends its subset by every larger
+    point, listing an extension before (last) and after (inner) the
+    extension's own extensions. worst[mask] is the largest rank between two
+    points of the subset, the extension's taken as the larger of its
+    prefix's and the new point's rank against the prefix's first point."""
+    m = len(ranks)
+    last, inner = [], []
+    worst_of = [0] * (1 << m)
+
+    def extend(prefix, mask, worst):
+        first = ranks[prefix[0]] if prefix else None
+        for a in range(prefix[-1] + 1 if prefix else 0, m):
+            w = worst if first is None else max(worst, first[a])
+            entry = (prefix + (a,), mask | 1 << a, w)
+            last.append(entry)
+            worst_of[entry[1]] = w
+            extend(entry[0], entry[1], w)
+            inner.append(entry)
+
+    extend((), 0, 0)
+    return last, inner, worst_of
+
+
 def isometry_exists(x, y):
     """Distance-preserving bijection search over all permutations."""
     if len(x) != len(y):

@@ -66,6 +66,44 @@ def test_gen_validate_round_trip(files, capsys):
     assert "valid: true" in out and "points: 4" in out
 
 
+def test_gen_output_file_renders_once(files, capsys, monkeypatch):
+    # gen -o renders the .ums text once and writes the bytes gen prints
+    # without -o. The spy stands in for write_space wherever the CLI could
+    # reach it.
+    import ultragh.cli as cli
+    import ultragh.umsio as umsio
+
+    rendered = []
+    write_space = umsio.write_space
+
+    def counting_write_space(space):
+        rendered.append(1)
+        return write_space(space)
+
+    monkeypatch.setattr(cli, "write_space", counting_write_space)
+    monkeypatch.setattr(umsio, "write_space", counting_write_space)
+    argv = ["gen", "random", "--n", "6", "--seed", "3"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    rendered.clear()
+    out_path = files["dir"] / "gen.ums"
+    assert run(argv + ["-o", str(out_path)]) == 0
+    assert rendered == [1]
+    assert out_path.read_bytes() == printed.encode()
+
+
+def test_gen_bad_label_writes_no_file(files, capsys, monkeypatch):
+    # A label the labels line cannot hold fails before any file exists.
+    import ultragh.cli as cli
+
+    spaced = ultragh.validate_space([[0, 1], [1, 0]], ["a b", "c"])
+    monkeypatch.setattr(cli.generators, "random_ultrametric", lambda *a, **k: spaced)
+    out_path = files["dir"] / "bad.ums"
+    assert run(["gen", "random", "--n", "2", "-o", str(out_path)]) == 2
+    assert "label 'a b'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_gen_stdout_parses(files, capsys):
     assert run(["gen", "zqdelta", "--p", "5", "--q", "2", "--depth", "1"]) == 0
     text = capsys.readouterr().out

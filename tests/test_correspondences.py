@@ -106,19 +106,33 @@ def test_first_out_of_range_index_in_pair_order(x2, x3, pairs, first, first_sort
 def test_unorderable_index_is_out_of_range(x2, x3, pairs, first):
     # Indices that do not sort against ints: a Correspondence names the
     # first bad one in input order, as is_correspondence does, instead of
-    # failing in its sort with a TypeError.
+    # failing in its sort with a TypeError. A one-shot iterator of the same
+    # pairs gives the same error.
     for build in (is_correspondence, Correspondence):
         with pytest.raises(IndexOutOfRangeError, match=f"point index {first} points"):
             build(x2, x3, pairs)
+    with pytest.raises(IndexOutOfRangeError, match=f"point index {first} points"):
+        Correspondence(x2, x3, iter(pairs))
 
 
 def test_unorderable_subset_index_is_out_of_range(x2, x3):
-    with pytest.raises(IndexOutOfRangeError, match="point index 1 out of range for 2"):
-        hausdorff_distance(x2, [0, "1"], [1])
-    with pytest.raises(IndexOutOfRangeError, match="point index a out of range for 3"):
-        hausdorff_distance(x3, [1], [2, 0, "a", None])
-    with pytest.raises(IndexOutOfRangeError, match="point index None out of range for 3"):
-        induced_subspace(x3, [None, 0, "a"])
+    # A subset given as a one-shot iterator names the same bad index as
+    # the list: the failed sort does not use up its points.
+    for wrap in (list, iter):
+        with pytest.raises(IndexOutOfRangeError, match="point index 1 out of range for 2"):
+            hausdorff_distance(x2, wrap([0, "1"]), [1])
+        with pytest.raises(IndexOutOfRangeError, match="point index a out of range for 3"):
+            hausdorff_distance(x3, [1], wrap([2, 0, "a", None]))
+        with pytest.raises(IndexOutOfRangeError, match="point index None out of range for 3"):
+            induced_subspace(x3, wrap([None, 0, "a"]))
+
+
+def test_iterator_input_matches_list_input(x2, x3):
+    # Valid one-shot iterators read exactly as the lists they yield.
+    pairs = [(1, 2), (0, 0), (1, 1), (0, 0)]
+    assert Correspondence(x2, x3, iter(pairs)) == Correspondence(x2, x3, pairs)
+    assert hausdorff_distance(x3, iter([2]), iter([0, 1])) == hausdorff_distance(x3, [2], [0, 1])
+    assert induced_subspace(x3, iter([2, 0])) == induced_subspace(x3, [2, 0])
 
 
 def test_non_int_point_index_is_out_of_range(x2):
@@ -134,6 +148,31 @@ def test_full_product_order(n, m):
     y = random_ultrametric(m, 2, POOL)
     pairs = tuple((i, j) for i in range(n) for j in range(m))
     assert full_product(x, y).pairs == pairs
+
+
+def assert_normal(c):
+    # A correspondence built without normalising equals the one the public
+    # constructor makes of its pairs, pairs and spaces alike.
+    normal = Correspondence(c.left, c.right, c.pairs)
+    assert c.pairs == normal.pairs
+    assert c == normal and hash(c) == hash(normal)
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (1, 1, 0), (1, 4, 1), (4, 1, 2), (1, 7, 3), (7, 1, 4),
+    (2, 3, 5), (3, 3, 6), (4, 3, 7), (3, 5, 8), (5, 4, 9), (6, 6, 10),
+])
+def test_built_correspondences_are_normal(n, m, seed):
+    # full_product and both public searches, unbudgeted and with budgets
+    # too small to reach a leaf or the optimum, build their results
+    # without normalising them.
+    x = random_ultrametric(n, seed, POOL)
+    y = random_ultrametric(m, seed + 100, POOL)
+    assert_normal(full_product(x, y))
+    for search in (min_distortion_correspondence, min_distortion_strong_correspondence):
+        for budget in (None, 1, 3):
+            assert_normal(search(x, y, budget).correspondence)
+    assert_normal(classical_gh(x, y).witness)
 
 
 def test_distortion_examples(x2, x3, ydelta):

@@ -532,9 +532,9 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     assert grid.values[floor] < res.distortion
     calls = []
 
-    def spy(grid, strong, budget, product_cap, start=None):
+    def spy(grid, strong, budget, product_cap, start=None, floor=None):
         calls.append((strong, start))
-        return _search(grid, strong, budget, product_cap, start)
+        return _search(grid, strong, budget, product_cap, start, floor)
 
     monkeypatch.setattr(engine, "_search", spy)
     for budget, starts in ((None, [floor, quotient]), (10**6, [None])):
@@ -546,3 +546,25 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     report = dhat_gh(x, y)
     assert [call for call in calls if not call[0]] == [(False, floor), (False, quotient)]
     assert report.classical == classical_gh(x, y)
+
+
+def test_classical_computes_its_floor_once(monkeypatch):
+    # classical_gh computes the merge-height floor once and hands it to
+    # every search it runs and to the quotient restart: budgeted, seeded
+    # at a floor that a leaf reaches, and seeded at a floor below the
+    # minimum, where the search runs twice.
+    calls = []
+    floor = BreakpointGrid.distortion_floor
+
+    def counting_floor(grid):
+        calls.append(1)
+        return floor(grid)
+
+    monkeypatch.setattr(BreakpointGrid, "distortion_floor", counting_floor)
+    restart = hard_pair(35)
+    for x, y in (restart, (restart[0], restart[0]), (random_ultrametric(3, 1, POOL),
+                                                      random_ultrametric(4, 2, POOL))):
+        for budget in (None, 10**6, 2):
+            calls.clear()
+            classical_gh(x, y, budget)
+            assert len(calls) == 1

@@ -20,7 +20,7 @@ from ultragh import (
     weight_spectrum,
     write_space,
 )
-from ultragh.spaces import BreakpointGrid, _split_heights
+from ultragh.spaces import BreakpointGrid, _partner_subsets, _split_heights
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -34,6 +34,7 @@ from oracles import (
     ball_class_count,
     merge_heights_by_ball_counts,
     naive_correspondence_minima,
+    partner_subsets_by_recursion,
 )
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -331,6 +332,18 @@ def check_breakpoint_grid(x, y):
         if x.ranks[i][j] == x.ranks[k][l]:
             assert gap[i][j] is gap[k][l]
             assert all(far[i][j] is far[k][l] for far in fars)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000), spaces)
+def test_partner_subsets_match_recursion(m, seed, x):
+    # The one-loop table equals the recursive reference in both orders and
+    # in its worst table, on a space's own ranks and on the same ranks
+    # remapped through a grid.
+    y = random_ultrametric(m, seed, POOL)
+    for ranks in (y.ranks, BreakpointGrid(x, y).ry):
+        last, inner, worst = _partner_subsets(ranks)
+        assert (last, inner, worst) == partner_subsets_by_recursion(ranks)
 
 
 @settings(max_examples=60, deadline=None)
