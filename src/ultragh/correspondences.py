@@ -392,14 +392,12 @@ def _search(
     budget: Optional[int],
     product_cap: int,
     start: Optional[int] = None,
-    floor: Optional[int] = None,
 ) -> SearchResult:
     """Minimum distortion over the (strong) correspondences of grid's pair.
 
-    floor is the grid rank of a proven lower bound on the minimum, at or
-    below which the search stops at its first leaf; by default the spectra
-    bound for a strong search and the merge-height floor for a plain one,
-    and a caller that has already computed the latter passes it.
+    The search stops at its first leaf at or below a proven lower bound on
+    the minimum: the spectra bound for a strong search, the grid's
+    merge-height floor for a plain one.
 
     start, a grid rank given only without a budget, seeds the incumbent
     cutoff at start + 1 in place of just above the full product's rank, so
@@ -447,12 +445,7 @@ def _search(
     # that first optimal leaf, so the search stops there.
     # The grid's last value is the larger diameter.
     full_rank = len(grid.values) - 1
-    if floor is not None:
-        floor_rank = floor
-    elif strong:
-        floor_rank = grid.spectra_floor()
-    else:
-        floor_rank = grid.distortion_floor()
+    floor_rank = grid.spectra_floor() if strong else grid.floor
 
     budget_state = _Budget(budget)
     best_rank = (full_rank if start is None else start) + 1

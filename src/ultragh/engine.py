@@ -16,13 +16,15 @@ independent routes and insists they agree exactly:
 
 Every equal-diameter call first finds a hint: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
-isometric (_quotient_rank), read off the two dendrograms. Every route
-checks the hint; none trusts it. The strong search proves its own
-minimum, which must equal the hint; without a budget it starts its
-incumbent cutoff just above it. Each scan makes two probes, one that must
-fail at the hint's cell and one that must hold at the next. A hint that
-any route contradicts raises MethodDisagreementError, so routes that pass
-agree. A budgeted call runs the strong and the classical search unseeded.
+isometric (_quotient_rank), read off the dendrograms the two spaces kept
+from validation by a bottom-up walk that needs no recursion, so it works
+at any depth. Every route checks the hint; none trusts it. The strong
+search proves its own minimum, which must equal the hint; without a
+budget it starts its incumbent cutoff just above it. Each scan makes two
+probes, one that must fail at the hint's cell and one that must hold at
+the next. A hint that any route contradicts raises
+MethodDisagreementError, so routes that pass agree. A budgeted call runs
+the strong and the classical search unseeded.
 
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
@@ -37,18 +39,19 @@ minimum a finite search attains.
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
 search stops at the first leaf reaching the merge-height lower bound
-(BreakpointGrid.distortion_floor, read off the merge heights each space
+(BreakpointGrid.distortion_floor, read off the dendrograms each space
 kept from validation), and a budgeted search that runs out reports half
 that bound as the lower end of its interval. An unbudgeted search first
 runs seeded at that bound, so it accepts only a leaf reaching it, which is
 then optimal; only when no leaf does (the bound lies below the minimum)
-does the search run again, seeded at the quotient value. Since
-2 d_GH <= dhat, that value bounds the minimum distortion from above, so
-the restart accepts only leaves of distortion at most dhat, in
-classical_gh and dhat_gh alike.
+does the search run again, seeded at the quotient value, the hint itself
+when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
+distortion from above, so the restart accepts only leaves of distortion
+at most dhat, in classical_gh and dhat_gh alike.
 Every route and the classical search of one call read the pair's single
-BreakpointGrid: its thresholds, its rank matrices, one gap-rank table, and
-the partner-subset and far-partner tables both searches share.
+BreakpointGrid: its thresholds, its rank matrices, its merge-height
+floor, one gap-rank table, and the partner-subset and far-partner tables
+both searches share. One call computes the floor and the hint once each.
 """
 
 from __future__ import annotations
@@ -207,6 +210,7 @@ def classical_gh(
 
 def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
+    hint: Optional[int] = None,
 ) -> ClassicalResult:
     """classical_gh on the pair of grid.
 
@@ -215,21 +219,21 @@ def _classical(
     bound, so any leaf it accepts is optimal and is the first optimal leaf
     in search order, the witness an unseeded search finds. When the floor
     lies below the minimum the floor pass accepts no leaf, and the search
-    runs again seeded at the quotient value (_quotient_rank), which
-    2 d_GH <= dhat puts at or above the minimum, so it finds that same
-    leaf; a quotient value that no leaf reaches raises. The floor is
-    computed once, here, and handed to each search and to the quotient
-    restart.
+    runs again seeded at the quotient value, which 2 d_GH <= dhat puts at
+    or above the minimum, so it finds that same leaf; a quotient value
+    that no leaf reaches raises. The floor is the grid's, computed once
+    with it. hint is the quotient value's rank when the caller has it
+    (dhat_gh); otherwise the restart computes it (_quotient_rank).
     """
-    floor_rank = grid.distortion_floor()
+    floor_rank = grid.floor
     if budget is not None:
-        res = _search(grid, False, budget, product_cap, floor=floor_rank)
+        res = _search(grid, False, budget, product_cap)
     else:
         try:
-            res = _search(grid, False, None, product_cap, floor_rank, floor=floor_rank)
+            res = _search(grid, False, None, product_cap, floor_rank)
         except _NoLeafAtStart:
             res = _search(grid, False, None, product_cap,
-                          _quotient_rank(grid, floor_rank), floor=floor_rank)
+                          _quotient_rank(grid) if hint is None else hint)
     floor = grid.values[floor_rank]
     if res.distortion < floor:
         raise MethodDisagreementError(
@@ -264,41 +268,43 @@ def _scan_infimum(grid: BreakpointGrid, probe, hint: int):
     return MethodOutcome(grid.values[hint], False, witness)
 
 
-def _quotient_rank(grid: BreakpointGrid, floor: Optional[int] = None) -> int:
+def _quotient_rank(grid: BreakpointGrid) -> int:
     """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
     grid's pair by closed t-balls are isometric.
 
-    Each space's dendrogram is read off its grid ranks and cut at rank c: a
-    ball of diameter at most c becomes a leaf, any other ball the pair of
-    its diameter and its children's sorted forms, so two cuts are equal
-    exactly when the quotients are isometric. The cuts are compared from
-    the larger of two proven lower bounds on dhat, the spectra bound (the
-    largest rank one spectrum holds and the other lacks) and the
-    merge-height floor (floor, when the caller has it), upward; at the
-    larger diameter both cuts are one leaf. The value is only a starting
-    hint: every route run from it checks it.
+    Each space's dendrogram, kept from validation, is cut at rank c: a
+    node of height at most c (every point among them) gets id 0, any other
+    the id of the pair of its height's grid rank and its children's sorted
+    ids, interned in one dict both spaces share for the call. Ids are
+    given from the last node back, children before parents, so the walk
+    needs no recursion at any depth, and two roots have equal ids exactly
+    when the quotients are isometric. The cuts are compared from the
+    larger of two proven lower bounds on dhat, the spectra bound (the
+    largest rank one spectrum holds and the other lacks) and the grid's
+    merge-height floor, upward; at the larger diameter both roots get id
+    0. The value is only a starting hint: every route run from it checks
+    it.
     """
-    if floor is None:
-        floor = grid.distortion_floor()
-    start = max(grid.spectra_floor(), floor)
-    xs, ys = range(len(grid.rx)), range(len(grid.ry))
+    start = max(grid.spectra_floor(), grid.floor)
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    tx, ty = ((len(space), list(map(w.__getitem__, space._tree.heights)),
+               space._tree.children)
+              for space, w in ((grid.x, grid.wx), (grid.y, grid.wy)))
     return next(c for c in sorted({*grid.wx, *grid.wy}) if c >= start
-                and _cut_form(grid.rx, xs, c) == _cut_form(grid.ry, ys, c))
+                and _cut_id(*tx, c, ids) == _cut_id(*ty, c, ids))
 
 
-def _cut_form(ranks, points, c: int) -> tuple:
-    """Canonical form of the ball of points in the dendrogram of a rank
-    matrix cut at rank c: () when its diameter rank h is at most c, else h
-    and the sorted forms of its classes of "rank < h"."""
-    h = max(map(ranks[points[0]].__getitem__, points))
-    if h <= c:
-        return ()
-    children = []
-    while points:
-        row = ranks[points[0]]
-        children.append(_cut_form(ranks, [q for q in points if row[q] < h], c))
-        points = [q for q in points if row[q] >= h]
-    return h, tuple(sorted(children))
+def _cut_id(n: int, heights: list[int], children: list[list[int]], c: int,
+            ids: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """Id of the root of an n-point dendrogram, its heights as grid ranks,
+    cut at rank c: 0 at or below the cut, else the interned pair of the
+    height and the children's sorted ids."""
+    node_id = [0] * (n + len(heights))
+    for k in range(len(heights) - 1, -1, -1):
+        if heights[k] > c:
+            key = (heights[k], tuple(sorted(map(node_id.__getitem__, children[k]))))
+            node_id[n + k] = ids.setdefault(key, len(ids) + 1)
+    return node_id[n] if heights else 0
 
 
 def _auto_methods(product: int, caps: EngineCaps) -> tuple[str, ...]:
@@ -344,6 +350,7 @@ def dhat_gh(
     product = len(x) * len(y)
     outcomes: dict[str, MethodOutcome] = {}
     grid = None  # built once, when a route or the classical search runs
+    hint = None  # the quotient value's grid rank, on equal diameters
 
     if diam_x != diam_y:
         # Larger diameter appears in exactly one spectrum, so the spectra
@@ -402,7 +409,7 @@ def dhat_gh(
             grid = BreakpointGrid(x, y)
         # include_classical has decided; the product itself as cap never
         # refuses.
-        classical = _classical(grid, budget, product)
+        classical = _classical(grid, budget, product, hint)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

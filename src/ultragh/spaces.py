@@ -36,22 +36,23 @@ class UltrametricSpace:
     values holds the distinct distances, zero first, strictly increasing,
     and ranks the distance matrix as indices into values, so the diameter
     and the whole-space spectrum are read off values without a scan.
-    _heights holds the n - 1 merge heights as ranks, largest first, kept
-    from the ball-splitting pass that validated the space (an induced
-    subspace runs that pass on its own ranks); equality and hashing ignore
-    it, since the matrix determines it.
+    _tree is the space's dendrogram (_Dendrogram), its heights as ranks,
+    kept from the ball-splitting pass that validated the space (an induced
+    subspace runs that pass on its own ranks): the merge heights and the
+    closed-ball quotients are read off it. Equality and hashing ignore it,
+    since the matrix determines it.
     """
 
-    __slots__ = ("labels", "values", "ranks", "inexact", "_heights")
+    __slots__ = ("labels", "values", "ranks", "inexact", "_tree")
 
-    def __init__(self, labels, values, ranks, inexact, heights=None, _token=None):
+    def __init__(self, labels, values, ranks, inexact, tree, _token=None):
         if _token is not _CONSTRUCTION_TOKEN:
             raise TypeError("use validate_space() to build an UltrametricSpace")
         self.labels: tuple[str, ...] = labels
         self.values: tuple[ExactValue, ...] = values
         self.ranks: tuple[tuple[int, ...], ...] = ranks
         self.inexact: bool = inexact
-        self._heights: list[int] = heights
+        self._tree: _Dendrogram = tree
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -139,7 +140,7 @@ def validate_space(
     The entries are coerced and ranked here, and the pairwise checks run on
     the ranks; the rest is the rank-level core parse_space shares
     (_checked_space): the strong triangle inequality decided in O(n^2) by
-    splitting closed balls (_split_heights). Only when that test rejects
+    splitting closed balls (_split_tree). Only when that test rejects
     does the O(n^3) triple scan run, to name the first violating triple.
     """
     n = len(matrix)
@@ -189,22 +190,23 @@ def _checked_space(
 ) -> UltrametricSpace:
     """The space of a rank matrix into values, which rise strictly from
     ZERO, after the checks that remain: the first zero off the diagonal in
-    row-major order, then the strong triangle inequality by _split_heights,
-    and only if that rejects, the O(n^3) scan naming the first violating
-    triple. The matrix must be symmetric with a zero diagonal, so zeros
-    off the diagonal show in the count of zeros. validate_space,
-    parse_space and induced_subspace all end here."""
+    row-major order, then the strong triangle inequality by _split_tree,
+    whose dendrogram the space keeps, and only if that rejects, the O(n^3)
+    scan naming the first violating triple. The matrix must be symmetric
+    with a zero diagonal, so zeros off the diagonal show in the count of
+    zeros. validate_space, parse_space and induced_subspace all end
+    here."""
     if sum(map(tuple.count, ranks, repeat(0))) != len(ranks):
         i = next(i for i, row in enumerate(ranks) if row.count(0) > 1)
         raise ZeroOffDiagonalError(i, ranks[i].index(0, i + 1))
-    heights = _split_heights(ranks)
-    if heights is None:
+    tree = _split_tree(ranks)
+    if tree is None:
         _raise_first_violation(values, ranks)
         raise RuntimeError(
             "ball splitting rejected a matrix in which the triple scan "
             "found no violation"
         )
-    return UltrametricSpace(labels, values, ranks, bool(inexact), heights,
+    return UltrametricSpace(labels, values, ranks, bool(inexact), tree,
                             _token=_CONSTRUCTION_TOKEN)
 
 
@@ -266,10 +268,25 @@ def _ranked(
     return distinct, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def _split_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """The merge heights of a symmetric rank matrix (zero diagonal, positive
-    off it), as ranks, largest first, or None when the matrix is not
-    ultrametric; O(n^2).
+class _Dendrogram(NamedTuple):
+    """The dendrogram of an n-point ultrametric: its closed balls as nodes.
+
+    Points are nodes 0..n-1, at height 0 with no children. Internal node
+    n + k has height heights[k], the ball's diameter as a rank of the
+    space, and children[k], the node ids of its maximal proper closed
+    sub-balls. Internal nodes are numbered in the order the splitting
+    creates them, the whole space n first, so a parent comes before its
+    children and a walk from the last node back is bottom up. A
+    one-point space has no internal node.
+    """
+
+    heights: list[int]
+    children: list[list[int]]
+
+
+def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
+    """The dendrogram of a symmetric rank matrix (zero diagonal, positive
+    off it), or None when the matrix is not ultrametric; O(n^2).
 
     Closed balls are split from the whole space down. A cluster S is split
     at M, the largest rank in its first point's row within S, into that
@@ -285,26 +302,49 @@ def _split_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
     included, is ultrametric. Each off-diagonal pair is read once, at the
     split that separates it: the first point's pairs in the row that
     splits the cluster, the others by an itemgetter over the rows of the
-    smaller side. A split at M is a merge at height M (single linkage):
-    the space has 1 + #{k : h[k] > t} closed t-balls. Clusters wait on an
-    explicit stack, so a chain of n nested clusters needs no recursion.
+    smaller side. Clusters wait on an explicit stack, so a chain of n
+    nested clusters needs no recursion.
+
+    Each split adds the first point's ball to the children of the node at
+    height M: the point itself when the ball is that point alone, else a
+    node made when the ball is popped. A rest of one point is a child too.
+    A popped rest whose largest rank is still M belongs to that same node,
+    its balls being further maximal sub-balls of the node's ball. Any
+    other popped cluster, every ball among them, is a new child node of
+    its parent. So a node's children are its maximal proper closed
+    sub-balls, and a node with k children is k - 1 merges at its height
+    (single linkage; _merge_heights).
     """
-    heights: list[int] = []
-    row_of = rk.__getitem__
     n = len(rk)
-    stack = [(list(range(n)), max(rk[0]))] if n > 1 else []
+    tree = _Dendrogram([], [])
+    if n == 1:
+        return tree
+    heights, children = tree
+    row_of = rk.__getitem__
+    # The whole space is the rest of a root made at its diameter.
+    heights.append(max(rk[0]))
+    children.append([])
+    stack = [(list(range(n)), 0)]
     while stack:
-        cluster, bound = stack.pop()
+        cluster, parent = stack.pop()
         near = list(map(rk[cluster[0]].__getitem__, cluster))
         m = max(near)
-        if m > bound:
-            return None
+        node = parent
+        if m != heights[parent]:
+            if m > heights[parent]:
+                return None
+            node = len(heights)
+            children[parent].append(n + node)
+            heights.append(m)
+            children.append([])
+        kids = children[node]
         if near.count(m) == len(near) - 1:
-            rest = cluster[1:]  # the first point's ball is that point alone
+            kids.append(cluster[0])  # the first point's ball is that point alone
+            rest = cluster[1:]
         else:
             ball = list(compress(cluster, map(m.__gt__, near)))
             rest = list(compress(cluster, map(m.__eq__, near)))
-            stack.append((ball, m))
+            stack.append((ball, node))
             # near holds the first point's entries; check the others'.
             others = ball[1:]
             small, large = (others, rest) if len(others) < len(rest) else (rest, others)
@@ -314,9 +354,20 @@ def _split_heights(rk: Sequence[Sequence[int]]) -> Optional[list[int]]:
             seen = list(seen)
             if seen.count(m) != len(seen):
                 return None
-        heights.append(m)
         if len(rest) > 1:
-            stack.append((rest, m))
+            stack.append((rest, node))
+        else:
+            kids.append(rest[0])
+    return tree
+
+
+def _merge_heights(tree: _Dendrogram) -> list[int]:
+    """The n - 1 merge heights of a dendrogram, largest first: a node with
+    k children contributes k - 1 copies of its height. The space has
+    1 + #{k : h[k] > t} closed t-balls."""
+    heights: list[int] = []
+    for h, kids in zip(*tree):
+        heights += [h] * (len(kids) - 1)
     heights.sort(reverse=True)
     return heights
 
@@ -368,7 +419,7 @@ def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[i
 def induced_subspace(space: UltrametricSpace, subset: Iterable[int]) -> UltrametricSpace:
     """Restriction of the space to a subset of points; validity is inherited,
     so its ranks are the space's, renumbered over the values they use, and
-    the core only finds its merge heights."""
+    the core only builds its dendrogram."""
     pts = _normalize_subset(space, subset)
     labels = tuple(space.labels[i] for i in pts)
     sub = [tuple(map(space.ranks[i].__getitem__, pts)) for i in pts]
@@ -508,14 +559,15 @@ class BreakpointGrid:
     masks of y it reads, so a grid used only for checks builds none. Both
     per-pair tables depend on a pair of x only through its distance, so
     they are built once per distinct distance of x and shared by every
-    pair at that distance. The merge-height lower bound on the distortion
-    of every correspondence (distortion_floor()) is computed per call, from
-    the merge heights each space kept when it was validated; the spectra
-    lower bound on dhat (spectra_floor()) is read off wx and wy.
+    pair at that distance. floor is the merge-height lower bound on the
+    distortion of every correspondence (distortion_floor()), computed once
+    with the grid from the dendrograms the spaces kept when they were
+    validated, for the searches and the quotient hint of every call on it;
+    the spectra lower bound on dhat (spectra_floor()) is read off wx and wy.
     """
 
-    __slots__ = ("x", "y", "values", "wx", "wy", "rx", "ry", "_gap", "_y_masks",
-                 "_gap_ranks", "_subsets", "_far")
+    __slots__ = ("x", "y", "values", "wx", "wy", "rx", "ry", "floor", "_gap",
+                 "_y_masks", "_gap_ranks", "_subsets", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -545,6 +597,7 @@ class BreakpointGrid:
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
+        self.floor: int = self.distortion_floor()
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
@@ -599,15 +652,17 @@ class BreakpointGrid:
         The k = 1 term is the diameter gap, so the floor is never below
         it.
 
-        Both height lists are the ones each space kept from validation,
-        as its own ranks, largest first. Each term is the gap between a
-        value of {0} ∪ W_X and one of {0} ∪ W_Y, so its rank is read from
-        the per-value gap ranks and the floor is one max over
-        max(n, m) - 1 ints.
+        Both height lists are read off the dendrograms the spaces kept
+        from validation (_merge_heights), as their own ranks, largest
+        first. Each term is the gap between a value of {0} ∪ W_X and one
+        of {0} ∪ W_Y, so its rank is read from the per-value gap ranks and
+        the floor is one max over max(n, m) - 1 ints. The grid computes it
+        once, as floor.
         """
         gap = self._gap
-        return max((gap[a][b] for a, b in
-                    zip_longest(self.x._heights, self.y._heights, fillvalue=0)),
+        return max((gap[a][b] for a, b in zip_longest(
+                        _merge_heights(self.x._tree), _merge_heights(self.y._tree),
+                        fillvalue=0)),
                    default=0)
 
     def spectra_floor(self) -> int:

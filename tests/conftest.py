@@ -11,6 +11,7 @@ from ultragh import (
     validate_space,
     zq_delta,
 )
+from ultragh.spaces import _checked_space
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples derive from each test alone,
 # and a failure prints the blob that replays it, so a failed CI run repeats
@@ -56,3 +57,16 @@ def equal_diameter_partner(x, m, seed, pool):
     x is a singleton."""
     ys = (random_ultrametric(m, s, pool) for s in count(seed))
     return next(y for y in ys if y.diameter() == x.diameter())
+
+
+def caterpillar(n, split_bottom=False):
+    """The space d(i, j) = max(i, j) on n points, its dendrogram a chain
+    n - 1 nodes deep, built from its ranks. With split_bottom its four
+    lowest points form two pairs, {0, 1} at 1 and {2, 3} at 2, 3 apart:
+    the same spectrum and merge heights, isometric quotients from 1 up."""
+    rows = [[max(i, j) if i != j else 0 for j in range(n)] for i in range(n)]
+    if split_bottom:
+        for i, j, r in ((2, 3, 2), (0, 2, 3), (1, 2, 3)):
+            rows[i][j] = rows[j][i] = r
+    return _checked_space(tuple(map(str, range(n))), tuple(map(ExactValue, range(n))),
+                          tuple(map(tuple, rows)), False)

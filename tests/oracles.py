@@ -187,6 +187,34 @@ def partner_subsets_by_recursion(ranks):
     return last, inner, worst_of
 
 
+def cut_form_by_recursion(ranks, points, c):
+    """Canonical form of the ball of points in the dendrogram of a rank
+    matrix cut at rank c, read recursively off the matrix: () when its
+    diameter rank h is at most c, else h and the sorted forms of its
+    classes of "rank < h". Recursion depth is the dendrogram's depth."""
+    h = max(map(ranks[points[0]].__getitem__, points))
+    if h <= c:
+        return ()
+    children = []
+    while points:
+        row = ranks[points[0]]
+        children.append(cut_form_by_recursion(ranks, [q for q in points if row[q] < h], c))
+        points = [q for q in points if row[q] >= h]
+    return h, tuple(sorted(children))
+
+
+def quotient_rank_by_recursion(grid):
+    """The library's quotient hint by definition: the least grid rank c in
+    {0} ∪ W_X ∪ W_Y at which the two rank matrices of grid, cut at c, have
+    equal canonical forms. Every candidate is tried from the bottom, where
+    the library starts at two proven lower bounds, so a comparison checks
+    those bounds too."""
+    xs, ys = range(len(grid.rx)), range(len(grid.ry))
+    return next(c for c in sorted({*grid.wx, *grid.wy})
+                if cut_form_by_recursion(grid.rx, xs, c)
+                == cut_form_by_recursion(grid.ry, ys, c))
+
+
 def isometry_exists(x, y):
     """Distance-preserving bijection search over all permutations."""
     if len(x) != len(y):

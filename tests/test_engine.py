@@ -38,8 +38,13 @@ from ultragh.errors import (
 from ultragh.isometries import _approximation_probe, _isometry_probe
 from ultragh.spaces import BreakpointGrid, _far_table, _partner_subsets
 
-from conftest import equal_diameter_partner, ev
-from oracles import isometry_exists, naive_correspondence_minima, spectra_bound_by_scan
+from conftest import caterpillar, equal_diameter_partner, ev
+from oracles import (
+    isometry_exists,
+    naive_correspondence_minima,
+    quotient_rank_by_recursion,
+    spectra_bound_by_scan,
+)
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -456,6 +461,99 @@ def test_quotient_rank_matches_oracle(pair):
         assert grid.values[engine._quotient_rank(grid)] == strong_min
 
 
+@st.composite
+def hint_pairs(draw):
+    """Pairs of 1-9 points a side, most with equal diameters and many in
+    the hard case 0 < dhat < diameter, and an order of the right space's
+    points. The right space is one of: a one-point space against a
+    one-point left space; an equal-diameter random partner; a random space
+    of any diameter; or a near copy of the left space, which keeps at
+    least one point of each of its closed tau-balls, tau a distance below
+    its diameter, and moves the distances up to tau through a
+    nondecreasing map into (0, tau]. A near copy keeps every distance
+    above tau, so its quotient at tau is the left space's and dhat is at
+    most tau."""
+    kind = draw(st.integers(0, 9))
+    n = 1 if kind == 9 else draw(st.integers(2, 9))
+    x = random_ultrametric(n, draw(st.integers(0, 20_000)), POOL)
+    seed = draw(st.integers(0, 20_000))
+    levels = x.values[1:-1]
+    if kind == 9:
+        y = random_ultrametric(1, seed, POOL)
+    elif kind == 8:
+        y = random_ultrametric(draw(st.integers(1, 9)), seed, POOL)
+    elif kind >= 6 or not levels:
+        y = equal_diameter_partner(x, draw(st.integers(2, 9)), seed, POOL)
+    else:
+        k = draw(st.integers(1, len(levels)))
+        tau = x.values[k]
+        low = [v for v in POOL if v <= tau]
+        moved = dict(zip(x.values[1:k + 1], sorted(
+            draw(st.lists(st.sampled_from(low), min_size=k, max_size=k)))))
+        moved[x.values[0]] = x.values[0]
+        keep, left = [], set(range(n))
+        while left:
+            ball = [j for j in sorted(left) if x.ranks[min(left)][j] <= k]
+            left -= set(ball)
+            keep += [j for j, kept in zip(ball, draw(st.lists(
+                st.booleans(), min_size=len(ball), max_size=len(ball)))) if kept] or ball[:1]
+        keep.sort()
+        y = validate_space([[moved.get(x.dist(i, j), x.dist(i, j)) for j in keep]
+                            for i in keep])
+    return x, y, draw(st.permutations(range(len(y))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hint_pairs())
+def test_quotient_rank_matches_recursive_cut_forms(pair):
+    # The tree walk over the dendrograms kept from validation returns the
+    # rank the recursive cut forms of the rank matrices give, with the
+    # right space relabelled and with the sides swapped.
+    x, y, order = pair
+    relabelled = validate_space([[y.dist(i, j) for j in order] for i in order])
+    for a, b in ((x, y), (x, relabelled), (y, x)):
+        grid = BreakpointGrid(a, b)
+        assert engine._quotient_rank(grid) == quotient_rank_by_recursion(grid)
+
+
+def test_quotient_rank_on_1100_point_caterpillars():
+    # Both dendrograms are over 1,000 levels deep; the walk has no
+    # recursion to overflow. The quotients differ at 0 and agree at 1.
+    grid = BreakpointGrid(caterpillar(1100), caterpillar(1100, split_bottom=True))
+    assert engine._quotient_rank(grid) == 1
+    assert grid.values[1] == ExactValue(1)
+
+
+def test_dhat_on_a_500_point_caterpillar():
+    # The approximation scan starts from the hint, which used to overflow
+    # the stack here.
+    x = caterpillar(500)
+    report = dhat_gh(x, x, methods=["approximation_scan"])
+    assert report.dhat == ZERO
+    assert report.methods["approximation_scan"].value == ZERO
+
+
+def test_dhat_computes_hint_and_floor_once(monkeypatch):
+    # On this pair the classical floor pass misses and the search restarts
+    # at the quotient value, which dhat_gh hands to it: one quotient walk
+    # and one merge-height floor per call.
+    x, y = hard_pair(35)
+    quotient, floor = engine._quotient_rank, BreakpointGrid.distortion_floor
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(engine, "_quotient_rank", counted("quotient", quotient))
+    monkeypatch.setattr(BreakpointGrid, "distortion_floor", counted("floor", floor))
+    report = dhat_gh(x, y)
+    assert report.classical.optimal
+    assert sorted(calls) == ["floor", "quotient"]
+
+
 def hard_pair(seed):
     """An equal-diameter pair of 4 points a side with 0 < dhat < diameter."""
     x = random_ultrametric(4, seed, POOL)
@@ -532,9 +630,9 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     assert grid.values[floor] < res.distortion
     calls = []
 
-    def spy(grid, strong, budget, product_cap, start=None, floor=None):
+    def spy(grid, strong, budget, product_cap, start=None):
         calls.append((strong, start))
-        return _search(grid, strong, budget, product_cap, start, floor)
+        return _search(grid, strong, budget, product_cap, start)
 
     monkeypatch.setattr(engine, "_search", spy)
     for budget, starts in ((None, [floor, quotient]), (10**6, [None])):

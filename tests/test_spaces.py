@@ -20,7 +20,7 @@ from ultragh import (
     weight_spectrum,
     write_space,
 )
-from ultragh.spaces import BreakpointGrid, _partner_subsets, _split_heights
+from ultragh.spaces import BreakpointGrid, _merge_heights, _partner_subsets, _split_tree
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -29,7 +29,7 @@ from ultragh.errors import (
     ZeroOffDiagonalError,
 )
 
-from conftest import ev
+from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
     merge_heights_by_ball_counts,
@@ -370,7 +370,7 @@ def test_distortion_floor(x, y):
     for space in (x, y):
         for s in (space, parse_space(write_space(space)),
                   induced_subspace(space, range(0, len(space), 2))):
-            assert [s.values[h] for h in s._heights] == merge_heights_by_ball_counts(s)
+            assert [s.values[h] for h in _merge_heights(s._tree)] == merge_heights_by_ball_counts(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -554,11 +554,11 @@ def _is_ultrametric(rk):
 
 
 def _check_split(rk):
-    heights = _split_heights(rk)
+    tree = _split_tree(rk)
     if _is_ultrametric(rk):
-        assert heights == _single_linkage_heights(rk)
+        assert _merge_heights(tree) == _single_linkage_heights(rk)
     else:
-        assert heights is None
+        assert tree is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -594,13 +594,35 @@ def test_ball_splitting_on_perturbed_ultrametrics(n, seed, edits):
     _check_split(rk)
 
 
+def _depth(tree, n):
+    """Edges on the longest path from a dendrogram's root down to a point,
+    walking the nodes in order, each parent before its children."""
+    depth = [0] * (n + len(tree.heights))
+    for k, kids in enumerate(tree.children):
+        for c in kids:
+            depth[c] = depth[n + k] + 1
+    return max(depth[:n])
+
+
 def test_ball_splitting_on_a_2048_point_caterpillar():
     # d(i, j) = max(i, j): every merge height is distinct, and each split
-    # leaves a cluster one point smaller, 2,047 levels deep.
+    # leaves a cluster one point smaller, 2,047 levels deep. The space
+    # keeps the chain the splitting builds, root first: nodes at heights
+    # 2,047 down to 1, each holding one point and the next node, the last
+    # one points 0 and 1.
     n = 2048
     ints = list(range(n))
-    rk = tuple((ints[i],) * i + (0,) + tuple(ints[i + 1:]) for i in range(n))
-    assert _split_heights(rk) == ints[:0:-1]
+    space = caterpillar(n)
+    tree = space._tree
+    assert tree.heights == ints[:0:-1]
+    assert _depth(tree, n) == n - 1
+    assert _merge_heights(tree) == ints[:0:-1]
+    # The merge heights are those the closed-ball counts give, checked on
+    # 64 points, where counting is cheap.
+    small = caterpillar(64)
+    assert ([small.values[h] for h in _merge_heights(small._tree)]
+            == merge_heights_by_ball_counts(small))
     # d(0, 1) = 5 > max(d(0, 2), d(2, 1)) = 2, found at the deepest split.
+    rk = space.ranks
     bad = (rk[0][:1] + (5,) + rk[0][2:], (5,) + rk[1][1:]) + rk[2:]
-    assert _split_heights(bad) is None
+    assert _split_tree(bad) is None

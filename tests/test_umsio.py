@@ -232,13 +232,13 @@ def reference_parse(text):
 
 
 def _outcome(parse, text):
-    """What a reader makes of text: the space with its merge heights and
-    its written bytes, or the error's type, message, line and reason."""
+    """What a reader makes of text: the space with its dendrogram and its
+    written bytes, or the error's type, message, line and reason."""
     try:
         space = parse(text)
     except UltraGHError as err:
         return (type(err), str(err), getattr(err, "line", None), getattr(err, "reason", None))
-    return (space, space._heights, write_space(space))
+    return (space, space._tree, write_space(space))
 
 
 def _canonical_texts(sizes=range(1, 41)):
