@@ -1,30 +1,49 @@
 """The umbrella distance computation.
 
-dhat_gh computes the non-Archimedean Gromov-Hausdorff distance by several
-independent routes and insists they agree exactly:
+dhat_gh computes the non-Archimedean Gromov-Hausdorff distance and reports
+it under the names of its routes:
 
-  * strong_correspondence: branch-and-bound minimum distortion over strong
-    correspondences (the distance itself, attained on finite spaces);
+  * strong_correspondence: a strong correspondence of minimum distortion
+    (the distance itself, attained on finite spaces);
   * isometry_scan: the infimum of eps admitting a strong eps-isometry,
-    found by a finite threshold scan;
-  * approximation_scan: same scan for strong eps-approximations;
+    with a map witness just above it;
+  * approximation_scan: the same for strong eps-approximations;
   * shortcut_3b: when the diameters differ the distance equals the larger
     diameter. The certificate is the spectra bound reaching it together
     with the full product, whose distortion is exactly the larger diameter
     and which, having no unrelated pairs, is strong; no search and no
     strongness scan runs.
 
-Every equal-diameter call first finds a hint: the least t in
+Every equal-diameter call first finds the quotient value: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
 isometric (_quotient_rank), read off the dendrograms the two spaces kept
 from validation by a bottom-up walk that needs no recursion, so it works
-at any depth. Every route checks the hint; none trusts it. The strong
-search proves its own minimum, which must equal the hint; without a
-budget it starts its incumbent cutoff just above it. Each scan makes two
-probes, one that must fail at the hint's cell and one that must hold at
-the next. A hint that any route contradicts raises
-MethodDisagreementError, so routes that pass agree. A budgeted call runs
-the strong and the classical search unseeded.
+at any depth. That value is dhat.
+
+A default call (no methods, no budget) takes all three outcomes from one
+greedy isometry between the two quotients at that value
+(_quotient_witnesses), at every size, and runs no search or scan. Its
+witnesses are checked from the class structure in O(n^2 + m^2): the
+classes pair one to one, the first points of matched classes sit at
+equal distances, and the largest class diameter is the value. A lower
+certificate checks that the quotients differ at the largest value of
+{0} ∪ W_X ∪ W_Y below it. They are the witnesses the searches and scans
+find. EngineCaps only picks the route names the report shows: those
+inside the caps, or all three beyond every cap. Beyond the classical cap
+a default call that asks for the classical search (include_classical=True,
+as metric_ratio does) raises SearchSpaceTooLargeError before any work.
+
+Explicit methods and budgeted calls run the searches and scans, each of
+which checks the value and none of which trusts it. A budgeted default
+call runs those of the routes inside the caps, so an exhausted budget
+still raises BudgetExceededError, and beyond every cap it raises
+SearchSpaceTooLargeError. The strong search proves its own minimum, which
+must equal it; without a budget it starts its incumbent cutoff just
+above it. Each scan makes two probes, one that
+must fail at the value's cell and one that must hold at the next. A
+value that any route or check contradicts raises MethodDisagreementError,
+so routes that pass agree. A budgeted call runs the strong and the
+classical search unseeded.
 
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
@@ -39,8 +58,8 @@ minimum a finite search attains.
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
 search stops at the first leaf reaching the merge-height lower bound
-(BreakpointGrid.distortion_floor, read off the dendrograms each space
-kept from validation), and a budgeted search that runs out reports half
+(BreakpointGrid.distortion_floor, read off the merge heights each space
+keeps from its dendrogram), and a budgeted search that runs out reports half
 that bound as the lower end of its interval. An unbudgeted search first
 runs seeded at that bound, so it accepts only a leaf reaching it, which is
 then optimal; only when no leaf does (the bound lies below the minimum)
@@ -48,16 +67,17 @@ does the search run again, seeded at the quotient value, the hint itself
 when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
 distortion from above, so the restart accepts only leaves of distortion
 at most dhat, in classical_gh and dhat_gh alike.
-Every route and the classical search of one call read the pair's single
-BreakpointGrid: its thresholds, its rank matrices, its merge-height
-floor, one gap-rank table, and the partner-subset and far-partner tables
-both searches share. One call computes the floor and the hint once each.
+The quotient witnesses, any searches and the classical search of one call
+read the pair's single BreakpointGrid: its thresholds, its rank matrices,
+its merge-height floor, and, for the searches, one gap-rank table and the
+partner-subset and far-partner tables they share. One call computes the
+floor and the quotient value once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import (
@@ -81,6 +101,7 @@ from .isometries import (
     ApproximationWitness,
     MapWitness,
     _approximation_probe,
+    _cell_midpoint,
     _isometry_probe,
 )
 
@@ -90,7 +111,14 @@ TWO = ExactValue(2)
 
 @dataclass(frozen=True)
 class EngineCaps:
-    """The fixed instance-size limits of dhat_gh's automatic method set."""
+    """The fixed instance sizes up to which a default dhat_gh report shows
+    each route; beyond every cap it shows all three. A default call runs
+    no search at any size, so inside the caps they only pick the names.
+    corr_product is also the size limit of the correspondence searches
+    that explicit methods and budgeted calls run. classical_product is
+    the size up to which a default call runs the classical search
+    unasked; beyond it, on equal diameters, a default call that asks for
+    it raises SearchSpaceTooLargeError."""
 
     corr_product: int = DEFAULT_PRODUCT_CAP
     iso_product: int = 20
@@ -287,24 +315,211 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     """
     start = max(grid.spectra_floor(), grid.floor)
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    tx, ty = ((len(space), list(map(w.__getitem__, space._tree.heights)),
-               space._tree.children)
-              for space, w in ((grid.x, grid.wx), (grid.y, grid.wy)))
+    tx, ty = _grid_trees(grid)
     return next(c for c in sorted({*grid.wx, *grid.wy}) if c >= start
-                and _cut_id(*tx, c, ids) == _cut_id(*ty, c, ids))
+                and _root_id(*tx, c, ids) == _root_id(*ty, c, ids))
 
 
-def _cut_id(n: int, heights: list[int], children: list[list[int]], c: int,
-            ids: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """Id of the root of an n-point dendrogram, its heights as grid ranks,
-    cut at rank c: 0 at or below the cut, else the interned pair of the
-    height and the children's sorted ids."""
+def _grid_trees(grid: BreakpointGrid):
+    """Each space's point count, dendrogram heights as grid ranks and
+    children, x's first."""
+    return [(len(space), list(map(w.__getitem__, space._tree.heights)),
+             space._tree.children)
+            for space, w in ((grid.x, grid.wx), (grid.y, grid.wy))]
+
+
+def _cut_ids(n: int, heights: list[int], children: list[list[int]], c: int,
+             ids: dict[tuple[int, tuple[int, ...]], int]) -> list[int]:
+    """The id of every node of an n-point dendrogram, its heights as grid
+    ranks, cut at rank c: 0 at or below the cut, else the interned pair of
+    the height and the children's sorted ids. Ids are given from the last
+    node back, children before parents, so no walk recurses."""
     node_id = [0] * (n + len(heights))
     for k in range(len(heights) - 1, -1, -1):
         if heights[k] > c:
             key = (heights[k], tuple(sorted(map(node_id.__getitem__, children[k]))))
             node_id[n + k] = ids.setdefault(key, len(ids) + 1)
-    return node_id[n] if heights else 0
+    return node_id
+
+
+def _root_id(n: int, heights: list[int], children: list[list[int]], c: int,
+             ids: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """The cut id of the root of the dendrogram (_cut_ids), 0 for a
+    one-point space."""
+    return _cut_ids(n, heights, children, c, ids)[n] if heights else 0
+
+
+class _Cut(NamedTuple):
+    """A dendrogram cut at a grid rank c, as _quotient_witnesses reads it.
+    Nodes are numbered as in _Dendrogram; -1 stands for a virtual parent
+    of the root.
+
+    form holds each node's cut id (_cut_ids), parent each node's parent,
+    height each node's height as a grid rank (0 for a point) and first
+    the least point below each node. classes lists the class nodes, the
+    maximal nodes at or below the cut, one per closed c-ball, by first
+    point, members the points of each class, ascending, and class_of the
+    index into classes of each point's class. root is the root's node.
+    """
+
+    form: list[int]
+    parent: list[int]
+    height: list[int]
+    first: list[int]
+    classes: list[int]
+    members: list[list[int]]
+    class_of: list[int]
+    root: int
+
+
+def _cut(n: int, heights: list[int], children: list[list[int]], c: int,
+         ids: dict[tuple[int, tuple[int, ...]], int]) -> _Cut:
+    """The _Cut at grid rank c of an n-point dendrogram, its heights as
+    grid ranks, its forms interned in ids; O(n), walking the tree parents
+    first for the classes and back for the first points, with no
+    recursion."""
+    height = [0] * n + heights
+    form = _cut_ids(n, heights, children, c, ids)
+    parent = [-1] * len(height)
+    label = list(range(len(height)))  # the class node at or above each node
+    first = list(range(len(height)))
+    for k, kids in enumerate(children):
+        v = n + k
+        above = height[v] > c
+        for child in kids:
+            parent[child] = v
+            if not above:
+                label[child] = label[v]
+    for k in range(len(children) - 1, -1, -1):
+        first[n + k] = min(map(first.__getitem__, children[k]))
+    index: dict[int, int] = {}
+    classes: list[int] = []
+    members: list[list[int]] = []
+    class_of = []
+    for point in range(n):
+        node = label[point]
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(classes)
+            classes.append(node)
+            members.append([])
+        members[i].append(point)
+        class_of.append(i)
+    return _Cut(form, parent, height, first, classes, members, class_of,
+                n if children else 0)
+
+
+def _quotient_witnesses(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutcome]:
+    """The three routes' outcomes at the grid rank hint, each route's name
+    mapping to it, from one greedy isometry between the quotients of
+    grid's pair by closed hint-balls, in O(n^2 + m^2).
+
+    The classes are the closed hint-balls (_rank_balls(ranks, hint + 1)),
+    read off each dendrogram cut at the hint (_Cut). X's classes are
+    pinned in first-point order, each to the free Y class with the least
+    first point whose pin is consistent: X's ancestor balls of the class,
+    up to its lowest one already mapped, map to unmapped Y balls of equal
+    cut form (_cut_ids) under that one's image, so the mapped balls stay
+    one to one and keep their forms. Consistent pins always extend, since
+    balls of equal form have children of equal forms. A dict holds the
+    node map from X to Y. Each Y node keeps its free children by form, by
+    first point, and a child leaves that list when it is mapped, so a pin
+    walks down from the image of the class's lowest mapped ancestor only
+    through free balls of the forms it needs, and an unmapped ball's
+    whole subtree is free.
+
+    The witnesses, all from the class matching phi:
+      * strong_correspondence: the union of A x phi(A), attained;
+      * isometry_scan: each point to the first point of its class's
+        partner, at the midpoint of the cell above the hint;
+      * approximation_scan: the classes' first points, paired.
+    Each is checked from the class structure, with no gap table and no
+    verdict: phi pairs the classes one to one, the distance between the
+    first points of two classes is the same on both sides, and the largest
+    class diameter is the hint. So the quotients are isometric at the
+    hint, the map is a strong eps-isometry, the first points form a strong
+    eps-approximation and the correspondence is strong with distortion the
+    hint. The lower certificate: the quotients differ at the largest value
+    of {0} ∪ W_X ∪ W_Y below the hint, so no smaller value has isometric
+    quotients. A hint that fails any of these raises
+    MethodDisagreementError.
+    """
+    x, y = grid.x, grid.y
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    tx, ty = _grid_trees(grid)
+    prev = max((r for r in {*grid.wx, *grid.wy} if r < hint), default=None)
+    if prev is not None and _root_id(*tx, prev, ids) == _root_id(*ty, prev, ids):
+        raise MethodDisagreementError(
+            f"quotients are isometric at {grid.values[prev]}, below the "
+            f"quotient bound {grid.values[hint]}")
+    cx, cy = _cut(*tx, hint, ids), _cut(*ty, hint, ids)
+
+    # by_form[b][f]: the free children of Y node b of form f, by first point.
+    first_y, form_y, parent_y = cy.first, cy.form, cy.parent
+    by_form: dict[int, dict[int, list[int]]] = {-1: {form_y[cy.root]: [cy.root]}}
+    for k, kids in enumerate(ty[2]):
+        if form_y[len(y) + k]:
+            groups = by_form[len(y) + k] = {}
+            for child in sorted(kids, key=first_y.__getitem__):
+                groups.setdefault(form_y[child], []).append(child)
+    fwd = {-1: -1}
+    partner = []
+    for a_class in cx.classes:
+        # The class and its unmapped ancestors, bottom up, below the
+        # lowest mapped ancestor a.
+        chain = [a_class]
+        a = cx.parent[a_class]
+        while a not in fwd:
+            chain.append(a)
+            a = cx.parent[a]
+        wanted = [cx.form[v] for v in reversed(chain)]
+        best = None
+        for top in by_form[fwd[a]].get(wanted[0], ()):
+            if best is not None and first_y[top] >= first_y[best]:
+                break
+            level = [top]
+            for f in wanted[1:]:
+                level = [u for v in level for u in by_form[v].get(f, ())]
+            found = min(level, key=first_y.__getitem__)
+            if best is None or first_y[found] < first_y[best]:
+                best = found
+        if best is None:
+            raise MethodDisagreementError(
+                "quotients are not isometric at the quotient bound "
+                f"{grid.values[hint]}")
+        partner.append(best)
+        b = best
+        for v in chain:
+            fwd[v] = b
+            by_form[parent_y[b]][form_y[b]].remove(b)
+            b = parent_y[b]
+
+    xs = tuple(cx.first[a] for a in cx.classes)
+    ys = tuple(first_y[b] for b in partner)
+    rx, ry = grid.rx, grid.ry
+    if (len(cy.classes) != len(xs)
+            or any(list(map(rx[a].__getitem__, xs)) != list(map(ry[b].__getitem__, ys))
+                   for a, b in zip(xs, ys))
+            or max(max(map(cx.height.__getitem__, cx.classes)),
+                   max(map(cy.height.__getitem__, cy.classes))) != hint):
+        raise MethodDisagreementError(
+            f"greedy class matching is no quotient isometry at {grid.values[hint]}")
+
+    value = grid.values[hint]
+    rows = [cy.members[cy.class_of[j]] for j in ys]
+    # Points ascend, and so does each partner class, so the pairs ascend.
+    pairs = tuple((i, j) for i, k in enumerate(cx.class_of) for j in rows[k])
+    eps = _cell_midpoint(grid, hint + 1)
+    dis_x = grid.values[max(map(cx.height.__getitem__, cx.classes))]
+    return {
+        "strong_correspondence": MethodOutcome(
+            value, True, Correspondence._sorted(x, y, pairs)),
+        "isometry_scan": MethodOutcome(value, False, MapWitness(
+            x, y, tuple(map(ys.__getitem__, cx.class_of)), eps, dis_x,
+            is_eps_isometry=True, is_strong_eps_isometry=True, failure=None)),
+        "approximation_scan": MethodOutcome(
+            value, False, ApproximationWitness(xs, ys, eps)),
+    }
 
 
 def _auto_methods(product: int, caps: EngineCaps) -> tuple[str, ...]:
@@ -328,13 +543,19 @@ def dhat_gh(
 ) -> DistanceReport:
     """Compute the non-Archimedean Gromov-Hausdorff distance, cross-checked.
 
-    With methods=None the method set is chosen from EngineCaps(); on equal
-    diameters an explicit sequence runs exactly those routes. Every route
-    must reach the closed-ball quotient value (_quotient_rank) to the last
-    bit, so all of them agree, or MethodDisagreementError is raised.
-    When the diameters differ, explicit methods are still validated, but the
-    shortcut path always certifies the value as the larger diameter instead:
-    the spectra bound reaches it and the full product attains it.
+    On equal diameters the value is the closed-ball quotient value
+    (_quotient_rank). With methods=None and no budget every outcome comes
+    from one checked greedy quotient isometry (_quotient_witnesses), at
+    any size, under the route names EngineCaps() picks; there
+    include_classical=True beyond the classical cap raises
+    SearchSpaceTooLargeError. An explicit sequence runs exactly those
+    routes' searches and scans, and methods=None with a budget runs those
+    inside the caps, raising SearchSpaceTooLargeError beyond all of them.
+    Every route must reach the quotient value to the last bit, so all of
+    them agree, or MethodDisagreementError is raised. When the diameters
+    differ, explicit methods are still validated, but the shortcut path
+    always certifies the value as the larger diameter instead: the
+    spectra bound reaches it and the full product attains it.
     """
     if methods is not None:
         names = tuple(methods)
@@ -364,13 +585,28 @@ def dhat_gh(
         outcomes["shortcut_3b"] = MethodOutcome(dhat, True, None)
         outcomes["strong_correspondence"] = MethodOutcome(
             dhat, True, full_product(x, y))
+    elif methods is None and budget is None:
+        # The quotient route at every size; the caps only pick the names.
+        # The classical search asked for past its cap would build tables
+        # exponential in the size, so the call refuses before any work.
+        if include_classical and product > caps.classical_product:
+            raise SearchSpaceTooLargeError(
+                f"|X|*|Y| = {product} exceeds the classical search cap "
+                f"{caps.classical_product}"
+            )
+        grid = BreakpointGrid(x, y)
+        hint = _quotient_rank(grid)
+        dhat = grid.values[hint]
+        quotient = _quotient_witnesses(grid, hint)
+        for name in _auto_methods(product, caps) or METHOD_NAMES:
+            outcomes[name] = quotient[name]
     else:
         if methods is None:
             names = _auto_methods(product, caps)
             if not names:
                 raise SearchSpaceTooLargeError(
                     f"|X|*|Y| = {product} exceeds every method cap; pass "
-                    "methods=..."
+                    "methods=... or no budget"
                 )
         grid = BreakpointGrid(x, y)
         hint = _quotient_rank(grid)

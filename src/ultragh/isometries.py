@@ -154,9 +154,11 @@ def exists_strong_epsilon_isometry(
 
 
 def _cell_midpoint(grid: BreakpointGrid, below: int) -> ExactValue:
-    """The midpoint of the cell (t_{below-1}, t_below] of grid.thresholds()."""
-    thresholds = grid.thresholds()
-    return thresholds[below - 1].midpoint(thresholds[below])
+    """The midpoint of the cell (t_{below-1}, t_below] of grid.thresholds(),
+    whose sentinel is made only for the last cell."""
+    values = grid.values
+    top = values[below] if below < len(values) else grid.thresholds()[below]
+    return values[below - 1].midpoint(top)
 
 
 def _isometry_probe(

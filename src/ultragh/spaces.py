@@ -39,11 +39,14 @@ class UltrametricSpace:
     _tree is the space's dendrogram (_Dendrogram), its heights as ranks,
     kept from the ball-splitting pass that validated the space (an induced
     subspace runs that pass on its own ranks): the merge heights and the
-    closed-ball quotients are read off it. Equality and hashing ignore it,
-    since the matrix determines it.
+    closed-ball quotients are read off it. Its merge heights, largest
+    first, are made from it once, by the first grid the space is in
+    (_merge_ranks), and kept for the merge-height floor of every later
+    one. Equality and hashing ignore both, since the matrix determines
+    them.
     """
 
-    __slots__ = ("labels", "values", "ranks", "inexact", "_tree")
+    __slots__ = ("labels", "values", "ranks", "inexact", "_tree", "_merges")
 
     def __init__(self, labels, values, ranks, inexact, tree, _token=None):
         if _token is not _CONSTRUCTION_TOKEN:
@@ -53,9 +56,19 @@ class UltrametricSpace:
         self.ranks: tuple[tuple[int, ...], ...] = ranks
         self.inexact: bool = inexact
         self._tree: _Dendrogram = tree
+        self._merges: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def _merge_ranks(self) -> list[int]:
+        """The n - 1 merge heights as ranks, largest first (_merge_heights
+        of the dendrogram), made on the first call and returned by every
+        later one, which callers only read."""
+        merges = self._merges
+        if merges is None:
+            merges = self._merges = _merge_heights(self._tree)
+        return merges
 
     def dist(self, i: int, j: int) -> ExactValue:
         return self.values[self.ranks[i][j]]
@@ -561,8 +574,8 @@ class BreakpointGrid:
     they are built once per distinct distance of x and shared by every
     pair at that distance. floor is the merge-height lower bound on the
     distortion of every correspondence (distortion_floor()), computed once
-    with the grid from the dendrograms the spaces kept when they were
-    validated, for the searches and the quotient hint of every call on it;
+    with the grid from the merge heights each space keeps, for the
+    searches and the quotient hint of every call on it;
     the spectra lower bound on dhat (spectra_floor()) is read off wx and wy.
     """
 
@@ -652,16 +665,16 @@ class BreakpointGrid:
         The k = 1 term is the diameter gap, so the floor is never below
         it.
 
-        Both height lists are read off the dendrograms the spaces kept
-        from validation (_merge_heights), as their own ranks, largest
-        first. Each term is the gap between a value of {0} ∪ W_X and one
-        of {0} ∪ W_Y, so its rank is read from the per-value gap ranks and
-        the floor is one max over max(n, m) - 1 ints. The grid computes it
-        once, as floor.
+        Both height lists are the ones each space keeps from its
+        dendrogram (UltrametricSpace._merge_ranks), as its own ranks,
+        largest first. Each term is the gap between a value of {0} ∪ W_X
+        and one of {0} ∪ W_Y, so its rank is read from the per-value gap
+        ranks and the floor is one max over max(n, m) - 1 ints. The grid
+        computes it once, as floor.
         """
         gap = self._gap
         return max((gap[a][b] for a, b in zip_longest(
-                        _merge_heights(self.x._tree), _merge_heights(self.y._tree),
+                        self.x._merge_ranks(), self.y._merge_ranks(),
                         fillvalue=0)),
                    default=0)
 

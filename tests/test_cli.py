@@ -289,8 +289,15 @@ def test_exit_codes(files, capsys, tmp_path):
     big_b = tmp_path / "b.ums"
     write_space_file(truncated_unramified_ring(2, 1, 3), big_a)
     write_space_file(truncated_unramified_ring(3, 1, 2), big_b)
-    assert run(["dhat", str(big_a), str(big_b)]) == 2  # over every cap
+    # Over every cap a default call answers from the quotient route; a
+    # budgeted one runs the searches, which refuse the size, and so does
+    # the classical search that the ratio needs.
+    assert run(["dhat", str(big_a), str(big_b)]) == 0
+    assert "dhat: 1\n" in capsys.readouterr().out
+    assert run(["dhat", str(big_a), str(big_b), "--budget", "100"]) == 2
     capsys.readouterr()
+    assert run(["ratio", str(big_a), str(big_b)]) == 2
+    assert "classical search cap" in capsys.readouterr().err
 
     assert run(["dgh", files["z4"], str(big_b), "--budget", "2"]) == 0
     out = capsys.readouterr().out

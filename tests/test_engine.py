@@ -16,6 +16,8 @@ from ultragh import (
     full_product,
     induced_subspace,
     is_strong_correspondence,
+    is_strong_epsilon_approximation,
+    is_strong_epsilon_isometry,
     metric_ratio,
     min_distortion_correspondence,
     min_distortion_strong_correspondence,
@@ -206,10 +208,21 @@ def test_scan_budget_exhaustion_raises(x2, x3):
 
 
 def test_caps_refuse_oversized():
+    # Over every cap a default call answers from the quotient route, with
+    # all three outcomes. The strong search, asked for by name or run by a
+    # budgeted default call, and the classical search, asked for by a
+    # default call, still refuse the size.
     a = truncated_unramified_ring(2, 1, 3)  # 8 points
     b = truncated_unramified_ring(3, 1, 2)  # 9 points -> product 72
-    with pytest.raises(SearchSpaceTooLargeError):
-        dhat_gh(a, b)
+    report = dhat_gh(a, b)
+    assert report.dhat == ev(1) and report.dhat_attained
+    assert tuple(report.methods) == METHOD_NAMES and report.classical is None
+    for methods, budget, classical in ((None, 10**6, None),
+                                       (("strong_correspondence",), None, None),
+                                       (None, None, True), (None, 10**6, True)):
+        with pytest.raises(SearchSpaceTooLargeError):
+            dhat_gh(a, b, methods=methods, budget=budget,
+                    include_classical=classical)
     report = dhat_gh(a, b, methods=("approximation_scan",), include_classical=False)
     assert report.dhat == ev(1)
 
@@ -343,9 +356,9 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
 
     monkeypatch.setattr("ultragh.spaces._far_table", counting_far)
 
-    # Equal diameters: all three routes and the classical search run, and
-    # the strong and classical searches share the grid's subset table and
-    # its far tables.
+    # Equal diameters: the quotient route gives all three outcomes, and
+    # the classical search builds the grid's subset table once and each
+    # far table once.
     for pair in ((x2, x3), (z4, z4_shuffled)):
         built.clear()
         subset_tables.clear()
@@ -389,8 +402,9 @@ def equal_diameter_pairs(draw):
 @settings(max_examples=40, deadline=None)
 @given(equal_diameter_pairs())
 def test_routes_match_public_functions(pair):
-    # Within the caps and on equal diameters every route runs; each outcome,
-    # witness included, must be what the public functions give alone.
+    # Within the caps and on equal diameters the report shows every route;
+    # each outcome, witness included, must be what the public functions
+    # give alone.
     x, y = pair
     report = dhat_gh(x, y)
     assert set(report.methods) == set(METHOD_NAMES)
@@ -467,12 +481,7 @@ def hint_pairs(draw):
     the hard case 0 < dhat < diameter, and an order of the right space's
     points. The right space is one of: a one-point space against a
     one-point left space; an equal-diameter random partner; a random space
-    of any diameter; or a near copy of the left space, which keeps at
-    least one point of each of its closed tau-balls, tau a distance below
-    its diameter, and moves the distances up to tau through a
-    nondecreasing map into (0, tau]. A near copy keeps every distance
-    above tau, so its quotient at tau is the left space's and dhat is at
-    most tau."""
+    of any diameter; or a near copy of the left space (near_copy)."""
     kind = draw(st.integers(0, 9))
     n = 1 if kind == 9 else draw(st.integers(2, 9))
     x = random_ultrametric(n, draw(st.integers(0, 20_000)), POOL)
@@ -485,21 +494,7 @@ def hint_pairs(draw):
     elif kind >= 6 or not levels:
         y = equal_diameter_partner(x, draw(st.integers(2, 9)), seed, POOL)
     else:
-        k = draw(st.integers(1, len(levels)))
-        tau = x.values[k]
-        low = [v for v in POOL if v <= tau]
-        moved = dict(zip(x.values[1:k + 1], sorted(
-            draw(st.lists(st.sampled_from(low), min_size=k, max_size=k)))))
-        moved[x.values[0]] = x.values[0]
-        keep, left = [], set(range(n))
-        while left:
-            ball = [j for j in sorted(left) if x.ranks[min(left)][j] <= k]
-            left -= set(ball)
-            keep += [j for j, kept in zip(ball, draw(st.lists(
-                st.booleans(), min_size=len(ball), max_size=len(ball)))) if kept] or ball[:1]
-        keep.sort()
-        y = validate_space([[moved.get(x.dist(i, j), x.dist(i, j)) for j in keep]
-                            for i in keep])
+        y = near_copy(draw, x)
     return x, y, draw(st.permutations(range(len(y))))
 
 
@@ -531,6 +526,118 @@ def test_dhat_on_a_500_point_caterpillar():
     report = dhat_gh(x, x, methods=["approximation_scan"])
     assert report.dhat == ZERO
     assert report.methods["approximation_scan"].value == ZERO
+
+
+@st.composite
+def default_path_pairs(draw):
+    """Equal-diameter pairs with |X|*|Y| <= 36, most of them in the hard
+    case 0 < dhat < diameter, the sides swapped in half the draws. The
+    right space is one of: a one-point space against a one-point left
+    space; a relabelled copy of the left space (dhat = 0); an
+    equal-diameter random partner; or, in five draws of eight, a near copy
+    (near_copy) of a left space of 3-6 points with at least two distinct
+    distances."""
+    kind = draw(st.integers(0, 7))
+    seed = draw(st.integers(0, 20_000))
+    if kind == 0:
+        x, y = (random_ultrametric(1, s, POOL) for s in (seed, seed + 1))
+    elif kind <= 2:
+        x = random_ultrametric(draw(st.integers(2, 6)), seed, POOL)
+        if kind == 1:
+            order = draw(st.permutations(range(len(x))))
+            y = validate_space([[x.dist(i, j) for j in order] for i in order])
+        else:
+            m = draw(st.integers(2, min(6, 36 // len(x))))
+            y = equal_diameter_partner(x, m, draw(st.integers(0, 20_000)), POOL)
+    else:
+        n = draw(st.integers(3, 6))
+        x = next(x for x in (random_ultrametric(n, s, POOL) for s in count(seed))
+                 if len(x.values) > 2)
+        y = near_copy(draw, x)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+def near_copy(draw, x):
+    """A near copy of x: at least one point of each of its closed tau-balls,
+    tau a distance below its diameter, with the distances up to tau moved
+    through a nondecreasing map into (0, tau]. It keeps every distance
+    above tau, so its quotient at tau is x's and dhat is at most tau."""
+    k = draw(st.integers(1, len(x.values) - 2))
+    tau = x.values[k]
+    low = [v for v in POOL if v <= tau]
+    moved = dict(zip(x.values[1:k + 1], sorted(
+        draw(st.lists(st.sampled_from(low), min_size=k, max_size=k)))))
+    moved[x.values[0]] = x.values[0]
+    keep, left = [], set(range(len(x)))
+    while left:
+        ball = [j for j in sorted(left) if x.ranks[min(left)][j] <= k]
+        left -= set(ball)
+        keep += [j for j, kept in zip(ball, draw(st.lists(
+            st.booleans(), min_size=len(ball), max_size=len(ball)))) if kept] or ball[:1]
+    keep.sort()
+    return validate_space([[moved.get(x.dist(i, j), x.dist(i, j)) for j in keep]
+                           for i in keep])
+
+
+@settings(max_examples=200, deadline=None)
+@given(default_path_pairs())
+@example((truncated_unramified_ring(2, 1, 1), truncated_unramified_ring(2, 1, 1)))
+def test_default_path_matches_each_route(pair):
+    # The default call answers from one greedy quotient isometry; each of
+    # its outcomes, witness included, is the one the route's own search or
+    # scan gives when asked for alone, and the routes shown are the ones
+    # inside the caps.
+    x, y = pair
+    report = dhat_gh(x, y)
+    names = engine._auto_methods(len(x) * len(y), EngineCaps())
+    assert tuple(report.methods) == names
+    for name in names:
+        alone = dhat_gh(x, y, methods=[name], include_classical=False)
+        assert alone.methods == {name: report.methods[name]}
+
+
+def test_default_dhat_on_500_point_caterpillars(monkeypatch):
+    # Far beyond every cap the default call still returns all three
+    # outcomes, read off the two chains 499 levels deep with no recursion
+    # and no gap table. The quotients differ at 0 and agree at 1.
+    x, y = caterpillar(500), caterpillar(500, split_bottom=True)
+
+    def refuse(grid):
+        raise AssertionError("the default path built the gap table")
+
+    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+    report = dhat_gh(x, y)
+    assert x.diameter() == ExactValue(499)
+    assert report.dhat == ExactValue(1) and report.dhat_attained
+    assert tuple(report.methods) == METHOD_NAMES and report.classical is None
+    approx = report.methods["approximation_scan"].witness
+    assert approx.xs == ball_representatives(x, approx.epsilon)
+    assert report.methods["isometry_scan"].witness.failure is None
+
+
+def test_ratio_refuses_caterpillars_beyond_the_classical_cap():
+    # The ratio needs the classical search, whose tables grow
+    # exponentially; beyond its cap the call refuses before any work,
+    # budgeted or not, instead of running it.
+    x, y = caterpillar(30), caterpillar(30, split_bottom=True)
+    for budget in None, 1:
+        with pytest.raises(SearchSpaceTooLargeError):
+            metric_ratio(x, y, budget=budget)
+
+
+def test_default_witnesses_pass_the_public_checks_at_64_points():
+    # Each of the three witnesses of a default call beyond the caps passes
+    # the public check of its kind.
+    x, y = caterpillar(64), caterpillar(64, split_bottom=True)
+    report = dhat_gh(x, y)
+    strong, iso, approx = (report.methods[name] for name in METHOD_NAMES)
+    assert report.dhat == strong.value == iso.value == approx.value == ExactValue(1)
+    verdict = is_strong_correspondence(strong.witness)
+    assert verdict.is_strong and verdict.distortion == ExactValue(1)
+    w = iso.witness
+    assert is_strong_epsilon_isometry(x, y, w.images, w.epsilon) == w
+    a = approx.witness
+    assert is_strong_epsilon_approximation(x, y, a.epsilon, a).valid
 
 
 def test_dhat_computes_hint_and_floor_once(monkeypatch):
@@ -567,8 +674,8 @@ def hard_pair(seed):
 def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
     # Under the true hint a budgeted call returns the unbudgeted report. A
     # hint one rank off makes every route raise, alone or in the default
-    # set, with or without a budget: the seeded routes and the budgeted,
-    # unseeded strong search all check it.
+    # set, with or without a budget: the seeded routes, the budgeted,
+    # unseeded strong search and the quotient route's checks all catch it.
     pairs = [hard_pair(seed) for seed in (12, 35)]
     expected = [dhat_gh(x, y, methods=methods) for x, y in pairs]
     for (x, y), report in zip(pairs, expected):
@@ -579,6 +686,24 @@ def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
         for budget in (None, 10**6):
             with pytest.raises(MethodDisagreementError):
                 dhat_gh(x, y, methods=methods, budget=budget)
+
+
+def test_lower_certificate_refuses_the_next_threshold(monkeypatch):
+    # At the next value of {0} ∪ W_X ∪ W_Y above the true one the quotients
+    # are still isometric and the largest class diameter is that value, so
+    # every witness check passes; only the lower certificate, the quotients
+    # differing at the value below, refuses it.
+    true_rank = engine._quotient_rank
+
+    def next_threshold(grid):
+        rank = true_rank(grid)
+        return min(r for r in {*grid.wx, *grid.wy} if r > rank)
+
+    pairs = [hard_pair(seed) for seed in (12, 35)]
+    monkeypatch.setattr(engine, "_quotient_rank", next_threshold)
+    for x, y in pairs:
+        with pytest.raises(MethodDisagreementError, match="isometric at"):
+            dhat_gh(x, y)
 
 
 @pytest.mark.parametrize("name", ["isometry_scan", "approximation_scan"])
