@@ -346,7 +346,7 @@ def _cmd_converge(args) -> int:
     target_path, paths = _parse_manifest(args.manifest)
     sequence = [parse_space_file(p) for p in paths]
     target = parse_space_file(target_path) if target_path else None
-    report = diameter_trend(sequence, target, budget=args.budget)
+    report = diameter_trend(sequence, target)
     lines = [f"spaces: {len(sequence)}", f"classification: {report.classification}"]
     for i, d in enumerate(report.diameters):
         extra = ""

@@ -312,8 +312,6 @@ class DiameterTrendReport:
 def diameter_trend(
     sequence: Sequence[UltrametricSpace],
     target: Optional[UltrametricSpace] = None,
-    *,
-    budget: Optional[int] = None,
 ) -> DiameterTrendReport:
     """Tabulate diameters and, given a target, the per-index distance data.
 
@@ -348,7 +346,7 @@ def diameter_trend(
         forced = []
         holds = []
         for space, diam_n in zip(sequence, diameters):
-            report = dhat_gh(space, target, budget=budget, include_classical=False)
+            report = dhat_gh(space, target, include_classical=False)
             values.append(report.dhat)
             is_forced = report.dhat < max(diam_n, target_diameter)
             equal = diam_n == target_diameter

@@ -20,40 +20,31 @@ isometric (_quotient_rank), read off the dendrograms the two spaces kept
 from validation by a bottom-up walk that needs no recursion, so it works
 at any depth. That value is dhat.
 
-A default call (no methods, no budget) takes all three outcomes from one
-greedy isometry between the two quotients at that value
-(_quotient_witnesses), at every size, and runs no search or scan. Its
-witnesses are checked from the class structure in O(n^2 + m^2): the
-classes pair one to one, the first points of matched classes sit at
-equal distances, and the largest class diameter is the value. A lower
-certificate checks that the quotients differ at the largest value of
-{0} ∪ W_X ∪ W_Y below it. They are the witnesses the searches and scans
-find. EngineCaps only picks the route names the report shows: those
-inside the caps, or all three beyond every cap. Beyond the classical cap
-a default call that asks for the classical search (include_classical=True,
-as metric_ratio does) raises SearchSpaceTooLargeError before any work.
-
-Explicit methods and budgeted calls run the searches and scans, each of
-which checks the value and none of which trusts it. A budgeted default
-call runs those of the routes inside the caps, so an exhausted budget
-still raises BudgetExceededError, and beyond every cap it raises
-SearchSpaceTooLargeError. The strong search proves its own minimum, which
-must equal it; without a budget it starts its incumbent cutoff just
-above it. Each scan makes two probes, one that
-must fail at the value's cell and one that must hold at the next. A
-value that any route or check contradicts raises MethodDisagreementError,
-so routes that pass agree. A budgeted call runs the strong and the
-classical search unseeded.
+The call then takes all three outcomes from one greedy isometry between
+the two quotients at that value (_quotient_witnesses), at every size, and
+runs no strong search or scan. Its witnesses are
+checked from the class structure in O(n^2 + m^2): the classes pair one to
+one, the first points of matched classes sit at equal distances, and the
+largest class diameter is the value. A lower certificate checks that the
+quotients differ at the largest value of {0} ∪ W_X ∪ W_Y below it. They
+are the witnesses the public searches and scans find. A value that a
+check contradicts raises MethodDisagreementError. methods= only names the
+routes the report shows; without it EngineCaps picks them: those inside
+the caps, or all three beyond every cap. A budget bounds only the
+classical search. Any call that asks for the classical search
+(include_classical=True, as metric_ratio does) beyond its cap raises
+SearchSpaceTooLargeError before any work, on equal diameters or not. An
+independent exponential search is still public:
+min_distortion_strong_correspondence, exists_strong_epsilon_isometry and
+exists_strong_epsilon_approximation.
 
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
 constant on each half-open cell (t_{k-1}, t_k] between consecutive candidate
-thresholds. One probe per cell, given the cell's index and witnessing at its
-midpoint, turns the infimum over real eps into a finite exact computation. A
-scan infimum is the lower end of the first cell that holds and is never
-attained, so a scan outcome always reads attained=False; dhat_attained
-comes from the strong route (or the diameter-gap certificate), whose
-minimum a finite search attains.
+thresholds. A scan infimum is the lower end of the first cell that holds and
+is never attained, so a scan outcome always reads attained=False, with its
+witness at the midpoint of the cell above the value; dhat_attained comes
+from the strong route (or the diameter-gap certificate).
 
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
@@ -67,11 +58,11 @@ does the search run again, seeded at the quotient value, the hint itself
 when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
 distortion from above, so the restart accepts only leaves of distortion
 at most dhat, in classical_gh and dhat_gh alike.
-The quotient witnesses, any searches and the classical search of one call
-read the pair's single BreakpointGrid: its thresholds, its rank matrices,
-its merge-height floor, and, for the searches, one gap-rank table and the
-partner-subset and far-partner tables they share. One call computes the
-floor and the quotient value once each.
+The quotient witnesses and the classical search of one call read the
+pair's single BreakpointGrid: its thresholds, its rank matrices, its
+merge-height floor, and, for the search, the partner-subset and
+far-partner tables. One call computes the floor and the quotient value
+once each.
 """
 
 from __future__ import annotations
@@ -97,13 +88,7 @@ from .correspondences import (
     _search,
     full_product,
 )
-from .isometries import (
-    ApproximationWitness,
-    MapWitness,
-    _approximation_probe,
-    _cell_midpoint,
-    _isometry_probe,
-)
+from .isometries import ApproximationWitness, MapWitness, _cell_midpoint
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
 TWO = ExactValue(2)
@@ -111,14 +96,12 @@ TWO = ExactValue(2)
 
 @dataclass(frozen=True)
 class EngineCaps:
-    """The fixed instance sizes up to which a default dhat_gh report shows
-    each route; beyond every cap it shows all three. A default call runs
-    no search at any size, so inside the caps they only pick the names.
-    corr_product is also the size limit of the correspondence searches
-    that explicit methods and budgeted calls run. classical_product is
-    the size up to which a default call runs the classical search
-    unasked; beyond it, on equal diameters, a default call that asks for
-    it raises SearchSpaceTooLargeError."""
+    """The fixed instance sizes up to which a dhat_gh report without
+    methods= shows each route; beyond every cap it shows all three. No
+    route runs a search at any size, so the caps only pick the names.
+    classical_product is the size up to which dhat_gh runs the classical
+    search unasked; beyond it a call that asks for it raises
+    SearchSpaceTooLargeError."""
 
     corr_product: int = DEFAULT_PRODUCT_CAP
     iso_product: int = 20
@@ -274,28 +257,6 @@ def _classical(
                            optimal=res.optimal)
 
 
-def _scan_infimum(grid: BreakpointGrid, probe, hint: int):
-    """Exact infimum of a monotone probe over positive eps, at the grid
-    rank hint h.
-
-    Returns MethodOutcome(infimum, False, witness_at_first_true). Every probe
-    compares grid values with eps strictly, so it depends on eps only
-    through the cut k = bisect_left(grid.values, eps) and is constant on
-    each half-open cell (t_{k-1}, t_k] of grid.thresholds(). One probe per
-    cell, given k and witnessing at the cell's midpoint, decides the whole
-    cell. Cell h must fail (no cell when h = 0) and cell h + 1 must hold;
-    the probe is monotone in eps, so together they pin the infimum at t_h,
-    never attained, with the witness of the first cell that holds. If
-    either disagrees the scan raises MethodDisagreementError.
-    """
-    witness = probe(hint + 1)
-    if witness is None or (hint and probe(hint) is not None):
-        raise MethodDisagreementError(
-            f"scan does not reach its infimum at the quotient bound {grid.values[hint]}"
-        )
-    return MethodOutcome(grid.values[hint], False, witness)
-
-
 def _quotient_rank(grid: BreakpointGrid) -> int:
     """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
     grid's pair by closed t-balls are isometric.
@@ -310,8 +271,7 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     larger of two proven lower bounds on dhat, the spectra bound (the
     largest rank one spectrum holds and the other lacks) and the grid's
     merge-height floor, upward; at the larger diameter both roots get id
-    0. The value is only a starting hint: every route run from it checks
-    it.
+    0. The value is only a hint: _quotient_witnesses checks it.
     """
     start = max(grid.spectra_floor(), grid.floor)
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -541,21 +501,22 @@ def dhat_gh(
     budget: Optional[int] = None,
     include_classical: Optional[bool] = None,
 ) -> DistanceReport:
-    """Compute the non-Archimedean Gromov-Hausdorff distance, cross-checked.
+    """Compute the non-Archimedean Gromov-Hausdorff distance, with checked
+    witnesses.
 
     On equal diameters the value is the closed-ball quotient value
-    (_quotient_rank). With methods=None and no budget every outcome comes
-    from one checked greedy quotient isometry (_quotient_witnesses), at
-    any size, under the route names EngineCaps() picks; there
+    (_quotient_rank), and every outcome comes from one checked greedy
+    quotient isometry (_quotient_witnesses), at any size; a value its
+    checks contradict raises MethodDisagreementError. methods only names
+    the routes the report shows; methods=None shows those EngineCaps()
+    picks. When the diameters differ, explicit methods are still
+    validated, but the shortcut path always certifies the value as the
+    larger diameter instead: the spectra bound reaches it and the full
+    product attains it. budget bounds only the classical search, and
     include_classical=True beyond the classical cap raises
-    SearchSpaceTooLargeError. An explicit sequence runs exactly those
-    routes' searches and scans, and methods=None with a budget runs those
-    inside the caps, raising SearchSpaceTooLargeError beyond all of them.
-    Every route must reach the quotient value to the last bit, so all of
-    them agree, or MethodDisagreementError is raised. When the diameters
-    differ, explicit methods are still validated, but the shortcut path
-    always certifies the value as the larger diameter instead: the
-    spectra bound reaches it and the full product attains it.
+    SearchSpaceTooLargeError before any work. For an independent search,
+    call min_distortion_strong_correspondence,
+    exists_strong_epsilon_isometry or exists_strong_epsilon_approximation.
     """
     if methods is not None:
         names = tuple(methods)
@@ -565,12 +526,19 @@ def dhat_gh(
         if not names:
             raise ValueError("methods must not be empty")
     caps = EngineCaps()
+    product = len(x) * len(y)
+    # The classical search asked for past its cap would build tables
+    # exponential in the size, so the call refuses before any work.
+    if include_classical and product > caps.classical_product:
+        raise SearchSpaceTooLargeError(
+            f"|X|*|Y| = {product} exceeds the classical search cap "
+            f"{caps.classical_product}"
+        )
     slb = spectra_lower_bound(x, y)
     diam_x, diam_y = x.diameter(), y.diameter()
     diam_max = max(diam_x, diam_y)
-    product = len(x) * len(y)
     outcomes: dict[str, MethodOutcome] = {}
-    grid = None  # built once, when a route or the classical search runs
+    grid = None  # built once, when the quotient or the classical search runs
     hint = None  # the quotient value's grid rank, on equal diameters
 
     if diam_x != diam_y:
@@ -585,51 +553,17 @@ def dhat_gh(
         outcomes["shortcut_3b"] = MethodOutcome(dhat, True, None)
         outcomes["strong_correspondence"] = MethodOutcome(
             dhat, True, full_product(x, y))
-    elif methods is None and budget is None:
-        # The quotient route at every size; the caps only pick the names.
-        # The classical search asked for past its cap would build tables
-        # exponential in the size, so the call refuses before any work.
-        if include_classical and product > caps.classical_product:
-            raise SearchSpaceTooLargeError(
-                f"|X|*|Y| = {product} exceeds the classical search cap "
-                f"{caps.classical_product}"
-            )
+    else:
+        # The quotient route at every size; methods and the caps only pick
+        # the names.
         grid = BreakpointGrid(x, y)
         hint = _quotient_rank(grid)
         dhat = grid.values[hint]
         quotient = _quotient_witnesses(grid, hint)
-        for name in _auto_methods(product, caps) or METHOD_NAMES:
-            outcomes[name] = quotient[name]
-    else:
         if methods is None:
-            names = _auto_methods(product, caps)
-            if not names:
-                raise SearchSpaceTooLargeError(
-                    f"|X|*|Y| = {product} exceeds every method cap; pass "
-                    "methods=... or no budget"
-                )
-        grid = BreakpointGrid(x, y)
-        hint = _quotient_rank(grid)
-        dhat = grid.values[hint]
+            names = _auto_methods(product, caps) or METHOD_NAMES
         for name in names:
-            if name == "strong_correspondence":
-                # A budgeted search runs unseeded, so its work is a plain
-                # search's.
-                res = _search(grid, True, budget, caps.corr_product,
-                              hint if budget is None else None)
-                if not res.optimal:
-                    raise BudgetExceededError(
-                        "strong correspondence search ran out of budget"
-                    )
-                if res.distortion != dhat:
-                    raise MethodDisagreementError(
-                        f"strong search found {res.distortion}, not the quotient "
-                        f"bound {dhat}"
-                    )
-                outcomes[name] = MethodOutcome(res.distortion, True, res.correspondence)
-            else:
-                probe = _isometry_probe if name == "isometry_scan" else _approximation_probe
-                outcomes[name] = _scan_infimum(grid, lambda k: probe(grid, k, budget), hint)
+            outcomes[name] = quotient[name]
 
     if not (slb <= dhat <= diam_max):
         raise MethodDisagreementError(
@@ -643,9 +577,7 @@ def dhat_gh(
     if include_classical:
         if grid is None:
             grid = BreakpointGrid(x, y)
-        # include_classical has decided; the product itself as cap never
-        # refuses.
-        classical = _classical(grid, budget, product, hint)
+        classical = _classical(grid, budget, caps.classical_product, hint)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

@@ -78,7 +78,8 @@ class BridgeTooSmallError(UltraGHError):
 
 
 class SearchSpaceTooLargeError(UltraGHError):
-    """Instance exceeds the configured cap and no explicit budget was given."""
+    """Instance exceeds a search's size cap: a public search given no
+    budget, or the classical search dhat_gh is asked to run."""
 
 
 class BudgetExceededError(UltraGHError):

@@ -69,7 +69,7 @@ def test_dhat_x2_x3(x2, x3):
     report = dhat_gh(x2, x3, methods=("strong_correspondence", "isometry_scan", "approximation_scan"))
     assert report.dhat == ev(1)
     assert len(report.methods) == 3
-    assert report.dhat_attained  # the correspondence search attains the minimum
+    assert report.dhat_attained  # the strong correspondence attains the minimum
 
 
 def test_dhat_x3_ydelta_shortcut(x3, ydelta):
@@ -202,29 +202,24 @@ def test_budget_interval_on_exhaustion(z4):
     assert res == classical_gh(z4, big)
 
 
-def test_scan_budget_exhaustion_raises(x2, x3):
-    with pytest.raises(BudgetExceededError, match="isometry scan"):
-        dhat_gh(x2, x3, methods=("isometry_scan",), budget=1)
-
-
 def test_caps_refuse_oversized():
-    # Over every cap a default call answers from the quotient route, with
-    # all three outcomes. The strong search, asked for by name or run by a
-    # budgeted default call, and the classical search, asked for by a
-    # default call, still refuse the size.
+    # Over every cap a call answers from the quotient route, with all three
+    # outcomes by default and the named ones when asked, budgeted or not.
+    # Only the classical search, asked for, refuses the size, budgeted or
+    # not.
     a = truncated_unramified_ring(2, 1, 3)  # 8 points
     b = truncated_unramified_ring(3, 1, 2)  # 9 points -> product 72
     report = dhat_gh(a, b)
     assert report.dhat == ev(1) and report.dhat_attained
     assert tuple(report.methods) == METHOD_NAMES and report.classical is None
-    for methods, budget, classical in ((None, 10**6, None),
-                                       (("strong_correspondence",), None, None),
-                                       (None, None, True), (None, 10**6, True)):
-        with pytest.raises(SearchSpaceTooLargeError):
-            dhat_gh(a, b, methods=methods, budget=budget,
-                    include_classical=classical)
-    report = dhat_gh(a, b, methods=("approximation_scan",), include_classical=False)
-    assert report.dhat == ev(1)
+    assert dhat_gh(a, b, budget=10**6) == report
+    for name in METHOD_NAMES:
+        for budget in (None, 1):
+            alone = dhat_gh(a, b, methods=(name,), budget=budget)
+            assert alone.methods == {name: report.methods[name]}
+    for budget in (None, 10**6):
+        with pytest.raises(SearchSpaceTooLargeError, match="classical search cap"):
+            dhat_gh(a, b, budget=budget, include_classical=True)
 
 
 def test_report_json_fields(x3, ydelta):
@@ -300,6 +295,7 @@ def test_method_agreement_five_by_four(seed_a, seed_b):
         include_classical=False,
     )
     assert {o.value for o in report.methods.values()} == {report.dhat}
+    assert min_distortion_strong_correspondence(x, y).distortion == report.dhat
 
 
 @settings(max_examples=25, deadline=None)
@@ -401,25 +397,6 @@ def equal_diameter_pairs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(equal_diameter_pairs())
-def test_routes_match_public_functions(pair):
-    # Within the caps and on equal diameters the report shows every route;
-    # each outcome, witness included, must be what the public functions
-    # give alone.
-    x, y = pair
-    report = dhat_gh(x, y)
-    assert set(report.methods) == set(METHOD_NAMES)
-    assert report.methods["isometry_scan"] == _linear_scan(
-        x, y, exists_strong_epsilon_isometry)
-    assert report.methods["approximation_scan"] == _linear_scan(
-        x, y, exists_strong_epsilon_approximation)
-    res = min_distortion_strong_correspondence(x, y)
-    assert report.methods["strong_correspondence"] == MethodOutcome(
-        res.distortion, True, res.correspondence)
-    assert report.classical == classical_gh(x, y)
-
-
-@settings(max_examples=40, deadline=None)
-@given(equal_diameter_pairs())
 def test_one_probe_decides_each_cell(pair):
     # Both public probes give no witness at a cell's upper threshold exactly
     # when they give none at its midpoint, so the scan's one probe per cell
@@ -435,8 +412,9 @@ def test_one_probe_decides_each_cell(pair):
 @settings(max_examples=40, deadline=None)
 @given(equal_diameter_pairs())
 def test_scan_probes_monotone_in_the_cell(pair):
-    # The two-probe bracket of a hinted scan relies on this: once a cell
-    # holds, every later cell holds, for both probes.
+    # A scan's infimum is the lower end of the first cell that holds
+    # because of this: once a cell holds, every later cell holds, for both
+    # probes.
     x, y = pair
     grid = BreakpointGrid(x, y)
     for probe in (_isometry_probe, _approximation_probe):
@@ -520,8 +498,8 @@ def test_quotient_rank_on_1100_point_caterpillars():
 
 
 def test_dhat_on_a_500_point_caterpillar():
-    # The approximation scan starts from the hint, which used to overflow
-    # the stack here.
+    # The quotient route walks the 499-level dendrogram, which a recursive
+    # walk would overflow the stack on.
     x = caterpillar(500)
     report = dhat_gh(x, x, methods=["approximation_scan"])
     assert report.dhat == ZERO
@@ -579,14 +557,40 @@ def near_copy(draw, x):
                            for i in keep])
 
 
+def _public_outcome(x, y, name):
+    """The outcome of the route name as its public search or scan gives it
+    alone."""
+    if name == "strong_correspondence":
+        res = min_distortion_strong_correspondence(x, y)
+        return MethodOutcome(res.distortion, True, res.correspondence)
+    if name == "isometry_scan":
+        return _linear_scan(x, y, exists_strong_epsilon_isometry)
+    return _linear_scan(x, y, exists_strong_epsilon_approximation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(default_path_pairs())
+@example((truncated_unramified_ring(2, 1, 1), truncated_unramified_ring(2, 1, 1)))
+def test_routes_match_public_functions(pair):
+    # The report answers from one greedy quotient isometry; each of its
+    # outcomes, witness included, is the one the route's public search or
+    # scan gives alone, the routes shown are the ones inside the caps, and
+    # the classical result is classical_gh's.
+    x, y = pair
+    report = dhat_gh(x, y)
+    names = engine._auto_methods(len(x) * len(y), EngineCaps())
+    assert tuple(report.methods) == names
+    assert report.methods == {name: _public_outcome(x, y, name) for name in names}
+    assert report.classical == classical_gh(x, y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(default_path_pairs())
 @example((truncated_unramified_ring(2, 1, 1), truncated_unramified_ring(2, 1, 1)))
 def test_default_path_matches_each_route(pair):
     # The default call answers from one greedy quotient isometry; each of
-    # its outcomes, witness included, is the one the route's own search or
-    # scan gives when asked for alone, and the routes shown are the ones
-    # inside the caps.
+    # its outcomes, witness included, is the one the route gives when asked
+    # for alone, and the routes shown are the ones inside the caps.
     x, y = pair
     report = dhat_gh(x, y)
     names = engine._auto_methods(len(x) * len(y), EngineCaps())
@@ -597,9 +601,9 @@ def test_default_path_matches_each_route(pair):
 
 
 def test_default_dhat_on_500_point_caterpillars(monkeypatch):
-    # Far beyond every cap the default call still returns all three
-    # outcomes, read off the two chains 499 levels deep with no recursion
-    # and no gap table. The quotients differ at 0 and agree at 1.
+    # Far beyond every cap a call still returns all three outcomes, read
+    # off the two chains 499 levels deep with no recursion and no gap
+    # table. The quotients differ at 0 and agree at 1.
     x, y = caterpillar(500), caterpillar(500, split_bottom=True)
 
     def refuse(grid):
@@ -613,16 +617,23 @@ def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     approx = report.methods["approximation_scan"].witness
     assert approx.xs == ball_representatives(x, approx.epsilon)
     assert report.methods["isometry_scan"].witness.failure is None
+    # Asked for by name, with a budget, the isometry scan is the same
+    # quotient outcome, still with no gap table.
+    alone = dhat_gh(x, y, methods=["isometry_scan"], budget=1)
+    assert alone.methods == {"isometry_scan": report.methods["isometry_scan"]}
 
 
 def test_ratio_refuses_caterpillars_beyond_the_classical_cap():
     # The ratio needs the classical search, whose tables grow
     # exponentially; beyond its cap the call refuses before any work,
-    # budgeted or not, instead of running it.
-    x, y = caterpillar(30), caterpillar(30, split_bottom=True)
-    for budget in None, 1:
-        with pytest.raises(SearchSpaceTooLargeError):
-            metric_ratio(x, y, budget=budget)
+    # budgeted or not, on equal diameters or across a diameter gap
+    # (19 against 18), instead of running it.
+    pairs = ((caterpillar(30), caterpillar(30, split_bottom=True)),
+             (caterpillar(20), caterpillar(19)))
+    for x, y in pairs:
+        for budget in None, 1:
+            with pytest.raises(SearchSpaceTooLargeError, match="classical search cap"):
+                metric_ratio(x, y, budget=budget)
 
 
 def test_default_witnesses_pass_the_public_checks_at_64_points():
@@ -673,9 +684,8 @@ def hard_pair(seed):
 @pytest.mark.parametrize("methods", [(name,) for name in METHOD_NAMES] + [None])
 def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
     # Under the true hint a budgeted call returns the unbudgeted report. A
-    # hint one rank off makes every route raise, alone or in the default
-    # set, with or without a budget: the seeded routes, the budgeted,
-    # unseeded strong search and the quotient route's checks all catch it.
+    # hint one rank off makes the quotient route's checks raise, whichever
+    # routes the call names.
     pairs = [hard_pair(seed) for seed in (12, 35)]
     expected = [dhat_gh(x, y, methods=methods) for x, y in pairs]
     for (x, y), report in zip(pairs, expected):
@@ -683,9 +693,8 @@ def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
     true_rank = engine._quotient_rank
     monkeypatch.setattr(engine, "_quotient_rank", lambda grid: true_rank(grid) + shift)
     for x, y in pairs:
-        for budget in (None, 10**6):
-            with pytest.raises(MethodDisagreementError):
-                dhat_gh(x, y, methods=methods, budget=budget)
+        with pytest.raises(MethodDisagreementError):
+            dhat_gh(x, y, methods=methods)
 
 
 def test_lower_certificate_refuses_the_next_threshold(monkeypatch):
@@ -704,30 +713,6 @@ def test_lower_certificate_refuses_the_next_threshold(monkeypatch):
     for x, y in pairs:
         with pytest.raises(MethodDisagreementError, match="isometric at"):
             dhat_gh(x, y)
-
-
-@pytest.mark.parametrize("name", ["isometry_scan", "approximation_scan"])
-def test_budgeted_scan_makes_two_probes(monkeypatch, name):
-    # A budgeted scan probes the hint's cell and the next one, as an
-    # unbudgeted scan does, not every cell up to its infimum. This pair's
-    # dhat is its diameter, the grid's last value, so the infimum lies
-    # above every other cell.
-    x = random_ultrametric(4, 52, POOL)
-    y = equal_diameter_partner(x, 4, 1052, POOL)
-    expected = dhat_gh(x, y, methods=(name,))
-    assert expected.dhat == x.diameter()
-    cells = []
-
-    def spy(probe):
-        def counted(grid, k, budget):
-            cells.append(k)
-            return probe(grid, k, budget)
-        return counted
-
-    monkeypatch.setattr(engine, "_isometry_probe", spy(_isometry_probe))
-    monkeypatch.setattr(engine, "_approximation_probe", spy(_approximation_probe))
-    assert dhat_gh(x, y, methods=(name,), budget=10**6) == expected
-    assert 1 <= len(cells) <= 2
 
 
 def test_seeded_classical_search_below_its_minimum_raises():

@@ -1,9 +1,11 @@
-"""A pinned transcript of dhat_gh over a seeded set of random pairs.
+"""Pinned transcripts of dhat_gh over a seeded set of random pairs.
 
 Each pair runs under four argument sets, and every report's JSON form, or
-the type and message of the exception it raised, goes into one sha256.
+the type and message of the exception it raised, goes into a sha256.
 Values, witnesses, tie-breaks, attainment flags and budget behaviour all
-feed the digest, so a change to any of them on any pair fails this test.
+feed a digest, so a change to any of them on any pair fails this test.
+One digest covers the unbudgeted argument sets, the other the budgeted
+ones, where a budget bounds only the classical search.
 """
 
 import hashlib
@@ -16,14 +18,18 @@ from conftest import equal_diameter_partner
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
-ARGUMENT_SETS = (
+UNBUDGETED = (
     {},
     {"methods": ("isometry_scan", "approximation_scan")},
+)
+
+BUDGETED = (
     {"methods": ("strong_correspondence",), "budget": 50},
     {"budget": 3},
 )
 
-EXPECTED = "bf022ea9d352501fe71f12451e14b346d30a2964433e5431f1777843f6e1a5cd"
+EXPECTED_UNBUDGETED = "902bc713f112551852f8efc08328612cdeb59f7d973090fae70f588e3161837b"
+EXPECTED_BUDGETED = "5bfe3cf6f5298812f6ec7fb2ecbfcf8a772dcbbfabc22ccac69362b9da73ff62"
 
 
 def transcript_pairs(count=300, seed=20_260_418):
@@ -52,14 +58,18 @@ def outcome(x, y, kwargs):
     return json.dumps(doc, sort_keys=True)
 
 
-def transcript_digest():
+def transcript_digest(argument_sets):
     digest = hashlib.sha256()
     for x, y in transcript_pairs():
-        for kwargs in ARGUMENT_SETS:
+        for kwargs in argument_sets:
             digest.update(outcome(x, y, kwargs).encode())
             digest.update(b"\n")
     return digest.hexdigest()
 
 
 def test_transcript_digest():
-    assert transcript_digest() == EXPECTED
+    assert transcript_digest(UNBUDGETED) == EXPECTED_UNBUDGETED
+
+
+def test_budgeted_transcript_digest():
+    assert transcript_digest(BUDGETED) == EXPECTED_BUDGETED
