@@ -7,16 +7,13 @@ rather than claiming a limit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import EpsilonTooLargeError, LengthMismatchError, MethodDisagreementError
 from .spaces import (
-    BreakpointGrid,
     UltrametricSpace,
-    _rank_balls,
     ball_partition,
     is_epsilon_net,
     weight_spectrum,
@@ -24,7 +21,7 @@ from .spaces import (
 from .isometries import (
     ApproximationWitness,
     MapWitness,
-    _approximation_probe,
+    _quotient_below,
     is_strong_epsilon_approximation,
     is_strong_epsilon_isometry,
 )
@@ -60,10 +57,12 @@ def find_split(
     target point is its own open eps-ball. A split then matches the open
     eps-balls of xn one to one with the target's points, representative
     distances equal to target distances, which is exactly a strong
-    eps-approximation of (xn, x). This runs the approximation probe on
-    (xn, x), so it returns the lexicographically smallest valid assignment
-    of balls to target points, or None, and stops with BudgetExceededError
-    after the scan's node limit, isometries.DEFAULT_SCAN_BUDGET.
+    eps-approximation of (xn, x). The classes are the open eps-balls of xn,
+    the closed balls at the largest grid value c below eps, each given to
+    its partner under the greedy quotient isometry at c
+    (isometries._quotient_witnesses): the lexicographically smallest valid
+    assignment of balls to target points, or None when the quotients
+    differ. It runs in O(n^2 + m^2), with no search and no recursion.
     """
     if len(x) > 1 and eps >= x.values[1]:
         raise EpsilonTooLargeError(
@@ -71,15 +70,13 @@ def find_split(
         )
     if eps <= ZERO:
         raise ValueError("eps must be positive")
-    grid = BreakpointGrid(xn, x)
-    cut = bisect_left(grid.values, eps)
-    witness = _approximation_probe(grid, cut, None, eps)
-    if witness is None:
+    quotient = _quotient_below(xn, x, eps)
+    if quotient is None:
         return None
 
     classes: list[tuple[int, ...]] = [()] * len(x)
-    for ball, target in zip(_rank_balls(grid.rx, cut), witness.ys):
-        classes[target] = ball
+    for ball, target in zip(quotient.cx.members, quotient.ys):
+        classes[target] = tuple(ball)
     diameters = tuple(_between(xn, c, c, max) for c in classes)
     matrix = tuple(
         tuple(

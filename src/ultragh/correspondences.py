@@ -97,8 +97,8 @@ class Correspondence:
         """The correspondence of pairs that are already what __post_init__
         makes of its input: in range, strictly ascending, so free of
         duplicates, and covering both point sets. No check runs, so only
-        code that builds its pairs that way may call it: full_product and
-        the searches' results."""
+        code that builds its pairs that way may call it: full_product, the
+        searches' results and the quotient matching's correspondence."""
         c = object.__new__(cls)
         c.__dict__.update(left=left, right=right, pairs=pairs)
         return c
@@ -399,8 +399,9 @@ def _search(
     the minimum: the spectra bound for a strong search, the grid's
     merge-height floor for a plain one.
 
-    start, a grid rank given only without a budget, seeds the incumbent
-    cutoff at start + 1 in place of just above the full product's rank, so
+    start, a grid rank given only without a budget and only to the plain
+    search (no caller seeds the strong one), seeds the incumbent cutoff at
+    start + 1 in place of just above the full product's rank, so
     only leaves of rank at most start are accepted. No leaf lies below the
     minimum, and the pruning drops only branches with no leaf below the
     cutoff, so when start is at or above the minimum the first leaf

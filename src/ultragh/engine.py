@@ -21,22 +21,23 @@ from validation by a bottom-up walk that needs no recursion, so it works
 at any depth. That value is dhat.
 
 The call then takes all three outcomes from one greedy isometry between
-the two quotients at that value (_quotient_witnesses), at every size, and
-runs no strong search or scan. Its witnesses are
-checked from the class structure in O(n^2 + m^2): the classes pair one to
-one, the first points of matched classes sit at equal distances, and the
-largest class diameter is the value. A lower certificate checks that the
-quotients differ at the largest value of {0} ∪ W_X ∪ W_Y below it. They
-are the witnesses the public searches and scans find. A value that a
-check contradicts raises MethodDisagreementError. methods= only names the
-routes the report shows; without it EngineCaps picks them: those inside
-the caps, or all three beyond every cap. A budget bounds only the
+the two quotients at that value (isometries._quotient_witnesses, through
+_quotient_outcomes), at every size, and runs no strong search or scan.
+Its witnesses are checked from the class structure in O(n^2 + m^2): the
+classes pair one to one, the first points of matched classes sit at
+equal distances, and the largest class diameter is the value. A lower
+certificate checks that the quotients differ at the largest value of
+{0} ∪ W_X ∪ W_Y below it. exists_strong_epsilon_isometry,
+exists_strong_epsilon_approximation and find_split answer from the same
+matching, taken at the largest grid value below their eps. A value that
+a check contradicts raises MethodDisagreementError. methods= only names
+the routes the report shows; without it EngineCaps picks them: those
+inside the caps, or all three beyond every cap. A budget bounds only the
 classical search. Any call that asks for the classical search
 (include_classical=True, as metric_ratio does) beyond its cap raises
-SearchSpaceTooLargeError before any work, on equal diameters or not. An
-independent exponential search is still public:
-min_distortion_strong_correspondence, exists_strong_epsilon_isometry and
-exists_strong_epsilon_approximation.
+SearchSpaceTooLargeError before any work, on equal diameters or not. The
+one independent exponential search still public is
+min_distortion_strong_correspondence.
 
 Every scan predicate is monotone in eps and compares grid values
 (distances and their pairwise differences) with eps strictly, so it is
@@ -68,7 +69,7 @@ once each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import (
@@ -88,7 +89,14 @@ from .correspondences import (
     _search,
     full_product,
 )
-from .isometries import ApproximationWitness, MapWitness, _cell_midpoint
+from .isometries import (
+    ApproximationWitness,
+    MapWitness,
+    _cell_midpoint,
+    _grid_trees,
+    _quotient_witnesses,
+    _root_id,
+)
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
 TWO = ExactValue(2)
@@ -271,7 +279,7 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     larger of two proven lower bounds on dhat, the spectra bound (the
     largest rank one spectrum holds and the other lacks) and the grid's
     merge-height floor, upward; at the larger diameter both roots get id
-    0. The value is only a hint: _quotient_witnesses checks it.
+    0. The value is only a hint: _quotient_outcomes checks it.
     """
     start = max(grid.spectra_floor(), grid.floor)
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -280,205 +288,45 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
                 and _root_id(*tx, c, ids) == _root_id(*ty, c, ids))
 
 
-def _grid_trees(grid: BreakpointGrid):
-    """Each space's point count, dendrogram heights as grid ranks and
-    children, x's first."""
-    return [(len(space), list(map(w.__getitem__, space._tree.heights)),
-             space._tree.children)
-            for space, w in ((grid.x, grid.wx), (grid.y, grid.wy))]
-
-
-def _cut_ids(n: int, heights: list[int], children: list[list[int]], c: int,
-             ids: dict[tuple[int, tuple[int, ...]], int]) -> list[int]:
-    """The id of every node of an n-point dendrogram, its heights as grid
-    ranks, cut at rank c: 0 at or below the cut, else the interned pair of
-    the height and the children's sorted ids. Ids are given from the last
-    node back, children before parents, so no walk recurses."""
-    node_id = [0] * (n + len(heights))
-    for k in range(len(heights) - 1, -1, -1):
-        if heights[k] > c:
-            key = (heights[k], tuple(sorted(map(node_id.__getitem__, children[k]))))
-            node_id[n + k] = ids.setdefault(key, len(ids) + 1)
-    return node_id
-
-
-def _root_id(n: int, heights: list[int], children: list[list[int]], c: int,
-             ids: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """The cut id of the root of the dendrogram (_cut_ids), 0 for a
-    one-point space."""
-    return _cut_ids(n, heights, children, c, ids)[n] if heights else 0
-
-
-class _Cut(NamedTuple):
-    """A dendrogram cut at a grid rank c, as _quotient_witnesses reads it.
-    Nodes are numbered as in _Dendrogram; -1 stands for a virtual parent
-    of the root.
-
-    form holds each node's cut id (_cut_ids), parent each node's parent,
-    height each node's height as a grid rank (0 for a point) and first
-    the least point below each node. classes lists the class nodes, the
-    maximal nodes at or below the cut, one per closed c-ball, by first
-    point, members the points of each class, ascending, and class_of the
-    index into classes of each point's class. root is the root's node.
-    """
-
-    form: list[int]
-    parent: list[int]
-    height: list[int]
-    first: list[int]
-    classes: list[int]
-    members: list[list[int]]
-    class_of: list[int]
-    root: int
-
-
-def _cut(n: int, heights: list[int], children: list[list[int]], c: int,
-         ids: dict[tuple[int, tuple[int, ...]], int]) -> _Cut:
-    """The _Cut at grid rank c of an n-point dendrogram, its heights as
-    grid ranks, its forms interned in ids; O(n), walking the tree parents
-    first for the classes and back for the first points, with no
-    recursion."""
-    height = [0] * n + heights
-    form = _cut_ids(n, heights, children, c, ids)
-    parent = [-1] * len(height)
-    label = list(range(len(height)))  # the class node at or above each node
-    first = list(range(len(height)))
-    for k, kids in enumerate(children):
-        v = n + k
-        above = height[v] > c
-        for child in kids:
-            parent[child] = v
-            if not above:
-                label[child] = label[v]
-    for k in range(len(children) - 1, -1, -1):
-        first[n + k] = min(map(first.__getitem__, children[k]))
-    index: dict[int, int] = {}
-    classes: list[int] = []
-    members: list[list[int]] = []
-    class_of = []
-    for point in range(n):
-        node = label[point]
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(classes)
-            classes.append(node)
-            members.append([])
-        members[i].append(point)
-        class_of.append(i)
-    return _Cut(form, parent, height, first, classes, members, class_of,
-                n if children else 0)
-
-
-def _quotient_witnesses(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutcome]:
+def _quotient_outcomes(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutcome]:
     """The three routes' outcomes at the grid rank hint, each route's name
-    mapping to it, from one greedy isometry between the quotients of
-    grid's pair by closed hint-balls, in O(n^2 + m^2).
+    mapping to it, from the greedy quotient isometry at the hint
+    (isometries._quotient_witnesses), in O(n^2 + m^2).
 
-    The classes are the closed hint-balls (_rank_balls(ranks, hint + 1)),
-    read off each dendrogram cut at the hint (_Cut). X's classes are
-    pinned in first-point order, each to the free Y class with the least
-    first point whose pin is consistent: X's ancestor balls of the class,
-    up to its lowest one already mapped, map to unmapped Y balls of equal
-    cut form (_cut_ids) under that one's image, so the mapped balls stay
-    one to one and keep their forms. Consistent pins always extend, since
-    balls of equal form have children of equal forms. A dict holds the
-    node map from X to Y. Each Y node keeps its free children by form, by
-    first point, and a child leaves that list when it is mapped, so a pin
-    walks down from the image of the class's lowest mapped ancestor only
-    through free balls of the forms it needs, and an unmapped ball's
-    whole subtree is free.
-
-    The witnesses, all from the class matching phi:
       * strong_correspondence: the union of A x phi(A), attained;
       * isometry_scan: each point to the first point of its class's
         partner, at the midpoint of the cell above the hint;
-      * approximation_scan: the classes' first points, paired.
-    Each is checked from the class structure, with no gap table and no
-    verdict: phi pairs the classes one to one, the distance between the
-    first points of two classes is the same on both sides, and the largest
-    class diameter is the hint. So the quotients are isometric at the
-    hint, the map is a strong eps-isometry, the first points form a strong
-    eps-approximation and the correspondence is strong with distortion the
-    hint. The lower certificate: the quotients differ at the largest value
-    of {0} ∪ W_X ∪ W_Y below the hint, so no smaller value has isometric
-    quotients. A hint that fails any of these raises
+      * approximation_scan: the classes' first points, paired, at that
+        midpoint.
+
+    The matching's own checks put the value at most at the hint; its
+    largest class diameter must be the hint itself, so the correspondence
+    has distortion the hint. The lower certificate: the quotients differ
+    at the largest value of {0} ∪ W_X ∪ W_Y below the hint, so no smaller
+    value has isometric quotients. A hint that fails any of these raises
     MethodDisagreementError.
     """
-    x, y = grid.x, grid.y
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    tx, ty = _grid_trees(grid)
+    tx, ty = trees = _grid_trees(grid)
     prev = max((r for r in {*grid.wx, *grid.wy} if r < hint), default=None)
     if prev is not None and _root_id(*tx, prev, ids) == _root_id(*ty, prev, ids):
         raise MethodDisagreementError(
             f"quotients are isometric at {grid.values[prev]}, below the "
             f"quotient bound {grid.values[hint]}")
-    cx, cy = _cut(*tx, hint, ids), _cut(*ty, hint, ids)
-
-    # by_form[b][f]: the free children of Y node b of form f, by first point.
-    first_y, form_y, parent_y = cy.first, cy.form, cy.parent
-    by_form: dict[int, dict[int, list[int]]] = {-1: {form_y[cy.root]: [cy.root]}}
-    for k, kids in enumerate(ty[2]):
-        if form_y[len(y) + k]:
-            groups = by_form[len(y) + k] = {}
-            for child in sorted(kids, key=first_y.__getitem__):
-                groups.setdefault(form_y[child], []).append(child)
-    fwd = {-1: -1}
-    partner = []
-    for a_class in cx.classes:
-        # The class and its unmapped ancestors, bottom up, below the
-        # lowest mapped ancestor a.
-        chain = [a_class]
-        a = cx.parent[a_class]
-        while a not in fwd:
-            chain.append(a)
-            a = cx.parent[a]
-        wanted = [cx.form[v] for v in reversed(chain)]
-        best = None
-        for top in by_form[fwd[a]].get(wanted[0], ()):
-            if best is not None and first_y[top] >= first_y[best]:
-                break
-            level = [top]
-            for f in wanted[1:]:
-                level = [u for v in level for u in by_form[v].get(f, ())]
-            found = min(level, key=first_y.__getitem__)
-            if best is None or first_y[found] < first_y[best]:
-                best = found
-        if best is None:
-            raise MethodDisagreementError(
-                "quotients are not isometric at the quotient bound "
-                f"{grid.values[hint]}")
-        partner.append(best)
-        b = best
-        for v in chain:
-            fwd[v] = b
-            by_form[parent_y[b]][form_y[b]].remove(b)
-            b = parent_y[b]
-
-    xs = tuple(cx.first[a] for a in cx.classes)
-    ys = tuple(first_y[b] for b in partner)
-    rx, ry = grid.rx, grid.ry
-    if (len(cy.classes) != len(xs)
-            or any(list(map(rx[a].__getitem__, xs)) != list(map(ry[b].__getitem__, ys))
-                   for a, b in zip(xs, ys))
-            or max(max(map(cx.height.__getitem__, cx.classes)),
-                   max(map(cy.height.__getitem__, cy.classes))) != hint):
+    quotient = _quotient_witnesses(grid, trees, hint)
+    if quotient is None:
+        raise MethodDisagreementError(
+            "quotients are not isometric at the quotient bound "
+            f"{grid.values[hint]}")
+    if quotient.height != hint:
         raise MethodDisagreementError(
             f"greedy class matching is no quotient isometry at {grid.values[hint]}")
-
     value = grid.values[hint]
-    rows = [cy.members[cy.class_of[j]] for j in ys]
-    # Points ascend, and so does each partner class, so the pairs ascend.
-    pairs = tuple((i, j) for i, k in enumerate(cx.class_of) for j in rows[k])
     eps = _cell_midpoint(grid, hint + 1)
-    dis_x = grid.values[max(map(cx.height.__getitem__, cx.classes))]
     return {
-        "strong_correspondence": MethodOutcome(
-            value, True, Correspondence._sorted(x, y, pairs)),
-        "isometry_scan": MethodOutcome(value, False, MapWitness(
-            x, y, tuple(map(ys.__getitem__, cx.class_of)), eps, dis_x,
-            is_eps_isometry=True, is_strong_eps_isometry=True, failure=None)),
-        "approximation_scan": MethodOutcome(
-            value, False, ApproximationWitness(xs, ys, eps)),
+        "strong_correspondence": MethodOutcome(value, True, quotient.correspondence()),
+        "isometry_scan": MethodOutcome(value, False, quotient.isometry(eps)),
+        "approximation_scan": MethodOutcome(value, False, quotient.approximation(eps)),
     }
 
 
@@ -506,7 +354,7 @@ def dhat_gh(
 
     On equal diameters the value is the closed-ball quotient value
     (_quotient_rank), and every outcome comes from one checked greedy
-    quotient isometry (_quotient_witnesses), at any size; a value its
+    quotient isometry (_quotient_outcomes), at any size; a value its
     checks contradict raises MethodDisagreementError. methods only names
     the routes the report shows; methods=None shows those EngineCaps()
     picks. When the diameters differ, explicit methods are still
@@ -515,8 +363,7 @@ def dhat_gh(
     product attains it. budget bounds only the classical search, and
     include_classical=True beyond the classical cap raises
     SearchSpaceTooLargeError before any work. For an independent search,
-    call min_distortion_strong_correspondence,
-    exists_strong_epsilon_isometry or exists_strong_epsilon_approximation.
+    call min_distortion_strong_correspondence.
     """
     if methods is not None:
         names = tuple(methods)
@@ -559,7 +406,7 @@ def dhat_gh(
         grid = BreakpointGrid(x, y)
         hint = _quotient_rank(grid)
         dhat = grid.values[hint]
-        quotient = _quotient_witnesses(grid, hint)
+        quotient = _quotient_outcomes(grid, hint)
         if methods is None:
             names = _auto_methods(product, caps) or METHOD_NAMES
         for name in names:

@@ -2,7 +2,7 @@ import os
 from itertools import count
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from ultragh import (
     ExactValue,
@@ -70,3 +70,27 @@ def caterpillar(n, split_bottom=False):
             rows[i][j] = rows[j][i] = r
     return _checked_space(tuple(map(str, range(n))), tuple(map(ExactValue, range(n))),
                           tuple(map(tuple, rows)), False)
+
+
+def near_copy(draw, x, pool):
+    """A near copy of x, drawn with the hypothesis draw: at least one point
+    of each of its closed tau-balls, tau a distance below its diameter,
+    with the distances up to tau moved through a nondecreasing map into
+    the values of pool in (0, tau]. It keeps every distance above tau, so
+    its quotient at tau is x's and dhat is at most tau. x needs at least
+    two distinct positive distances."""
+    k = draw(st.integers(1, len(x.values) - 2))
+    tau = x.values[k]
+    low = [v for v in pool if v <= tau]
+    moved = dict(zip(x.values[1:k + 1], sorted(
+        draw(st.lists(st.sampled_from(low), min_size=k, max_size=k)))))
+    moved[x.values[0]] = x.values[0]
+    keep, left = [], set(range(len(x)))
+    while left:
+        ball = [j for j in sorted(left) if x.ranks[min(left)][j] <= k]
+        left -= set(ball)
+        keep += [j for j, kept in zip(ball, draw(st.lists(
+            st.booleans(), min_size=len(ball), max_size=len(ball)))) if kept] or ball[:1]
+    keep.sort()
+    return validate_space([[moved.get(x.dist(i, j), x.dist(i, j)) for j in keep]
+                           for i in keep])

@@ -6,11 +6,26 @@ ints over one common denominator), per-map verdicts that compare the
 distances themselves where the library compares grid ranks, and the
 existential form of the strong-correspondence condition (the library uses
 the universal form).
+
+Two pruned depth-first searches stand beside them, isometry_search and
+approximation_search: the strong eps-isometry and eps-approximation
+searches the library answered with before its greedy quotient matching.
+They search maps and matches, where the library reads the dendrograms,
+so they are the reference for exists_strong_epsilon_isometry,
+exists_strong_epsilon_approximation and find_split on pairs too large for
+plain enumeration, and the brute-force searches check them in turn.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
+
+from ultragh.errors import BudgetExceededError
+from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
+from ultragh.spaces import BreakpointGrid, _rank_balls
+
+SEARCH_BUDGET = 5_000_000  # nodes a reference search visits before it stops
 
 
 def fraction_matrix(space):
@@ -428,3 +443,90 @@ def first_split(xn, x, eps):
                 classes[t] = ball
             return tuple(classes)
     return None
+
+
+def isometry_search(x, y, eps, budget=SEARCH_BUDGET):
+    """The lexicographically smallest strong eps-isometry X -> Y, as the
+    library's MapWitness, or None; BudgetExceededError past budget nodes.
+
+    Maps are walked depth first in mixed-radix order (left indices as digit
+    positions, right index ascending), one frame per point. A branch dies
+    as soon as a decided pair breaks dis f < eps or the exact-preservation
+    half of (SI2), read on the grid's gap table; each complete map gets
+    one _isometry_verdict.
+    """
+    grid = BreakpointGrid(x, y)
+    below = bisect_left(grid.values, eps)
+    n, m = len(x), len(y)
+    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    images = []
+    nodes = 0
+
+    def dfs(level):
+        nonlocal nodes
+        if level == n:
+            witness = _isometry_verdict(grid, tuple(images), below, eps)
+            return witness if witness.is_strong_eps_isometry else None
+        for b in range(m):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"strong eps-isometry search exceeded {budget} nodes")
+            if any(gap[i][level][images[i]][b] >= below
+                   or (rx[i][level] >= below and rx[i][level] != ry[images[i]][b])
+                   for i in range(level)):
+                continue
+            images.append(b)
+            found = dfs(level + 1)
+            images.pop()
+            if found is not None:
+                return found
+        return None
+
+    return dfs(0)
+
+
+def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
+    """The first strong eps-approximation witness as the library's
+    ApproximationWitness, or None; BudgetExceededError past budget nodes.
+
+    The left list is pinned to the first points of X's open eps-balls: any
+    eps-net hits every ball, and points of distinct balls sit at least eps
+    apart, so matched right points are distinct. Right points are matched
+    depth first, ascending, under the exact pairwise-distance condition,
+    and each complete match gets one _approximation_verdict.
+    """
+    grid = BreakpointGrid(x, y)
+    below = bisect_left(grid.values, eps)
+    rx, ry = grid.rx, grid.ry
+    xs = tuple(c[0] for c in _rank_balls(rx, below))
+    n, m = len(xs), len(ry)
+    if n > m or len(_rank_balls(ry, below)) > n:
+        # n distinct right points pairwise >= eps apart cannot hit more
+        # than n balls.
+        return None
+    need = [[rx[a][b] for b in xs] for a in xs]
+    ys = []
+    nodes = 0
+
+    def dfs(level):
+        nonlocal nodes
+        if level == n:
+            if not _approximation_verdict(grid, xs, ys, below).valid:
+                return None
+            return ApproximationWitness(xs, tuple(ys), eps)
+        want = need[level][:level]
+        for b in range(m):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"strong eps-approximation search exceeded {budget} nodes")
+            if [ry[b][c] for c in ys] != want:
+                continue
+            ys.append(b)
+            found = dfs(level + 1)
+            ys.pop()
+            if found is not None:
+                return found
+        return None
+
+    return dfs(0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from ultragh import (
     ExactValue,
     SplitResult,
+    ball_partition,
     ball_representatives,
     check_convergence_certificate,
     check_net_convergence_certificate,
@@ -18,11 +19,12 @@ from ultragh import (
     truncated_unramified_ring,
     validate_space,
 )
-from ultragh import isometries
-from ultragh.errors import BudgetExceededError, EpsilonTooLargeError, LengthMismatchError
+from ultragh.errors import EpsilonTooLargeError, LengthMismatchError
+from ultragh.exact import ZERO
+from ultragh.spaces import BreakpointGrid
 
-from conftest import ev
-from oracles import first_split
+from conftest import caterpillar, ev
+from oracles import approximation_search, first_split
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
@@ -56,12 +58,6 @@ def test_find_split_absent(z4, x3):
 def test_find_split_eps_guard(z4, x2):
     with pytest.raises(EpsilonTooLargeError):
         find_split(z4, x2, ev(1))
-
-
-def test_find_split_node_limit(monkeypatch, z4, x2):
-    monkeypatch.setattr(isometries, "DEFAULT_SCAN_BUDGET", 1)
-    with pytest.raises(BudgetExceededError, match="approximation scan"):
-        find_split(z4, x2, ev("3/4"))
 
 
 @pytest.mark.parametrize("classes", [
@@ -108,11 +104,39 @@ def split_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(split_cases())
 def test_find_split_matches_oracle(case):
+    # find_split and the reference approximation search, its balls given
+    # to the target points it matches them with, both give the first
+    # split by brute force.
     xn, x, eps = case
+    want = first_split(xn, x, eps)
     result = find_split(xn, x, eps)
-    assert (result.classes if result is not None else None) == first_split(xn, x, eps)
+    assert (result.classes if result is not None else None) == want
     if result is not None:
         assert replay_split(xn, x, eps, result)
+    witness = approximation_search(xn, x, eps)
+    if witness is None:
+        assert want is None
+    else:
+        classes = [None] * len(x)
+        for ball, target in zip(ball_partition(xn, eps), witness.ys):
+            classes[target] = ball
+        assert tuple(classes) == want
+
+
+def test_find_split_on_an_1100_point_caterpillar(monkeypatch):
+    # The dendrogram is over 1,000 levels deep: the reference search would
+    # recurse once per point. find_split reads the dendrogram with no
+    # recursion and no gap table, and splits the space into its points.
+    x = caterpillar(1100)
+
+    def refuse(grid):
+        raise AssertionError("find_split built the gap table")
+
+    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+    result = find_split(x, x, ev("1/2"))
+    assert result.classes == tuple((i,) for i in range(1100))
+    assert result.class_diameters == (ZERO,) * 1100
+    assert result.pairwise_class_distances[0][1099] == ExactValue(1099)
 
 
 def test_find_split_digit_partition():

@@ -37,12 +37,13 @@ from ultragh.errors import (
     MethodDisagreementError,
     SearchSpaceTooLargeError,
 )
-from ultragh.isometries import _approximation_probe, _isometry_probe
 from ultragh.spaces import BreakpointGrid, _far_table, _partner_subsets
 
-from conftest import caterpillar, equal_diameter_partner, ev
+from conftest import caterpillar, equal_diameter_partner, ev, near_copy
 from oracles import (
+    approximation_search,
     isometry_exists,
+    isometry_search,
     naive_correspondence_minima,
     quotient_rank_by_recursion,
     spectra_bound_by_scan,
@@ -70,6 +71,9 @@ def test_dhat_x2_x3(x2, x3):
     assert report.dhat == ev(1)
     assert len(report.methods) == 3
     assert report.dhat_attained  # the strong correspondence attains the minimum
+    # The reference searches, walked as a scan, give both scan outcomes.
+    assert report.methods["isometry_scan"] == _linear_scan(x2, x3, isometry_search)
+    assert report.methods["approximation_scan"] == _linear_scan(x2, x3, approximation_search)
 
 
 def test_dhat_x3_ydelta_shortcut(x3, ydelta):
@@ -248,13 +252,15 @@ def test_epsilon_net_subspace_bound(z4, x3):
 @settings(max_examples=40, deadline=None)
 @given(spaces, spaces)
 def test_method_agreement_random(x, y):
+    # The value is the infimum both reference searches give, walked as a
+    # scan.
     report = dhat_gh(
         x, y,
         methods=("strong_correspondence", "isometry_scan", "approximation_scan"),
         include_classical=True,
     )
-    values = {o.value for o in report.methods.values()}
-    assert values == {report.dhat}
+    for search in (isometry_search, approximation_search):
+        assert _linear_scan(x, y, search).value == report.dhat
     assert report.spectra_lower_bound <= report.dhat <= report.diameter_upper_bound
     if report.classical_dgh is not None:
         assert report.classical_dgh * ExactValue(2) <= report.dhat
@@ -263,25 +269,23 @@ def test_method_agreement_random(x, y):
 @settings(max_examples=30, deadline=None)
 @given(spaces, spaces, st.integers(0, 3))
 def test_thm_2_23_round_trip(x, y, eps_index):
+    # The public function and the reference search find a strong
+    # eps-isometry exactly when eps > dhat.
     eps = POOL[eps_index]
     report = dhat_gh(x, y, include_classical=False)
-    witness = exists_strong_epsilon_isometry(x, y, eps)
-    if witness is not None:
-        assert report.dhat <= eps
-    if report.dhat < eps:
-        assert exists_strong_epsilon_isometry(x, y, eps) is not None
+    for search in (exists_strong_epsilon_isometry, isometry_search):
+        assert (search(x, y, eps) is not None) == (report.dhat < eps), search
 
 
 @settings(max_examples=30, deadline=None)
 @given(spaces, spaces, st.integers(0, 3))
 def test_thm_3_5_round_trip(x, y, eps_index):
+    # The public function and the reference search find a strong
+    # eps-approximation exactly when eps > dhat.
     eps = POOL[eps_index]
     report = dhat_gh(x, y, include_classical=False)
-    witness = exists_strong_epsilon_approximation(x, y, eps)
-    if witness is not None:
-        assert report.dhat <= eps
-    if report.dhat < eps:
-        assert exists_strong_epsilon_approximation(x, y, eps) is not None
+    for search in (exists_strong_epsilon_approximation, approximation_search):
+        assert (search(x, y, eps) is not None) == (report.dhat < eps), search
 
 
 @settings(max_examples=15, deadline=None)
@@ -301,9 +305,11 @@ def test_method_agreement_five_by_four(seed_a, seed_b):
 @settings(max_examples=25, deadline=None)
 @given(spaces, spaces)
 def test_scan_direction_symmetry(x, y):
-    fwd = dhat_gh(x, y, methods=("isometry_scan",), include_classical=False)
-    bwd = dhat_gh(y, x, methods=("isometry_scan",), include_classical=False)
-    assert fwd.dhat == bwd.dhat
+    # The reference isometry search, walked as a scan in both directions,
+    # gives the report's value.
+    fwd = _linear_scan(x, y, isometry_search).value
+    bwd = _linear_scan(y, x, isometry_search).value
+    assert fwd == bwd == dhat_gh(x, y, include_classical=False).dhat
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,8 +383,9 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
 
 
 def _linear_scan(x, y, probe):
-    """The engine's scan as a walk of the public probe: at each threshold,
-    the midpoint below it first, then the threshold itself."""
+    """A scan as a walk of probe, a public function or a reference search:
+    at each threshold, the midpoint below it first, then the threshold
+    itself."""
     grid = candidate_thresholds(x, y)
     for prev, t in zip(grid, grid[1:]):
         for eps, value, attained in ((prev.midpoint(t), prev, False), (t, t, True)):
@@ -414,14 +421,14 @@ def test_one_probe_decides_each_cell(pair):
 def test_scan_probes_monotone_in_the_cell(pair):
     # A scan's infimum is the lower end of the first cell that holds
     # because of this: once a cell holds, every later cell holds, for both
-    # probes.
+    # reference searches.
     x, y = pair
-    grid = BreakpointGrid(x, y)
-    for probe in (_isometry_probe, _approximation_probe):
-        holds = [probe(grid, k, None) is not None
-                 for k in range(1, len(grid.thresholds()))]
+    grid = candidate_thresholds(x, y)
+    for search in (isometry_search, approximation_search):
+        holds = [search(x, y, prev.midpoint(t)) is not None
+                 for prev, t in zip(grid, grid[1:])]
         first = holds.index(True)
-        assert all(holds[first:]), (probe, holds)
+        assert all(holds[first:]), (search, holds)
 
 
 @st.composite
@@ -472,7 +479,7 @@ def hint_pairs(draw):
     elif kind >= 6 or not levels:
         y = equal_diameter_partner(x, draw(st.integers(2, 9)), seed, POOL)
     else:
-        y = near_copy(draw, x)
+        y = near_copy(draw, x, POOL)
     return x, y, draw(st.permutations(range(len(y))))
 
 
@@ -531,41 +538,19 @@ def default_path_pairs(draw):
         n = draw(st.integers(3, 6))
         x = next(x for x in (random_ultrametric(n, s, POOL) for s in count(seed))
                  if len(x.values) > 2)
-        y = near_copy(draw, x)
+        y = near_copy(draw, x, POOL)
     return (y, x) if draw(st.booleans()) else (x, y)
 
 
-def near_copy(draw, x):
-    """A near copy of x: at least one point of each of its closed tau-balls,
-    tau a distance below its diameter, with the distances up to tau moved
-    through a nondecreasing map into (0, tau]. It keeps every distance
-    above tau, so its quotient at tau is x's and dhat is at most tau."""
-    k = draw(st.integers(1, len(x.values) - 2))
-    tau = x.values[k]
-    low = [v for v in POOL if v <= tau]
-    moved = dict(zip(x.values[1:k + 1], sorted(
-        draw(st.lists(st.sampled_from(low), min_size=k, max_size=k)))))
-    moved[x.values[0]] = x.values[0]
-    keep, left = [], set(range(len(x)))
-    while left:
-        ball = [j for j in sorted(left) if x.ranks[min(left)][j] <= k]
-        left -= set(ball)
-        keep += [j for j, kept in zip(ball, draw(st.lists(
-            st.booleans(), min_size=len(ball), max_size=len(ball)))) if kept] or ball[:1]
-    keep.sort()
-    return validate_space([[moved.get(x.dist(i, j), x.dist(i, j)) for j in keep]
-                           for i in keep])
-
-
 def _public_outcome(x, y, name):
-    """The outcome of the route name as its public search or scan gives it
-    alone."""
+    """The outcome of the route name as an independent search gives it: the
+    public strong search, or a reference search walked as a scan."""
     if name == "strong_correspondence":
         res = min_distortion_strong_correspondence(x, y)
         return MethodOutcome(res.distortion, True, res.correspondence)
     if name == "isometry_scan":
-        return _linear_scan(x, y, exists_strong_epsilon_isometry)
-    return _linear_scan(x, y, exists_strong_epsilon_approximation)
+        return _linear_scan(x, y, isometry_search)
+    return _linear_scan(x, y, approximation_search)
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,9 +558,9 @@ def _public_outcome(x, y, name):
 @example((truncated_unramified_ring(2, 1, 1), truncated_unramified_ring(2, 1, 1)))
 def test_routes_match_public_functions(pair):
     # The report answers from one greedy quotient isometry; each of its
-    # outcomes, witness included, is the one the route's public search or
-    # scan gives alone, the routes shown are the ones inside the caps, and
-    # the classical result is classical_gh's.
+    # outcomes, witness included, is the one an independent search gives
+    # (_public_outcome), the routes shown are the ones inside the caps,
+    # and the classical result is classical_gh's.
     x, y = pair
     report = dhat_gh(x, y)
     names = engine._auto_methods(len(x) * len(y), EngineCaps())

@@ -1,5 +1,5 @@
 from bisect import bisect_left
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ultragh import (
     ApproximationWitness,
     ExactValue,
+    ball_representatives,
     candidate_thresholds,
     correspondence_from_isometry,
     distortion,
@@ -22,15 +23,18 @@ from ultragh.errors import BudgetExceededError, LengthMismatchError
 from ultragh.isometries import _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid
 
-from conftest import equal_diameter_partner, ev
+from conftest import caterpillar, equal_diameter_partner, ev, near_copy
 from oracles import (
+    approximation_search,
     approximation_verdict,
     first_strong_epsilon_isometry,
     fraction_matrix,
+    isometry_search,
     isometry_verdict,
 )
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
+DIFFERENTIAL_BUDGET = 5_000  # reference search nodes per differential call
 
 
 def test_map_distortion_examples(x2, x3, z4):
@@ -117,15 +121,6 @@ def test_exists_approximation_examples(x3, ydelta, z4, x2):
     assert w.xs == (0, 1) and w.ys == (0, 1)
 
 
-@pytest.mark.parametrize("scan, name", [
-    (exists_strong_epsilon_isometry, "isometry scan"),
-    (exists_strong_epsilon_approximation, "approximation scan"),
-])
-def test_scan_node_limit(x3, scan, name):
-    with pytest.raises(BudgetExceededError, match=name):
-        scan(x3, x3, ev("1/2"), budget=1)
-
-
 def test_monotone_in_epsilon(x3, ydelta):
     # a strong eps-isometry stays strong at every larger threshold
     witness = exists_strong_epsilon_isometry(x3, ydelta, ev(2))
@@ -187,9 +182,79 @@ def test_isometry_scan_matches_exhaustive_oracle(n, m, seed_a, seed_b):
         grid[-1] + ev(5),
     ]
     for eps in probes:
-        witness = exists_strong_epsilon_isometry(x, y, eps)
-        got = None if witness is None else witness.images
-        assert got == first_strong_epsilon_isometry(x, y, eps), eps
+        want = first_strong_epsilon_isometry(x, y, eps)
+        for search in (exists_strong_epsilon_isometry, isometry_search):
+            witness = search(x, y, eps)
+            got = None if witness is None else witness.images
+            assert got == want, (search, eps)
+
+
+@st.composite
+def differential_pairs(draw):
+    """Pairs of 1-12 points a side, the sides swapped in half the draws.
+    The right space is: in one draw of ten a random space of any diameter;
+    in two an equal-diameter random partner; in the other seven, the hard
+    case, a near copy (near_copy) of a left space of 3-12 points with at
+    least two distinct distances."""
+    kind = draw(st.integers(0, 9))
+    seed = draw(st.integers(0, 20_000))
+    if kind == 0:
+        x = random_ultrametric(draw(st.integers(1, 12)), seed, POOL)
+        y = random_ultrametric(draw(st.integers(1, 12)), seed + 1, POOL)
+    elif kind <= 2:
+        x = random_ultrametric(draw(st.integers(2, 12)), seed, POOL)
+        y = equal_diameter_partner(x, draw(st.integers(2, 12)), seed + 1, POOL)
+    else:
+        n = draw(st.integers(3, 12))
+        x = next(x for x in (random_ultrametric(n, s, POOL) for s in count(seed))
+                 if len(x.values) > 2)
+        y = near_copy(draw, x, POOL)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_pairs())
+def test_public_searches_match_reference_searches(pair):
+    # At every threshold, every cell midpoint, a point inside the first
+    # cell and above the top, each public function gives the reference
+    # search's witness, field by field, or None with it. Calls on which
+    # the reference search runs past its budget are skipped.
+    x, y = pair
+    thresholds = candidate_thresholds(x, y)
+    epsilons = [thresholds[1] / 3, *thresholds[1:], thresholds[-1] + 1,
+                *(a.midpoint(b) for a, b in zip(thresholds, thresholds[1:]))]
+    for public, reference in ((exists_strong_epsilon_isometry, isometry_search),
+                              (exists_strong_epsilon_approximation, approximation_search)):
+        for eps in epsilons:
+            try:
+                want = reference(x, y, eps, budget=DIFFERENTIAL_BUDGET)
+            except BudgetExceededError:
+                continue
+            got = public(x, y, eps)
+            assert (got is None) == (want is None), (public, eps)
+            if got is not None:
+                assert vars(got) == vars(want), (public, eps)
+
+
+def test_public_searches_on_1100_point_caterpillars(monkeypatch):
+    # Dendrograms over 1,000 levels deep: the reference searches would
+    # recurse once per point, and the isometry search would build the gap
+    # table. The public functions read the dendrograms with neither. The
+    # quotients differ at 0 and agree at 1.
+    x, y = caterpillar(1100), caterpillar(1100, split_bottom=True)
+
+    def refuse(grid):
+        raise AssertionError("the public search built the gap table")
+
+    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+    eps = ev("3/2")
+    iso = exists_strong_epsilon_isometry(x, y, eps)
+    assert iso.is_strong_eps_isometry and iso.distortion == ev(1)
+    assert iso.images[:6] == (2, 2, 3, 0, 4, 5)
+    approx = exists_strong_epsilon_approximation(x, y, eps)
+    assert approx.xs == ball_representatives(x, eps)
+    assert approx.ys[:6] == (2, 3, 0, 4, 5, 6)
+    assert exists_strong_epsilon_isometry(x, y, ev(1)) is None
 
 
 @st.composite
