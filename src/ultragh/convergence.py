@@ -78,13 +78,11 @@ def find_split(
     for ball, target in zip(quotient.cx.members, quotient.ys):
         classes[target] = tuple(ball)
     diameters = tuple(_between(xn, c, c, max) for c in classes)
-    matrix = tuple(
-        tuple(
-            ZERO if i == j else _between(xn, classes[i], classes[j], min)
-            for j in range(len(x))
-        )
-        for i in range(len(x))
-    )
+    # Distinct open eps-balls of an ultrametric sit at one distance, so the
+    # classes' first points give it (and rank 0, distance 0, on the diagonal).
+    values, ranks = xn.values, xn.ranks
+    firsts = [c[0] for c in classes]
+    matrix = tuple(tuple(values[ranks[a][b]] for b in firsts) for a in firsts)
     return SplitResult(tuple(classes), diameters, matrix)
 
 

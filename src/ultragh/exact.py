@@ -2,20 +2,57 @@
 
 Every distance, threshold and distortion in the library is an ExactValue: a
 ``fractions.Fraction`` subclass that only holds nonnegative rationals, kept
-in lowest terms. Comparison, hashing and formatting are Fraction's own, so
-an ExactValue equals the int or Fraction of the same value. Addition,
-multiplication, division, ``abs_diff`` and ``midpoint`` return ExactValues.
-Operations that can leave the nonnegative rationals (subtraction, negation)
-return a plain Fraction, never an ExactValue. No floating point enters the
-core.
+in lowest terms in Fraction's own two int slots. Comparison between two
+ExactValues, and construction from a nonnegative int over a positive int,
+read and fill those slots directly. Every other operand or argument goes
+through Fraction, so mixed comparisons, hashing and formatting are
+Fraction's own: an ExactValue equals the int or Fraction of the same value,
+and hashes like it.
+
+>>> ExactValue(2, 4) == Fraction(1, 2) and ExactValue(4, 2) == 2
+True
+>>> hash(ExactValue(1, 2)) == hash(Fraction(1, 2))
+True
+
+No floating point enters the core: a float argument, comparison or operand
+raises TypeError.
+
+>>> ExactValue(1, 2) < 0.75
+Traceback (most recent call last):
+    ...
+TypeError: ExactValue does not accept floats; use a ratio of ints
+
+Addition, multiplication, division, ``abs_diff`` and ``midpoint`` take an
+int, a Fraction or an ExactValue and return ExactValues. Operations that can
+leave the nonnegative rationals (subtraction, negation) return a plain
+Fraction, never an ExactValue.
+
+>>> ExactValue(1, 3) - ExactValue(1, 2)
+Fraction(-1, 6)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Coercible = Union["ExactValue", Fraction, int, str]
+
+_NO_FLOATS = "ExactValue does not accept floats; use a ratio of ints"
+
+
+def _operand(other, op: str) -> Fraction:
+    """An int or Fraction operand of op as a Fraction of the same value."""
+    if isinstance(other, Fraction):
+        return other
+    if isinstance(other, int):
+        return Fraction(other)
+    if isinstance(other, float):
+        raise TypeError(_NO_FLOATS)
+    raise TypeError(
+        f"unsupported operand type(s) for {op}: 'ExactValue' and '{type(other).__name__}'"
+    )
 
 
 class ExactValue(Fraction):
@@ -24,10 +61,23 @@ class ExactValue(Fraction):
     __slots__ = ()
 
     def __new__(cls, numerator, denominator=None):
+        # The common case, a nonnegative int over a positive int or none,
+        # skips Fraction's generic dispatch; bool and every other argument
+        # take Fraction's path below.
+        if type(numerator) is int and numerator >= 0:
+            if denominator is None:
+                self = object.__new__(cls)
+                self._numerator, self._denominator = numerator, 1
+                return self
+            if type(denominator) is int and denominator > 0:
+                g = gcd(numerator, denominator)
+                self = object.__new__(cls)
+                self._numerator, self._denominator = numerator // g, denominator // g
+                return self
         if isinstance(numerator, float) or isinstance(denominator, float):
-            raise TypeError("ExactValue does not accept floats; use a ratio of ints")
+            raise TypeError(_NO_FLOATS)
         self = super().__new__(cls, numerator, denominator)
-        if self.numerator < 0:
+        if self._numerator < 0:
             raise ValueError(f"ExactValue must be nonnegative, got {self}")
         return self
 
@@ -55,7 +105,7 @@ class ExactValue(Fraction):
     # __new__ on Python 3.12+, which would skip both checks.
     @classmethod
     def from_float(cls, f):
-        raise TypeError("ExactValue does not accept floats; use a ratio of ints")
+        raise TypeError(_NO_FLOATS)
 
     @classmethod
     def from_decimal(cls, dec) -> "ExactValue":
@@ -64,41 +114,85 @@ class ExactValue(Fraction):
     @property
     def fraction(self) -> Fraction:
         """The same value as a plain Fraction."""
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(self._numerator, self._denominator)
 
-    # Results are built from an int numerator and denominator: Fraction's
-    # constructor takes that pair faster than it converts the Fraction that
-    # Fraction's own operators return.
-    def __add__(self, other: "ExactValue") -> "ExactValue":
+    # Two ExactValues compare on their slots: both are in lowest terms, so
+    # equal values have equal fields, and order is that of the
+    # cross-products. Any other operand gets Fraction's comparison.
+    def __eq__(self, other):
+        if type(other) is ExactValue:
+            return (self._numerator == other._numerator
+                    and self._denominator == other._denominator)
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is ExactValue:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if type(other) is ExactValue:
+            return self._numerator * other._denominator <= other._numerator * self._denominator
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if type(other) is ExactValue:
+            return self._numerator * other._denominator > other._numerator * self._denominator
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if type(other) is ExactValue:
+            return self._numerator * other._denominator >= other._numerator * self._denominator
+        return Fraction.__ge__(self, other)
+
+    # Defining __eq__ clears the inherited hash.
+    __hash__ = Fraction.__hash__
+
+    # Results are built from an int numerator and denominator, which the
+    # constructor takes on its fast path. An operand that is not an int or
+    # a Fraction raises TypeError.
+    def __add__(self, other) -> "ExactValue":
+        if type(other) is not ExactValue:
+            other = _operand(other, "+")
         return ExactValue(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
+            self._numerator * other._denominator + other._numerator * self._denominator,
+            self._denominator * other._denominator,
         )
 
-    def __mul__(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue(self.numerator * other.numerator, self.denominator * other.denominator)
+    def __mul__(self, other) -> "ExactValue":
+        if type(other) is not ExactValue:
+            other = _operand(other, "*")
+        return ExactValue(self._numerator * other._numerator,
+                          self._denominator * other._denominator)
 
-    def __truediv__(self, other: "ExactValue") -> "ExactValue":
-        if not other:
+    def __truediv__(self, other) -> "ExactValue":
+        if type(other) is not ExactValue:
+            other = _operand(other, "/")
+        if not other._numerator:
             raise ZeroDivisionError("division by zero ExactValue")
-        return ExactValue(self.numerator * other.denominator, self.denominator * other.numerator)
+        return ExactValue(self._numerator * other._denominator,
+                          self._denominator * other._numerator)
 
-    def abs_diff(self, other: "ExactValue") -> "ExactValue":
+    def abs_diff(self, other) -> "ExactValue":
         """|self - other|, the only subtraction the library needs."""
+        if type(other) is not ExactValue:
+            other = _operand(other, "abs_diff")
         return ExactValue(
-            abs(self.numerator * other.denominator - other.numerator * self.denominator),
-            self.denominator * other.denominator,
+            abs(self._numerator * other._denominator - other._numerator * self._denominator),
+            self._denominator * other._denominator,
         )
 
-    def midpoint(self, other: "ExactValue") -> "ExactValue":
+    def midpoint(self, other) -> "ExactValue":
+        if type(other) is not ExactValue:
+            other = _operand(other, "midpoint")
         return ExactValue(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            2 * self.denominator * other.denominator,
+            self._numerator * other._denominator + other._numerator * self._denominator,
+            2 * self._denominator * other._denominator,
         )
 
     def token(self) -> str:
         """Canonical 'a/b' form, with '/1' kept for integers."""
-        return f"{self.numerator}/{self.denominator}"
+        return f"{self._numerator}/{self._denominator}"
 
     def __repr__(self) -> str:
         return f"ExactValue({self.token()})"

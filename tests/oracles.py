@@ -14,6 +14,11 @@ They search maps and matches, where the library reads the dendrograms,
 so they are the reference for exists_strong_epsilon_isometry,
 exists_strong_epsilon_approximation and find_split on pairs too large for
 plain enumeration, and the brute-force searches check them in turn.
+
+ExactValue is the library's scalar as it stood before its comparisons and
+constructor read Fraction's int slots directly: every operation goes
+through Fraction's generic dispatch. It is the reference for the
+differential test of those fast paths (tests/exact_differential.py).
 """
 
 from bisect import bisect_left
@@ -26,6 +31,51 @@ from ultragh.isometries import ApproximationWitness, _approximation_verdict, _is
 from ultragh.spaces import BreakpointGrid, _rank_balls
 
 SEARCH_BUDGET = 5_000_000  # nodes a reference search visits before it stops
+
+
+class ExactValue(Fraction):
+    """The reference scalar: Fraction's comparison, hashing and
+    constructor, with the nonnegativity and float checks in front."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator, denominator=None):
+        if isinstance(numerator, float) or isinstance(denominator, float):
+            raise TypeError("ExactValue does not accept floats; use a ratio of ints")
+        self = super().__new__(cls, numerator, denominator)
+        if self.numerator < 0:
+            raise ValueError(f"ExactValue must be nonnegative, got {self}")
+        return self
+
+    @classmethod
+    def from_float(cls, f):
+        raise TypeError("ExactValue does not accept floats; use a ratio of ints")
+
+    def __add__(self, other):
+        return ExactValue(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
+
+    def __mul__(self, other):
+        return ExactValue(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    def __truediv__(self, other):
+        if not other:
+            raise ZeroDivisionError("division by zero ExactValue")
+        return ExactValue(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def abs_diff(self, other):
+        return ExactValue(
+            abs(self.numerator * other.denominator - other.numerator * self.denominator),
+            self.denominator * other.denominator,
+        )
+
+    def midpoint(self, other):
+        return ExactValue(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            2 * self.denominator * other.denominator,
+        )
 
 
 def fraction_matrix(space):

@@ -19,6 +19,7 @@ from ultragh import (
     truncated_unramified_ring,
     validate_space,
 )
+from ultragh.convergence import _between
 from ultragh.errors import EpsilonTooLargeError, LengthMismatchError
 from ultragh.exact import ZERO
 from ultragh.spaces import BreakpointGrid
@@ -113,6 +114,13 @@ def test_find_split_matches_oracle(case):
     assert (result.classes if result is not None else None) == want
     if result is not None:
         assert replay_split(xn, x, eps, result)
+        # The class distances, read from the classes' first points, are the
+        # min over every pair of their points; the diameters are the max.
+        classes = result.classes
+        assert result.class_diameters == tuple(_between(xn, c, c, max) for c in classes)
+        assert result.pairwise_class_distances == tuple(
+            tuple(ZERO if a is b else _between(xn, a, b, min) for b in classes)
+            for a in classes)
     witness = approximation_search(xn, x, eps)
     if witness is None:
         assert want is None

@@ -1,11 +1,16 @@
 import copy
+import operator
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultragh import ExactValue, ZERO, ONE, validate_space
+
+from exact_differential import check_constructor, check_pair, check_unary, fixed_cases
 
 
 def test_lowest_terms_and_fields():
@@ -54,8 +59,9 @@ def test_operations_keep_the_type():
 
 
 def test_mixed_operands_follow_fraction():
-    # Comparison and hashing are Fraction's own, so an ExactValue equals
-    # the int or Fraction of the same value; subtraction leaves the type.
+    # Comparison with any operand but an ExactValue, and hashing, are
+    # Fraction's own, so an ExactValue equals the int or Fraction of the
+    # same value and hashes like it; subtraction leaves the type.
     assert ExactValue(1) == 1 and ExactValue(1) == Fraction(1)
     assert ExactValue(1, 2) < 1 and ExactValue(1, 2) > Fraction(1, 3)
     assert hash(ExactValue(1, 2)) == hash(Fraction(1, 2))
@@ -110,3 +116,82 @@ def test_coerce_variants():
 def test_hash_consistency():
     assert hash(ExactValue(2, 4)) == hash(ExactValue(1, 2))
     assert len({ExactValue(1, 2), ExactValue(2, 4), ONE}) == 2
+
+
+def test_float_comparison_raises():
+    # Fraction would compare with the float's exact value; ExactValue
+    # refuses it, in either operand order. nan and the infinities compare
+    # as Fraction compares them, without converting.
+    for compare in (
+        lambda: ExactValue(1, 2) == 0.5,
+        lambda: ExactValue(1, 2) < 0.75,
+        lambda: 0.25 >= ExactValue(1, 2),
+        lambda: ExactValue(0) != 0.0,
+    ):
+        with pytest.raises(TypeError, match="does not accept floats"):
+            compare()
+    assert ExactValue(1, 2) < float("inf") and not ExactValue(1, 2) == float("nan")
+
+
+@pytest.mark.parametrize("name, operation", [
+    ("+", operator.add),
+    ("*", operator.mul),
+    ("/", operator.truediv),
+    ("abs_diff", ExactValue.abs_diff),
+    ("midpoint", ExactValue.midpoint),
+])
+def test_arithmetic_refuses_floats_and_non_numbers(name, operation):
+    a = ExactValue(1, 2)
+    for other in (0.5, 0.0, float("nan")):
+        with pytest.raises(TypeError, match="does not accept floats"):
+            operation(a, other)
+    for other in ("x", "", None, [1]):
+        message = f"unsupported operand type(s) for {name}: 'ExactValue' and '{type(other).__name__}'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            operation(a, other)
+    # ints, bools and Fractions are taken as before.
+    assert operation(a, 2) == operation(a, Fraction(2)) == operation(a, ExactValue(2))
+    assert operation(a, True) == operation(a, ONE)
+
+
+def test_fraction_keeps_its_slot_names():
+    # The fast paths read and fill these two slots directly.
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def test_fast_paths_match_the_reference_on_fixed_cases():
+    assert fixed_cases() == []
+
+
+exact_values = st.builds(ExactValue, st.integers(0, 10**30), st.integers(1, 10**30))
+operands = st.one_of(
+    exact_values,
+    st.fractions(),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+)
+arguments = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    exact_values,
+    st.sampled_from(["3/4", " 7 ", "-1/2", "1/0", "x", ""]),
+    st.text(max_size=4),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_values, operands)
+def test_fast_paths_match_the_reference(value, other):
+    assert check_pair(value, other) + check_pair(other, value) + check_unary(value) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(arguments, arguments)
+def test_constructor_matches_the_reference(numerator, denominator):
+    assert check_constructor(numerator) + check_constructor(numerator, denominator) == []
