@@ -422,8 +422,8 @@ def _search(
             "to search anyway"
         )
 
-    ry = grid.ry
-    rx = grid.rx
+    # Only the strong search reads the rank matrices.
+    rx, ry = (grid.rx, grid.ry) if strong else ((), ())
     gap = grid.gap_ranks()
 
     # Each partner subset with its bitmask and its largest internal rank,

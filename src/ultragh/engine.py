@@ -16,12 +16,13 @@ it under the names of its routes:
 
 Every equal-diameter call first finds the quotient value: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
-isometric (_quotient_rank), read off the dendrograms the two spaces kept
-from validation by a bottom-up walk that needs no recursion, so it works
-at any depth. That value is dhat.
+isometric (isometries._quotient_rank), read off the dendrograms the two
+spaces kept from validation by a bottom-up walk that needs no recursion,
+so it works at any depth. That value is dhat. The isometries module owns
+every cut of a dendrogram; this one reads none.
 
 The call then takes all three outcomes from one greedy isometry between
-the two quotients at that value (isometries._quotient_witnesses, through
+the two quotients at that value (isometries._certified_quotient, through
 _quotient_outcomes), at every size, and runs no strong search or scan.
 Its witnesses are checked from the class structure in O(n^2 + m^2): the
 classes pair one to one, the first points of matched classes sit at
@@ -39,13 +40,14 @@ SearchSpaceTooLargeError before any work, on equal diameters or not. The
 one independent exponential search still public is
 min_distortion_strong_correspondence.
 
-Every scan predicate is monotone in eps and compares grid values
-(distances and their pairwise differences) with eps strictly, so it is
-constant on each half-open cell (t_{k-1}, t_k] between consecutive candidate
-thresholds. A scan infimum is the lower end of the first cell that holds and
-is never attained, so a scan outcome always reads attained=False, with its
-witness at the midpoint of the cell above the value; dhat_attained comes
-from the strong route (or the diameter-gap certificate).
+The isometry_scan and approximation_scan outcomes keep the reading of a
+scan over eps, though none runs: a strong eps-witness exists exactly when
+eps > dhat, and whether one does is constant on each half-open cell
+(t_{k-1}, t_k] between consecutive candidate thresholds. The infimum is
+the lower end of the first cell that holds and is never attained, so
+those outcomes read attained=False, with their witness at the midpoint of
+the cell above the value; dhat_attained comes from the strong
+correspondence (or the diameter-gap certificate).
 
 The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
@@ -60,10 +62,11 @@ when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
 distortion from above, so the restart accepts only leaves of distortion
 at most dhat, in classical_gh and dhat_gh alike.
 The quotient witnesses and the classical search of one call read the
-pair's single BreakpointGrid: its thresholds, its rank matrices, its
-merge-height floor, and, for the search, the partner-subset and
-far-partner tables. One call computes the floor and the quotient value
-once each.
+pair's single BreakpointGrid: its thresholds, the grid ranks of both
+spaces' values and its merge-height floor, and, for the search only, the
+rank matrices remapped to grid ranks and the partner-subset and
+far-partner tables, which the grid builds on first use. One call
+computes the floor and the quotient value once each.
 """
 
 from __future__ import annotations
@@ -93,9 +96,8 @@ from .isometries import (
     ApproximationWitness,
     MapWitness,
     _cell_midpoint,
-    _grid_trees,
-    _quotient_witnesses,
-    _root_id,
+    _certified_quotient,
+    _quotient_rank,
 )
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
@@ -265,33 +267,10 @@ def _classical(
                            optimal=res.optimal)
 
 
-def _quotient_rank(grid: BreakpointGrid) -> int:
-    """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
-    grid's pair by closed t-balls are isometric.
-
-    Each space's dendrogram, kept from validation, is cut at rank c: a
-    node of height at most c (every point among them) gets id 0, any other
-    the id of the pair of its height's grid rank and its children's sorted
-    ids, interned in one dict both spaces share for the call. Ids are
-    given from the last node back, children before parents, so the walk
-    needs no recursion at any depth, and two roots have equal ids exactly
-    when the quotients are isometric. The cuts are compared from the
-    larger of two proven lower bounds on dhat, the spectra bound (the
-    largest rank one spectrum holds and the other lacks) and the grid's
-    merge-height floor, upward; at the larger diameter both roots get id
-    0. The value is only a hint: _quotient_outcomes checks it.
-    """
-    start = max(grid.spectra_floor(), grid.floor)
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    tx, ty = _grid_trees(grid)
-    return next(c for c in sorted({*grid.wx, *grid.wy}) if c >= start
-                and _root_id(*tx, c, ids) == _root_id(*ty, c, ids))
-
-
 def _quotient_outcomes(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutcome]:
     """The three routes' outcomes at the grid rank hint, each route's name
-    mapping to it, from the greedy quotient isometry at the hint
-    (isometries._quotient_witnesses), in O(n^2 + m^2).
+    mapping to it, from the greedy quotient isometry at the hint, in
+    O(n^2 + m^2).
 
       * strong_correspondence: the union of A x phi(A), attained;
       * isometry_scan: each point to the first point of its class's
@@ -299,28 +278,12 @@ def _quotient_outcomes(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutco
       * approximation_scan: the classes' first points, paired, at that
         midpoint.
 
-    The matching's own checks put the value at most at the hint; its
-    largest class diameter must be the hint itself, so the correspondence
-    has distortion the hint. The lower certificate: the quotients differ
-    at the largest value of {0} ∪ W_X ∪ W_Y below the hint, so no smaller
-    value has isometric quotients. A hint that fails any of these raises
+    The matching is certified first (isometries._certified_quotient): the
+    lower certificate, the matching's own checks and a largest class
+    diameter equal to the hint. A hint that fails any of these raises
     MethodDisagreementError.
     """
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    tx, ty = trees = _grid_trees(grid)
-    prev = max((r for r in {*grid.wx, *grid.wy} if r < hint), default=None)
-    if prev is not None and _root_id(*tx, prev, ids) == _root_id(*ty, prev, ids):
-        raise MethodDisagreementError(
-            f"quotients are isometric at {grid.values[prev]}, below the "
-            f"quotient bound {grid.values[hint]}")
-    quotient = _quotient_witnesses(grid, trees, hint)
-    if quotient is None:
-        raise MethodDisagreementError(
-            "quotients are not isometric at the quotient bound "
-            f"{grid.values[hint]}")
-    if quotient.height != hint:
-        raise MethodDisagreementError(
-            f"greedy class matching is no quotient isometry at {grid.values[hint]}")
+    quotient = _certified_quotient(grid, hint)
     value = grid.values[hint]
     eps = _cell_midpoint(grid, hint + 1)
     return {

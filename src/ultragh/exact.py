@@ -14,21 +14,33 @@ True
 >>> hash(ExactValue(1, 2)) == hash(Fraction(1, 2))
 True
 
-No floating point enters the core: a float argument, comparison or operand
-raises TypeError.
+No floating point enters the core: a float argument, comparison or operand,
+on either side of any operator, raises TypeError, and so does a power with
+a non-integral exponent, which Fraction would compute in floating point.
 
 >>> ExactValue(1, 2) < 0.75
 Traceback (most recent call last):
     ...
 TypeError: ExactValue does not accept floats; use a ratio of ints
+>>> 0.5 - ExactValue(1, 2)
+Traceback (most recent call last):
+    ...
+TypeError: ExactValue does not accept floats; use a ratio of ints
+>>> 2 ** ExactValue(1, 2)
+Traceback (most recent call last):
+    ...
+TypeError: ExactValue does not accept floats; use a ratio of ints
 
 Addition, multiplication, division, ``abs_diff`` and ``midpoint`` take an
-int, a Fraction or an ExactValue and return ExactValues. Operations that can
-leave the nonnegative rationals (subtraction, negation) return a plain
-Fraction, never an ExactValue.
+int, a Fraction or an ExactValue and return ExactValues. Every other
+operation is Fraction's: those that can leave the nonnegative rationals
+(subtraction, negation) return a plain Fraction, never an ExactValue, and
+an integral power returns a Fraction or an int.
 
 >>> ExactValue(1, 3) - ExactValue(1, 2)
 Fraction(-1, 6)
+>>> ExactValue(1, 2) ** 2, 2 ** ExactValue(3)
+(Fraction(1, 4), 8)
 """
 
 from __future__ import annotations
@@ -53,6 +65,22 @@ def _operand(other, op: str) -> Fraction:
     raise TypeError(
         f"unsupported operand type(s) for {op}: 'ExactValue' and '{type(other).__name__}'"
     )
+
+
+def _refusing_floats(op):
+    """Fraction's binary operator op, raising TypeError for a float
+    operand and for the float or complex result that Fraction gives for a
+    power with a non-integral exponent. op runs on the value as a plain
+    Fraction: Fraction's reflected power computes base ** exponent again,
+    which with an ExactValue exponent would call back here without end."""
+    def checked(self, other):
+        if isinstance(other, float):
+            raise TypeError(_NO_FLOATS)
+        result = op(self.fraction, other)
+        if isinstance(result, (float, complex)):
+            raise TypeError(_NO_FLOATS)
+        return result
+    return checked
 
 
 class ExactValue(Fraction):
@@ -197,6 +225,14 @@ class ExactValue(Fraction):
     def __repr__(self) -> str:
         return f"ExactValue({self.token()})"
 
+
+# The rest of the arithmetic is Fraction's, which gives a float for a float
+# operand on either side.
+for _name in ("__radd__", "__sub__", "__rsub__", "__rmul__", "__rtruediv__", "__floordiv__",
+              "__rfloordiv__", "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+              "__rpow__"):
+    setattr(ExactValue, _name, _refusing_floats(getattr(Fraction, _name)))
+del _name
 
 ZERO = ExactValue(0)
 ONE = ExactValue(1)

@@ -18,18 +18,22 @@ find_split and dhat_gh take them from one greedy isometry between the
 closed-ball quotients of the pair (_quotient_witnesses), read off the
 dendrograms each space keeps from validation with no recursion, and
 checked from the class structure in O(n^2 + m^2): no map or match is
-enumerated, at any size or depth.
+enumerated, at any size or depth. This module alone cuts dendrograms:
+the quotient value dhat_gh starts from (_quotient_rank), its lower
+certificate (_certified_quotient) and the matching all compare the two
+cuts' roots through one helper (_equal_roots).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import LengthMismatchError, MethodDisagreementError, NotStrongError
-from .spaces import BreakpointGrid, UltrametricSpace
+from .spaces import BreakpointGrid, UltrametricSpace, _Balls, _closed_balls
 from .correspondences import Correspondence, _check_map, _distortion_rank
 
 
@@ -265,109 +269,74 @@ def _cell_midpoint(grid: BreakpointGrid, below: int) -> ExactValue:
     return values[below - 1].midpoint(top)
 
 
-def _grid_trees(grid: BreakpointGrid):
-    """Each space's point count, dendrogram heights as grid ranks and
-    children, x's first."""
-    return [(len(space), list(map(w.__getitem__, space._tree.heights)),
-             space._tree.children)
-            for space, w in ((grid.x, grid.wx), (grid.y, grid.wy))]
-
-
-def _cut_ids(n: int, heights: list[int], children: list[list[int]], c: int,
+def _cut_ids(space: UltrametricSpace, w: Sequence[int], c: int,
              ids: dict[tuple[int, tuple[int, ...]], int]) -> list[int]:
-    """The id of every node of an n-point dendrogram, its heights as grid
-    ranks, cut at rank c: 0 at or below the cut, else the interned pair of
-    the height and the children's sorted ids. Ids are given from the last
-    node back, children before parents, so no walk recurses."""
-    node_id = [0] * (n + len(heights))
+    """The id of every node of the space's dendrogram cut at grid rank c,
+    w the grid ranks of the space's values: 0 at or below the cut, else
+    the interned pair of the node's height as a grid rank and the
+    children's sorted ids. Ids are given from the last node back, children
+    before parents, so no walk recurses, and two nodes, of either space,
+    get equal ids exactly when their balls' quotients by closed c-balls
+    are isometric."""
+    tree, n = space._tree, len(space)
+    heights, children = tree.heights, tree.children
+    node_id = [0] * len(tree.first)
     for k in range(len(heights) - 1, -1, -1):
-        if heights[k] > c:
-            key = (heights[k], tuple(sorted(map(node_id.__getitem__, children[k]))))
+        h = w[heights[k]]
+        if h > c:
+            key = (h, tuple(sorted(map(node_id.__getitem__, children[k]))))
             node_id[n + k] = ids.setdefault(key, len(ids) + 1)
     return node_id
 
 
-def _root_id(n: int, heights: list[int], children: list[list[int]], c: int,
-             ids: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """The cut id of the root of the dendrogram (_cut_ids), 0 for a
-    one-point space."""
-    return _cut_ids(n, heights, children, c, ids)[n] if heights else 0
+def _equal_roots(grid: BreakpointGrid, c: int) -> Optional[tuple[list[int], list[int]]]:
+    """Both dendrograms' cut ids at grid rank c (_cut_ids), x's first,
+    interned in one dict, when the two roots get equal ids, that is, when
+    the quotients of grid's pair by closed c-balls are isometric; None
+    when they differ."""
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    fx = _cut_ids(grid.x, grid.wx, c, ids)
+    fy = _cut_ids(grid.y, grid.wy, c, ids)
+    return (fx, fy) if fx[_root(grid.x)] == fy[_root(grid.y)] else None
 
 
-class _Cut(NamedTuple):
-    """A dendrogram cut at a grid rank c, as _quotient_witnesses reads it.
-    Nodes are numbered as in _Dendrogram; -1 stands for a virtual parent
-    of the root.
+def _root(space: UltrametricSpace) -> int:
+    """The root of the space's dendrogram, the one node with no parent."""
+    return space._tree.parent.index(-1)
 
-    form holds each node's cut id (_cut_ids), parent each node's parent,
-    height each node's height as a grid rank (0 for a point) and first
-    the least point below each node. classes lists the class nodes, the
-    maximal nodes at or below the cut, one per closed c-ball, by first
-    point, members the points of each class, ascending, and class_of the
-    index into classes of each point's class. root is the root's node.
+
+def _quotient_rank(grid: BreakpointGrid) -> int:
+    """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
+    grid's pair by closed t-balls are isometric.
+
+    Each space's dendrogram, kept from validation, is cut at rank c and
+    the two roots' ids compared (_equal_roots); the walk needs no
+    recursion at any depth. The cuts are compared from the larger of two
+    proven lower bounds on dhat, the spectra bound (the largest rank one
+    spectrum holds and the other lacks) and the grid's merge-height
+    floor, upward; at the larger diameter both roots get id 0. The value
+    is only a hint: _certified_quotient checks it.
     """
-
-    form: list[int]
-    parent: list[int]
-    height: list[int]
-    first: list[int]
-    classes: list[int]
-    members: list[list[int]]
-    class_of: list[int]
-    root: int
-
-
-def _cut(n: int, heights: list[int], children: list[list[int]], c: int,
-         ids: dict[tuple[int, tuple[int, ...]], int]) -> _Cut:
-    """The _Cut at grid rank c of an n-point dendrogram, its heights as
-    grid ranks, its forms interned in ids; O(n), walking the tree parents
-    first for the classes and back for the first points, with no
-    recursion."""
-    height = [0] * n + heights
-    form = _cut_ids(n, heights, children, c, ids)
-    parent = [-1] * len(height)
-    label = list(range(len(height)))  # the class node at or above each node
-    first = list(range(len(height)))
-    for k, kids in enumerate(children):
-        v = n + k
-        above = height[v] > c
-        for child in kids:
-            parent[child] = v
-            if not above:
-                label[child] = label[v]
-    for k in range(len(children) - 1, -1, -1):
-        first[n + k] = min(map(first.__getitem__, children[k]))
-    index: dict[int, int] = {}
-    classes: list[int] = []
-    members: list[list[int]] = []
-    class_of = []
-    for point in range(n):
-        node = label[point]
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(classes)
-            classes.append(node)
-            members.append([])
-        members[i].append(point)
-        class_of.append(i)
-    return _Cut(form, parent, height, first, classes, members, class_of,
-                n if children else 0)
+    start = max(grid.spectra_floor(), grid.floor)
+    return next(c for c in sorted({*grid.wx, *grid.wy})
+                if c >= start and _equal_roots(grid, c) is not None)
 
 
 class _QuotientWitnesses(NamedTuple):
     """A checked greedy isometry phi between the quotients of grid's pair
     by closed c-balls (_quotient_witnesses), and the witnesses it gives.
 
-    cx and cy are the two cuts at c, xs the first points of X's classes in
-    first-point order and ys the first points of their partners. height
-    is the largest class height of either side, a grid rank at most c:
-    the distortion of the correspondence, and the least value at which
-    the matching is a quotient isometry.
+    cx and cy are the two spaces' closed c-balls (spaces._Balls), xs the
+    first points of X's classes in first-point order and ys the first
+    points of their partners. height is the largest class height of
+    either side, a grid rank at most c: the distortion of the
+    correspondence, and the least value at which the matching is a
+    quotient isometry.
     """
 
     grid: BreakpointGrid
-    cx: _Cut
-    cy: _Cut
+    cx: _Balls
+    cy: _Balls
     xs: tuple[int, ...]
     ys: tuple[int, ...]
     height: int
@@ -387,7 +356,7 @@ class _QuotientWitnesses(NamedTuple):
         grid, cx = self.grid, self.cx
         return MapWitness(
             grid.x, grid.y, tuple(map(self.ys.__getitem__, cx.class_of)), eps,
-            grid.values[max(map(cx.height.__getitem__, cx.classes))],
+            grid.values[grid.wx[cx.height]],
             is_eps_isometry=True, is_strong_eps_isometry=True, failure=None)
 
     def approximation(self, eps: ExactValue) -> ApproximationWitness:
@@ -402,17 +371,42 @@ def _quotient_below(
     """_quotient_witnesses at the largest grid value below eps, whose
     closed balls are the open eps-balls: None when eps <= dhat."""
     grid = BreakpointGrid(x, y)
-    return _quotient_witnesses(grid, _grid_trees(grid), bisect_left(grid.values, eps) - 1)
+    return _quotient_witnesses(grid, bisect_left(grid.values, eps) - 1)
 
 
-def _quotient_witnesses(grid: BreakpointGrid, trees, c: int) -> Optional[_QuotientWitnesses]:
+def _certified_quotient(grid: BreakpointGrid, hint: int) -> _QuotientWitnesses:
+    """The greedy quotient isometry at the grid rank hint, certified as the
+    quotient value: the quotients differ at the largest value of
+    {0} ∪ W_X ∪ W_Y below the hint, so no smaller value has isometric
+    quotients (the lower certificate); they are isometric at the hint; and
+    the largest class diameter is the hint itself, so the correspondence
+    has distortion the hint. A hint that fails any of these raises
+    MethodDisagreementError."""
+    prev = max((r for r in {*grid.wx, *grid.wy} if r < hint), default=None)
+    if prev is not None and _equal_roots(grid, prev) is not None:
+        raise MethodDisagreementError(
+            f"quotients are isometric at {grid.values[prev]}, below the "
+            f"quotient bound {grid.values[hint]}")
+    quotient = _quotient_witnesses(grid, hint)
+    if quotient is None:
+        raise MethodDisagreementError(
+            "quotients are not isometric at the quotient bound "
+            f"{grid.values[hint]}")
+    if quotient.height != hint:
+        raise MethodDisagreementError(
+            f"greedy class matching is no quotient isometry at {grid.values[hint]}")
+    return quotient
+
+
+def _quotient_witnesses(grid: BreakpointGrid, c: int) -> Optional[_QuotientWitnesses]:
     """One greedy isometry between the quotients of grid's pair by closed
     c-balls, checked, in O(n^2 + m^2); None when the quotients differ at
-    c. trees are the pair's dendrograms as _grid_trees gives them.
+    c.
 
     The quotients are isometric exactly when the two roots have equal cut
-    forms (_cut_ids). The classes are the closed c-balls, read off each
-    dendrogram cut at c (_Cut). X's classes are pinned in first-point
+    forms (_equal_roots). The classes are the closed c-balls, read off each
+    dendrogram at the largest rank of its space whose grid rank is at most
+    c (spaces._closed_balls). X's classes are pinned in first-point
     order, each to the free Y class with the least first point whose pin
     is consistent: X's ancestor balls of the class, up to its lowest one
     already mapped, map to unmapped Y balls of equal cut form under that
@@ -422,41 +416,44 @@ def _quotient_witnesses(grid: BreakpointGrid, trees, c: int) -> Optional[_Quotie
     keeps its free children by form, by first point, and a child leaves
     that list when it is mapped, so a pin walks down from the image of the
     class's lowest mapped ancestor only through free balls of the forms it
-    needs, and an unmapped ball's whole subtree is free.
+    needs, and an unmapped ball's whole subtree is free. Parents and first
+    points are the dendrograms' own.
 
-    The matching is checked from the class structure, with no gap table
-    and no verdict: phi pairs the classes one to one, the distance between
-    the first points of two classes is the same on both sides, and no
-    class is taller than c. So the quotients are isometric at c, and the
-    witnesses (_QuotientWitnesses) are strong. A matching that fails a
+    The matching is checked from the class structure, with no gap table,
+    no verdict and no remapped rank matrix: phi pairs the classes one to
+    one, the distance between the first points of two classes is the same
+    on both sides (the spaces' own ranks compared through wx and wy), and
+    no class is taller than c. So the quotients are isometric at c, and
+    the witnesses (_QuotientWitnesses) are strong. A matching that fails a
     check raises MethodDisagreementError.
     """
-    tx, ty = trees
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    cx, cy = _cut(*tx, c, ids), _cut(*ty, c, ids)
-    if cx.form[cx.root] != cy.form[cy.root]:
+    forms = _equal_roots(grid, c)
+    if forms is None:
         return None
+    x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
+    form_x, form_y = forms
+    cx, cy = (_closed_balls(s._tree, bisect_right(w, c) - 1) for s, w in ((x, wx), (y, wy)))
+    parent_x = x._tree.parent
+    first_y, parent_y = y._tree.first, y._tree.parent
 
-    # by_form[b][f]: the free children of Y node b of form f, by first point.
-    first_y, form_y, parent_y = cy.first, cy.form, cy.parent
-    by_form: dict[int, dict[int, list[int]]] = {-1: {form_y[cy.root]: [cy.root]}}
-    m, _, children_y = ty
-    for k, kids in enumerate(children_y):
-        if form_y[m + k]:
-            groups = by_form[m + k] = {}
-            for child in sorted(kids, key=first_y.__getitem__):
-                groups.setdefault(form_y[child], []).append(child)
+    # by_form[b][f]: the free children of Y node b of form f, by first
+    # point, for every node above the cut and the root's parent, -1.
+    by_form: dict[int, dict[int, list[int]]] = {}
+    for v in sorted(range(len(parent_y)), key=first_y.__getitem__):
+        b = parent_y[v]
+        if b < 0 or form_y[b]:
+            by_form.setdefault(b, {}).setdefault(form_y[v], []).append(v)
     fwd = {-1: -1}
     partner = []
     for a_class in cx.classes:
         # The class and its unmapped ancestors, bottom up, below the
         # lowest mapped ancestor a.
         chain = [a_class]
-        a = cx.parent[a_class]
+        a = parent_x[a_class]
         while a not in fwd:
             chain.append(a)
-            a = cx.parent[a]
-        wanted = [cx.form[v] for v in reversed(chain)]
+            a = parent_x[a]
+        wanted = [form_x[v] for v in reversed(chain)]
         best = None
         for top in by_form[fwd[a]].get(wanted[0], ()):
             if best is not None and first_y[top] >= first_y[best]:
@@ -477,13 +474,16 @@ def _quotient_witnesses(grid: BreakpointGrid, trees, c: int) -> Optional[_Quotie
             by_form[parent_y[b]][form_y[b]].remove(b)
             b = parent_y[b]
 
-    xs = tuple(cx.first[a] for a in cx.classes)
-    ys = tuple(first_y[b] for b in partner)
-    rx, ry = grid.rx, grid.ry
-    height = max(max(map(cx.height.__getitem__, cx.classes)),
-                 max(map(cy.height.__getitem__, cy.classes)))
+    xs = tuple(members[0] for members in cx.members)
+    ys = tuple(map(first_y.__getitem__, partner))
+    # to_y[r]: the rank in y of x's value of rank r, -1 when y lacks it.
+    rank_y = dict(zip(wy, range(len(wy))))
+    to_y = [rank_y.get(g, -1) for g in wx]
+    # The first point twice, so a single class still gives a tuple.
+    row_x, row_y = itemgetter(*xs, xs[0]), itemgetter(*ys, ys[0])
+    height = max(wx[cx.height], wy[cy.height])
     if (len(cy.classes) != len(xs)
-            or any(list(map(rx[a].__getitem__, xs)) != list(map(ry[b].__getitem__, ys))
+            or any(tuple(map(to_y.__getitem__, row_x(x.ranks[a]))) != row_y(y.ranks[b])
                    for a, b in zip(xs, ys))
             or height > c):
         raise MethodDisagreementError(

@@ -290,11 +290,15 @@ class _Dendrogram(NamedTuple):
     sub-balls. Internal nodes are numbered in the order the splitting
     creates them, the whole space n first, so a parent comes before its
     children and a walk from the last node back is bottom up. A
-    one-point space has no internal node.
+    one-point space has no internal node. parent and first hold, for
+    every node, its parent's id (-1 for the root) and the least point of
+    its ball, both filled as the splitting makes the node.
     """
 
     heights: list[int]
     children: list[list[int]]
+    parent: list[int]
+    first: list[int]
 
 
 def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
@@ -324,35 +328,38 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
     A popped rest whose largest rank is still M belongs to that same node,
     its balls being further maximal sub-balls of the node's ball. Any
     other popped cluster, every ball among them, is a new child node of
-    its parent. So a node's children are its maximal proper closed
-    sub-balls, and a node with k children is k - 1 merges at its height
-    (single linkage; _merge_heights).
+    its parent, made from that cluster, which is the node's whole ball:
+    clusters list their points ascending, so the cluster's first point is
+    the node's first point. So a node's children are its maximal proper
+    closed sub-balls, and a node with k children is k - 1 merges at its
+    height (single linkage; _merge_heights).
     """
     n = len(rk)
-    tree = _Dendrogram([], [])
     if n == 1:
-        return tree
-    heights, children = tree
-    row_of = rk.__getitem__
+        return _Dendrogram([], [], [-1], [0])
     # The whole space is the rest of a root made at its diameter.
-    heights.append(max(rk[0]))
-    children.append([])
+    tree = heights, children, parent, first = _Dendrogram(
+        [max(rk[0])], [[]], [-1] * (n + 1), [*range(n), 0])
+    row_of = rk.__getitem__
     stack = [(list(range(n)), 0)]
     while stack:
-        cluster, parent = stack.pop()
+        cluster, up = stack.pop()
         near = list(map(rk[cluster[0]].__getitem__, cluster))
         m = max(near)
-        node = parent
-        if m != heights[parent]:
-            if m > heights[parent]:
+        node = up
+        if m != heights[up]:
+            if m > heights[up]:
                 return None
             node = len(heights)
-            children[parent].append(n + node)
+            children[up].append(n + node)
             heights.append(m)
             children.append([])
+            parent.append(n + up)
+            first.append(cluster[0])
         kids = children[node]
         if near.count(m) == len(near) - 1:
             kids.append(cluster[0])  # the first point's ball is that point alone
+            parent[cluster[0]] = n + node
             rest = cluster[1:]
         else:
             ball = list(compress(cluster, map(m.__gt__, near)))
@@ -371,6 +378,7 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
             stack.append((rest, node))
         else:
             kids.append(rest[0])
+            parent[rest[0]] = n + node
     return tree
 
 
@@ -379,7 +387,7 @@ def _merge_heights(tree: _Dendrogram) -> list[int]:
     k children contributes k - 1 copies of its height. The space has
     1 + #{k : h[k] > t} closed t-balls."""
     heights: list[int] = []
-    for h, kids in zip(*tree):
+    for h, kids in zip(tree.heights, tree.children):
         heights += [h] * (len(kids) - 1)
     heights.sort(reverse=True)
     return heights
@@ -478,30 +486,53 @@ def ball_partition(space: UltrametricSpace, eps: ExactValue) -> tuple[tuple[int,
     """Partition into open balls of radius eps.
 
     In an ultrametric space the open balls {d(x, .) < eps} either coincide or
-    are disjoint, so membership can be tested against a single representative.
-    Classes are listed by ascending representative, points ascending inside.
-    Membership reads ranks: d < eps exactly when the rank of d is below
-    bisect_left(values, eps).
+    are disjoint. Classes are listed by ascending representative, points
+    ascending inside. The distances below eps are the ranks up to
+    bisect_left(values, eps) - 1, so the classes are the dendrogram's
+    closed balls at that rank (_closed_balls), read with no row scan.
     """
     if eps <= ZERO:
         raise ValueError("eps must be positive")
-    return _rank_balls(space.ranks, bisect_left(space.values, eps))
+    balls = _closed_balls(space._tree, bisect_left(space.values, eps) - 1)
+    return tuple(map(tuple, balls.members))
 
 
-def _rank_balls(ranks: Sequence[Sequence[int]], cut: int) -> tuple[tuple[int, ...], ...]:
-    """ball_partition of a rank matrix, a point's ball holding the points at
-    rank below cut from it."""
-    reps: list[int] = []
-    classes: list[list[int]] = []
-    for i, row in enumerate(ranks):
-        for ci, r in enumerate(reps):
-            if row[r] < cut:
-                classes[ci].append(i)
-                break
-        else:
-            reps.append(i)
-            classes.append([i])
-    return tuple(tuple(c) for c in classes)
+class _Balls(NamedTuple):
+    """The closed balls of a dendrogram's space at one rank r.
+
+    classes lists the class nodes, the maximal nodes of height at most r,
+    one per closed r-ball, by first point; members the points of each
+    class, ascending; class_of the index into classes of each point's
+    class; and height the largest diameter of a ball, as a rank, 0 when
+    every ball is a point.
+    """
+
+    classes: list[int]
+    members: list[list[int]]
+    class_of: list[int]
+    height: int
+
+
+def _closed_balls(tree: _Dendrogram, r: int) -> _Balls:
+    """The _Balls of the dendrogram at rank r, in O(n): the nodes are
+    walked parents first, so a node at or below r hands its class node to
+    its children, with no recursion. Every node at or below r lies in a
+    ball, so the tallest of them gives the height."""
+    n = len(tree.first) - len(tree.heights)
+    label = list(range(len(tree.first)))  # the class node at or above each node
+    for k, (height, kids) in enumerate(zip(tree.heights, tree.children)):
+        if height <= r:
+            for child in kids:
+                label[child] = label[n + k]
+    # A class first shows at its first point, so the points in order list
+    # the classes by first point.
+    classes = list(dict.fromkeys(label[:n]))
+    class_of = list(map(dict(zip(classes, range(len(classes)))).__getitem__, label[:n]))
+    members: list[list[int]] = [[] for _ in classes]
+    for point, i in enumerate(class_of):
+        members[i].append(point)
+    return _Balls(classes, members, class_of,
+                  max((h for h in tree.heights if h <= r), default=0))
 
 
 def ball_representatives(space: UltrametricSpace, eps: ExactValue) -> tuple[int, ...]:
@@ -544,7 +575,8 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
 
 
 class BreakpointGrid:
-    """The exact values every threshold scan and search over a pair needs.
+    """The exact values every check, quotient cut and search over a pair
+    needs.
 
     values holds 0, both whole-space spectra and every gap |a - b| with a in
     {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing; the rank of a grid
@@ -556,20 +588,20 @@ class BreakpointGrid:
     difference, and the ints are sorted and deduplicated before one
     ExactValue is made per grid value (the spaces' own object where one is
     equal). wx and wy are the grid ranks of the spaces' own values
-    ({0} ∪ W, ascending), and rx and ry the spaces' rank matrices remapped
-    through them to ranks into values, so a distance compares with
-    another space's distance, with a gap, or with any eps (through
-    bisect_left(values, eps)) as a plain int. Every scan predicate compares
-    grid values with eps strictly, so it depends on eps only through that
-    cut and is constant on each half-open cell (t_{k-1}, t_k] of
-    thresholds(). x and y are the pair.
+    ({0} ∪ W, ascending), so a distance, read as wx[r] from a rank r of
+    x, compares with another space's distance, with a gap, or with any
+    eps (through bisect_left(values, eps)) as a plain int. Every check
+    compares grid values with eps strictly, so it depends on eps only
+    through that cut and is constant on each half-open cell
+    (t_{k-1}, t_k] of thresholds(). x and y are the pair.
 
-    The tables the searches read are built on first use and kept, so every
-    route of one dhat_gh call shares them: the gap-rank table
-    (gap_ranks()), the partner-subset table of the right space
-    (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
-    (far_masks()), whose first build also makes the per-distance point
-    masks of y it reads, so a grid used only for checks builds none. Both
+    The tables the checks and searches read are built on first use and
+    kept, so every step of one dhat_gh call shares them: the spaces' rank
+    matrices remapped to grid ranks (rx and ry, n x n and m x m, which
+    the quotient route never reads), the gap-rank table (gap_ranks()),
+    the partner-subset table of the right space (partner_subsets()) and,
+    per cutoff rank, the far-partner bitmasks (far_masks()), whose first
+    build also makes the per-distance point masks of y it reads. Both
     per-pair tables depend on a pair of x only through its distance, so
     they are built once per distinct distance of x and shared by every
     pair at that distance. floor is the merge-height lower bound on the
@@ -579,7 +611,7 @@ class BreakpointGrid:
     the spectra lower bound on dhat (spectra_floor()) is read off wx and wy.
     """
 
-    __slots__ = ("x", "y", "values", "wx", "wy", "rx", "ry", "floor", "_gap",
+    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_rx", "_ry",
                  "_y_masks", "_gap_ranks", "_subsets", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
@@ -601,16 +633,30 @@ class BreakpointGrid:
         at = {k: r for r, k in enumerate(ints)}
         self.wx = [at[k] for k in ix]
         self.wy = [at[k] for k in iy]
-        self.rx = _rank_rows(x, self.wx)
-        self.ry = _rank_rows(y, self.wy)
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
         self._gap = [[at[g] for g in row] for row in gaps]
+        self._rx: Optional[list[list[int]]] = None
+        self._ry: Optional[list[list[int]]] = None
         self._y_masks: Optional[list[list[int]]] = None
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
         self.floor: int = self.distortion_floor()
+
+    @property
+    def rx(self) -> list[list[int]]:
+        """x's rank matrix as grid ranks, built on first use."""
+        if self._rx is None:
+            self._rx = _rank_rows(self.x, self.wx)
+        return self._rx
+
+    @property
+    def ry(self) -> list[list[int]]:
+        """y's rank matrix as grid ranks, built on first use."""
+        if self._ry is None:
+            self._ry = _rank_rows(self.y, self.wy)
+        return self._ry
 
     def gap_ranks(self) -> list[list[list[list[int]]]]:
         """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
@@ -785,11 +831,13 @@ def _rank_rows(space: UltrametricSpace, remap: Sequence[int]) -> list[list[int]]
 
 
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:
-    """Breakpoint grid for threshold scans over epsilon.
+    """Breakpoint grid of the pair over epsilon.
 
     Contains 0, both whole-space spectra, all absolute differences of
     spectrum values (with 0 adjoined on both sides), and a sentinel strictly
-    above both diameters. Every scan predicate used by the engine is
-    piecewise constant between consecutive entries.
+    above both diameters. Every predicate of eps that the library checks
+    (an eps-net, a strong eps-isometry or eps-approximation, isometric
+    quotients by the open eps-balls) is piecewise constant between
+    consecutive entries.
     """
     return BreakpointGrid(x, y).thresholds()

@@ -1,4 +1,5 @@
 import os
+from functools import cache
 from itertools import count
 
 import pytest
@@ -59,11 +60,14 @@ def equal_diameter_partner(x, m, seed, pool):
     return next(y for y in ys if y.diameter() == x.diameter())
 
 
+@cache
 def caterpillar(n, split_bottom=False):
     """The space d(i, j) = max(i, j) on n points, its dendrogram a chain
     n - 1 nodes deep, built from its ranks. With split_bottom its four
     lowest points form two pairs, {0, 1} at 1 and {2, 3} at 2, 3 apart:
-    the same spectrum and merge heights, isometric quotients from 1 up."""
+    the same spectrum and merge heights, isometric quotients from 1 up.
+    Spaces are immutable, so each one is built once per session and
+    shared."""
     rows = [[max(i, j) if i != j else 0 for j in range(n)] for i in range(n)]
     if split_bottom:
         for i, j, r in ((2, 3, 2), (0, 2, 3), (1, 2, 3)):

@@ -6,10 +6,20 @@ Fraction's path. The reference (oracles.ExactValue) sends every operation
 through Fraction. Both must give the same result, or raise the same
 exception type with the same message, for every operator and argument.
 
-The one intended difference: +, *, /, abs_diff and midpoint with an
-ExactValue on the left and an operand that is neither an int nor a Fraction
-raise TypeError, where the reference raised AttributeError (or
-ZeroDivisionError for a falsy divisor such as 0.0, "" or None).
+The intended differences:
+
+  * +, *, /, abs_diff and midpoint with an ExactValue on the left and an
+    operand that is neither an int nor a Fraction raise TypeError, where
+    the reference raised AttributeError (or ZeroDivisionError for a falsy
+    divisor such as 0.0, "" or None);
+  * every other arithmetic operator with an ExactValue on one side raises
+    TypeError (_NO_FLOATS) where the reference, through Fraction, computes
+    in floating point: beside a float operand, and for a power with a
+    non-integral exponent, where it gives a float or, for a negative base,
+    a complex. No operand here is complex.
+
+Powers are checked on POWER_OPERANDS only, which hold no exponent large
+enough to make an exact power slow.
 
 tests/test_exact.py runs these checks on the fixed cases below and on
 hypothesis draws. The fixed cases also run without pytest or hypothesis:
@@ -41,10 +51,15 @@ OPERATORS = {
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
+    "//": operator.floordiv,
+    "%": operator.mod,
+    "divmod": divmod,
 }
 METHODS = ("abs_diff", "midpoint")
 # The operations that refuse an operand that is not an int or a Fraction.
 CHECKED = {"+", "*", "/", *METHODS}
+# The operations that refuse a float beside an ExactValue on either side.
+ARITHMETIC = {"+", "-", "*", "/", "//", "%", "divmod", "**"}
 
 OPERANDS = (
     ExactValue(0), ExactValue(1), ExactValue(1, 2), ExactValue(3, 8), ExactValue(5, 12),
@@ -55,6 +70,11 @@ OPERANDS = (
     0.0, 0.5, -0.5, 2.0, math.nan, math.inf, -math.inf,
     "1/2", "x", "",
     None,
+)
+POWER_OPERANDS = (
+    ExactValue(0), ExactValue(1), ExactValue(1, 2), ExactValue(9, 4), ExactValue(3),
+    Fraction(1, 4), Fraction(-1, 2), Fraction(-2), 0, 2, -1, -3, True,
+    0.5, -2.0, math.nan, "x", None,
 )
 ARGUMENTS = (
     0, 1, 6, -1, -4, BIG, -BIG, True, False, None,
@@ -85,9 +105,13 @@ def reference(value):
 
 def apply(name, left, right):
     """left <name> right, for an operator or a method name."""
+    if name == "**":
+        return left ** right
     if name in OPERATORS:
         return OPERATORS[name](left, right)
     return getattr(left, name)(right)
+
+
 
 
 def expected(name, left, right):
@@ -99,13 +123,20 @@ def expected(name, left, right):
             return ("raises", "TypeError", _NO_FLOATS)
         return ("raises", "TypeError", f"unsupported operand type(s) for {name}: "
                 f"'ExactValue' and '{type(right).__name__}'")
-    return outcome(apply, name, reference(left), reference(right))
+    want = outcome(apply, name, reference(left), reference(right))
+    if (name in ARITHMETIC and ExactValue in (type(left), type(right))
+            and (isinstance(left, float) or isinstance(right, float)
+                 or want[0] in ("float", "complex"))):
+        return ("raises", "TypeError", _NO_FLOATS)
+    return want
 
 
-def check_pair(left, right):
+def check_pair(left, right, names=None):
     """Every operator on (left, right), and the methods when left is an
-    ExactValue; returns a list of mismatches."""
-    names = list(OPERATORS) + (list(METHODS) if type(left) is ExactValue else [])
+    ExactValue, or only the operations names; returns a list of
+    mismatches."""
+    if names is None:
+        names = list(OPERATORS) + (list(METHODS) if type(left) is ExactValue else [])
     bad = []
     for name in names:
         got, want = outcome(apply, name, left, right), expected(name, left, right)
@@ -133,11 +164,14 @@ def check_constructor(*args):
 
 
 def fixed_cases():
-    """Every ordered pair of OPERANDS, every ExactValue's hash and bool, and
-    ExactValue(n) and ExactValue(n, d) over ARGUMENTS."""
+    """Every ordered pair of OPERANDS, powers over every ordered pair of
+    POWER_OPERANDS, every ExactValue's hash and bool, and ExactValue(n)
+    and ExactValue(n, d) over ARGUMENTS."""
     bad = []
     for left, right in product(OPERANDS, repeat=2):
         bad += check_pair(left, right)
+    for left, right in product(POWER_OPERANDS, repeat=2):
+        bad += check_pair(left, right, ["**"])
     for value in OPERANDS:
         if type(value) is ExactValue:
             bad += check_unary(value)

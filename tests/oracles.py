@@ -15,6 +15,12 @@ so they are the reference for exists_strong_epsilon_isometry,
 exists_strong_epsilon_approximation and find_split on pairs too large for
 plain enumeration, and the brute-force searches check them in turn.
 
+ball_partition_by_row_scan is ball_partition as it stood before the
+library read the classes off the dendrogram: a scan of the rank matrix's
+rows against the representatives found so far. It is the reference for
+ball_partition and ball_representatives, and the approximation search
+reads it too.
+
 ExactValue is the library's scalar as it stood before its comparisons and
 constructor read Fraction's int slots directly: every operation goes
 through Fraction's generic dispatch. It is the reference for the
@@ -28,7 +34,7 @@ from math import lcm
 
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
-from ultragh.spaces import BreakpointGrid, _rank_balls
+from ultragh.spaces import BreakpointGrid
 
 SEARCH_BUDGET = 5_000_000  # nodes a reference search visits before it stops
 
@@ -266,6 +272,25 @@ def cut_form_by_recursion(ranks, points, c):
         children.append(cut_form_by_recursion(ranks, [q for q in points if row[q] < h], c))
         points = [q for q in points if row[q] >= h]
     return h, tuple(sorted(children))
+
+
+def ball_partition_by_row_scan(ranks, cut):
+    """ball_partition by a row scan of a rank matrix, a point's ball
+    holding the points at rank below cut from it: each point joins the
+    class of the first representative within the cut, or starts its own.
+    Classes are listed by ascending representative, points ascending
+    inside. The library reads the classes off the dendrogram instead."""
+    reps = []
+    classes = []
+    for i, row in enumerate(ranks):
+        for ci, r in enumerate(reps):
+            if row[r] < cut:
+                classes[ci].append(i)
+                break
+        else:
+            reps.append(i)
+            classes.append([i])
+    return tuple(tuple(c) for c in classes)
 
 
 def quotient_rank_by_recursion(grid):
@@ -548,9 +573,9 @@ def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
     grid = BreakpointGrid(x, y)
     below = bisect_left(grid.values, eps)
     rx, ry = grid.rx, grid.ry
-    xs = tuple(c[0] for c in _rank_balls(rx, below))
+    xs = tuple(c[0] for c in ball_partition_by_row_scan(rx, below))
     n, m = len(xs), len(ry)
-    if n > m or len(_rank_balls(ry, below)) > n:
+    if n > m or len(ball_partition_by_row_scan(ry, below)) > n:
         # n distinct right points pairwise >= eps apart cannot hit more
         # than n balls.
         return None

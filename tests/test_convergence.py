@@ -134,13 +134,19 @@ def test_find_split_matches_oracle(case):
 def test_find_split_on_an_1100_point_caterpillar(monkeypatch):
     # The dendrogram is over 1,000 levels deep: the reference search would
     # recurse once per point. find_split reads the dendrogram with no
-    # recursion and no gap table, and splits the space into its points.
+    # recursion, no gap table and no rank matrix remapped to the grid, and
+    # splits the space into its points.
     x = caterpillar(1100)
 
     def refuse(grid):
         raise AssertionError("find_split built the gap table")
 
     monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+
+    def refuse_rows(space, remap):
+        raise AssertionError("find_split remapped a rank matrix")
+
+    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
     result = find_split(x, x, ev("1/2"))
     assert result.classes == tuple((i,) for i in range(1100))
     assert result.class_diameters == (ZERO,) * 1100

@@ -587,14 +587,20 @@ def test_default_path_matches_each_route(pair):
 
 def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     # Far beyond every cap a call still returns all three outcomes, read
-    # off the two chains 499 levels deep with no recursion and no gap
-    # table. The quotients differ at 0 and agree at 1.
+    # off the two chains 499 levels deep with no recursion, no gap table
+    # and no rank matrix remapped to the grid. The quotients differ at 0
+    # and agree at 1.
     x, y = caterpillar(500), caterpillar(500, split_bottom=True)
 
     def refuse(grid):
         raise AssertionError("the default path built the gap table")
 
     monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+
+    def refuse_rows(space, remap):
+        raise AssertionError("the default path remapped a rank matrix")
+
+    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
     report = dhat_gh(x, y)
     assert x.diameter() == ExactValue(499)
     assert report.dhat == ExactValue(1) and report.dhat_attained

@@ -154,6 +154,25 @@ def test_arithmetic_refuses_floats_and_non_numbers(name, operation):
     assert operation(a, True) == operation(a, ONE)
 
 
+def test_inherited_arithmetic_refuses_floats():
+    # Fraction would compute each of these in floating point, with the
+    # float on either side, or for a non-integral exponent.
+    h = ExactValue(1, 2)
+    for compute in (
+        lambda: h - 0.5, lambda: 0.5 - h, lambda: 0.5 + h, lambda: 0.5 * h,
+        lambda: 2.0 / h, lambda: h // 0.5, lambda: h % 0.5, lambda: divmod(h, 0.5),
+        lambda: h ** 0.5, lambda: 2 ** h, lambda: ExactValue(4) ** h,
+        lambda: Fraction(1, 4) ** h,
+    ):
+        with pytest.raises(TypeError, match="does not accept floats"):
+            compute()
+    # Int and Fraction results are Fraction's, as before.
+    assert type(h - 1) is Fraction and h - 1 == Fraction(-1, 2)
+    assert type(h ** 2) is Fraction and h ** 2 == Fraction(1, 4)
+    assert type(2 ** ExactValue(3)) is int and 2 ** ExactValue(3) == 8
+    assert h // 1 == 0 and h % 1 == h
+
+
 def test_fraction_keeps_its_slot_names():
     # The fast paths read and fill these two slots directly.
     assert Fraction.__slots__ == ("_numerator", "_denominator")
@@ -195,3 +214,18 @@ def test_fast_paths_match_the_reference(value, other):
 @given(arguments, arguments)
 def test_constructor_matches_the_reference(numerator, denominator):
     assert check_constructor(numerator) + check_constructor(numerator, denominator) == []
+
+
+small_values = st.builds(ExactValue, st.integers(0, 40), st.integers(1, 40))
+exponents = st.one_of(
+    small_values,
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_values, exponents)
+def test_powers_match_the_reference(value, other):
+    assert check_pair(value, other, ["**"]) + check_pair(other, value, ["**"]) == []

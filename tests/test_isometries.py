@@ -239,14 +239,20 @@ def test_public_searches_match_reference_searches(pair):
 def test_public_searches_on_1100_point_caterpillars(monkeypatch):
     # Dendrograms over 1,000 levels deep: the reference searches would
     # recurse once per point, and the isometry search would build the gap
-    # table. The public functions read the dendrograms with neither. The
-    # quotients differ at 0 and agree at 1.
+    # table. The public functions read the dendrograms with neither, and
+    # remap no rank matrix to the grid. The quotients differ at 0 and
+    # agree at 1.
     x, y = caterpillar(1100), caterpillar(1100, split_bottom=True)
 
     def refuse(grid):
         raise AssertionError("the public search built the gap table")
 
     monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+
+    def refuse_rows(space, remap):
+        raise AssertionError("the public search remapped a rank matrix")
+
+    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
     eps = ev("3/2")
     iso = exists_strong_epsilon_isometry(x, y, eps)
     assert iso.is_strong_eps_isometry and iso.distortion == ev(1)

@@ -32,6 +32,7 @@ from ultragh.errors import (
 from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
+    ball_partition_by_row_scan,
     merge_heights_by_ball_counts,
     naive_correspondence_minima,
     partner_subsets_by_recursion,
@@ -375,6 +376,24 @@ def test_distortion_floor(x, y):
             assert [s.values[h] for h in s._merge_ranks()] == merge_heights_by_ball_counts(s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(random_ultrametric, st.integers(1, 40), st.integers(0, 10_000), st.just(POOL)),
+    st.builds(caterpillar, st.integers(1, 40)),
+    st.builds(caterpillar, st.integers(4, 40), st.just(True)),
+))
+def test_ball_partition_matches_the_row_scan(space):
+    # The dendrogram's closed balls against the row scan of the rank
+    # matrix, at every distance, every midpoint between two distances and
+    # above the diameter.
+    values = space.values
+    for eps in (*values[1:], *(a.midpoint(b) for a, b in zip(values, values[1:])),
+                values[-1] + ev(1)):
+        want = ball_partition_by_row_scan(space.ranks, bisect_left(values, eps))
+        assert ball_partition(space, eps) == want
+        assert ball_representatives(space, eps) == tuple(c[0] for c in want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(spaces, st.integers(0, 3))
 def test_ball_partition_dichotomy(space, eps_index):
@@ -555,10 +574,31 @@ def _is_ultrametric(rk):
                for i in range(n) for j in range(n) for k in range(n))
 
 
+def _check_tree_fields(rk, tree):
+    """The dendrogram's parents and first points against brute force: each
+    node's parent is the node that lists it as a child (-1 for the root),
+    and its first point is the least point of its ball, the closed ball
+    of its height about a point below it."""
+    n = len(rk)
+    listed_by = [-1] * (n + len(tree.heights))
+    for k, kids in enumerate(tree.children):
+        for child in kids:
+            listed_by[child] = n + k
+    assert tree.parent == listed_by
+    for v in range(len(listed_by)):
+        height, below = 0, v
+        if v >= n:
+            height = tree.heights[v - n]
+            while below >= n:
+                below = tree.children[below - n][0]
+        assert tree.first[v] == next(j for j, r in enumerate(rk[below]) if r <= height)
+
+
 def _check_split(rk):
     tree = _split_tree(rk)
     if _is_ultrametric(rk):
         assert _merge_heights(tree) == _single_linkage_heights(rk)
+        _check_tree_fields(rk, tree)
     else:
         assert tree is None
 
@@ -570,7 +610,8 @@ def _check_split(rk):
 def test_ball_splitting_on_random_rank_matrices(case):
     # Any symmetric matrix with a zero diagonal and ranks 1-4 off it:
     # accepted exactly when no triple breaks the strong triangle inequality,
-    # with the single-linkage merge heights.
+    # with the single-linkage merge heights, and each node's parent and
+    # first point those that brute force gives.
     n, upper = case
     rk = [[0] * n for _ in range(n)]
     entries = iter(upper)
@@ -619,6 +660,9 @@ def test_ball_splitting_on_a_2048_point_caterpillar():
     assert tree.heights == ints[:0:-1]
     assert _depth(tree, n) == n - 1
     assert _merge_heights(tree) == ints[:0:-1]
+    _check_tree_fields(space.ranks, tree)
+    # Every point is its own open 1/2-ball, read off the chain's bottom.
+    assert ball_partition(space, ev("1/2")) == tuple((i,) for i in range(n))
     # The merge heights are those the closed-ball counts give, checked on
     # 64 points, where counting is cheap.
     small = caterpillar(64)
