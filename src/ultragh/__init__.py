@@ -30,7 +30,6 @@ from .correspondences import (
     is_correspondence,
     is_strong_correspondence,
     min_distortion_correspondence,
-    min_distortion_strong_correspondence,
 )
 from .isometries import (
     ApproximationWitness,
@@ -48,6 +47,7 @@ from .engine import (
     classical_gh,
     dhat_gh,
     metric_ratio,
+    min_distortion_strong_correspondence,
 )
 from .generators import (
     LocalFieldParams,

@@ -32,9 +32,11 @@ from .engine import dhat_gh
 class SplitResult:
     """A partition of a big space indexed by the points of a finite target.
 
-    classes[i] collects the indices matched to target point i; diameters and
-    pairwise class distances are recomputed from the distance matrix so the
-    result replays independently of how it was found.
+    classes[i] collects the indices matched to target point i. Each class
+    is a dendrogram node, whose height is its diameter, and the pairwise
+    class distances are those of the classes' first points; replay_split
+    recomputes both from the distance matrix, independently of how the
+    split was found.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -74,16 +76,20 @@ def find_split(
     if quotient is None:
         return None
 
+    # Each class is a dendrogram node, whose height is its diameter.
+    n, heights = len(xn), xn._tree.heights
     classes: list[tuple[int, ...]] = [()] * len(x)
-    for ball, target in zip(quotient.cx.members, quotient.ys):
+    diameters = [ZERO] * len(x)
+    for node, ball, target in zip(quotient.cx.classes, quotient.cx.members, quotient.ys):
         classes[target] = tuple(ball)
-    diameters = tuple(_between(xn, c, c, max) for c in classes)
+        if node >= n:
+            diameters[target] = xn.values[heights[node - n]]
     # Distinct open eps-balls of an ultrametric sit at one distance, so the
     # classes' first points give it (and rank 0, distance 0, on the diagonal).
     values, ranks = xn.values, xn.ranks
     firsts = [c[0] for c in classes]
     matrix = tuple(tuple(values[ranks[a][b]] for b in firsts) for a in firsts)
-    return SplitResult(tuple(classes), diameters, matrix)
+    return SplitResult(tuple(classes), tuple(diameters), matrix)
 
 
 def replay_split(

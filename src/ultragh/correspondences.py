@@ -5,12 +5,14 @@ the largest mismatch |d_X - d_Y| over related pairs. A correspondence is
 strong when every non-related pair (x, y) sees equal partner distances on
 both sides, strictly exceeding the distortion. The minimum distortion over
 strong correspondences is the non-Archimedean Gromov-Hausdorff distance,
-while half the minimum over plain correspondences is the classical one; both
-minima are computed here exactly by branch-and-bound over pair sets.
+read off the greedy quotient isometry by the engine
+(engine.min_distortion_strong_correspondence); half the minimum over plain
+correspondences is the classical one, computed here exactly by
+branch-and-bound over pair sets.
 
 The checks of one given relation, its distortion and its partner
-condition, read the ranks of the pair's BreakpointGrid, as the searches
-do: each is written once, and map checks share the distortion.
+condition, read the ranks of the pair's BreakpointGrid, as the search
+does: each is written once, and map checks share the distortion.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Correspondence:
         makes of its input: in range, strictly ascending, so free of
         duplicates, and covering both point sets. No check runs, so only
         code that builds its pairs that way may call it: full_product, the
-        searches' results and the quotient matching's correspondence."""
+        search's results and the quotient matching's correspondence."""
         c = object.__new__(cls)
         c.__dict__.update(left=left, right=right, pairs=pairs)
         return c
@@ -351,6 +353,8 @@ class SearchResult:
 
     optimal is False only when a node budget ran out, in which case the
     correspondence is the best incumbent and its distortion an upper bound.
+    min_distortion_strong_correspondence runs no search: its results read
+    optimal True and nodes 0.
     """
 
     correspondence: Correspondence
@@ -388,20 +392,17 @@ class _NoLeafAtStart(MethodDisagreementError):
 
 def _search(
     grid: BreakpointGrid,
-    strong: bool,
     budget: Optional[int],
     product_cap: int,
     start: Optional[int] = None,
 ) -> SearchResult:
-    """Minimum distortion over the (strong) correspondences of grid's pair.
+    """Minimum distortion over the correspondences of grid's pair.
 
-    The search stops at its first leaf at or below a proven lower bound on
-    the minimum: the spectra bound for a strong search, the grid's
-    merge-height floor for a plain one.
+    The search stops at its first leaf at or below the grid's merge-height
+    floor, a proven lower bound on the minimum.
 
-    start, a grid rank given only without a budget and only to the plain
-    search (no caller seeds the strong one), seeds the incumbent cutoff at
-    start + 1 in place of just above the full product's rank, so
+    start, a grid rank given only without a budget, seeds the incumbent
+    cutoff at start + 1 in place of just above the full product's rank, so
     only leaves of rank at most start are accepted. No leaf lies below the
     minimum, and the pruning drops only branches with no leaf below the
     cutoff, so when start is at or above the minimum the first leaf
@@ -422,8 +423,6 @@ def _search(
             "to search anyway"
         )
 
-    # Only the strong search reads the rank matrices.
-    rx, ry = (grid.rx, grid.ry) if strong else ((), ())
     gap = grid.gap_ranks()
 
     # Each partner subset with its bitmask and its largest internal rank,
@@ -442,47 +441,17 @@ def _search(
     # have. The incumbent starts just above it (or above start), so the
     # search records the first leaf in search order it accepts and then
     # only strictly better ones: it ends on the first optimal leaf, the
-    # lexicographically smallest optimal pair set. A leaf at or below a lower bound on the minimum is
-    # that first optimal leaf, so the search stops there.
-    # The grid's last value is the larger diameter.
+    # lexicographically smallest optimal pair set. A leaf at or below the
+    # merge-height floor is that first optimal leaf, so the search stops
+    # there. The grid's last value is the larger diameter.
     full_rank = len(grid.values) - 1
-    floor_rank = grid.spectra_floor() if strong else grid.floor
+    floor_rank = grid.floor
 
     budget_state = _Budget(budget)
     best_rank = (full_rank if start is None else start) + 1
     best_sets: Optional[list[tuple[int, ...]]] = None
 
     chosen: list[tuple[int, ...]] = []
-    cover_count = [0] * m
-    partners_of_y: list[list[int]] = [[] for _ in range(m)]
-
-    def strong_check(level: int, partial: int) -> bool:
-        """Partner conditions over decided complement pairs.
-
-        Equality violations are final. A candidate equilibrium value must
-        exceed the final distortion, so one at or below the current partial
-        distortion already disqualifies the branch. At a covering leaf,
-        where partial is the final distortion, this is the complete
-        strongness test.
-        """
-        for xx in range(level + 1):
-            sub = chosen[xx]
-            sset = set(sub)
-            rxx = rx[xx]
-            for yy in range(m):
-                if cover_count[yy] == 0 or yy in sset:
-                    continue
-                row = ry[yy]
-                common = row[sub[0]]
-                for y_prime in sub[1:]:
-                    if row[y_prime] != common:
-                        return False
-                for x_prime in partners_of_y[yy]:
-                    if rxx[x_prime] != common:
-                        return False
-                if common <= partial:
-                    return False
-        return True
 
     def dfs(level: int, partial: int, covered: int, cutoff: int,
             far: list[list[list[int]]], bar: list[int]):
@@ -555,25 +524,15 @@ def _search(
                                   for d in child_bar if forced & ~d):
                     continue
 
-            chosen.append(sub)
-            for b in sub:
-                cover_count[b] += 1
-                partners_of_y[b].append(level)
-            try:
-                if strong and not strong_check(level, new_rank):
-                    continue
-                if last:
-                    best_rank = new_rank
-                    best_sets = list(chosen)
-                    if best_rank <= floor_rank:
-                        raise _Done
-                else:
-                    dfs(level + 1, new_rank, covered | mask, cutoff, far, child_bar)
-            finally:
+            if last:
+                best_rank = new_rank
+                best_sets = [*chosen, sub]
+                if best_rank <= floor_rank:
+                    raise _Done
+            else:
+                chosen.append(sub)
+                dfs(level + 1, new_rank, covered | mask, cutoff, far, child_bar)
                 chosen.pop()
-                for b in sub:
-                    cover_count[b] -= 1
-                    partners_of_y[b].pop()
 
     optimal = True
     try:
@@ -586,8 +545,8 @@ def _search(
     if best_sets is None:
         if start is not None:
             raise _NoLeafAtStart(
-                f"no {'strong ' if strong else ''}correspondence has distortion at "
-                f"most {grid.values[start]}, the search's starting bound"
+                f"no correspondence has distortion at most {grid.values[start]}, "
+                "the search's starting bound"
             )
         # the budget ran out before the first leaf
         return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
@@ -616,21 +575,4 @@ def min_distortion_correspondence(
     lexicographically smallest pair set, and the floor changes no result,
     only the nodes spent proving it optimal.
     """
-    return _search(BreakpointGrid(x, y), False, budget, product_cap)
-
-
-def min_distortion_strong_correspondence(
-    x: UltrametricSpace,
-    y: UltrametricSpace,
-    budget: Optional[int] = None,
-    *,
-    product_cap: int = DEFAULT_PRODUCT_CAP,
-) -> SearchResult:
-    """Exact minimum distortion over strong correspondences.
-
-    Same search with partner-equality conditions enforced along the way and
-    the full strongness test at covering leaves; the spectra lower bound is
-    a global floor. This minimum is the non-Archimedean
-    Gromov-Hausdorff distance of the two spaces.
-    """
-    return _search(BreakpointGrid(x, y), True, budget, product_cap)
+    return _search(BreakpointGrid(x, y), budget, product_cap)

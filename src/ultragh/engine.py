@@ -36,9 +36,10 @@ the routes the report shows; without it EngineCaps picks them: those
 inside the caps, or all three beyond every cap. A budget bounds only the
 classical search. Any call that asks for the classical search
 (include_classical=True, as metric_ratio does) beyond its cap raises
-SearchSpaceTooLargeError before any work, on equal diameters or not. The
-one independent exponential search still public is
-min_distortion_strong_correspondence.
+SearchSpaceTooLargeError before any work, on equal diameters or not.
+min_distortion_strong_correspondence returns the same strong_correspondence
+outcome as a SearchResult, so the only search in the package is the
+classical one.
 
 The isometry_scan and approximation_scan outcomes keep the reading of a
 scan over eps, though none runs: a strong eps-witness exists exactly when
@@ -88,6 +89,7 @@ from .spaces import (
 from .correspondences import (
     DEFAULT_PRODUCT_CAP,
     Correspondence,
+    SearchResult,
     _NoLeafAtStart,
     _search,
     full_product,
@@ -248,12 +250,12 @@ def _classical(
     """
     floor_rank = grid.floor
     if budget is not None:
-        res = _search(grid, False, budget, product_cap)
+        res = _search(grid, budget, product_cap)
     else:
         try:
-            res = _search(grid, False, None, product_cap, floor_rank)
+            res = _search(grid, None, product_cap, floor_rank)
         except _NoLeafAtStart:
-            res = _search(grid, False, None, product_cap,
+            res = _search(grid, None, product_cap,
                           _quotient_rank(grid) if hint is None else hint)
     floor = grid.values[floor_rank]
     if res.distortion < floor:
@@ -325,8 +327,7 @@ def dhat_gh(
     larger diameter instead: the spectra bound reaches it and the full
     product attains it. budget bounds only the classical search, and
     include_classical=True beyond the classical cap raises
-    SearchSpaceTooLargeError before any work. For an independent search,
-    call min_distortion_strong_correspondence.
+    SearchSpaceTooLargeError before any work.
     """
     if methods is not None:
         names = tuple(methods)
@@ -429,3 +430,23 @@ def metric_ratio(
     if not report.classical.optimal:
         raise BudgetExceededError("classical search ran out of budget")
     return report.ratio
+
+
+def min_distortion_strong_correspondence(
+    x: UltrametricSpace,
+    y: UltrametricSpace,
+    budget: Optional[int] = None,
+    *,
+    product_cap: int = DEFAULT_PRODUCT_CAP,
+) -> SearchResult:
+    """Exact minimum distortion over strong correspondences, the
+    non-Archimedean Gromov-Hausdorff distance, with a strong correspondence
+    attaining it: dhat_gh's strong_correspondence outcome, at any size.
+
+    No search runs, so optimal is always True and nodes is 0. Neither
+    budget nor product_cap bounds anything; both are kept for callers that
+    pass them.
+    """
+    outcome = dhat_gh(x, y, ("strong_correspondence",),
+                      include_classical=False).methods["strong_correspondence"]
+    return SearchResult(outcome.witness, outcome.value, True, 0)

@@ -472,14 +472,16 @@ def hausdorff_distance(
 def is_epsilon_net(space: UltrametricSpace, s: Iterable[int], eps: ExactValue) -> bool:
     """True iff every point is at distance strictly less than eps from s.
 
-    Exactly the distances below eps have a rank below bisect_left(values,
-    eps), so the test reads ranks.
+    The points within eps of a point form its open eps-ball, so s is an
+    eps-net exactly when it meets every open eps-ball: the dendrogram's
+    closed balls at the largest rank below eps (_closed_balls), read in
+    O(n) with no row scan.
     """
     if eps <= ZERO:
         raise ValueError("eps must be positive")
     pts = _normalize_subset(space, s)
-    cut = bisect_left(space.values, eps)
-    return all(any(row[p] < cut for p in pts) for row in space.ranks)
+    balls = _closed_balls(space._tree, bisect_left(space.values, eps) - 1)
+    return len(set(map(balls.class_of.__getitem__, pts))) == len(balls.classes)
 
 
 def ball_partition(space: UltrametricSpace, eps: ExactValue) -> tuple[tuple[int, ...], ...]:
@@ -595,19 +597,20 @@ class BreakpointGrid:
     through that cut and is constant on each half-open cell
     (t_{k-1}, t_k] of thresholds(). x and y are the pair.
 
-    The tables the checks and searches read are built on first use and
-    kept, so every step of one dhat_gh call shares them: the spaces' rank
-    matrices remapped to grid ranks (rx and ry, n x n and m x m, which
-    the quotient route never reads), the gap-rank table (gap_ranks()),
-    the partner-subset table of the right space (partner_subsets()) and,
-    per cutoff rank, the far-partner bitmasks (far_masks()), whose first
-    build also makes the per-distance point masks of y it reads. Both
+    The tables the checks and the classical search read are built on
+    first use and kept, so every step of one dhat_gh call shares them: the
+    spaces' rank matrices remapped to grid ranks (rx and ry, n x n and
+    m x m, which the quotient route never reads), the gap-rank table
+    (gap_ranks()), the partner-subset table of the right space
+    (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
+    (far_masks()), whose first build also makes the per-distance point
+    masks of y it reads. Both
     per-pair tables depend on a pair of x only through its distance, so
     they are built once per distinct distance of x and shared by every
     pair at that distance. floor is the merge-height lower bound on the
     distortion of every correspondence (distortion_floor()), computed once
     with the grid from the merge heights each space keeps, for the
-    searches and the quotient hint of every call on it;
+    classical search and the quotient hint of every call on it;
     the spectra lower bound on dhat (spectra_floor()) is read off wx and wy.
     """
 

@@ -7,19 +7,21 @@ distances themselves where the library compares grid ranks, and the
 existential form of the strong-correspondence condition (the library uses
 the universal form).
 
-Two pruned depth-first searches stand beside them, isometry_search and
-approximation_search: the strong eps-isometry and eps-approximation
-searches the library answered with before its greedy quotient matching.
-They search maps and matches, where the library reads the dendrograms,
-so they are the reference for exists_strong_epsilon_isometry,
-exists_strong_epsilon_approximation and find_split on pairs too large for
-plain enumeration, and the brute-force searches check them in turn.
+Three pruned depth-first searches stand beside them, isometry_search,
+approximation_search and strong_correspondence_search: the strong
+eps-isometry, eps-approximation and minimum-distortion strong
+correspondence searches the library answered with before its greedy
+quotient matching. They search maps, matches and pair sets, where the
+library reads the dendrograms, so they are the reference for
+exists_strong_epsilon_isometry, exists_strong_epsilon_approximation,
+find_split and min_distortion_strong_correspondence on pairs too large
+for plain enumeration, and the brute-force searches check them in turn.
 
-ball_partition_by_row_scan is ball_partition as it stood before the
-library read the classes off the dendrogram: a scan of the rank matrix's
-rows against the representatives found so far. It is the reference for
-ball_partition and ball_representatives, and the approximation search
-reads it too.
+ball_partition_by_row_scan and is_epsilon_net_by_row_scan are
+ball_partition and is_epsilon_net as they stood before the library read
+the closed balls off the dendrogram: scans of the rank matrix's rows. They
+are the reference for ball_partition, ball_representatives and
+is_epsilon_net, and the approximation search reads the first too.
 
 ExactValue is the library's scalar as it stood before its comparisons and
 constructor read Fraction's int slots directly: every operation goes
@@ -32,6 +34,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
+from ultragh.correspondences import Correspondence, SearchResult, full_product
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid
@@ -291,6 +294,13 @@ def ball_partition_by_row_scan(ranks, cut):
             reps.append(i)
             classes.append([i])
     return tuple(tuple(c) for c in classes)
+
+
+def is_epsilon_net_by_row_scan(ranks, pts, cut):
+    """is_epsilon_net by a row scan of a rank matrix: every point has a
+    point of pts at rank below cut from it. The library asks instead
+    whether pts meets every closed ball of the dendrogram below the cut."""
+    return all(any(row[p] < cut for p in pts) for row in ranks)
 
 
 def quotient_rank_by_recursion(grid):
@@ -605,3 +615,141 @@ def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
         return None
 
     return dfs(0)
+
+
+class _StopSearch(Exception):
+    """Ends strong_correspondence_search: its budget ran out, or a leaf
+    reached the spectra bound."""
+
+
+def strong_correspondence_search(x, y, budget=None):
+    """Minimum distortion over the strong correspondences of X and Y, as the
+    library's SearchResult: the branch-and-bound search the library ran
+    before it read the strong correspondence off its greedy quotient
+    matching, with its node count and its budget.
+
+    Partner subsets are chosen per left point, in the order of the grid's
+    partner-subset tables, so the search ends on the lexicographically
+    smallest optimal pair set. A branch dies when its partial distortion
+    reaches the incumbent, when the forward check leaves a later point or
+    an uncovered right point no partner below it, or when a decided
+    complement pair breaks the partner condition: unequal partner
+    distances, or a common one at or below the partial distortion. A leaf
+    at or below the spectra bound is optimal and stops the search. Each
+    call of a frame spends a node; past budget nodes the search stops,
+    with optimal False and the best leaf found, or the full product.
+    """
+    grid = BreakpointGrid(x, y)
+    n, m = len(x), len(y)
+    if n == 1 or m == 1:
+        return SearchResult(full_product(x, y), max(x.diameter(), y.diameter()), True, 0)
+    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    last_level, inner_level, worst_of = grid.partner_subsets()
+    full_mask = (1 << m) - 1
+    full_rank = len(grid.values) - 1
+    floor_rank = grid.spectra_floor()
+    best_rank = full_rank + 1
+    best_sets = None
+    nodes = 0
+    optimal = True
+    chosen = []
+    cover_count = [0] * m
+    partners_of_y = [[] for _ in range(m)]
+
+    def strong_check(level, partial):
+        # Partner conditions over the complement pairs decided so far; at a
+        # covering leaf, where partial is the distortion, the full test.
+        for xx in range(level + 1):
+            sub = chosen[xx]
+            sset = set(sub)
+            rxx = rx[xx]
+            for yy in range(m):
+                if cover_count[yy] == 0 or yy in sset:
+                    continue
+                row = ry[yy]
+                common = row[sub[0]]
+                if any(row[y_prime] != common for y_prime in sub[1:]):
+                    return False
+                if any(rxx[x_prime] != common for x_prime in partners_of_y[yy]):
+                    return False
+                if common <= partial:
+                    return False
+        return True
+
+    def dfs(level, partial, covered, cutoff, far, bar):
+        # far = grid.far_masks(cutoff); bar[k] bars the partners of left
+        # point level + k that a chosen pair puts at or past the cutoff.
+        nonlocal best_rank, best_sets, nodes, optimal
+        nodes += 1
+        if budget is not None and nodes > budget:
+            optimal = False
+            raise _StopSearch
+        last = level == n - 1
+        missing = full_mask & ~covered
+        for sub, mask, internal in (last_level if last else inner_level):
+            if cutoff != best_rank:
+                cutoff = best_rank
+                far = grid.far_masks(cutoff)
+                bar = [0] * (n - level)
+                for i in range(level):
+                    for k, fij in enumerate(far[i][level:]):
+                        for a in chosen[i]:
+                            bar[k] |= fij[a]
+            if mask & bar[0] or (last and (mask & missing) != missing):
+                continue
+            new_rank = max(partial, internal)
+            if new_rank >= cutoff:
+                continue
+            for i in range(level):
+                for a in chosen[i]:
+                    for b in sub:
+                        new_rank = max(new_rank, gap[i][level][a][b])
+            if not last:
+                # Forward check: each later left point needs an open
+                # partner, each uncovered right point an open later left
+                # point, and a right point open to one of them only is
+                # forced into its partner set.
+                child_bar = []
+                once = twice = 0
+                for k in range(1, n - level):
+                    d = bar[k]
+                    for a in sub:
+                        d |= far[level][level + k][a]
+                    child_bar.append(d)
+                    o = full_mask ^ d
+                    twice |= once & o
+                    once |= o
+                uncovered = missing & ~mask
+                forced = uncovered & ~twice
+                if (full_mask in child_bar or uncovered & ~once
+                        or forced and any(worst_of[forced & ~d] >= cutoff
+                                          for d in child_bar if forced & ~d)):
+                    continue
+            chosen.append(sub)
+            for b in sub:
+                cover_count[b] += 1
+                partners_of_y[b].append(level)
+            try:
+                if not strong_check(level, new_rank):
+                    continue
+                if last:
+                    best_rank = new_rank
+                    best_sets = list(chosen)
+                    if best_rank <= floor_rank:
+                        raise _StopSearch
+                else:
+                    dfs(level + 1, new_rank, covered | mask, cutoff, far, child_bar)
+            finally:
+                chosen.pop()
+                for b in sub:
+                    cover_count[b] -= 1
+                    partners_of_y[b].pop()
+
+    try:
+        dfs(0, 0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
+    except _StopSearch:
+        pass
+    if best_sets is None:
+        return SearchResult(full_product(x, y), grid.values[full_rank], optimal, nodes)
+    pairs = tuple((i, b) for i in range(n) for b in best_sets[i])
+    return SearchResult(Correspondence(x, y, pairs), grid.values[best_rank], optimal, nodes)

@@ -134,9 +134,15 @@ def test_find_split_matches_oracle(case):
 def test_find_split_on_an_1100_point_caterpillar(monkeypatch):
     # The dendrogram is over 1,000 levels deep: the reference search would
     # recurse once per point. find_split reads the dendrogram with no
-    # recursion, no gap table and no rank matrix remapped to the grid, and
-    # splits the space into its points.
+    # recursion, no gap table, no rank matrix remapped to the grid and no
+    # scan of a class's distances for its diameter, and splits the space
+    # into its points.
     x = caterpillar(1100)
+
+    def refuse_scan(space, ca, cb, pick):
+        raise AssertionError("find_split scanned a class's distances")
+
+    monkeypatch.setattr("ultragh.convergence._between", refuse_scan)
 
     def refuse(grid):
         raise AssertionError("find_split built the gap table")

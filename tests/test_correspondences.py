@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultragh import (
     Correspondence,
@@ -37,6 +37,7 @@ from conftest import equal_diameter_partner, ev
 from oracles import (
     naive_correspondence_minima,
     naive_lex_min_witness,
+    strong_correspondence_search,
     strong_existential,
 )
 
@@ -163,8 +164,9 @@ def assert_normal(c):
     (2, 3, 5), (3, 3, 6), (4, 3, 7), (3, 5, 8), (5, 4, 9), (6, 6, 10),
 ])
 def test_built_correspondences_are_normal(n, m, seed):
-    # full_product and both public searches, unbudgeted and with budgets
-    # too small to reach a leaf or the optimum, build their results
+    # full_product, the plain search, unbudgeted and with budgets too
+    # small to reach a leaf or the optimum, and the strong minimum, read
+    # off the quotient matching whatever the budget, build their results
     # without normalising them.
     x = random_ultrametric(n, seed, POOL)
     y = random_ultrametric(m, seed + 100, POOL)
@@ -398,6 +400,21 @@ def test_lex_min_witness_on_equal_diameters(shape, seed_a, seed_b):
         res = search(x, y)
         assert res.distortion.fraction == want_value
         assert res.correspondence.pairs == want_pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 8), st.integers(5, 8), st.integers(0, 20_000), st.integers(0, 20_000))
+def test_strong_minimum_matches_the_reference_search(n, m, seed_a, seed_b):
+    # The public strong minimum reads the quotient matching; the reference
+    # branch-and-bound search, wherever it finishes within its budget,
+    # finds the same lexicographically smallest optimal pair set.
+    x = random_ultrametric(n, seed_a, POOL)
+    y = equal_diameter_partner(x, m, seed_b, POOL)
+    ref = strong_correspondence_search(x, y, budget=2_000)
+    assume(ref.optimal)
+    res = min_distortion_strong_correspondence(x, y)
+    assert (res.correspondence, res.distortion) == (ref.correspondence, ref.distortion)
+    assert res.optimal and res.nodes == 0
 
 
 small_pairs = st.tuples(

@@ -47,6 +47,7 @@ from oracles import (
     naive_correspondence_minima,
     quotient_rank_by_recursion,
     spectra_bound_by_scan,
+    strong_correspondence_search,
 )
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -544,9 +545,10 @@ def default_path_pairs(draw):
 
 def _public_outcome(x, y, name):
     """The outcome of the route name as an independent search gives it: the
-    public strong search, or a reference search walked as a scan."""
+    reference strong search, or a reference search walked as a scan."""
     if name == "strong_correspondence":
-        res = min_distortion_strong_correspondence(x, y)
+        res = strong_correspondence_search(x, y)
+        assert res.optimal
         return MethodOutcome(res.distortion, True, res.correspondence)
     if name == "isometry_scan":
         return _linear_scan(x, y, isometry_search)
@@ -588,8 +590,9 @@ def test_default_path_matches_each_route(pair):
 def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     # Far beyond every cap a call still returns all three outcomes, read
     # off the two chains 499 levels deep with no recursion, no gap table
-    # and no rank matrix remapped to the grid. The quotients differ at 0
-    # and agree at 1.
+    # and no rank matrix remapped to the grid, and so does
+    # min_distortion_strong_correspondence. The quotients differ at 0 and
+    # agree at 1.
     x, y = caterpillar(500), caterpillar(500, split_bottom=True)
 
     def refuse(grid):
@@ -612,6 +615,11 @@ def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     # quotient outcome, still with no gap table.
     alone = dhat_gh(x, y, methods=["isometry_scan"], budget=1)
     assert alone.methods == {"isometry_scan": report.methods["isometry_scan"]}
+    # The public strong minimum is the report's strong outcome, found by
+    # no search, whatever the size.
+    strong = min_distortion_strong_correspondence(x, y)
+    assert strong.correspondence == report.methods["strong_correspondence"].witness
+    assert strong.distortion == ExactValue(1) and strong.optimal and strong.nodes == 0
 
 
 def test_ratio_refuses_caterpillars_beyond_the_classical_cap():
@@ -710,11 +718,11 @@ def test_seeded_classical_search_below_its_minimum_raises():
     for seed in (12, 35):
         x, y = hard_pair(seed)
         grid = BreakpointGrid(x, y)
-        res = _search(grid, False, None, 36)
-        seeded = _search(grid, False, None, 36, bisect_left(grid.values, res.distortion))
+        res = _search(grid, None, 36)
+        seeded = _search(grid, None, 36, bisect_left(grid.values, res.distortion))
         assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
         with pytest.raises(MethodDisagreementError, match="starting bound"):
-            _search(grid, False, None, 36, bisect_left(grid.values, res.distortion) - 1)
+            _search(grid, None, 36, bisect_left(grid.values, res.distortion) - 1)
 
 
 def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
@@ -731,19 +739,19 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     assert grid.values[floor] < res.distortion
     calls = []
 
-    def spy(grid, strong, budget, product_cap, start=None):
-        calls.append((strong, start))
-        return _search(grid, strong, budget, product_cap, start)
+    def spy(grid, budget, product_cap, start=None):
+        calls.append(start)
+        return _search(grid, budget, product_cap, start)
 
     monkeypatch.setattr(engine, "_search", spy)
     for budget, starts in ((None, [floor, quotient]), (10**6, [None])):
         calls.clear()
         result = classical_gh(x, y, budget)
-        assert result.optimal and calls == [(False, start) for start in starts]
+        assert result.optimal and calls == starts
         assert (result.value * 2, result.witness) == (res.distortion, res.correspondence)
     calls.clear()
     report = dhat_gh(x, y)
-    assert [call for call in calls if not call[0]] == [(False, floor), (False, quotient)]
+    assert calls == [floor, quotient]
     assert report.classical == classical_gh(x, y)
 
 

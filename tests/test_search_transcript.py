@@ -1,9 +1,12 @@
 """Pinned transcripts of the correspondence searches over seeded pairs.
 
 dhat_gh drops a search's node count, so tests/test_transcript.py cannot see
-a change in how a search walks its tree. Here every pair runs both public
-searches without a budget and with a small one, and each result's
-distortion, pairs, optimality flag and node count go into one sha256.
+a change in how a search walks its tree. Here every pair runs the public
+plain search and the reference strong search (the library's strong
+search before min_distortion_strong_correspondence read its answer off the
+quotient matching) without a budget and with a small one, and each
+result's distortion, pairs, optimality flag and node count go into one
+sha256.
 A second sha256 covers classical_gh on the same pairs and budgets: its
 interval, optimality flag and witness pairs, which a change to how the
 classical search is started must leave as they are.
@@ -16,15 +19,15 @@ from ultragh import (
     ExactValue,
     classical_gh,
     min_distortion_correspondence,
-    min_distortion_strong_correspondence,
     random_ultrametric,
 )
 
 from conftest import equal_diameter_partner
+from oracles import strong_correspondence_search
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 
-SEARCHES = (min_distortion_correspondence, min_distortion_strong_correspondence)
+SEARCHES = (min_distortion_correspondence, strong_correspondence_search)
 BUDGETS = (None, 25)
 
 EXPECTED = "8e190bdfee5b15411e50b38e3cea3b9673133b78ec33a781f8b974494130f8e1"

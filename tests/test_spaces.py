@@ -33,6 +33,7 @@ from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
     ball_partition_by_row_scan,
+    is_epsilon_net_by_row_scan,
     merge_heights_by_ball_counts,
     naive_correspondence_minima,
     partner_subsets_by_recursion,
@@ -381,17 +382,26 @@ def test_distortion_floor(x, y):
     st.builds(random_ultrametric, st.integers(1, 40), st.integers(0, 10_000), st.just(POOL)),
     st.builds(caterpillar, st.integers(1, 40)),
     st.builds(caterpillar, st.integers(4, 40), st.just(True)),
-))
-def test_ball_partition_matches_the_row_scan(space):
+), st.randoms(use_true_random=False))
+def test_ball_partition_matches_the_row_scan(space, rng):
     # The dendrogram's closed balls against the row scan of the rank
     # matrix, at every distance, every midpoint between two distances and
-    # above the diameter.
+    # above the diameter; is_epsilon_net against the row scan there too,
+    # on the balls' first points, on them less one, and on two random
+    # subsets.
     values = space.values
+    n = len(space)
+    subsets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
     for eps in (*values[1:], *(a.midpoint(b) for a, b in zip(values, values[1:])),
                 values[-1] + ev(1)):
-        want = ball_partition_by_row_scan(space.ranks, bisect_left(values, eps))
+        cut = bisect_left(values, eps)
+        want = ball_partition_by_row_scan(space.ranks, cut)
         assert ball_partition(space, eps) == want
-        assert ball_representatives(space, eps) == tuple(c[0] for c in want)
+        reps = ball_representatives(space, eps)
+        assert reps == tuple(c[0] for c in want)
+        for s in (reps, reps[1:] or reps, *subsets):
+            assert is_epsilon_net(space, s, eps) == is_epsilon_net_by_row_scan(
+                space.ranks, s, cut)
 
 
 @settings(max_examples=60, deadline=None)
