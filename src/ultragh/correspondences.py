@@ -390,6 +390,41 @@ class _NoLeafAtStart(MethodDisagreementError):
     disagreement."""
 
 
+# A partner subset, its points ascending, with its bitmask.
+_Subset = tuple[tuple[int, ...], int]
+
+# Both subset orders of m points are kept for m <= _ORDERS_MAX, 12 = the
+# product cap 36 / 3, each below 1 MB. Past it only a pair with one side of
+# two points, or a budgeted search, needs them, and each such search builds
+# its own. At most _ORDERS_MAX sizes are kept, and no caller changes them.
+_ORDERS_MAX = 12
+_ORDERS: dict[int, tuple[tuple[_Subset, ...], tuple[_Subset, ...]]] = {}
+
+
+def _subset_orders(m: int) -> tuple[tuple[_Subset, ...], tuple[_Subset, ...]]:
+    """Every nonempty subset of m points with its bitmask, in the two orders
+    of the classical search, in O(2^m * m).
+
+    The first is prefix-first order, (0), (0,1), (0,1,2), ..., (1), (1,2),
+    ..., the ascending order of the subsets as tuples. The second lists
+    each subset after all of its extensions, (0,1,2), (0,1), (0,2), (0),
+    (1,2), .... Each subset lists its points ascending. Both orders are
+    built from the largest point down: if P and I are the two orders of
+    the subsets of the points above a, then the subsets of the points from
+    a up are (a,), then (a,) + s for s in P, then P, in the first order,
+    and (a,) + s for s in I, then (a,), then I, in the second. order holds
+    the second as positions in the first, so both hold the same entry
+    objects.
+    """
+    last: list[_Subset] = []
+    order: list[int] = []
+    for a in reversed(range(m)):
+        head, bit, size = (a,), 1 << a, len(last)
+        last = [(head, bit), *[(head + s, bit | k) for s, k in last], *last]
+        order = [*[i + 1 for i in order], 0, *[i + size + 1 for i in order]]
+    return tuple(last), tuple(map(last.__getitem__, order))
+
+
 def _search(
     grid: BreakpointGrid,
     budget: Optional[int],
@@ -400,6 +435,14 @@ def _search(
 
     The search stops at its first leaf at or below the grid's merge-height
     floor, a proven lower bound on the minimum.
+
+    Every test against the incumbent cutoff is a bitmask test on the
+    grid's far masks (far_masks()) at that cutoff, so a node reads no gap
+    rank. Exact ranks are read off the grid's per-value gap ranks only
+    where they decide something: once for each leaf accepted, and, when
+    the cutoff falls at a node, once for the pairs chosen above it, which
+    end the node when they reach the new cutoff. The partner subsets come
+    in two orders that depend only on |Y| (_subset_orders).
 
     start, a grid rank given only without a budget, seeds the incumbent
     cutoff at start + 1 in place of just above the full product's rank, so
@@ -423,18 +466,37 @@ def _search(
             "to search anyway"
         )
 
-    gap = grid.gap_ranks()
-
-    # Each partner subset with its bitmask and its largest internal rank,
-    # in two orders. Complete pair sequences compare like Python tuples,
-    # where a strict prefix sorts first. At the final left point nothing
-    # follows the block of its pairs, so the prefix-first order visits
-    # leaves in ascending pair-set order. At a non-final left point a longer
-    # partner block sorts before its prefixes: the shorter branch continues
-    # with pairs of the next left point, and any (k, y) precedes every
-    # (k+1, y'). The grid builds both orders once, for every search on it.
-    last_level, inner_level, worst_of = grid.partner_subsets()
+    # Each partner subset with its bitmask, in two orders. Complete pair
+    # sequences compare like Python tuples, where a strict prefix sorts
+    # first. At the final left point nothing follows the block of its
+    # pairs, so the prefix-first order visits leaves in ascending pair-set
+    # order. At a non-final left point a longer partner block sorts before
+    # its prefixes: the shorter branch continues with pairs of the next
+    # left point, and any (k, y) precedes every (k+1, y').
+    orders = _ORDERS.get(m)
+    if orders is None:
+        orders = _subset_orders(m)
+        if m <= _ORDERS_MAX:
+            _ORDERS[m] = orders
+    last_level, inner_level = orders
     full_mask = (1 << m) - 1
+    gap, x_ranks, y_ranks = grid._gap, x.ranks, y.ranks
+
+    def rank_of(sets: list[tuple[int, ...]]) -> int:
+        # Distortion rank of the pairs (i, b), b in sets[i], 0 for none.
+        worst = 0
+        for i, si in enumerate(sets):
+            xi = x_ranks[i]
+            for k in range(i, len(sets)):
+                by_y = gap[xi[k]]
+                sk = sets[k]
+                for a in si:
+                    ya = y_ranks[a]
+                    for b in sk:
+                        r = by_y[ya[b]]
+                        if r > worst:
+                            worst = r
+        return worst
 
     # The full product is always a correspondence, always strong, and its
     # distortion is exactly max(diam X, diam Y), the largest any leaf can
@@ -453,90 +515,87 @@ def _search(
 
     chosen: list[tuple[int, ...]] = []
 
-    def dfs(level: int, partial: int, covered: int, cutoff: int,
+    def dfs(level: int, covered: int, cutoff: int,
             far: list[list[list[int]]], bar: list[int]):
         # far = grid.far_masks(cutoff): far[i][j][a] is the bitmask of the
         # partners b of j whose gap rank against the pair (i, a) reaches the
-        # cutoff. bar[k]: bitmask of the partners of left point level + k
-        # that some chosen pair already puts at or past the cutoff. The
-        # parent's forward check passes far and bar down at its cutoff; they
-        # are rebuilt here only once best_rank has moved.
+        # cutoff. far[i][i] is the row of x's distance 0, so y_far[a] masks
+        # the points of y at grid rank >= cutoff from a; by the strong
+        # triangle inequality a set's diameter is its largest distance from
+        # any one of its members, so a set reaches the cutoff exactly when
+        # it meets y_far of its lowest point. bar[k]: bitmask of the
+        # partners of left point level + k that some chosen pair already
+        # puts at or past the cutoff. The chosen pairs lie below the
+        # cutoff. The parent's forward check passes far and bar down at its
+        # cutoff; they are rebuilt here only once best_rank has moved.
         nonlocal best_rank, best_sets
         if budget_state.spend():
             raise _Exhausted
         last = level == n - 1
         missing = full_mask & ~covered
-        for sub, mask, internal in (last_level if last else inner_level):
+        y_far = far[0][0]
+        for sub, mask in (last_level if last else inner_level):
             if cutoff != best_rank:
                 cutoff = best_rank
                 far = grid.far_masks(cutoff)
+                if rank_of(chosen) >= cutoff:
+                    # Every candidate here would reach the cutoff.
+                    return
+                y_far = far[0][0]
                 bar = [0] * (n - level)
                 for i in range(level):
                     for k, fij in enumerate(far[i][level:]):
                         for a in chosen[i]:
                             bar[k] |= fij[a]
-            if mask & bar[0]:
+            # bar[0] excludes every b whose gap against a chosen pair
+            # reaches the cutoff, y_far every subset whose own diameter does.
+            if mask & bar[0] or mask & y_far[sub[0]]:
                 continue
-            if last and (mask & missing) != missing:
-                continue
-            new_rank = partial if partial >= internal else internal
-            if new_rank >= cutoff:
-                continue
-            # bar[0] has excluded every b of sub with a gap rank at or past
-            # the cutoff, so every r here lies below it.
-            for i in range(level):
-                gi = gap[i][level]
-                for a in chosen[i]:
-                    row = gi[a]
-                    for b in sub:
-                        r = row[b]
-                        if r > new_rank:
-                            new_rank = r
-            if not last:
-                # Forward check against the cutoff: each later left point
-                # needs an open partner, and each uncovered right point an
-                # open later left point. A right point open to one later
-                # point only is forced into its partner set. The barred
-                # masks are the child's bar.
-                child_bar = []
-                once = twice = 0
-                ok = True
-                fl = far[level]
-                for k in range(1, n - level):
-                    d = bar[k]
-                    fj = fl[level + k]
-                    for a in sub:
-                        d |= fj[a]
-                    if d == full_mask:
-                        ok = False
-                        break
-                    child_bar.append(d)
-                    o = full_mask ^ d
-                    twice |= once & o
-                    once |= o
-                if not ok:
-                    continue
-                uncovered = missing & ~mask
-                if uncovered & ~once:
-                    continue
-                forced = uncovered & ~twice
-                if forced and any(worst_of[forced & ~d] >= cutoff
-                                  for d in child_bar if forced & ~d):
-                    continue
-
             if last:
-                best_rank = new_rank
+                if (mask & missing) != missing:
+                    continue
                 best_sets = [*chosen, sub]
+                best_rank = rank_of(best_sets)
                 if best_rank <= floor_rank:
                     raise _Done
-            else:
-                chosen.append(sub)
-                dfs(level + 1, new_rank, covered | mask, cutoff, far, child_bar)
-                chosen.pop()
+                continue
+            # Forward check against the cutoff: each later left point needs
+            # an open partner, and each uncovered right point an open later
+            # left point. A right point open to one later point only is
+            # forced into its partner set. The barred masks are the child's
+            # bar.
+            child_bar = []
+            once = twice = 0
+            ok = True
+            fl = far[level]
+            for k in range(1, n - level):
+                d = bar[k]
+                fj = fl[level + k]
+                for a in sub:
+                    d |= fj[a]
+                if d == full_mask:
+                    ok = False
+                    break
+                child_bar.append(d)
+                o = full_mask ^ d
+                twice |= once & o
+                once |= o
+            if not ok:
+                continue
+            uncovered = missing & ~mask
+            if uncovered & ~once:
+                continue
+            forced = uncovered & ~twice
+            if forced and any(s & y_far[(s & -s).bit_length() - 1]
+                              for s in (forced & ~d for d in child_bar) if s):
+                continue
+            chosen.append(sub)
+            dfs(level + 1, covered | mask, cutoff, far, child_bar)
+            chosen.pop()
 
     optimal = True
     try:
-        dfs(0, 0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
+        dfs(0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
     except _Done:
         pass
     except _Exhausted:
@@ -569,7 +628,9 @@ def min_distortion_correspondence(
 
     Branch-and-bound over per-left-point partner subsets, pruning branches
     whose partial distortion already reaches the incumbent, or that leave a
-    later point no partner set below it. The merge-height bound
+    later point no partner set below it. Each such test is a bitmask test
+    on the grid's far masks at the incumbent; the exact distortion is read
+    only for the leaves the search accepts. The merge-height bound
     (BreakpointGrid.distortion_floor) is a global floor: the search stops
     at the first leaf that reaches it. Ties are broken toward the
     lexicographically smallest pair set, and the floor changes no result,

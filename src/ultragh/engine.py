@@ -65,9 +65,11 @@ at most dhat, in classical_gh and dhat_gh alike.
 The quotient witnesses and the classical search of one call read the
 pair's single BreakpointGrid: its thresholds, the grid ranks of both
 spaces' values and its merge-height floor, and, for the search only, the
-rank matrices remapped to grid ranks and the partner-subset and
-far-partner tables, which the grid builds on first use. One call
-computes the floor and the quotient value once each.
+per-value gap ranks and the far-partner bitmasks of each cutoff, which
+the grid builds on first use. The search's partner-subset orders depend
+only on |Y|, and up to 12 points one copy serves every search. Neither
+builds a rank matrix remapped to grid ranks or the gap-rank table. One
+call computes the floor and the quotient value once each.
 """
 
 from __future__ import annotations

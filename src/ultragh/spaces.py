@@ -598,24 +598,25 @@ class BreakpointGrid:
     (t_{k-1}, t_k] of thresholds(). x and y are the pair.
 
     The tables the checks and the classical search read are built on
-    first use and kept, so every step of one dhat_gh call shares them: the
-    spaces' rank matrices remapped to grid ranks (rx and ry, n x n and
-    m x m, which the quotient route never reads), the gap-rank table
-    (gap_ranks()), the partner-subset table of the right space
-    (partner_subsets()) and, per cutoff rank, the far-partner bitmasks
-    (far_masks()), whose first build also makes the per-distance point
-    masks of y it reads. Both
-    per-pair tables depend on a pair of x only through its distance, so
-    they are built once per distinct distance of x and shared by every
-    pair at that distance. floor is the merge-height lower bound on the
-    distortion of every correspondence (distortion_floor()), computed once
-    with the grid from the merge heights each space keeps, for the
-    classical search and the quotient hint of every call on it;
-    the spectra lower bound on dhat (spectra_floor()) is read off wx and wy.
+    first use and kept, so every step of one dhat_gh call shares them.
+    The checks of a given relation read the spaces' rank matrices
+    remapped to grid ranks (rx and ry, n x n and m x m) and the gap-rank
+    table (gap_ranks()); neither the quotient route nor the classical
+    search builds any of the three. The search reads, per cutoff rank, the
+    far-partner bitmasks (far_masks()), whose first build also makes the
+    per-distance point masks of y it reads, and the per-value gap ranks
+    (_gap) the grid is built with. gap_ranks() and far_masks() depend on a
+    pair of x only through its distance, so they are built once per
+    distinct distance of x and shared by every pair at that distance.
+    floor is the merge-height lower bound on the distortion of every
+    correspondence (distortion_floor()), computed once with the grid from
+    the merge heights each space keeps, for the classical search and the
+    quotient hint of every call on it; the spectra lower bound on dhat
+    (spectra_floor()) is read off wx and wy.
     """
 
     __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_rx", "_ry",
-                 "_y_masks", "_gap_ranks", "_subsets", "_far")
+                 "_y_masks", "_gap_ranks", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -643,7 +644,6 @@ class BreakpointGrid:
         self._ry: Optional[list[list[int]]] = None
         self._y_masks: Optional[list[list[int]]] = None
         self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
-        self._subsets: Optional[PartnerSubsets] = None
         self._far: dict[int, list[list[list[int]]]] = {}
         self.floor: int = self.distortion_floor()
 
@@ -677,13 +677,6 @@ class BreakpointGrid:
             ]
             self._gap_ranks = [list(map(by_value.__getitem__, rx_i)) for rx_i in self.x.ranks]
         return self._gap_ranks
-
-    def partner_subsets(self) -> PartnerSubsets:
-        """The nonempty subsets of y's points in both search orders, built
-        on the first call and returned by every later one."""
-        if self._subsets is None:
-            self._subsets = _partner_subsets(self.ry)
-        return self._subsets
 
     def far_masks(self, cutoff: int) -> list[list[list[int]]]:
         """Table far with far[i][j][a] the bitmask of the points b of y with
@@ -735,71 +728,6 @@ class BreakpointGrid:
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""
         return self.values + (max(self.x.diameter(), self.y.diameter()) + ExactValue(1),)
-
-
-class PartnerSubsets(NamedTuple):
-    """Every nonempty subset of m points, each entry (subset, bitmask, the
-    largest rank between two of its points).
-
-    last is prefix-first order, (0), (0,1), (0,1,2), ..., (1), (1,2), ...,
-    the ascending order of the subsets as tuples. inner lists each subset
-    after all of its extensions, (0,1,2), (0,1), (0,2), (0), (1,2), ...
-    Both hold the same entry objects. Each subset lists its points
-    ascending, so a search that lists a leaf's partner subsets left point
-    by left point has its pairs in ascending order already, and builds its
-    correspondence without normalising it. worst maps a bitmask to the
-    largest internal rank of its subset (0 for the empty mask). A grid
-    builds the table once, for every search on it, and keeps it no longer
-    than itself: at m = 18 it holds 262,143 entries.
-    """
-
-    last: list[tuple[tuple[int, ...], int, int]]
-    inner: list[tuple[tuple[int, ...], int, int]]
-    worst: list[int]
-
-
-def _partner_subsets(ranks: Sequence[Sequence[int]]) -> PartnerSubsets:
-    """PartnerSubsets of an ultrametric's rank matrix, in O(2^m * m).
-
-    One loop walks the subsets in prefix-first order, keeping the entries
-    of the current subset's prefixes on an explicit stack: a subset whose
-    largest point is not m - 1 is pushed and extended by the next point,
-    one ending at m - 1 has no extension, so it and its prefix, whose last
-    extension it is, are done (inner) and the prefix's next sibling
-    follows. A subset is its prefix extended by a larger point, so its
-    points ascend. By the strong triangle inequality a new point's
-    distance to any member s0 of a set of diameter D bounds its distance
-    to every other member by max(d(a, s0), D), so the extension's worst
-    rank is the larger of the prefix's and the new point's rank against
-    the prefix's first point.
-    """
-    m = len(ranks)
-    last: list[tuple[tuple[int, ...], int, int]] = []
-    inner: list[tuple[tuple[int, ...], int, int]] = []
-    worst_of = [0] * (1 << m)
-    top = m - 1
-    stack: list[tuple[tuple[int, ...], int, int]] = []
-    a = 0
-    while a < m:
-        if stack:
-            sub, mask, worst = stack[-1]
-            r = ranks[sub[0]][a]
-            entry = (sub + (a,), mask | 1 << a, worst if worst >= r else r)
-        else:
-            entry = ((a,), 1 << a, 0)
-        last.append(entry)
-        worst_of[entry[1]] = entry[2]
-        if a < top:
-            stack.append(entry)
-            a += 1
-            continue
-        inner.append(entry)
-        if not stack:
-            break  # entry is (m - 1,), the last subset
-        prefix = stack.pop()
-        inner.append(prefix)
-        a = prefix[0][-1] + 1
-    return PartnerSubsets(last, inner, worst_of)
 
 
 def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:

@@ -199,6 +199,8 @@ def naive_lex_min_witness(x, y, strong):
     dx = fraction_matrix(x)
     dy = fraction_matrix(y)
     subsets = _nonempty_subsets(m)
+    # gaps[i][j][p][q] = |d_X(i, j) - d_Y(p, q)|, computed once.
+    gaps = [[[[abs(a - b) for b in row_y] for row_y in dy] for a in row_x] for row_x in dx]
     best = [None]
     best_pairs = [None]
     sets = []
@@ -212,9 +214,10 @@ def naive_lex_min_witness(x, y, strong):
             worst = Fraction(0)
             for a in range(len(pairs)):
                 i, p = pairs[a]
+                gi = gaps[i]
                 for c in range(a + 1, len(pairs)):
                     j, q = pairs[c]
-                    g = abs(dx[i][j] - dy[p][q])
+                    g = gi[j][p][q]
                     if g > worst:
                         worst = g
             if strong and not strong_existential(dx, dy, sets, worst):
@@ -237,12 +240,15 @@ def naive_lex_min_witness(x, y, strong):
 
 
 def partner_subsets_by_recursion(ranks):
-    """(last, inner, worst) of the library's PartnerSubsets, by one
-    recursive call per subset: each call extends its subset by every larger
-    point, listing an extension before (last) and after (inner) the
-    extension's own extensions. worst[mask] is the largest rank between two
-    points of the subset, the extension's taken as the larger of its
-    prefix's and the new point's rank against the prefix's first point."""
+    """Every nonempty subset of the points of a rank matrix as (subset,
+    bitmask, largest rank between two of its points), in the two orders of
+    the classical search (last, inner), and worst[mask], that largest rank
+    by bitmask (0 for the empty mask). One recursive call per subset: each
+    call extends its subset by every larger point, listing an extension
+    before (last) and after (inner) the extension's own extensions. The
+    extension's largest rank is the larger of its prefix's and the new
+    point's rank against the prefix's first point, by the strong triangle
+    inequality."""
     m = len(ranks)
     last, inner = [], []
     worst_of = [0] * (1 << m)
@@ -628,12 +634,12 @@ def strong_correspondence_search(x, y, budget=None):
     before it read the strong correspondence off its greedy quotient
     matching, with its node count and its budget.
 
-    Partner subsets are chosen per left point, in the order of the grid's
-    partner-subset tables, so the search ends on the lexicographically
-    smallest optimal pair set. A branch dies when its partial distortion
-    reaches the incumbent, when the forward check leaves a later point or
-    an uncovered right point no partner below it, or when a decided
-    complement pair breaks the partner condition: unequal partner
+    Partner subsets are chosen per left point, in the classical search's
+    two orders (partner_subsets_by_recursion), so the search ends on the
+    lexicographically smallest optimal pair set. A branch dies when its
+    partial distortion reaches the incumbent, when the forward check leaves
+    a later point or an uncovered right point no partner below it, or when
+    a decided complement pair breaks the partner condition: unequal partner
     distances, or a common one at or below the partial distortion. A leaf
     at or below the spectra bound is optimal and stops the search. Each
     call of a frame spends a node; past budget nodes the search stops,
@@ -644,7 +650,7 @@ def strong_correspondence_search(x, y, budget=None):
     if n == 1 or m == 1:
         return SearchResult(full_product(x, y), max(x.diameter(), y.diameter()), True, 0)
     rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
-    last_level, inner_level, worst_of = grid.partner_subsets()
+    last_level, inner_level, worst_of = partner_subsets_by_recursion(ry)
     full_mask = (1 << m) - 1
     full_rank = len(grid.values) - 1
     floor_rank = grid.spectra_floor()

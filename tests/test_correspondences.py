@@ -402,6 +402,26 @@ def test_lex_min_witness_on_equal_diameters(shape, seed_a, seed_b):
         assert res.correspondence.pairs == want_pairs
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(2, 7), (2, 8)]), st.integers(0, 20_000), st.integers(0, 20_000),
+       st.booleans())
+def test_classical_witness_on_wide_pairs(shape, seed_a, seed_b, equal):
+    # Seven and eight partner points: more partner subsets than any side of
+    # the 2-6 point pairs above, and subset orders kept across searches.
+    # classical_gh's value and witness are the full enumeration's, on equal
+    # diameters (floor 0, so the search refutes every smaller value) or not.
+    n, m = shape
+    x = random_ultrametric(n, seed_a, POOL)
+    if equal:
+        y = equal_diameter_partner(x, m, seed_b, POOL)
+    else:
+        y = random_ultrametric(m, seed_b, POOL)
+    want_value, want_pairs = naive_lex_min_witness(x, y, strong=False)
+    res = classical_gh(x, y)
+    assert res.optimal and 2 * res.value.fraction == want_value
+    assert res.witness.pairs == want_pairs
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 8), st.integers(5, 8), st.integers(0, 20_000), st.integers(0, 20_000))
 def test_strong_minimum_matches_the_reference_search(n, m, seed_a, seed_b):

@@ -29,7 +29,7 @@ from ultragh import (
     zq_delta,
 )
 from ultragh import correspondences, engine
-from ultragh.correspondences import _search
+from ultragh.correspondences import _search, _subset_orders
 from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.exact import ZERO
 from ultragh.errors import (
@@ -37,7 +37,7 @@ from ultragh.errors import (
     MethodDisagreementError,
     SearchSpaceTooLargeError,
 )
-from ultragh.spaces import BreakpointGrid, _far_table, _partner_subsets
+from ultragh.spaces import BreakpointGrid, _far_table
 
 from conftest import caterpillar, equal_diameter_partner, ev, near_copy
 from oracles import (
@@ -344,13 +344,30 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
         init(self, x, y)
 
     monkeypatch.setattr(BreakpointGrid, "__init__", counting_init)
-    subset_tables = []
 
-    def counting_subsets(ranks):
-        subset_tables.append(1)
-        return _partner_subsets(ranks)
+    # The classical search prunes on far masks alone and reads exact ranks
+    # off the grid's per-value gap ranks: it builds no gap table and
+    # remaps no rank matrix.
+    def refuse(grid):
+        raise AssertionError("the classical search built the gap table")
 
-    monkeypatch.setattr("ultragh.spaces._partner_subsets", counting_subsets)
+    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
+
+    def refuse_rows(space, remap):
+        raise AssertionError("the classical search remapped a rank matrix")
+
+    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
+    # Subset orders depend only on |Y|: with the memo emptied, each size
+    # is built once, by the first search on it, and kept for every later
+    # grid.
+    monkeypatch.setattr(correspondences, "_ORDERS", {})
+    order_sizes = []
+
+    def counting_orders(m):
+        order_sizes.append(m)
+        return _subset_orders(m)
+
+    monkeypatch.setattr(correspondences, "_subset_orders", counting_orders)
     far_cutoffs = []
 
     def counting_far(grid, cutoff):
@@ -360,22 +377,30 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
     monkeypatch.setattr("ultragh.spaces._far_table", counting_far)
 
     # Equal diameters: the quotient route gives all three outcomes, and
-    # the classical search builds the grid's subset table once and each
-    # far table once.
-    for pair in ((x2, x3), (z4, z4_shuffled)):
+    # the classical search builds each far table of the grid once.
+    for pair in ((x2, x3), (z4, z4_shuffled), (z4_shuffled, z4)):
         built.clear()
-        subset_tables.clear()
         far_cutoffs.clear()
         report = dhat_gh(*pair)
         assert set(report.methods) == set(METHOD_NAMES) and report.classical is not None
         assert len(built) == 1
-        assert len(subset_tables) == 1
+        assert far_cutoffs and len(set(far_cutoffs)) == len(far_cutoffs)
+        far_cutoffs.clear()
+        assert classical_gh(*pair) == report.classical
         assert far_cutoffs and len(set(far_cutoffs)) == len(far_cutoffs)
     # Diameter gap within the classical cap: only the classical search.
     built.clear()
     report = dhat_gh(x3, ydelta)
     assert "shortcut_3b" in report.methods and report.classical is not None
     assert len(built) == 1
+    # Three points a side, as x3: no order is built for it again.
+    assert len(ydelta) == 3 and order_sizes == [3, 4]
+    # Past twelve partner points each search builds its own orders, and
+    # none is kept.
+    wide = random_ultrametric(13, 0, POOL)
+    for _ in range(2):
+        classical_gh(x2, wide)
+    assert order_sizes == [3, 4, 13, 13] and set(correspondences._ORDERS) == {3, 4}
     # Diameter gap with |X|*|Y| = 56 > 36: the certificate alone, no grid.
     built.clear()
     report = dhat_gh(truncated_unramified_ring(2, 1, 3), zq_delta(5, 2, 2))

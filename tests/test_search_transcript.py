@@ -10,6 +10,9 @@ sha256.
 A second sha256 covers classical_gh on the same pairs and budgets: its
 interval, optimality flag and witness pairs, which a change to how the
 classical search is started must leave as they are.
+A third covers both public searches on wide shapes the first two never
+reach, 2x7 to 2x18, 3x7 to 3x12 and 7x3 to 12x3, where a side holds more
+partner subsets than any 2-6 point space has.
 """
 
 import hashlib
@@ -32,6 +35,10 @@ BUDGETS = (None, 25)
 
 EXPECTED = "8e190bdfee5b15411e50b38e3cea3b9673133b78ec33a781f8b974494130f8e1"
 EXPECTED_CLASSICAL = "af526e5189dbc7b10bb78639c63eef60311d3f3012117de318cbcfff77f1278d"
+EXPECTED_WIDE = "3d5dcebcdd1335d3886d4aab467c768d1935e854c716cf2c6980439a01d6a9f8"
+
+WIDE_SHAPES = (*((2, m) for m in range(7, 15)), *((3, m) for m in range(7, 13)),
+               *((n, 3) for n in range(7, 13)))
 
 
 def search_pairs(count=200, seed=20_261_018):
@@ -41,6 +48,19 @@ def search_pairs(count=200, seed=20_261_018):
     for _ in range(count):
         n = rng.randint(2, 6)
         m = rng.randint(2, 6)
+        x = random_ultrametric(n, rng.randrange(100_000), POOL)
+        if rng.random() < 0.8:
+            y = equal_diameter_partner(x, m, rng.randrange(100_000), POOL)
+        else:
+            y = random_ultrametric(m, rng.randrange(100_000), POOL)
+        yield x, y
+
+
+def wide_pairs(seed=20_261_020):
+    """Two seeded pairs of each of WIDE_SHAPES, then one 2x18 pair, drawn
+    as search_pairs draws them."""
+    rng = random.Random(seed)
+    for n, m in (*(shape for shape in WIDE_SHAPES for _ in range(2)), (2, 18)):
         x = random_ultrametric(n, rng.randrange(100_000), POOL)
         if rng.random() < 0.8:
             y = equal_diameter_partner(x, m, rng.randrange(100_000), POOL)
@@ -78,3 +98,21 @@ def classical_digest():
 
 def test_classical_digest():
     assert classical_digest() == EXPECTED_CLASSICAL
+
+
+def wide_digest():
+    digest = hashlib.sha256()
+    for x, y in wide_pairs():
+        cap = len(x) * len(y)
+        for budget in BUDGETS:
+            res = min_distortion_correspondence(x, y, budget, product_cap=cap)
+            cl = classical_gh(x, y, budget, product_cap=cap)
+            digest.update((f"{res.distortion.token()} {res.correspondence.pairs} "
+                           f"{res.optimal} {res.nodes}\n"
+                           f"{cl.lower.token()} {cl.upper.token()} {cl.optimal} "
+                           f"{cl.witness.pairs}\n").encode())
+    return digest.hexdigest()
+
+
+def test_wide_digest():
+    assert wide_digest() == EXPECTED_WIDE

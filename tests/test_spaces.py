@@ -20,7 +20,8 @@ from ultragh import (
     weight_spectrum,
     write_space,
 )
-from ultragh.spaces import BreakpointGrid, _merge_heights, _partner_subsets, _split_tree
+from ultragh.correspondences import _subset_orders
+from ultragh.spaces import BreakpointGrid, _merge_heights, _split_tree
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -311,23 +312,23 @@ def check_breakpoint_grid(x, y):
     gap = grid.gap_ranks()
     for i, j, a, b in product(range(n), range(n), range(m), range(m)):
         assert values[gap[i][j][a][b]] == x.dist(i, j).abs_diff(y.dist(a, b))
-    # The search tables: both subset orders, each subset's mask and largest
-    # internal rank, and the far masks at every cutoff. The grid holds no
-    # point masks until the first far table builds them.
-    subsets = grid.partner_subsets()
-    every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
-    assert [entry[0] for entry in subsets.last] == sorted(every)
-    assert [entry[0] for entry in subsets.inner] == sorted(every, key=lambda c: c + (m,))
-    for sub, mask, worst in subsets.last:
-        assert mask == sum(1 << a for a in sub)
-        largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
-        assert worst == subsets.worst[mask] == largest
+    # The far masks at every cutoff. The grid holds no point masks until
+    # the first far table builds them.
     assert grid._y_masks is None
     fars = [grid.far_masks(cutoff) for cutoff in range(len(values) + 1)]
     assert grid._y_masks is not None
     for cutoff, far in enumerate(fars):
         for i, j, a in product(range(n), range(n), range(m)):
             assert far[i][j][a] == sum(1 << b for b in range(m) if gap[i][j][a][b] >= cutoff)
+    # The search's internal-rank test: a subset of y reaches a cutoff
+    # exactly when it meets the far mask of its lowest point at x's
+    # distance 0, far[0][0].
+    for k in range(1, m + 1):
+        for sub in combinations(range(m), k):
+            mask = sum(1 << a for a in sub)
+            largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
+            for cutoff, far in enumerate(fars):
+                assert bool(mask & far[0][0][sub[0]]) == (largest >= cutoff)
     # Pairs of x at one distance share one gap table and one far-mask row.
     cells = list(product(range(n), repeat=2))
     for (i, j), (k, l) in product(cells, repeat=2):
@@ -338,14 +339,25 @@ def check_breakpoint_grid(x, y):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000), spaces)
+@example(13, 0, random_ultrametric(2, 0, POOL))
 def test_partner_subsets_match_recursion(m, seed, x):
-    # The one-loop table equals the recursive reference in both orders and
-    # in its worst table, on a space's own ranks and on the same ranks
-    # remapped through a grid.
+    # The search's subset orders are the (subset, mask) lists of the
+    # recursive reference, in both orders: prefix-first, which is the
+    # ascending order of the subsets as tuples, and each subset after its
+    # extensions. The reference's largest internal rank, which the
+    # reference strong search reads, is the brute-force one, on ranks
+    # remapped through a grid. m = 13 is past the memoised sizes.
     y = random_ultrametric(m, seed, POOL)
-    for ranks in (y.ranks, BreakpointGrid(x, y).ry):
-        last, inner, worst = _partner_subsets(ranks)
-        assert (last, inner, worst) == partner_subsets_by_recursion(ranks)
+    ry = BreakpointGrid(x, y).ry
+    last, inner, worst = partner_subsets_by_recursion(ry)
+    assert _subset_orders(m) == (tuple(e[:2] for e in last), tuple(e[:2] for e in inner))
+    every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
+    assert [e[0] for e in last] == sorted(every)
+    assert [e[0] for e in inner] == sorted(every, key=lambda c: c + (m,))
+    for sub, mask, w in last:
+        assert mask == sum(1 << a for a in sub)
+        assert w == worst[mask] == max((ry[a][b] for a, b in combinations(sub, 2)),
+                                       default=0)
 
 
 @settings(max_examples=60, deadline=None)
