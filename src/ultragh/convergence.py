@@ -98,10 +98,13 @@ def replay_split(
     eps: ExactValue,
     split: SplitResult,
 ) -> bool:
-    """Soundness check: partition, small diameters, exact class distances.
+    """Soundness check: partition, small diameters, exact class distances,
+    and the reported diameters and class distances.
 
     Every index must be an int naming a point of xn; any other value fails
-    the check.
+    the check. class_diameters must equal the recomputed diameters, and
+    pairwise_class_distances the target's distance matrix, 0 on the
+    diagonal, in value and in shape.
     """
     seen: set[int] = set()
     for cls in split.classes:
@@ -113,16 +116,21 @@ def replay_split(
             seen.add(p)
     if len(seen) != len(xn) or len(split.classes) != len(x):
         return False
-    for cls in split.classes:
-        if _between(xn, cls, cls, max) >= eps:
-            return False
+    diameters = tuple(_between(xn, cls, cls, max) for cls in split.classes)
+    if any(d >= eps for d in diameters):
+        return False
     for i in range(len(x)):
         for j in range(len(x)):
             if i == j:
                 continue
             if _between(xn, split.classes[i], split.classes[j], min) != x.dist(i, j):
                 return False
-    return True
+    try:
+        reported = (tuple(split.class_diameters),
+                    tuple(map(tuple, split.pairwise_class_distances)))
+    except TypeError:
+        return False
+    return reported == (diameters, x.matrix())
 
 
 @dataclass

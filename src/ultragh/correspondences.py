@@ -11,8 +11,11 @@ correspondences is the classical one, computed here exactly by
 branch-and-bound over pair sets.
 
 The checks of one given relation, its distortion and its partner
-condition, read the ranks of the pair's BreakpointGrid, as the search
-does: each is written once, and map checks share the distortion.
+condition, read the spaces' own ranks, as the search does: a gap between
+a distance of X and one of Y is read off the pair's BreakpointGrid by the
+two ranks, and two distances of X and Y compare through the grid ranks of
+their values. Each check is written once; the search and the map checks
+share the distortion.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ def is_correspondence(
 ) -> bool:
     """True iff the pair set covers every point of both spaces.
 
-    An index out of range or not an int raises IndexOutOfRangeError, the
-    first one in pair order, the left index of a pair before its right one.
+    An item that is not two indices raises NotACorrespondenceError, the
+    first one in pair order. An index out of range or not an int raises
+    IndexOutOfRangeError, the first one in pair order, the left index of a
+    pair before its right one.
     """
+    _check_pair_lengths(pairs)
     left_covered = set(map(itemgetter(0), pairs))
     right_covered = set(map(itemgetter(1), pairs))
     if pairs and not (all(map(isinstance, chain(left_covered, right_covered), repeat(int)))
@@ -60,6 +66,14 @@ def is_correspondence(
             x.check_index(i)
             y.check_index(j)
     return len(left_covered) == len(x) and len(right_covered) == len(y)
+
+
+def _check_pair_lengths(pairs: Sequence[tuple[int, int]]) -> None:
+    """NotACorrespondenceError naming the first item of pairs, in input
+    order, that does not hold exactly two entries."""
+    if not set(map(len, pairs)) <= {2}:
+        bad = next(p for p in pairs if len(p) != 2)
+        raise NotACorrespondenceError(f"{bad!r} is not a pair of two indices")
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,8 @@ class Correspondence:
             # A one-shot iterator is read once, so a failed sort below
             # still has its pairs to name the bad index from.
             pairs = tuple(pairs)
+        # Before sorting, so the item named is the first in input order.
+        _check_pair_lengths(pairs)
         # Deduplicated in first-seen order, so already sorted input, the
         # usual case, sorts in linear time.
         try:
@@ -121,14 +137,16 @@ def distortion(c: Correspondence) -> ExactValue:
 
 def _distortion_rank(grid: BreakpointGrid, pairs: Iterable[tuple[int, int]]) -> int:
     """Rank of the distortion of the relation pairs on the pair of grid, 0
-    when it holds fewer than two pairs. A map's graph is enumerate(images)."""
-    gap = grid.gap_ranks()
+    when it holds fewer than two pairs. A map's graph is enumerate(images).
+    Each gap is read off the per-value gap ranks by the spaces' own ranks
+    of its two distances."""
+    gap, x_ranks, y_ranks = grid._gap, grid.x.ranks, grid.y.ranks
     pairs = list(pairs)
     best = 0
     for a, (i, j) in enumerate(pairs):
-        gi = gap[i]
+        xi, yj = x_ranks[i], y_ranks[j]
         for k, l in pairs[a + 1:]:
-            r = gi[k][j][l]
+            r = gap[xi[k]][yj[l]]
             if r > best:
                 best = r
     return best
@@ -183,7 +201,7 @@ def is_strong_correspondence(c: Correspondence) -> StrongnessVerdict:
     For every (x, y) outside the relation and all partners (x, y'), (x', y)
     inside it, d_X(x, x') and d_Y(y, y') must coincide and strictly exceed
     the distortion. The check is exhaustive over the complement and reads
-    ranks on the pair's BreakpointGrid, as the distortion does.
+    the spaces' own ranks, as the distortion does.
     """
     return _partner_walk(c)[0]
 
@@ -197,28 +215,29 @@ def _partner_walk(
 
     The first violation in walk order (x, y, then x', then y') is the
     counterexample. Strongness makes every partner distance of a
-    complement pair equal, so that value is its equilibrium value. Both
-    spaces' distances and the distortion are ranks into one grid's values,
-    so every test compares ints.
+    complement pair equal, so that value is its equilibrium value. Each
+    space's distances are its own ranks, read as grid ranks through wx and
+    wy, so both sides and the distortion are ranks into one grid's values
+    and every test compares ints.
     """
     grid = BreakpointGrid(c.left, c.right)
-    rx, ry, values = grid.rx, grid.ry, grid.values
+    rows_x, rows_y, wx, wy, values = c.left.ranks, c.right.ranks, grid.wx, grid.wy, grid.values
     dis = _distortion_rank(grid, c.pairs)
-    right_of: list[list[int]] = [[] for _ in rx]
-    left_of: list[list[int]] = [[] for _ in ry]
+    right_of: list[list[int]] = [[] for _ in rows_x]
+    left_of: list[list[int]] = [[] for _ in rows_y]
     for i, j in c.pairs:
         right_of[i].append(j)
         left_of[j].append(i)
     entries: dict[tuple[int, int], int] = {}
-    for x, (rxx, partners) in enumerate(zip(rx, right_of)):
+    for x, (rxx, partners) in enumerate(zip(rows_x, right_of)):
         members = set(partners)
-        for y, ryy in enumerate(ry):
+        for y, ryy in enumerate(rows_y):
             if y in members:
                 continue
             for x_prime in left_of[y]:
-                dx = rxx[x_prime]
+                dx = wx[rxx[x_prime]]
                 for y_prime in partners:
-                    dy = ryy[y_prime]
+                    dy = wy[ryy[y_prime]]
                     if dx != dy or dx <= dis:
                         reason = "unequal" if dx != dy else "not_above_distortion"
                         return StrongnessVerdict(
@@ -438,10 +457,11 @@ def _search(
 
     Every test against the incumbent cutoff is a bitmask test on the
     grid's far masks (far_masks()) at that cutoff, so a node reads no gap
-    rank. Exact ranks are read off the grid's per-value gap ranks only
-    where they decide something: once for each leaf accepted, and, when
-    the cutoff falls at a node, once for the pairs chosen above it, which
-    end the node when they reach the new cutoff. The partner subsets come
+    rank. Exact ranks are read by _distortion_rank, the distortion of
+    every relation check, only where they decide something: once for each
+    leaf accepted, and, when the cutoff falls at a node, once for the
+    pairs chosen above it, which end the node when they reach the new
+    cutoff. The partner subsets come
     in two orders that depend only on |Y| (_subset_orders).
 
     start, a grid rank given only without a budget, seeds the incumbent
@@ -480,23 +500,10 @@ def _search(
             _ORDERS[m] = orders
     last_level, inner_level = orders
     full_mask = (1 << m) - 1
-    gap, x_ranks, y_ranks = grid._gap, x.ranks, y.ranks
 
-    def rank_of(sets: list[tuple[int, ...]]) -> int:
-        # Distortion rank of the pairs (i, b), b in sets[i], 0 for none.
-        worst = 0
-        for i, si in enumerate(sets):
-            xi = x_ranks[i]
-            for k in range(i, len(sets)):
-                by_y = gap[xi[k]]
-                sk = sets[k]
-                for a in si:
-                    ya = y_ranks[a]
-                    for b in sk:
-                        r = by_y[ya[b]]
-                        if r > worst:
-                            worst = r
-        return worst
+    def pairs_of(sets: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+        # The pairs (i, b), b in sets[i], ascending.
+        return [(i, b) for i, si in enumerate(sets) for b in si]
 
     # The full product is always a correspondence, always strong, and its
     # distortion is exactly max(diam X, diam Y), the largest any leaf can
@@ -511,7 +518,7 @@ def _search(
 
     budget_state = _Budget(budget)
     best_rank = (full_rank if start is None else start) + 1
-    best_sets: Optional[list[tuple[int, ...]]] = None
+    best_pairs: Optional[list[tuple[int, int]]] = None
 
     chosen: list[tuple[int, ...]] = []
 
@@ -528,7 +535,7 @@ def _search(
         # puts at or past the cutoff. The chosen pairs lie below the
         # cutoff. The parent's forward check passes far and bar down at its
         # cutoff; they are rebuilt here only once best_rank has moved.
-        nonlocal best_rank, best_sets
+        nonlocal best_rank, best_pairs
         if budget_state.spend():
             raise _Exhausted
         last = level == n - 1
@@ -538,7 +545,7 @@ def _search(
             if cutoff != best_rank:
                 cutoff = best_rank
                 far = grid.far_masks(cutoff)
-                if rank_of(chosen) >= cutoff:
+                if _distortion_rank(grid, pairs_of(chosen)) >= cutoff:
                     # Every candidate here would reach the cutoff.
                     return
                 y_far = far[0][0]
@@ -554,8 +561,8 @@ def _search(
             if last:
                 if (mask & missing) != missing:
                     continue
-                best_sets = [*chosen, sub]
-                best_rank = rank_of(best_sets)
+                best_pairs = pairs_of([*chosen, sub])
+                best_rank = _distortion_rank(grid, best_pairs)
                 if best_rank <= floor_rank:
                     raise _Done
                 continue
@@ -601,7 +608,7 @@ def _search(
     except _Exhausted:
         optimal = False
 
-    if best_sets is None:
+    if best_pairs is None:
         if start is not None:
             raise _NoLeafAtStart(
                 f"no correspondence has distortion at most {grid.values[start]}, "
@@ -612,9 +619,8 @@ def _search(
                             budget_state.used)
     # Left points ascend and each partner subset lists its points
     # ascending, so the pairs ascend; every leaf covers both sides.
-    pairs = tuple((i, b) for i in range(n) for b in best_sets[i])
-    return SearchResult(Correspondence._sorted(x, y, pairs), grid.values[best_rank],
-                        optimal, budget_state.used)
+    return SearchResult(Correspondence._sorted(x, y, tuple(best_pairs)),
+                        grid.values[best_rank], optimal, budget_state.used)
 
 
 def min_distortion_correspondence(

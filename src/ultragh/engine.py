@@ -66,10 +66,12 @@ The quotient witnesses and the classical search of one call read the
 pair's single BreakpointGrid: its thresholds, the grid ranks of both
 spaces' values and its merge-height floor, and, for the search only, the
 per-value gap ranks and the far-partner bitmasks of each cutoff, which
-the grid builds on first use. The search's partner-subset orders depend
-only on |Y|, and up to 12 points one copy serves every search. Neither
-builds a rank matrix remapped to grid ranks or the gap-rank table. One
-call computes the floor and the quotient value once each.
+the grid builds on first use. Both read distances off the spaces' own
+ranks; the grid keeps no remapped rank matrix and no per-pair gap table.
+The search's partner-subset orders depend only on |Y|, and up to 12
+points one copy serves every search. No relation check (a verdict, the
+partner walk) runs on the way. One call computes the floor and the
+quotient value once each.
 """
 
 from __future__ import annotations

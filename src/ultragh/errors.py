@@ -54,7 +54,8 @@ class IndexOutOfRangeError(UltraGHError):
 
 
 class NotACorrespondenceError(UltraGHError):
-    """Pair set does not cover both point sets."""
+    """Pair set does not cover both point sets, or one of its items is not
+    a pair of two entries (the first such item in input order is named)."""
 
 
 class NotSurjectiveError(UltraGHError):

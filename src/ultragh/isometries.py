@@ -7,10 +7,11 @@ a domain point realizing the same distance (SI1), and distances of at least
 epsilon are preserved exactly (SI2). Strong epsilon-approximations pair
 epsilon-nets of the two spaces with exactly equal distance patterns.
 
-Each verdict is written once, on the ranks of the pair's BreakpointGrid:
-a distance is below eps exactly when its rank is below
-bisect_left(grid.values, eps). The public checkers build the grid and call
-that core once.
+Each verdict is written once, on the spaces' own ranks: a distance is
+below eps exactly when its rank is below its space's cut,
+bisect_left(space.values, eps), and a distance of X equals one of Y
+exactly when their values have equal ranks on the pair's BreakpointGrid
+(wx and wy). The public checkers build the grid and call that core once.
 
 Both kinds of witness exist exactly when eps > dhat (Cor. 2.24, 3.7).
 exists_strong_epsilon_isometry, exists_strong_epsilon_approximation,
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import LengthMismatchError, MethodDisagreementError, NotStrongError
-from .spaces import BreakpointGrid, UltrametricSpace, _Balls, _closed_balls
+from .spaces import BreakpointGrid, UltrametricSpace, _Balls, _closed_balls, is_epsilon_net
 from .correspondences import Correspondence, _check_map, _distortion_rank
 
 
@@ -80,42 +81,45 @@ def is_strong_epsilon_isometry(
     if eps <= ZERO:
         raise ValueError("eps must be positive")
     _check_map(x, y, f)
-    grid = BreakpointGrid(x, y)
-    return _isometry_verdict(grid, tuple(f), bisect_left(grid.values, eps), eps)
+    return _isometry_verdict(BreakpointGrid(x, y), tuple(f), eps)
 
 
 def _isometry_verdict(
-    grid: BreakpointGrid, images: tuple[int, ...], below: int, eps: ExactValue
+    grid: BreakpointGrid, images: tuple[int, ...], eps: ExactValue
 ) -> MapWitness:
-    """is_strong_epsilon_isometry of images on the pair of grid, where
-    below is bisect_left(grid.values, eps).
+    """is_strong_epsilon_isometry of images on the pair of grid.
 
-    Exactly the distances below eps have a rank below the cut, and rx and
-    ry rank into the same values, so every check compares ints. Grid
-    values are read only for the distortion and the failure text.
+    Each space's distances are read as its own ranks: exactly the
+    distances below eps have a rank below the space's cut, and two
+    distances of X and Y are equal exactly when wx and wy give them the
+    same grid rank, so every check compares ints. Values are read only
+    for the distortion and the failure text.
     """
-    rx, ry, values = grid.rx, grid.ry, grid.values
+    x, y, wx, wy, values = grid.x, grid.y, grid.wx, grid.wy, grid.values
+    rows_x, rows_y = x.ranks, y.ranks
+    cut_x, cut_y = bisect_left(x.values, eps), bisect_left(y.values, eps)
     n = len(images)
-    dis = _distortion_rank(grid, enumerate(images))
+    dis = values[_distortion_rank(grid, enumerate(images))]
     # near[y][x]: whether d_Y(y, f(x)) < eps.
-    near = [[row[b] < below for b in images] for row in ry]
+    near = [[row[b] < cut_y for b in images] for row in rows_y]
     far = next((yy for yy, row in enumerate(near) if not any(row)), None)
     si1 = next(
         ((xx, yy)
          for xx, a in enumerate(images)
-         for yy, row in enumerate(ry)
-         if row[a] >= below
-         and not any(ok and r == row[a] for ok, r in zip(near[yy], rx[xx]))),
+         for yy, row in enumerate(rows_y)
+         if row[a] >= cut_y
+         and not any(ok and wx[r] == wy[row[a]] for ok, r in zip(near[yy], rows_x[xx]))),
         None,
     )
     si2 = next(
         ((i, j)
          for i in range(n) for j in range(i + 1, n)
-         if rx[i][j] >= below and rx[i][j] != ry[images[i]][images[j]]),
+         if rows_x[i][j] >= cut_x
+         and wx[rows_x[i][j]] != wy[rows_y[images[i]][images[j]]]),
         None,
     )
-    if dis >= below:
-        failure = MapFailure("dis", (), f"dis f = {values[dis]} is not < {eps}")
+    if dis >= eps:
+        failure = MapFailure("dis", (), f"dis f = {dis} is not < {eps}")
     elif far is not None:
         failure = MapFailure(
             "net", (far,), f"point {far} is at distance >= {eps} from the image"
@@ -124,19 +128,19 @@ def _isometry_verdict(
         xx, yy = si1
         failure = MapFailure(
             "SI1", si1,
-            f"no partner realizes d_Y({yy}, f({xx})) = {values[ry[yy][images[xx]]]}",
+            f"no partner realizes d_Y({yy}, f({xx})) = {y.dist(yy, images[xx])}",
         )
     elif si2 is not None:
         i, j = si2
         failure = MapFailure(
             "SI2", si2,
-            f"d_X({i},{j}) = {values[rx[i][j]]} >= {eps} but image distance differs",
+            f"d_X({i},{j}) = {x.dist(i, j)} >= {eps} but image distance differs",
         )
     else:
         failure = None
-    is_eps = dis < below and far is None
+    is_eps = dis < eps and far is None
     return MapWitness(
-        grid.x, grid.y, images, eps, values[dis],
+        x, y, images, eps, dis,
         is_eps_isometry=is_eps,
         is_strong_eps_isometry=is_eps and si1 is None and si2 is None,
         failure=failure,
@@ -196,23 +200,24 @@ def is_strong_epsilon_approximation(
         x.check_index(i)
     for j in ys:
         y.check_index(j)
-    grid = BreakpointGrid(x, y)
-    return _approximation_verdict(grid, xs, ys, bisect_left(grid.values, eps))
+    return _approximation_verdict(BreakpointGrid(x, y), xs, ys, eps)
 
 
 def _approximation_verdict(
-    grid: BreakpointGrid, xs: Sequence[int], ys: Sequence[int], below: int
+    grid: BreakpointGrid, xs: Sequence[int], ys: Sequence[int], eps: ExactValue
 ) -> ApproximationVerdict:
-    """is_strong_epsilon_approximation of (xs, ys) on the pair of grid, where
-    below is bisect_left(grid.values, eps), read on grid ranks."""
-    rx, ry = grid.rx, grid.ry
-    if not all(any(row[p] < below for p in xs) for row in rx):
+    """is_strong_epsilon_approximation of (xs, ys) on the pair of grid: each
+    net is read off its space's dendrogram (is_epsilon_net), and the
+    distances compare the spaces' own ranks through wx and wy."""
+    x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
+    if not is_epsilon_net(x, xs, eps):
         return ApproximationVerdict(False, "net_left", tuple(sorted(set(xs))))
-    if not all(any(row[p] < below for p in ys) for row in ry):
+    if not is_epsilon_net(y, ys, eps):
         return ApproximationVerdict(False, "net_right", tuple(sorted(set(ys))))
+    rows_x, rows_y = x.ranks, y.ranks
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            if rx[xs[i]][xs[j]] != ry[ys[i]][ys[j]]:
+            if wx[rows_x[xs[i]][xs[j]]] != wy[rows_y[ys[i]][ys[j]]]:
                 return ApproximationVerdict(False, "distances", (i, j))
     return ApproximationVerdict(True, None, ())
 

@@ -597,17 +597,17 @@ class BreakpointGrid:
     through that cut and is constant on each half-open cell
     (t_{k-1}, t_k] of thresholds(). x and y are the pair.
 
-    The tables the checks and the classical search read are built on
-    first use and kept, so every step of one dhat_gh call shares them.
-    The checks of a given relation read the spaces' rank matrices
-    remapped to grid ranks (rx and ry, n x n and m x m) and the gap-rank
-    table (gap_ranks()); neither the quotient route nor the classical
-    search builds any of the three. The search reads, per cutoff rank, the
-    far-partner bitmasks (far_masks()), whose first build also makes the
-    per-distance point masks of y it reads, and the per-value gap ranks
-    (_gap) the grid is built with. gap_ranks() and far_masks() depend on a
-    pair of x only through its distance, so they are built once per
-    distinct distance of x and shared by every pair at that distance.
+    The search's tables are built on first use and kept, so every step of
+    one dhat_gh call shares them. Every distance of the pair is read off
+    the spaces' own ranks: equality across the two spaces through wx and
+    wy, and the gap between a distance of x and one of y through the
+    per-value gap ranks (_gap), indexed by the two spaces' own ranks. No
+    rank matrix is remapped to grid ranks, and no per-pair gap table is
+    built. The classical search reads, per cutoff rank, the far-partner
+    bitmasks (far_masks()), whose first build also makes the per-distance
+    point masks of y it reads; they depend on a pair of x only through its
+    distance, so each row is built once per distinct distance of x and
+    shared by every pair at that distance.
     floor is the merge-height lower bound on the distortion of every
     correspondence (distortion_floor()), computed once with the grid from
     the merge heights each space keeps, for the classical search and the
@@ -615,8 +615,7 @@ class BreakpointGrid:
     (spectra_floor()) is read off wx and wy.
     """
 
-    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_rx", "_ry",
-                 "_y_masks", "_gap_ranks", "_far")
+    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_y_masks", "_far")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -640,49 +639,15 @@ class BreakpointGrid:
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
         self._gap = [[at[g] for g in row] for row in gaps]
-        self._rx: Optional[list[list[int]]] = None
-        self._ry: Optional[list[list[int]]] = None
         self._y_masks: Optional[list[list[int]]] = None
-        self._gap_ranks: Optional[list[list[list[list[int]]]]] = None
         self._far: dict[int, list[list[list[int]]]] = {}
         self.floor: int = self.distortion_floor()
 
-    @property
-    def rx(self) -> list[list[int]]:
-        """x's rank matrix as grid ranks, built on first use."""
-        if self._rx is None:
-            self._rx = _rank_rows(self.x, self.wx)
-        return self._rx
-
-    @property
-    def ry(self) -> list[list[int]]:
-        """y's rank matrix as grid ranks, built on first use."""
-        if self._ry is None:
-            self._ry = _rank_rows(self.y, self.wy)
-        return self._ry
-
-    def gap_ranks(self) -> list[list[list[list[int]]]]:
-        """Table g with g[i][j][a][b] the rank of |d_X(i, j) - d_Y(a, b)|.
-
-        g[i][j] depends only on d_X(i, j): one m x m table is built per
-        distinct distance of x, from the per-value gap ranks, and every pair
-        of x at that distance references it, so the table holds |V_X| * m^2
-        ints, not n^2 * m^2. Later calls return the same table, which
-        callers only read.
-        """
-        if self._gap_ranks is None:
-            by_value = [
-                [list(map(by_y.__getitem__, ry_a)) for ry_a in self.y.ranks]
-                for by_y in self._gap
-            ]
-            self._gap_ranks = [list(map(by_value.__getitem__, rx_i)) for rx_i in self.x.ranks]
-        return self._gap_ranks
-
     def far_masks(self, cutoff: int) -> list[list[list[int]]]:
-        """Table far with far[i][j][a] the bitmask of the points b of y with
-        gap_ranks()[i][j][a][b] >= cutoff, built once per cutoff. far[i][j]
-        depends only on d_X(i, j), so the rows of equal distances are one
-        shared list, which callers only read. Each row is an OR of the
+        """Table far with far[i][j][a] the bitmask of the points b of y
+        whose gap |d_X(i, j) - d_Y(a, b)| has grid rank >= cutoff, built
+        once per cutoff. far[i][j] depends only on d_X(i, j), so the rows
+        of equal distances are one shared list, which callers only read. Each row is an OR of the
         grid's per-distance point masks of y, so a cutoff costs
         O(|V_X| * |V_Y| * m + n^2) int operations, not n^2 * m^2."""
         far = self._far.get(cutoff)
@@ -753,12 +718,6 @@ def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:
                 row = list(map(or_, row, y_masks[w]))
         by_value.append(row)
     return [list(map(by_value.__getitem__, rx_i)) for rx_i in grid.x.ranks]
-
-
-def _rank_rows(space: UltrametricSpace, remap: Sequence[int]) -> list[list[int]]:
-    """The space's rank matrix remapped through remap, the grid rank of each
-    of the space's own values."""
-    return [list(map(remap.__getitem__, row)) for row in space.ranks]
 
 
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:

@@ -12,6 +12,7 @@ from ultragh import (
     validate_space,
     zq_delta,
 )
+from ultragh import correspondences, isometries
 from ultragh.spaces import _checked_space
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples derive from each test alone,
@@ -58,6 +59,23 @@ def equal_diameter_partner(x, m, seed, pool):
     x is a singleton."""
     ys = (random_ultrametric(m, s, pool) for s in count(seed))
     return next(y for y in ys if y.diameter() == x.diameter())
+
+
+def refuse_relation_checks(monkeypatch, path, *, distortion):
+    """Make the checks of one given relation raise when path runs them: the
+    strong eps-isometry and eps-approximation verdicts and the partner
+    walk, each at least O(n^2) per call. With distortion, also the
+    distortion rank, O(|R|^2) in the relation's pairs, which only the
+    classical search reads on a dhat_gh path."""
+    names = [(isometries, "_isometry_verdict"), (isometries, "_approximation_verdict"),
+             (correspondences, "_partner_walk")]
+    if distortion:
+        names += [(correspondences, "_distortion_rank"), (isometries, "_distortion_rank")]
+    for module, name in names:
+        def refuse(*args, name=name):
+            raise AssertionError(f"{path} ran {name}")
+
+        monkeypatch.setattr(module, name, refuse)
 
 
 @cache

@@ -23,6 +23,12 @@ the closed balls off the dendrogram: scans of the rank matrix's rows. They
 are the reference for ball_partition, ball_representatives and
 is_epsilon_net, and the approximation search reads the first too.
 
+grid_rank_tables builds the pair's distances as grid ranks, the two rank
+matrices remapped to grid ranks and the 4-D gap-rank table, from the
+spaces' own ranks through the grid's wx, wy and per-value gap ranks. The
+library reads those ranks directly and keeps neither table; the reference
+searches and the cut-form recursion read them.
+
 ExactValue is the library's scalar as it stood before its comparisons and
 constructor read Fraction's int slots directly: every operation goes
 through Fraction's generic dispatch. It is the reference for the
@@ -309,16 +315,31 @@ def is_epsilon_net_by_row_scan(ranks, pts, cut):
     return all(any(row[p] < cut for p in pts) for row in ranks)
 
 
+def grid_rank_tables(grid):
+    """(rx, ry, gap) for grid's pair: rx and ry the spaces' rank matrices
+    remapped through wx and wy to grid ranks, and gap[i][j][a][b] the grid
+    rank of |d_X(i, j) - d_Y(a, b)|, read off the per-value gap ranks
+    _gap. gap[i][j] depends only on d_X(i, j), so one m x m table is built
+    per distinct distance of x and every pair of x at that distance shares
+    it: |V_X| * m^2 ints, not n^2 * m^2. Callers only read the tables."""
+    x, y = grid.x, grid.y
+    rx = [list(map(grid.wx.__getitem__, row)) for row in x.ranks]
+    ry = [list(map(grid.wy.__getitem__, row)) for row in y.ranks]
+    by_value = [[list(map(by_y.__getitem__, row)) for row in y.ranks] for by_y in grid._gap]
+    gap = [list(map(by_value.__getitem__, row)) for row in x.ranks]
+    return rx, ry, gap
+
+
 def quotient_rank_by_recursion(grid):
     """The library's quotient hint by definition: the least grid rank c in
     {0} ∪ W_X ∪ W_Y at which the two rank matrices of grid, cut at c, have
     equal canonical forms. Every candidate is tried from the bottom, where
     the library starts at two proven lower bounds, so a comparison checks
     those bounds too."""
-    xs, ys = range(len(grid.rx)), range(len(grid.ry))
+    rx, ry, _ = grid_rank_tables(grid)
+    xs, ys = range(len(rx)), range(len(ry))
     return next(c for c in sorted({*grid.wx, *grid.wy})
-                if cut_form_by_recursion(grid.rx, xs, c)
-                == cut_form_by_recursion(grid.ry, ys, c))
+                if cut_form_by_recursion(rx, xs, c) == cut_form_by_recursion(ry, ys, c))
 
 
 def isometry_exists(x, y):
@@ -543,20 +564,20 @@ def isometry_search(x, y, eps, budget=SEARCH_BUDGET):
     Maps are walked depth first in mixed-radix order (left indices as digit
     positions, right index ascending), one frame per point. A branch dies
     as soon as a decided pair breaks dis f < eps or the exact-preservation
-    half of (SI2), read on the grid's gap table; each complete map gets
+    half of (SI2), read on grid_rank_tables' gap table; each complete map gets
     one _isometry_verdict.
     """
     grid = BreakpointGrid(x, y)
     below = bisect_left(grid.values, eps)
     n, m = len(x), len(y)
-    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    rx, ry, gap = grid_rank_tables(grid)
     images = []
     nodes = 0
 
     def dfs(level):
         nonlocal nodes
         if level == n:
-            witness = _isometry_verdict(grid, tuple(images), below, eps)
+            witness = _isometry_verdict(grid, tuple(images), eps)
             return witness if witness.is_strong_eps_isometry else None
         for b in range(m):
             nodes += 1
@@ -588,7 +609,7 @@ def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
     """
     grid = BreakpointGrid(x, y)
     below = bisect_left(grid.values, eps)
-    rx, ry = grid.rx, grid.ry
+    rx, ry, _ = grid_rank_tables(grid)
     xs = tuple(c[0] for c in ball_partition_by_row_scan(rx, below))
     n, m = len(xs), len(ry)
     if n > m or len(ball_partition_by_row_scan(ry, below)) > n:
@@ -602,7 +623,7 @@ def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
     def dfs(level):
         nonlocal nodes
         if level == n:
-            if not _approximation_verdict(grid, xs, ys, below).valid:
+            if not _approximation_verdict(grid, xs, ys, eps).valid:
                 return None
             return ApproximationWitness(xs, tuple(ys), eps)
         want = need[level][:level]
@@ -649,7 +670,7 @@ def strong_correspondence_search(x, y, budget=None):
     n, m = len(x), len(y)
     if n == 1 or m == 1:
         return SearchResult(full_product(x, y), max(x.diameter(), y.diameter()), True, 0)
-    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    rx, ry, gap = grid_rank_tables(grid)
     last_level, inner_level, worst_of = partner_subsets_by_recursion(ry)
     full_mask = (1 << m) - 1
     full_rank = len(grid.values) - 1

@@ -22,9 +22,8 @@ from ultragh import (
 from ultragh.convergence import _between
 from ultragh.errors import EpsilonTooLargeError, LengthMismatchError
 from ultragh.exact import ZERO
-from ultragh.spaces import BreakpointGrid
 
-from conftest import caterpillar, ev
+from conftest import caterpillar, ev, refuse_relation_checks
 from oracles import approximation_search, first_split
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -70,6 +69,36 @@ def test_replay_split_rejects_foreign_indices(z4, x2, classes):
     split = find_split(z4, x2, ev("3/4"))
     forged = SplitResult(classes, split.class_diameters, split.pairwise_class_distances)
     assert not replay_split(z4, x2, ev("3/4"), forged)
+    # find_split's own classes, with diameters and a class distance it did
+    # not report.
+    forged = SplitResult(split.classes, (ev(7), ev(7)), ((ZERO, ev(5)), (ev(5), ZERO)))
+    assert not replay_split(z4, x2, ev("3/4"), forged)
+
+
+def test_replay_split_rejects_forged_numbers(z4, x2):
+    # The classes are find_split's own, but one of the reported fields is
+    # not the recomputed one, or has another shape.
+    split = find_split(z4, x2, ev("3/4"))
+    one = ev(1)
+    diameters = split.class_diameters
+    distances = split.pairwise_class_distances
+    assert diameters == (ev("1/2"),) * 2 and distances == ((ZERO, one), (one, ZERO))
+    for forged_diameters, forged_distances in (
+        ((ev(7), ev(7)), distances),
+        (diameters, ((ZERO, ev(5)), (ev(5), ZERO))),
+        (diameters[:1], distances),
+        (diameters + (ZERO,), distances),
+        (diameters, distances[:1]),
+        (diameters, ((ZERO, one, one), (one, ZERO))),
+        (diameters, ((one, one), (one, ZERO))),
+        (diameters, (ZERO, one)),
+        (None, distances),
+    ):
+        forged = SplitResult(split.classes, forged_diameters, forged_distances)
+        assert not replay_split(z4, x2, ev("3/4"), forged), forged
+    # Lists of the same values replay as the tuples do.
+    listed = SplitResult(split.classes, list(diameters), [list(row) for row in distances])
+    assert replay_split(z4, x2, ev("3/4"), listed)
 
 
 BLOB_POOL = [ExactValue(1, 16), ExactValue(1, 8)]
@@ -134,9 +163,8 @@ def test_find_split_matches_oracle(case):
 def test_find_split_on_an_1100_point_caterpillar(monkeypatch):
     # The dendrogram is over 1,000 levels deep: the reference search would
     # recurse once per point. find_split reads the dendrogram with no
-    # recursion, no gap table, no rank matrix remapped to the grid and no
-    # scan of a class's distances for its diameter, and splits the space
-    # into its points.
+    # recursion, no check of a relation and no scan of a class's
+    # distances for its diameter, and splits the space into its points.
     x = caterpillar(1100)
 
     def refuse_scan(space, ca, cb, pick):
@@ -144,15 +172,7 @@ def test_find_split_on_an_1100_point_caterpillar(monkeypatch):
 
     monkeypatch.setattr("ultragh.convergence._between", refuse_scan)
 
-    def refuse(grid):
-        raise AssertionError("find_split built the gap table")
-
-    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
-
-    def refuse_rows(space, remap):
-        raise AssertionError("find_split remapped a rank matrix")
-
-    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
+    refuse_relation_checks(monkeypatch, "find_split", distortion=True)
     result = find_split(x, x, ev("1/2"))
     assert result.classes == tuple((i,) for i in range(1100))
     assert result.class_diameters == (ZERO,) * 1100

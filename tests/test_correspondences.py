@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -114,6 +115,25 @@ def test_unorderable_index_is_out_of_range(x2, x3, pairs, first):
             build(x2, x3, pairs)
     with pytest.raises(IndexOutOfRangeError, match=f"point index {first} points"):
         Correspondence(x2, x3, iter(pairs))
+
+
+@pytest.mark.parametrize("pairs, first", [
+    ([(0,)], "(0,)"),
+    ([(0, 0, 1), (1, 1)], "(0, 0, 1)"),
+    ([(1, 1), (2, 2, 0), (0,), (3, 3)], "(2, 2, 0)"),
+    ([(1, 1), (0, 0), (), (1, 2, 3)], "()"),
+])
+def test_item_that_is_not_two_indices(z4, pairs, first):
+    # An item of one or three entries is no pair: both the check and the
+    # constructor name the first such item in input order (the constructor
+    # checks before its sort, which would put (0,) first in the third
+    # case), instead of failing with an IndexError or storing it.
+    for build in (is_correspondence, Correspondence):
+        with pytest.raises(NotACorrespondenceError,
+                           match=rf"^{re.escape(first)} is not a pair of two indices$"):
+            build(z4, z4, pairs)
+    with pytest.raises(NotACorrespondenceError, match=re.escape(first)):
+        Correspondence(z4, z4, iter(pairs))
 
 
 def test_unorderable_subset_index_is_out_of_range(x2, x3):

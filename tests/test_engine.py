@@ -39,7 +39,7 @@ from ultragh.errors import (
 )
 from ultragh.spaces import BreakpointGrid, _far_table
 
-from conftest import caterpillar, equal_diameter_partner, ev, near_copy
+from conftest import caterpillar, equal_diameter_partner, ev, near_copy, refuse_relation_checks
 from oracles import (
     approximation_search,
     isometry_exists,
@@ -346,17 +346,9 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
     monkeypatch.setattr(BreakpointGrid, "__init__", counting_init)
 
     # The classical search prunes on far masks alone and reads exact ranks
-    # off the grid's per-value gap ranks: it builds no gap table and
-    # remaps no rank matrix.
-    def refuse(grid):
-        raise AssertionError("the classical search built the gap table")
-
-    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
-
-    def refuse_rows(space, remap):
-        raise AssertionError("the classical search remapped a rank matrix")
-
-    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
+    # only through the distortion rank; the quotient witnesses are checked
+    # from the class structure. Neither runs a verdict or a partner walk.
+    refuse_relation_checks(monkeypatch, "dhat_gh", distortion=False)
     # Subset orders depend only on |Y|: with the memo emptied, each size
     # is built once, by the first search on it, and kept for every later
     # grid.
@@ -614,21 +606,12 @@ def test_default_path_matches_each_route(pair):
 
 def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     # Far beyond every cap a call still returns all three outcomes, read
-    # off the two chains 499 levels deep with no recursion, no gap table
-    # and no rank matrix remapped to the grid, and so does
-    # min_distortion_strong_correspondence. The quotients differ at 0 and
-    # agree at 1.
+    # off the two chains 499 levels deep with no recursion and no check of
+    # a relation (no verdict, partner walk or distortion over pairs of
+    # pairs), and so does min_distortion_strong_correspondence. The
+    # quotients differ at 0 and agree at 1.
     x, y = caterpillar(500), caterpillar(500, split_bottom=True)
-
-    def refuse(grid):
-        raise AssertionError("the default path built the gap table")
-
-    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
-
-    def refuse_rows(space, remap):
-        raise AssertionError("the default path remapped a rank matrix")
-
-    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
+    refuse_relation_checks(monkeypatch, "the default path", distortion=True)
     report = dhat_gh(x, y)
     assert x.diameter() == ExactValue(499)
     assert report.dhat == ExactValue(1) and report.dhat_attained
@@ -637,7 +620,7 @@ def test_default_dhat_on_500_point_caterpillars(monkeypatch):
     assert approx.xs == ball_representatives(x, approx.epsilon)
     assert report.methods["isometry_scan"].witness.failure is None
     # Asked for by name, with a budget, the isometry scan is the same
-    # quotient outcome, still with no gap table.
+    # quotient outcome, still with no relation check.
     alone = dhat_gh(x, y, methods=["isometry_scan"], budget=1)
     assert alone.methods == {"isometry_scan": report.methods["isometry_scan"]}
     # The public strong minimum is the report's strong outcome, found by

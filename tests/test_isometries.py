@@ -23,12 +23,13 @@ from ultragh.errors import BudgetExceededError, LengthMismatchError
 from ultragh.isometries import _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid
 
-from conftest import caterpillar, equal_diameter_partner, ev, near_copy
+from conftest import caterpillar, equal_diameter_partner, ev, near_copy, refuse_relation_checks
 from oracles import (
     approximation_search,
     approximation_verdict,
     first_strong_epsilon_isometry,
     fraction_matrix,
+    grid_rank_tables,
     isometry_search,
     isometry_verdict,
 )
@@ -238,21 +239,11 @@ def test_public_searches_match_reference_searches(pair):
 
 def test_public_searches_on_1100_point_caterpillars(monkeypatch):
     # Dendrograms over 1,000 levels deep: the reference searches would
-    # recurse once per point, and the isometry search would build the gap
-    # table. The public functions read the dendrograms with neither, and
-    # remap no rank matrix to the grid. The quotients differ at 0 and
-    # agree at 1.
+    # recurse once per point, and run a verdict on every complete map or
+    # match. The public functions read the dendrograms with neither, and
+    # check no relation. The quotients differ at 0 and agree at 1.
     x, y = caterpillar(1100), caterpillar(1100, split_bottom=True)
-
-    def refuse(grid):
-        raise AssertionError("the public search built the gap table")
-
-    monkeypatch.setattr(BreakpointGrid, "gap_ranks", refuse)
-
-    def refuse_rows(space, remap):
-        raise AssertionError("the public search remapped a rank matrix")
-
-    monkeypatch.setattr("ultragh.spaces._rank_rows", refuse_rows)
+    refuse_relation_checks(monkeypatch, "the public search", distortion=True)
     eps = ev("3/2")
     iso = exists_strong_epsilon_isometry(x, y, eps)
     assert iso.is_strong_eps_isometry and iso.distortion == ev(1)
@@ -287,7 +278,7 @@ def test_rank_verdicts_match_reference(pair):
     n, m = len(x), len(y)
     dx, dy = fraction_matrix(x), fraction_matrix(y)
     grid = BreakpointGrid(x, y)
-    rx, ry, gap = grid.rx, grid.ry, grid.gap_ranks()
+    rx, ry, gap = grid_rank_tables(grid)
     thresholds = grid.thresholds()
     epsilons = [thresholds[1] / 3]
     for prev, t in zip(thresholds, thresholds[1:]):
@@ -301,7 +292,7 @@ def test_rank_verdicts_match_reference(pair):
     for eps in epsilons:
         below = bisect_left(grid.values, eps)
         for f in product(range(m), repeat=n):
-            w = _isometry_verdict(grid, f, below, eps)
+            w = _isometry_verdict(grid, f, eps)
             assert (w.left, w.right, w.images, w.epsilon) == (x, y, f, eps)
             failure = w.failure and (w.failure.check, w.failure.points, w.failure.detail)
             got = (w.distortion, w.is_eps_isometry, w.is_strong_eps_isometry, failure)
@@ -314,6 +305,6 @@ def test_rank_verdicts_match_reference(pair):
             )
             assert not (pruned and want[2]), (f, eps)
         for xs, ys in matches:
-            v = _approximation_verdict(grid, xs, ys, below)
+            v = _approximation_verdict(grid, xs, ys, eps)
             got = (v.valid, v.failure_condition, v.failure_indices)
             assert got == approximation_verdict(dx, dy, eps, xs, ys), (xs, ys, eps)

@@ -34,6 +34,7 @@ from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
     ball_partition_by_row_scan,
+    grid_rank_tables,
     is_epsilon_net_by_row_scan,
     merge_heights_by_ball_counts,
     naive_correspondence_minima,
@@ -305,13 +306,15 @@ def check_breakpoint_grid(x, y):
     assert [bisect_left(values, v) for v in values] == list(range(len(values)))
     assert values[-1] == max(x.diameter(), y.diameter())
     n, m = len(x), len(y)
-    for i, j in product(range(n), repeat=2):
-        assert values[grid.rx[i][j]] == x.dist(i, j)
-    for a, b in product(range(m), repeat=2):
-        assert values[grid.ry[a][b]] == y.dist(a, b)
-    gap = grid.gap_ranks()
-    for i, j, a, b in product(range(n), range(n), range(m), range(m)):
-        assert values[gap[i][j][a][b]] == x.dist(i, j).abs_diff(y.dist(a, b))
+    # wx and wy give each space's values their grid ranks, and the
+    # per-value gap ranks, indexed by the two spaces' own ranks, give the
+    # rank of every gap between a distance of x and one of y.
+    assert [values[r] for r in grid.wx] == list(x.values)
+    assert [values[r] for r in grid.wy] == list(y.values)
+    gap = grid._gap
+    assert len(gap) == len(x.values)
+    for v, by_y in zip(x.values, gap):
+        assert [values[r] for r in by_y] == [v.abs_diff(w) for w in y.values]
     # The far masks at every cutoff. The grid holds no point masks until
     # the first far table builds them.
     assert grid._y_masks is None
@@ -319,21 +322,22 @@ def check_breakpoint_grid(x, y):
     assert grid._y_masks is not None
     for cutoff, far in enumerate(fars):
         for i, j, a in product(range(n), range(n), range(m)):
-            assert far[i][j][a] == sum(1 << b for b in range(m) if gap[i][j][a][b] >= cutoff)
+            by_y, row = gap[x.ranks[i][j]], y.ranks[a]
+            assert far[i][j][a] == sum(1 << b for b in range(m) if by_y[row[b]] >= cutoff)
     # The search's internal-rank test: a subset of y reaches a cutoff
     # exactly when it meets the far mask of its lowest point at x's
     # distance 0, far[0][0].
     for k in range(1, m + 1):
         for sub in combinations(range(m), k):
             mask = sum(1 << a for a in sub)
-            largest = max((grid.ry[a][b] for a, b in combinations(sub, 2)), default=0)
+            largest = max((grid.wy[y.ranks[a][b]] for a, b in combinations(sub, 2)),
+                          default=0)
             for cutoff, far in enumerate(fars):
                 assert bool(mask & far[0][0][sub[0]]) == (largest >= cutoff)
-    # Pairs of x at one distance share one gap table and one far-mask row.
+    # Pairs of x at one distance share one far-mask row.
     cells = list(product(range(n), repeat=2))
     for (i, j), (k, l) in product(cells, repeat=2):
         if x.ranks[i][j] == x.ranks[k][l]:
-            assert gap[i][j] is gap[k][l]
             assert all(far[i][j] is far[k][l] for far in fars)
 
 
@@ -346,9 +350,10 @@ def test_partner_subsets_match_recursion(m, seed, x):
     # ascending order of the subsets as tuples, and each subset after its
     # extensions. The reference's largest internal rank, which the
     # reference strong search reads, is the brute-force one, on ranks
-    # remapped through a grid. m = 13 is past the memoised sizes.
+    # remapped through a grid (grid_rank_tables). m = 13 is past the
+    # memoised sizes.
     y = random_ultrametric(m, seed, POOL)
-    ry = BreakpointGrid(x, y).ry
+    _, ry, _ = grid_rank_tables(BreakpointGrid(x, y))
     last, inner, worst = partner_subsets_by_recursion(ry)
     assert _subset_orders(m) == (tuple(e[:2] for e in last), tuple(e[:2] for e in inner))
     every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
