@@ -7,6 +7,7 @@ rather than claiming a limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -16,7 +17,6 @@ from .spaces import (
     UltrametricSpace,
     ball_partition,
     is_epsilon_net,
-    weight_spectrum,
 )
 from .isometries import (
     ApproximationWitness,
@@ -101,29 +101,35 @@ def replay_split(
     """Soundness check: partition, small diameters, exact class distances,
     and the reported diameters and class distances.
 
-    Every index must be an int naming a point of xn; any other value fails
-    the check. class_diameters must equal the recomputed diameters, and
+    Every index must be an int naming a point of xn, and classes and each
+    class must be iterable; any other value fails the check.
+    class_diameters must equal the recomputed diameters, and
     pairwise_class_distances the target's distance matrix, 0 on the
     diagonal, in value and in shape.
     """
+    try:
+        classes = [tuple(cls) for cls in split.classes]
+    except TypeError:
+        return False
     seen: set[int] = set()
-    for cls in split.classes:
+    for cls in classes:
         if not cls:
             return False
         for p in cls:
-            if p in seen or not (isinstance(p, int) and 0 <= p < len(xn)):
+            # The type first, so an unhashable index is never hashed.
+            if not (isinstance(p, int) and 0 <= p < len(xn)) or p in seen:
                 return False
             seen.add(p)
-    if len(seen) != len(xn) or len(split.classes) != len(x):
+    if len(seen) != len(xn) or len(classes) != len(x):
         return False
-    diameters = tuple(_between(xn, cls, cls, max) for cls in split.classes)
+    diameters = tuple(_between(xn, cls, cls, max) for cls in classes)
     if any(d >= eps for d in diameters):
         return False
     for i in range(len(x)):
         for j in range(len(x)):
             if i == j:
                 continue
-            if _between(xn, split.classes[i], split.classes[j], min) != x.dist(i, j):
+            if _between(xn, classes[i], classes[j], min) != x.dist(i, j):
                 return False
     try:
         reported = (tuple(split.class_diameters),
@@ -277,6 +283,15 @@ def sutb_check(
     cross-ball distances do not depend on the representative chosen, and
     extra net points only add weights, so the minimal representative net
     decides the question.
+
+    Its weights are exactly the space's distances of at least eps,
+    values[bisect_left(values, eps):], with no scan of the net. Distinct
+    open eps-balls are at least eps apart, so no weight lies below eps.
+    And when d(p, q) = d >= eps, p and q lie in distinct balls, whose
+    representatives p' and q' have d(p, p') < eps <= d and
+    d(q, q') < eps <= d; every triangle of an ultrametric is isosceles
+    with its two longest sides equal, so d(p', q) = d and then
+    d(p', q') = d: every distance of at least eps is a weight.
     """
     if eps <= ZERO:
         raise ValueError("eps must be positive")
@@ -294,8 +309,7 @@ def sutb_check(
             )
             continue
         reps = tuple(c[0] for c in classes)
-        weights = set(weight_spectrum(space, reps))
-        stray = weights - allowed
+        stray = set(space.values[bisect_left(space.values, eps):]) - allowed
         if stray:
             witnesses.append(None)
             failures.append(

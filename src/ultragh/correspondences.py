@@ -382,18 +382,6 @@ class SearchResult:
     nodes: int
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.limit is not None and self.used > self.limit
-
-
 class _Exhausted(Exception):
     pass
 
@@ -516,7 +504,7 @@ def _search(
     full_rank = len(grid.values) - 1
     floor_rank = grid.floor
 
-    budget_state = _Budget(budget)
+    nodes = 0  # frames entered; past budget the search stops
     best_rank = (full_rank if start is None else start) + 1
     best_pairs: Optional[list[tuple[int, int]]] = None
 
@@ -535,8 +523,9 @@ def _search(
         # puts at or past the cutoff. The chosen pairs lie below the
         # cutoff. The parent's forward check passes far and bar down at its
         # cutoff; they are rebuilt here only once best_rank has moved.
-        nonlocal best_rank, best_pairs
-        if budget_state.spend():
+        nonlocal best_rank, best_pairs, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
             raise _Exhausted
         last = level == n - 1
         missing = full_mask & ~covered
@@ -616,11 +605,11 @@ def _search(
             )
         # the budget ran out before the first leaf
         return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
-                            budget_state.used)
+                            nodes)
     # Left points ascend and each partner subset lists its points
     # ascending, so the pairs ascend; every leaf covers both sides.
     return SearchResult(Correspondence._sorted(x, y, tuple(best_pairs)),
-                        grid.values[best_rank], optimal, budget_state.used)
+                        grid.values[best_rank], optimal, nodes)
 
 
 def min_distortion_correspondence(

@@ -18,7 +18,9 @@ Every equal-diameter call first finds the quotient value: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
 isometric (isometries._quotient_rank), read off the dendrograms the two
 spaces kept from validation by a bottom-up walk that needs no recursion,
-so it works at any depth. That value is dhat. The isometries module owns
+so it works at any depth. The walk starts at the larger of the spectra
+bound this call reports (spaces.spectra_lower_bound) and the grid's
+merge-height floor. That value is dhat. The isometries module owns
 every cut of a dendrogram; this one reads none.
 
 The call then takes all three outcomes from one greedy isometry between
@@ -54,10 +56,10 @@ The classical Gromov-Hausdorff distance (half the minimum distortion over
 plain correspondences) and the ratio of the two are computed alongside. Its
 search stops at the first leaf reaching the merge-height lower bound
 (BreakpointGrid.distortion_floor, read off the merge heights each space
-keeps from its dendrogram), and a budgeted search that runs out reports half
-that bound as the lower end of its interval. An unbudgeted search first
-runs seeded at that bound, so it accepts only a leaf reaching it, which is
-then optimal; only when no leaf does (the bound lies below the minimum)
+makes from its dendrogram when it is built), and a budgeted search that
+runs out reports half that bound as the lower end of its interval. An
+unbudgeted search first runs seeded at that bound, so it accepts only a
+leaf reaching it, which is then optimal; only when no leaf does (the bound lies below the minimum)
 does the search run again, seeded at the quotient value, the hint itself
 when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
 distortion from above, so the restart accepts only leaves of distortion

@@ -34,7 +34,14 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import LengthMismatchError, MethodDisagreementError, NotStrongError
-from .spaces import BreakpointGrid, UltrametricSpace, _Balls, _closed_balls, is_epsilon_net
+from .spaces import (
+    BreakpointGrid,
+    UltrametricSpace,
+    _Balls,
+    _closed_balls,
+    is_epsilon_net,
+    spectra_lower_bound,
+)
 from .correspondences import Correspondence, _check_map, _distortion_rank
 
 
@@ -298,16 +305,15 @@ def _equal_roots(grid: BreakpointGrid, c: int) -> Optional[tuple[list[int], list
     """Both dendrograms' cut ids at grid rank c (_cut_ids), x's first,
     interned in one dict, when the two roots get equal ids, that is, when
     the quotients of grid's pair by closed c-balls are isometric; None
-    when they differ."""
+    when they differ. An n-point space's root is node n, the first node
+    the splitting makes, or point 0 when n is 1."""
     ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    fx = _cut_ids(grid.x, grid.wx, c, ids)
-    fy = _cut_ids(grid.y, grid.wy, c, ids)
-    return (fx, fy) if fx[_root(grid.x)] == fy[_root(grid.y)] else None
-
-
-def _root(space: UltrametricSpace) -> int:
-    """The root of the space's dendrogram, the one node with no parent."""
-    return space._tree.parent.index(-1)
+    x, y = grid.x, grid.y
+    fx = _cut_ids(x, grid.wx, c, ids)
+    fy = _cut_ids(y, grid.wy, c, ids)
+    nx, ny = len(x), len(y)
+    same = fx[nx if nx > 1 else 0] == fy[ny if ny > 1 else 0]
+    return (fx, fy) if same else None
 
 
 def _quotient_rank(grid: BreakpointGrid) -> int:
@@ -317,12 +323,13 @@ def _quotient_rank(grid: BreakpointGrid) -> int:
     Each space's dendrogram, kept from validation, is cut at rank c and
     the two roots' ids compared (_equal_roots); the walk needs no
     recursion at any depth. The cuts are compared from the larger of two
-    proven lower bounds on dhat, the spectra bound (the largest rank one
-    spectrum holds and the other lacks) and the grid's merge-height
-    floor, upward; at the larger diameter both roots get id 0. The value
-    is only a hint: _certified_quotient checks it.
+    proven lower bounds on dhat, the grid rank of spectra_lower_bound (the
+    largest value one spectrum holds and the other lacks) and the grid's
+    merge-height floor, upward; at the larger diameter both roots get id
+    0. The value is only a hint: _certified_quotient checks it.
     """
-    start = max(grid.spectra_floor(), grid.floor)
+    start = max(bisect_left(grid.values, spectra_lower_bound(grid.x, grid.y)),
+                grid.floor)
     return next(c for c in sorted({*grid.wx, *grid.wy})
                 if c >= start and _equal_roots(grid, c) is not None)
 
@@ -361,7 +368,7 @@ class _QuotientWitnesses(NamedTuple):
         grid, cx = self.grid, self.cx
         return MapWitness(
             grid.x, grid.y, tuple(map(self.ys.__getitem__, cx.class_of)), eps,
-            grid.values[grid.wx[cx.height]],
+            grid.x.values[cx.height],
             is_eps_isometry=True, is_strong_eps_isometry=True, failure=None)
 
     def approximation(self, eps: ExactValue) -> ApproximationWitness:
@@ -481,14 +488,12 @@ def _quotient_witnesses(grid: BreakpointGrid, c: int) -> Optional[_QuotientWitne
 
     xs = tuple(members[0] for members in cx.members)
     ys = tuple(map(first_y.__getitem__, partner))
-    # to_y[r]: the rank in y of x's value of rank r, -1 when y lacks it.
-    rank_y = dict(zip(wy, range(len(wy))))
-    to_y = [rank_y.get(g, -1) for g in wx]
     # The first point twice, so a single class still gives a tuple.
     row_x, row_y = itemgetter(*xs, xs[0]), itemgetter(*ys, ys[0])
     height = max(wx[cx.height], wy[cy.height])
     if (len(cy.classes) != len(xs)
-            or any(tuple(map(to_y.__getitem__, row_x(x.ranks[a]))) != row_y(y.ranks[b])
+            or any(list(map(wx.__getitem__, row_x(x.ranks[a])))
+                   != list(map(wy.__getitem__, row_y(y.ranks[b])))
                    for a, b in zip(xs, ys))
             or height > c):
         raise MethodDisagreementError(

@@ -39,11 +39,11 @@ class UltrametricSpace:
     _tree is the space's dendrogram (_Dendrogram), its heights as ranks,
     kept from the ball-splitting pass that validated the space (an induced
     subspace runs that pass on its own ranks): the merge heights and the
-    closed-ball quotients are read off it. Its merge heights, largest
-    first, are made from it once, by the first grid the space is in
-    (_merge_ranks), and kept for the merge-height floor of every later
-    one. Equality and hashing ignore both, since the matrix determines
-    them.
+    closed-ball quotients are read off it. _merges holds its merge heights
+    as ranks, largest first (_merge_heights), made with the space and read
+    by the merge-height floor of every grid it is in. Nothing writes a
+    slot after construction. Equality and hashing ignore both, since the
+    matrix determines them.
     """
 
     __slots__ = ("labels", "values", "ranks", "inexact", "_tree", "_merges")
@@ -56,19 +56,10 @@ class UltrametricSpace:
         self.ranks: tuple[tuple[int, ...], ...] = ranks
         self.inexact: bool = inexact
         self._tree: _Dendrogram = tree
-        self._merges: Optional[list[int]] = None
+        self._merges: list[int] = _merge_heights(tree)
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def _merge_ranks(self) -> list[int]:
-        """The n - 1 merge heights as ranks, largest first (_merge_heights
-        of the dendrogram), made on the first call and returned by every
-        later one, which callers only read."""
-        merges = self._merges
-        if merges is None:
-            merges = self._merges = _merge_heights(self._tree)
-        return merges
 
     def dist(self, i: int, j: int) -> ExactValue:
         return self.values[self.ranks[i][j]]
@@ -569,6 +560,17 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     one spectrum only. Both walks end at 0, so neither side runs out while
     the other still holds a value: with no difference the spectra are
     equal.
+
+    This is the one spectra bound: dhat_gh reports it, the quotient hint
+    (isometries._quotient_rank) starts its cuts from it, and the CLI
+    prints it. Spectra {1, 2} and {2} differ first at 1, {1, 2} and
+    {1, 3} at 3, and equal spectra give 0:
+
+    >>> x = validate_space([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    >>> y = validate_space([[0, 2], [2, 0]])
+    >>> z = validate_space([[0, 1, 3], [1, 0, 3], [3, 3, 0]])
+    >>> spectra_lower_bound(x, y), spectra_lower_bound(x, z), spectra_lower_bound(y, y)
+    (ExactValue(1/1), ExactValue(3/1), ExactValue(0/1))
     """
     for a, b in zip(reversed(x.values), reversed(y.values)):
         if a != b:
@@ -611,8 +613,7 @@ class BreakpointGrid:
     floor is the merge-height lower bound on the distortion of every
     correspondence (distortion_floor()), computed once with the grid from
     the merge heights each space keeps, for the classical search and the
-    quotient hint of every call on it; the spectra lower bound on dhat
-    (spectra_floor()) is read off wx and wy.
+    quotient hint of every call on it.
     """
 
     __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_y_masks", "_far")
@@ -672,23 +673,17 @@ class BreakpointGrid:
         The k = 1 term is the diameter gap, so the floor is never below
         it.
 
-        Both height lists are the ones each space keeps from its
-        dendrogram (UltrametricSpace._merge_ranks), as its own ranks,
-        largest first. Each term is the gap between a value of {0} ∪ W_X
-        and one of {0} ∪ W_Y, so its rank is read from the per-value gap
-        ranks and the floor is one max over max(n, m) - 1 ints. The grid
-        computes it once, as floor.
+        Both height lists are the ones each space made from its
+        dendrogram when it was built (UltrametricSpace._merges), as its
+        own ranks, largest first. Each term is the gap between a value of
+        {0} ∪ W_X and one of {0} ∪ W_Y, so its rank is read from the
+        per-value gap ranks and the floor is one max over max(n, m) - 1
+        ints. The grid computes it once, as floor.
         """
         gap = self._gap
         return max((gap[a][b] for a, b in zip_longest(
-                        self.x._merge_ranks(), self.y._merge_ranks(),
-                        fillvalue=0)),
+                        self.x._merges, self.y._merges, fillvalue=0)),
                    default=0)
-
-    def spectra_floor(self) -> int:
-        """Grid rank of spectra_lower_bound(x, y): the largest rank that
-        only one of wx and wy holds, 0 when they are equal."""
-        return max(set(self.wx).symmetric_difference(self.wy), default=0)
 
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""

@@ -43,7 +43,7 @@ from math import lcm
 from ultragh.correspondences import Correspondence, SearchResult, full_product
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
-from ultragh.spaces import BreakpointGrid
+from ultragh.spaces import BreakpointGrid, spectra_lower_bound
 
 SEARCH_BUDGET = 5_000_000  # nodes a reference search visits before it stops
 
@@ -674,7 +674,7 @@ def strong_correspondence_search(x, y, budget=None):
     last_level, inner_level, worst_of = partner_subsets_by_recursion(ry)
     full_mask = (1 << m) - 1
     full_rank = len(grid.values) - 1
-    floor_rank = grid.spectra_floor()
+    floor_rank = bisect_left(grid.values, spectra_lower_bound(x, y))
     best_rank = full_rank + 1
     best_sets = None
     nodes = 0

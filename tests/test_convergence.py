@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from ultragh import (
     SplitResult,
     ball_partition,
     ball_representatives,
+    candidate_thresholds,
     check_convergence_certificate,
     check_net_convergence_certificate,
     dhat_gh,
@@ -18,6 +21,7 @@ from ultragh import (
     truncated_scaled_ball,
     truncated_unramified_ring,
     validate_space,
+    weight_spectrum,
 )
 from ultragh.convergence import _between
 from ultragh.errors import EpsilonTooLargeError, LengthMismatchError
@@ -62,10 +66,12 @@ def test_find_split_eps_guard(z4, x2):
 
 @pytest.mark.parametrize("classes", [
     ((0, 2), (-1, 3)), ((0, 2), (1, 9)), ((0, 2), (1.0, 3)),
+    ((0, 2), 5), 7, ((0, 2), [1, [3]]),
 ])
 def test_replay_split_rejects_foreign_indices(z4, x2, classes):
     # -1 would wrap to point 3, leaving point 1 out; 9 is past the end;
-    # 1.0 equals point 1 but is no index.
+    # 1.0 equals point 1 but is no index. A class of 5, classes of 7 and
+    # the unhashable index [3] fail the check too, with no TypeError.
     split = find_split(z4, x2, ev("3/4"))
     forged = SplitResult(classes, split.class_diameters, split.pairwise_class_distances)
     assert not replay_split(z4, x2, ev("3/4"), forged)
@@ -333,6 +339,21 @@ def test_sutb_weight_filter(z4):
     assert ok.holds and ok.witnesses[0] == (0, 1)
     bad = sutb_check([z4], ev(1), 2, [ev("1/2")])
     assert not bad.holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10_000), st.integers(0, 10_000))
+def test_representative_net_weights_are_the_distances_from_eps(n, m, seed_a, seed_b):
+    # sutb_check reads the weights of the net of ball representatives as
+    # the space's distances of at least eps; the scan of the net's pairs
+    # agrees at every positive breakpoint of a random pair, the sentinel
+    # above both diameters included.
+    x, y = random_ultrametric(n, seed_a, POOL), random_ultrametric(m, seed_b, POOL)
+    for eps in candidate_thresholds(x, y)[1:]:
+        for space in (x, y):
+            reps = ball_representatives(space, eps)
+            want = space.values[bisect_left(space.values, eps):]
+            assert weight_spectrum(space, reps).values == want
 
 
 def test_diameter_trend_vanishing(singleton):

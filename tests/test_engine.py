@@ -1,3 +1,4 @@
+import copy
 from bisect import bisect_left
 from itertools import count
 
@@ -13,6 +14,7 @@ from ultragh import (
     dhat_gh,
     exists_strong_epsilon_approximation,
     exists_strong_epsilon_isometry,
+    find_split,
     full_product,
     induced_subspace,
     is_strong_correspondence,
@@ -37,7 +39,7 @@ from ultragh.errors import (
     MethodDisagreementError,
     SearchSpaceTooLargeError,
 )
-from ultragh.spaces import BreakpointGrid, _far_table
+from ultragh.spaces import BreakpointGrid, UltrametricSpace, _far_table
 
 from conftest import caterpillar, equal_diameter_partner, ev, near_copy, refuse_relation_checks
 from oracles import (
@@ -783,3 +785,27 @@ def test_classical_computes_its_floor_once(monkeypatch):
             calls.clear()
             classical_gh(x, y, budget)
             assert len(calls) == 1
+
+
+def test_validated_spaces_are_never_written(z4, x2):
+    # Every slot of a validated space, its merge heights included, is made
+    # with the space: after every route and check has run on it, each slot
+    # holds the object it held right after validation, with equal
+    # contents. The pairs: rings that split at 3/4, and an equal-diameter
+    # random pair with 0 < dhat < diameter, which has no split at 1/4.
+    for x, y, split_eps in ((z4, x2, ev("3/4")), (*hard_pair(35), ev("1/4"))):
+        names = UltrametricSpace.__slots__
+        held = [[getattr(s, name) for name in names] for s in (x, y)]
+        contents = copy.deepcopy(held)
+        report = dhat_gh(x, y)
+        eps = report.dhat + ExactValue(1, 8)
+        classical_gh(x, y)
+        iso = exists_strong_epsilon_isometry(x, y, eps)
+        assert exists_strong_epsilon_approximation(x, y, eps) is not None
+        assert (find_split(x, y, split_eps) is None) == (x is not z4)
+        is_strong_correspondence(report.methods["strong_correspondence"].witness)
+        assert is_strong_epsilon_isometry(x, y, iso.images, eps).is_strong_eps_isometry
+        assert [[getattr(s, name) for name in names] for s in (x, y)] == contents
+        for s, objects in zip((x, y), held):
+            for name, obj in zip(names, objects):
+                assert getattr(s, name) is obj, name

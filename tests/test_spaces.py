@@ -389,9 +389,8 @@ def test_distortion_floor(x, y):
     for space in (x, y):
         for s in (space, parse_space(write_space(space)),
                   induced_subspace(space, range(0, len(space), 2))):
-            assert s._merge_ranks() is s._merge_ranks()
-            assert s._merge_ranks() == _merge_heights(s._tree)
-            assert [s.values[h] for h in s._merge_ranks()] == merge_heights_by_ball_counts(s)
+            assert s._merges == _merge_heights(s._tree)
+            assert [s.values[h] for h in s._merges] == merge_heights_by_ball_counts(s)
 
 
 @settings(max_examples=100, deadline=None)
