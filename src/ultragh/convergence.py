@@ -15,6 +15,7 @@ from .exact import ExactValue, ZERO
 from .errors import EpsilonTooLargeError, LengthMismatchError, MethodDisagreementError
 from .spaces import (
     UltrametricSpace,
+    _is_point,
     ball_partition,
     is_epsilon_net,
 )
@@ -101,8 +102,9 @@ def replay_split(
     """Soundness check: partition, small diameters, exact class distances,
     and the reported diameters and class distances.
 
-    Every index must be an int naming a point of xn, and classes and each
-    class must be iterable; any other value fails the check.
+    Every index must be an int, not a bool, naming a point of xn, and
+    classes and each class must be iterable; any other value fails the
+    check.
     class_diameters must equal the recomputed diameters, and
     pairwise_class_distances the target's distance matrix, 0 on the
     diagonal, in value and in shape.
@@ -117,7 +119,7 @@ def replay_split(
             return False
         for p in cls:
             # The type first, so an unhashable index is never hashed.
-            if not (isinstance(p, int) and 0 <= p < len(xn)) or p in seen:
+            if not _is_point(p, len(xn)) or p in seen:
                 return False
             seen.add(p)
     if len(seen) != len(xn) or len(classes) != len(x):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -52,14 +52,16 @@ def is_correspondence(
     """True iff the pair set covers every point of both spaces.
 
     An item that is not two indices raises NotACorrespondenceError, the
-    first one in pair order. An index out of range or not an int raises
-    IndexOutOfRangeError, the first one in pair order, the left index of a
-    pair before its right one.
+    first one in pair order. An index out of range or not an int (a bool
+    is none) raises IndexOutOfRangeError, the first one in pair order, the
+    left index of a pair before its right one.
     """
     _check_pair_lengths(pairs)
     left_covered = set(map(itemgetter(0), pairs))
     right_covered = set(map(itemgetter(1), pairs))
-    if pairs and not (all(map(isinstance, chain(left_covered, right_covered), repeat(int)))
+    # Every entry's type, since the covered sets merge True into 1.
+    types = set(map(type, chain.from_iterable(pairs)))
+    if pairs and not (bool not in types and all(map(issubclass, types, repeat(int)))
                       and 0 <= min(left_covered) and max(left_covered) < len(x)
                       and 0 <= min(right_covered) and max(right_covered) < len(y)):
         for i, j in pairs:
@@ -432,6 +434,41 @@ def _subset_orders(m: int) -> tuple[tuple[_Subset, ...], tuple[_Subset, ...]]:
     return tuple(last), tuple(map(last.__getitem__, order))
 
 
+class _FarMasks(dict):
+    """The far-partner bitmasks of one classical search on grid, by cutoff
+    rank: self[cutoff][v][a] is the bitmask of the points b of y whose gap
+    |x.values[v] - d_Y(a, b)| has grid rank >= cutoff. A pair (i, j) of x
+    reads the row of its distance, x.ranks[i][j], and row 0, x's distance
+    0, masks the points of y at grid rank >= cutoff from a.
+
+    The point masks of y, _y_masks[w][a] the bitmask of the points b with
+    d_Y(a, b) = y.values[w], are made once with the table. Each row is the
+    OR of the point masks over the w whose gap rank against v reaches the
+    cutoff (all zero when none does), so a cutoff costs
+    O(|V_X| * |V_Y| * m) int operations, however many points x has. A
+    cutoff is built on first use and kept for the rest of the search.
+    """
+
+    def __init__(self, grid: BreakpointGrid):
+        y = grid.y
+        self._gap = grid._gap
+        self._zero = [0] * len(y)
+        self._y_masks = y_masks = [[0] * len(y) for _ in y.values]
+        for a, row in enumerate(y.ranks):
+            for b, w in enumerate(row):
+                y_masks[w][a] |= 1 << b
+
+    def __missing__(self, cutoff: int) -> list[list[int]]:
+        rows = self[cutoff] = []
+        for by_y in self._gap:
+            row = self._zero
+            for w, r in enumerate(by_y):
+                if r >= cutoff:
+                    row = list(map(or_, row, self._y_masks[w]))
+            rows.append(row)
+        return rows
+
+
 def _search(
     grid: BreakpointGrid,
     budget: Optional[int],
@@ -444,7 +481,7 @@ def _search(
     floor, a proven lower bound on the minimum.
 
     Every test against the incumbent cutoff is a bitmask test on the
-    grid's far masks (far_masks()) at that cutoff, so a node reads no gap
+    search's far masks (_FarMasks) at that cutoff, so a node reads no gap
     rank. Exact ranks are read by _distortion_rank, the distortion of
     every relation check, only where they decide something: once for each
     leaf accepted, and, when the cutoff falls at a node, once for the
@@ -488,6 +525,7 @@ def _search(
             _ORDERS[m] = orders
     last_level, inner_level = orders
     full_mask = (1 << m) - 1
+    far_masks = _FarMasks(grid)
 
     def pairs_of(sets: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
         # The pairs (i, b), b in sets[i], ascending.
@@ -511,10 +549,10 @@ def _search(
     chosen: list[tuple[int, ...]] = []
 
     def dfs(level: int, covered: int, cutoff: int,
-            far: list[list[list[int]]], bar: list[int]):
-        # far = grid.far_masks(cutoff): far[i][j][a] is the bitmask of the
-        # partners b of j whose gap rank against the pair (i, a) reaches the
-        # cutoff. far[i][i] is the row of x's distance 0, so y_far[a] masks
+            far: list[list[int]], bar: list[int]):
+        # far = far_masks[cutoff]: far[x.ranks[i][j]][a] is the bitmask of
+        # the partners b of j whose gap rank against the pair (i, a) reaches
+        # the cutoff. far[0] is the row of x's distance 0, so y_far[a] masks
         # the points of y at grid rank >= cutoff from a; by the strong
         # triangle inequality a set's diameter is its largest distance from
         # any one of its members, so a set reaches the cutoff exactly when
@@ -529,18 +567,19 @@ def _search(
             raise _Exhausted
         last = level == n - 1
         missing = full_mask & ~covered
-        y_far = far[0][0]
+        later = x.ranks[level][level + 1:]  # the distances to later left points
+        y_far = far[0]
         for sub, mask in (last_level if last else inner_level):
             if cutoff != best_rank:
                 cutoff = best_rank
-                far = grid.far_masks(cutoff)
+                far = far_masks[cutoff]
                 if _distortion_rank(grid, pairs_of(chosen)) >= cutoff:
                     # Every candidate here would reach the cutoff.
                     return
-                y_far = far[0][0]
+                y_far = far[0]
                 bar = [0] * (n - level)
                 for i in range(level):
-                    for k, fij in enumerate(far[i][level:]):
+                    for k, fij in enumerate(map(far.__getitem__, x.ranks[i][level:])):
                         for a in chosen[i]:
                             bar[k] |= fij[a]
             # bar[0] excludes every b whose gap against a chosen pair
@@ -563,10 +602,9 @@ def _search(
             child_bar = []
             once = twice = 0
             ok = True
-            fl = far[level]
-            for k in range(1, n - level):
+            for k, v in enumerate(later, 1):
                 d = bar[k]
-                fj = fl[level + k]
+                fj = far[v]
                 for a in sub:
                     d |= fj[a]
                 if d == full_mask:
@@ -591,7 +629,7 @@ def _search(
 
     optimal = True
     try:
-        dfs(0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
+        dfs(0, 0, best_rank, far_masks[best_rank], [0] * n)
     except _Done:
         pass
     except _Exhausted:
@@ -624,7 +662,7 @@ def min_distortion_correspondence(
     Branch-and-bound over per-left-point partner subsets, pruning branches
     whose partial distortion already reaches the incumbent, or that leave a
     later point no partner set below it. Each such test is a bitmask test
-    on the grid's far masks at the incumbent; the exact distortion is read
+    on the search's far masks at the incumbent; the exact distortion is read
     only for the leaves the search accepts. The merge-height bound
     (BreakpointGrid.distortion_floor) is a global floor: the search stops
     at the first leaf that reaches it. Ties are broken toward the

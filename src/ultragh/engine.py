@@ -67,9 +67,11 @@ at most dhat, in classical_gh and dhat_gh alike.
 The quotient witnesses and the classical search of one call read the
 pair's single BreakpointGrid: its thresholds, the grid ranks of both
 spaces' values and its merge-height floor, and, for the search only, the
-per-value gap ranks and the far-partner bitmasks of each cutoff, which
-the grid builds on first use. Both read distances off the spaces' own
-ranks; the grid keeps no remapped rank matrix and no per-pair gap table.
+per-value gap ranks. Both read distances off the spaces' own ranks. Each
+classical search run builds its own far-partner bitmasks
+(correspondences._FarMasks): y's point masks per distance once, then, for
+each cutoff it reaches, one row per distance of x. Nothing writes the
+grid after it is built.
 The search's partner-subset orders depend only on |Y|, and up to 12
 points one copy serves every search. No relation check (a verdict, the
 partner walk) runs on the way. One call computes the floor and the

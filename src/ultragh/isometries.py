@@ -431,13 +431,12 @@ def _quotient_witnesses(grid: BreakpointGrid, c: int) -> Optional[_QuotientWitne
     needs, and an unmapped ball's whole subtree is free. Parents and first
     points are the dendrograms' own.
 
-    The matching is checked from the class structure, with no gap table,
-    no verdict and no remapped rank matrix: phi pairs the classes one to
-    one, the distance between the first points of two classes is the same
-    on both sides (the spaces' own ranks compared through wx and wy), and
-    no class is taller than c. So the quotients are isometric at c, and
-    the witnesses (_QuotientWitnesses) are strong. A matching that fails a
-    check raises MethodDisagreementError.
+    The matching is checked from the class structure alone: phi pairs the
+    classes one to one, the distance between the first points of two
+    classes is the same on both sides (the spaces' own ranks compared
+    through wx and wy), and no class is taller than c. So the quotients
+    are isometric at c, and the witnesses (_QuotientWitnesses) are
+    strong. A matching that fails a check raises MethodDisagreementError.
     """
     forms = _equal_roots(grid, c)
     if forms is None:

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, zip_longest
 from math import lcm
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
@@ -76,7 +76,7 @@ class UltrametricSpace:
         return self.values[1:]
 
     def check_index(self, i: int) -> None:
-        if not (isinstance(i, int) and 0 <= i < len(self)):
+        if not _is_point(i, len(self)):
             raise IndexOutOfRangeError(f"point index {i} out of range for {len(self)} points")
 
     def __eq__(self, other) -> bool:
@@ -98,6 +98,13 @@ class UltrametricSpace:
 
 
 _CONSTRUCTION_TOKEN = object()
+
+
+def _is_point(i, n: int) -> bool:
+    """True iff i is a point index of an n-point space: an int, not a bool,
+    in range. The type is read first, so an unhashable or unorderable i is
+    never compared."""
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
 
 
 @dataclass(frozen=True)
@@ -599,24 +606,18 @@ class BreakpointGrid:
     through that cut and is constant on each half-open cell
     (t_{k-1}, t_k] of thresholds(). x and y are the pair.
 
-    The search's tables are built on first use and kept, so every step of
-    one dhat_gh call shares them. Every distance of the pair is read off
-    the spaces' own ranks: equality across the two spaces through wx and
-    wy, and the gap between a distance of x and one of y through the
-    per-value gap ranks (_gap), indexed by the two spaces' own ranks. No
-    rank matrix is remapped to grid ranks, and no per-pair gap table is
-    built. The classical search reads, per cutoff rank, the far-partner
-    bitmasks (far_masks()), whose first build also makes the per-distance
-    point masks of y it reads; they depend on a pair of x only through its
-    distance, so each row is built once per distinct distance of x and
-    shared by every pair at that distance.
+    Every distance of the pair is read off the spaces' own ranks: equality
+    across the two spaces through wx and wy, and the gap between a distance
+    of x and one of y through the per-value gap ranks (_gap), indexed by
+    the two spaces' own ranks.
     floor is the merge-height lower bound on the distortion of every
     correspondence (distortion_floor()), computed once with the grid from
     the merge heights each space keeps, for the classical search and the
-    quotient hint of every call on it.
+    quotient hint of every call on it. Every slot is set here, and nothing
+    writes one later, so one grid serves every step of a call.
     """
 
-    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap", "_y_masks", "_far")
+    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
@@ -640,21 +641,7 @@ class BreakpointGrid:
         # Rank of each gap, once per pair of distinct values, indexed by the
         # two spaces' own ranks.
         self._gap = [[at[g] for g in row] for row in gaps]
-        self._y_masks: Optional[list[list[int]]] = None
-        self._far: dict[int, list[list[list[int]]]] = {}
         self.floor: int = self.distortion_floor()
-
-    def far_masks(self, cutoff: int) -> list[list[list[int]]]:
-        """Table far with far[i][j][a] the bitmask of the points b of y
-        whose gap |d_X(i, j) - d_Y(a, b)| has grid rank >= cutoff, built
-        once per cutoff. far[i][j] depends only on d_X(i, j), so the rows
-        of equal distances are one shared list, which callers only read. Each row is an OR of the
-        grid's per-distance point masks of y, so a cutoff costs
-        O(|V_X| * |V_Y| * m + n^2) int operations, not n^2 * m^2."""
-        far = self._far.get(cutoff)
-        if far is None:
-            far = self._far[cutoff] = _far_table(self, cutoff)
-        return far
 
     def distortion_floor(self) -> int:
         """Rank of δ_lb = max_k |h_X[k] - h_Y[k]|, a lower bound on the
@@ -688,31 +675,6 @@ class BreakpointGrid:
     def thresholds(self) -> tuple[ExactValue, ...]:
         """values followed by a sentinel strictly above both diameters."""
         return self.values + (max(self.x.diameter(), self.y.diameter()) + ExactValue(1),)
-
-
-def _far_table(grid: BreakpointGrid, cutoff: int) -> list[list[list[int]]]:
-    """BreakpointGrid.far_masks at one cutoff: one row of masks per distinct
-    distance v of x, the OR of y's point masks over the distances w whose
-    gap rank against v reaches the cutoff (all zero when none does), then
-    shared by every pair of x at that distance. The first call builds the
-    point masks, y_masks[w][a] the bitmask of the points b of y with
-    d_Y(a, b) = w, w indexing y's own values."""
-    y = grid.y
-    y_masks = grid._y_masks
-    if y_masks is None:
-        y_masks = grid._y_masks = [[0] * len(y) for _ in y.values]
-        for a, row in enumerate(y.ranks):
-            for b, w in enumerate(row):
-                y_masks[w][a] |= 1 << b
-    zero = [0] * len(y)
-    by_value = []
-    for by_y in grid._gap:
-        row = zero
-        for w, r in enumerate(by_y):
-            if r >= cutoff:
-                row = list(map(or_, row, y_masks[w]))
-        by_value.append(row)
-    return [list(map(by_value.__getitem__, rx_i)) for rx_i in grid.x.ranks]
 
 
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
-from ultragh.correspondences import Correspondence, SearchResult, full_product
+from ultragh.correspondences import Correspondence, SearchResult, _FarMasks, full_product
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid, spectra_lower_bound
@@ -671,6 +671,8 @@ def strong_correspondence_search(x, y, budget=None):
     if n == 1 or m == 1:
         return SearchResult(full_product(x, y), max(x.diameter(), y.diameter()), True, 0)
     rx, ry, gap = grid_rank_tables(grid)
+    x_ranks = x.ranks
+    far_masks = _FarMasks(grid)
     last_level, inner_level, worst_of = partner_subsets_by_recursion(ry)
     full_mask = (1 << m) - 1
     full_rank = len(grid.values) - 1
@@ -704,8 +706,10 @@ def strong_correspondence_search(x, y, budget=None):
         return True
 
     def dfs(level, partial, covered, cutoff, far, bar):
-        # far = grid.far_masks(cutoff); bar[k] bars the partners of left
-        # point level + k that a chosen pair puts at or past the cutoff.
+        # far = far_masks[cutoff], the classical search's far masks, a pair
+        # (i, j) of x reading the row of its distance x_ranks[i][j]; bar[k]
+        # bars the partners of left point level + k that a chosen pair puts
+        # at or past the cutoff.
         nonlocal best_rank, best_sets, nodes, optimal
         nodes += 1
         if budget is not None and nodes > budget:
@@ -716,10 +720,10 @@ def strong_correspondence_search(x, y, budget=None):
         for sub, mask, internal in (last_level if last else inner_level):
             if cutoff != best_rank:
                 cutoff = best_rank
-                far = grid.far_masks(cutoff)
+                far = far_masks[cutoff]
                 bar = [0] * (n - level)
                 for i in range(level):
-                    for k, fij in enumerate(far[i][level:]):
+                    for k, fij in enumerate(map(far.__getitem__, x_ranks[i][level:])):
                         for a in chosen[i]:
                             bar[k] |= fij[a]
             if mask & bar[0] or (last and (mask & missing) != missing):
@@ -741,7 +745,7 @@ def strong_correspondence_search(x, y, budget=None):
                 for k in range(1, n - level):
                     d = bar[k]
                     for a in sub:
-                        d |= far[level][level + k][a]
+                        d |= far[x_ranks[level][level + k]][a]
                     child_bar.append(d)
                     o = full_mask ^ d
                     twice |= once & o
@@ -773,7 +777,7 @@ def strong_correspondence_search(x, y, budget=None):
                     partners_of_y[b].pop()
 
     try:
-        dfs(0, 0, 0, best_rank, grid.far_masks(best_rank), [0] * n)
+        dfs(0, 0, 0, best_rank, far_masks[best_rank], [0] * n)
     except _StopSearch:
         pass
     if best_sets is None:

@@ -8,7 +8,9 @@ import pytest
 
 import ultragh
 from ultragh import correspondences, write_space_file, zq_delta, truncated_unramified_ring
+from ultragh import cli
 from ultragh.cli import run
+from ultragh.errors import MethodDisagreementError
 
 BAD_UMS = "ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n"
 
@@ -50,6 +52,17 @@ def test_dhat_human(files, capsys):
     assert "ratio: 6" in out
 
 
+def test_method_disagreement_exits_4(files, capsys, monkeypatch):
+    # The exit code the module docstring and README give a
+    # MethodDisagreementError, with its message on stderr.
+    def disagreeing(*args, **kwargs):
+        raise MethodDisagreementError("routes disagree")
+
+    monkeypatch.setattr(cli, "dhat_gh", disagreeing)
+    assert run(["dhat", files["x3"], files["yd"]]) == 4
+    assert capsys.readouterr().err == "error: routes disagree\n"
+
+
 def test_dhat_method_selection(files, capsys):
     code, doc = run_json(capsys, ["dhat", files["x3"], files["x3"], "--method", "iso", "--json"])
     assert code == 0
@@ -70,7 +83,6 @@ def test_gen_output_file_renders_once(files, capsys, monkeypatch):
     # gen -o renders the .ums text once and writes the bytes gen prints
     # without -o. The spy stands in for write_space wherever the CLI could
     # reach it.
-    import ultragh.cli as cli
     import ultragh.umsio as umsio
 
     rendered = []
@@ -94,8 +106,6 @@ def test_gen_output_file_renders_once(files, capsys, monkeypatch):
 
 def test_gen_bad_label_writes_no_file(files, capsys, monkeypatch):
     # A label the labels line cannot hold fails before any file exists.
-    import ultragh.cli as cli
-
     spaced = ultragh.validate_space([[0, 1], [1, 0]], ["a b", "c"])
     monkeypatch.setattr(cli.generators, "random_ultrametric", lambda *a, **k: spaced)
     out_path = files["dir"] / "bad.ums"

@@ -66,12 +66,13 @@ def test_find_split_eps_guard(z4, x2):
 
 @pytest.mark.parametrize("classes", [
     ((0, 2), (-1, 3)), ((0, 2), (1, 9)), ((0, 2), (1.0, 3)),
-    ((0, 2), 5), 7, ((0, 2), [1, [3]]),
+    ((0, 2), 5), 7, ((0, 2), [1, [3]]), ((False, 2), (True, 3)),
 ])
 def test_replay_split_rejects_foreign_indices(z4, x2, classes):
     # -1 would wrap to point 3, leaving point 1 out; 9 is past the end;
     # 1.0 equals point 1 but is no index. A class of 5, classes of 7 and
     # the unhashable index [3] fail the check too, with no TypeError.
+    # False == 0 and True == 1 cover every point, but a bool is no index.
     split = find_split(z4, x2, ev("3/4"))
     forged = SplitResult(classes, split.class_diameters, split.pairwise_class_distances)
     assert not replay_split(z4, x2, ev("3/4"), forged)
@@ -105,6 +106,30 @@ def test_replay_split_rejects_forged_numbers(z4, x2):
     # Lists of the same values replay as the tuples do.
     listed = SplitResult(split.classes, list(diameters), [list(row) for row in distances])
     assert replay_split(z4, x2, ev("3/4"), listed)
+
+
+@pytest.mark.parametrize("classes", [
+    ((0, 2), (1, 3), ()),  # an empty class
+    ((0, 2), (1,)),  # point 3 left out
+    ((0,), (2,), (1, 3)),  # three classes for the two points of x2
+    ((0, 1), (2, 3)),  # classes of diameter 1 >= eps
+])
+def test_replay_split_rejects_bad_partitions(z4, x2, classes):
+    split = find_split(z4, x2, ev("3/4"))
+    forged = SplitResult(classes, split.class_diameters, split.pairwise_class_distances)
+    assert not replay_split(z4, x2, ev("3/4"), forged)
+
+
+def test_replay_split_rejects_swapped_classes(ydelta):
+    # The classes of the identity split of a space whose three distances
+    # differ; with the first and last classes swapped, the distance of
+    # classes 0 and 1 is d(2, 1) = 3/2, not d(0, 1) = 1.
+    split = find_split(ydelta, ydelta, ev("1/4"))
+    assert split.classes == ((0,), (1,), (2,))
+    assert replay_split(ydelta, ydelta, ev("1/4"), split)
+    swapped = SplitResult(((2,), (1,), (0,)), split.class_diameters,
+                          split.pairwise_class_distances)
+    assert not replay_split(ydelta, ydelta, ev("1/4"), swapped)
 
 
 BLOB_POOL = [ExactValue(1, 16), ExactValue(1, 8)]
@@ -320,6 +345,33 @@ def test_net_certificate_examples(z4, x2):
     assert identical.holds
 
 
+def test_net_certificate_rejects(z4, x2):
+    # The target net [0] leaves x2's point 1 at distance 1, not below eps.
+    report = check_net_convergence_certificate(
+        [z4], x2, nets_per_space=[[0, 1]], net_in_target=[0], eps=ev(1),
+    )
+    assert not report.holds
+    assert (report.failure.kind, report.failure.index) == ("target_net", None)
+    # A listed net that repeats an index, or has another size than the
+    # target net: the failure names the space.
+    for nets, detail in (([[0, 1], [0, 0]], "net has repeated indices"),
+                         ([[0, 1], [0, 1, 2]], "net has 3 points, target net has 2")):
+        report = check_net_convergence_certificate(
+            [z4, z4], x2, nets_per_space=nets, net_in_target=[0, 1], eps=ev(1),
+        )
+        assert not report.holds
+        assert (report.failure.kind, report.failure.index, report.failure.detail) == (
+            "cardinality", 1, detail)
+
+
+def test_net_certificate_length_mismatch(z4, x2):
+    with pytest.raises(LengthMismatchError, match="one net per space"):
+        check_net_convergence_certificate([z4, z4], x2, [[0, 1]], [0, 1], ev(1))
+    for tnet in ([], [0, 0]):
+        with pytest.raises(LengthMismatchError, match="nonempty list of distinct"):
+            check_net_convergence_certificate([z4], x2, [[0, 1]], tnet, ev(1))
+
+
 def test_sutb_examples(x2, x3, singleton):
     singles = sutb_check([singleton, singleton], ev(1), 1, [])
     assert singles.holds
@@ -378,3 +430,12 @@ def test_diameter_trend_empty():
     report = diameter_trend([])
     assert report.classification == "empty"
     assert report.diameters == ()
+
+
+def test_diameter_trend_eventually_constant_and_mixed(x2):
+    half = truncated_scaled_ball(2, 1, 1, 1)
+    assert half.diameter() == ev("1/2") and x2.diameter() == ev(1)
+    # Diameters 1/2, 1, 1 rise, then stay constant from index 1 on.
+    assert diameter_trend([half, x2, x2]).classification == "eventually_constant"
+    # 1, 1/2, 1: only the last one is a constant suffix.
+    assert diameter_trend([x2, half, x2]).classification == "mixed"

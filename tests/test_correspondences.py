@@ -17,6 +17,7 @@ from ultragh import (
     hausdorff_distance,
     induced_subspace,
     is_correspondence,
+    is_epsilon_net,
     is_strong_correspondence,
     map_distortion,
     min_distortion_correspondence,
@@ -161,6 +162,38 @@ def test_non_int_point_index_is_out_of_range(x2):
         map_distortion(x2, x2, [0, 1.0])
     with pytest.raises(IndexOutOfRangeError, match="point index 0.5 out of range"):
         hausdorff_distance(x2, [0], [0.5])
+
+
+def test_bool_index_is_out_of_range_in_is_epsilon_net(z4):
+    # True == 1 and False == 0, but a bool is no point index.
+    with pytest.raises(IndexOutOfRangeError, match="point index False out of range for 4"):
+        is_epsilon_net(z4, [False, True, 2, 3], 1)
+
+
+def test_bool_index_is_out_of_range_in_map_distortion(z4):
+    with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+        map_distortion(z4, z4, [0, True, 2, 3])
+
+
+def test_bool_index_is_out_of_range_in_induced_subspace(z4):
+    with pytest.raises(IndexOutOfRangeError, match="point index False out of range for 4"):
+        induced_subspace(z4, [False, True])
+
+
+def test_bool_index_is_out_of_range_in_correspondence(z4):
+    # The pairs would otherwise keep the bool, which --json prints as true.
+    with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+        Correspondence(z4, z4, ((0, 0), (True, 1), (2, 2), (3, 3)))
+
+
+def test_bool_index_is_out_of_range_in_is_correspondence(z4):
+    # The covered sets merge True into 1, so every entry is read: the bool
+    # is found even where the int it equals covers its point.
+    for pairs in (((0, 0), (True, 1), (2, 2), (3, 3)),
+                  ((0, 0), (1, 1), (True, 1), (2, 2), (3, 3)),
+                  ((0, 0), (1, 1), (2, 2), (3, 3), (3, False))):
+        with pytest.raises(IndexOutOfRangeError, match=r"point index (True|False) out of range"):
+            is_correspondence(z4, z4, pairs)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2)])

@@ -31,7 +31,7 @@ from ultragh import (
     zq_delta,
 )
 from ultragh import correspondences, engine
-from ultragh.correspondences import _search, _subset_orders
+from ultragh.correspondences import _FarMasks, _search, _subset_orders
 from ultragh.engine import METHOD_NAMES, MethodOutcome
 from ultragh.exact import ZERO
 from ultragh.errors import (
@@ -39,7 +39,7 @@ from ultragh.errors import (
     MethodDisagreementError,
     SearchSpaceTooLargeError,
 )
-from ultragh.spaces import BreakpointGrid, UltrametricSpace, _far_table
+from ultragh.spaces import BreakpointGrid, UltrametricSpace
 
 from conftest import caterpillar, equal_diameter_partner, ev, near_copy, refuse_relation_checks
 from oracles import (
@@ -363,25 +363,31 @@ def test_one_breakpoint_grid_per_call(monkeypatch, x2, x3, z4, ydelta):
 
     monkeypatch.setattr(correspondences, "_subset_orders", counting_orders)
     far_cutoffs = []
+    build_far = _FarMasks.__missing__
 
-    def counting_far(grid, cutoff):
-        far_cutoffs.append(cutoff)
-        return _far_table(grid, cutoff)
+    def counting_far(far_masks, cutoff):
+        # The entry keeps far_masks alive, so its id names one search.
+        far_cutoffs.append((far_masks, cutoff))
+        return build_far(far_masks, cutoff)
 
-    monkeypatch.setattr("ultragh.spaces._far_table", counting_far)
+    monkeypatch.setattr(_FarMasks, "__missing__", counting_far)
+
+    def each_built_once():
+        keys = [(id(far_masks), cutoff) for far_masks, cutoff in far_cutoffs]
+        return keys and len(set(keys)) == len(keys)
 
     # Equal diameters: the quotient route gives all three outcomes, and
-    # the classical search builds each far table of the grid once.
+    # each classical search builds each of its far tables once.
     for pair in ((x2, x3), (z4, z4_shuffled), (z4_shuffled, z4)):
         built.clear()
         far_cutoffs.clear()
         report = dhat_gh(*pair)
         assert set(report.methods) == set(METHOD_NAMES) and report.classical is not None
         assert len(built) == 1
-        assert far_cutoffs and len(set(far_cutoffs)) == len(far_cutoffs)
+        assert each_built_once()
         far_cutoffs.clear()
         assert classical_gh(*pair) == report.classical
-        assert far_cutoffs and len(set(far_cutoffs)) == len(far_cutoffs)
+        assert each_built_once()
     # Diameter gap within the classical cap: only the classical search.
     built.clear()
     report = dhat_gh(x3, ydelta)
@@ -809,3 +815,35 @@ def test_validated_spaces_are_never_written(z4, x2):
         for s, objects in zip((x, y), held):
             for name, obj in zip(names, objects):
                 assert getattr(s, name) is obj, name
+
+
+def test_pair_grids_are_never_written(monkeypatch, z4, x2):
+    # Every slot of a BreakpointGrid is set when it is built, and the
+    # classical search keeps its far masks to itself: after each call, every
+    # slot of every grid the call built holds the object it held right
+    # after __init__, with equal contents. The pairs: rings with a diameter
+    # gap, the README pair, and an equal-diameter pair whose floor lies
+    # below its minimum, where the unbudgeted search runs twice.
+    grids = []
+    init = BreakpointGrid.__init__
+    names = BreakpointGrid.__slots__
+
+    def recording_init(self, x, y):
+        init(self, x, y)
+        held = [getattr(self, name) for name in names]
+        grids.append((self, held, copy.deepcopy(held, {id(x): x, id(y): y})))
+
+    monkeypatch.setattr(BreakpointGrid, "__init__", recording_init)
+    readme = truncated_unramified_ring(3, 1, 1), zq_delta(3, 2, 1)
+    for x, y in ((z4, x2), readme, hard_pair(35)):
+        for call in (lambda: dhat_gh(x, y), lambda: classical_gh(x, y),
+                     lambda: classical_gh(x, y, 2), lambda: classical_gh(x, y, 10**6),
+                     lambda: min_distortion_correspondence(x, y)):
+            grids.clear()
+            call()
+            assert grids
+            for grid, held, contents in grids:
+                assert [getattr(grid, name) for name in names] == contents
+                for name, obj in zip(names, held):
+                    assert getattr(grid, name) is obj, name
+    assert names == ("x", "y", "values", "wx", "wy", "floor", "_gap")

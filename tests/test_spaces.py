@@ -20,12 +20,13 @@ from ultragh import (
     weight_spectrum,
     write_space,
 )
-from ultragh.correspondences import _subset_orders
+from ultragh.correspondences import _FarMasks, _subset_orders
 from ultragh.spaces import BreakpointGrid, _merge_heights, _split_tree
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
     NonzeroDiagonalError,
+    SpaceValidationError,
     UltrametricViolationError,
     ZeroOffDiagonalError,
 )
@@ -71,6 +72,12 @@ def test_validate_reports_violation():
 
 
 def test_validate_error_kinds():
+    with pytest.raises(SpaceValidationError, match="a space needs at least one point"):
+        validate_space([])
+    with pytest.raises(SpaceValidationError, match="row 1 has length 1, expected 2"):
+        validate_space([[0, 1], [1]])
+    with pytest.raises(SpaceValidationError, match="2 labels for 1 points"):
+        validate_space([[0]], ["a", "b"])
     with pytest.raises(NonzeroDiagonalError):
         validate_space([[1]])
     with pytest.raises(AsymmetricMatrixError):
@@ -315,30 +322,27 @@ def check_breakpoint_grid(x, y):
     assert len(gap) == len(x.values)
     for v, by_y in zip(x.values, gap):
         assert [values[r] for r in by_y] == [v.abs_diff(w) for w in y.values]
-    # The far masks at every cutoff. The grid holds no point masks until
-    # the first far table builds them.
-    assert grid._y_masks is None
-    fars = [grid.far_masks(cutoff) for cutoff in range(len(values) + 1)]
-    assert grid._y_masks is not None
+    # The classical search's far masks at every cutoff, one row per
+    # distance of x, each built on first use and then kept.
+    far_masks = _FarMasks(grid)
+    fars = [far_masks[cutoff] for cutoff in range(len(values) + 1)]
+    assert all(far_masks[cutoff] is far for cutoff, far in enumerate(fars))
     for cutoff, far in enumerate(fars):
+        assert len(far) == len(x.values)
         for i, j, a in product(range(n), range(n), range(m)):
             by_y, row = gap[x.ranks[i][j]], y.ranks[a]
-            assert far[i][j][a] == sum(1 << b for b in range(m) if by_y[row[b]] >= cutoff)
+            assert far[x.ranks[i][j]][a] == sum(
+                1 << b for b in range(m) if by_y[row[b]] >= cutoff)
     # The search's internal-rank test: a subset of y reaches a cutoff
     # exactly when it meets the far mask of its lowest point at x's
-    # distance 0, far[0][0].
+    # distance 0, far[0].
     for k in range(1, m + 1):
         for sub in combinations(range(m), k):
             mask = sum(1 << a for a in sub)
             largest = max((grid.wy[y.ranks[a][b]] for a, b in combinations(sub, 2)),
                           default=0)
             for cutoff, far in enumerate(fars):
-                assert bool(mask & far[0][0][sub[0]]) == (largest >= cutoff)
-    # Pairs of x at one distance share one far-mask row.
-    cells = list(product(range(n), repeat=2))
-    for (i, j), (k, l) in product(cells, repeat=2):
-        if x.ranks[i][j] == x.ranks[k][l]:
-            assert all(far[i][j] is far[k][l] for far in fars)
+                assert bool(mask & far[0][sub[0]]) == (largest >= cutoff)
 
 
 @settings(max_examples=40, deadline=None)

@@ -90,6 +90,19 @@ def test_bad_header_and_counts():
         parse_space("ums 1\npoints 2\nlabels a\n")
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("ums 1\npoints x\nlabels a\n", 2, "bad point count 'x'"),
+    ("ums 1\npoints 0\nlabels\n", 2, "point count must be >= 1"),
+    ("ums 1\npoints 2\nlabels a b\nd 0 1 1/0\n", 4, "denominator must be positive in '1/0'"),
+    ("ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 -1/2\nd 1 2 1/1\n", 5,
+     "distances must be nonnegative, got '-1/2'"),
+])
+def test_bad_count_or_token_names_its_line(text, line, reason):
+    with pytest.raises(ParseError) as exc:
+        parse_space(text)
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+
+
 def test_parse_values(z4):
     text = write_space(z4)
     again = parse_space(text)
