@@ -106,7 +106,12 @@ class Correspondence:
                 self.right.check_index(j)
             raise
         object.__setattr__(self, "pairs", normal)
-        if not is_correspondence(self.left, self.right, normal):
+        covers = is_correspondence(self.left, self.right, normal)
+        if len(normal) < len(pairs):
+            # Deduplication dropped a repeated pair, or a bool pair equal
+            # to an int pair before it: every entry's type is read again.
+            is_correspondence(self.left, self.right, pairs)
+        if not covers:
             raise NotACorrespondenceError(
                 "pairs do not cover both point sets"
             )

@@ -14,23 +14,25 @@ it under the names of its routes:
     and which, having no unrelated pairs, is strong; no search and no
     strongness scan runs.
 
-Every equal-diameter call first finds the quotient value: the least t in
+Every equal-diameter call finds the quotient value, dhat: the least t in
 {0} ∪ W_X ∪ W_Y at which the quotients of X and Y by closed t-balls are
-isometric (isometries._quotient_rank), read off the dendrograms the two
-spaces kept from validation by a bottom-up walk that needs no recursion,
-so it works at any depth. The walk starts at the larger of the spectra
-bound this call reports (spaces.spectra_lower_bound) and the grid's
-merge-height floor. That value is dhat. The isometries module owns
-every cut of a dendrogram; this one reads none.
+isometric. One walk up the cuts finds, certifies and matches it
+(isometries._certified_quotient), on the dendrograms the two spaces kept
+from validation, with no recursion, so it works at any depth. The walk
+starts at the larger of the spectra bound this call reports
+(spaces.spectra_lower_bound) and the grid's merge-height floor. Its first
+comparison, the cut just below the start, must find the quotients
+different: that is the lower certificate. Every cut from the start up is
+then compared once, and the first whose quotients are isometric is dhat.
+The isometries module owns every cut of a dendrogram; this one reads
+none.
 
-The call then takes all three outcomes from one greedy isometry between
-the two quotients at that value (isometries._certified_quotient, through
-_quotient_outcomes), at every size, and runs no strong search or scan.
-Its witnesses are checked from the class structure in O(n^2 + m^2): the
-classes pair one to one, the first points of matched classes sit at
-equal distances, and the largest class diameter is the value. A lower
-certificate checks that the quotients differ at the largest value of
-{0} ∪ W_X ∪ W_Y below it. exists_strong_epsilon_isometry,
+The call takes all three outcomes from the one greedy isometry between
+the two quotients at that cut, at every size, and runs no strong search
+or scan. Its witnesses are checked from the class structure in
+O(n^2 + m^2): the classes pair one to one, the first points of matched
+classes sit at equal distances, and the largest class diameter is the
+value. exists_strong_epsilon_isometry,
 exists_strong_epsilon_approximation and find_split answer from the same
 matching, taken at the largest grid value below their eps. A value that
 a check contradicts raises MethodDisagreementError. methods= only names
@@ -59,11 +61,13 @@ search stops at the first leaf reaching the merge-height lower bound
 makes from its dendrogram when it is built), and a budgeted search that
 runs out reports half that bound as the lower end of its interval. An
 unbudgeted search first runs seeded at that bound, so it accepts only a
-leaf reaching it, which is then optimal; only when no leaf does (the bound lies below the minimum)
-does the search run again, seeded at the quotient value, the hint itself
-when dhat_gh has one. Since 2 d_GH <= dhat, that value bounds the minimum
-distortion from above, so the restart accepts only leaves of distortion
-at most dhat, in classical_gh and dhat_gh alike.
+leaf reaching it, which is then optimal; only when no leaf does (the
+bound lies below the minimum) does the search run again, seeded at dhat.
+dhat_gh hands it dhat's grid rank, the larger diameter's on a diameter
+gap, so only a standalone classical_gh walks the quotient cuts for it.
+Since 2 d_GH <= dhat, that value bounds the minimum distortion from
+above, so the restart accepts only leaves of distortion at most dhat, in
+classical_gh and dhat_gh alike.
 The quotient witnesses and the classical search of one call read the
 pair's single BreakpointGrid: its thresholds, the grid ranks of both
 spaces' values and its merge-height floor, and, for the search only, the
@@ -107,7 +111,6 @@ from .isometries import (
     MapWitness,
     _cell_midpoint,
     _certified_quotient,
-    _quotient_rank,
 )
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
@@ -241,7 +244,7 @@ def classical_gh(
 
 def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
-    hint: Optional[int] = None,
+    rank: Optional[int] = None,
 ) -> ClassicalResult:
     """classical_gh on the pair of grid.
 
@@ -250,11 +253,12 @@ def _classical(
     bound, so any leaf it accepts is optimal and is the first optimal leaf
     in search order, the witness an unseeded search finds. When the floor
     lies below the minimum the floor pass accepts no leaf, and the search
-    runs again seeded at the quotient value, which 2 d_GH <= dhat puts at
-    or above the minimum, so it finds that same leaf; a quotient value
-    that no leaf reaches raises. The floor is the grid's, computed once
-    with it. hint is the quotient value's rank when the caller has it
-    (dhat_gh); otherwise the restart computes it (_quotient_rank).
+    runs again seeded at dhat, which 2 d_GH <= dhat puts at or above the
+    minimum, so it finds that same leaf; a dhat that no leaf reaches
+    raises. The floor is the grid's, computed once with it. rank is
+    dhat's grid rank when the caller has it, as dhat_gh always does;
+    without it the restart walks the quotient cuts
+    (isometries._certified_quotient).
     """
     floor_rank = grid.floor
     if budget is not None:
@@ -264,7 +268,7 @@ def _classical(
             res = _search(grid, None, product_cap, floor_rank)
         except _NoLeafAtStart:
             res = _search(grid, None, product_cap,
-                          _quotient_rank(grid) if hint is None else hint)
+                          _certified_quotient(grid).height if rank is None else rank)
     floor = grid.values[floor_rank]
     if res.distortion < floor:
         raise MethodDisagreementError(
@@ -275,32 +279,6 @@ def _classical(
     lower = half if res.optimal else floor / TWO
     return ClassicalResult(lower=lower, upper=half, witness=res.correspondence,
                            optimal=res.optimal)
-
-
-def _quotient_outcomes(grid: BreakpointGrid, hint: int) -> dict[str, MethodOutcome]:
-    """The three routes' outcomes at the grid rank hint, each route's name
-    mapping to it, from the greedy quotient isometry at the hint, in
-    O(n^2 + m^2).
-
-      * strong_correspondence: the union of A x phi(A), attained;
-      * isometry_scan: each point to the first point of its class's
-        partner, at the midpoint of the cell above the hint;
-      * approximation_scan: the classes' first points, paired, at that
-        midpoint.
-
-    The matching is certified first (isometries._certified_quotient): the
-    lower certificate, the matching's own checks and a largest class
-    diameter equal to the hint. A hint that fails any of these raises
-    MethodDisagreementError.
-    """
-    quotient = _certified_quotient(grid, hint)
-    value = grid.values[hint]
-    eps = _cell_midpoint(grid, hint + 1)
-    return {
-        "strong_correspondence": MethodOutcome(value, True, quotient.correspondence()),
-        "isometry_scan": MethodOutcome(value, False, quotient.isometry(eps)),
-        "approximation_scan": MethodOutcome(value, False, quotient.approximation(eps)),
-    }
 
 
 def _auto_methods(product: int, caps: EngineCaps) -> tuple[str, ...]:
@@ -325,17 +303,26 @@ def dhat_gh(
     """Compute the non-Archimedean Gromov-Hausdorff distance, with checked
     witnesses.
 
-    On equal diameters the value is the closed-ball quotient value
-    (_quotient_rank), and every outcome comes from one checked greedy
-    quotient isometry (_quotient_outcomes), at any size; a value its
-    checks contradict raises MethodDisagreementError. methods only names
-    the routes the report shows; methods=None shows those EngineCaps()
-    picks. When the diameters differ, explicit methods are still
-    validated, but the shortcut path always certifies the value as the
-    larger diameter instead: the spectra bound reaches it and the full
-    product attains it. budget bounds only the classical search, and
-    include_classical=True beyond the classical cap raises
-    SearchSpaceTooLargeError before any work.
+    On equal diameters one walk up the closed-ball quotient cuts finds
+    the value, certifies it from below and matches the quotients there
+    (isometries._certified_quotient), and every outcome comes from that
+    checked greedy quotient isometry, at any size:
+
+      * strong_correspondence: the union of A x phi(A), attained;
+      * isometry_scan: each point to the first point of its class's
+        partner, at the midpoint of the cell above the value;
+      * approximation_scan: the classes' first points, paired, at that
+        midpoint.
+
+    A value its checks contradict raises MethodDisagreementError. The
+    classical search gets dhat's grid rank on both branches, so it never
+    walks the cuts again. methods only names the routes the report shows;
+    methods=None shows those EngineCaps() picks. When the diameters
+    differ, explicit methods are still validated, but the shortcut path
+    always certifies the value as the larger diameter instead: the
+    spectra bound reaches it and the full product attains it. budget
+    bounds only the classical search, and include_classical=True beyond
+    the classical cap raises SearchSpaceTooLargeError before any work.
     """
     if methods is not None:
         names = tuple(methods)
@@ -358,7 +345,6 @@ def dhat_gh(
     diam_max = max(diam_x, diam_y)
     outcomes: dict[str, MethodOutcome] = {}
     grid = None  # built once, when the quotient or the classical search runs
-    hint = None  # the quotient value's grid rank, on equal diameters
 
     if diam_x != diam_y:
         # Larger diameter appears in exactly one spectrum, so the spectra
@@ -376,13 +362,19 @@ def dhat_gh(
         # The quotient route at every size; methods and the caps only pick
         # the names.
         grid = BreakpointGrid(x, y)
-        hint = _quotient_rank(grid)
-        dhat = grid.values[hint]
-        quotient = _quotient_outcomes(grid, hint)
+        quotient = _certified_quotient(grid)
+        rank = quotient.height
+        dhat = grid.values[rank]
+        eps = _cell_midpoint(grid, rank + 1)
+        found = {
+            "strong_correspondence": MethodOutcome(dhat, True, quotient.correspondence()),
+            "isometry_scan": MethodOutcome(dhat, False, quotient.isometry(eps)),
+            "approximation_scan": MethodOutcome(dhat, False, quotient.approximation(eps)),
+        }
         if methods is None:
             names = _auto_methods(product, caps) or METHOD_NAMES
         for name in names:
-            outcomes[name] = quotient[name]
+            outcomes[name] = found[name]
 
     if not (slb <= dhat <= diam_max):
         raise MethodDisagreementError(
@@ -396,7 +388,8 @@ def dhat_gh(
     if include_classical:
         if grid is None:
             grid = BreakpointGrid(x, y)
-        classical = _classical(grid, budget, caps.classical_product, hint)
+            rank = len(grid.values) - 1  # the larger diameter, dhat on a gap
+        classical = _classical(grid, budget, caps.classical_product, rank)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

@@ -76,7 +76,6 @@ def _digit_metric_space(
     params: LocalFieldParams,
     level_values: Sequence[ExactValue],
     inexact: bool,
-    labels: Optional[Sequence[str]] = None,
 ) -> UltrametricSpace:
     """Space of base-q digit strings with per-level distances.
 
@@ -101,7 +100,7 @@ def _digit_metric_space(
                 j += 1
             rows[a][b] = level_values[j]
             rows[b][a] = level_values[j]
-    return validate_space(rows, labels or [str(v) for v in range(n)], inexact=inexact)
+    return validate_space(rows, inexact=inexact)
 
 
 def truncated_unramified_ring(

@@ -19,10 +19,12 @@ find_split and dhat_gh take them from one greedy isometry between the
 closed-ball quotients of the pair (_quotient_witnesses), read off the
 dendrograms each space keeps from validation with no recursion, and
 checked from the class structure in O(n^2 + m^2): no map or match is
-enumerated, at any size or depth. This module alone cuts dendrograms:
-the quotient value dhat_gh starts from (_quotient_rank), its lower
-certificate (_certified_quotient) and the matching all compare the two
-cuts' roots through one helper (_equal_roots).
+enumerated, at any size or depth. This module alone cuts dendrograms,
+and every cut compares the two roots through one helper (_equal_roots).
+dhat_gh's value comes from one walk up the cuts (_certified_quotient):
+its first comparison, the cut below the walk's start, is the lower
+certificate, every cut from there up is compared once, and the first
+with equal roots hands its forms to the matching.
 """
 
 from __future__ import annotations
@@ -316,24 +318,6 @@ def _equal_roots(grid: BreakpointGrid, c: int) -> Optional[tuple[list[int], list
     return (fx, fy) if same else None
 
 
-def _quotient_rank(grid: BreakpointGrid) -> int:
-    """Grid rank of the least t in {0} ∪ W_X ∪ W_Y at which the quotients of
-    grid's pair by closed t-balls are isometric.
-
-    Each space's dendrogram, kept from validation, is cut at rank c and
-    the two roots' ids compared (_equal_roots); the walk needs no
-    recursion at any depth. The cuts are compared from the larger of two
-    proven lower bounds on dhat, the grid rank of spectra_lower_bound (the
-    largest value one spectrum holds and the other lacks) and the grid's
-    merge-height floor, upward; at the larger diameter both roots get id
-    0. The value is only a hint: _certified_quotient checks it.
-    """
-    start = max(bisect_left(grid.values, spectra_lower_bound(grid.x, grid.y)),
-                grid.floor)
-    return next(c for c in sorted({*grid.wx, *grid.wy})
-                if c >= start and _equal_roots(grid, c) is not None)
-
-
 class _QuotientWitnesses(NamedTuple):
     """A checked greedy isometry phi between the quotients of grid's pair
     by closed c-balls (_quotient_witnesses), and the witnesses it gives.
@@ -381,44 +365,64 @@ def _quotient_below(
     x: UltrametricSpace, y: UltrametricSpace, eps: ExactValue
 ) -> Optional[_QuotientWitnesses]:
     """_quotient_witnesses at the largest grid value below eps, whose
-    closed balls are the open eps-balls: None when eps <= dhat."""
+    closed balls are the open eps-balls: None when eps <= dhat, that is,
+    when the quotients differ there."""
     grid = BreakpointGrid(x, y)
-    return _quotient_witnesses(grid, bisect_left(grid.values, eps) - 1)
+    c = bisect_left(grid.values, eps) - 1
+    forms = _equal_roots(grid, c)
+    return None if forms is None else _quotient_witnesses(grid, c, forms)
 
 
-def _certified_quotient(grid: BreakpointGrid, hint: int) -> _QuotientWitnesses:
-    """The greedy quotient isometry at the grid rank hint, certified as the
-    quotient value: the quotients differ at the largest value of
-    {0} ∪ W_X ∪ W_Y below the hint, so no smaller value has isometric
-    quotients (the lower certificate); they are isometric at the hint; and
-    the largest class diameter is the hint itself, so the correspondence
-    has distortion the hint. A hint that fails any of these raises
-    MethodDisagreementError."""
-    prev = max((r for r in {*grid.wx, *grid.wy} if r < hint), default=None)
-    if prev is not None and _equal_roots(grid, prev) is not None:
+def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
+    """The greedy quotient isometry at dhat, the least t in
+    {0} ∪ W_X ∪ W_Y at which the quotients of grid's pair by closed
+    t-balls are isometric, found and certified by one walk up the cuts.
+
+    The walk starts at the larger of two proven lower bounds on dhat: the
+    grid rank of spectra_lower_bound (the largest value one spectrum holds
+    and the other lacks) and the grid's merge-height floor. Its first
+    comparison, the cut just below the start, must differ: that is the
+    lower certificate, since quotients isometric at one value are
+    isometric at every larger one. Every cut from the start up is then
+    compared once, and the first with equal roots is dhat; at the larger
+    diameter both roots get id 0. Each comparison cuts the dendrograms
+    kept from validation (_equal_roots), with no recursion at any depth.
+    That cut's forms go to the matching (_quotient_witnesses), whose
+    largest class diameter must be dhat itself, so the correspondence has
+    distortion dhat. A walk or matching that fails a check raises
+    MethodDisagreementError.
+    """
+    start = max(bisect_left(grid.values, spectra_lower_bound(grid.x, grid.y)),
+                grid.floor)
+    cuts = sorted({*grid.wx, *grid.wy})
+    k = bisect_left(cuts, start)
+    if k and _equal_roots(grid, cuts[k - 1]) is not None:
         raise MethodDisagreementError(
-            f"quotients are isometric at {grid.values[prev]}, below the "
-            f"quotient bound {grid.values[hint]}")
-    quotient = _quotient_witnesses(grid, hint)
-    if quotient is None:
+            f"quotients are isometric at {grid.values[cuts[k - 1]]}, below the "
+            f"lower bound {grid.values[start]}")
+    for c in cuts[k:]:
+        forms = _equal_roots(grid, c)
+        if forms is not None:
+            break
+    quotient = _quotient_witnesses(grid, c, forms)
+    if quotient.height != c:
         raise MethodDisagreementError(
-            "quotients are not isometric at the quotient bound "
-            f"{grid.values[hint]}")
-    if quotient.height != hint:
-        raise MethodDisagreementError(
-            f"greedy class matching is no quotient isometry at {grid.values[hint]}")
+            f"greedy class matching is no quotient isometry at {grid.values[c]}")
     return quotient
 
 
-def _quotient_witnesses(grid: BreakpointGrid, c: int) -> Optional[_QuotientWitnesses]:
+def _quotient_witnesses(
+    grid: BreakpointGrid, c: int, forms: tuple[list[int], list[int]]
+) -> _QuotientWitnesses:
     """One greedy isometry between the quotients of grid's pair by closed
-    c-balls, checked, in O(n^2 + m^2); None when the quotients differ at
-    c.
+    c-balls, checked, in O(n^2 + m^2). forms are the two dendrograms' cut
+    ids at c as _equal_roots returns them when the roots are equal, that
+    is, when the quotients are isometric; the caller compares the roots,
+    so no cut is compared twice.
 
-    The quotients are isometric exactly when the two roots have equal cut
-    forms (_equal_roots). The classes are the closed c-balls, read off each
-    dendrogram at the largest rank of its space whose grid rank is at most
-    c (spaces._closed_balls). X's classes are pinned in first-point
+    The classes are the closed c-balls, read off each dendrogram at the
+    largest rank of its space whose grid rank is at most c
+    (spaces._closed_balls). X's classes are pinned in first-point
     order, each to the free Y class with the least first point whose pin
     is consistent: X's ancestor balls of the class, up to its lowest one
     already mapped, map to unmapped Y balls of equal cut form under that
@@ -438,9 +442,6 @@ def _quotient_witnesses(grid: BreakpointGrid, c: int) -> Optional[_QuotientWitne
     are isometric at c, and the witnesses (_QuotientWitnesses) are
     strong. A matching that fails a check raises MethodDisagreementError.
     """
-    forms = _equal_roots(grid, c)
-    if forms is None:
-        return None
     x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
     form_x, form_y = forms
     cx, cy = (_closed_balls(s._tree, bisect_right(w, c) - 1) for s, w in ((x, wx), (y, wy)))

@@ -432,6 +432,9 @@ def _normalize_subset(space: UltrametricSpace, subset: Iterable[int]) -> tuple[i
         raise EmptySubsetError("subset must be nonempty")
     for i in pts:
         space.check_index(i)
+    if len(pts) < len(subset) and bool in map(type, subset):
+        # The set merged a bool into the int it equals: name the first.
+        space.check_index(next(i for i in subset if type(i) is bool))
     return tuple(pts)
 
 
@@ -568,8 +571,8 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     the other still holds a value: with no difference the spectra are
     equal.
 
-    This is the one spectra bound: dhat_gh reports it, the quotient hint
-    (isometries._quotient_rank) starts its cuts from it, and the CLI
+    This is the one spectra bound: dhat_gh reports it, the quotient walk
+    (isometries._certified_quotient) starts its cuts from it, and the CLI
     prints it. Spectra {1, 2} and {2} differ first at 1, {1, 2} and
     {1, 3} at 3, and equal spectra give 0:
 
@@ -613,7 +616,7 @@ class BreakpointGrid:
     floor is the merge-height lower bound on the distortion of every
     correspondence (distortion_floor()), computed once with the grid from
     the merge heights each space keeps, for the classical search and the
-    quotient hint of every call on it. Every slot is set here, and nothing
+    quotient walk of every call on it. Every slot is set here, and nothing
     writes one later, so one grid serves every step of a call.
     """
 

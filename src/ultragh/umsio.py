@@ -8,7 +8,8 @@ Format, one item per line:
     d <i> <j> <a>/<b>        (one line per pair i < j, indices 0-based)
     inexact true             (optional, only for approximated spaces)
 
-Rationals are written in lowest terms with an explicit denominator. The
+Rationals are written in lowest terms with an explicit denominator, and
+every number is ASCII digits alone: no sign, no underscore. The
 writer emits pair lines in lexicographic order, so write/parse round-trips
 are byte-identical.
 
@@ -58,17 +59,22 @@ def write_space_file(space: UltrametricSpace, path: Union[str, Path]) -> None:
     Path(path).write_text(write_space(space))
 
 
+def _is_digits(word: str) -> bool:
+    """True iff word is one or more ASCII digits. int() also reads a sign,
+    underscores, surrounding spaces and non-ASCII digits, none of which a
+    number in a .ums file may hold."""
+    return word.isascii() and word.isdigit()
+
+
 def _parse_rational(token: str, lineno: int) -> ExactValue:
     num_s, sep, den_s = token.partition("/")
-    if not sep:
+    negative = num_s[:1] == "-"
+    if not (sep and _is_digits(num_s[negative:]) and _is_digits(den_s)):
         raise ParseError(lineno, f"expected rational a/b, got {token!r}")
-    try:
-        num, den = int(num_s), int(den_s)
-    except ValueError:
-        raise ParseError(lineno, f"expected rational a/b, got {token!r}") from None
-    if den <= 0:
+    num, den = int(num_s), int(den_s)
+    if not den:
         raise ParseError(lineno, f"denominator must be positive in {token!r}")
-    if num < 0:
+    if negative:
         raise ParseError(lineno, f"distances must be nonnegative, got {token!r}")
     if gcd(num, den) != 1:
         raise ParseError(lineno, f"{token!r} is not in lowest terms")
@@ -101,10 +107,9 @@ def parse_space(text: str) -> UltrametricSpace:
     parts = pts_line.split()
     if len(parts) != 2 or parts[0] != "points":
         raise ParseError(lineno, "expected 'points <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad point count {parts[1]!r}") from None
+    if not _is_digits(parts[1]):
+        raise ParseError(lineno, f"bad point count {parts[1]!r}")
+    n = int(parts[1])
     if n < 1:
         raise ParseError(lineno, "point count must be >= 1")
 
@@ -198,10 +203,9 @@ def _read_lines(
             continue
         if parts[0] != "d" or len(parts) != 4:
             raise ParseError(lineno, f"unexpected line {line!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, f"bad indices in {line!r}") from None
+        if not (_is_digits(parts[1]) and _is_digits(parts[2])):
+            raise ParseError(lineno, f"bad indices in {line!r}")
+        i, j = int(parts[1]), int(parts[2])
         if not (0 <= i < j < n):
             raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
         key = i * n + j

@@ -331,7 +331,7 @@ def grid_rank_tables(grid):
 
 
 def quotient_rank_by_recursion(grid):
-    """The library's quotient hint by definition: the least grid rank c in
+    """The quotient value dhat by definition: the least grid rank c in
     {0} ∪ W_X ∪ W_Y at which the two rank matrices of grid, cut at c, have
     equal canonical forms. Every candidate is tried from the bottom, where
     the library starts at two proven lower bounds, so a comparison checks

@@ -25,6 +25,7 @@ from ultragh import (
     random_ultrametric,
     truncated_unramified_ring,
     validate_space,
+    weight_spectrum,
 )
 from ultragh.correspondences import DEFAULT_PRODUCT_CAP
 from ultragh.errors import (
@@ -165,9 +166,12 @@ def test_non_int_point_index_is_out_of_range(x2):
 
 
 def test_bool_index_is_out_of_range_in_is_epsilon_net(z4):
-    # True == 1 and False == 0, but a bool is no point index.
+    # True == 1 and False == 0, but a bool is no point index, also where
+    # deduplication would merge it into the int it equals.
     with pytest.raises(IndexOutOfRangeError, match="point index False out of range for 4"):
         is_epsilon_net(z4, [False, True, 2, 3], 1)
+    with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+        is_epsilon_net(z4, [0, 1, 2, 3, True], 1)
 
 
 def test_bool_index_is_out_of_range_in_map_distortion(z4):
@@ -178,12 +182,20 @@ def test_bool_index_is_out_of_range_in_map_distortion(z4):
 def test_bool_index_is_out_of_range_in_induced_subspace(z4):
     with pytest.raises(IndexOutOfRangeError, match="point index False out of range for 4"):
         induced_subspace(z4, [False, True])
+    with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+        induced_subspace(z4, [1, True])
 
 
 def test_bool_index_is_out_of_range_in_correspondence(z4):
     # The pairs would otherwise keep the bool, which --json prints as true.
-    with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
-        Correspondence(z4, z4, ((0, 0), (True, 1), (2, 2), (3, 3)))
+    # A bool after the int pair it equals is refused too, while a
+    # repeated int pair is merged quietly.
+    for pairs in (((0, 0), (True, 1), (2, 2), (3, 3)),
+                  ((0, 0), (1, 1), (True, 1), (2, 2), (3, 3))):
+        with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+            Correspondence(z4, z4, pairs)
+    again = Correspondence(z4, z4, ((0, 0), (1, 1), (1, 1), (2, 2), (3, 3)))
+    assert again.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
 def test_bool_index_is_out_of_range_in_is_correspondence(z4):
@@ -194,6 +206,27 @@ def test_bool_index_is_out_of_range_in_is_correspondence(z4):
                   ((0, 0), (1, 1), (2, 2), (3, 3), (3, False))):
         with pytest.raises(IndexOutOfRangeError, match=r"point index (True|False) out of range"):
             is_correspondence(z4, z4, pairs)
+
+
+def test_bool_index_is_out_of_range_in_hausdorff_distance(z4):
+    for a, b in (([True], [0]), ([1, True], [0]), ([0], [1, True])):
+        with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+            hausdorff_distance(z4, a, b)
+
+
+def test_bool_index_is_out_of_range_in_weight_spectrum(z4):
+    for subset in ([True, 2], [1, True, 2]):
+        with pytest.raises(IndexOutOfRangeError, match="point index True out of range for 4"):
+            weight_spectrum(z4, subset)
+
+
+def test_out_of_range_messages_keep_their_order(z4):
+    # A subset names its smallest bad index and a relation its first in
+    # sorted pair order, ahead of a bool merged into an equal int.
+    with pytest.raises(IndexOutOfRangeError, match="point index 7 out"):
+        induced_subspace(z4, [9, 1, 7, True])
+    with pytest.raises(IndexOutOfRangeError, match="point index 6 out"):
+        Correspondence(z4, z4, ((0, 0), (7, 1), (1, 1), (True, 1), (1, 6)))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2)])

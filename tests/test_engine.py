@@ -30,9 +30,10 @@ from ultragh import (
     weight_spectrum,
     zq_delta,
 )
-from ultragh import correspondences, engine
+from ultragh import correspondences, engine, isometries
 from ultragh.correspondences import _FarMasks, _search, _subset_orders
 from ultragh.engine import METHOD_NAMES, MethodOutcome
+from ultragh.isometries import _certified_quotient
 from ultragh.exact import ZERO
 from ultragh.errors import (
     BudgetExceededError,
@@ -483,11 +484,11 @@ def test_quotient_rank_matches_oracle(pair):
     strong_min = naive_correspondence_minima(x, y)[1]
     for a, b in ((x, y), (relabelled, x)):
         grid = BreakpointGrid(a, b)
-        assert grid.values[engine._quotient_rank(grid)] == strong_min
+        assert grid.values[_certified_quotient(grid).height] == strong_min
 
 
 @st.composite
-def hint_pairs(draw):
+def walk_pairs(draw):
     """Pairs of 1-9 points a side, most with equal diameters and many in
     the hard case 0 < dhat < diameter, and an order of the right space's
     points. The right space is one of: a one-point space against a
@@ -510,23 +511,23 @@ def hint_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(hint_pairs())
+@given(walk_pairs())
 def test_quotient_rank_matches_recursive_cut_forms(pair):
-    # The tree walk over the dendrograms kept from validation returns the
+    # The walk over the dendrograms kept from validation certifies the
     # rank the recursive cut forms of the rank matrices give, with the
     # right space relabelled and with the sides swapped.
     x, y, order = pair
     relabelled = validate_space([[y.dist(i, j) for j in order] for i in order])
     for a, b in ((x, y), (x, relabelled), (y, x)):
         grid = BreakpointGrid(a, b)
-        assert engine._quotient_rank(grid) == quotient_rank_by_recursion(grid)
+        assert _certified_quotient(grid).height == quotient_rank_by_recursion(grid)
 
 
 def test_quotient_rank_on_1100_point_caterpillars():
     # Both dendrograms are over 1,000 levels deep; the walk has no
     # recursion to overflow. The quotients differ at 0 and agree at 1.
     grid = BreakpointGrid(caterpillar(1100), caterpillar(1100, split_bottom=True))
-    assert engine._quotient_rank(grid) == 1
+    assert _certified_quotient(grid).height == 1
     assert grid.values[1] == ExactValue(1)
 
 
@@ -668,10 +669,10 @@ def test_default_witnesses_pass_the_public_checks_at_64_points():
 
 def test_dhat_computes_hint_and_floor_once(monkeypatch):
     # On this pair the classical floor pass misses and the search restarts
-    # at the quotient value, which dhat_gh hands to it: one quotient walk
-    # and one merge-height floor per call.
+    # at the quotient value, whose grid rank dhat_gh hands to it: one
+    # quotient walk and one merge-height floor per call.
     x, y = hard_pair(35)
-    quotient, floor = engine._quotient_rank, BreakpointGrid.distortion_floor
+    quotient, floor = engine._certified_quotient, BreakpointGrid.distortion_floor
     calls = []
 
     def counted(name, f):
@@ -680,7 +681,7 @@ def test_dhat_computes_hint_and_floor_once(monkeypatch):
             return f(*args)
         return call
 
-    monkeypatch.setattr(engine, "_quotient_rank", counted("quotient", quotient))
+    monkeypatch.setattr(engine, "_certified_quotient", counted("quotient", quotient))
     monkeypatch.setattr(BreakpointGrid, "distortion_floor", counted("floor", floor))
     report = dhat_gh(x, y)
     assert report.classical.optimal
@@ -695,36 +696,102 @@ def hard_pair(seed):
     return x, y
 
 
+def test_no_cut_is_compared_twice(monkeypatch):
+    # One default call compares the cut below the walk's start, then each
+    # cut from the start up to the value, each once, and no other cut: the
+    # classical search gets the value's rank and walks nothing. On the
+    # third pair the value lies above the walk's first cut, so the walk
+    # also compares a cut whose quotients differ on its way.
+    true_roots = isometries._equal_roots
+    compared = []
+
+    def counted(grid, c):
+        compared.append(c)
+        return true_roots(grid, c)
+
+    monkeypatch.setattr(isometries, "_equal_roots", counted)
+    for seed in (12, 35, 109):
+        x, y = hard_pair(seed)
+        grid = BreakpointGrid(x, y)
+        cuts = sorted({*grid.wx, *grid.wy})
+        value = bisect_left(grid.values, dhat_gh(x, y).dhat)
+        # The walk starts at the larger of the spectra bound's rank and the
+        # merge-height floor.
+        start = max(bisect_left(grid.values, spectra_lower_bound(x, y)), grid.floor)
+        below = bisect_left(cuts, start) - 1
+        walked = [c for c in cuts[max(below, 0):] if c <= value]
+        if seed == 109:
+            assert cuts.index(value) > below + 1
+        compared.clear()
+        report = dhat_gh(x, y)
+        assert report.classical.optimal
+        assert compared == walked, seed
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("methods", [(name,) for name in METHOD_NAMES] + [None])
 def test_quotient_hint_is_checked_not_trusted(monkeypatch, shift, methods):
-    # Under the true hint a budgeted call returns the unbudgeted report. A
-    # hint one rank off makes the quotient route's checks raise, whichever
-    # routes the call names.
+    # Under the true lower bounds a budgeted call returns the unbudgeted
+    # report. The walk trusts neither its start nor a root comparison:
+    # with the spectra bound one cut above the value (shift 1) the lower
+    # certificate raises, and with both bounds at 0 and equal roots
+    # reported one cut below the value (shift -1) the matching's checks
+    # raise, whichever routes the call names.
     pairs = [hard_pair(seed) for seed in (12, 35)]
     expected = [dhat_gh(x, y, methods=methods) for x, y in pairs]
     for (x, y), report in zip(pairs, expected):
         assert dhat_gh(x, y, methods=methods, budget=10**6) == report
-    true_rank = engine._quotient_rank
-    monkeypatch.setattr(engine, "_quotient_rank", lambda grid: true_rank(grid) + shift)
+    if shift == 1:
+        inject_start_above_the_value(monkeypatch, pairs)
+    else:
+        inject_equal_roots_below_the_value(monkeypatch, pairs)
     for x, y in pairs:
         with pytest.raises(MethodDisagreementError):
             dhat_gh(x, y, methods=methods)
 
 
+def true_values(pairs):
+    """dhat of each pair, keyed by the pair, found before a fault is
+    injected."""
+    return {(x, y): dhat_gh(x, y, include_classical=False).dhat for x, y in pairs}
+
+
+def inject_start_above_the_value(monkeypatch, pairs):
+    """Make the spectra bound the walk reads, on each of pairs, the least
+    value of {0} ∪ W_X ∪ W_Y above dhat."""
+    dhat = true_values(pairs)
+    monkeypatch.setattr(isometries, "spectra_lower_bound", lambda x, y: min(
+        v for v in (*x.values, *y.values) if v > dhat[x, y]))
+
+
+def inject_equal_roots_below_the_value(monkeypatch, pairs):
+    """Start the walk at 0, with the spectra bound and the merge-height
+    floor both 0, and make _equal_roots report equal roots, with the true
+    cut forms, one cut below dhat on each of pairs."""
+    dhat = true_values(pairs)
+    true_roots = isometries._equal_roots
+
+    def early(grid, c):
+        value = bisect_left(grid.values, dhat[grid.x, grid.y])
+        if c == max(r for r in {*grid.wx, *grid.wy} if r < value):
+            ids = {}
+            return (isometries._cut_ids(grid.x, grid.wx, c, ids),
+                    isometries._cut_ids(grid.y, grid.wy, c, ids))
+        return true_roots(grid, c)
+
+    monkeypatch.setattr(isometries, "_equal_roots", early)
+    monkeypatch.setattr(isometries, "spectra_lower_bound", lambda x, y: ZERO)
+    monkeypatch.setattr(BreakpointGrid, "distortion_floor", lambda grid: 0)
+
+
 def test_lower_certificate_refuses_the_next_threshold(monkeypatch):
-    # At the next value of {0} ∪ W_X ∪ W_Y above the true one the quotients
-    # are still isometric and the largest class diameter is that value, so
-    # every witness check passes; only the lower certificate, the quotients
-    # differing at the value below, refuses it.
-    true_rank = engine._quotient_rank
-
-    def next_threshold(grid):
-        rank = true_rank(grid)
-        return min(r for r in {*grid.wx, *grid.wy} if r > rank)
-
+    # With the walk started at the next value of {0} ∪ W_X ∪ W_Y above
+    # the true one, the quotients there are still isometric and the
+    # largest class diameter is that value, so every witness check would
+    # pass; only the lower certificate, the quotients compared at the cut
+    # below the start, refuses it.
     pairs = [hard_pair(seed) for seed in (12, 35)]
-    monkeypatch.setattr(engine, "_quotient_rank", next_threshold)
+    inject_start_above_the_value(monkeypatch, pairs)
     for x, y in pairs:
         with pytest.raises(MethodDisagreementError, match="isometric at"):
             dhat_gh(x, y)
@@ -751,7 +818,7 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     x, y = hard_pair(35)
     grid = BreakpointGrid(x, y)
     res = min_distortion_correspondence(x, y)
-    floor, quotient = grid.distortion_floor(), engine._quotient_rank(grid)
+    floor, quotient = grid.distortion_floor(), _certified_quotient(grid).height
     assert grid.values[floor] < res.distortion
     calls = []
 

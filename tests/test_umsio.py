@@ -96,6 +96,14 @@ def test_bad_header_and_counts():
     ("ums 1\npoints 2\nlabels a b\nd 0 1 1/0\n", 4, "denominator must be positive in '1/0'"),
     ("ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 -1/2\nd 1 2 1/1\n", 5,
      "distances must be nonnegative, got '-1/2'"),
+    # A number is ASCII digits alone, though int() also reads a sign,
+    # underscores and any Unicode decimal digits.
+    ("ums 1\npoints 2\nlabels a b\nd 0 1 +1/2\n", 4, "expected rational a/b, got '+1/2'"),
+    ("ums 1\npoints 2\nlabels a b\nd 0 1 1_0/3\n", 4, "expected rational a/b, got '1_0/3'"),
+    ("ums 1\npoints 2\nlabels a b\nd 0 1 \u0661/\u0662\n", 4,
+     "expected rational a/b, got '\u0661/\u0662'"),
+    ("ums 1\npoints +2\nlabels a b\nd 0 1 1/2\n", 2, "bad point count '+2'"),
+    ("ums 1\npoints 2\nlabels a b\nd 0 +1 1/2\n", 4, "bad indices in 'd 0 +1 1/2'"),
 ])
 def test_bad_count_or_token_names_its_line(text, line, reason):
     with pytest.raises(ParseError) as exc:
@@ -148,24 +156,27 @@ def test_unreadable_label_is_rejected_before_writing(bad, tmp_path):
 
 
 def reference_parse(text):
-    """The line-by-line reader as it stood before bulk reading: every body
-    line parsed on its own into an n x n matrix of ExactValues, then
-    validate_space. parse_space must agree with it on every input."""
+    """The line-by-line reader as it stood before bulk reading, with
+    numbers read only from ASCII digits: every body line parsed on its own
+    into an n x n matrix of ExactValues, then validate_space. parse_space
+    must agree with it on every input."""
     from math import gcd
+    from string import digits
 
     from ultragh import ExactValue, ZERO
 
+    def number(word):
+        """The int of a word of ASCII digits, else None."""
+        return int(word) if word and set(word) <= set(digits) else None
+
     def rational(token, lineno):
         num_s, sep, den_s = token.partition("/")
-        if not sep:
+        num, den = number(num_s.removeprefix("-")), number(den_s)
+        if not sep or num is None or den is None:
             raise ParseError(lineno, f"expected rational a/b, got {token!r}")
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise ParseError(lineno, f"expected rational a/b, got {token!r}") from None
-        if den <= 0:
+        if den == 0:
             raise ParseError(lineno, f"denominator must be positive in {token!r}")
-        if num < 0:
+        if num_s.startswith("-"):
             raise ParseError(lineno, f"distances must be nonnegative, got {token!r}")
         if gcd(num, den) != 1:
             raise ParseError(lineno, f"{token!r} is not in lowest terms")
@@ -190,10 +201,9 @@ def reference_parse(text):
     parts = pts_line.split()
     if len(parts) != 2 or parts[0] != "points":
         raise ParseError(lineno, "expected 'points <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad point count {parts[1]!r}") from None
+    n = number(parts[1])
+    if n is None:
+        raise ParseError(lineno, f"bad point count {parts[1]!r}")
     if n < 1:
         raise ParseError(lineno, "point count must be >= 1")
     lineno, labels_line = next_line()
@@ -220,10 +230,9 @@ def reference_parse(text):
             continue
         if parts[0] != "d" or len(parts) != 4:
             raise ParseError(lineno, f"unexpected line {line!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, f"bad indices in {line!r}") from None
+        i, j = number(parts[1]), number(parts[2])
+        if i is None or j is None:
+            raise ParseError(lineno, f"bad indices in {line!r}")
         if not (0 <= i < j < n):
             raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
         row = matrix[i]
