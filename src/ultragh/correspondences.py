@@ -674,4 +674,18 @@ def min_distortion_correspondence(
     lexicographically smallest pair set, and the floor changes no result,
     only the nodes spent proving it optimal.
     """
+    _check_budget(budget)
     return _search(BreakpointGrid(x, y), budget, product_cap)
+
+
+def _check_budget(budget: Optional[int]) -> None:
+    """Refuse a node budget other than None or an int of at least 0, as
+    the CLI does: a bool or any other type raises TypeError, a negative
+    int ValueError. dhat_gh, classical_gh and min_distortion_correspondence
+    check it once, at their entry."""
+    if budget is None:
+        return
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(f"budget must be an int or None, not {budget!r}")
+    if budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")

@@ -27,20 +27,23 @@ then compared once, and the first whose quotients are isometric is dhat.
 The isometries module owns every cut of a dendrogram; this one reads
 none.
 
-The call takes all three outcomes from the one greedy isometry between
-the two quotients at that cut, at every size, and runs no strong search
-or scan. Its witnesses are checked from the class structure in
-O(n^2 + m^2): the classes pair one to one, the first points of matched
-classes sit at equal distances, and the largest class diameter is the
-value. exists_strong_epsilon_isometry,
-exists_strong_epsilon_approximation and find_split answer from the same
-matching, taken at the largest grid value below their eps. A value that
-a check contradicts raises MethodDisagreementError. methods= only names
-the routes the report shows; without it EngineCaps picks them: those
-inside the caps, or all three beyond every cap. A budget bounds only the
-classical search. Any call that asks for the classical search
-(include_classical=True, as metric_ratio does) beyond its cap raises
-SearchSpaceTooLargeError before any work, on equal diameters or not.
+Every outcome the report shows comes from the one greedy isometry
+between the two quotients at that cut, at every size, and only the
+witnesses of those outcomes are built; no strong search or scan runs.
+The matching is checked from the class structure in O(n^2 + m^2): the
+classes pair one to one, the first points of matched classes sit at
+equal distances, and the largest class diameter is the value.
+exists_strong_epsilon_isometry, exists_strong_epsilon_approximation and
+find_split answer from the same matching, taken at the largest grid
+value below their eps. A value that a check contradicts raises
+MethodDisagreementError. methods= only names the routes the report
+shows; without it EngineCaps picks them: those inside the caps, or all
+three beyond every cap. A budget bounds only the classical search; at
+the entry of dhat_gh, classical_gh and min_distortion_correspondence it
+must be None or an int of at least 0. Any call that asks for the
+classical search (include_classical=True, as metric_ratio does) beyond
+its cap raises SearchSpaceTooLargeError before any work, on equal
+diameters or not.
 min_distortion_strong_correspondence returns the same strong_correspondence
 outcome as a SearchResult, so the only search in the package is the
 classical one.
@@ -103,6 +106,7 @@ from .correspondences import (
     Correspondence,
     SearchResult,
     _NoLeafAtStart,
+    _check_budget,
     _search,
     full_product,
 )
@@ -130,6 +134,9 @@ class EngineCaps:
     iso_product: int = 20
     approx_product: int = 36
     classical_product: int = DEFAULT_PRODUCT_CAP
+
+
+_CAPS = EngineCaps()  # the caps every dhat_gh call reads; frozen, so shared
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,7 @@ def classical_gh(
     is first seeded at the floor itself, and when no correspondence
     reaches it, runs again seeded at the quotient value dhat.
     """
+    _check_budget(budget)
     return _classical(BreakpointGrid(x, y), budget, product_cap)
 
 
@@ -316,29 +324,36 @@ def dhat_gh(
 
     A value its checks contradict raises MethodDisagreementError. The
     classical search gets dhat's grid rank on both branches, so it never
-    walks the cuts again. methods only names the routes the report shows;
-    methods=None shows those EngineCaps() picks. When the diameters
-    differ, explicit methods are still validated, but the shortcut path
-    always certifies the value as the larger diameter instead: the
-    spectra bound reaches it and the full product attains it. budget
-    bounds only the classical search, and include_classical=True beyond
-    the classical cap raises SearchSpaceTooLargeError before any work.
+    walks the cuts again. methods only names the routes the report shows,
+    and only their witnesses are built; methods=None shows those
+    EngineCaps() picks, and a string in its place raises TypeError. When
+    the diameters differ, explicit methods are still validated, but the
+    shortcut path always certifies the value as the larger diameter
+    instead: the spectra bound reaches it and the full product attains
+    it. budget, None or an int of at least 0 (a bool or another type
+    raises TypeError, a negative int ValueError), bounds only the
+    classical search, and include_classical=True beyond the classical cap
+    raises SearchSpaceTooLargeError before any work.
     """
+    _check_budget(budget)
     if methods is not None:
+        if isinstance(methods, str):
+            # A string would be read as its characters, each no method.
+            raise TypeError(
+                f"methods must be a sequence of method names, not the string {methods!r}")
         names = tuple(methods)
         for name in names:
             if name not in METHOD_NAMES:
                 raise ValueError(f"unknown method {name!r}")
         if not names:
             raise ValueError("methods must not be empty")
-    caps = EngineCaps()
     product = len(x) * len(y)
     # The classical search asked for past its cap would build tables
     # exponential in the size, so the call refuses before any work.
-    if include_classical and product > caps.classical_product:
+    if include_classical and product > _CAPS.classical_product:
         raise SearchSpaceTooLargeError(
             f"|X|*|Y| = {product} exceeds the classical search cap "
-            f"{caps.classical_product}"
+            f"{_CAPS.classical_product}"
         )
     slb = spectra_lower_bound(x, y)
     diam_x, diam_y = x.diameter(), y.diameter()
@@ -365,16 +380,19 @@ def dhat_gh(
         quotient = _certified_quotient(grid)
         rank = quotient.height
         dhat = grid.values[rank]
-        eps = _cell_midpoint(grid, rank + 1)
-        found = {
-            "strong_correspondence": MethodOutcome(dhat, True, quotient.correspondence()),
-            "isometry_scan": MethodOutcome(dhat, False, quotient.isometry(eps)),
-            "approximation_scan": MethodOutcome(dhat, False, quotient.approximation(eps)),
-        }
         if methods is None:
-            names = _auto_methods(product, caps) or METHOD_NAMES
+            names = _auto_methods(product, _CAPS) or METHOD_NAMES
+        # Only the witnesses the report shows are built.
+        eps = None
         for name in names:
-            outcomes[name] = found[name]
+            if name == "strong_correspondence":
+                outcomes[name] = MethodOutcome(dhat, True, quotient.correspondence())
+                continue
+            if eps is None:
+                eps = _cell_midpoint(grid, rank + 1)
+            outcomes[name] = MethodOutcome(dhat, False, (
+                quotient.isometry(eps) if name == "isometry_scan"
+                else quotient.approximation(eps)))
 
     if not (slb <= dhat <= diam_max):
         raise MethodDisagreementError(
@@ -382,14 +400,14 @@ def dhat_gh(
         )
 
     if include_classical is None:
-        include_classical = product <= caps.classical_product
+        include_classical = product <= _CAPS.classical_product
     classical = None
     ratio = None
     if include_classical:
         if grid is None:
             grid = BreakpointGrid(x, y)
             rank = len(grid.values) - 1  # the larger diameter, dhat on a gap
-        classical = _classical(grid, budget, caps.classical_product, rank)
+        classical = _classical(grid, budget, _CAPS.classical_product, rank)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:

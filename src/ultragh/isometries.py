@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO
@@ -429,32 +428,39 @@ def _quotient_witnesses(
     one's image, so the mapped balls stay one to one and keep their forms.
     Consistent pins always extend, since balls of equal form have children
     of equal forms. A dict holds the node map from X to Y. Each Y node
-    keeps its free children by form, by first point, and a child leaves
-    that list when it is mapped, so a pin walks down from the image of the
-    class's lowest mapped ancestor only through free balls of the forms it
-    needs, and an unmapped ball's whole subtree is free. Parents and first
-    points are the dendrograms' own.
+    above the cut keeps its free children by form, by first point (only
+    those nodes' children are sorted), and a child leaves that list when
+    it is mapped, so a pin walks down from the image of the class's lowest
+    mapped ancestor only through free balls of the forms it needs, and an
+    unmapped ball's whole subtree is free. Parents and first points are
+    the dendrograms' own.
 
     The matching is checked from the class structure alone: phi pairs the
     classes one to one, the distance between the first points of two
     classes is the same on both sides (the spaces' own ranks compared
-    through wx and wy), and no class is taller than c. So the quotients
-    are isometric at c, and the witnesses (_QuotientWitnesses) are
-    strong. A matching that fails a check raises MethodDisagreementError.
+    through wx and wy, each pair of classes once), and no class is taller
+    than c. So the quotients are isometric at c, and the witnesses
+    (_QuotientWitnesses) are strong. A matching that fails a check raises
+    MethodDisagreementError.
     """
     x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
     form_x, form_y = forms
-    cx, cy = (_closed_balls(s._tree, bisect_right(w, c) - 1) for s, w in ((x, wx), (y, wy)))
-    parent_x = x._tree.parent
-    first_y, parent_y = y._tree.first, y._tree.parent
+    tree_x, tree_y = x._tree, y._tree
+    cx = _closed_balls(tree_x, bisect_right(wx, c) - 1)
+    cy = _closed_balls(tree_y, bisect_right(wy, c) - 1)
+    parent_x = tree_x.parent
+    first_y, parent_y = tree_y.first, tree_y.parent
 
     # by_form[b][f]: the free children of Y node b of form f, by first
     # point, for every node above the cut and the root's parent, -1.
-    by_form: dict[int, dict[int, list[int]]] = {}
-    for v in sorted(range(len(parent_y)), key=first_y.__getitem__):
-        b = parent_y[v]
-        if b < 0 or form_y[b]:
-            by_form.setdefault(b, {}).setdefault(form_y[v], []).append(v)
+    m = len(y)
+    root = m if m > 1 else 0  # node m, or point 0 of a one-point space
+    by_form: dict[int, dict[int, list[int]]] = {-1: {form_y[root]: [root]}}
+    for b, kids in enumerate(tree_y.children, m):
+        if form_y[b]:
+            by_kind = by_form[b] = {}
+            for v in sorted(kids, key=first_y.__getitem__):
+                by_kind.setdefault(form_y[v], []).append(v)
     fwd = {-1: -1}
     partner = []
     for a_class in cx.classes:
@@ -488,14 +494,17 @@ def _quotient_witnesses(
 
     xs = tuple(members[0] for members in cx.members)
     ys = tuple(map(first_y.__getitem__, partner))
-    # The first point twice, so a single class still gives a tuple.
-    row_x, row_y = itemgetter(*xs, xs[0]), itemgetter(*ys, ys[0])
     height = max(wx[cx.height], wy[cy.height])
-    if (len(cy.classes) != len(xs)
-            or any(list(map(wx.__getitem__, row_x(x.ranks[a])))
-                   != list(map(wy.__getitem__, row_y(y.ranks[b])))
-                   for a, b in zip(xs, ys))
-            or height > c):
+    isometric = len(cy.classes) == len(xs) and height <= c
+    # The distance between the first points of two classes, each pair once,
+    # as grid ranks.
+    rows_x, rows_y = x.ranks, y.ranks
+    for i in range(1, len(xs)):
+        row_a, row_b = rows_x[xs[i]], rows_y[ys[i]]
+        for a, b in zip(xs[:i], ys[:i]):
+            if wx[row_a[a]] != wy[row_b[b]]:
+                isometric = False
+    if not isometric:
         raise MethodDisagreementError(
             f"greedy class matching is no quotient isometry at {grid.values[c]}")
     return _QuotientWitnesses(grid, cx, cy, xs, ys, height)

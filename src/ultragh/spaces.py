@@ -517,25 +517,30 @@ class _Balls(NamedTuple):
 
 
 def _closed_balls(tree: _Dendrogram, r: int) -> _Balls:
-    """The _Balls of the dendrogram at rank r, in O(n): the nodes are
-    walked parents first, so a node at or below r hands its class node to
-    its children, with no recursion. Every node at or below r lies in a
-    ball, so the tallest of them gives the height."""
-    n = len(tree.first) - len(tree.heights)
+    """The _Balls of the dendrogram at rank r, in O(n) and one pass over
+    the nodes: they are walked parents first, so a node at or below r
+    hands its class node to its children, with no recursion, and the
+    tallest of them, each lying in a ball, is the height. One dict then
+    numbers the class nodes as the points meet them."""
+    heights, children = tree.heights, tree.children
+    n = len(tree.first) - len(heights)
     label = list(range(len(tree.first)))  # the class node at or above each node
-    for k, (height, kids) in enumerate(zip(tree.heights, tree.children)):
-        if height <= r:
-            for child in kids:
-                label[child] = label[n + k]
+    height = 0
+    for k, h in enumerate(heights):
+        if h <= r:
+            if h > height:
+                height = h
+            top = label[n + k]
+            for child in children[k]:
+                label[child] = top
     # A class first shows at its first point, so the points in order list
     # the classes by first point.
-    classes = list(dict.fromkeys(label[:n]))
-    class_of = list(map(dict(zip(classes, range(len(classes)))).__getitem__, label[:n]))
-    members: list[list[int]] = [[] for _ in classes]
+    index: dict[int, int] = {}
+    class_of = [index.setdefault(v, len(index)) for v in label[:n]]
+    members: list[list[int]] = [[] for _ in index]
     for point, i in enumerate(class_of):
         members[i].append(point)
-    return _Balls(classes, members, class_of,
-                  max((h for h in tree.heights if h <= r), default=0))
+    return _Balls(list(index), members, class_of, height)
 
 
 def ball_representatives(space: UltrametricSpace, eps: ExactValue) -> tuple[int, ...]:
@@ -626,10 +631,12 @@ class BreakpointGrid:
         self.x, self.y = x, y
         wx, wy = x.values, y.values
         # Both {0} ∪ W sets as ints over one common denominator, so every
-        # gap is an int difference and the grid is sorted as ints.
-        den = lcm(*(v.denominator for v in chain(wx, wy)))
-        ix = [v.numerator * (den // v.denominator) for v in wx]
-        iy = [v.numerator * (den // v.denominator) for v in wy]
+        # gap is an int difference and the grid is sorted as ints. The
+        # terms are read from Fraction's own slots: its properties are
+        # Python calls.
+        den = lcm(*(v._denominator for v in chain(wx, wy)))
+        ix = [v._numerator * (den // v._denominator) for v in wx]
+        iy = [v._numerator * (den // v._denominator) for v in wy]
         gaps = [[abs(a - b) for b in iy] for a in ix]
         ints = sorted({*ix, *iy, *chain.from_iterable(gaps)})
         # One ExactValue per grid value, the spaces' own where they have it.

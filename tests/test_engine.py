@@ -210,6 +210,44 @@ def test_budget_interval_on_exhaustion(z4):
     assert res == classical_gh(z4, big)
 
 
+@pytest.mark.parametrize("budget, error", [
+    (-1, ValueError), (True, TypeError), (False, TypeError), (2.5, TypeError), ("3", TypeError),
+])
+def test_budgets_the_cli_refuses_are_refused(z4, x3, ydelta, budget, error):
+    # Each library entry that takes a node budget refuses what --budget
+    # refuses, before any work: equal diameters or a gap, the classical
+    # search asked for or not. -1 used to give a non-optimal interval and
+    # True to act as 1.
+    calls = [
+        lambda: classical_gh(z4, z4, budget=budget),
+        lambda: min_distortion_correspondence(z4, z4, budget),
+        lambda: dhat_gh(z4, z4, budget=budget),
+        lambda: dhat_gh(z4, z4, budget=budget, include_classical=False),
+        lambda: dhat_gh(x3, ydelta, budget=budget),
+        lambda: metric_ratio(z4, z4, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(error, match="budget"):
+            call()
+
+
+def test_budget_zero_is_a_budget(z4):
+    # 0 is an int of at least 0, as --budget 0 is: the search stops at its
+    # first node with the full product's interval.
+    big = truncated_unramified_ring(3, 1, 2)
+    assert not classical_gh(z4, big, budget=0).optimal
+    assert not min_distortion_correspondence(z4, big, 0).optimal
+    assert dhat_gh(z4, big, budget=0).dhat == dhat_gh(z4, big).dhat
+
+
+def test_a_methods_string_is_refused(z4, x3, ydelta):
+    # A string is not read as its characters: the TypeError names it, on
+    # equal diameters and on a diameter gap alike.
+    for x, y in ((z4, z4), (x3, ydelta)):
+        with pytest.raises(TypeError, match="'strong_correspondence'"):
+            dhat_gh(x, y, "strong_correspondence")
+
+
 def test_caps_refuse_oversized():
     # Over every cap a call answers from the quotient route, with all three
     # outcomes by default and the named ones when asked, budgeted or not.
@@ -611,6 +649,38 @@ def test_default_path_matches_each_route(pair):
     for name in names:
         alone = dhat_gh(x, y, methods=[name], include_classical=False)
         assert alone.methods == {name: report.methods[name]}
+
+
+# Side sizes whose products lie on both sides of the isometry cap, 20, and
+# the approximation cap, 36: 16, 20, 21, 25, 36, 40 and 42.
+CAP_SIZES = [(4, 4), (4, 5), (3, 7), (5, 5), (6, 6), (5, 8), (7, 6)]
+
+
+@st.composite
+def cap_straddling_pairs(draw):
+    """Equal-diameter pairs of the sizes CAP_SIZES lists, the sides
+    swapped in half the draws."""
+    n, m = draw(st.sampled_from(CAP_SIZES))
+    x = random_ultrametric(n, draw(st.integers(0, 20_000)), POOL)
+    y = equal_diameter_partner(x, m, draw(st.integers(0, 20_000)), POOL)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap_straddling_pairs())
+def test_default_outcomes_are_those_of_the_full_report(pair):
+    # A default report builds only the outcomes it shows; each is the one
+    # a report naming all three routes gives, in value, attained and
+    # witness.
+    x, y = pair
+    report = dhat_gh(x, y)
+    full = dhat_gh(x, y, methods=METHOD_NAMES, include_classical=False)
+    assert tuple(report.methods) == (
+        engine._auto_methods(len(x) * len(y), EngineCaps()) or METHOD_NAMES)
+    for name, outcome in report.methods.items():
+        other = full.methods[name]
+        assert (outcome.value, outcome.attained) == (other.value, other.attained)
+        assert outcome.witness == other.witness
 
 
 def test_default_dhat_on_500_point_caterpillars(monkeypatch):

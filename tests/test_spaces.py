@@ -21,7 +21,7 @@ from ultragh import (
     write_space,
 )
 from ultragh.correspondences import _FarMasks, _subset_orders
-from ultragh.spaces import BreakpointGrid, _merge_heights, _split_tree
+from ultragh.spaces import BreakpointGrid, _closed_balls, _merge_heights, _split_tree
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -408,9 +408,19 @@ def test_ball_partition_matches_the_row_scan(space, rng):
     # matrix, at every distance, every midpoint between two distances and
     # above the diameter; is_epsilon_net against the row scan there too,
     # on the balls' first points, on them less one, and on two random
-    # subsets.
+    # subsets. At every rank, _closed_balls itself: each point's class,
+    # each class node's first point and the tallest ball's diameter.
     values = space.values
     n = len(space)
+    tree = space._tree
+    for r in range(len(values)):
+        want = ball_partition_by_row_scan(space.ranks, r + 1)
+        balls = _closed_balls(tree, r)
+        assert balls.class_of == [next(i for i, c in enumerate(want) if p in c)
+                                  for p in range(n)]
+        assert tuple(map(tuple, balls.members)) == want
+        assert [tree.first[v] for v in balls.classes] == [c[0] for c in want]
+        assert balls.height == max(space.ranks[p][q] for c in want for p in c for q in c)
     subsets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
     for eps in (*values[1:], *(a.midpoint(b) for a, b in zip(values, values[1:])),
                 values[-1] + ev(1)):
