@@ -15,6 +15,7 @@ from .exact import ExactValue, ZERO
 from .errors import EpsilonTooLargeError, LengthMismatchError, MethodDisagreementError
 from .spaces import (
     UltrametricSpace,
+    _checked_eps,
     _is_point,
     ball_partition,
     is_epsilon_net,
@@ -67,12 +68,11 @@ def find_split(
     assignment of balls to target points, or None when the quotients
     differ. It runs in O(n^2 + m^2), with no search and no recursion.
     """
+    eps = _checked_eps(eps)
     if len(x) > 1 and eps >= x.values[1]:
         raise EpsilonTooLargeError(
             f"eps = {eps} is not below the target's minimum distance {x.values[1]}"
         )
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
     quotient = _quotient_below(xn, x, eps)
     if quotient is None:
         return None
@@ -109,6 +109,7 @@ def replay_split(
     pairwise_class_distances the target's distance matrix, 0 on the
     diagonal, in value and in shape.
     """
+    eps = _checked_eps(eps)
     try:
         classes = [tuple(cls) for cls in split.classes]
     except TypeError:
@@ -168,6 +169,7 @@ def check_convergence_certificate(
         raise LengthMismatchError("sequence, maps and epsilons lengths differ")
     if direction not in ("to_target", "from_target"):
         raise ValueError(f"unknown direction {direction!r}")
+    epsilons = [_checked_eps(eps) for eps in epsilons]
     entries = []
     for space, f, eps in zip(sequence, maps, epsilons):
         if direction == "to_target":
@@ -224,6 +226,7 @@ def check_net_convergence_certificate(
     tnet = list(net_in_target)
     if len(set(tnet)) != len(tnet) or not tnet:
         raise LengthMismatchError("target net must be a nonempty list of distinct indices")
+    eps = _checked_eps(eps)
     if not is_epsilon_net(target, tnet, eps):
         return NetCertificateReport(
             False, NetCertificateFailure("target_net", None, "target net is not an eps-net")
@@ -295,8 +298,7 @@ def sutb_check(
     with its two longest sides equal, so d(p', q) = d and then
     d(p', q') = d: every distance of at least eps is a weight.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     if max_net_size < 1:
         raise ValueError("max_net_size must be >= 1")
     allowed = {ExactValue.coerce(v) for v in allowed_weights}

@@ -13,9 +13,10 @@ branch-and-bound over pair sets.
 The checks of one given relation, its distortion and its partner
 condition, read the spaces' own ranks, as the search does: a gap between
 a distance of X and one of Y is read off the pair's BreakpointGrid by the
-two ranks, and two distances of X and Y compare through the grid ranks of
-their values. Each check is written once; the search and the map checks
-share the distortion.
+two ranks, and two distances of X and Y compare as the grid's ints over
+its one denominator. An ExactValue is made only for a reported number.
+Each check is written once; the search and the map checks share the
+distortion.
 """
 
 from __future__ import annotations
@@ -137,16 +138,16 @@ def full_product(x: UltrametricSpace, y: UltrametricSpace) -> Correspondence:
 
 def distortion(c: Correspondence) -> ExactValue:
     """max |d_X(x,x') - d_Y(y,y')| over related pairs (x,y), (x',y'),
-    read as the largest gap rank on the pair's BreakpointGrid."""
+    read as the largest gap int on the pair's BreakpointGrid."""
     grid = BreakpointGrid(c.left, c.right)
-    return grid.values[_distortion_rank(grid, c.pairs)]
+    return ExactValue(_distortion_rank(grid, c.pairs), grid.den)
 
 
 def _distortion_rank(grid: BreakpointGrid, pairs: Iterable[tuple[int, int]]) -> int:
-    """Rank of the distortion of the relation pairs on the pair of grid, 0
-    when it holds fewer than two pairs. A map's graph is enumerate(images).
-    Each gap is read off the per-value gap ranks by the spaces' own ranks
-    of its two distances."""
+    """The distortion of the relation pairs on the pair of grid, as an int
+    over grid.den, 0 when it holds fewer than two pairs. A map's graph is
+    enumerate(images). Each gap is read off grid._gap by the spaces' own
+    ranks of its two distances."""
     gap, x_ranks, y_ranks = grid._gap, grid.x.ranks, grid.y.ranks
     pairs = list(pairs)
     best = 0
@@ -215,20 +216,20 @@ def is_strong_correspondence(c: Correspondence) -> StrongnessVerdict:
 
 def _partner_walk(
     c: Correspondence,
-) -> tuple[StrongnessVerdict, dict[tuple[int, int], int], tuple[ExactValue, ...]]:
+) -> tuple[StrongnessVerdict, dict[tuple[int, int], int], int]:
     """The strongness verdict and, when strong, the common partner distance
-    of each complement pair (x, y) in row-major order, as a rank into the
-    grid values returned third.
+    of each complement pair (x, y) in row-major order, as an int over the
+    grid denominator returned third.
 
     The first violation in walk order (x, y, then x', then y') is the
     counterexample. Strongness makes every partner distance of a
     complement pair equal, so that value is its equilibrium value. Each
-    space's distances are its own ranks, read as grid ranks through wx and
-    wy, so both sides and the distortion are ranks into one grid's values
-    and every test compares ints.
+    space's distances are its own ranks, read as the grid's ints through
+    wx and wy, so both sides and the distortion are ints over one
+    denominator and every test compares ints.
     """
     grid = BreakpointGrid(c.left, c.right)
-    rows_x, rows_y, wx, wy, values = c.left.ranks, c.right.ranks, grid.wx, grid.wy, grid.values
+    rows_x, rows_y, wx, wy, den = c.left.ranks, c.right.ranks, grid.wx, grid.wy, grid.den
     dis = _distortion_rank(grid, c.pairs)
     right_of: list[list[int]] = [[] for _ in rows_x]
     left_of: list[list[int]] = [[] for _ in rows_y]
@@ -249,29 +250,32 @@ def _partner_walk(
                         reason = "unequal" if dx != dy else "not_above_distortion"
                         return StrongnessVerdict(
                             False,
-                            values[dis],
+                            ExactValue(dis, den),
                             StrongnessCounterexample(
-                                x, y, x_prime, y_prime, values[dx], values[dy], reason
+                                x, y, x_prime, y_prime,
+                                ExactValue(dx, den), ExactValue(dy, den), reason
                             ),
-                        ), entries, values
+                        ), entries, den
             entries[(x, y)] = dx
-    return StrongnessVerdict(True, values[dis], None), entries, values
+    return StrongnessVerdict(True, ExactValue(dis, den), None), entries, den
 
 
 def _strong_walk(
     c: Correspondence,
-) -> tuple[ExactValue, dict[tuple[int, int], int], tuple[ExactValue, ...]]:
+) -> tuple[ExactValue, dict[tuple[int, int], ExactValue]]:
     """_partner_walk of a strong c without its verdict, the distortion in
-    its place; otherwise NotStrongError, naming the counterexample, with
-    the verdict attached as its verdict attribute."""
-    verdict, entries, values = _partner_walk(c)
+    its place and each equilibrium value an ExactValue, one object per
+    distinct value; otherwise NotStrongError, naming the counterexample,
+    with the verdict attached as its verdict attribute."""
+    verdict, entries, den = _partner_walk(c)
     if not verdict.is_strong:
         exc = NotStrongError(
             f"correspondence is not strong: {verdict.counterexample}"
         )
         exc.verdict = verdict
         raise exc
-    return verdict.distortion, entries, values
+    value = {k: ExactValue(k, den) for k in set(entries.values())}
+    return verdict.distortion, {pair: value[k] for pair, k in entries.items()}
 
 
 @dataclass
@@ -291,11 +295,11 @@ class EquilibriumTable:
 
 
 def equilibrium_table(c: Correspondence) -> EquilibriumTable:
-    dis, entries, values = _strong_walk(c)
+    dis, entries = _strong_walk(c)
     return EquilibriumTable(
-        entries={pair: values[r] for pair, r in entries.items()},
-        inf_value=values[min(entries.values())] if entries else None,
-        sup_value=values[max(entries.values())] if entries else None,
+        entries=entries,
+        inf_value=min(entries.values()) if entries else None,
+        sup_value=max(entries.values()) if entries else None,
         distortion=dis,
         min_diameter=min(c.left.diameter(), c.right.diameter()),
     )
@@ -319,12 +323,11 @@ def glue_along_strong_correspondence(c: Correspondence) -> GlueResult:
     their equilibrium value. With r0 = 0 the semi-metric is quotiented,
     merging each matched pair, which exhibits an isometry X ≅ Y.
     """
-    r0, entries, values = _strong_walk(c)
+    r0, entries = _strong_walk(c)
     x, y = c.left, c.right
     if r0 > ZERO:
         # Related pairs are exactly the ones without an entry.
-        result = _glue_disjoint(
-            x, y, lambda i, j: values[entries[i, j]] if (i, j) in entries else r0, r0)
+        result = _glue_disjoint(x, y, lambda i, j: entries.get((i, j), r0), r0)
     else:
         # dis = 0 forces a bijection, so the quotient is X itself and each
         # right point lands on its unique left partner.
@@ -440,15 +443,15 @@ def _subset_orders(m: int) -> tuple[tuple[_Subset, ...], tuple[_Subset, ...]]:
 
 
 class _FarMasks(dict):
-    """The far-partner bitmasks of one classical search on grid, by cutoff
-    rank: self[cutoff][v][a] is the bitmask of the points b of y whose gap
-    |x.values[v] - d_Y(a, b)| has grid rank >= cutoff. A pair (i, j) of x
-    reads the row of its distance, x.ranks[i][j], and row 0, x's distance
-    0, masks the points of y at grid rank >= cutoff from a.
+    """The far-partner bitmasks of one classical search on grid, by cutoff,
+    an int over grid.den: self[cutoff][v][a] is the bitmask of the points
+    b of y whose gap |x.values[v] - d_Y(a, b)|, scaled, is >= cutoff. A
+    pair (i, j) of x reads the row of its distance, x.ranks[i][j], and row
+    0, x's distance 0, masks the points of y at distance >= cutoff from a.
 
     The point masks of y, _y_masks[w][a] the bitmask of the points b with
     d_Y(a, b) = y.values[w], are made once with the table. Each row is the
-    OR of the point masks over the w whose gap rank against v reaches the
+    OR of the point masks over the w whose gap against v reaches the
     cutoff (all zero when none does), so a cutoff costs
     O(|V_X| * |V_Y| * m) int operations, however many points x has. A
     cutoff is built on first use and kept for the rest of the search.
@@ -485,23 +488,23 @@ def _search(
     The search stops at its first leaf at or below the grid's merge-height
     floor, a proven lower bound on the minimum.
 
-    Every test against the incumbent cutoff is a bitmask test on the
-    search's far masks (_FarMasks) at that cutoff, so a node reads no gap
-    rank. Exact ranks are read by _distortion_rank, the distortion of
-    every relation check, only where they decide something: once for each
-    leaf accepted, and, when the cutoff falls at a node, once for the
-    pairs chosen above it, which end the node when they reach the new
-    cutoff. The partner subsets come
-    in two orders that depend only on |Y| (_subset_orders).
+    Every number is the grid's int over grid.den. Every test against the
+    incumbent cutoff is a bitmask test on the search's far masks
+    (_FarMasks) at that cutoff, so a node reads no gap. Exact gaps are
+    read by _distortion_rank, the distortion of every relation check,
+    only where they decide something: once for each leaf accepted, and,
+    when the cutoff falls at a node, once for the pairs chosen above it,
+    which end the node when they reach the new cutoff. The partner
+    subsets come in two orders that depend only on |Y| (_subset_orders).
 
-    start, a grid rank given only without a budget, seeds the incumbent
-    cutoff at start + 1 in place of just above the full product's rank, so
-    only leaves of rank at most start are accepted. No leaf lies below the
-    minimum, and the pruning drops only branches with no leaf below the
-    cutoff, so when start is at or above the minimum the first leaf
-    accepted is still the first optimal leaf in search order, and the
-    search goes on past it as an unseeded one does: the same result,
-    proved by the search alone. A search seeded below the minimum accepts
+    start, a grid int given only without a budget, seeds the incumbent
+    cutoff at start + 1 in place of just above the full product's
+    distortion, so only leaves of distortion at most start are accepted.
+    No leaf lies below the minimum, and the pruning drops only branches
+    with no leaf below the cutoff, so when start is at or above the
+    minimum the first leaf accepted is still the first optimal leaf in
+    search order, and the search goes on past it as an unseeded one does:
+    the same result, proved by the search alone. A search seeded below the minimum accepts
     no leaf and raises _NoLeafAtStart, a MethodDisagreementError.
     """
     x, y = grid.x, grid.y
@@ -543,12 +546,11 @@ def _search(
     # only strictly better ones: it ends on the first optimal leaf, the
     # lexicographically smallest optimal pair set. A leaf at or below the
     # merge-height floor is that first optimal leaf, so the search stops
-    # there. The grid's last value is the larger diameter.
-    full_rank = len(grid.values) - 1
-    floor_rank = grid.floor
+    # there. The full product's distortion is the larger diameter.
+    full = max(grid.wx[-1], grid.wy[-1])
 
     nodes = 0  # frames entered; past budget the search stops
-    best_rank = (full_rank if start is None else start) + 1
+    best = (full if start is None else start) + 1
     best_pairs: Optional[list[tuple[int, int]]] = None
 
     chosen: list[tuple[int, ...]] = []
@@ -556,17 +558,17 @@ def _search(
     def dfs(level: int, covered: int, cutoff: int,
             far: list[list[int]], bar: list[int]):
         # far = far_masks[cutoff]: far[x.ranks[i][j]][a] is the bitmask of
-        # the partners b of j whose gap rank against the pair (i, a) reaches
-        # the cutoff. far[0] is the row of x's distance 0, so y_far[a] masks
-        # the points of y at grid rank >= cutoff from a; by the strong
+        # the partners b of j whose gap against the pair (i, a) reaches the
+        # cutoff. far[0] is the row of x's distance 0, so y_far[a] masks
+        # the points of y at distance >= cutoff from a; by the strong
         # triangle inequality a set's diameter is its largest distance from
         # any one of its members, so a set reaches the cutoff exactly when
         # it meets y_far of its lowest point. bar[k]: bitmask of the
         # partners of left point level + k that some chosen pair already
         # puts at or past the cutoff. The chosen pairs lie below the
         # cutoff. The parent's forward check passes far and bar down at its
-        # cutoff; they are rebuilt here only once best_rank has moved.
-        nonlocal best_rank, best_pairs, nodes
+        # cutoff; they are rebuilt here only once best has moved.
+        nonlocal best, best_pairs, nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise _Exhausted
@@ -575,8 +577,8 @@ def _search(
         later = x.ranks[level][level + 1:]  # the distances to later left points
         y_far = far[0]
         for sub, mask in (last_level if last else inner_level):
-            if cutoff != best_rank:
-                cutoff = best_rank
+            if cutoff != best:
+                cutoff = best
                 far = far_masks[cutoff]
                 if _distortion_rank(grid, pairs_of(chosen)) >= cutoff:
                     # Every candidate here would reach the cutoff.
@@ -595,8 +597,8 @@ def _search(
                 if (mask & missing) != missing:
                     continue
                 best_pairs = pairs_of([*chosen, sub])
-                best_rank = _distortion_rank(grid, best_pairs)
-                if best_rank <= floor_rank:
+                best = _distortion_rank(grid, best_pairs)
+                if best <= grid.floor:
                     raise _Done
                 continue
             # Forward check against the cutoff: each later left point needs
@@ -634,7 +636,7 @@ def _search(
 
     optimal = True
     try:
-        dfs(0, 0, best_rank, far_masks[best_rank], [0] * n)
+        dfs(0, 0, best, far_masks[best], [0] * n)
     except _Done:
         pass
     except _Exhausted:
@@ -643,16 +645,16 @@ def _search(
     if best_pairs is None:
         if start is not None:
             raise _NoLeafAtStart(
-                f"no correspondence has distortion at most {grid.values[start]}, "
+                f"no correspondence has distortion at most {ExactValue(start, grid.den)}, "
                 "the search's starting bound"
             )
         # the budget ran out before the first leaf
-        return SearchResult(full_product(x, y), grid.values[full_rank], optimal,
+        return SearchResult(full_product(x, y), ExactValue(full, grid.den), optimal,
                             nodes)
     # Left points ascend and each partner subset lists its points
     # ascending, so the pairs ascend; every leaf covers both sides.
     return SearchResult(Correspondence._sorted(x, y, tuple(best_pairs)),
-                        grid.values[best_rank], optimal, nodes)
+                        ExactValue(best, grid.den), optimal, nodes)
 
 
 def min_distortion_correspondence(
@@ -678,14 +680,16 @@ def min_distortion_correspondence(
     return _search(BreakpointGrid(x, y), budget, product_cap)
 
 
-def _check_budget(budget: Optional[int]) -> None:
+def _check_budget(budget: Optional[int], name: str = "budget", optional: bool = True) -> None:
     """Refuse a node budget other than None or an int of at least 0, as
     the CLI does: a bool or any other type raises TypeError, a negative
-    int ValueError. dhat_gh, classical_gh and min_distortion_correspondence
-    check it once, at their entry."""
-    if budget is None:
+    int ValueError. dhat_gh, classical_gh and both min_distortion entries
+    check it once, at their entry; min_distortion_strong_correspondence
+    checks its product_cap the same way, with optional False, so that
+    None is refused too."""
+    if budget is None and optional:
         return
     if isinstance(budget, bool) or not isinstance(budget, int):
-        raise TypeError(f"budget must be an int or None, not {budget!r}")
+        raise TypeError(f"{name} must be an int{' or None' * optional}, not {budget!r}")
     if budget < 0:
-        raise ValueError(f"budget must not be negative, got {budget}")
+        raise ValueError(f"{name} must not be negative, got {budget}")

@@ -66,15 +66,17 @@ runs out reports half that bound as the lower end of its interval. An
 unbudgeted search first runs seeded at that bound, so it accepts only a
 leaf reaching it, which is then optimal; only when no leaf does (the
 bound lies below the minimum) does the search run again, seeded at dhat.
-dhat_gh hands it dhat's grid rank, the larger diameter's on a diameter
+dhat_gh hands it dhat as a grid int, the larger diameter on a diameter
 gap, so only a standalone classical_gh walks the quotient cuts for it.
 Since 2 d_GH <= dhat, that value bounds the minimum distortion from
 above, so the restart accepts only leaves of distortion at most dhat, in
 classical_gh and dhat_gh alike.
 The quotient witnesses and the classical search of one call read the
-pair's single BreakpointGrid: its thresholds, the grid ranks of both
-spaces' values and its merge-height floor, and, for the search only, the
-per-value gap ranks. Both read distances off the spaces' own ranks. Each
+pair's single BreakpointGrid, whose every number is an int over one
+common denominator: both spaces' values and its merge-height floor, and,
+for the search only, the per-value gaps. Both read distances off the
+spaces' own ranks, and an ExactValue is made only for a value the report
+shows: dhat, the classical distortion and the floor. Each
 classical search run builds its own far-partner bitmasks
 (correspondences._FarMasks): y's point masks per distance once, then, for
 each cutoff it reaches, one row per distance of x. Nothing writes the
@@ -252,7 +254,7 @@ def classical_gh(
 
 def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
-    rank: Optional[int] = None,
+    dhat: Optional[int] = None,
 ) -> ClassicalResult:
     """classical_gh on the pair of grid.
 
@@ -263,21 +265,20 @@ def _classical(
     lies below the minimum the floor pass accepts no leaf, and the search
     runs again seeded at dhat, which 2 d_GH <= dhat puts at or above the
     minimum, so it finds that same leaf; a dhat that no leaf reaches
-    raises. The floor is the grid's, computed once with it. rank is
-    dhat's grid rank when the caller has it, as dhat_gh always does;
-    without it the restart walks the quotient cuts
+    raises. The floor is the grid's, computed once with it. dhat is the
+    quotient value as a grid int when the caller has it, as dhat_gh
+    always does; without it the restart walks the quotient cuts
     (isometries._certified_quotient).
     """
-    floor_rank = grid.floor
     if budget is not None:
         res = _search(grid, budget, product_cap)
     else:
         try:
-            res = _search(grid, None, product_cap, floor_rank)
+            res = _search(grid, None, product_cap, grid.floor)
         except _NoLeafAtStart:
             res = _search(grid, None, product_cap,
-                          _certified_quotient(grid).height if rank is None else rank)
-    floor = grid.values[floor_rank]
+                          _certified_quotient(grid).height if dhat is None else dhat)
+    floor = ExactValue(grid.floor, grid.den)
     if res.distortion < floor:
         raise MethodDisagreementError(
             f"classical search returned {res.distortion / TWO}, below the "
@@ -323,7 +324,7 @@ def dhat_gh(
         midpoint.
 
     A value its checks contradict raises MethodDisagreementError. The
-    classical search gets dhat's grid rank on both branches, so it never
+    classical search gets dhat as a grid int on both branches, so it never
     walks the cuts again. methods only names the routes the report shows,
     and only their witnesses are built; methods=None shows those
     EngineCaps() picks, and a string in its place raises TypeError. When
@@ -378,8 +379,8 @@ def dhat_gh(
         # the names.
         grid = BreakpointGrid(x, y)
         quotient = _certified_quotient(grid)
-        rank = quotient.height
-        dhat = grid.values[rank]
+        scaled = quotient.height
+        dhat = ExactValue(scaled, grid.den)
         if methods is None:
             names = _auto_methods(product, _CAPS) or METHOD_NAMES
         # Only the witnesses the report shows are built.
@@ -389,7 +390,7 @@ def dhat_gh(
                 outcomes[name] = MethodOutcome(dhat, True, quotient.correspondence())
                 continue
             if eps is None:
-                eps = _cell_midpoint(grid, rank + 1)
+                eps = _cell_midpoint(grid, scaled)
             outcomes[name] = MethodOutcome(dhat, False, (
                 quotient.isometry(eps) if name == "isometry_scan"
                 else quotient.approximation(eps)))
@@ -406,8 +407,8 @@ def dhat_gh(
     if include_classical:
         if grid is None:
             grid = BreakpointGrid(x, y)
-            rank = len(grid.values) - 1  # the larger diameter, dhat on a gap
-        classical = _classical(grid, budget, _CAPS.classical_product, rank)
+            scaled = max(grid.wx[-1], grid.wy[-1])  # the larger diameter, dhat on a gap
+        classical = _classical(grid, budget, _CAPS.classical_product, scaled)
         if classical.optimal:
             doubled = classical.value * TWO
             if doubled > dhat:
@@ -464,8 +465,12 @@ def min_distortion_strong_correspondence(
 
     No search runs, so optimal is always True and nodes is 0. Neither
     budget nor product_cap bounds anything; both are kept for callers that
-    pass them.
+    pass them, and both are checked as the other entries check them: a
+    bool or another type raises TypeError and a negative int ValueError;
+    only budget may be None.
     """
+    _check_budget(budget)
+    _check_budget(product_cap, "product_cap", optional=False)
     outcome = dhat_gh(x, y, ("strong_correspondence",),
                       include_classical=False).methods["strong_correspondence"]
     return SearchResult(outcome.witness, outcome.value, True, 0)

@@ -10,8 +10,9 @@ epsilon-nets of the two spaces with exactly equal distance patterns.
 Each verdict is written once, on the spaces' own ranks: a distance is
 below eps exactly when its rank is below its space's cut,
 bisect_left(space.values, eps), and a distance of X equals one of Y
-exactly when their values have equal ranks on the pair's BreakpointGrid
-(wx and wy). The public checkers build the grid and call that core once.
+exactly when their values are equal ints over the denominator of the
+pair's BreakpointGrid (wx and wy). The public checkers check eps once,
+build the grid and call that core once.
 
 Both kinds of witness exist exactly when eps > dhat (Cor. 2.24, 3.7).
 exists_strong_epsilon_isometry, exists_strong_epsilon_approximation,
@@ -20,7 +21,8 @@ closed-ball quotients of the pair (_quotient_witnesses), read off the
 dendrograms each space keeps from validation with no recursion, and
 checked from the class structure in O(n^2 + m^2): no map or match is
 enumerated, at any size or depth. This module alone cuts dendrograms,
-and every cut compares the two roots through one helper (_equal_roots).
+every cut is a grid int, and every cut compares the two roots through
+one helper (_equal_roots).
 dhat_gh's value comes from one walk up the cuts (_certified_quotient):
 its first comparison, the cut below the walk's start, is the lower
 certificate, every cut from there up is compared once, and the first
@@ -31,14 +33,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from math import ceil
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import ExactValue, ZERO
+from .exact import ExactValue
 from .errors import LengthMismatchError, MethodDisagreementError, NotStrongError
 from .spaces import (
     BreakpointGrid,
     UltrametricSpace,
     _Balls,
+    _checked_eps,
     _closed_balls,
     is_epsilon_net,
     spectra_lower_bound,
@@ -52,7 +57,7 @@ def map_distortion(
     """max over pairs of |d_Y(f(x1), f(x2)) - d_X(x1, x2)|."""
     _check_map(x, y, f)
     grid = BreakpointGrid(x, y)
-    return grid.values[_distortion_rank(grid, enumerate(f))]
+    return ExactValue(_distortion_rank(grid, enumerate(f)), grid.den)
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,7 @@ def is_strong_epsilon_isometry(
     d_X(x, x') = d_Y(y, f(x)); (SI2) pairs with unequal image distance
     satisfy d_X(x1, x2) < eps. The first failure is certified.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     _check_map(x, y, f)
     return _isometry_verdict(BreakpointGrid(x, y), tuple(f), eps)
 
@@ -100,14 +104,14 @@ def _isometry_verdict(
     Each space's distances are read as its own ranks: exactly the
     distances below eps have a rank below the space's cut, and two
     distances of X and Y are equal exactly when wx and wy give them the
-    same grid rank, so every check compares ints. Values are read only
-    for the distortion and the failure text.
+    same int, so every check compares ints. Values are read only for the
+    distortion and the failure text.
     """
-    x, y, wx, wy, values = grid.x, grid.y, grid.wx, grid.wy, grid.values
+    x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
     rows_x, rows_y = x.ranks, y.ranks
     cut_x, cut_y = bisect_left(x.values, eps), bisect_left(y.values, eps)
     n = len(images)
-    dis = values[_distortion_rank(grid, enumerate(images))]
+    dis = ExactValue(_distortion_rank(grid, enumerate(images)), grid.den)
     # near[y][x]: whether d_Y(y, f(x)) < eps.
     near = [[row[b] < cut_y for b in images] for row in rows_y]
     far = next((yy for yy, row in enumerate(near) if not any(row)), None)
@@ -168,8 +172,7 @@ def exists_strong_epsilon_isometry(
     search in mixed-radix order (left indices as digit positions, right
     index ascending) accepts. It runs in O(n^2 + m^2), with no search.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     quotient = _quotient_below(x, y, eps)
     return None if quotient is None else quotient.isometry(eps)
 
@@ -197,8 +200,7 @@ def is_strong_epsilon_approximation(
     witness: ApproximationWitness,
 ) -> ApproximationVerdict:
     """Check both conditions of a strong eps-approximation exactly."""
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     xs, ys = witness.xs, witness.ys
     if len(xs) != len(ys) or not xs:
         raise LengthMismatchError(
@@ -216,7 +218,7 @@ def _approximation_verdict(
 ) -> ApproximationVerdict:
     """is_strong_epsilon_approximation of (xs, ys) on the pair of grid: each
     net is read off its space's dendrogram (is_epsilon_net), and the
-    distances compare the spaces' own ranks through wx and wy."""
+    distances compare the spaces' own ranks as ints through wx and wy."""
     x, y, wx, wy = grid.x, grid.y, grid.wx, grid.wy
     if not is_epsilon_net(x, xs, eps):
         return ApproximationVerdict(False, "net_left", tuple(sorted(set(xs))))
@@ -245,8 +247,7 @@ def exists_strong_epsilon_approximation(
     ascending order, that a strong eps-approximation with this left list
     has. It runs in O(n^2 + m^2), with no search.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     quotient = _quotient_below(x, y, eps)
     return None if quotient is None else quotient.approximation(eps)
 
@@ -263,8 +264,9 @@ def correspondence_from_isometry(
     """
     witness = is_strong_epsilon_isometry(x, y, f, eps)
     if not witness.is_strong_eps_isometry:
-        raise NotStrongError(f"map is not a strong {eps}-isometry: {witness.failure}")
-    cut = bisect_right(y.values, eps)
+        raise NotStrongError(
+            f"map is not a strong {witness.epsilon}-isometry: {witness.failure}")
+    cut = bisect_right(y.values, witness.epsilon)
     pairs = tuple(
         (i, j)
         for i, a in enumerate(f)
@@ -274,19 +276,21 @@ def correspondence_from_isometry(
     return Correspondence(x, y, pairs)
 
 
-def _cell_midpoint(grid: BreakpointGrid, below: int) -> ExactValue:
-    """The midpoint of the cell (t_{below-1}, t_below] of grid.thresholds(),
-    whose sentinel is made only for the last cell."""
-    values = grid.values
-    top = values[below] if below < len(values) else grid.thresholds()[below]
-    return values[below - 1].midpoint(top)
+def _cell_midpoint(grid: BreakpointGrid, low: int) -> ExactValue:
+    """The midpoint of the cell of grid.thresholds() whose lower end is the
+    grid int low: its upper end is the least grid int above low, found in
+    one pass with no sort, or the sentinel, the larger diameter plus 1,
+    above the last grid value."""
+    top = min((k for k in chain.from_iterable(grid._gap) if k > low),
+              default=max(grid.wx[-1], grid.wy[-1]) + grid.den)
+    return ExactValue(low + top, 2 * grid.den)
 
 
 def _cut_ids(space: UltrametricSpace, w: Sequence[int], c: int,
              ids: dict[tuple[int, tuple[int, ...]], int]) -> list[int]:
-    """The id of every node of the space's dendrogram cut at grid rank c,
-    w the grid ranks of the space's values: 0 at or below the cut, else
-    the interned pair of the node's height as a grid rank and the
+    """The id of every node of the space's dendrogram cut at the grid int
+    c, w the space's values as grid ints: 0 at or below the cut, else
+    the interned pair of the node's height as a grid int and the
     children's sorted ids. Ids are given from the last node back, children
     before parents, so no walk recurses, and two nodes, of either space,
     get equal ids exactly when their balls' quotients by closed c-balls
@@ -303,7 +307,7 @@ def _cut_ids(space: UltrametricSpace, w: Sequence[int], c: int,
 
 
 def _equal_roots(grid: BreakpointGrid, c: int) -> Optional[tuple[list[int], list[int]]]:
-    """Both dendrograms' cut ids at grid rank c (_cut_ids), x's first,
+    """Both dendrograms' cut ids at the grid int c (_cut_ids), x's first,
     interned in one dict, when the two roots get equal ids, that is, when
     the quotients of grid's pair by closed c-balls are isometric; None
     when they differ. An n-point space's root is node n, the first node
@@ -324,7 +328,7 @@ class _QuotientWitnesses(NamedTuple):
     cx and cy are the two spaces' closed c-balls (spaces._Balls), xs the
     first points of X's classes in first-point order and ys the first
     points of their partners. height is the largest class height of
-    either side, a grid rank at most c: the distortion of the
+    either side, a grid int at most c: the distortion of the
     correspondence, and the least value at which the matching is a
     quotient isometry.
     """
@@ -365,9 +369,11 @@ def _quotient_below(
 ) -> Optional[_QuotientWitnesses]:
     """_quotient_witnesses at the largest grid value below eps, whose
     closed balls are the open eps-balls: None when eps <= dhat, that is,
-    when the quotients differ there."""
+    when the quotients differ there. A grid int k is below eps exactly
+    when k < ceil(eps * den); the cut is -1 when no grid int is."""
     grid = BreakpointGrid(x, y)
-    c = bisect_left(grid.values, eps) - 1
+    cut = ceil(eps * grid.den)
+    c = max((k for k in chain.from_iterable(grid._gap) if k < cut), default=-1)
     forms = _equal_roots(grid, c)
     return None if forms is None else _quotient_witnesses(grid, c, forms)
 
@@ -377,12 +383,13 @@ def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
     {0} ∪ W_X ∪ W_Y at which the quotients of grid's pair by closed
     t-balls are isometric, found and certified by one walk up the cuts.
 
-    The walk starts at the larger of two proven lower bounds on dhat: the
-    grid rank of spectra_lower_bound (the largest value one spectrum holds
-    and the other lacks) and the grid's merge-height floor. Its first
-    comparison, the cut just below the start, must differ: that is the
-    lower certificate, since quotients isometric at one value are
-    isometric at every larger one. Every cut from the start up is then
+    Every number is a grid int. The walk starts at the larger of two
+    proven lower bounds on dhat: spectra_lower_bound (the largest value
+    one spectrum holds and the other lacks), scaled, which is exact since
+    it is one of the spaces' own values, and the grid's merge-height
+    floor. Its first comparison, the cut just below the start, must
+    differ: that is the lower certificate, since quotients isometric at
+    one value are isometric at every larger one. Every cut from the start up is then
     compared once, and the first with equal roots is dhat; at the larger
     diameter both roots get id 0. Each comparison cuts the dendrograms
     kept from validation (_equal_roots), with no recursion at any depth.
@@ -391,14 +398,14 @@ def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
     distortion dhat. A walk or matching that fails a check raises
     MethodDisagreementError.
     """
-    start = max(bisect_left(grid.values, spectra_lower_bound(grid.x, grid.y)),
-                grid.floor)
+    den = grid.den
+    start = max(int(spectra_lower_bound(grid.x, grid.y) * den), grid.floor)
     cuts = sorted({*grid.wx, *grid.wy})
     k = bisect_left(cuts, start)
     if k and _equal_roots(grid, cuts[k - 1]) is not None:
         raise MethodDisagreementError(
-            f"quotients are isometric at {grid.values[cuts[k - 1]]}, below the "
-            f"lower bound {grid.values[start]}")
+            f"quotients are isometric at {ExactValue(cuts[k - 1], den)}, below the "
+            f"lower bound {ExactValue(start, den)}")
     for c in cuts[k:]:
         forms = _equal_roots(grid, c)
         if forms is not None:
@@ -406,7 +413,7 @@ def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
     quotient = _quotient_witnesses(grid, c, forms)
     if quotient.height != c:
         raise MethodDisagreementError(
-            f"greedy class matching is no quotient isometry at {grid.values[c]}")
+            f"greedy class matching is no quotient isometry at {ExactValue(c, den)}")
     return quotient
 
 
@@ -420,7 +427,7 @@ def _quotient_witnesses(
     so no cut is compared twice.
 
     The classes are the closed c-balls, read off each dendrogram at the
-    largest rank of its space whose grid rank is at most c
+    largest rank of its space whose grid int is at most c
     (spaces._closed_balls). X's classes are pinned in first-point
     order, each to the free Y class with the least first point whose pin
     is consistent: X's ancestor balls of the class, up to its lowest one
@@ -484,7 +491,7 @@ def _quotient_witnesses(
                 best = found
         if best is None:
             raise MethodDisagreementError(
-                f"greedy class matching found no pin at {grid.values[c]}")
+                f"greedy class matching found no pin at {ExactValue(c, grid.den)}")
         partner.append(best)
         b = best
         for v in chain:
@@ -497,7 +504,7 @@ def _quotient_witnesses(
     height = max(wx[cx.height], wy[cy.height])
     isometric = len(cy.classes) == len(xs) and height <= c
     # The distance between the first points of two classes, each pair once,
-    # as grid ranks.
+    # as grid ints.
     rows_x, rows_y = x.ranks, y.ranks
     for i in range(1, len(xs)):
         row_a, row_b = rows_x[xs[i]], rows_y[ys[i]]
@@ -506,5 +513,5 @@ def _quotient_witnesses(
                 isometric = False
     if not isometric:
         raise MethodDisagreementError(
-            f"greedy class matching is no quotient isometry at {grid.values[c]}")
+            f"greedy class matching is no quotient isometry at {ExactValue(c, grid.den)}")
     return _QuotientWitnesses(grid, cx, cy, xs, ys, height)

@@ -470,6 +470,18 @@ def hausdorff_distance(
     )]
 
 
+def _checked_eps(eps: Coercible) -> ExactValue:
+    """eps as an ExactValue, checked once by every public function that
+    takes one: a bool raises TypeError, as a float does in
+    ExactValue.coerce, and a value that is not positive ValueError."""
+    if isinstance(eps, bool):
+        raise TypeError(f"eps must be a rational, not {eps!r}")
+    eps = ExactValue.coerce(eps)
+    if eps <= ZERO:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 def is_epsilon_net(space: UltrametricSpace, s: Iterable[int], eps: ExactValue) -> bool:
     """True iff every point is at distance strictly less than eps from s.
 
@@ -478,8 +490,7 @@ def is_epsilon_net(space: UltrametricSpace, s: Iterable[int], eps: ExactValue) -
     closed balls at the largest rank below eps (_closed_balls), read in
     O(n) with no row scan.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     pts = _normalize_subset(space, s)
     balls = _closed_balls(space._tree, bisect_left(space.values, eps) - 1)
     return len(set(map(balls.class_of.__getitem__, pts))) == len(balls.classes)
@@ -494,8 +505,7 @@ def ball_partition(space: UltrametricSpace, eps: ExactValue) -> tuple[tuple[int,
     bisect_left(values, eps) - 1, so the classes are the dendrogram's
     closed balls at that rank (_closed_balls), read with no row scan.
     """
-    if eps <= ZERO:
-        raise ValueError("eps must be positive")
+    eps = _checked_eps(eps)
     balls = _closed_balls(space._tree, bisect_left(space.values, eps) - 1)
     return tuple(map(tuple, balls.members))
 
@@ -594,30 +604,27 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
 
 
 class BreakpointGrid:
-    """The exact values every check, quotient cut and search over a pair
-    needs.
+    """The exact numbers every check, quotient cut and search over a pair
+    needs, as ints over one common denominator.
 
-    values holds 0, both whole-space spectra and every gap |a - b| with a in
-    {0} ∪ W_X and b in {0} ∪ W_Y, strictly increasing; the rank of a grid
-    value v is bisect_left(values, v), and the last value is the larger
-    diameter, since every gap |a - b| is at most max(a, b).
-    The two {0} ∪ W sets are the spaces' stored values, so building the grid
-    scans no distance matrix of ExactValues. The grid is built in ints: both
-    sets are scaled to one common denominator, every gap is an int
-    difference, and the ints are sorted and deduplicated before one
-    ExactValue is made per grid value (the spaces' own object where one is
-    equal). wx and wy are the grid ranks of the spaces' own values
-    ({0} ∪ W, ascending), so a distance, read as wx[r] from a rank r of
-    x, compares with another space's distance, with a gap, or with any
-    eps (through bisect_left(values, eps)) as a plain int. Every check
+    den is the lcm of the denominators of both spaces' values, and wx and
+    wy are each space's {0} ∪ W (its stored values, ascending) as ints
+    over den: a distance read as wx[r] from a rank r of x is
+    x.values[r] * den. Scaling by den is strictly increasing, so a
+    distance compares with another space's distance, with a gap, or with
+    any eps (k < eps exactly when k < ceil(eps * den)) as a plain int, and
+    every comparison, max and cutoff on the ints is the one on the values.
+    _gap[r][s] = |wx[r] - wy[s]| is the gap between a distance of x and
+    one of y, indexed by the two spaces' own ranks. Since wx[0] = wy[0] = 0
+    the gaps include both sets, so they are the whole grid: 0, both
+    whole-space spectra and every |a - b|, the largest the larger
+    diameter. An ExactValue(k, den) is made only where a value is
+    reported, and thresholds() sorts the grid only when asked. Every check
     compares grid values with eps strictly, so it depends on eps only
     through that cut and is constant on each half-open cell
-    (t_{k-1}, t_k] of thresholds(). x and y are the pair.
+    (t_{k-1}, t_k] of thresholds(). Building the grid scans no distance
+    matrix. x and y are the pair.
 
-    Every distance of the pair is read off the spaces' own ranks: equality
-    across the two spaces through wx and wy, and the gap between a distance
-    of x and one of y through the per-value gap ranks (_gap), indexed by
-    the two spaces' own ranks.
     floor is the merge-height lower bound on the distortion of every
     correspondence (distortion_floor()), computed once with the grid from
     the merge heights each space keeps, for the classical search and the
@@ -625,38 +632,22 @@ class BreakpointGrid:
     writes one later, so one grid serves every step of a call.
     """
 
-    __slots__ = ("x", "y", "values", "wx", "wy", "floor", "_gap")
+    __slots__ = ("x", "y", "den", "wx", "wy", "floor", "_gap")
 
     def __init__(self, x: UltrametricSpace, y: UltrametricSpace):
         self.x, self.y = x, y
-        wx, wy = x.values, y.values
-        # Both {0} ∪ W sets as ints over one common denominator, so every
-        # gap is an int difference and the grid is sorted as ints. The
-        # terms are read from Fraction's own slots: its properties are
+        # The terms are read from Fraction's own slots: its properties are
         # Python calls.
-        den = lcm(*(v._denominator for v in chain(wx, wy)))
-        ix = [v._numerator * (den // v._denominator) for v in wx]
-        iy = [v._numerator * (den // v._denominator) for v in wy]
-        gaps = [[abs(a - b) for b in iy] for a in ix]
-        ints = sorted({*ix, *iy, *chain.from_iterable(gaps)})
-        # One ExactValue per grid value, the spaces' own where they have it.
-        own = dict(zip(iy, wy))
-        own.update(zip(ix, wx))
-        self.values: tuple[ExactValue, ...] = tuple(
-            own[k] if k in own else ExactValue(k, den) for k in ints
-        )
-        at = {k: r for r, k in enumerate(ints)}
-        self.wx = [at[k] for k in ix]
-        self.wy = [at[k] for k in iy]
-        # Rank of each gap, once per pair of distinct values, indexed by the
-        # two spaces' own ranks.
-        self._gap = [[at[g] for g in row] for row in gaps]
+        self.den = den = lcm(*(v._denominator for v in chain(x.values, y.values)))
+        self.wx = wx = [v._numerator * (den // v._denominator) for v in x.values]
+        self.wy = wy = [v._numerator * (den // v._denominator) for v in y.values]
+        self._gap = [[abs(a - b) for b in wy] for a in wx]
         self.floor: int = self.distortion_floor()
 
     def distortion_floor(self) -> int:
-        """Rank of δ_lb = max_k |h_X[k] - h_Y[k]|, a lower bound on the
-        distortion of every correspondence between x and y, hence on
-        2·d_GH.
+        """δ_lb = max_k |h_X[k] - h_Y[k]| as an int over den, a lower bound
+        on the distortion of every correspondence between x and y, hence
+        on 2·d_GH.
 
         h_S[1] >= ... >= h_S[|S| - 1] are the merge heights of S, the
         edge weights of a minimum spanning tree, and the shorter list is
@@ -673,9 +664,9 @@ class BreakpointGrid:
         Both height lists are the ones each space made from its
         dendrogram when it was built (UltrametricSpace._merges), as its
         own ranks, largest first. Each term is the gap between a value of
-        {0} ∪ W_X and one of {0} ∪ W_Y, so its rank is read from the
-        per-value gap ranks and the floor is one max over max(n, m) - 1
-        ints. The grid computes it once, as floor.
+        {0} ∪ W_X and one of {0} ∪ W_Y, so it is read off _gap and the
+        floor is one max over max(n, m) - 1 ints. The grid computes it
+        once, as floor.
         """
         gap = self._gap
         return max((gap[a][b] for a, b in zip_longest(
@@ -683,8 +674,11 @@ class BreakpointGrid:
                    default=0)
 
     def thresholds(self) -> tuple[ExactValue, ...]:
-        """values followed by a sentinel strictly above both diameters."""
-        return self.values + (max(self.x.diameter(), self.y.diameter()) + ExactValue(1),)
+        """The grid values, strictly increasing, followed by a sentinel
+        strictly above both diameters."""
+        den, grid = self.den, sorted(set(chain.from_iterable(self._gap)))
+        sentinel = max(self.x.diameter(), self.y.diameter()) + ExactValue(1)
+        return tuple(ExactValue(k, den) for k in grid) + (sentinel,)
 
 
 def candidate_thresholds(x: UltrametricSpace, y: UltrametricSpace) -> tuple[ExactValue, ...]:

@@ -3,7 +3,7 @@
 Everything here favors obvious correctness over speed: plain exhaustive
 enumeration with no pruning, exact arithmetic on Fraction matrices (or on
 ints over one common denominator), per-map verdicts that compare the
-distances themselves where the library compares grid ranks, and the
+distances themselves where the library compares grid ints, and the
 existential form of the strong-correspondence condition (the library uses
 the universal form).
 
@@ -23,11 +23,11 @@ the closed balls off the dendrogram: scans of the rank matrix's rows. They
 are the reference for ball_partition, ball_representatives and
 is_epsilon_net, and the approximation search reads the first too.
 
-grid_rank_tables builds the pair's distances as grid ranks, the two rank
-matrices remapped to grid ranks and the 4-D gap-rank table, from the
-spaces' own ranks through the grid's wx, wy and per-value gap ranks. The
-library reads those ranks directly and keeps neither table; the reference
-searches and the cut-form recursion read them.
+grid_int_tables builds the pair's distances as grid ints, over the
+grid's one denominator: the two rank matrices remapped to ints and the
+4-D gap table, from the spaces' own ranks through the grid's wx, wy and
+per-value gaps. The library reads those ints directly and keeps neither
+table; the reference searches and the cut-form recursion read them.
 
 ExactValue is the library's scalar as it stood before its comparisons and
 constructor read Fraction's int slots directly: every operation goes
@@ -35,11 +35,11 @@ through Fraction's generic dispatch. It is the reference for the
 differential test of those fast paths (tests/exact_differential.py).
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import ceil, lcm
 
+from ultragh import exact
 from ultragh.correspondences import Correspondence, SearchResult, _FarMasks, full_product
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
@@ -315,10 +315,18 @@ def is_epsilon_net_by_row_scan(ranks, pts, cut):
     return all(any(row[p] < cut for p in pts) for row in ranks)
 
 
-def grid_rank_tables(grid):
-    """(rx, ry, gap) for grid's pair: rx and ry the spaces' rank matrices
-    remapped through wx and wy to grid ranks, and gap[i][j][a][b] the grid
-    rank of |d_X(i, j) - d_Y(a, b)|, read off the per-value gap ranks
+def grid_int(grid, v):
+    """The value v as an int over grid.den, which must be exact: v a grid
+    value, or any multiple of 1 / den."""
+    k = v * grid.den
+    assert k.denominator == 1, (v, grid.den)
+    return k.numerator
+
+
+def grid_int_tables(grid):
+    """(rx, ry, gap) for grid's pair, as ints over grid.den: rx and ry the
+    spaces' rank matrices remapped through wx and wy, and gap[i][j][a][b]
+    the int of |d_X(i, j) - d_Y(a, b)|, read off the per-value gaps
     _gap. gap[i][j] depends only on d_X(i, j), so one m x m table is built
     per distinct distance of x and every pair of x at that distance shares
     it: |V_X| * m^2 ints, not n^2 * m^2. Callers only read the tables."""
@@ -330,13 +338,13 @@ def grid_rank_tables(grid):
     return rx, ry, gap
 
 
-def quotient_rank_by_recursion(grid):
-    """The quotient value dhat by definition: the least grid rank c in
-    {0} ∪ W_X ∪ W_Y at which the two rank matrices of grid, cut at c, have
+def quotient_int_by_recursion(grid):
+    """The quotient value dhat by definition, as a grid int: the least c in
+    {0} ∪ W_X ∪ W_Y at which the two int matrices of grid, cut at c, have
     equal canonical forms. Every candidate is tried from the bottom, where
     the library starts at two proven lower bounds, so a comparison checks
     those bounds too."""
-    rx, ry, _ = grid_rank_tables(grid)
+    rx, ry, _ = grid_int_tables(grid)
     xs, ys = range(len(rx)), range(len(ry))
     return next(c for c in sorted({*grid.wx, *grid.wy})
                 if cut_form_by_recursion(rx, xs, c) == cut_form_by_recursion(ry, ys, c))
@@ -564,13 +572,14 @@ def isometry_search(x, y, eps, budget=SEARCH_BUDGET):
     Maps are walked depth first in mixed-radix order (left indices as digit
     positions, right index ascending), one frame per point. A branch dies
     as soon as a decided pair breaks dis f < eps or the exact-preservation
-    half of (SI2), read on grid_rank_tables' gap table; each complete map gets
-    one _isometry_verdict.
+    half of (SI2), read on grid_int_tables' gap table, where a grid int
+    is below eps exactly when it is below ceil(eps * den); each complete
+    map gets one _isometry_verdict.
     """
     grid = BreakpointGrid(x, y)
-    below = bisect_left(grid.values, eps)
+    below = ceil(eps * grid.den)
     n, m = len(x), len(y)
-    rx, ry, gap = grid_rank_tables(grid)
+    rx, ry, gap = grid_int_tables(grid)
     images = []
     nodes = 0
 
@@ -608,8 +617,8 @@ def approximation_search(x, y, eps, budget=SEARCH_BUDGET):
     and each complete match gets one _approximation_verdict.
     """
     grid = BreakpointGrid(x, y)
-    below = bisect_left(grid.values, eps)
-    rx, ry, _ = grid_rank_tables(grid)
+    below = ceil(eps * grid.den)
+    rx, ry, _ = grid_int_tables(grid)
     xs = tuple(c[0] for c in ball_partition_by_row_scan(rx, below))
     n, m = len(xs), len(ry)
     if n > m or len(ball_partition_by_row_scan(ry, below)) > n:
@@ -670,13 +679,13 @@ def strong_correspondence_search(x, y, budget=None):
     n, m = len(x), len(y)
     if n == 1 or m == 1:
         return SearchResult(full_product(x, y), max(x.diameter(), y.diameter()), True, 0)
-    rx, ry, gap = grid_rank_tables(grid)
+    rx, ry, gap = grid_int_tables(grid)
     x_ranks = x.ranks
     far_masks = _FarMasks(grid)
     last_level, inner_level, worst_of = partner_subsets_by_recursion(ry)
     full_mask = (1 << m) - 1
-    full_rank = len(grid.values) - 1
-    floor_rank = bisect_left(grid.values, spectra_lower_bound(x, y))
+    full_rank = max(grid.wx[-1], grid.wy[-1])
+    floor_rank = int(spectra_lower_bound(x, y) * grid.den)
     best_rank = full_rank + 1
     best_sets = None
     nodes = 0
@@ -781,6 +790,8 @@ def strong_correspondence_search(x, y, budget=None):
     except _StopSearch:
         pass
     if best_sets is None:
-        return SearchResult(full_product(x, y), grid.values[full_rank], optimal, nodes)
+        return SearchResult(full_product(x, y), exact.ExactValue(full_rank, grid.den),
+                            optimal, nodes)
     pairs = tuple((i, b) for i in range(n) for b in best_sets[i])
-    return SearchResult(Correspondence(x, y, pairs), grid.values[best_rank], optimal, nodes)
+    return SearchResult(Correspondence(x, y, pairs), exact.ExactValue(best_rank, grid.den),
+                        optimal, nodes)

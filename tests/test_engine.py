@@ -45,10 +45,11 @@ from ultragh.spaces import BreakpointGrid, UltrametricSpace
 from conftest import caterpillar, equal_diameter_partner, ev, near_copy, refuse_relation_checks
 from oracles import (
     approximation_search,
+    grid_int,
     isometry_exists,
     isometry_search,
     naive_correspondence_minima,
-    quotient_rank_by_recursion,
+    quotient_int_by_recursion,
     spectra_bound_by_scan,
     strong_correspondence_search,
 )
@@ -225,10 +226,27 @@ def test_budgets_the_cli_refuses_are_refused(z4, x3, ydelta, budget, error):
         lambda: dhat_gh(z4, z4, budget=budget, include_classical=False),
         lambda: dhat_gh(x3, ydelta, budget=budget),
         lambda: metric_ratio(z4, z4, budget=budget),
+        lambda: min_distortion_strong_correspondence(z4, z4, budget),
     ]
     for call in calls:
         with pytest.raises(error, match="budget"):
             call()
+
+
+@pytest.mark.parametrize("product_cap, error", [
+    (-5, ValueError), (True, TypeError), (False, TypeError), (None, TypeError),
+    ("a", TypeError), (2.5, TypeError),
+])
+def test_strong_minimum_refuses_a_bad_product_cap(z4, product_cap, error):
+    # min_distortion_strong_correspondence runs no search, but it refuses
+    # a product_cap as the budget is refused, None included, where it used
+    # to return an optimal result. The budget is checked first.
+    with pytest.raises(error, match="product_cap"):
+        min_distortion_strong_correspondence(z4, z4, product_cap=product_cap)
+    with pytest.raises(TypeError, match="budget"):
+        min_distortion_strong_correspondence(z4, z4, "x", product_cap=product_cap)
+    res = min_distortion_strong_correspondence(z4, z4, 0, product_cap=0)
+    assert (res.distortion, res.optimal, res.nodes) == (ev(0), True, 0)
 
 
 def test_budget_zero_is_a_budget(z4):
@@ -522,7 +540,7 @@ def test_quotient_rank_matches_oracle(pair):
     strong_min = naive_correspondence_minima(x, y)[1]
     for a, b in ((x, y), (relabelled, x)):
         grid = BreakpointGrid(a, b)
-        assert grid.values[_certified_quotient(grid).height] == strong_min
+        assert ExactValue(_certified_quotient(grid).height, grid.den) == strong_min
 
 
 @st.composite
@@ -558,15 +576,16 @@ def test_quotient_rank_matches_recursive_cut_forms(pair):
     relabelled = validate_space([[y.dist(i, j) for j in order] for i in order])
     for a, b in ((x, y), (x, relabelled), (y, x)):
         grid = BreakpointGrid(a, b)
-        assert _certified_quotient(grid).height == quotient_rank_by_recursion(grid)
+        assert _certified_quotient(grid).height == quotient_int_by_recursion(grid)
 
 
 def test_quotient_rank_on_1100_point_caterpillars():
     # Both dendrograms are over 1,000 levels deep; the walk has no
-    # recursion to overflow. The quotients differ at 0 and agree at 1.
+    # recursion to overflow. The quotients differ at 0 and agree at 1,
+    # the grid int 1 over the denominator 1 of the caterpillars' int
+    # distances.
     grid = BreakpointGrid(caterpillar(1100), caterpillar(1100, split_bottom=True))
-    assert _certified_quotient(grid).height == 1
-    assert grid.values[1] == ExactValue(1)
+    assert (_certified_quotient(grid).height, grid.den) == (1, 1)
 
 
 def test_dhat_on_a_500_point_caterpillar():
@@ -739,7 +758,7 @@ def test_default_witnesses_pass_the_public_checks_at_64_points():
 
 def test_dhat_computes_hint_and_floor_once(monkeypatch):
     # On this pair the classical floor pass misses and the search restarts
-    # at the quotient value, whose grid rank dhat_gh hands to it: one
+    # at the quotient value, which dhat_gh hands to it as a grid int: one
     # quotient walk and one merge-height floor per call.
     x, y = hard_pair(35)
     quotient, floor = engine._certified_quotient, BreakpointGrid.distortion_floor
@@ -769,7 +788,7 @@ def hard_pair(seed):
 def test_no_cut_is_compared_twice(monkeypatch):
     # One default call compares the cut below the walk's start, then each
     # cut from the start up to the value, each once, and no other cut: the
-    # classical search gets the value's rank and walks nothing. On the
+    # classical search gets the value as a grid int and walks nothing. On the
     # third pair the value lies above the walk's first cut, so the walk
     # also compares a cut whose quotients differ on its way.
     true_roots = isometries._equal_roots
@@ -784,10 +803,10 @@ def test_no_cut_is_compared_twice(monkeypatch):
         x, y = hard_pair(seed)
         grid = BreakpointGrid(x, y)
         cuts = sorted({*grid.wx, *grid.wy})
-        value = bisect_left(grid.values, dhat_gh(x, y).dhat)
-        # The walk starts at the larger of the spectra bound's rank and the
-        # merge-height floor.
-        start = max(bisect_left(grid.values, spectra_lower_bound(x, y)), grid.floor)
+        value = grid_int(grid, dhat_gh(x, y).dhat)
+        # The walk starts at the larger of the spectra bound and the
+        # merge-height floor, both grid ints.
+        start = max(grid_int(grid, spectra_lower_bound(x, y)), grid.floor)
         below = bisect_left(cuts, start) - 1
         walked = [c for c in cuts[max(below, 0):] if c <= value]
         if seed == 109:
@@ -842,7 +861,7 @@ def inject_equal_roots_below_the_value(monkeypatch, pairs):
     true_roots = isometries._equal_roots
 
     def early(grid, c):
-        value = bisect_left(grid.values, dhat[grid.x, grid.y])
+        value = grid_int(grid, dhat[grid.x, grid.y])
         if c == max(r for r in {*grid.wx, *grid.wy} if r < value):
             ids = {}
             return (isometries._cut_ids(grid.x, grid.wx, c, ids),
@@ -872,10 +891,13 @@ def test_seeded_classical_search_below_its_minimum_raises():
         x, y = hard_pair(seed)
         grid = BreakpointGrid(x, y)
         res = _search(grid, None, 36)
-        seeded = _search(grid, None, 36, bisect_left(grid.values, res.distortion))
+        scaled = grid_int(grid, res.distortion)
+        seeded = _search(grid, None, 36, scaled)
         assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
+        # Seeded at the grid value just below the minimum.
+        below = max(k for row in grid._gap for k in row if k < scaled)
         with pytest.raises(MethodDisagreementError, match="starting bound"):
-            _search(grid, None, 36, bisect_left(grid.values, res.distortion) - 1)
+            _search(grid, None, 36, below)
 
 
 def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
@@ -889,7 +911,7 @@ def test_classical_floor_pass_falls_back_below_the_minimum(monkeypatch):
     grid = BreakpointGrid(x, y)
     res = min_distortion_correspondence(x, y)
     floor, quotient = grid.distortion_floor(), _certified_quotient(grid).height
-    assert grid.values[floor] < res.distortion
+    assert ExactValue(floor, grid.den) < res.distortion
     calls = []
 
     def spy(grid, budget, product_cap, start=None):
@@ -983,4 +1005,4 @@ def test_pair_grids_are_never_written(monkeypatch, z4, x2):
                 assert [getattr(grid, name) for name in names] == contents
                 for name, obj in zip(names, held):
                     assert getattr(grid, name) is obj, name
-    assert names == ("x", "y", "values", "wx", "wy", "floor", "_gap")
+    assert names == ("x", "y", "den", "wx", "wy", "floor", "_gap")

@@ -1,5 +1,6 @@
-from bisect import bisect_left
+from fractions import Fraction
 from itertools import combinations, count, product
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +8,24 @@ from hypothesis import given, settings, strategies as st
 from ultragh import (
     ApproximationWitness,
     ExactValue,
+    ball_partition,
     ball_representatives,
     candidate_thresholds,
+    check_convergence_certificate,
+    check_net_convergence_certificate,
     correspondence_from_isometry,
     distortion,
     exists_strong_epsilon_approximation,
     exists_strong_epsilon_isometry,
+    find_split,
+    is_epsilon_net,
     is_strong_correspondence,
     is_strong_epsilon_approximation,
     is_strong_epsilon_isometry,
     map_distortion,
     random_ultrametric,
+    replay_split,
+    sutb_check,
 )
 from ultragh.errors import BudgetExceededError, LengthMismatchError
 from ultragh.isometries import _approximation_verdict, _isometry_verdict
@@ -29,7 +37,7 @@ from oracles import (
     approximation_verdict,
     first_strong_epsilon_isometry,
     fraction_matrix,
-    grid_rank_tables,
+    grid_int_tables,
     isometry_search,
     isometry_verdict,
 )
@@ -278,7 +286,7 @@ def test_rank_verdicts_match_reference(pair):
     n, m = len(x), len(y)
     dx, dy = fraction_matrix(x), fraction_matrix(y)
     grid = BreakpointGrid(x, y)
-    rx, ry, gap = grid_rank_tables(grid)
+    rx, ry, gap = grid_int_tables(grid)
     thresholds = grid.thresholds()
     epsilons = [thresholds[1] / 3]
     for prev, t in zip(thresholds, thresholds[1:]):
@@ -290,7 +298,7 @@ def test_rank_verdicts_match_reference(pair):
         for ys in product(range(m), repeat=k)
     ]
     for eps in epsilons:
-        below = bisect_left(grid.values, eps)
+        below = ceil(eps * grid.den)  # a grid int is below eps exactly when below this
         for f in product(range(m), repeat=n):
             w = _isometry_verdict(grid, f, eps)
             assert (w.left, w.right, w.images, w.epsilon) == (x, y, f, eps)
@@ -308,3 +316,61 @@ def test_rank_verdicts_match_reference(pair):
             v = _approximation_verdict(grid, xs, ys, eps)
             got = (v.valid, v.failure_condition, v.failure_indices)
             assert got == approximation_verdict(dx, dy, eps, xs, ys), (xs, ys, eps)
+
+
+def eps_entries(z4):
+    """Every public function that takes an eps, on z4, as a call of eps
+    alone. z4's distances are 1/2 and 1, so find_split and replay_split
+    read an eps below 1/2."""
+    f = (0, 1, 2, 3)
+    split = find_split(z4, z4, ev("1/4"))
+    return {
+        "is_epsilon_net": lambda eps: is_epsilon_net(z4, [0, 1], eps),
+        "ball_partition": lambda eps: ball_partition(z4, eps),
+        "ball_representatives": lambda eps: ball_representatives(z4, eps),
+        "is_strong_epsilon_isometry": lambda eps: is_strong_epsilon_isometry(z4, z4, f, eps),
+        "exists_strong_epsilon_isometry": lambda eps: exists_strong_epsilon_isometry(z4, z4, eps),
+        "is_strong_epsilon_approximation": lambda eps: is_strong_epsilon_approximation(
+            z4, z4, eps, ApproximationWitness(f, f, ev(1))),
+        "exists_strong_epsilon_approximation":
+            lambda eps: exists_strong_epsilon_approximation(z4, z4, eps),
+        "correspondence_from_isometry": lambda eps: correspondence_from_isometry(z4, z4, f, eps),
+        "find_split": lambda eps: find_split(z4, z4, eps),
+        "replay_split": lambda eps: replay_split(z4, z4, eps, split),
+        "sutb_check": lambda eps: sutb_check([z4], eps, 4, [ev("1/2"), ev(1)]),
+        "check_net_convergence_certificate": lambda eps: check_net_convergence_certificate(
+            [z4], z4, [f], f, eps),
+        "check_convergence_certificate": lambda eps: check_convergence_certificate(
+            [z4], z4, [f], [eps]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(eps_entries(
+    random_ultrametric(4, 0, [ExactValue(1, 2), ExactValue(1)]))))
+def test_eps_entries_refuse_a_bool_and_coerce_the_rest(z4, name):
+    # Each public eps entry checks eps once: a bool raises TypeError, as a
+    # float does, where True used to act as 1 (is_epsilon_net(z4, [0, 1],
+    # True) read True); an int, a Fraction or a string is made an
+    # ExactValue, and reads as that ExactValue does.
+    call = eps_entries(z4)[name]
+    for bad in (True, False, 0.25):
+        with pytest.raises(TypeError):
+            call(bad)
+    eps = ev("1/4")
+    want = call(eps)
+    for same in (Fraction(1, 4), "1/4"):
+        assert call(same) == want
+    with pytest.raises(ValueError):
+        call(0)
+
+
+def test_eps_witnesses_hold_an_exact_value(z4):
+    # With an int eps every witness's epsilon is the ExactValue 1, not the
+    # int 1 its field is not typed for.
+    f = (0, 1, 2, 3)
+    for witness in (exists_strong_epsilon_isometry(z4, z4, 1),
+                    is_strong_epsilon_isometry(z4, z4, f, 1),
+                    exists_strong_epsilon_approximation(z4, z4, 1)):
+        assert type(witness.epsilon) is ExactValue and witness.epsilon == 1
+    report = check_convergence_certificate([z4], z4, [f], [1])
+    assert type(report.min_epsilon) is ExactValue and report.min_epsilon == 1

@@ -1,6 +1,7 @@
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product, zip_longest
+from math import ceil, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,8 @@ from ultragh import (
     ball_partition,
     ball_representatives,
     candidate_thresholds,
+    classical_gh,
+    dhat_gh,
     hausdorff_distance,
     induced_subspace,
     is_epsilon_net,
@@ -35,10 +38,11 @@ from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
     ball_partition_by_row_scan,
-    grid_rank_tables,
+    grid_int_tables,
     is_epsilon_net_by_row_scan,
     merge_heights_by_ball_counts,
     naive_correspondence_minima,
+    naive_lex_min_witness,
     partner_subsets_by_recursion,
 )
 
@@ -300,48 +304,96 @@ def test_breakpoint_grid_coprime_denominators(x, y):
     check_breakpoint_grid(x, y)
 
 
-def check_breakpoint_grid(x, y):
-    grid = BreakpointGrid(x, y)
-    values = grid.values
+small_coprime_spaces = st.builds(
+    lambda n, seed: random_ultrametric(n, seed, COPRIME_POOL),
+    st.integers(2, 4),
+    st.integers(0, 10_000),
+)
+
+
+# A 4 x 4 pair takes about 1 s of brute force.
+@settings(max_examples=10, deadline=None)
+@given(small_coprime_spaces, small_coprime_spaces)
+def test_grid_ints_match_exact_values_on_coprime_denominators(x, y):
+    # The pair's numbers are ints over the lcm of coprime denominators, so
+    # the differential is against brute force in Fractions and the grid
+    # built in ExactValues: classical_gh's value and witness, dhat, the
+    # thresholds, and every comparison of two grid ints or of a grid int
+    # with an eps through its int cut ceil(eps * den).
+    min_dis, strong_min = naive_correspondence_minima(x, y)
+    want_value, want_pairs = naive_lex_min_witness(x, y, False)
+    res = classical_gh(x, y)
+    assert res.optimal and res.value * 2 == min_dis == want_value
+    assert res.witness.pairs == want_pairs
+    assert dhat_gh(x, y, include_classical=False).dhat == strong_min
     wx = {ev(0), *weight_spectrum(x)}
     wy = {ev(0), *weight_spectrum(y)}
-    # The grid built in ints equals the grid built in ExactValues.
-    assert values == tuple(sorted(wx | wy | {a.abs_diff(b) for a in wx for b in wy}))
-    assert all(a < b for a, b in zip(values, values[1:]))
-    # A grid value's rank is its bisect_left position, and the last one is
-    # the larger diameter, the full product's distortion.
-    assert [bisect_left(values, v) for v in values] == list(range(len(values)))
-    assert values[-1] == max(x.diameter(), y.diameter())
-    n, m = len(x), len(y)
-    # wx and wy give each space's values their grid ranks, and the
-    # per-value gap ranks, indexed by the two spaces' own ranks, give the
-    # rank of every gap between a distance of x and one of y.
-    assert [values[r] for r in grid.wx] == list(x.values)
-    assert [values[r] for r in grid.wy] == list(y.values)
+    values = sorted(wx | wy | {a.abs_diff(b) for a in wx for b in wy})
+    thresholds = candidate_thresholds(x, y)
+    assert thresholds == (*values, max(x.diameter(), y.diameter()) + ev(1))
+    grid = BreakpointGrid(x, y)
+    ints = sorted({*grid.wx, *grid.wy, *(k for row in grid._gap for k in row)})
+    exact = [ExactValue(k, grid.den) for k in ints]
+    assert exact == values
+    for (a, va), (b, vb) in product(zip(ints, exact), repeat=2):
+        assert (a < b, a == b, a > b) == (va < vb, va == vb, va > vb)
+    epsilons = [t.midpoint(u) for t, u in zip(thresholds, thresholds[1:])]
+    for eps in epsilons + list(thresholds[1:]):
+        cut = ceil(eps * grid.den)
+        assert [k < cut for k in ints] == [v < eps for v in exact]
+
+
+def check_breakpoint_grid(x, y):
+    grid = BreakpointGrid(x, y)
+    den = grid.den
+    wx = {ev(0), *weight_spectrum(x)}
+    wy = {ev(0), *weight_spectrum(y)}
+    # den is the common denominator of both value sets, and wx and wy are
+    # each space's values, ascending, as ints over it.
+    assert den == lcm(*(v.denominator for v in wx | wy))
+    assert [ExactValue(k, den) for k in grid.wx] == list(x.values)
+    assert [ExactValue(k, den) for k in grid.wy] == list(y.values)
+    # The per-value gaps, indexed by the two spaces' own ranks, are the
+    # ints of every gap between a distance of x and one of y.
     gap = grid._gap
     assert len(gap) == len(x.values)
     for v, by_y in zip(x.values, gap):
-        assert [values[r] for r in by_y] == [v.abs_diff(w) for w in y.values]
-    # The classical search's far masks at every cutoff, one row per
-    # distance of x, each built on first use and then kept.
+        assert [ExactValue(k, den) for k in by_y] == [v.abs_diff(w) for w in y.values]
+    # The gaps are the whole grid, which equals the grid built in
+    # ExactValues: thresholds() without its sentinel, strictly increasing,
+    # whose last value is the larger diameter, the full product's
+    # distortion.
+    ints = sorted({k for row in gap for k in row})
+    values = grid.thresholds()[:-1]
+    assert values == tuple(sorted(wx | wy | {a.abs_diff(b) for a in wx for b in wy}))
+    assert [ExactValue(k, den) for k in ints] == list(values)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] == max(x.diameter(), y.diameter())
+    assert ints[-1] == max(grid.wx[-1], grid.wy[-1])
+    n, m = len(x), len(y)
+    # The classical search's far masks at every distinct cutoff: each grid
+    # int, and each one plus 1, the cutoff the search sets above a leaf's
+    # distortion, the last above every gap. One row per distance of x,
+    # each built on first use and then kept.
     far_masks = _FarMasks(grid)
-    fars = [far_masks[cutoff] for cutoff in range(len(values) + 1)]
-    assert all(far_masks[cutoff] is far for cutoff, far in enumerate(fars))
-    for cutoff, far in enumerate(fars):
+    cutoffs = sorted({*ints, *(k + 1 for k in ints)})
+    fars = [far_masks[cutoff] for cutoff in cutoffs]
+    assert all(far_masks[cutoff] is far for cutoff, far in zip(cutoffs, fars))
+    for cutoff, far in zip(cutoffs, fars):
         assert len(far) == len(x.values)
         for i, j, a in product(range(n), range(n), range(m)):
             by_y, row = gap[x.ranks[i][j]], y.ranks[a]
             assert far[x.ranks[i][j]][a] == sum(
                 1 << b for b in range(m) if by_y[row[b]] >= cutoff)
-    # The search's internal-rank test: a subset of y reaches a cutoff
-    # exactly when it meets the far mask of its lowest point at x's
-    # distance 0, far[0].
+    # The search's internal test: a subset of y reaches a cutoff exactly
+    # when it meets the far mask of its lowest point at x's distance 0,
+    # far[0].
     for k in range(1, m + 1):
         for sub in combinations(range(m), k):
             mask = sum(1 << a for a in sub)
             largest = max((grid.wy[y.ranks[a][b]] for a, b in combinations(sub, 2)),
                           default=0)
-            for cutoff, far in enumerate(fars):
+            for cutoff, far in zip(cutoffs, fars):
                 assert bool(mask & far[0][sub[0]]) == (largest >= cutoff)
 
 
@@ -352,12 +404,12 @@ def test_partner_subsets_match_recursion(m, seed, x):
     # The search's subset orders are the (subset, mask) lists of the
     # recursive reference, in both orders: prefix-first, which is the
     # ascending order of the subsets as tuples, and each subset after its
-    # extensions. The reference's largest internal rank, which the
+    # extensions. The reference's largest internal distance, which the
     # reference strong search reads, is the brute-force one, on ranks
-    # remapped through a grid (grid_rank_tables). m = 13 is past the
+    # remapped to a grid's ints (grid_int_tables). m = 13 is past the
     # memoised sizes.
     y = random_ultrametric(m, seed, POOL)
-    _, ry, _ = grid_rank_tables(BreakpointGrid(x, y))
+    _, ry, _ = grid_int_tables(BreakpointGrid(x, y))
     last, inner, worst = partner_subsets_by_recursion(ry)
     assert _subset_orders(m) == (tuple(e[:2] for e in last), tuple(e[:2] for e in inner))
     every = [c for k in range(1, m + 1) for c in combinations(range(m), k)]
@@ -379,7 +431,7 @@ def test_distortion_floor(x, y):
     # (2^m - 1)^n partner assignments, 50,625 at 4x4 and 759,375 at 5x4,
     # so the minimum is checked on pairs with |X|*|Y| <= 12.
     grid = BreakpointGrid(x, y)
-    floor = grid.values[grid.distortion_floor()]
+    floor = ExactValue(grid.distortion_floor(), grid.den)
     hx, hy = merge_heights_by_ball_counts(x), merge_heights_by_ball_counts(y)
     assert floor.fraction == max(
         (abs(a - b) for a, b in zip_longest(hx, hy, fillvalue=Fraction(0))),
