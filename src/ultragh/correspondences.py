@@ -677,6 +677,7 @@ def min_distortion_correspondence(
     only the nodes spent proving it optimal.
     """
     _check_budget(budget)
+    _check_budget(product_cap, "product_cap", optional=False)
     return _search(BreakpointGrid(x, y), budget, product_cap)
 
 
@@ -684,9 +685,9 @@ def _check_budget(budget: Optional[int], name: str = "budget", optional: bool = 
     """Refuse a node budget other than None or an int of at least 0, as
     the CLI does: a bool or any other type raises TypeError, a negative
     int ValueError. dhat_gh, classical_gh and both min_distortion entries
-    check it once, at their entry; min_distortion_strong_correspondence
-    checks its product_cap the same way, with optional False, so that
-    None is refused too."""
+    check it once, at their entry; classical_gh and both min_distortion
+    entries check their product_cap the same way, with optional False, so
+    that None is refused too."""
     if budget is None and optional:
         return
     if isinstance(budget, bool) or not isinstance(budget, int):

@@ -249,6 +249,7 @@ def classical_gh(
     reaches it, runs again seeded at the quotient value dhat.
     """
     _check_budget(budget)
+    _check_budget(product_cap, "product_cap", optional=False)
     return _classical(BreakpointGrid(x, y), budget, product_cap)
 
 

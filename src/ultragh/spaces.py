@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, zip_longest
+from itertools import chain, compress, zip_longest
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -200,18 +200,18 @@ def _checked_space(
     inexact: bool,
 ) -> UltrametricSpace:
     """The space of a rank matrix into values, which rise strictly from
-    ZERO, after the checks that remain: the first zero off the diagonal in
-    row-major order, then the strong triangle inequality by _split_tree,
-    whose dendrogram the space keeps, and only if that rejects, the O(n^3)
-    scan naming the first violating triple. The matrix must be symmetric
-    with a zero diagonal, so zeros off the diagonal show in the count of
-    zeros. validate_space, parse_space and induced_subspace all end
-    here."""
-    if sum(map(tuple.count, ranks, repeat(0))) != len(ranks):
-        i = next(i for i, row in enumerate(ranks) if row.count(0) > 1)
-        raise ZeroOffDiagonalError(i, ranks[i].index(0, i + 1))
+    ZERO, after the check that remains: the strong triangle inequality by
+    _split_tree, whose dendrogram the space keeps. The matrix must be
+    symmetric with a zero diagonal. _split_tree also rejects a zero off
+    the diagonal, so only a rejected matrix is scanned, first for the
+    first such zero in row-major order, then by the O(n^3) scan naming
+    the first violating triple. validate_space, parse_space and
+    induced_subspace all end here."""
     tree = _split_tree(ranks)
     if tree is None:
+        for i, row in enumerate(ranks):
+            if 0 in row[i + 1:]:
+                raise ZeroOffDiagonalError(i, row.index(0, i + 1))
         _raise_first_violation(values, ranks)
         raise RuntimeError(
             "ball splitting rejected a matrix in which the triple scan "
@@ -219,28 +219,6 @@ def _checked_space(
         )
     return UltrametricSpace(labels, values, ranks, bool(inexact), tree,
                             _token=_CONSTRUCTION_TOKEN)
-
-
-def _triangle_space(
-    labels: tuple[str, ...],
-    values: Sequence[ExactValue],
-    upper: Sequence[Sequence[int]],
-    inexact: bool,
-) -> UltrametricSpace:
-    """The checked space whose distance between i < j is
-    values[upper[i][j - i - 1]], values holding one entry per id, as a
-    parsed body gives them. The ids go to ranks into the sorted distinct
-    values, ZERO first, hashing each value once; the full rank rows are
-    the columns of the zero-padded upper triangle up to the diagonal,
-    followed by the row's own part of it."""
-    n = len(upper)
-    distinct = tuple(sorted({ZERO, *values}))
-    rank = {v: k for k, v in enumerate(distinct)}
-    to_rank = [rank[v] for v in values].__getitem__
-    pad = (0,) * n
-    padded = [pad[:i + 1] + tuple(map(to_rank, row)) for i, row in enumerate(upper)]
-    ranks = tuple(c[:i] + p[i:] for i, (c, p) in enumerate(zip(zip(*padded), padded)))
-    return _checked_space(labels, distinct, ranks, inexact)
 
 
 def _coerced(row: Sequence[Coercible], interned: dict) -> tuple[ExactValue, ...]:
@@ -300,8 +278,9 @@ class _Dendrogram(NamedTuple):
 
 
 def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
-    """The dendrogram of a symmetric rank matrix (zero diagonal, positive
-    off it), or None when the matrix is not ultrametric; O(n^2).
+    """The dendrogram of a symmetric rank matrix with a zero diagonal, or
+    None when the matrix is not ultrametric or holds a zero off the
+    diagonal; O(n^2).
 
     Closed balls are split from the whole space down. A cluster S is split
     at M, the largest rank in its first point's row within S, into that
@@ -344,6 +323,8 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
         cluster, up = stack.pop()
         near = list(map(rk[cluster[0]].__getitem__, cluster))
         m = max(near)
+        if not m:
+            return None  # a zero off the diagonal: the ball would be empty
         node = up
         if m != heights[up]:
             if m > heights[up]:

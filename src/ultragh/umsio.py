@@ -13,14 +13,18 @@ every number is ASCII digits alone: no sign, no underscore. The
 writer emits pair lines in lexicographic order, so write/parse round-trips
 are byte-identical.
 
-The reader takes that layout in bulk: point i's n - 1 - i pair lines are
-joined and split once and checked against the indices they must hold,
-each distinct distance token is checked once, and the distances go to
-ranks with no matrix of ExactValues in between. Any other valid layout (pair lines in another
-order, blank lines or `inexact true` inside the body, other spacing) is
-read line by line and loads the same space; that reader also names the
-line of every error. Both end in the rank-level checks validate_space
-shares, whose strong triangle test splits closed balls.
+The reader takes that layout in bulk, straight from the text: point i's
+n - 1 - i pair lines are cut out at the next point's first line and split
+as one block, checked against the indices they must hold, and each
+distinct distance token is checked once. No list of the file's lines is
+made. Any other valid layout (pair lines in another order, blank lines or
+`inexact true` inside the body, other spacing, line breaks other than
+"\n" and "\r\n") is read line by line and loads the same space; that
+reader also names the line of every error. Both give the upper triangle
+as token ids, which go into symmetric rank rows by slice assignment, and
+end in the rank-level checks validate_space shares, whose strong triangle
+test splits closed balls. Only a file that test rejects is scanned for a
+zero off the diagonal.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from math import gcd
 from pathlib import Path
 from typing import Optional, Union
 
-from .exact import ExactValue
+from .exact import ExactValue, ZERO
 from .errors import ParseError
-from .spaces import UltrametricSpace, _checked_labels, _triangle_space
+from .spaces import UltrametricSpace, _checked_labels, _checked_space
 
 
 def write_space(space: UltrametricSpace) -> str:
@@ -87,6 +91,112 @@ def parse_space(text: str) -> UltrametricSpace:
     Raises ParseError for malformed or incomplete files and forwards
     SpaceValidationError when the matrix is not an ultrametric.
     """
+    read = _read_bulk(text)
+    if read is None:
+        read = _read_lines(text)
+    labels, values, upper, inexact = read
+    labels = _checked_labels(labels, len(upper))
+    distinct, ranks = _rank_rows(values, upper)
+    return _checked_space(labels, distinct, ranks, inexact)
+
+
+# The line breaks of str.splitlines other than "\n", "\r\n" and "\r".
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_bulk(
+    text: str,
+) -> Optional[tuple[list[str], list[ExactValue], list[list[int]], bool]]:
+    """The labels, the body as token ids and the inexact flag of a file in
+    the layout write_space emits, or None when it is not in that layout or
+    holds a bad token; _read_lines then reads it, as it reads any layout.
+    The body is one id per distinct distance token, values[id] its value,
+    and upper[i] the ids of d(i, j) for j > i.
+
+    The text may hold no break of str.splitlines other than "\n" and
+    "\r\n", so lines end where the line reader ends them. The three header
+    lines come off the front, stripped, so CRLF files stay here. Point i's
+    n - 1 - i pair lines run up to the next "\nd {i+1} " and are split as
+    one block. The block must hold exactly n - 1 - i lines, counted before
+    it is cut out, so an oversized block costs no copy and no word list.
+    Every line must start with "d i ", the words must read every j > i in
+    their third column, and each new token, found by set difference with
+    the tokens seen, must be a rational. No j or token word can be "d" or
+    i, so the lines then start at every fourth word and each holds exactly
+    the four words "d i j token" the line reader would see. Only
+    `inexact true` and blank lines may follow the last block. No list of
+    every line or of every word of the body is ever held.
+    """
+    if any(map(text.__contains__, _OTHER_BREAKS)) or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    pos = 0
+    head = []
+    for _ in range(3):
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        head.append(text[pos:end].strip())
+        pos = end + 1
+    magic, points, labels = head
+    count = points[7:]
+    if not (magic == "ums 1" and points[:7] == "points " and _is_digits(count)):
+        return None
+    n = int(count)
+    labels = labels.split()
+    if not n or len(labels) != n + 1 or labels[0] != "labels":
+        return None
+    strs = list(map(str, range(n)))
+    ids: dict[str, int] = {}
+    values: list[ExactValue] = []
+    upper: list[list[int]] = []
+    for i in range(n - 1):
+        k = n - 1 - i
+        end = text.find(f"\nd {i + 1} " if k > 1 else "\n", pos)
+        if end < 0:
+            if k > 1:
+                return None
+            end = len(text)
+        if text.count("\n", pos, end) != k - 1:
+            return None
+        block = text[pos:end]
+        pos = end + 1
+        words = block.split()
+        line = f"d {i} "
+        if not (
+            len(words) == 4 * k
+            and block.startswith(line)
+            and block.count("\n" + line) == k - 1
+            and words[2::4] == strs[i + 1:]
+        ):
+            return None
+        tokens = words[3::4]
+        for token in set(tokens).difference(ids):
+            try:
+                values.append(_parse_rational(token, 0))
+            except ParseError:
+                return None
+            ids[token] = len(ids)
+        upper.append(list(map(ids.__getitem__, tokens)))
+    upper.append([])
+    tail = text[pos:]
+    words = tail.split(None, 2)
+    if words and not (words == ["inexact", "true"] and "inexact true" in tail):
+        return None
+    return labels[1:], values, upper, bool(words)
+
+
+def _read_lines(
+    text: str,
+) -> tuple[list[str], list[ExactValue], list[list[int]], bool]:
+    """The file read line by line, as _read_bulk returns it, for any
+    layout: blank lines between header items, pair lines in any order,
+    blank lines and `inexact true` anywhere in the body. It raises
+    ParseError naming the line of the first malformed line, index or
+    token, or the first missing pair. Pairs are kept in a dict, so memory
+    grows with the lines read, not with the n^2 pairs the header
+    promises."""
     lines = text.splitlines()
     pos = 0
 
@@ -117,101 +227,33 @@ def parse_space(text: str) -> UltrametricSpace:
     parts = labels_line.split()
     if parts[0] != "labels" or len(parts) != n + 1:
         raise ParseError(lineno, f"expected 'labels' with {n} entries")
-    labels = parts[1:]
 
-    # The body as one id per distinct distance token, values[id] its value,
-    # and upper[i] the ids of d(i, j) for j > i.
-    end = len(lines)
-    while end > pos and not lines[end - 1].strip():
-        end -= 1
-    inexact = end > pos and lines[end - 1].split() == ["inexact", "true"]
-    read = _read_blocks(lines, pos, end - inexact, n)
-    if read is None:
-        values, upper, inexact = _read_lines(lines, pos, n)
-    else:
-        values, upper = read
-    return _triangle_space(_checked_labels(labels, n), values, upper, inexact)
-
-
-def _read_blocks(
-    lines: list[str], start: int, end: int, n: int
-) -> Optional[tuple[list[ExactValue], list[list[int]]]]:
-    """The pair lines lines[start:end] read in the layout write_space
-    emits, or None when they are not in that layout or hold a bad token.
-
-    Point i's n - 1 - i lines are joined and split once. Every line must
-    start with "d i ", the words must read every j > i in their third
-    column, and each new token must be a rational. No j or token word can
-    be "d" or i, so the lines then start at every fourth word and each
-    holds exactly the four words "d i j token" the line reader would see.
-    """
-    if end - start != n * (n - 1) // 2:
-        return None
-    strs = list(map(str, range(n)))
-    ids: dict[str, int] = {}
-    values: list[ExactValue] = []
-    upper: list[list[int]] = []
-    for i in range(n):
-        k = n - 1 - i
-        block = "\n".join(lines[start:start + k])
-        start += k
-        words = block.split()
-        head = f"d {i} "
-        if k and not (
-            len(words) == 4 * k
-            and block.startswith(head)
-            and block.count("\n" + head) == k - 1
-            and words[2::4] == strs[i + 1:]
-        ):
-            return None
-        tokens = words[3::4]
-        # Check each new token once, in order of appearance.
-        for token in dict.fromkeys(tokens):
-            if token not in ids:
-                try:
-                    values.append(_parse_rational(token, 0))
-                except ParseError:
-                    return None
-                ids[token] = len(ids)
-        upper.append(list(map(ids.__getitem__, tokens)))
-    return values, upper
-
-
-def _read_lines(
-    lines: list[str], start: int, n: int
-) -> tuple[list[ExactValue], list[list[int]], bool]:
-    """The body read line by line, as _read_blocks returns it, plus the
-    inexact flag, for any layout: pair lines in any order, blank lines and
-    `inexact true` anywhere. It raises ParseError naming the line of the
-    first malformed line, index or token, or the first missing pair. Pairs
-    are kept in a dict, so memory grows with the lines read, not with the
-    n^2 pairs the header promises."""
     # i * n + j -> token id, for each pair line read so far.
     cells: dict[int, int] = {}
     ids: dict[str, int] = {}
     values: list[ExactValue] = []
     inexact = False
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in enumerate(lines[pos:], pos + 1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "inexact":
-            if parts[1:] != ["true"]:
+        words = line.split()
+        if words[0] == "inexact":
+            if words[1:] != ["true"]:
                 raise ParseError(lineno, "expected 'inexact true'")
             inexact = True
             continue
-        if parts[0] != "d" or len(parts) != 4:
+        if words[0] != "d" or len(words) != 4:
             raise ParseError(lineno, f"unexpected line {line!r}")
-        if not (_is_digits(parts[1]) and _is_digits(parts[2])):
+        if not (_is_digits(words[1]) and _is_digits(words[2])):
             raise ParseError(lineno, f"bad indices in {line!r}")
-        i, j = int(parts[1]), int(parts[2])
+        i, j = int(words[1]), int(words[2])
         if not (0 <= i < j < n):
             raise ParseError(lineno, f"need 0 <= i < j < {n}, got {i}, {j}")
         key = i * n + j
         if key in cells:
             raise ParseError(lineno, f"duplicate pair ({i}, {j})")
-        token = parts[3]
+        token = words[3]
         t = ids.get(token)
         if t is None:
             values.append(_parse_rational(token, lineno))
@@ -227,7 +269,32 @@ def _read_lines(
         )
         raise ParseError(len(lines), f"missing pair line for {missing}")
     upper = [list(map(cells.__getitem__, range(i * n + i + 1, i * n + n))) for i in range(n)]
-    return values, upper, inexact
+    return parts[1:], values, upper, inexact
+
+
+def _rank_rows(
+    values: list[ExactValue], upper: list[list[int]]
+) -> tuple[tuple[ExactValue, ...], tuple[tuple[int, ...], ...]]:
+    """The sorted distinct values, ZERO first, and the symmetric rank rows
+    of a body read as token ids. The ids are sorted by value, and each
+    takes the rank of the last distinct value, so no rational is hashed.
+    Each row of the upper triangle goes into one flat n x n list twice by
+    slice assignment: as row i right of the diagonal and as column i below
+    it. A zero off the diagonal is left for _checked_space to name."""
+    n = len(upper)
+    distinct = [ZERO]
+    to_rank = [0] * len(values)
+    for t in sorted(range(len(values)), key=values.__getitem__):
+        if values[t] != distinct[-1]:
+            distinct.append(values[t])
+        to_rank[t] = len(distinct) - 1
+    at = to_rank.__getitem__
+    flat = [0] * (n * n)
+    for i, ids in enumerate(upper):
+        row = list(map(at, ids))
+        flat[i * n + i + 1:(i + 1) * n] = row
+        flat[(i + 1) * n + i::n] = row
+    return tuple(distinct), tuple(tuple(flat[k:k + n]) for k in range(0, n * n, n))
 
 
 def parse_space_file(path: Union[str, Path]) -> UltrametricSpace:

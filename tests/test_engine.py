@@ -249,6 +249,20 @@ def test_strong_minimum_refuses_a_bad_product_cap(z4, product_cap, error):
     assert (res.distortion, res.optimal, res.nodes) == (ev(0), True, 0)
 
 
+@pytest.mark.parametrize("product_cap, error", [
+    (True, TypeError), (-5, ValueError), ("a", TypeError), (2.5, TypeError),
+])
+@pytest.mark.parametrize("search", [classical_gh, min_distortion_correspondence])
+def test_classical_searches_refuse_a_bad_product_cap(z4, search, product_cap, error):
+    # Checked at entry, as the strong minimum checks it: True used to act
+    # as a cap of 1, -5 to raise SearchSpaceTooLargeError and "a" a bare
+    # comparison TypeError. The budget is still checked first.
+    with pytest.raises(error, match="product_cap"):
+        search(z4, z4, product_cap=product_cap)
+    with pytest.raises(TypeError, match="budget"):
+        search(z4, z4, "x", product_cap=product_cap)
+
+
 def test_budget_zero_is_a_budget(z4):
     # 0 is an int of at least 0, as --budget 0 is: the search stops at its
     # first node with the full product's interval.

@@ -24,7 +24,13 @@ from ultragh import (
     write_space,
 )
 from ultragh.correspondences import _FarMasks, _subset_orders
-from ultragh.spaces import BreakpointGrid, _closed_balls, _merge_heights, _split_tree
+from ultragh.spaces import (
+    BreakpointGrid,
+    _checked_space,
+    _closed_balls,
+    _merge_heights,
+    _split_tree,
+)
 from ultragh.errors import (
     AsymmetricMatrixError,
     EmptySubsetError,
@@ -764,3 +770,20 @@ def test_ball_splitting_on_a_2048_point_caterpillar():
     rk = space.ranks
     bad = (rk[0][:1] + (5,) + rk[0][2:], (5,) + rk[1][1:]) + rk[2:]
     assert _split_tree(bad) is None
+
+
+def test_ball_splitting_rejects_a_zero_off_the_diagonal():
+    # A rank matrix that reaches the rank-level core with a zero off the
+    # diagonal is rejected, not split without end, and the core names the
+    # first such zero in row-major order before any triple.
+    space = caterpillar(6)
+    values, rk = space.values, [list(row) for row in space.ranks]
+    for zeros in ([(0, 1)], [(4, 5)], [(3, 5), (2, 4)], [(0, j) for j in range(1, 6)]):
+        bad = [row[:] for row in rk]
+        for i, j in zeros:
+            bad[i][j] = bad[j][i] = 0
+        bad = tuple(map(tuple, bad))
+        assert _split_tree(bad) is None
+        with pytest.raises(ZeroOffDiagonalError) as zero:
+            _checked_space(space.labels, values, bad, False)
+        assert (zero.value.i, zero.value.j) == min(zeros)

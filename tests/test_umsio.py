@@ -14,7 +14,12 @@ from ultragh import (
     write_space,
     write_space_file,
 )
-from ultragh.errors import ParseError, UltraGHError, UltrametricViolationError
+from ultragh.errors import (
+    ParseError,
+    UltraGHError,
+    UltrametricViolationError,
+    ZeroOffDiagonalError,
+)
 
 from conftest import ev
 
@@ -284,16 +289,85 @@ def test_loader_agrees_with_line_reader_on_canonical_files():
         assert got[2] == text
 
 
-def test_canonical_files_are_read_in_bulk(monkeypatch):
-    # write_space's layout, also with trailing blank lines or CRLF line
-    # ends, never falls back to the line reader.
+@pytest.fixture
+def bulk_only(monkeypatch):
+    """Make any fallback to the line reader fail the test."""
     def refuse(*args):
         raise AssertionError("read line by line")
 
     monkeypatch.setattr(umsio, "_read_lines", refuse)
+
+
+def test_canonical_files_are_read_in_bulk(bulk_only):
+    # write_space's layout, also with trailing blank lines or CRLF line
+    # ends, never falls back to the line reader.
     for text in _canonical_texts(range(1, 41, 3)):
         for variant in (text, text + "\n \n", text.replace("\n", "\r\n")):
             assert parse_space(variant) == reference_parse(variant)
+
+
+@pytest.mark.parametrize("n", [64, 130])
+def test_files_of_many_row_blocks_are_read_in_bulk(bulk_only, n):
+    # Each point's pair lines are one block, cut out at the next point's
+    # first line; a 130-point file holds 129 of them.
+    pool = [ev("1/4"), ev("1/2"), ev(1), ev(2), ev("7/3")]
+    space = random_ultrametric(n, n, pool, size_cap=n)
+    for inexact in (False, True):
+        text = write_space(validate_space(space.matrix(), space.labels, inexact=inexact))
+        crlf = text.replace("\n", "\r\n")
+        for variant in (text, crlf, text + "\n \n", crlf + "\r\n \r\n"):
+            got = _outcome(parse_space, variant)
+            assert got == _outcome(reference_parse, variant)
+            assert got[0].inexact is inexact and got[2] == text
+
+
+def test_zero_token_raises_the_line_readers_error(bulk_only):
+    # The bulk reader takes 0/1 as a token like any other; the zero then
+    # fails the space where the line reader fails it, at its own pair.
+    rng = random.Random(23)
+    for text in _canonical_texts([*range(2, 41, 3), 64]):
+        lines = text.splitlines(keepends=True)
+        pairs = [k for k, line in enumerate(lines) if line.startswith("d ")]
+        for k in rng.sample(pairs, min(3, len(pairs))):
+            _, i, j, _ = lines[k].split()
+            variant = "".join([*lines[:k], f"d {i} {j} 0/1\n", *lines[k + 1:]])
+            got = _outcome(parse_space, variant)
+            assert got == _outcome(reference_parse, variant)
+            assert got[:2] == (ZeroOffDiagonalError, str(ZeroOffDiagonalError(int(i), int(j))))
+
+
+# The line breaks of str.splitlines besides "\n" and "\r\n".
+OTHER_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_other_line_breaks_agree_with_line_reader(brk):
+    # The line reader splits lines on every break str.splitlines knows, so
+    # "labels a\x85b c" is two lines, not three labels. A reader that cuts
+    # lines only at "\n" must fall back on such a file rather than load it.
+    rng = random.Random(ord(brk))
+    x3 = write_space(truncated_unramified_ring(3, 1, 1))
+    texts = [x3.replace("labels 0 1 2", "labels a b c"), *_canonical_texts([2, 5, 12, 40])]
+    for text in texts:
+        head, rest = text.split("labels ", 1)
+        labels, body = rest.split("\n", 1)
+        variants = [
+            head + "labels " + labels.replace(" ", brk, 1) + "\n" + body,
+            head + "labels " + labels + brk + "\n" + body,
+            head.replace("points ", "points" + brk) + "labels " + rest,
+        ]
+        top = text[:len(text) - len(body)]
+        lines = body.splitlines(keepends=True)
+        pairs = [k for k, line in enumerate(lines) if line.startswith("d ")]
+        for k in rng.sample(pairs, min(2, len(pairs))):
+            line = lines[k]
+            cut = line.rindex(" ")
+            for new in (line.replace(" ", brk, 1), line.replace(" ", brk + " ", 1),
+                        line[:cut] + brk + line[cut + 1:],
+                        line[:-1] + brk, line[:-1] + brk + "\n", brk + line):
+                variants.append(top + "".join([*lines[:k], new, *lines[k + 1:]]))
+        for variant in variants:
+            assert _outcome(parse_space, variant) == _outcome(reference_parse, variant), variant
 
 
 def _layouts(text, rng):
@@ -349,6 +423,9 @@ def _layouts(text, rng):
         # A 5-word line then a 3-word line.
         first = b.rpartition(" ")
         yield joined(head, pairs[:k], [a + " " + first[0], first[2]], pairs[k + 2:], tail)
+    # One pair's token on a line of its own: the words still read in fours.
+    d_i_j, _, token = pairs[k].rpartition(" ")
+    yield joined(head, pairs[:k], [d_i_j, token], pairs[k + 1:], tail)
 
 
 def test_loader_agrees_with_line_reader_on_other_layouts():
@@ -373,6 +450,8 @@ def test_loader_corner_cases_agree_with_line_reader():
         head + "d 1 2 1/1\nd 0 2 3/1\nd 0 1 1/1\n",
         # a 3-word line followed by a 5-word line
         head + "d 0 1\n1/1 d 0 2 1/1\nd 1 2 1/1\n",
+        # a token on a line of its own, in point 0's block
+        head + "d 0 1\n1/2\nd 0 2 1/2\nd 1 2 1/4\n",
         # duplicate labels with a complete body, and with a bad line
         "ums 1\npoints 2\nlabels a a\nd 0 1 1/1\n",
         "ums 1\npoints 2\nlabels a a\nd 0 1 1/2/3\n",
@@ -383,6 +462,9 @@ def test_loader_corner_cases_agree_with_line_reader():
         x3.replace("\n", "\r\n"),
         x3.replace("\n", "\r"),
         x3 + "inexact true\nd 0 1 1/1\n",
+        # the flag's two words on two lines, after a canonical body
+        x3 + "inexact\ntrue\n",
+        x3 + "\ninexact\r\ntrue\r\n",
     ]
     for text in texts:
         assert _outcome(parse_space, text) == _outcome(reference_parse, text), text
@@ -406,3 +488,20 @@ def test_header_for_many_points_needs_no_square_matrix():
     with pytest.raises(ParseError) as exc:
         parse_space(text + "d 0 1 x\n")
     assert (exc.value.line, exc.value.reason) == (5, "duplicate pair (0, 1)")
+
+
+def test_canonical_file_loads_without_a_line_list():
+    # A canonical 256-point file is read block by block into the rank rows:
+    # no list of its 32,640 pair lines, no padded triangle beside the rows.
+    # The peak was 3.6-3.8 MB with those and is 1.4 MB without them on
+    # Python 3.10-3.13, the finished space included.
+    text = write_space(truncated_unramified_ring(2, 1, 8, size_cap=256))
+    parse_space(text)
+    tracemalloc.start()
+    try:
+        space = parse_space(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space) == 256
+    assert peak < 2_500_000
