@@ -460,11 +460,15 @@ class _FarMasks(dict):
     def __init__(self, grid: BreakpointGrid):
         y = grid.y
         self._gap = grid._gap
-        self._zero = [0] * len(y)
-        self._y_masks = y_masks = [[0] * len(y) for _ in y.values]
-        for a, row in enumerate(y.ranks):
-            for b, w in enumerate(row):
-                y_masks[w][a] |= 1 << b
+        self._zero = zero = [0] * len(y)
+        self._y_masks = y_masks = [zero.copy() for _ in y.values]
+        # The ranks are symmetric, so row b adds b's bit to the mask of
+        # each a at its distance from b, each bit once.
+        bit = 1
+        for row in y.ranks:
+            for a, w in enumerate(row):
+                y_masks[w][a] += bit
+            bit += bit
 
     def __missing__(self, cutoff: int) -> list[list[int]]:
         rows = self[cutoff] = []
@@ -477,13 +481,22 @@ class _FarMasks(dict):
         return rows
 
 
+# A search's leaf: the correspondence, its distortion as an int over the
+# grid's den, optimal and nodes, the fields of a SearchResult.
+_Leaf = tuple[Correspondence, int, bool, int]
+
+
 def _search(
     grid: BreakpointGrid,
     budget: Optional[int],
     product_cap: int,
     start: Optional[int] = None,
-) -> SearchResult:
-    """Minimum distortion over the correspondences of grid's pair.
+) -> _Leaf:
+    """Minimum distortion over the correspondences of grid's pair, as a
+    leaf: the correspondence, its distortion as a grid int, optimal and
+    nodes. No ExactValue is made on the way; min_distortion_correspondence
+    wraps the leaf into a SearchResult, and the engine makes only the
+    numbers its report shows.
 
     The search stops at its first leaf at or below the grid's merge-height
     floor, a proven lower bound on the minimum.
@@ -509,10 +522,13 @@ def _search(
     """
     x, y = grid.x, grid.y
     n, m = len(x), len(y)
+    # The full product is always a correspondence, always strong, and its
+    # distortion is exactly the larger diameter, the largest any leaf can
+    # have.
+    full = max(grid.wx[-1], grid.wy[-1])
     if n == 1 or m == 1:
         # Covering forces the full product, the unique correspondence here.
-        corr = full_product(x, y)
-        return SearchResult(corr, max(x.diameter(), y.diameter()), True, 0)
+        return full_product(x, y), full, True, 0
     if budget is None and n * m > product_cap:
         raise SearchSpaceTooLargeError(
             f"|X|*|Y| = {n * m} exceeds the cap {product_cap}; pass a budget "
@@ -539,15 +555,12 @@ def _search(
         # The pairs (i, b), b in sets[i], ascending.
         return [(i, b) for i, si in enumerate(sets) for b in si]
 
-    # The full product is always a correspondence, always strong, and its
-    # distortion is exactly max(diam X, diam Y), the largest any leaf can
-    # have. The incumbent starts just above it (or above start), so the
-    # search records the first leaf in search order it accepts and then
-    # only strictly better ones: it ends on the first optimal leaf, the
-    # lexicographically smallest optimal pair set. A leaf at or below the
-    # merge-height floor is that first optimal leaf, so the search stops
-    # there. The full product's distortion is the larger diameter.
-    full = max(grid.wx[-1], grid.wy[-1])
+    # The incumbent starts just above the full product's distortion (or
+    # above start), so the search records the first leaf in search order
+    # it accepts and then only strictly better ones: it ends on the first
+    # optimal leaf, the lexicographically smallest optimal pair set. A leaf
+    # at or below the merge-height floor is that first optimal leaf, so the
+    # search stops there.
 
     nodes = 0  # frames entered; past budget the search stops
     best = (full if start is None else start) + 1
@@ -649,12 +662,10 @@ def _search(
                 "the search's starting bound"
             )
         # the budget ran out before the first leaf
-        return SearchResult(full_product(x, y), ExactValue(full, grid.den), optimal,
-                            nodes)
+        return full_product(x, y), full, optimal, nodes
     # Left points ascend and each partner subset lists its points
     # ascending, so the pairs ascend; every leaf covers both sides.
-    return SearchResult(Correspondence._sorted(x, y, tuple(best_pairs)),
-                        ExactValue(best, grid.den), optimal, nodes)
+    return Correspondence._sorted(x, y, tuple(best_pairs)), best, optimal, nodes
 
 
 def min_distortion_correspondence(
@@ -678,7 +689,9 @@ def min_distortion_correspondence(
     """
     _check_budget(budget)
     _check_budget(product_cap, "product_cap", optional=False)
-    return _search(BreakpointGrid(x, y), budget, product_cap)
+    grid = BreakpointGrid(x, y)
+    corr, k, optimal, nodes = _search(grid, budget, product_cap)
+    return SearchResult(corr, ExactValue(k, grid.den), optimal, nodes)
 
 
 def _check_budget(budget: Optional[int], name: str = "budget", optional: bool = True) -> None:

@@ -20,12 +20,13 @@ isometric. One walk up the cuts finds, certifies and matches it
 (isometries._certified_quotient), on the dendrograms the two spaces kept
 from validation, with no recursion, so it works at any depth. The walk
 starts at the larger of the spectra bound this call reports
-(spaces.spectra_lower_bound) and the grid's merge-height floor. Its first
-comparison, the cut just below the start, must find the quotients
-different: that is the lower certificate. Every cut from the start up is
-then compared once, and the first whose quotients are isometric is dhat.
-The isometries module owns every cut of a dendrogram; this one reads
-none.
+(spaces.spectra_lower_bound) and the grid's merge-height floor; dhat_gh
+computes the spectra bound once and hands it to the walk as a grid int.
+Its first comparison, the cut just below the start, must find the
+quotients different: that is the lower certificate. Every cut from the
+start up is then compared once, and the first whose quotients are
+isometric is dhat. The isometries module owns every cut of a dendrogram;
+this one reads none.
 
 Every outcome the report shows comes from the one greedy isometry
 between the two quotients at that cut, at every size, and only the
@@ -75,12 +76,17 @@ The quotient witnesses and the classical search of one call read the
 pair's single BreakpointGrid, whose every number is an int over one
 common denominator: both spaces' values and its merge-height floor, and,
 for the search only, the per-value gaps. Both read distances off the
-spaces' own ranks, and an ExactValue is made only for a value the report
-shows: dhat, the classical distortion and the floor. Each
-classical search run builds its own far-partner bitmasks
-(correspondences._FarMasks): y's point masks per distance once, then, for
-each cutoff it reaches, one row per distance of x. Nothing writes the
-grid after it is built.
+spaces' own ranks. The search returns its leaf in those ints (the
+correspondence, its distortion, optimal and nodes), and the checks of
+2 d_GH against the floor and against dhat, and of the two vanishing
+together, compare ints. On the classical path an ExactValue is made
+only for the two ends of the report's interval, each once over 2 * den
+(the lower end is half the floor when the budget ran out, and half the
+distortion otherwise), and for the ratio dhat / d_GH, 2 dhat over the
+distortion. Each classical search run builds its own far-partner
+bitmasks (correspondences._FarMasks): y's point masks per distance once,
+then, for each cutoff it reaches, one row per distance of x. Nothing
+writes the grid after it is built.
 The search's partner-subset orders depend only on |Y|, and up to 12
 points one copy serves every search. No relation check (a verdict, the
 partner walk) runs on the way. One call computes the floor and the
@@ -92,7 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import ExactValue, ZERO
+from .exact import ExactValue
 from .errors import (
     BudgetExceededError,
     MethodDisagreementError,
@@ -120,7 +126,6 @@ from .isometries import (
 )
 
 METHOD_NAMES = ("strong_correspondence", "isometry_scan", "approximation_scan")
-TWO = ExactValue(2)
 
 
 @dataclass(frozen=True)
@@ -246,18 +251,22 @@ def classical_gh(
     diameter difference) and half the incumbent distortion. A search that
     reaches the floor stops there as optimal. Without a budget the search
     is first seeded at the floor itself, and when no correspondence
-    reaches it, runs again seeded at the quotient value dhat.
+    reaches it, runs again seeded at the quotient value dhat, which this
+    call walks the quotient cuts for. The search returns its distortion as
+    a grid int, and the two halves are the only ExactValues made of it
+    and of the floor.
     """
     _check_budget(budget)
     _check_budget(product_cap, "product_cap", optional=False)
-    return _classical(BreakpointGrid(x, y), budget, product_cap)
+    return _classical(BreakpointGrid(x, y), budget, product_cap)[0]
 
 
 def _classical(
     grid: BreakpointGrid, budget: Optional[int], product_cap: int,
     dhat: Optional[int] = None,
-) -> ClassicalResult:
-    """classical_gh on the pair of grid.
+) -> tuple[ClassicalResult, int]:
+    """classical_gh on the pair of grid, and the search's distortion, twice
+    the upper end, as a grid int.
 
     A budgeted call runs one unseeded search. Without a budget a floor pass
     runs first: the search seeded at the merge-height floor, a proven lower
@@ -269,26 +278,31 @@ def _classical(
     raises. The floor is the grid's, computed once with it. dhat is the
     quotient value as a grid int when the caller has it, as dhat_gh
     always does; without it the restart walks the quotient cuts
-    (isometries._certified_quotient).
+    (isometries._certified_quotient), which computes its own start.
+
+    The search's leaf stays in grid ints: the check against the floor
+    compares ints, and each half is made once, as an ExactValue over
+    2 * grid.den. The distortion goes back to the caller as an int, for
+    dhat_gh's checks against dhat and its ratio.
     """
     if budget is not None:
-        res = _search(grid, budget, product_cap)
+        leaf = _search(grid, budget, product_cap)
     else:
         try:
-            res = _search(grid, None, product_cap, grid.floor)
+            leaf = _search(grid, None, product_cap, grid.floor)
         except _NoLeafAtStart:
-            res = _search(grid, None, product_cap,
-                          _certified_quotient(grid).height if dhat is None else dhat)
-    floor = ExactValue(grid.floor, grid.den)
-    if res.distortion < floor:
+            leaf = _search(grid, None, product_cap,
+                           _certified_quotient(grid).height if dhat is None else dhat)
+    corr, best, optimal, _ = leaf
+    floor, den2 = grid.floor, 2 * grid.den
+    if best < floor:
         raise MethodDisagreementError(
-            f"classical search returned {res.distortion / TWO}, below the "
-            f"merge-height bound {floor / TWO}"
+            f"classical search returned {ExactValue(best, den2)}, below the "
+            f"merge-height bound {ExactValue(floor, den2)}"
         )
-    half = res.distortion / TWO
-    lower = half if res.optimal else floor / TWO
-    return ClassicalResult(lower=lower, upper=half, witness=res.correspondence,
-                           optimal=res.optimal)
+    half = ExactValue(best, den2)
+    lower = half if optimal else ExactValue(floor, den2)
+    return ClassicalResult(lower=lower, upper=half, witness=corr, optimal=optimal), best
 
 
 def _auto_methods(product: int, caps: EngineCaps) -> tuple[str, ...]:
@@ -377,9 +391,11 @@ def dhat_gh(
             dhat, True, full_product(x, y))
     else:
         # The quotient route at every size; methods and the caps only pick
-        # the names.
+        # the names. The walk starts from the spectra bound this call
+        # reports, as a grid int: it is one of the spaces' own values.
         grid = BreakpointGrid(x, y)
-        quotient = _certified_quotient(grid)
+        quotient = _certified_quotient(
+            grid, slb._numerator * (grid.den // slb._denominator))
         scaled = quotient.height
         dhat = ExactValue(scaled, grid.den)
         if methods is None:
@@ -409,19 +425,20 @@ def dhat_gh(
         if grid is None:
             grid = BreakpointGrid(x, y)
             scaled = max(grid.wx[-1], grid.wy[-1])  # the larger diameter, dhat on a gap
-        classical = _classical(grid, budget, _CAPS.classical_product, scaled)
+        # best is 2 d_GH and scaled is dhat, both grid ints, so every
+        # check compares ints and dhat / d_GH is 2 * scaled / best.
+        classical, best = _classical(grid, budget, _CAPS.classical_product, scaled)
         if classical.optimal:
-            doubled = classical.value * TWO
-            if doubled > dhat:
+            if best > scaled:
                 raise MethodDisagreementError(
-                    f"2 d_GH = {doubled} exceeds dhat = {dhat}"
+                    f"2 d_GH = {ExactValue(best, grid.den)} exceeds dhat = {dhat}"
                 )
-            if (classical.value == ZERO) != (dhat == ZERO):
+            if (best == 0) != (scaled == 0):
                 raise MethodDisagreementError(
                     "exactly one of d_GH and dhat vanished"
                 )
-            if classical.value != ZERO:
-                ratio = dhat / classical.value
+            if best:
+                ratio = ExactValue(2 * scaled, best)
 
     return DistanceReport(
         dhat=dhat,

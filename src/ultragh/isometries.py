@@ -378,7 +378,8 @@ def _quotient_below(
     return None if forms is None else _quotient_witnesses(grid, c, forms)
 
 
-def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
+def _certified_quotient(grid: BreakpointGrid, spectra: Optional[int] = None
+                        ) -> _QuotientWitnesses:
     """The greedy quotient isometry at dhat, the least t in
     {0} ∪ W_X ∪ W_Y at which the quotients of grid's pair by closed
     t-balls are isometric, found and certified by one walk up the cuts.
@@ -387,11 +388,13 @@ def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
     proven lower bounds on dhat: spectra_lower_bound (the largest value
     one spectrum holds and the other lacks), scaled, which is exact since
     it is one of the spaces' own values, and the grid's merge-height
-    floor. Its first comparison, the cut just below the start, must
-    differ: that is the lower certificate, since quotients isometric at
-    one value are isometric at every larger one. Every cut from the start up is then
-    compared once, and the first with equal roots is dhat; at the larger
-    diameter both roots get id 0. Each comparison cuts the dendrograms
+    floor. dhat_gh, which reports the spectra bound, hands it in as
+    spectra; without it the walk computes its own. Its first comparison,
+    the cut just below the start, must differ: that is the lower
+    certificate, since quotients isometric at one value are isometric at
+    every larger one. Every cut from the start up is then compared once,
+    and the first with equal roots is dhat; at the larger diameter both
+    roots get id 0. Each comparison cuts the dendrograms
     kept from validation (_equal_roots), with no recursion at any depth.
     That cut's forms go to the matching (_quotient_witnesses), whose
     largest class diameter must be dhat itself, so the correspondence has
@@ -399,7 +402,9 @@ def _certified_quotient(grid: BreakpointGrid) -> _QuotientWitnesses:
     MethodDisagreementError.
     """
     den = grid.den
-    start = max(int(spectra_lower_bound(grid.x, grid.y) * den), grid.floor)
+    if spectra is None:
+        spectra = int(spectra_lower_bound(grid.x, grid.y) * den)
+    start = max(spectra, grid.floor)
     cuts = sorted({*grid.wx, *grid.wy})
     k = bisect_left(cuts, start)
     if k and _equal_roots(grid, cuts[k - 1]) is not None:

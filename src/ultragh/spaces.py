@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, zip_longest
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import ExactValue, ZERO, Coercible
@@ -584,6 +584,9 @@ def spectra_lower_bound(x: UltrametricSpace, y: UltrametricSpace) -> ExactValue:
     return ZERO
 
 
+_DENOMINATOR = attrgetter("_denominator")
+
+
 class BreakpointGrid:
     """The exact numbers every check, quotient cut and search over a pair
     needs, as ints over one common denominator.
@@ -619,7 +622,7 @@ class BreakpointGrid:
         self.x, self.y = x, y
         # The terms are read from Fraction's own slots: its properties are
         # Python calls.
-        self.den = den = lcm(*(v._denominator for v in chain(x.values, y.values)))
+        self.den = den = lcm(*map(_DENOMINATOR, chain(x.values, y.values)))
         self.wx = wx = [v._numerator * (den // v._denominator) for v in x.values]
         self.wy = wy = [v._numerator * (den // v._denominator) for v in y.values]
         self._gap = [[abs(a - b) for b in wy] for a in wx]
@@ -645,14 +648,20 @@ class BreakpointGrid:
         Both height lists are the ones each space made from its
         dendrogram when it was built (UltrametricSpace._merges), as its
         own ranks, largest first. Each term is the gap between a value of
-        {0} ∪ W_X and one of {0} ∪ W_Y, so it is read off _gap and the
-        floor is one max over max(n, m) - 1 ints. The grid computes it
-        once, as floor.
+        {0} ∪ W_X and one of {0} ∪ W_Y, so it is read off _gap by the two
+        ranks, rank 0 padding the shorter list, and the floor is one plain
+        loop over max(n, m) - 1 ints, 0 when both spaces are one point.
+        It is a grid int, made an ExactValue only where a report or an
+        error shows it. This is the one place the floor is computed, and
+        the grid computes it once, as floor.
         """
         gap = self._gap
-        return max((gap[a][b] for a, b in zip_longest(
-                        self.x._merges, self.y._merges, fillvalue=0)),
-                   default=0)
+        best = 0
+        for a, b in zip_longest(self.x._merges, self.y._merges, fillvalue=0):
+            r = gap[a][b]
+            if r > best:
+                best = r
+        return best
 
     def thresholds(self) -> tuple[ExactValue, ...]:
         """The grid values, strictly increasing, followed by a sentinel

@@ -773,7 +773,9 @@ def test_default_witnesses_pass_the_public_checks_at_64_points():
 def test_dhat_computes_hint_and_floor_once(monkeypatch):
     # On this pair the classical floor pass misses and the search restarts
     # at the quotient value, which dhat_gh hands to it as a grid int: one
-    # quotient walk and one merge-height floor per call.
+    # quotient walk, one merge-height floor and one spectra bound per
+    # call. dhat_gh hands the walk the spectra bound it reports, so the
+    # walk computes none of its own.
     x, y = hard_pair(35)
     quotient, floor = engine._certified_quotient, BreakpointGrid.distortion_floor
     calls = []
@@ -786,9 +788,12 @@ def test_dhat_computes_hint_and_floor_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_certified_quotient", counted("quotient", quotient))
     monkeypatch.setattr(BreakpointGrid, "distortion_floor", counted("floor", floor))
+    for module in (engine, isometries):
+        monkeypatch.setattr(module, "spectra_lower_bound",
+                            counted("spectra", module.spectra_lower_bound))
     report = dhat_gh(x, y)
     assert report.classical.optimal
-    assert sorted(calls) == ["floor", "quotient"]
+    assert sorted(calls) == ["floor", "quotient", "spectra"]
 
 
 def hard_pair(seed):
@@ -859,11 +864,18 @@ def true_values(pairs):
     return {(x, y): dhat_gh(x, y, include_classical=False).dhat for x, y in pairs}
 
 
+def inject_spectra_bound(monkeypatch, bound):
+    """Replace the spectra bound the walk starts from: the one dhat_gh
+    reports and hands the walk, and the one a standalone walk computes."""
+    for module in (engine, isometries):
+        monkeypatch.setattr(module, "spectra_lower_bound", bound)
+
+
 def inject_start_above_the_value(monkeypatch, pairs):
     """Make the spectra bound the walk reads, on each of pairs, the least
     value of {0} ∪ W_X ∪ W_Y above dhat."""
     dhat = true_values(pairs)
-    monkeypatch.setattr(isometries, "spectra_lower_bound", lambda x, y: min(
+    inject_spectra_bound(monkeypatch, lambda x, y: min(
         v for v in (*x.values, *y.values) if v > dhat[x, y]))
 
 
@@ -883,7 +895,7 @@ def inject_equal_roots_below_the_value(monkeypatch, pairs):
         return true_roots(grid, c)
 
     monkeypatch.setattr(isometries, "_equal_roots", early)
-    monkeypatch.setattr(isometries, "spectra_lower_bound", lambda x, y: ZERO)
+    inject_spectra_bound(monkeypatch, lambda x, y: ZERO)
     monkeypatch.setattr(BreakpointGrid, "distortion_floor", lambda grid: 0)
 
 
@@ -901,13 +913,14 @@ def test_lower_certificate_refuses_the_next_threshold(monkeypatch):
 
 
 def test_seeded_classical_search_below_its_minimum_raises():
+    # The search's leaf is the correspondence, its distortion as a grid
+    # int, optimal and nodes.
     for seed in (12, 35):
         x, y = hard_pair(seed)
         grid = BreakpointGrid(x, y)
-        res = _search(grid, None, 36)
-        scaled = grid_int(grid, res.distortion)
+        corr, scaled, _, _ = _search(grid, None, 36)
         seeded = _search(grid, None, 36, scaled)
-        assert (seeded.correspondence, seeded.distortion) == (res.correspondence, res.distortion)
+        assert seeded[:2] == (corr, scaled)
         # Seeded at the grid value just below the minimum.
         below = max(k for row in grid._gap for k in row if k < scaled)
         with pytest.raises(MethodDisagreementError, match="starting bound"):
@@ -964,6 +977,43 @@ def test_classical_computes_its_floor_once(monkeypatch):
             calls.clear()
             classical_gh(x, y, budget)
             assert len(calls) == 1
+
+
+def doctor_the_leaf(monkeypatch, distortion):
+    """Make every classical search return the full product as an optimal
+    leaf of the given distortion, a grid int."""
+    monkeypatch.setattr(engine, "_search", lambda grid, *args: (
+        full_product(grid.x, grid.y), distortion, True, 0))
+
+
+def test_classical_guards_raise_on_a_doctored_leaf(monkeypatch, z4):
+    # z4 against the ring of 9 points: the grid's denominator is 6, its
+    # merge-height floor 3/6 and dhat 1 = 6/6. A leaf below the floor
+    # trips the floor guard in classical_gh and dhat_gh alike; a leaf
+    # above dhat passes it and trips the 2 d_GH <= dhat guard. A leaf of
+    # distortion 0 on a pair whose floor is 0 and whose dhat is 1 trips
+    # the zero agreement. Each message names its values as reduced
+    # fractions: the halves over 12 and 2 d_GH over 6.
+    big = truncated_unramified_ring(3, 1, 2)
+    grid = BreakpointGrid(z4, big)
+    assert (grid.den, grid.floor, dhat_gh(z4, big).dhat) == (6, 3, ExactValue(1))
+    x = validate_space([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]])
+    y = validate_space([[0, 1, 1, 2], [1, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]])
+    assert (BreakpointGrid(x, y).floor, dhat_gh(x, y).dhat) == (0, ExactValue(1))
+    doctor_the_leaf(monkeypatch, 2)
+    below = "classical search returned 1/6, below the merge-height bound 1/4"
+    for call in (lambda: classical_gh(z4, big), lambda: dhat_gh(z4, big),
+                 lambda: classical_gh(z4, big, budget=10)):
+        with pytest.raises(MethodDisagreementError, match=f"^{below}$"):
+            call()
+    doctor_the_leaf(monkeypatch, 7)
+    assert classical_gh(z4, big).value == ExactValue(7, 12)
+    with pytest.raises(MethodDisagreementError, match="^2 d_GH = 7/6 exceeds dhat = 1$"):
+        dhat_gh(z4, big)
+    doctor_the_leaf(monkeypatch, 0)
+    assert classical_gh(x, y).value == ExactValue(0)
+    with pytest.raises(MethodDisagreementError, match="^exactly one of d_GH and dhat vanished$"):
+        dhat_gh(x, y)
 
 
 def test_validated_spaces_are_never_written(z4, x2):

@@ -44,6 +44,7 @@ from conftest import caterpillar, ev
 from oracles import (
     ball_class_count,
     ball_partition_by_row_scan,
+    fraction_matrix,
     grid_int_tables,
     is_epsilon_net_by_row_scan,
     merge_heights_by_ball_counts,
@@ -453,6 +454,54 @@ def test_distortion_floor(x, y):
                   induced_subspace(space, range(0, len(space), 2))):
             assert s._merges == _merge_heights(s._tree)
             assert [s.values[h] for h in s._merges] == merge_heights_by_ball_counts(s)
+
+
+def mst_heights(space):
+    """The edge weights of a minimum spanning tree of the space's distance
+    matrix, largest first, by Prim's algorithm on Fractions: for an
+    ultrametric they are its merge heights."""
+    dist = fraction_matrix(space)
+    near = {j: dist[0][j] for j in range(1, len(dist))}
+    heights = []
+    while near:
+        j = min(near, key=near.__getitem__)
+        heights.append(near.pop(j))
+        for k in near:
+            near[k] = min(near[k], dist[j][k])
+    return sorted(heights, reverse=True)
+
+
+# Sizes (|X|, |Y|) of each relation the floor's zero padding meets.
+SIZES = {
+    "smaller": st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n + 1, 8))),
+    "larger": st.integers(1, 7).flatmap(
+        lambda m: st.tuples(st.integers(m + 1, 8), st.just(m))),
+    "equal": st.integers(1, 8).map(lambda n: (n, n)),
+    "one_point": st.integers(1, 8).flatmap(
+        lambda n: st.sampled_from([(1, n), (n, 1)])),
+}
+THIRDS = [ExactValue(1, 3), ExactValue(2, 3), ExactValue(1), ExactValue(3, 2)]
+
+
+@pytest.mark.parametrize("relation", sorted(SIZES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_distortion_floor_pads_the_shorter_heights(relation, data):
+    # The floor is max_k |h_X[k] - h_Y[k]| over merge heights read off a
+    # minimum spanning tree, the shorter list padded with zeros, whichever
+    # side is shorter, and 0 when both sides are one point. X's values are
+    # quarters and Y's thirds, so the grid scales both by a common
+    # denominator neither side has alone.
+    n, m = data.draw(SIZES[relation])
+    x = random_ultrametric(n, data.draw(st.integers(0, 10_000)), POOL)
+    y = random_ultrametric(m, data.draw(st.integers(0, 10_000)), THIRDS)
+    grid = BreakpointGrid(x, y)
+    hx, hy = mst_heights(x), mst_heights(y)
+    expected = max((abs(a - b) for a, b in zip_longest(hx, hy, fillvalue=Fraction(0))),
+                   default=Fraction(0))
+    assert grid.floor == grid.distortion_floor()
+    assert ExactValue(grid.floor, grid.den).fraction == expected
 
 
 @settings(max_examples=100, deadline=None)
