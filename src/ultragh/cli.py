@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .exact import ExactValue
+from .exact import ExactValue, _is_digits
 from .errors import (
     BudgetExceededError,
     MethodDisagreementError,
@@ -100,11 +100,10 @@ def _parse_pairs_file(path: str) -> list[tuple[int, int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            i, j = map(int, line.split())
-        except ValueError:
-            raise UltraGHError(f"pairs file: expected 'i j', got {raw!r}") from None
-        pairs.append((i, j))
+        words = line.split()
+        if len(words) != 2 or not all(map(_is_digits, words)):
+            raise UltraGHError(f"pairs file: expected 'i j', got {raw!r}")
+        pairs.append((int(words[0]), int(words[1])))
     return pairs
 
 
@@ -156,10 +155,8 @@ def _cmd_gen(args) -> int:
         )
     elif args.kind == "zqdelta":
         space = generators.zq_delta(args.p, args.q, args.depth, size_cap=cap)
-    elif args.kind == "random":
+    else:  # "random": argparse restricts kind to the five choices
         space = generators.random_ultrametric(args.n, args.seed, args.pool, size_cap=cap)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UltraGHError(f"unknown generator {args.kind!r}")
     _emit_space(args, space)
     return 0
 

@@ -119,7 +119,6 @@ from .correspondences import (
     full_product,
 )
 from .isometries import (
-    ApproximationWitness,
     MapWitness,
     _cell_midpoint,
     _certified_quotient,
@@ -219,6 +218,8 @@ def _value_token(value) -> Optional[str]:
 
 
 def _witness_json(witness) -> object:
+    # Every witness is a Correspondence, a MapWitness, an
+    # ApproximationWitness or None.
     if witness is None:
         return None
     if isinstance(witness, Correspondence):
@@ -228,13 +229,11 @@ def _witness_json(witness) -> object:
             "images": list(witness.images),
             "epsilon": witness.epsilon.token(),
         }
-    if isinstance(witness, ApproximationWitness):
-        return {
-            "xs": list(witness.xs),
-            "ys": list(witness.ys),
-            "epsilon": witness.epsilon.token(),
-        }
-    return str(witness)
+    return {
+        "xs": list(witness.xs),
+        "ys": list(witness.ys),
+        "epsilon": witness.epsilon.token(),
+    }
 
 
 def classical_gh(

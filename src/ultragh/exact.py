@@ -54,6 +54,13 @@ Coercible = Union["ExactValue", Fraction, int, str]
 _NO_FLOATS = "ExactValue does not accept floats; use a ratio of ints"
 
 
+def _is_digits(word: str) -> bool:
+    """True iff word is one or more ASCII digits. int() also reads a sign,
+    underscores, surrounding spaces and non-ASCII digits, none of which a
+    number read from text may hold."""
+    return word.isascii() and word.isdigit()
+
+
 def _operand(other, op: str) -> Fraction:
     """An int or Fraction operand of op as a Fraction of the same value."""
     if isinstance(other, Fraction):
@@ -119,15 +126,26 @@ class ExactValue(Fraction):
 
     @classmethod
     def parse(cls, text: str) -> "ExactValue":
-        """Parse 'a/b' or a bare integer 'a'; malformed text raises ValueError."""
-        text = text.strip()
-        if "/" in text:
-            num_s, _, den_s = text.partition("/")
-            den = int(den_s)
-            if den == 0:
-                raise ValueError(f"zero denominator in {text!r}")
-            return cls(int(num_s), den)
-        return cls(int(text))
+        """Parse 'a/b' or a bare integer 'a', once surrounding whitespace
+        is stripped. a and b are ASCII digits (_is_digits), the rule for
+        every number the package reads from text: no sign, no underscore,
+        no inner space, no non-ASCII digit. Malformed text and a zero
+        denominator raise ValueError.
+
+        >>> ExactValue.parse(" 6/4 "), ExactValue.parse("7")
+        (ExactValue(3/2), ExactValue(7/1))
+        >>> ExactValue.parse("1_0/3")
+        Traceback (most recent call last):
+            ...
+        ValueError: expected digits or digits/digits, got '1_0/3'
+        """
+        num, sep, den = text.strip().partition("/")
+        if not _is_digits(num) or sep and not _is_digits(den):
+            raise ValueError(f"expected digits or digits/digits, got {text!r}")
+        den = int(den) if sep else 1
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return cls(int(num), den)
 
     # Fraction's own versions of these two build the instance without
     # __new__ on Python 3.12+, which would skip both checks.

@@ -370,10 +370,11 @@ def _quotient_below(
     """_quotient_witnesses at the largest grid value below eps, whose
     closed balls are the open eps-balls: None when eps <= dhat, that is,
     when the quotients differ there. A grid int k is below eps exactly
-    when k < ceil(eps * den); the cut is -1 when no grid int is."""
+    when k < ceil(eps * den). Every caller has checked eps > 0, and 0 is
+    always a grid value, so some grid int is below eps."""
     grid = BreakpointGrid(x, y)
     cut = ceil(eps * grid.den)
-    c = max((k for k in chain.from_iterable(grid._gap) if k < cut), default=-1)
+    c = max(k for k in chain.from_iterable(grid._gap) if k < cut)
     forms = _equal_roots(grid, c)
     return None if forms is None else _quotient_witnesses(grid, c, forms)
 

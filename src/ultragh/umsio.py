@@ -13,18 +13,24 @@ every number is ASCII digits alone: no sign, no underscore. The
 writer emits pair lines in lexicographic order, so write/parse round-trips
 are byte-identical.
 
-The reader takes that layout in bulk, straight from the text: point i's
-n - 1 - i pair lines are cut out at the next point's first line and split
-as one block, checked against the indices they must hold, and each
-distinct distance token is checked once. No list of the file's lines is
-made. Any other valid layout (pair lines in another order, blank lines or
-`inexact true` inside the body, other spacing, line breaks other than
-"\n" and "\r\n") is read line by line and loads the same space; that
-reader also names the line of every error. Both give the upper triangle
-as token ids, which go into symmetric rank rows by slice assignment, and
-end in the rank-level checks validate_space shares, whose strong triangle
-test splits closed balls. Only a file that test rejects is scanned for a
-zero off the diagonal.
+Both readers below read the header with one function, _header: blank
+lines before and between its three items are skipped, and a malformed
+item is a ParseError naming its line. Every count, index and number
+follows one rule, exact._is_digits, which ExactValue.parse also follows.
+
+The body of a file in the writer's layout is read in bulk, straight from
+the text, whatever blank lines the header holds: point i's n - 1 - i pair
+lines are cut out at the next point's first line and split as one block,
+checked against the indices they must hold, and each distinct distance
+token is checked once. No list of the file's lines is made. Any other
+valid body (pair lines in another order, blank lines or `inexact true`
+inside it, other spacing), and any file with line breaks other than "\n"
+and "\r\n", is read line by line and loads the same space; that reader
+also names the line of every error. Both give the upper triangle as token
+ids, which go into symmetric rank rows by slice assignment, and end in
+the rank-level checks validate_space shares, whose strong triangle test
+splits closed balls. Only a file that test rejects is scanned for a zero
+off the diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from math import gcd
 from pathlib import Path
 from typing import Optional, Union
 
-from .exact import ExactValue, ZERO
+from .exact import ExactValue, ZERO, _is_digits
 from .errors import ParseError
 from .spaces import UltrametricSpace, _checked_labels, _checked_space
 
@@ -61,13 +67,6 @@ def write_space(space: UltrametricSpace) -> str:
 
 def write_space_file(space: UltrametricSpace, path: Union[str, Path]) -> None:
     Path(path).write_text(write_space(space))
-
-
-def _is_digits(word: str) -> bool:
-    """True iff word is one or more ASCII digits. int() also reads a sign,
-    underscores, surrounding spaces and non-ASCII digits, none of which a
-    number in a .ums file may hold."""
-    return word.isascii() and word.isdigit()
 
 
 def _parse_rational(token: str, lineno: int) -> ExactValue:
@@ -100,6 +99,44 @@ def parse_space(text: str) -> UltrametricSpace:
     return _checked_space(labels, distinct, ranks, inexact)
 
 
+def _header(lines: list[str]) -> tuple[list[str], int]:
+    """The labels of the three header items at the front of lines, and the
+    index of the line after the last item. Blank lines before and between
+    the items are skipped. A malformed item raises ParseError naming its
+    line, and lines that end before the third item raise it at the last
+    line. Both readers read their header here."""
+    pos = 0
+
+    def next_line() -> tuple[int, str]:
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            stripped = lines[pos - 1].strip()
+            if stripped:
+                return pos, stripped
+        raise ParseError(len(lines), "unexpected end of file")
+
+    lineno, header = next_line()
+    if header != "ums 1":
+        raise ParseError(lineno, f"expected header 'ums 1', got {header!r}")
+
+    lineno, pts_line = next_line()
+    parts = pts_line.split()
+    if len(parts) != 2 or parts[0] != "points":
+        raise ParseError(lineno, "expected 'points <n>'")
+    if not _is_digits(parts[1]):
+        raise ParseError(lineno, f"bad point count {parts[1]!r}")
+    n = int(parts[1])
+    if n < 1:
+        raise ParseError(lineno, "point count must be >= 1")
+
+    lineno, labels_line = next_line()
+    parts = labels_line.split()
+    if parts[0] != "labels" or len(parts) != n + 1:
+        raise ParseError(lineno, f"expected 'labels' with {n} entries")
+    return parts[1:], pos
+
+
 # The line breaks of str.splitlines other than "\n", "\r\n" and "\r".
 _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -107,15 +144,17 @@ _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def _read_bulk(
     text: str,
 ) -> Optional[tuple[list[str], list[ExactValue], list[list[int]], bool]]:
-    """The labels, the body as token ids and the inexact flag of a file in
-    the layout write_space emits, or None when it is not in that layout or
-    holds a bad token; _read_lines then reads it, as it reads any layout.
-    The body is one id per distinct distance token, values[id] its value,
-    and upper[i] the ids of d(i, j) for j > i.
+    """The labels, the body as token ids and the inexact flag of a file
+    whose body is in the layout write_space emits, or None when it is not
+    in that layout or holds a bad token; _read_lines then reads it, as it
+    reads any layout. The body is one id per distinct distance token,
+    values[id] its value, and upper[i] the ids of d(i, j) for j > i.
 
     The text may hold no break of str.splitlines other than "\n" and
-    "\r\n", so lines end where the line reader ends them. The three header
-    lines come off the front, stripped, so CRLF files stay here. Point i's
+    "\r\n", so lines end where the line reader ends them. The header is
+    read once, by _header on the lines up to the third non-blank one, so
+    blank lines between its items and CRLF ends stay here, and a malformed
+    header raises the ParseError the line reader would. Point i's
     n - 1 - i pair lines run up to the next "\nd {i+1} " and are split as
     one block. The block must hold exactly n - 1 - i lines, counted before
     it is cut out, so an oversized block costs no copy and no word list.
@@ -131,22 +170,18 @@ def _read_bulk(
         "\r" in text and text.count("\r") != text.count("\r\n")
     ):
         return None
-    pos = 0
-    head = []
-    for _ in range(3):
+    head: list[str] = []
+    pos = items = 0
+    while items < 3:
         end = text.find("\n", pos)
         if end < 0:
             return None
-        head.append(text[pos:end].strip())
+        line = text[pos:end]
+        head.append(line)
+        items += bool(line.strip())
         pos = end + 1
-    magic, points, labels = head
-    count = points[7:]
-    if not (magic == "ums 1" and points[:7] == "points " and _is_digits(count)):
-        return None
-    n = int(count)
-    labels = labels.split()
-    if not n or len(labels) != n + 1 or labels[0] != "labels":
-        return None
+    labels = _header(head)[0]
+    n = len(labels)
     strs = list(map(str, range(n)))
     ids: dict[str, int] = {}
     values: list[ExactValue] = []
@@ -184,7 +219,7 @@ def _read_bulk(
     words = tail.split(None, 2)
     if words and not (words == ["inexact", "true"] and "inexact true" in tail):
         return None
-    return labels[1:], values, upper, bool(words)
+    return labels, values, upper, bool(words)
 
 
 def _read_lines(
@@ -198,36 +233,8 @@ def _read_lines(
     grows with the lines read, not with the n^2 pairs the header
     promises."""
     lines = text.splitlines()
-    pos = 0
-
-    def next_line() -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped:
-                return pos, stripped
-        raise ParseError(len(lines), "unexpected end of file")
-
-    lineno, header = next_line()
-    if header != "ums 1":
-        raise ParseError(lineno, f"expected header 'ums 1', got {header!r}")
-
-    lineno, pts_line = next_line()
-    parts = pts_line.split()
-    if len(parts) != 2 or parts[0] != "points":
-        raise ParseError(lineno, "expected 'points <n>'")
-    if not _is_digits(parts[1]):
-        raise ParseError(lineno, f"bad point count {parts[1]!r}")
-    n = int(parts[1])
-    if n < 1:
-        raise ParseError(lineno, "point count must be >= 1")
-
-    lineno, labels_line = next_line()
-    parts = labels_line.split()
-    if parts[0] != "labels" or len(parts) != n + 1:
-        raise ParseError(lineno, f"expected 'labels' with {n} entries")
-
+    labels, pos = _header(lines)
+    n = len(labels)
     # i * n + j -> token id, for each pair line read so far.
     cells: dict[int, int] = {}
     ids: dict[str, int] = {}
@@ -269,7 +276,7 @@ def _read_lines(
         )
         raise ParseError(len(lines), f"missing pair line for {missing}")
     upper = [list(map(cells.__getitem__, range(i * n + i + 1, i * n + n))) for i in range(n)]
-    return parts[1:], values, upper, inexact
+    return labels, values, upper, inexact
 
 
 def _rank_rows(

@@ -77,6 +77,13 @@ def test_gen_validate_round_trip(files, capsys):
     assert run(["validate", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "valid: true" in out and "points: 4" in out
+    # ring takes the residue degree f: 2^2 residues at depth 1.
+    assert run(["gen", "ring", "--p", "2", "--f", "2", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert run(["spectra", str(out_path)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["validate", str(out_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 4
 
 
 def test_gen_output_file_renders_once(files, capsys, monkeypatch):
@@ -195,7 +202,8 @@ def test_split_found(files, capsys, tmp_path):
 
 def test_chi_command(files, capsys, tmp_path):
     pairs = tmp_path / "pairs.txt"
-    pairs.write_text("0 0\n0 1\n0 2\n1 0\n1 1\n1 2\n2 0\n2 1\n2 2\n")
+    # Blank and comment lines are skipped.
+    pairs.write_text("# all nine pairs\n0 0\n0 1\n0 2\n\n1 0\n1 1\n1 2\n  \n2 0\n2 1\n2 2\n")
     code, doc = run_json(
         capsys, ["chi", files["x3"], files["yd"], "--pairs", str(pairs), "--json"]
     )
@@ -247,7 +255,7 @@ def test_chi_walks_the_partners_once(files, capsys, tmp_path, monkeypatch, lines
     assert code == 0 and doc["strong"] is strong and len(calls) == 1
 
 
-@pytest.mark.parametrize("line", ["1 x", "1 2 3", "1.5 0"])
+@pytest.mark.parametrize("line", ["1 x", "1 2 3", "1.5 0", "+1 0", "1_0 0", "\u0663 0", "0 -1"])
 def test_chi_malformed_pairs_line_exits_2(files, capsys, tmp_path, line):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text(f"0 0\n{line}\n")
@@ -260,8 +268,9 @@ def test_converge_manifest(files, capsys, tmp_path):
     p2 = tmp_path / "x2.ums"
     write_space_file(x2, p2)
     manifest = tmp_path / "seq.txt"
-    manifest.write_text(f"target {p2.name}\n{files['z4']}\n{files['z4']}\n")
-    # paths inside a manifest resolve relative to the manifest directory
+    manifest.write_text(f"# the limit\n\ntarget {p2.name}\n{files['z4']}\n  # again\n{files['z4']}\n")
+    # paths inside a manifest resolve relative to the manifest directory,
+    # and blank and comment lines are skipped
     code, doc = run_json(capsys, ["converge", str(manifest), "--json"])
     assert code == 0
     assert doc["classification"] == "constant"
@@ -339,10 +348,16 @@ def test_zero_denominator_flag_exits_2(files, capsys, argv):
     assert "invalid" in err and "Traceback" not in err
 
 
+MALFORMED_NUMBERS = ["+1/2", "1_0/3", "1 / 2", "\u0663", "-0", "1/+2"]
+
+
 @pytest.mark.parametrize("argv, token", [
     (["net", "{z4}", "--eps", "abc"], "'abc'"),
     (["gen", "random", "--pool", "1/2,x"], "'x'"),
     (["dgh", "{z4}", "{z4}", "--budget", "abc"], "'abc'"),
+    # --eps and --pool read their numbers by the digit rule of .ums files.
+    *((["net", "{z4}", "--eps", bad], repr(bad)) for bad in MALFORMED_NUMBERS),
+    *((["gen", "random", "--pool", f"1/4,{bad}"], repr(bad)) for bad in MALFORMED_NUMBERS),
 ])
 def test_malformed_flag_value_names_token(files, capsys, argv, token):
     with pytest.raises(SystemExit) as exc:
@@ -351,6 +366,17 @@ def test_malformed_flag_value_names_token(files, capsys, argv, token):
     err = capsys.readouterr().err.splitlines()[-1]
     assert f"argument {argv[-2]}: invalid" in err and token in err
     assert "_arg" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["net", "{z4}", "--eps", "0"],
+    ["split", "{z4}", "{x3}", "--eps", "0/3"],
+])
+def test_eps_zero_exits_2(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**files) for arg in argv])
+    assert exc.value.code == 2
+    assert "argument --eps: eps must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["dgh", "dhat"])

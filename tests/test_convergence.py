@@ -310,6 +310,8 @@ def test_certificate_direction_flag(x2):
         seq, x2, maps=[[0, 1]], epsilons=[ev("3/4")], direction="from_target"
     )
     assert report.holds
+    with pytest.raises(ValueError, match="unknown direction 'backward'"):
+        check_convergence_certificate(seq, x2, [[0, 1]], [ev("3/4")], direction="backward")
 
 
 def test_certificate_length_mismatch(x2):
@@ -384,6 +386,9 @@ def test_sutb_examples(x2, x3, singleton):
     assert not tight.holds
     assert tight.witnesses[0] is not None  # X2 admits the net
     assert tight.witnesses[1] is None  # X3 needs three points
+
+    with pytest.raises(ValueError, match="max_net_size must be >= 1"):
+        sutb_check([x2, x3], ev(2), 0, [])
 
 
 def test_sutb_weight_filter(z4):

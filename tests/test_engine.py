@@ -263,6 +263,27 @@ def test_classical_searches_refuse_a_bad_product_cap(z4, search, product_cap, er
         search(z4, z4, "x", product_cap=product_cap)
 
 
+@pytest.mark.parametrize("search", [classical_gh, min_distortion_correspondence])
+def test_classical_search_refuses_past_its_cap(monkeypatch, search):
+    # 8 x 5 = 40 pairs, past the default cap of 36: without a budget the
+    # search refuses before it builds a subset order. With a budget, or a
+    # cap raised to the product, it answers, with the same optimum.
+    x, y = truncated_unramified_ring(2, 1, 3), zq_delta(5, 2, 1)
+
+    def refuse(m):
+        raise AssertionError("subset orders built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(correspondences, "_ORDERS", {})
+        patch.setattr(correspondences, "_subset_orders", refuse)
+        with pytest.raises(SearchSpaceTooLargeError) as exc:
+            search(x, y)
+    assert str(exc.value) == (
+        "|X|*|Y| = 40 exceeds the cap 36; pass a budget to search anyway")
+    budgeted, raised = search(x, y, 10**6), search(x, y, product_cap=40)
+    assert budgeted == raised and budgeted.optimal
+
+
 def test_budget_zero_is_a_budget(z4):
     # 0 is an int of at least 0, as --budget 0 is: the search stops at its
     # first node with the full product's interval.

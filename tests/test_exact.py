@@ -88,6 +88,7 @@ def test_divide_by_zero():
 def test_parse_and_format():
     assert ExactValue.parse("3/2") == ExactValue(3, 2)
     assert ExactValue.parse("7") == ExactValue(7)
+    assert ExactValue.parse(" 6/4\n") == ExactValue(3, 2)
     assert str(ExactValue(3, 2)) == f"{ExactValue(3, 2)}" == "3/2"
     assert str(ExactValue(6)) == f"{ExactValue(6)}" == "6"
     assert ExactValue(6).token() == "6/1"
@@ -105,6 +106,17 @@ def test_parse_zero_denominator():
         ExactValue.parse(" 0/0 ")
     with pytest.raises(ValueError):
         validate_space([[0, "1/0"], ["1/0", 0]])
+
+
+@pytest.mark.parametrize("text", ["+1/2", "1_0/3", "1 / 2", "1/ 2", "\u0663", "-0", "1/+2",
+                                  "1/2/3", "/2", "1/", ""])
+def test_parse_takes_ascii_digits_alone(text):
+    # The rule of every number in a .ums file: int() reads a sign,
+    # underscores, inner spaces and non-ASCII digits, and parse reads none.
+    with pytest.raises(ValueError, match="expected digits or digits/digits"):
+        ExactValue.parse(text)
+    with pytest.raises(ValueError, match="expected digits or digits/digits"):
+        validate_space([[0, text], [text, 0]])
 
 
 def test_coerce_variants():

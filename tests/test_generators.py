@@ -73,15 +73,18 @@ def test_ramified_is_exact_when_unramified():
 
 
 def test_ramified_approximation_quality():
+    # A negative s scales the ball up: its top level 2^(1/2) is
+    # approximated from below as well.
     bits = 40
-    s = ramified_ball_approx(2, 2, 1, 0, 2, precision_bits=bits)
-    assert s.inexact
-    values = s.distance_values()
-    assert values[-1] == ev(1)  # level zero stays exact
-    approx = values[0].fraction
-    # interval bound: approx <= 2^(-1/2) < approx + 2^-bits
-    assert approx ** 2 <= Fraction(1, 2)
-    assert (approx + Fraction(1, 2 ** bits)) ** 2 > Fraction(1, 2)
+    for s, root in ((0, Fraction(1, 2)), (-1, Fraction(2))):
+        space = ramified_ball_approx(2, 2, 1, s, 2, precision_bits=bits)
+        assert space.inexact
+        values = space.distance_values()
+        assert len(values) == 2 and ev(1) in values  # level zero stays exact
+        approx = next(v for v in values if v != 1).fraction
+        # interval bound: approx <= root^(1/2) < approx + 2^-bits
+        assert approx ** 2 <= root
+        assert (approx + Fraction(1, 2 ** bits)) ** 2 > root
 
 
 def test_ramified_order_preserved():
@@ -95,8 +98,24 @@ def test_ramified_order_preserved():
 
 
 def test_ramified_rejects_too_few_bits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too small to separate adjacent level values"):
         ramified_ball_approx(2, 3, 1, 0, 3, precision_bits=1)
+    # 2^(-4/3) < 1/2 has no nonzero approximation over 2^1.
+    with pytest.raises(ValueError, match=r"too small to represent p\^\(-4/3\)"):
+        ramified_ball_approx(2, 3, 1, 4, 1, precision_bits=1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_ultrametric(0, 1, POOL), "n must be >= 1"),
+    (lambda: random_ultrametric(3, 1, [ev(0), ev(1)]), "entries must be positive"),
+    (lambda: random_ultrametric(3, 1, [ev(1), ev("1/2")]), "must be strictly increasing"),
+    (lambda: random_ultrametric(3, 1, [ev(1), ev(1)]), "must be strictly increasing"),
+    (lambda: zq_delta(4, 3, 1), "p and q must both be prime"),
+    (lambda: zq_delta(5, 1, 1), "p and q must both be prime"),
+])
+def test_generator_arguments_are_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_zq_delta_fixture(ydelta):

@@ -27,7 +27,7 @@ from ultragh import (
     replay_split,
     sutb_check,
 )
-from ultragh.errors import BudgetExceededError, LengthMismatchError
+from ultragh.errors import BudgetExceededError, IndexOutOfRangeError, LengthMismatchError
 from ultragh.isometries import _approximation_verdict, _isometry_verdict
 from ultragh.spaces import BreakpointGrid
 
@@ -50,6 +50,9 @@ def test_map_distortion_examples(x2, x3, z4):
     assert map_distortion(x3, x3, [0, 1, 2]) == ev(0)
     assert map_distortion(x2, x2, [0, 0]) == ev(1)
     assert map_distortion(z4, x2, [0, 1, 0, 1]) == ev("1/2")
+    for f in ([0, 1], [0, 1, 2, 0]):
+        with pytest.raises(IndexOutOfRangeError, match=f"map has {len(f)} entries for 3 points"):
+            map_distortion(x3, x3, f)
 
 
 def test_strong_isometry_identity(x3):

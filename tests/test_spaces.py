@@ -26,6 +26,7 @@ from ultragh import (
 from ultragh.correspondences import _FarMasks, _subset_orders
 from ultragh.spaces import (
     BreakpointGrid,
+    UltrametricSpace,
     _checked_space,
     _closed_balls,
     _merge_heights,
@@ -65,6 +66,9 @@ spaces = st.builds(
 def test_validate_singleton():
     s = validate_space([[ev(0)]])
     assert len(s) == 1 and s.diameter() == ev(0)
+    # Only validate_space builds a space.
+    with pytest.raises(TypeError, match=r"use validate_space\(\) to build"):
+        UltrametricSpace(s.labels, s.values, s.ranks, s.inexact, s._tree)
 
 
 def test_validate_z4(z4):
@@ -271,6 +275,7 @@ def test_weight_spectrum_examples(z4, ydelta, singleton):
     assert weight_spectrum(singleton).values == ()
     spec = weight_spectrum(z4)
     assert spec.values == (ev("1/2"), ev(1))
+    assert len(spec) == 2 and len(weight_spectrum(singleton)) == 0
     assert spec.min_value == ev("1/2") and spec.max_value == ev(1)
     assert weight_spectrum(ydelta).values == (ev(1), ev("3/2"))
 

@@ -109,6 +109,11 @@ def test_bad_header_and_counts():
      "expected rational a/b, got '\u0661/\u0662'"),
     ("ums 1\npoints +2\nlabels a b\nd 0 1 1/2\n", 2, "bad point count '+2'"),
     ("ums 1\npoints 2\nlabels a b\nd 0 +1 1/2\n", 4, "bad indices in 'd 0 +1 1/2'"),
+    # The header is read by one function, blank lines between its items
+    # counted in the line it names.
+    ("\nums 1\n\npoints 1_0\nlabels a b\nd 0 1 1/2\n", 4, "bad point count '1_0'"),
+    ("ums 1\n \npoints 2\n\nlabels a\nd 0 1 1/2\n", 5, "expected 'labels' with 2 entries"),
+    ("ums 1\r\n\r\npoints 2\r\nlabel a b\r\n", 4, "expected 'labels' with 2 entries"),
 ])
 def test_bad_count_or_token_names_its_line(text, line, reason):
     with pytest.raises(ParseError) as exc:
@@ -299,10 +304,13 @@ def bulk_only(monkeypatch):
 
 
 def test_canonical_files_are_read_in_bulk(bulk_only):
-    # write_space's layout, also with trailing blank lines or CRLF line
-    # ends, never falls back to the line reader.
+    # write_space's layout, also with trailing blank lines, CRLF line ends
+    # or blank lines before and between the header items, never falls back
+    # to the line reader.
     for text in _canonical_texts(range(1, 41, 3)):
-        for variant in (text, text + "\n \n", text.replace("\n", "\r\n")):
+        spaced = "\n" + text.replace("\n", "\n \n\n", 2)
+        for variant in (text, text + "\n \n", text.replace("\n", "\r\n"),
+                        spaced, spaced.replace("\n", "\r\n")):
             assert parse_space(variant) == reference_parse(variant)
 
 
