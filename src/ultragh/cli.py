@@ -58,16 +58,33 @@ def _eps_arg(text: str) -> ExactValue:
     return value
 
 
-def _budget_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+def _unsigned_arg(text: str) -> int:
+    """An integer flag's value: ASCII digits alone (exact._is_digits), the
+    rule for every number read from text, so no sign, underscore, space
+    or non-ASCII digit. int() alone would take all four."""
+    if not _is_digits(text):
         raise argparse.ArgumentTypeError(
-            f"invalid budget {text!r}: expected an integer"
-        ) from None
-    if value < 0:
+            f"invalid integer {text!r}: expected ASCII digits"
+        )
+    return int(text)
+
+
+def _signed_arg(text: str) -> int:
+    """An integer flag's value that may be negative: ASCII digits after at
+    most one leading '-'."""
+    if not _is_digits(text[text[:1] == "-":]):
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}: expected ASCII digits after an optional '-'"
+        )
+    return int(text)
+
+
+def _budget_arg(text: str) -> int:
+    """A node budget: ASCII digits, with its own message for a negative
+    one."""
+    if text[:1] == "-" and _is_digits(text[1:]):
         raise argparse.ArgumentTypeError("budget must not be negative")
-    return value
+    return _unsigned_arg(text)
 
 
 def _pool_arg(text: str) -> list[ExactValue]:
@@ -394,7 +411,7 @@ def _cmd_sutb(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
+    common.add_argument("--seed", type=_signed_arg, default=0, help="seed for randomized subcommands")
     common.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
 
     parser = argparse.ArgumentParser(prog="ultragh", description=__doc__)
@@ -406,17 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common])
     p.add_argument("kind", choices=["zp", "ring", "ball", "zqdelta", "random"])
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--precision-bits", type=int, default=32)
+    p.add_argument("--p", type=_unsigned_arg, default=2)
+    p.add_argument("--q", type=_unsigned_arg, default=2)
+    # A negative e reaches the generator, whose error names the range e >= 1.
+    p.add_argument("--e", type=_signed_arg, default=1)
+    p.add_argument("--f", type=_unsigned_arg, default=1)
+    p.add_argument("--s", type=_signed_arg, default=0)
+    p.add_argument("--depth", type=_unsigned_arg, default=1)
+    p.add_argument("--n", type=_unsigned_arg, default=4)
+    p.add_argument("--precision-bits", type=_unsigned_arg, default=32)
     # An explicit empty pool stays empty, so the generator rejects it.
     p.add_argument("--pool", type=_pool_arg, default="1/4,1/2,1,2")
-    p.add_argument("--size-cap", type=int, default=generators.DEFAULT_SIZE_CAP)
+    p.add_argument("--size-cap", type=_unsigned_arg, default=generators.DEFAULT_SIZE_CAP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
@@ -461,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sutb", parents=[common])
     p.add_argument("manifest")
     p.add_argument("--eps", type=_eps_arg, required=True)
-    p.add_argument("--max-net", type=int, required=True)
+    p.add_argument("--max-net", type=_unsigned_arg, required=True)
     p.add_argument("--pool", type=_pool_arg, default=None)
     p.set_defaults(func=_cmd_sutb)
 

@@ -21,6 +21,7 @@ distortion.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import itemgetter, or_
@@ -380,8 +381,9 @@ def _glue_disjoint(
 class SearchResult:
     """Outcome of a minimum-distortion search.
 
-    optimal is False only when a node budget ran out, in which case the
-    correspondence is the best incumbent and its distortion an upper bound.
+    optimal is False only when a node budget ran out before the search
+    could prove its incumbent optimal, in which case the correspondence is
+    the best incumbent and its distortion an upper bound.
     min_distortion_strong_correspondence runs no search: its results read
     optimal True and nodes 0.
     """
@@ -481,6 +483,19 @@ class _FarMasks(dict):
         return rows
 
 
+# Frames a search may stack above its deepest dfs frame: the distortion
+# read, a far-mask row build and their comprehensions, with room to spare.
+_STACK_HEADROOM = 50
+
+
+def _frames_in_use() -> int:
+    """The number of frames on the stack of the caller."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
 # A search's leaf: the correspondence, its distortion as an int over the
 # grid's den, optimal and nodes, the fields of a SearchResult.
 _Leaf = tuple[Correspondence, int, bool, int]
@@ -499,7 +514,14 @@ def _search(
     numbers its report shows.
 
     The search stops at its first leaf at or below the grid's merge-height
-    floor, a proven lower bound on the minimum.
+    floor, a proven lower bound on the minimum. When a budget runs out
+    before the first leaf, the full product is the leaf, optimal exactly
+    when its distortion is the floor.
+
+    dfs recurses once per left point, and with a budget at most once per
+    node, so a search is at most min(n, budget + 1) frames deep. A search
+    deeper than _STACK_HEADROOM that could recurse past the interpreter's
+    recursion limit raises SearchSpaceTooLargeError before any work.
 
     Every number is the grid's int over grid.den. Every test against the
     incumbent cutoff is a bitmask test on the search's far masks
@@ -534,6 +556,16 @@ def _search(
             f"|X|*|Y| = {n * m} exceeds the cap {product_cap}; pass a budget "
             "to search anyway"
         )
+    # Only a search deeper than the headroom is checked: walking the stack
+    # costs about a microsecond, a few percent of a small pair's search.
+    depth = n if budget is None else min(n, budget + 1)
+    if depth > _STACK_HEADROOM:
+        limit = sys.getrecursionlimit()
+        if depth + _frames_in_use() + _STACK_HEADROOM > limit:
+            raise SearchSpaceTooLargeError(
+                f"the search may recurse {depth} levels deep, one per left point, "
+                f"past the recursion limit {limit}; pass a smaller budget"
+            )
 
     # Each partner subset with its bitmask, in two orders. Complete pair
     # sequences compare like Python tuples, where a strict prefix sorts
@@ -661,8 +693,9 @@ def _search(
                 f"no correspondence has distortion at most {ExactValue(start, grid.den)}, "
                 "the search's starting bound"
             )
-        # the budget ran out before the first leaf
-        return full_product(x, y), full, optimal, nodes
+        # The budget ran out before the first leaf. The full product is
+        # still optimal when its distortion is the floor.
+        return full_product(x, y), full, full <= grid.floor, nodes
     # Left points ascend and each partner subset lists its points
     # ascending, so the pairs ascend; every leaf covers both sides.
     return Correspondence._sorted(x, y, tuple(best_pairs)), best, optimal, nodes

@@ -4,10 +4,19 @@ Truncated p-adic rings are modelled as digit strings: a point of the
 depth-k truncation is a base-q string (q the residue field size) and the
 distance is p^(-j) with j the first differing digit position. Only the
 metric matters here, and the first-differing-digit metric reproduces it
-exactly, so no ring arithmetic is carried around. Ramified balls involve
-irrational distances p^(-j/e); they are quarantined behind an explicit
-approximation constructor that rounds to dyadics while preserving the
-order of the level values, and marks the space inexact.
+exactly, so no ring arithmetic is carried around. Read as integers
+0 .. q^k - 1, two strings first differ at digit v_q(b - a), the q-adic
+valuation of their difference, so a point's row is a slice of one list
+of ranks by |b - a|. Ramified balls involve irrational distances
+p^(-j/e); they are quarantined behind an explicit approximation
+constructor that rounds to dyadics while preserving the order of the
+level values, and marks the space inexact.
+
+Every generator builds its space's sorted distinct distances and rank
+rows directly, with no matrix of ExactValues, and hands them to the
+rank-level core parse_space ends in (spaces._checked_space), which still
+decides the strong triangle inequality by splitting closed balls and
+keeps the dendrogram. validate_space stays the path for matrices.
 """
 
 from __future__ import annotations
@@ -15,11 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .exact import ExactValue, ZERO
 from .errors import RequiresPGreaterQError, SizeCapExceededError
-from .spaces import UltrametricSpace, validate_space
+from .spaces import UltrametricSpace, _checked_space
 
 DEFAULT_SIZE_CAP = 64
 
@@ -81,26 +91,23 @@ def _digit_metric_space(
 
     level_values[j] is the distance between strings first differing at
     digit j; it must be strictly decreasing, which makes the metric an
-    ultrametric regardless of the particular values.
+    ultrametric regardless of the particular values. Every level occurs,
+    so level j has rank depth - j. Points a and b first differ at digit
+    v_q(|b - a|), so d(a, b) has rank r[|b - a|] with r[k] = depth - v_q(k)
+    and r[0] = 0: row a is r[a], ..., r[1] followed by r[0], ...,
+    r[n - 1 - a]. r costs one slice assignment per level.
     """
-    q = params.residue_size
-    n = params.point_count
-    digits = []
-    for v in range(n):
-        rest, ds = v, []
-        for _ in range(params.depth):
-            ds.append(rest % q)
-            rest //= q
-        digits.append(ds)
-    rows = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            j = 0
-            while digits[a][j] == digits[b][j]:
-                j += 1
-            rows[a][b] = level_values[j]
-            rows[b][a] = level_values[j]
-    return validate_space(rows, inexact=inexact)
+    q, depth, n = params.residue_size, params.depth, params.point_count
+    r = [depth] * n
+    step = q
+    for rank in range(depth - 1, 0, -1):
+        r[::step] = [rank] * (n // step)
+        step *= q
+    r[0] = 0
+    r = tuple(r)
+    ranks = tuple(r[a:0:-1] + r[:n - a] for a in range(n))
+    values = (ZERO, *reversed(level_values))
+    return _checked_space(tuple(map(str, range(n))), values, ranks, inexact)
 
 
 def truncated_unramified_ring(
@@ -218,17 +225,16 @@ def zq_delta(
     extra = p - q
     n = len(ring) + extra
     _check_cap(n, size_cap)
-    far = ExactValue(1) + ExactValue(1, q)
-    labels = list(ring.labels) + [f"t{i}" for i in range(q, p)]
-    rows = [[ZERO] * n for _ in range(n)]
-    for a in range(len(ring)):
-        for b in range(len(ring)):
-            rows[a][b] = ring.dist(a, b)
-    for a in range(n):
-        for b in range(n):
-            if a != b and (a >= len(ring) or b >= len(ring)):
-                rows[a][b] = far
-    return validate_space(rows, labels)
+    # The far value lies above the ring's diameter 1, so it takes the next
+    # rank.
+    far = len(ring.values)
+    values = (*ring.values, ExactValue(1) + ExactValue(1, q))
+    labels = (*ring.labels, *(f"t{i}" for i in range(q, p)))
+    tail = (far,) * extra
+    far_row = (far,) * n
+    ranks = (*(row + tail for row in ring.ranks),
+             *(far_row[:a] + (0,) + far_row[a + 1:] for a in range(len(ring), n)))
+    return _checked_space(labels, values, ranks, False)
 
 
 def random_ultrametric(
@@ -244,8 +250,17 @@ def random_ultrametric(
     node takes a pool value strictly below its parent's when one exists and
     otherwise reuses the smallest pool value (a shallow pool is not an
     error). The distance of two points is the value at their lowest common
-    ancestor, an ultrametric by construction; the validator still checks
-    the result.
+    ancestor, an ultrametric by construction.
+
+    The splits are drawn first, as pool indices, with the same random calls
+    in the same order as ever, depth first with blocks in order, and each
+    point's position in that leaf order is noted; every node's points are
+    then one run of positions. Only the pool values some split drew become
+    values, ranked in pool order. Rows are built in leaf order top down: a
+    block's row is its node's row with the node's run outside the block
+    set to the node's rank by two slice assignments, so a point's row is
+    that of its one-point block, and one itemgetter over the positions puts
+    it into point order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -257,31 +272,50 @@ def random_ultrametric(
         raise ValueError("value_pool entries must be positive")
     if any(pool[i] >= pool[i + 1] for i in range(len(pool) - 1)):
         raise ValueError("value_pool must be strictly increasing")
+    if n == 1:
+        return _checked_space(("0",), (ZERO,), ((0,),), False)
 
     rng = random.Random(seed)
-    rows = [[ZERO] * n for _ in range(n)]
+    # Each split, in preorder: its first leaf position, its block bounds
+    # relative to it, and its pool index. below bounds the pool indices a
+    # split may draw: those of the values strictly below its parent's.
+    splits = []
+    pos = [0] * n
+    stack = [(list(range(n)), len(pool), 0)]
+    while stack:
+        points, below, lo = stack.pop()
+        size = len(points)
+        if size == 1:
+            pos[points[0]] = lo
+            continue
+        v = rng.choice(range(below)) if below else 0
+        k = rng.randint(2, size)
+        shuffled = rng.sample(points, size)
+        bounds = [0, *sorted(rng.sample(range(1, size), k - 1)), size]
+        splits.append((lo, bounds, v))
+        stack += [(shuffled[a:b], v, lo + a)
+                  for a, b in zip(bounds[-2::-1], bounds[:0:-1])]
 
-    def build(points: list[int], ceiling: Optional[ExactValue]) -> None:
-        if len(points) == 1:
-            return
-        allowed = pool if ceiling is None else [v for v in pool if v < ceiling]
-        value = rng.choice(allowed) if allowed else pool[0]
-        k = rng.randint(2, len(points))
-        shuffled = rng.sample(points, len(points))
-        cuts = sorted(rng.sample(range(1, len(points)), k - 1))
+    used = sorted({v for _, _, v in splits})
+    rank_of = {v: r for r, v in enumerate(used, 1)}
+    point_at = [0] * n
+    for point, p in enumerate(pos):
+        point_at[p] = point
+    in_point_order = itemgetter(*pos)
+    ranks: list = [None] * n
+    rows = [[0] * n]  # the rows of the splits still to come, next last
+    for lo, bounds, v in splits:
+        row = rows.pop()
+        r, size = rank_of[v], bounds[-1]
         blocks = []
-        start = 0
-        for cut in cuts + [len(points)]:
-            blocks.append(shuffled[start:cut])
-            start = cut
-        for bi in range(len(blocks)):
-            for bj in range(bi + 1, len(blocks)):
-                for a in blocks[bi]:
-                    for b in blocks[bj]:
-                        rows[a][b] = value
-                        rows[b][a] = value
-        for block in blocks:
-            build(block, value)
-
-    build(list(range(n)), None)
-    return validate_space(rows)
+        for a, b in zip(bounds, bounds[1:]):
+            block = row.copy()
+            block[lo:lo + a] = [r] * a
+            block[lo + b:lo + size] = [r] * (size - b)
+            if b - a == 1:
+                ranks[point_at[lo + a]] = in_point_order(block)
+            else:
+                blocks.append(block)
+        rows += reversed(blocks)
+    values = (ZERO, *map(pool.__getitem__, used))
+    return _checked_space(tuple(map(str, range(n))), values, tuple(ranks), False)

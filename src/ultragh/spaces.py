@@ -31,7 +31,8 @@ from .errors import (
 
 
 class UltrametricSpace:
-    """A finite ultrametric space. Construct through validate_space.
+    """A finite ultrametric space. Construct through validate_space,
+    parse_space or a generator.
 
     values holds the distinct distances, zero first, strictly increasing,
     and ranks the distance matrix as indices into values, so the diameter
@@ -205,8 +206,8 @@ def _checked_space(
     symmetric with a zero diagonal. _split_tree also rejects a zero off
     the diagonal, so only a rejected matrix is scanned, first for the
     first such zero in row-major order, then by the O(n^3) scan naming
-    the first violating triple. validate_space, parse_space and
-    induced_subspace all end here."""
+    the first violating triple. validate_space, parse_space,
+    induced_subspace and the generators all end here."""
     tree = _split_tree(ranks)
     if tree is None:
         for i, row in enumerate(ranks):
@@ -224,7 +225,7 @@ def _checked_space(
 def _coerced(row: Sequence[Coercible], interned: dict) -> tuple[ExactValue, ...]:
     """The row as ExactValues. Other entries are coerced once per (type,
     value) of the matrix, so fresh ints, strings or Fractions share one
-    object per value, as a generated matrix does, and _ranked hashes each
+    object per value, as the rows of matrix() do, and _ranked hashes each
     value once. ExactValue entries pass through unhashed. The type in the
     key keeps a float 1.0 after an int 1 from skipping coerce's TypeError."""
     out = []
@@ -243,9 +244,9 @@ def _ranked(
     rows: Sequence[Sequence[ExactValue]],
 ) -> tuple[tuple[ExactValue, ...], tuple[tuple[int, ...], ...]]:
     """The distinct entries of a square matrix, strictly increasing, and the
-    matrix as ranks into them. Generated matrices share one object per
-    value, so entries are deduplicated by identity before any rational is
-    hashed."""
+    matrix as ranks into them. A matrix built from a space's values, as
+    matrix() and the glued spaces are, shares one object per value, so
+    entries are deduplicated by identity before any rational is hashed."""
     n = len(rows)
     entries = list(chain.from_iterable(rows))
     ids = list(map(id, entries))

@@ -50,19 +50,27 @@ def write_space(space: UltrametricSpace) -> str:
     Raises ValueError, naming the first offending label, when a label is
     empty or contains whitespace: the labels line is split on whitespace,
     so parse_space could not read such a file back.
+
+    Each " j " and each distance token with its line end is made once, and
+    point i's pair lines are one join, with "d i" as the separator, over a
+    map that pairs the " j " of each later point with the token of its
+    rank.
     """
     bad = next((label for label in space.labels if label.split() != [label]), None)
     if bad is not None:
         raise ValueError(f"label {bad!r} is empty or contains whitespace")
     n = len(space)
-    lines = ["ums 1", f"points {n}", "labels " + " ".join(space.labels)]
-    tokens = [v.token() for v in space.values]
-    for i, row in enumerate(space.ranks):
-        for j in range(i + 1, n):
-            lines.append(f"d {i} {j} {tokens[row[j]]}")
+    mids = [f" {j} " for j in range(n)]
+    ends = [v.token() + "\n" for v in space.values]
+    token_of = ends.__getitem__
+    parts = [f"ums 1\npoints {n}\nlabels {' '.join(space.labels)}\n"]
+    for i in range(n - 1):
+        head = f"d {i}"
+        tokens = map(token_of, space.ranks[i][i + 1:])
+        parts.append(head + head.join(map(str.__add__, mids[i + 1:], tokens)))
     if space.inexact:
-        lines.append("inexact true")
-    return "\n".join(lines) + "\n"
+        parts.append("inexact true\n")
+    return "".join(parts)
 
 
 def write_space_file(space: UltrametricSpace, path: Union[str, Path]) -> None:

@@ -33,8 +33,17 @@ ExactValue is the library's scalar as it stood before its comparisons and
 constructor read Fraction's int slots directly: every operation goes
 through Fraction's generic dispatch. It is the reference for the
 differential test of those fast paths (tests/exact_differential.py).
+
+digit_metric_matrix, random_ultrametric_matrix and write_space_by_lines
+are the generators and the writer as they stood before they worked on
+rank rows: the digit metric by comparing digits pair by pair, the random
+dendrogram by filling a matrix of pool values block pair by block pair,
+with the same random calls, and one f-string per pair line. Each matrix
+goes through validate_space, the reference for the rank rows the
+generators build.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, lcm
@@ -91,6 +100,60 @@ class ExactValue(Fraction):
             self.numerator * other.denominator + other.numerator * self.denominator,
             2 * self.denominator * other.denominator,
         )
+
+
+def digit_metric_matrix(q, depth, level_values):
+    """The distance matrix of the q^depth base-q digit strings, entry
+    (a, b) the level value of the first digit where a and b differ."""
+    n = q ** depth
+    digits = [[v // q ** k % q for k in range(depth)] for v in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                j = next(k for k in range(depth) if digits[a][k] != digits[b][k])
+                rows[a][b] = level_values[j]
+    return rows
+
+
+def random_ultrametric_matrix(n, seed, pool):
+    """random_ultrametric's matrix, drawn by the same random calls in the
+    same order, recursively, each block pair filled entry by entry."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+
+    def build(points, ceiling):
+        if len(points) == 1:
+            return
+        allowed = pool if ceiling is None else [v for v in pool if v < ceiling]
+        value = rng.choice(allowed) if allowed else pool[0]
+        k = rng.randint(2, len(points))
+        shuffled = rng.sample(points, len(points))
+        cuts = sorted(rng.sample(range(1, len(points)), k - 1))
+        blocks = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
+        for bi, left in enumerate(blocks):
+            for right in blocks[bi + 1:]:
+                for a in left:
+                    for b in right:
+                        rows[a][b] = rows[b][a] = value
+        for block in blocks:
+            build(block, value)
+
+    build(list(range(n)), None)
+    return rows
+
+
+def write_space_by_lines(space):
+    """The `.ums` text of space, one f-string per line, every distance read
+    through space.dist."""
+    n = len(space)
+    lines = ["ums 1", f"points {n}", "labels " + " ".join(space.labels)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lines.append(f"d {i} {j} {space.dist(i, j).token()}")
+    if space.inexact:
+        lines.append("inexact true")
+    return "\n".join(lines) + "\n"
 
 
 def fraction_matrix(space):

@@ -7,11 +7,19 @@ from pathlib import Path
 import pytest
 
 import ultragh
-from ultragh import correspondences, write_space_file, zq_delta, truncated_unramified_ring
+from ultragh import (
+    ExactValue,
+    correspondences,
+    random_ultrametric,
+    truncated_unramified_ring,
+    write_space_file,
+    zq_delta,
+)
 from ultragh import cli
 from ultragh.cli import run
 from ultragh.errors import MethodDisagreementError
 
+POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
 BAD_UMS = "ums 1\npoints 3\nlabels a b c\nd 0 1 1/1\nd 0 2 3/1\nd 1 2 1/1\n"
 
 
@@ -358,6 +366,15 @@ MALFORMED_NUMBERS = ["+1/2", "1_0/3", "1 / 2", "\u0663", "-0", "1/+2"]
     # --eps and --pool read their numbers by the digit rule of .ums files.
     *((["net", "{z4}", "--eps", bad], repr(bad)) for bad in MALFORMED_NUMBERS),
     *((["gen", "random", "--pool", f"1/4,{bad}"], repr(bad)) for bad in MALFORMED_NUMBERS),
+    # So do the integer flags, which int() would not hold to: --s and
+    # --seed take one leading '-' besides.
+    (["dgh", "{z4}", "{z4}", "--budget", "1_0"], "'1_0'"),
+    (["dgh", "{z4}", "{z4}", "--budget", " +2"], "' +2'"),
+    (["gen", "zp", "--depth", "\u0662"], "'\u0662'"),
+    (["gen", "zp", "--p", "+2"], "'+2'"),
+    (["gen", "random", "--seed", "1_0"], "'1_0'"),
+    (["gen", "ball", "--s", "+1"], "'+1'"),
+    (["sutb", "{z4}", "--eps", "1", "--max-net", " 2"], "' 2'"),
 ])
 def test_malformed_flag_value_names_token(files, capsys, argv, token):
     with pytest.raises(SystemExit) as exc:
@@ -386,6 +403,36 @@ def test_negative_budget_exits_2(files, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "budget must not be negative" in err and "Traceback" not in err
+
+
+def test_negative_seed_runs(capsys):
+    # --seed, like --s, takes one leading '-'.
+    assert run(["gen", "random", "--n", "3", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out.startswith("ums 1\npoints 3\n")
+
+
+def test_budget_zero_at_the_floor_reports_the_value(files, capsys):
+    # The full product of this pair is optimal, its distortion the
+    # merge-height floor, so a budget of 0 still gives d_GH.
+    paths = []
+    for name, space in (("x", random_ultrametric(4, 1, POOL)),
+                        ("y", random_ultrametric(2, 2, POOL))):
+        paths.append(str(files["dir"] / f"{name}.ums"))
+        write_space_file(space, paths[-1])
+    assert run(["dgh", *paths, "--budget", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "classical_dgh: 1/4"
+
+
+def test_deep_budgeted_search_exits_2(files, capsys):
+    # A search 1200 left points deep would recurse past the interpreter's
+    # limit: the CLI refuses with exit 2, where it used to end in a
+    # RecursionError traceback and exit 1.
+    big, two = str(files["dir"] / "big.ums"), str(files["dir"] / "two.ums")
+    write_space_file(random_ultrametric(1200, 1, POOL, size_cap=1200), big)
+    write_space_file(random_ultrametric(2, 2, POOL), two)
+    assert run(["dgh", big, two, "--budget", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert "recursion limit" in err and "Traceback" not in err
 
 
 def test_reproducible_json(files, capsys):

@@ -1,4 +1,5 @@
 import copy
+import sys
 from bisect import bisect_left
 from itertools import count
 
@@ -291,6 +292,44 @@ def test_budget_zero_is_a_budget(z4):
     assert not classical_gh(z4, big, budget=0).optimal
     assert not min_distortion_correspondence(z4, big, 0).optimal
     assert dhat_gh(z4, big, budget=0).dhat == dhat_gh(z4, big).dhat
+
+
+def test_budget_zero_at_the_floor_is_optimal():
+    # The full product's distortion, 1/2, is the merge-height floor, so
+    # the full product is optimal even when the budget stops the search at
+    # its first node. It stays the witness.
+    x, y = random_ultrametric(4, 1, POOL), random_ultrametric(2, 2, POOL)
+    res = classical_gh(x, y, budget=0)
+    assert res.optimal and res.lower == res.upper == ev("1/4")
+    assert res.value == classical_gh(x, y).value
+    assert res.witness == full_product(x, y)
+    res = min_distortion_correspondence(x, y, 0)
+    assert (res.distortion, res.optimal, res.nodes) == (ev("1/2"), True, 1)
+    assert res.correspondence == full_product(x, y)
+
+
+@pytest.mark.parametrize("search", [classical_gh, min_distortion_correspondence])
+def test_deep_budgeted_search_refuses_before_any_work(monkeypatch, search):
+    # dfs recurses once per left point, up to budget + 1 frames: 1200
+    # frames for a budget of 5000, past the limit, so the search refuses
+    # before it builds a subset order, where it used to end in
+    # RecursionError. A budget of 100 keeps it 101 frames deep.
+    assert sys.getrecursionlimit() < 1200
+    x = random_ultrametric(1200, 1, POOL, size_cap=1200)
+    y = random_ultrametric(2, 2, POOL)
+
+    def refuse(m):
+        raise AssertionError("subset orders built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(correspondences, "_ORDERS", {})
+        patch.setattr(correspondences, "_subset_orders", refuse)
+        with pytest.raises(SearchSpaceTooLargeError) as exc:
+            search(x, y, 5000)
+    assert str(exc.value) == (
+        "the search may recurse 1200 levels deep, one per left point, past the "
+        f"recursion limit {sys.getrecursionlimit()}; pass a smaller budget")
+    assert search(x, y, 100).optimal
 
 
 def test_a_methods_string_is_refused(z4, x3, ydelta):

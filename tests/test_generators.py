@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -14,15 +15,33 @@ from ultragh import (
     spectra_lower_bound,
     truncated_scaled_ball,
     truncated_unramified_ring,
+    validate_space,
     weight_spectrum,
     zq_delta,
 )
 from ultragh.errors import RequiresPGreaterQError, SizeCapExceededError
 
 from conftest import ev
-from oracles import ball_class_count
+from oracles import ball_class_count, digit_metric_matrix, random_ultrametric_matrix
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
+WIDE_POOL = [ExactValue(k, 7) for k in range(1, 30)]
+
+# Each generator on a grid of parameters up to 256 points.
+GENERATOR_GRID = [
+    *((truncated_unramified_ring, args) for args in (
+        (2, 1, 1), (2, 1, 4), (2, 1, 8), (3, 1, 3), (3, 1, 5), (2, 2, 2),
+        (2, 2, 4), (5, 1, 3), (7, 1, 2), (2, 3, 2), (13, 1, 2))),
+    *((truncated_scaled_ball, args) for args in (
+        (2, 1, 1, 3), (3, 1, -2, 4), (5, 1, 3, 2), (2, 2, -1, 3))),
+    *((ramified_ball_approx, args) for args in (
+        (2, 2, 1, 0, 4), (3, 2, 1, 1, 5), (2, 3, 1, -1, 8), (5, 2, 1, 0, 3),
+        (2, 2, 2, 0, 3), (3, 3, 1, 2, 2, 20))),
+    *((zq_delta, args) for args in (
+        (3, 2, 1), (5, 2, 4), (7, 3, 3), (11, 2, 7), (5, 3, 5), (13, 5, 1))),
+    *((random_ultrametric, (n, seed, pool)) for n in (1, 2, 3, 17, 64, 256)
+      for seed in (0, 5) for pool in (POOL, [ExactValue(1)], WIDE_POOL)),
+]
 
 
 def test_params_validation():
@@ -187,3 +206,42 @@ def test_random_singleton_and_pair():
 def test_random_pool_reuse_when_shallow():
     space = random_ultrametric(8, 7, [ExactValue(1)])
     assert space.diameter() == ev(1)  # shallow pool reuses its only value
+
+
+@pytest.mark.parametrize("make, args", GENERATOR_GRID)
+def test_generators_match_the_matrix_validator(make, args):
+    # Each generator builds its rank rows directly; the matrix they stand
+    # for, sent through the validator, gives the same space.
+    space = make(*args, size_cap=256)
+    assert space == validate_space(space.matrix(), space.labels, inexact=space.inexact)
+
+
+@pytest.mark.parametrize("p, f, s, depth", [
+    (2, 1, 0, 1), (2, 1, 0, 6), (3, 1, 1, 4), (2, 2, -1, 3), (5, 1, 0, 3), (3, 2, 2, 2),
+])
+def test_digit_metric_is_the_first_differing_digit(p, f, s, depth):
+    # The valuation formula agrees with comparing digits pair by pair.
+    levels = [ExactValue(Fraction(p) ** (-(s + j))) for j in range(depth)]
+    expected = validate_space(digit_metric_matrix(p ** f, depth, levels))
+    assert truncated_scaled_ball(p, f, s, depth, size_cap=256) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 200])
+@pytest.mark.parametrize("pool", [POOL, [ExactValue(1)], WIDE_POOL])
+def test_random_ultrametric_matches_the_matrix_fill(n, pool):
+    # The same random calls give the same dendrogram as filling a matrix
+    # of pool values block pair by block pair.
+    for seed in range(4):
+        expected = validate_space(random_ultrametric_matrix(n, seed, pool))
+        assert random_ultrametric(n, seed, pool, size_cap=256) == expected
+
+
+def test_random_values_are_the_distances_used():
+    # values lists only the pool values some split drew, ZERO first.
+    unused = 0
+    for n in (1, 2, 5, 40):
+        for seed in range(5):
+            space = random_ultrametric(n, seed, WIDE_POOL)
+            assert set(space.values) == set(chain.from_iterable(space.matrix()))
+            unused += len(WIDE_POOL) + 1 - len(space.values)
+    assert unused > 0

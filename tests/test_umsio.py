@@ -7,12 +7,14 @@ import pytest
 from ultragh import (
     parse_space,
     parse_space_file,
+    ramified_ball_approx,
     random_ultrametric,
     truncated_unramified_ring,
     umsio,
     validate_space,
     write_space,
     write_space_file,
+    zq_delta,
 )
 from ultragh.errors import (
     ParseError,
@@ -22,6 +24,7 @@ from ultragh.errors import (
 )
 
 from conftest import ev
+from oracles import write_space_by_lines
 
 
 def test_round_trip(z4, tmp_path):
@@ -152,6 +155,22 @@ def test_large_round_trip_is_byte_identical():
     again = parse_space(text)
     assert len(again) == 256 and again == space
     assert write_space(again) == text
+
+
+def test_writer_matches_the_line_by_line_reference():
+    pool = [ev(f"{k}/7") for k in range(1, 30)]
+    spaces = [
+        validate_space([[0]], labels=["only"]),
+        validate_space([[0, 1], [1, 0]], labels=["b", "a"]),
+        truncated_unramified_ring(2, 1, 8, size_cap=256),
+        ramified_ball_approx(2, 2, 1, 1, 4),
+        zq_delta(7, 3, 2),
+        *(random_ultrametric(n, seed, pool, size_cap=256)
+          for n in (3, 10, 131) for seed in (0, 1)),
+    ]
+    assert any(space.inexact for space in spaces)
+    for space in spaces:
+        assert write_space(space) == write_space_by_lines(space)
 
 
 @pytest.mark.parametrize("bad", ["a b", ""])
