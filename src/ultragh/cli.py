@@ -28,7 +28,7 @@ from .spaces import (
     spectra_lower_bound,
     weight_spectrum,
 )
-from .umsio import parse_space_file, write_space
+from .umsio import parse_space_file, read_text, write_space, write_text
 from .correspondences import Correspondence, equilibrium_table
 from .engine import classical_gh, dhat_gh, metric_ratio
 from .convergence import diameter_trend, find_split, sutb_check
@@ -102,8 +102,8 @@ def _emit(args, human_lines, json_obj) -> None:
 def _emit_space(args, space) -> None:
     # Rendered once, before any file is opened, so a bad label leaves none.
     text = write_space(space)
-    if args.output:
-        Path(args.output).write_text(text)
+    if args.output is not None:
+        write_text(args.output, text)
         _emit(args, [f"written: {args.output}", f"points: {len(space)}"],
               {"written": str(args.output), "points": len(space),
                "inexact": space.inexact})
@@ -113,7 +113,7 @@ def _emit_space(args, space) -> None:
 
 def _parse_pairs_file(path: str) -> list[tuple[int, int]]:
     pairs = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -125,10 +125,11 @@ def _parse_pairs_file(path: str) -> list[tuple[int, int]]:
 
 
 def _parse_manifest(path: str) -> tuple[Optional[Path], list[Path]]:
+    text = read_text(path)
     base = Path(path).parent
     target = None
     paths = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

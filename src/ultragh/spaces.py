@@ -184,9 +184,7 @@ def validate_space(
 
 
 def _checked_labels(labels: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
-    if labels is None:
-        return tuple(str(i) for i in range(n))
-    labels = tuple(str(l) for l in labels)
+    labels = tuple(map(str, range(n) if labels is None else labels))
     if len(labels) != n:
         raise SpaceValidationError(f"{len(labels)} labels for {n} points")
     if len(set(labels)) != n:
@@ -283,82 +281,85 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
     None when the matrix is not ultrametric or holds a zero off the
     diagonal; O(n^2).
 
-    Closed balls are split from the whole space down. A cluster S is split
-    at M, the largest rank in its first point's row within S, into that
-    point's ball {x in S : d(s, x) < M} and the rest, whose first point is
-    the next representative: the rest is split again at its own largest
-    rank, which must not exceed M, so the balls of successive
-    representatives come off one by one and the splitting fixes a leaf
-    order. Every entry between a ball and its rest must be M. In an
-    ultrametric S is a closed ball of diameter M and every point of the
-    rest is at M from every point of the ball, so the test accepts; and
-    when it accepts, each cluster's two parts have diameters at most M and
-    sit at exactly M from each other, so every cluster, the whole space
-    included, is ultrametric. Each off-diagonal pair is read once, at the
-    split that separates it: the first point's pairs in the row that
-    splits the cluster, the others by an itemgetter over the rows of the
-    smaller side. Clusters wait on an explicit stack, so a chain of n
-    nested clusters needs no recursion.
+    Closed balls are split from the whole space down, each in one step
+    into its maximal proper sub-balls. A ball S has diameter M, the largest
+    rank in its first point's row within S. Its sub-balls come off one by
+    one: the first point s of what is left, R, takes its ball
+    {x in R : d(s, x) < M}, and the rest, {x in R : d(s, x) = M}, is what
+    is left next; no entry of s's row within R may exceed M, and a rest
+    whose first point sees nothing at M is one more sub-ball, whole, so
+    the splitting fixes a leaf order. Every entry between a ball and its
+    rest must be M. In an ultrametric S is a closed ball of diameter M and
+    every point of a rest is at M from every point of the ball before it,
+    so the test accepts; and when it accepts, each sub-ball and the rest
+    after it sit at exactly M from each other with diameters at most M, so
+    every ball, the whole space included, is ultrametric. Each off-diagonal
+    pair is read once, at the split that separates it: s's pairs in the
+    row that splits R, the others by an itemgetter over the rows of the
+    smaller side. Balls wait on an explicit stack, so a chain of n nested
+    balls needs no recursion.
 
-    Each split adds the first point's ball to the children of the node at
-    height M: the point itself when the ball is that point alone, else a
-    node made when the ball is popped. A rest of one point is a child too.
-    A popped rest whose largest rank is still M belongs to that same node,
-    its balls being further maximal sub-balls of the node's ball. Any
-    other popped cluster, every ball among them, is a new child node of
-    its parent, made from that cluster, which is the node's whole ball:
-    clusters list their points ascending, so the cluster's first point is
-    the node's first point. So a node's children are its maximal proper
-    closed sub-balls, and a node with k children is k - 1 merges at its
-    height (single linkage; _merge_heights).
+    A ball popped from the stack is a new node, a child of the ball it
+    came off, made before its own sub-balls: clusters list their points
+    ascending, so the ball's first point is the node's first point. A
+    sub-ball of one point is a child at once; the others are pushed in
+    the order they come off, so they become nodes, and children, in
+    reverse. So a node's children are its maximal proper closed sub-balls,
+    and a node with k children is k - 1 merges at its height (single
+    linkage; _merge_heights).
     """
     n = len(rk)
     if n == 1:
         return _Dendrogram([], [], [-1], [0])
-    # The whole space is the rest of a root made at its diameter.
-    tree = heights, children, parent, first = _Dendrogram(
-        [max(rk[0])], [[]], [-1] * (n + 1), [*range(n), 0])
+    tree = heights, children, parent, first = _Dendrogram([], [], [-1] * n, list(range(n)))
     row_of = rk.__getitem__
-    stack = [(list(range(n)), 0)]
+    # (ball, the node id of the ball it came off, -1 for the whole space)
+    stack = [(list(range(n)), -1)]
     while stack:
-        cluster, up = stack.pop()
-        near = list(map(rk[cluster[0]].__getitem__, cluster))
+        rest, up = stack.pop()
+        s = rest[0]
+        near = list(map(rk[s].__getitem__, rest))
         m = max(near)
         if not m:
             return None  # a zero off the diagonal: the ball would be empty
-        node = up
-        if m != heights[up]:
-            if m > heights[up]:
-                return None
-            node = len(heights)
-            children[up].append(n + node)
-            heights.append(m)
-            children.append([])
-            parent.append(n + up)
-            first.append(cluster[0])
-        kids = children[node]
-        if near.count(m) == len(near) - 1:
-            kids.append(cluster[0])  # the first point's ball is that point alone
-            parent[cluster[0]] = n + node
-            rest = cluster[1:]
-        else:
-            ball = list(compress(cluster, map(m.__gt__, near)))
-            rest = list(compress(cluster, map(m.__eq__, near)))
-            stack.append((ball, node))
-            # near holds the first point's entries; check the others'.
-            others = ball[1:]
-            small, large = (others, rest) if len(others) < len(rest) else (rest, others)
-            seen = map(itemgetter(*large), map(row_of, small))
-            if len(large) > 1:
-                seen = chain.from_iterable(seen)
-            seen = list(seen)
-            if seen.count(m) != len(seen):
-                return None
-        if len(rest) > 1:
-            stack.append((rest, node))
-        else:
-            kids.append(rest[0])
-            parent[rest[0]] = n + node
+        node = n + len(heights)
+        heights.append(m)
+        kids = []
+        children.append(kids)
+        parent.append(up)
+        first.append(s)
+        if up >= 0:
+            children[up - n].append(node)
+        while True:
+            if near.count(m) == len(near) - 1:
+                kids.append(s)  # s's ball is s alone
+                parent[s] = node
+                rest = rest[1:]
+            else:
+                ball = list(compress(rest, map(m.__gt__, near)))
+                rest = list(compress(rest, map(m.__eq__, near)))
+                stack.append((ball, node))
+                # near holds s's entries; check the others'.
+                others = ball[1:]
+                small, large = (others, rest) if len(others) < len(rest) else (rest, others)
+                seen = map(itemgetter(*large), map(row_of, small))
+                if len(large) > 1:
+                    seen = chain.from_iterable(seen)
+                seen = list(seen)
+                if seen.count(m) != len(seen):
+                    return None
+            if len(rest) == 1:
+                kids.append(rest[0])
+                parent[rest[0]] = node
+                break
+            s = rest[0]
+            near = list(map(rk[s].__getitem__, rest))
+            top = max(near)
+            if top != m:
+                if top > m:
+                    return None
+                stack.append((rest, node))  # the rest is one sub-ball
+                break
     return tree
 
 

@@ -13,35 +13,82 @@ every number is ASCII digits alone: no sign, no underscore. The
 writer emits pair lines in lexicographic order, so write/parse round-trips
 are byte-identical.
 
+Every text file the package reads or writes, a `.ums` file, a pairs file
+or a manifest, goes through read_text and write_text: one builtin open in
+text mode, with the default encoding and universal newlines, the rules
+Path.read_text and Path.write_text follow. So a file with "\\r\\n" or lone
+"\\r" line ends reaches parse_space with "\\n" ends.
+
 Both readers below read the header with one function, _header: blank
 lines before and between its three items are skipped, and a malformed
 item is a ParseError naming its line. Every count, index and number
 follows one rule, exact._is_digits, which ExactValue.parse also follows.
 
 The body of a file in the writer's layout is read in bulk, straight from
-the text, whatever blank lines the header holds: point i's n - 1 - i pair
-lines are cut out at the next point's first line and split as one block,
-checked against the indices they must hold, and each distinct distance
-token is checked once. No list of the file's lines is made. Any other
-valid body (pair lines in another order, blank lines or `inexact true`
-inside it, other spacing), and any file with line breaks other than "\n"
-and "\r\n", is read line by line and loads the same space; that reader
-also names the line of every error. Both give the upper triangle as token
-ids, which go into symmetric rank rows by slice assignment, and end in
-the rank-level checks validate_space shares, whose strong triangle test
-splits closed balls. Only a file that test rejects is scanned for a zero
-off the diagonal.
+the text, whatever blank lines the header holds: the pair lines of whole
+rows, at least _BLOCK_LINES of them unless the rows run out, are cut out
+at the next row's first line and split as one block, checked against the
+indices they must hold, and each distinct distance token is checked once.
+No list of the file's lines is made. Any other valid body (pair lines in
+another order, blank lines or `inexact true` inside it, other spacing),
+and any text with line breaks other than "\\n" and "\\r\\n", is read line
+by line and loads the same space; that reader also names the line of
+every error. Both give the upper triangle as token ids, which go into
+symmetric rank rows by slice assignment, and end in the rank-level checks
+validate_space shares, whose strong triangle test splits closed balls.
+Only a file that test rejects is scanned for a zero off the diagonal.
 """
 
 from __future__ import annotations
 
+import os
+from itertools import islice
 from math import gcd
-from pathlib import Path
+from operator import itemgetter
 from typing import Optional, Union
 
 from .exact import ExactValue, ZERO, _is_digits
 from .errors import ParseError
 from .spaces import UltrametricSpace, _checked_labels, _checked_space
+
+PathArg = Union[str, "os.PathLike[str]"]
+
+
+def _file_name(path: PathArg) -> str:
+    """path as the str name of a file, by the rule pathlib.Path applies: a
+    str, or an os.PathLike whose __fspath__ gives a str. Anything else
+    raises TypeError, so an int is never taken for a file descriptor and
+    bytes are refused."""
+    if isinstance(path, str):
+        return path
+    if isinstance(path, os.PathLike):
+        name = os.fspath(path)
+        if isinstance(name, str):
+            return name
+    raise TypeError(
+        f"a path must be a str or an os.PathLike giving a str, not {type(path).__name__}"
+    )
+
+
+def read_text(path: PathArg) -> str:
+    """The text of the file at path, read with one builtin open in text
+    mode: the default encoding and universal newlines, so "\\r\\n" and
+    lone "\\r" line ends read as "\\n", as Path.read_text reads them. A
+    path that is not a str or an os.PathLike giving one raises TypeError;
+    the OSError of a missing file or a directory and the
+    UnicodeDecodeError of undecodable bytes propagate."""
+    with open(_file_name(path)) as file:
+        return file.read()
+
+
+def write_text(path: PathArg, text: str) -> None:
+    """Write text to the file at path, created or truncated, with one
+    builtin open in text mode: the default encoding, and each "\\n"
+    written as os.linesep, as Path.write_text writes it. Path rules and
+    errors are read_text's; an OSError (a directory, a missing parent)
+    propagates."""
+    with open(_file_name(path), "w") as file:
+        file.write(text)
 
 
 def write_space(space: UltrametricSpace) -> str:
@@ -73,8 +120,17 @@ def write_space(space: UltrametricSpace) -> str:
     return "".join(parts)
 
 
-def write_space_file(space: UltrametricSpace, path: Union[str, Path]) -> None:
-    Path(path).write_text(write_space(space))
+def write_space_file(space: UltrametricSpace, path: PathArg) -> None:
+    """Write the space's `.ums` text (write_space) to the file at path.
+
+    The text is rendered first, so a label write_space refuses raises
+    ValueError before the file is opened. It is written by write_text: one
+    builtin open in text mode with the default encoding, each "\\n"
+    written as os.linesep. A path that is not a str or an os.PathLike
+    giving one raises TypeError, and the OSError of a directory or a
+    missing parent propagates.
+    """
+    write_text(path, write_space(space))
 
 
 def _parse_rational(token: str, lineno: int) -> ExactValue:
@@ -102,8 +158,9 @@ def parse_space(text: str) -> UltrametricSpace:
     if read is None:
         read = _read_lines(text)
     labels, values, upper, inexact = read
-    labels = _checked_labels(labels, len(upper))
-    distinct, ranks = _rank_rows(values, upper)
+    n = len(labels)
+    labels = _checked_labels(labels, n)
+    distinct, ranks = _rank_rows(values, upper, n)
     return _checked_space(labels, distinct, ranks, inexact)
 
 
@@ -112,24 +169,16 @@ def _header(lines: list[str]) -> tuple[list[str], int]:
     index of the line after the last item. Blank lines before and between
     the items are skipped. A malformed item raises ParseError naming its
     line, and lines that end before the third item raise it at the last
-    line. Both readers read their header here."""
-    pos = 0
+    line, line 1 for no lines at all. Both readers read their header
+    here."""
+    items = list(islice(filter(itemgetter(1), enumerate(map(str.strip, lines), 1)), 3))
+    if items and items[0][1] != "ums 1":
+        raise ParseError(items[0][0], f"expected header 'ums 1', got {items[0][1]!r}")
+    if len(items) < 2:
+        raise ParseError(max(len(lines), 1), "unexpected end of file")
 
-    def next_line() -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped:
-                return pos, stripped
-        raise ParseError(len(lines), "unexpected end of file")
-
-    lineno, header = next_line()
-    if header != "ums 1":
-        raise ParseError(lineno, f"expected header 'ums 1', got {header!r}")
-
-    lineno, pts_line = next_line()
-    parts = pts_line.split()
+    lineno, line = items[1]
+    parts = line.split()
     if len(parts) != 2 or parts[0] != "points":
         raise ParseError(lineno, "expected 'points <n>'")
     if not _is_digits(parts[1]):
@@ -137,42 +186,55 @@ def _header(lines: list[str]) -> tuple[list[str], int]:
     n = int(parts[1])
     if n < 1:
         raise ParseError(lineno, "point count must be >= 1")
+    if len(items) < 3:
+        raise ParseError(len(lines), "unexpected end of file")
 
-    lineno, labels_line = next_line()
-    parts = labels_line.split()
+    lineno, line = items[2]
+    parts = line.split()
     if parts[0] != "labels" or len(parts) != n + 1:
         raise ParseError(lineno, f"expected 'labels' with {n} entries")
-    return parts[1:], pos
+    return parts[1:], lineno
 
 
 # The line breaks of str.splitlines other than "\n", "\r\n" and "\r".
 _OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+# The fewest pair lines _read_bulk splits as one block, unless the rows run
+# out first. A block holds whole rows, so fewer than _BLOCK_LINES + n lines.
+_BLOCK_LINES = 64
+
 
 def _read_bulk(
     text: str,
-) -> Optional[tuple[list[str], list[ExactValue], list[list[int]], bool]]:
+) -> Optional[tuple[list[str], list[ExactValue], list[int], bool]]:
     """The labels, the body as token ids and the inexact flag of a file
     whose body is in the layout write_space emits, or None when it is not
     in that layout or holds a bad token; _read_lines then reads it, as it
     reads any layout. The body is one id per distinct distance token,
-    values[id] its value, and upper[i] the ids of d(i, j) for j > i.
+    values[id] its value, and upper the ids of d(i, j) for i < j in
+    row-major order.
 
     The text may hold no break of str.splitlines other than "\n" and
     "\r\n", so lines end where the line reader ends them. The header is
     read once, by _header on the lines up to the third non-blank one, so
     blank lines between its items and CRLF ends stay here, and a malformed
-    header raises the ParseError the line reader would. Point i's
-    n - 1 - i pair lines run up to the next "\nd {i+1} " and are split as
-    one block. The block must hold exactly n - 1 - i lines, counted before
-    it is cut out, so an oversized block costs no copy and no word list.
-    Every line must start with "d i ", the words must read every j > i in
-    their third column, and each new token, found by set difference with
-    the tokens seen, must be a rational. No j or token word can be "d" or
-    i, so the lines then start at every fourth word and each holds exactly
-    the four words "d i j token" the line reader would see. Only
-    `inexact true` and blank lines may follow the last block. No list of
-    every line or of every word of the body is ever held.
+    header raises the ParseError the line reader would.
+
+    The pair lines of rows i..r-1, k lines, are one block: at least
+    _BLOCK_LINES lines, unless the rows run out. It runs up to row r's
+    first line "\nd r ", or, for the last rows, to the end of row n - 2's
+    one line. The block must hold exactly k lines, counted before it is
+    cut out, so an oversized block costs no copy and no word list. Every
+    line must start with "d ", the words must read the j of each pair in
+    their third column and its i in their second, and each new token,
+    found by set difference with the tokens seen, must be a rational in
+    the writer's form. A block of one row checks its i column by the start
+    "d i " its lines share, as a count, with no word compared. No i, j or
+    token word can be "d", so the k lines then start at every fourth word
+    and each holds exactly the four words "d i j token" the line reader
+    would see. Only `inexact true` and blank lines may follow the last
+    block. No list of every line or of every word of the body is ever
+    held.
     """
     if any(map(text.__contains__, _OTHER_BREAKS)) or (
         "\r" in text and text.count("\r") != text.count("\r\n")
@@ -193,36 +255,49 @@ def _read_bulk(
     strs = list(map(str, range(n)))
     ids: dict[str, int] = {}
     values: list[ExactValue] = []
-    upper: list[list[int]] = []
-    for i in range(n - 1):
-        k = n - 1 - i
-        end = text.find(f"\nd {i + 1} " if k > 1 else "\n", pos)
-        if end < 0:
-            if k > 1:
-                return None
-            end = len(text)
-        if text.count("\n", pos, end) != k - 1:
+    upper: list[int] = []
+    r = 0
+    while r < n - 1:
+        row = r  # the block's first row
+        icol: list[str] = []
+        jcol: list[str] = []
+        while r < n - 1 and len(jcol) < _BLOCK_LINES:
+            icol += [strs[r]] * (n - 1 - r)
+            jcol += strs[r + 1:]
+            r += 1
+        k = len(jcol)
+        # text[pos - 1] is the "\n" before the block's first line.
+        end = text.find(f"\nd {min(r, n - 2)} ", pos - 1)
+        if r == n - 1 and end >= 0:
+            end = text.find("\n", end + 1)
+            if end < 0:
+                end = len(text)
+        if end < 0 or text.count("\n", pos, end) != k - 1:
             return None
         block = text[pos:end]
         pos = end + 1
         words = block.split()
-        line = f"d {i} "
+        one_row = r - row == 1
+        line = f"d {row} " if one_row else "d "
         if not (
             len(words) == 4 * k
             and block.startswith(line)
             and block.count("\n" + line) == k - 1
-            and words[2::4] == strs[i + 1:]
+            and words[2::4] == jcol
+            and (one_row or words[1::4] == icol)
         ):
             return None
         tokens = words[3::4]
         for token in set(tokens).difference(ids):
             try:
-                values.append(_parse_rational(token, 0))
+                value = _parse_rational(token, 0)
             except ParseError:
                 return None
-            ids[token] = len(ids)
-        upper.append(list(map(ids.__getitem__, tokens)))
-    upper.append([])
+            if value.token() != token:
+                return None  # leading zeros: another token may hold its value
+            ids[token] = len(values)
+            values.append(value)
+        upper += map(ids.__getitem__, tokens)
     tail = text[pos:]
     words = tail.split(None, 2)
     if words and not (words == ["inexact", "true"] and "inexact true" in tail):
@@ -232,7 +307,7 @@ def _read_bulk(
 
 def _read_lines(
     text: str,
-) -> tuple[list[str], list[ExactValue], list[list[int]], bool]:
+) -> tuple[list[str], list[ExactValue], list[int], bool]:
     """The file read line by line, as _read_bulk returns it, for any
     layout: blank lines between header items, pair lines in any order,
     blank lines and `inexact true` anywhere in the body. It raises
@@ -246,7 +321,8 @@ def _read_lines(
     # i * n + j -> token id, for each pair line read so far.
     cells: dict[int, int] = {}
     ids: dict[str, int] = {}
-    values: list[ExactValue] = []
+    # Each distinct value -> its id: 01/1 and 1/1 are two tokens of one value.
+    index: dict[ExactValue, int] = {}
     inexact = False
     for lineno, line in enumerate(lines[pos:], pos + 1):
         line = line.strip()
@@ -271,8 +347,8 @@ def _read_lines(
         token = words[3]
         t = ids.get(token)
         if t is None:
-            values.append(_parse_rational(token, lineno))
-            t = ids[token] = len(ids)
+            value = _parse_rational(token, lineno)
+            t = ids[token] = index.setdefault(value, len(index))
         cells[key] = t
 
     if len(cells) != n * (n - 1) // 2:
@@ -283,34 +359,46 @@ def _read_lines(
             if i * n + j not in cells
         )
         raise ParseError(len(lines), f"missing pair line for {missing}")
-    upper = [list(map(cells.__getitem__, range(i * n + i + 1, i * n + n))) for i in range(n)]
-    return labels, values, upper, inexact
+    # Every pair is present, so the sorted keys are the pairs in row-major order.
+    return labels, list(index), list(map(cells.__getitem__, sorted(cells))), inexact
 
 
 def _rank_rows(
-    values: list[ExactValue], upper: list[list[int]]
+    values: list[ExactValue], upper: list[int], n: int
 ) -> tuple[tuple[ExactValue, ...], tuple[tuple[int, ...], ...]]:
-    """The sorted distinct values, ZERO first, and the symmetric rank rows
-    of a body read as token ids. The ids are sorted by value, and each
-    takes the rank of the last distinct value, so no rational is hashed.
+    """The sorted distinct values, ZERO first, and the symmetric n x n rank
+    rows of a body read as token ids, upper in row-major order.
+
+    Both readers give each distinct value one id, so only the id of a zero
+    token shares ZERO's value and rank. The ids are sorted
+    on (floor(v * 2^64), v): the int decides unless two values agree to
+    64 bits after the binary point, so ExactValues are compared only then.
     Each row of the upper triangle goes into one flat n x n list twice by
     slice assignment: as row i right of the diagonal and as column i below
     it. A zero off the diagonal is left for _checked_space to name."""
-    n = len(upper)
-    distinct = [ZERO]
-    to_rank = [0] * len(values)
-    for t in sorted(range(len(values)), key=values.__getitem__):
-        if values[t] != distinct[-1]:
-            distinct.append(values[t])
-        to_rank[t] = len(distinct) - 1
-    at = to_rank.__getitem__
+    keys = [((v._numerator << 64) // v._denominator, v) for v in values]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    zero = bool(order) and not values[order[0]]._numerator
+    rank_of = dict(zip(order, range(1 - zero, len(order) + 1)))
+    ranked = list(map(rank_of.__getitem__, upper))
     flat = [0] * (n * n)
-    for i, ids in enumerate(upper):
-        row = list(map(at, ids))
+    start = 0
+    for i in range(n - 1):
+        row = ranked[start:start + n - 1 - i]
+        start += n - 1 - i
         flat[i * n + i + 1:(i + 1) * n] = row
         flat[(i + 1) * n + i::n] = row
-    return tuple(distinct), tuple(tuple(flat[k:k + n]) for k in range(0, n * n, n))
+    return (ZERO, *map(values.__getitem__, order[zero:])), tuple(zip(*[iter(flat)] * n))
 
 
-def parse_space_file(path: Union[str, Path]) -> UltrametricSpace:
-    return parse_space(Path(path).read_text())
+def parse_space_file(path: PathArg) -> UltrametricSpace:
+    """Read and parse the `.ums` file at path (parse_space).
+
+    The file is read by read_text: one builtin open in text mode with the
+    default encoding and universal newlines, so CRLF and lone-CR line ends
+    load as "\\n" ends do. A path that is not a str or an os.PathLike
+    giving one raises TypeError. The OSError of a missing file or a
+    directory, the UnicodeDecodeError of undecodable bytes, and
+    parse_space's ParseError and SpaceValidationError propagate.
+    """
+    return parse_space(read_text(path))

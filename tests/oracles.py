@@ -41,18 +41,28 @@ dendrogram by filling a matrix of pool values block pair by block pair,
 with the same random calls, and one f-string per pair line. Each matrix
 goes through validate_space, the reference for the rank rows the
 generators build.
+
+split_tree_by_peeling is the ball splitting as it stood before each ball
+was split into all its sub-balls in one step: it peels one sub-ball per
+step and pushes the rest back on the stack. It is the reference for the
+dendrogram _split_tree builds: heights, children order, parents and first
+points. parse_space_by_path_read is parse_space_file as it stood before it
+read files with one builtin open: pathlib's read_text, then parse_space.
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, compress, permutations, product
 from math import ceil, lcm
+from operator import itemgetter
+from pathlib import Path
 
 from ultragh import exact
 from ultragh.correspondences import Correspondence, SearchResult, _FarMasks, full_product
 from ultragh.errors import BudgetExceededError
 from ultragh.isometries import ApproximationWitness, _approximation_verdict, _isometry_verdict
-from ultragh.spaces import BreakpointGrid, spectra_lower_bound
+from ultragh.spaces import BreakpointGrid, _Dendrogram, spectra_lower_bound
+from ultragh.umsio import parse_space
 
 SEARCH_BUDGET = 5_000_000  # nodes a reference search visits before it stops
 
@@ -154,6 +164,65 @@ def write_space_by_lines(space):
     if space.inexact:
         lines.append("inexact true")
     return "\n".join(lines) + "\n"
+
+
+def split_tree_by_peeling(rk):
+    """The dendrogram of a symmetric rank matrix with a zero diagonal, or
+    None, peeling one sub-ball per step: a popped cluster is split at the
+    largest rank M in its first point's row into that point's ball, pushed,
+    and the rest, pushed on top; a popped rest whose largest rank is still
+    M belongs to the same node, any other popped cluster is a new node."""
+    n = len(rk)
+    if n == 1:
+        return _Dendrogram([], [], [-1], [0])
+    tree = heights, children, parent, first = _Dendrogram(
+        [max(rk[0])], [[]], [-1] * (n + 1), [*range(n), 0])
+    row_of = rk.__getitem__
+    stack = [(list(range(n)), 0)]
+    while stack:
+        cluster, up = stack.pop()
+        near = list(map(rk[cluster[0]].__getitem__, cluster))
+        m = max(near)
+        if not m:
+            return None
+        node = up
+        if m != heights[up]:
+            if m > heights[up]:
+                return None
+            node = len(heights)
+            children[up].append(n + node)
+            heights.append(m)
+            children.append([])
+            parent.append(n + up)
+            first.append(cluster[0])
+        kids = children[node]
+        if near.count(m) == len(near) - 1:
+            kids.append(cluster[0])
+            parent[cluster[0]] = n + node
+            rest = cluster[1:]
+        else:
+            ball = list(compress(cluster, map(m.__gt__, near)))
+            rest = list(compress(cluster, map(m.__eq__, near)))
+            stack.append((ball, node))
+            others = ball[1:]
+            small, large = (others, rest) if len(others) < len(rest) else (rest, others)
+            seen = map(itemgetter(*large), map(row_of, small))
+            if len(large) > 1:
+                seen = chain.from_iterable(seen)
+            seen = list(seen)
+            if seen.count(m) != len(seen):
+                return None
+        if len(rest) > 1:
+            stack.append((rest, node))
+        else:
+            kids.append(rest[0])
+            parent[rest[0]] = n + node
+    return tree
+
+
+def parse_space_by_path_read(path):
+    """The space in the .ums file at path, read by pathlib."""
+    return parse_space(Path(path).read_text())
 
 
 def fraction_matrix(space):

@@ -333,6 +333,47 @@ def test_exit_codes(files, capsys, tmp_path):
     assert "interval: [1/4, 1/2]" in out
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "empty name"])
+def test_unusable_paths_exit_2(files, capsys, tmp_path, kind):
+    # Every file the CLI reads or writes (a .ums file, gen -o, a chi pairs
+    # file, a converge or sutb manifest, a file a manifest names) exits 2
+    # with an error when its path is a missing file, a directory or "".
+    bad = {"missing": str(tmp_path / "missing.txt"), "directory": str(tmp_path),
+           "empty name": ""}[kind]
+    out = str(tmp_path / "no" / "dir.ums") if kind == "missing" else bad
+    manifest = tmp_path / "names.txt"
+    manifest.write_text(f"{files['z4']}\n{bad or tmp_path / 'gone.ums'}\n")
+    for argv in (["validate", bad],
+                 ["gen", "zp", "--p", "2", "--depth", "1", "-o", out],
+                 ["chi", files["z4"], files["z4"], "--pairs", bad],
+                 ["converge", bad], ["sutb", bad, "--eps", "1", "--max-net", "1"],
+                 ["converge", str(manifest)],
+                 ["sutb", str(manifest), "--eps", "1", "--max-net", "1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+
+
+def test_pairs_and_manifest_paths_follow_pathlib_rules(files, tmp_path):
+    # An int or bytes path raises TypeError, as pathlib.Path does, and an
+    # int is never read as a file descriptor.
+    manifest = tmp_path / "names.txt"
+    manifest.write_text(f"{files['z4']}\n")
+    assert cli._parse_manifest(str(manifest))[1] == [Path(files["z4"])]
+    with open(manifest) as file:
+        for read in (cli._parse_pairs_file, cli._parse_manifest):
+            for bad in (file.fileno(), os.fsencode(manifest)):
+                with pytest.raises(TypeError):
+                    read(bad)
+
+
+def test_empty_ums_file_exits_2_at_line_1(capsys, tmp_path):
+    empty = tmp_path / "empty.ums"
+    empty.write_text("")
+    assert run(["validate", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: line 1: unexpected end of file\n"
+
+
 def test_ratio_budget_exits_3(files, capsys, tmp_path):
     far = tmp_path / "far.ums"
     write_space_file(zq_delta(5, 2, 2), far)

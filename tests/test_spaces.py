@@ -19,9 +19,11 @@ from ultragh import (
     parse_space,
     ramified_ball_approx,
     random_ultrametric,
+    truncated_unramified_ring,
     validate_space,
     weight_spectrum,
     write_space,
+    zq_delta,
 )
 from ultragh.correspondences import _FarMasks, _subset_orders
 from ultragh.spaces import (
@@ -52,6 +54,7 @@ from oracles import (
     naive_correspondence_minima,
     naive_lex_min_witness,
     partner_subsets_by_recursion,
+    split_tree_by_peeling,
 )
 
 POOL = [ExactValue(1, 4), ExactValue(1, 2), ExactValue(1), ExactValue(2)]
@@ -748,6 +751,9 @@ def _check_tree_fields(rk, tree):
 
 def _check_split(rk):
     tree = _split_tree(rk)
+    # The same verdict and the same dendrogram, node for node, as peeling
+    # one sub-ball per step.
+    assert tree == split_tree_by_peeling(rk)
     if _is_ultrametric(rk):
         assert _merge_heights(tree) == _single_linkage_heights(rk)
         _check_tree_fields(rk, tree)
@@ -787,6 +793,26 @@ def test_ball_splitting_on_perturbed_ultrametrics(n, seed, edits):
     values = sorted({v for row in rows for v in row})
     rk = tuple(tuple(map(values.index, row)) for row in rows)
     _check_split(rk)
+
+
+def test_ball_splitting_matches_one_ball_per_step_on_generated_spaces():
+    # Splitting each ball into all its sub-balls in one step numbers the
+    # nodes, orders the children and fills parents and first points as
+    # peeling one sub-ball per step did, on the paper's families, seeded
+    # random spaces up to 256 points and caterpillars with a split bottom.
+    pool = [ev(f"{k}/7") for k in range(1, 30)]
+    spaces = [
+        truncated_unramified_ring(2, 1, 8, size_cap=256),
+        truncated_unramified_ring(3, 2, 1),
+        ramified_ball_approx(2, 2, 1, 1, 4),
+        zq_delta(5, 2, 3),
+        caterpillar(300),
+        caterpillar(40, split_bottom=True),
+        *(random_ultrametric(n, seed, p, size_cap=256)
+          for n in (2, 3, 5, 17, 64, 256) for seed in (0, 1, 2) for p in (POOL, pool)),
+    ]
+    for space in spaces:
+        assert space._tree == split_tree_by_peeling(space.ranks)
 
 
 def _depth(tree, n):

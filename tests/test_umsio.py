@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from itertools import chain
@@ -24,7 +25,7 @@ from ultragh.errors import (
 )
 
 from conftest import ev
-from oracles import write_space_by_lines
+from oracles import parse_space_by_path_read, write_space_by_lines
 
 
 def test_round_trip(z4, tmp_path):
@@ -464,6 +465,29 @@ def test_loader_agrees_with_line_reader_on_other_layouts():
             assert _outcome(parse_space, variant) == _outcome(reference_parse, variant), variant
 
 
+def test_loader_checks_the_row_of_every_pair_line():
+    # Row 0 of 70 points has 69 pair lines, a block of its own, checked by
+    # the start "d 0 " its lines share; rows 61 to 68 share a block with
+    # other short rows, checked word by word. Swapping the rows of two
+    # lines with the same j keeps every pair but moves their tokens, in
+    # either kind of block: both readers load the moved tokens. Row 0's
+    # line goes to a row past 1, so it cannot end row 0's block early.
+    pool = [ev(f"{k}/3") for k in range(1, 40)]
+    text = write_space(random_ultrametric(70, 5, pool, size_cap=70))
+    lines = text.split("\n")
+    at = {tuple(map(int, line.split()[1:3])): k for k, line in enumerate(lines[3:], 3)}
+    for i, rows in ((0, range(2, 69)), (61, range(62, 68))):
+        a, b, h = next((at[i, j], at[h, j], h) for h in rows for j in range(h + 1, 70)
+                       if lines[at[i, j]].split()[3] != lines[at[h, j]].split()[3])
+        swapped = list(lines)
+        swapped[a] = lines[a].replace(f"d {i} ", f"d {h} ", 1)
+        swapped[b] = lines[b].replace(f"d {h} ", f"d {i} ", 1)
+        swapped = "\n".join(swapped)
+        got = _outcome(parse_space, swapped)
+        assert got == _outcome(reference_parse, swapped)
+        assert got != _outcome(parse_space, text)
+
+
 def test_loader_corner_cases_agree_with_line_reader():
     x3 = write_space(truncated_unramified_ring(3, 1, 1))
     head = "ums 1\npoints 3\nlabels a b c\n"
@@ -495,6 +519,140 @@ def test_loader_corner_cases_agree_with_line_reader():
     ]
     for text in texts:
         assert _outcome(parse_space, text) == _outcome(reference_parse, text), text
+
+
+def test_values_close_or_far_apart_sort_exactly():
+    # The loader orders values on their first 64 bits after the binary
+    # point, then exactly: values that agree that far, tiny values that
+    # round to the same int and values far beyond any float order as
+    # validate_space orders them.
+    head = "ums 1\npoints 3\nlabels a b c\n"
+    close = f"{2 ** 72 + 3}/{3 * 2 ** 72}"  # 1/3 + 2^-72
+    big = 10 ** 400
+    pairs = [("1/3", close), (f"1/{big + 1}", f"1/{big}"), (f"{big}/1", f"{big + 1}/1"),
+             (f"{big}/3", f"{big}/1")]
+    for low, high in pairs:
+        for a, b in ((low, high), (high, low)):
+            text = head + f"d 0 1 {a}\nd 0 2 {b}\nd 1 2 {b}\n"
+            got = _outcome(parse_space, text)
+            assert got == _outcome(reference_parse, text)
+            if a == low:
+                assert [v.token() for v in got[0].values] == ["0/1", low, high]
+
+
+def test_empty_text_fails_at_line_1(tmp_path):
+    # Line numbers start at 1: an empty file ends at its first line, as a
+    # file of one blank line does.
+    for text in ("", "\n", "  "):
+        with pytest.raises(ParseError) as exc:
+            parse_space(text)
+        assert (exc.value.line, exc.value.reason) == (1, "unexpected end of file")
+    empty = tmp_path / "empty.ums"
+    empty.write_bytes(b"")
+    with pytest.raises(ParseError, match="^line 1: unexpected end of file$"):
+        parse_space_file(empty)
+
+
+class _BytesPathLike:
+    """An os.PathLike whose __fspath__ gives bytes."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return os.fsencode(self.path)
+
+
+def test_path_arguments_follow_pathlib_rules(z4, tmp_path):
+    path = tmp_path / "z4.ums"
+    write_space_file(z4, str(path))
+    written = path.read_bytes()
+    assert parse_space_file(str(path)) == parse_space_file(path) == z4
+    # Only a str or an os.PathLike giving a str names a file, as for
+    # pathlib.Path: bytes are refused even where the file exists.
+    fresh = tmp_path / "fresh.ums"
+    for bad in (os.fsencode(path), _BytesPathLike(path), None, 1.5):
+        with pytest.raises(TypeError):
+            parse_space_file(bad)
+    for bad in (os.fsencode(fresh), _BytesPathLike(fresh), None, 1.5):
+        with pytest.raises(TypeError):
+            write_space_file(z4, bad)
+    assert not fresh.exists()
+    # An int is refused too, never read or written as a file descriptor.
+    with open(path, "r+") as file:
+        fd = file.fileno()
+        for bad in (fd, True):
+            with pytest.raises(TypeError):
+                parse_space_file(bad)
+            with pytest.raises(TypeError):
+                write_space_file(z4, bad)
+        assert file.read() == written.decode()
+    assert path.read_bytes() == written
+    # A missing file, a directory and the empty name raise an OSError.
+    for bad in (tmp_path / "missing.ums", tmp_path, str(tmp_path), ""):
+        with pytest.raises(OSError):
+            parse_space_file(bad)
+    for bad in (tmp_path / "no" / "dir.ums", tmp_path, ""):
+        with pytest.raises(OSError):
+            write_space_file(z4, bad)
+
+
+def _file_outcome(read, path):
+    """What a file reader makes of the file at path: the space with its
+    dendrogram and its written bytes, or the error's type, message and
+    line."""
+    try:
+        space = read(path)
+    except (UltraGHError, UnicodeDecodeError) as err:
+        return (type(err), str(err), getattr(err, "line", None))
+    return (space, space._tree, write_space(space))
+
+
+def _mixed_ends(text):
+    """text with its line ends cycling through LF, CRLF and lone CR."""
+    lines = text.split("\n")
+    ends = ["\n", "\r\n", "\r"]
+    return "".join(line + ends[k % 3] for k, line in enumerate(lines[:-1])) + lines[-1]
+
+
+def test_file_reader_matches_the_pathlib_read(tmp_path):
+    # parse_space_file reads with one builtin open; on every line end,
+    # line break, encoding detail and trailing blank line it loads what
+    # pathlib's read_text then parse_space loads, or fails alike.
+    x3 = write_space(truncated_unramified_ring(3, 1, 1))
+    big = write_space(random_ultrametric(40, 4, [ev("1/4"), ev("1/2"), ev(1), ev(2)]))
+    named = x3.replace("labels 0 1 2", "labels \u00e9t\u00e9 \u00df \u70b9")
+    bad_token = x3.replace("d 0 2 1/1", "d 0 2 2/2")
+    bad_line = x3.replace("d 1 2 1/1", "d 1 2")
+    texts = []
+    for text in (x3, big, named, bad_token, bad_line, x3 + "inexact true\n"):
+        texts += [
+            text,
+            text.replace("\n", "\r\n"),
+            text.replace("\n", "\r"),
+            _mixed_ends(text),
+            text.replace("\n", "\x85"),
+            text.replace("\n", "\u2028"),
+            text.replace("\n", "\u2028", 2),
+            text.replace("\n", "\x85", 4),
+            "\ufeff" + text,
+            text + "\n\n  \n",
+            text.replace("\n", "\r\n") + "\r\n \r\n",
+            text.replace("\n", "\r") + "\r\r",
+        ]
+    texts += ["", "\n", "\r", "\ufeff"]
+    blobs = [text.encode() for text in texts]
+    blobs += [b"ums 1\npoints 2\nlabels \xff b\nd 0 1 1/1\n", x3.encode("utf-16")]
+    outcomes = set()
+    for k, blob in enumerate(blobs):
+        path = tmp_path / f"f{k}.ums"
+        path.write_bytes(blob)
+        got = _file_outcome(parse_space_file, path)
+        assert got == _file_outcome(parse_space_by_path_read, path), blob
+        assert _file_outcome(parse_space_file, str(path)) == got
+        outcomes.add(got[0] if isinstance(got[0], type) else "space")
+    # Loads, parse errors and decode errors are all among them.
+    assert {"space", ParseError, UnicodeDecodeError} <= outcomes
 
 
 def test_header_for_many_points_needs_no_square_matrix():
