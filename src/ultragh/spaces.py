@@ -313,12 +313,14 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
         return _Dendrogram([], [], [-1], [0])
     tree = heights, children, parent, first = _Dendrogram([], [], [-1] * n, list(range(n)))
     row_of = rk.__getitem__
-    # (ball, the node id of the ball it came off, -1 for the whole space)
-    stack = [(list(range(n)), -1)]
+    # (ball, the node id of the ball it came off, -1 for the whole space,
+    # and its first point's entries within it, None until they are read)
+    stack = [(list(range(n)), -1, None)]
     while stack:
-        rest, up = stack.pop()
+        rest, up, near = stack.pop()
         s = rest[0]
-        near = list(map(rk[s].__getitem__, rest))
+        if near is None:
+            near = list(map(rk[s].__getitem__, rest))
         m = max(near)
         if not m:
             return None  # a zero off the diagonal: the ball would be empty
@@ -338,7 +340,7 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
             else:
                 ball = list(compress(rest, map(m.__gt__, near)))
                 rest = list(compress(rest, map(m.__eq__, near)))
-                stack.append((ball, node))
+                stack.append((ball, node, None))
                 # near holds s's entries; check the others'.
                 others = ball[1:]
                 small, large = (others, rest) if len(others) < len(rest) else (rest, others)
@@ -358,7 +360,7 @@ def _split_tree(rk: Sequence[Sequence[int]]) -> Optional[_Dendrogram]:
             if top != m:
                 if top > m:
                     return None
-                stack.append((rest, node))  # the rest is one sub-ball
+                stack.append((rest, node, near))  # the rest is one sub-ball
                 break
     return tree
 
