@@ -21,7 +21,6 @@ distortion.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import itemgetter, or_
@@ -141,24 +140,31 @@ def distortion(c: Correspondence) -> ExactValue:
     """max |d_X(x,x') - d_Y(y,y')| over related pairs (x,y), (x',y'),
     read as the largest gap int on the pair's BreakpointGrid."""
     grid = BreakpointGrid(c.left, c.right)
-    return ExactValue(_distortion_rank(grid, c.pairs), grid.den)
+    return ExactValue(_distortion_ranks(grid, c.pairs)[-1], grid.den)
 
 
-def _distortion_rank(grid: BreakpointGrid, pairs: Iterable[tuple[int, int]]) -> int:
-    """The distortion of the relation pairs on the pair of grid, as an int
-    over grid.den, 0 when it holds fewer than two pairs. A map's graph is
+def _distortion_ranks(grid: BreakpointGrid, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The distortions of the prefixes of the relation pairs on the pair of
+    grid, as ints over grid.den: entry k is the distortion of the pairs
+    whose left point is below k, and the last entry that of all of them,
+    0 for fewer than two pairs. The pairs ascend by left point, each left
+    point from 0 up to the last having at least one; a map's graph is
     enumerate(images). Each gap is read off grid._gap by the spaces' own
     ranks of its two distances."""
     gap, x_ranks, y_ranks = grid._gap, grid.x.ranks, grid.y.ranks
-    pairs = list(pairs)
-    best = 0
-    for a, (i, j) in enumerate(pairs):
+    seen: list[tuple[int, int]] = []
+    running, best = [0], 0
+    for i, j in pairs:
+        if i == len(running):
+            running.append(best)
         xi, yj = x_ranks[i], y_ranks[j]
-        for k, l in pairs[a + 1:]:
+        for k, l in seen:
             r = gap[xi[k]][yj[l]]
             if r > best:
                 best = r
-    return best
+        seen.append((i, j))
+    running.append(best)
+    return running
 
 
 def _check_map(x: UltrametricSpace, y: UltrametricSpace, f: Sequence[int]) -> None:
@@ -231,7 +237,7 @@ def _partner_walk(
     """
     grid = BreakpointGrid(c.left, c.right)
     rows_x, rows_y, wx, wy, den = c.left.ranks, c.right.ranks, grid.wx, grid.wy, grid.den
-    dis = _distortion_rank(grid, c.pairs)
+    dis = _distortion_ranks(grid, c.pairs)[-1]
     right_of: list[list[int]] = [[] for _ in rows_x]
     left_of: list[list[int]] = [[] for _ in rows_y]
     for i, j in c.pairs:
@@ -394,14 +400,6 @@ class SearchResult:
     nodes: int
 
 
-class _Exhausted(Exception):
-    pass
-
-
-class _Done(Exception):
-    pass
-
-
 class _NoLeafAtStart(MethodDisagreementError):
     """A seeded search accepted no leaf: its starting bound lies below the
     minimum. A caller that seeds at a proven lower bound, which may be
@@ -483,19 +481,6 @@ class _FarMasks(dict):
         return rows
 
 
-# Frames a search may stack above its deepest dfs frame: the distortion
-# read, a far-mask row build and their comprehensions, with room to spare.
-_STACK_HEADROOM = 50
-
-
-def _frames_in_use() -> int:
-    """The number of frames on the stack of the caller."""
-    frame, count = sys._getframe(1), 0
-    while frame is not None:
-        frame, count = frame.f_back, count + 1
-    return count
-
-
 # A search's leaf: the correspondence, its distortion as an int over the
 # grid's den, optimal and nodes, the fields of a SearchResult.
 _Leaf = tuple[Correspondence, int, bool, int]
@@ -518,19 +503,23 @@ def _search(
     before the first leaf, the full product is the leaf, optimal exactly
     when its distortion is the floor.
 
-    dfs recurses once per left point, and with a budget at most once per
-    node, so a search is at most min(n, budget + 1) frames deep. A search
-    deeper than _STACK_HEADROOM that could recurse past the interpreter's
-    recursion limit raises SearchSpaceTooLargeError before any work.
+    Each left point is one level of the search. A node is a generator
+    that yields each child it opens as a new generator, none of whose code
+    has run yet. The search keeps the generators of the open nodes on one
+    explicit stack, and one loop runs them, so no node runs inside another
+    and the search runs at any depth. The loop counts the nodes and stops
+    when the budget runs out or when a leaf reaches the floor.
 
     Every number is the grid's int over grid.den. Every test against the
     incumbent cutoff is a bitmask test on the search's far masks
     (_FarMasks) at that cutoff, so a node reads no gap. Exact gaps are
-    read by _distortion_rank, the distortion of every relation check,
-    only where they decide something: once for each leaf accepted, and,
-    when the cutoff falls at a node, once for the pairs chosen above it,
-    which end the node when they reach the new cutoff. The partner
-    subsets come in two orders that depend only on |Y| (_subset_orders).
+    read by _distortion_ranks, the distortion of every relation check,
+    once for each leaf accepted, with the distortion of each prefix of its
+    partner sets. The nodes open at that moment lie on the leaf's path,
+    so when the cutoff falls at one of them, the distortion of the pairs
+    chosen above it is the leaf's prefix at its level, and the node ends
+    when that reaches the new cutoff. The partner subsets come in two
+    orders that depend only on |Y| (_subset_orders).
 
     start, a grid int given only without a budget, seeds the incumbent
     cutoff at start + 1 in place of just above the full product's
@@ -556,16 +545,6 @@ def _search(
             f"|X|*|Y| = {n * m} exceeds the cap {product_cap}; pass a budget "
             "to search anyway"
         )
-    # Only a search deeper than the headroom is checked: walking the stack
-    # costs about a microsecond, a few percent of a small pair's search.
-    depth = n if budget is None else min(n, budget + 1)
-    if depth > _STACK_HEADROOM:
-        limit = sys.getrecursionlimit()
-        if depth + _frames_in_use() + _STACK_HEADROOM > limit:
-            raise SearchSpaceTooLargeError(
-                f"the search may recurse {depth} levels deep, one per left point, "
-                f"past the recursion limit {limit}; pass a smaller budget"
-            )
 
     # Each partner subset with its bitmask, in two orders. Complete pair
     # sequences compare like Python tuples, where a strict prefix sorts
@@ -583,10 +562,6 @@ def _search(
     full_mask = (1 << m) - 1
     far_masks = _FarMasks(grid)
 
-    def pairs_of(sets: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-        # The pairs (i, b), b in sets[i], ascending.
-        return [(i, b) for i, si in enumerate(sets) for b in si]
-
     # The incumbent starts just above the full product's distortion (or
     # above start), so the search records the first leaf in search order
     # it accepts and then only strictly better ones: it ends on the first
@@ -594,14 +569,16 @@ def _search(
     # at or below the merge-height floor is that first optimal leaf, so the
     # search stops there.
 
-    nodes = 0  # frames entered; past budget the search stops
     best = (full if start is None else start) + 1
     best_pairs: Optional[list[tuple[int, int]]] = None
+    # prefix[k]: the distortion of the first k partner sets of the latest
+    # leaf accepted, which every open node's chosen sets are a prefix of.
+    prefix: list[int] = []
 
     chosen: list[tuple[int, ...]] = []
 
-    def dfs(level: int, covered: int, cutoff: int,
-            far: list[list[int]], bar: list[int]):
+    def node(level: int, covered: int, cutoff: int,
+             far: list[list[int]], bar: list[int]):
         # far = far_masks[cutoff]: far[x.ranks[i][j]][a] is the bitmask of
         # the partners b of j whose gap against the pair (i, a) reaches the
         # cutoff. far[0] is the row of x's distance 0, so y_far[a] masks
@@ -613,10 +590,7 @@ def _search(
         # puts at or past the cutoff. The chosen pairs lie below the
         # cutoff. The parent's forward check passes far and bar down at its
         # cutoff; they are rebuilt here only once best has moved.
-        nonlocal best, best_pairs, nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Exhausted
+        nonlocal best, best_pairs, prefix
         last = level == n - 1
         missing = full_mask & ~covered
         later = x.ranks[level][level + 1:]  # the distances to later left points
@@ -625,7 +599,7 @@ def _search(
             if cutoff != best:
                 cutoff = best
                 far = far_masks[cutoff]
-                if _distortion_rank(grid, pairs_of(chosen)) >= cutoff:
+                if prefix[level] >= cutoff:
                     # Every candidate here would reach the cutoff.
                     return
                 y_far = far[0]
@@ -641,10 +615,12 @@ def _search(
             if last:
                 if (mask & missing) != missing:
                     continue
-                best_pairs = pairs_of([*chosen, sub])
-                best = _distortion_rank(grid, best_pairs)
+                # The pairs (i, b), b in the partner set of i, ascending.
+                best_pairs = [(i, b) for i, si in enumerate([*chosen, sub]) for b in si]
+                prefix = _distortion_ranks(grid, best_pairs)
+                best = prefix[-1]
                 if best <= grid.floor:
-                    raise _Done
+                    return
                 continue
             # Forward check against the cutoff: each later left point needs
             # an open partner, and each uncovered right point an open later
@@ -676,16 +652,27 @@ def _search(
                               for s in (forced & ~d for d in child_bar) if s):
                 continue
             chosen.append(sub)
-            dfs(level + 1, covered | mask, cutoff, far, child_bar)
+            yield node(level + 1, covered | mask, cutoff, far, child_bar)
             chosen.pop()
 
-    optimal = True
-    try:
-        dfs(0, 0, best, far_masks[best], [0] * n)
-    except _Done:
-        pass
-    except _Exhausted:
-        optimal = False
+    # Each child opened is a node, counted before any of its code runs;
+    # past budget the search stops. A node that ends hands control back to
+    # its parent, unless best has reached the floor: after a leaf there,
+    # or in a search seeded below the floor, which can accept no leaf.
+    optimal, nodes, stack = True, 0, []
+    child = node(0, 0, best, far_masks[best], [0] * n)
+    while True:
+        if child is not None:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                optimal = False
+                break
+            stack.append(child)
+        else:
+            stack.pop()
+            if best <= grid.floor or not stack:
+                break
+        child = next(stack[-1], None)
 
     if best_pairs is None:
         if start is not None:

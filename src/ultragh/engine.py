@@ -250,10 +250,9 @@ def classical_gh(
     diameter difference) and half the incumbent distortion. A search that
     reaches the floor stops there as optimal, and so does one whose budget
     runs out before its first leaf when the full product's distortion is
-    the floor; its witness is the full product. A search that could
-    recurse past the interpreter's recursion limit, one frame per point
-    of x up to budget + 1, raises SearchSpaceTooLargeError before any
-    work. Without a budget the search
+    the floor; its witness is the full product. The search keeps its
+    levels, one per point of x, on an explicit stack, so it runs at any
+    depth. Without a budget the search
     is first seeded at the floor itself, and when no correspondence
     reaches it, runs again seeded at the quotient value dhat, which this
     call walks the quotient cuts for. The search returns its distortion as

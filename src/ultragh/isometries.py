@@ -48,7 +48,7 @@ from .spaces import (
     is_epsilon_net,
     spectra_lower_bound,
 )
-from .correspondences import Correspondence, _check_map, _distortion_rank
+from .correspondences import Correspondence, _check_map, _distortion_ranks
 
 
 def map_distortion(
@@ -57,7 +57,7 @@ def map_distortion(
     """max over pairs of |d_Y(f(x1), f(x2)) - d_X(x1, x2)|."""
     _check_map(x, y, f)
     grid = BreakpointGrid(x, y)
-    return ExactValue(_distortion_rank(grid, enumerate(f)), grid.den)
+    return ExactValue(_distortion_ranks(grid, enumerate(f))[-1], grid.den)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _isometry_verdict(
     rows_x, rows_y = x.ranks, y.ranks
     cut_x, cut_y = bisect_left(x.values, eps), bisect_left(y.values, eps)
     n = len(images)
-    dis = ExactValue(_distortion_rank(grid, enumerate(images)), grid.den)
+    dis = ExactValue(_distortion_ranks(grid, enumerate(images))[-1], grid.den)
     # near[y][x]: whether d_Y(y, f(x)) < eps.
     near = [[row[b] < cut_y for b in images] for row in rows_y]
     far = next((yy for yy, row in enumerate(near) if not any(row)), None)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 from itertools import islice
-from math import gcd
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -143,9 +142,10 @@ def _parse_rational(token: str, lineno: int) -> ExactValue:
         raise ParseError(lineno, f"denominator must be positive in {token!r}")
     if negative:
         raise ParseError(lineno, f"distances must be nonnegative, got {token!r}")
-    if gcd(num, den) != 1:
+    value = ExactValue(num, den)
+    if value._denominator != den:
         raise ParseError(lineno, f"{token!r} is not in lowest terms")
-    return ExactValue(num, den)
+    return value
 
 
 def parse_space(text: str) -> UltrametricSpace:

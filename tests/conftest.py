@@ -70,7 +70,7 @@ def refuse_relation_checks(monkeypatch, path, *, distortion):
     names = [(isometries, "_isometry_verdict"), (isometries, "_approximation_verdict"),
              (correspondences, "_partner_walk")]
     if distortion:
-        names += [(correspondences, "_distortion_rank"), (isometries, "_distortion_rank")]
+        names += [(correspondences, "_distortion_ranks"), (isometries, "_distortion_ranks")]
     for module, name in names:
         def refuse(*args, name=name):
             raise AssertionError(f"{path} ran {name}")

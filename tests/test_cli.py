@@ -464,16 +464,15 @@ def test_budget_zero_at_the_floor_reports_the_value(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "classical_dgh: 1/4"
 
 
-def test_deep_budgeted_search_exits_2(files, capsys):
-    # A search 1200 left points deep would recurse past the interpreter's
-    # limit: the CLI refuses with exit 2, where it used to end in a
-    # RecursionError traceback and exit 1.
+def test_deep_budgeted_search_exits_0(files, capsys):
+    # A search 1200 left points deep keeps its levels on an explicit
+    # stack: it runs, proves the floor optimal and prints d_GH.
     big, two = str(files["dir"] / "big.ums"), str(files["dir"] / "two.ums")
     write_space_file(random_ultrametric(1200, 1, POOL, size_cap=1200), big)
     write_space_file(random_ultrametric(2, 2, POOL), two)
-    assert run(["dgh", big, two, "--budget", "5000"]) == 2
-    err = capsys.readouterr().err
-    assert "recursion limit" in err and "Traceback" not in err
+    assert run(["dgh", big, two, "--budget", "5000"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "classical_dgh: 1/4" and err == ""
 
 
 def test_reproducible_json(files, capsys):

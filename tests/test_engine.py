@@ -13,6 +13,7 @@ from ultragh import (
     candidate_thresholds,
     classical_gh,
     dhat_gh,
+    distortion,
     exists_strong_epsilon_approximation,
     exists_strong_epsilon_isometry,
     find_split,
@@ -308,28 +309,66 @@ def test_budget_zero_at_the_floor_is_optimal():
     assert res.correspondence == full_product(x, y)
 
 
-@pytest.mark.parametrize("search", [classical_gh, min_distortion_correspondence])
-def test_deep_budgeted_search_refuses_before_any_work(monkeypatch, search):
-    # dfs recurses once per left point, up to budget + 1 frames: 1200
-    # frames for a budget of 5000, past the limit, so the search refuses
-    # before it builds a subset order, where it used to end in
-    # RecursionError. A budget of 100 keeps it 101 frames deep.
-    assert sys.getrecursionlimit() < 1200
+def test_deep_budgeted_search_runs():
+    # 1200 left points with a budget of 5000: the search opens one level
+    # per left point, 1200 nodes deep, and proves the floor optimal. Its
+    # levels are kept on an explicit stack, so the depth is not bounded by
+    # the recursion limit. The witness is the first optimal pair set: the
+    # full product less (1199, 1).
     x = random_ultrametric(1200, 1, POOL, size_cap=1200)
     y = random_ultrametric(2, 2, POOL)
+    witness = tuple(p for p in full_product(x, y).pairs if p != (1199, 1))
+    res = classical_gh(x, y, 5000)
+    assert res.optimal and res.lower == res.upper == ev("1/4")
+    assert res.witness.pairs == witness
+    res = min_distortion_correspondence(x, y, 5000)
+    assert (res.distortion, res.optimal, res.nodes) == (ev("1/2"), True, 1200)
+    assert res.correspondence.pairs == witness
+    assert distortion(res.correspondence) == ev("1/2")
 
-    def refuse(m):
-        raise AssertionError("subset orders built")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(correspondences, "_ORDERS", {})
-        patch.setattr(correspondences, "_subset_orders", refuse)
-        with pytest.raises(SearchSpaceTooLargeError) as exc:
-            search(x, y, 5000)
-    assert str(exc.value) == (
-        "the search may recurse 1200 levels deep, one per left point, past the "
-        f"recursion limit {sys.getrecursionlimit()}; pass a smaller budget")
-    assert search(x, y, 100).optimal
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # The limit is set 100 frames above the current depth, and the search
+    # still goes 300 levels deep, as it does under the usual limit.
+    x = random_ultrametric(300, 1, POOL, size_cap=300)
+    y = random_ultrametric(2, 2, POOL)
+    expected = min_distortion_correspondence(x, y, 1000)
+    assert expected.optimal and expected.nodes == 300
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = min_distortion_correspondence(x, y, 1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res == expected
+
+
+class _CountedRows(list):
+    """A gap table that counts its row reads, one per exact gap read."""
+
+    reads = 0
+
+    def __getitem__(self, r):
+        self.reads += 1
+        return list.__getitem__(self, r)
+
+
+def test_a_leaf_is_read_once():
+    # 600 left points against 3 with a budget of 601: the one leaf
+    # accepted, of 1798 pairs, sets the cutoff at its own distortion, 1,
+    # and every open node above it reads its chosen pairs' distortion off
+    # that leaf's prefixes. So the search reads each of the leaf's
+    # 1798 * 1797 / 2 gaps once, and no other gap.
+    x = random_ultrametric(600, 1, POOL, size_cap=1200)
+    y = random_ultrametric(3, 5, POOL)
+    grid = BreakpointGrid(x, y)
+    grid._gap = _CountedRows(grid._gap)
+    corr, best, optimal, nodes = _search(grid, 601, 36)
+    assert (len(corr.pairs), best, optimal, nodes) == (1798, grid.den, False, 602)
+    assert grid._gap.reads == 1798 * 1797 // 2
 
 
 def test_a_methods_string_is_refused(z4, x3, ydelta):
